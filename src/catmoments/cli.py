@@ -20,10 +20,11 @@ from fractions import Fraction
 
 from .exact import DEFAULT_MINOR_BUDGET, FALSE, TRUE, as_rat, det_bareiss, format_rat
 from .hankel import (
+    DEFAULT_DEPTH,
     PASS,
     MomentSequence,
     build_hankel,
-    hankel_det_product,
+    hankel_det_products,
     stieltjes_check,
     verify_H_eq_RTRt,
 )
@@ -44,8 +45,6 @@ from .recursive import (
 )
 from .seqspec import CATALOG, SequenceSpec, catalog_lookup, pqst_of
 from .series import DEFAULT_ORDER, NamedGF, gf_expand, gf_from_json, gf_to_json
-
-DEFAULT_DEPTH = 8
 
 
 class UsageError(Exception):
@@ -222,13 +221,14 @@ def cmd_stieltjes(args) -> int:
 def cmd_hankel_det(args) -> int:
     sigma, tau, name = resolve_weights(args)
     seq = MomentSequence.from_recurrence(sigma, tau, 2 * args.depth + 1 + args.shift)
+    products = hankel_det_products(tau, args.depth) if args.shift == 0 else None
     rows = []
     all_match = True
     for k in range(args.depth + 1):
         det = det_bareiss(build_hankel(seq, k, args.shift))
         row = {"k": k, "det": format_rat(det)}
         if args.shift == 0:
-            product = hankel_det_product(tau, k)
+            product = products[k]
             row["product"] = format_rat(product)
             row["match"] = det == product
             all_match = all_match and det == product
@@ -319,9 +319,9 @@ def verify_checks(name: str, depth: int, budget: int) -> list[tuple[str, bool]]:
     checks.append(("step_factorization",
                    verify_step_factorization(sigma, tau, depth) == TRUE))
     checks.append(("hankel_factorization", verify_H_eq_RTRt(sigma, tau, depth) == TRUE))
+    products = hankel_det_products(tau, depth)
     checks.append(("det_product", all(
-        det_bareiss(build_hankel(seq, n, 0)) == hankel_det_product(tau, n)
-        for n in range(depth + 1))))
+        det_bareiss(build_hankel(seq, n, 0)) == products[n] for n in range(depth + 1))))
     checks.append(("stieltjes", stieltjes_check(seq, depth).verdict == PASS))
     chain = leading_minors(J, depth)
     checks.append(("leading_minors_vs_det", all(

@@ -46,11 +46,25 @@ def as_rat(value) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 
+def _int_str(n: int) -> str:
+    """str(n) at any size.  Past the interpreter's digit limit (4,300 digits by
+    default) n is split by divmod with a power of ten and rendered in halves,
+    so the process-wide limit is left as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _int_str(-n)
+        half = n.bit_length() * 3 // 20          # about half the decimal digits
+        high, low = divmod(n, 10**half)
+        return _int_str(high) + _int_str(low).zfill(half)
+
+
 def format_rat(value: Fraction) -> str:
     """Render a Fraction as "p" or "p/q" (never decimal)."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_str(value.numerator)
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 class DenseMatrix:

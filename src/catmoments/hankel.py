@@ -9,15 +9,18 @@ depth; the verdict is a bounded certificate and says so.
 For a sequence generated by a weight pair, the Hankel matrix factors as
 H = R T R^t with R the recursive matrix and T the diagonal of subdiagonal
 weight products T_k = t_1 ... t_k.  Since R is unit triangular this gives
-det H_n = T_0 * ... * T_n, which hankel_det_product evaluates directly; the
+det H_n = T_0 * ... * T_n, which hankel_det_product evaluates directly and
+hankel_det_products evaluates for every n up to a depth at once; the
 shifted family has no such product form and is always computed by
 determinant.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .exact import FALSE, TRUE, DenseMatrix, as_rat, det_bareiss, format_rat
@@ -169,11 +172,12 @@ def verify_H_eq_RTRt(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> str:
     return TRUE if H == R @ T @ R.transpose() else FALSE
 
 
+def hankel_det_products(tau: SequenceSpec, depth: int) -> list[Fraction]:
+    """hankel_det_product(tau, n) for n = 0..depth, as one running product."""
+    return list(accumulate(TotalsDiagonal.from_tau(tau, depth).values, operator.mul))
+
+
 def hankel_det_product(tau: SequenceSpec, n: int) -> Fraction:
     """det of the depth-n plain Hankel section, via the factorization:
     the product T_0 * T_1 * ... * T_n."""
-    totals = TotalsDiagonal.from_tau(tau, n)
-    result = Fraction(1)
-    for value in totals.values:
-        result *= value
-    return result
+    return hankel_det_products(tau, n)[-1]

@@ -12,10 +12,19 @@ of the package certifies.  The same numbers count weighted lattice paths
 s_k and down steps from height k weighted t_k); motzkin_oracle evaluates
 that count by explicit path enumeration, independent of the recurrence, and
 serves as the test oracle.
+
+The recurrence runs on integers.  The weights s_0..s_depth and
+t_1..t_{depth+1} are evaluated once and scaled by L, the least common
+multiple of their denominators; then L**n * r_{n,k} is an integer and row
+n+1 follows from row n with int arithmetic only.  A row becomes Fractions
+only when it is materialised.  catalan_like keeps one row at a time and only
+the columns k <= depth - n, the cells from which a path can still return to
+column 0 by the last row.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact import FALSE, TRUE, DenseMatrix, format_rat
@@ -71,28 +80,40 @@ class RecursiveMatrix:
         }
 
 
-def build_recursive(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> RecursiveMatrix:
-    """Populate rows 0..depth of the recursive matrix from the recurrence."""
+def _scaled_rows(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: bool = False):
+    """Yield (row, den) for n = 0..depth, row[k] = den * r_{n,k} as ints and
+    den = L**n.  Row n holds columns 0..n, or 0..min(n, depth - n) when
+    truncate is set."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    rows: list[list[Fraction]] = [[Fraction(1)]]
+    s, t = [], []
+    for k in range(depth + 1 if depth else 0):      # row 0 alone needs no weight
+        s.append(sigma.eval(k))
+        t.append(tau.eval(k + 1))
+    scale = math.lcm(*(w.denominator for w in s + t))
+    s = [w.numerator * (scale // w.denominator) for w in s]
+    t = [w.numerator * (scale // w.denominator) for w in t]
+    row, den = [1], 1
+    yield row, den
     for n in range(depth):
-        prev = rows[n]
+        width = min(n + 2, depth - n) if truncate else n + 2
+        padded = row + [0, 0]
+        row = [scale * up + sk * level + tk * down
+               for up, level, down, sk, tk in zip([0, *row], padded, padded[1:], s[:width], t)]
+        den *= scale
+        yield row, den
 
-        def r(k: int) -> Fraction:
-            return prev[k] if 0 <= k <= n else Fraction(0)
 
-        nxt = [
-            r(k - 1) + sigma.eval(k) * r(k) + tau.eval(k + 1) * r(k + 1)
-            for k in range(n + 2)
-        ]
-        rows.append(nxt)
-    return RecursiveMatrix(rows, sigma, tau)
+def build_recursive(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> RecursiveMatrix:
+    """Populate rows 0..depth of the recursive matrix from the recurrence."""
+    rows = _scaled_rows(sigma, tau, depth)
+    return RecursiveMatrix(((Fraction(v, den) for v in row) for row, den in rows), sigma, tau)
 
 
 def catalan_like(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> list[Fraction]:
     """Column 0 of the recursive matrix: terms 0..depth of the sequence."""
-    return build_recursive(sigma, tau, depth).column(0)
+    rows = _scaled_rows(sigma, tau, depth, truncate=True)
+    return [Fraction(row[0], den) for row, den in rows]
 
 
 def motzkin_oracle(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> Fraction:
@@ -167,7 +188,7 @@ def verify_step_factorization(sigma: SequenceSpec, tau: SequenceSpec, n: int) ->
         raise ValueError("n must be >= 0")
     matrix = build_recursive(sigma, tau, n + 1)
     left = matrix.section(n + 1)
-    inner = matrix.section(n) if n >= 0 else None
+    inner = matrix.section(n)
     size = n + 2
     block = [[Fraction(0)] * size for _ in range(size)]
     block[0][0] = Fraction(1)

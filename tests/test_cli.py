@@ -2,11 +2,13 @@
 codes, file arguments, and the environment budget override."""
 
 import json
+import sys
 
 import pytest
 
 from catmoments.cli import main
-from catmoments.seqspec import CATALOG
+from catmoments.seqspec import CATALOG, SequenceSpec
+from oracle import fraction_terms
 
 SIGMA_DROP = json.dumps(
     {"prefix": ["1", "0"], "tail": {"kind": "constant", "value": "0"}, "start": 0}
@@ -78,6 +80,25 @@ def test_gen_rejects_bad_json(capsys):
     code, _, err = run(capsys, "gen", "--sigma", "{not json", "--tau", TAU_ZERO)
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_gen_prints_terms_past_the_digit_limit(capsys):
+    # 256-bit weights: the last terms have over 5,000 decimal digits
+    s, t = 2**255 + 12345, 2**256 - 189
+    sigma = json.dumps({"prefix": [], "tail": {"kind": "constant", "value": str(s)},
+                        "start": 0})
+    tau = json.dumps({"prefix": [], "tail": {"kind": "constant", "value": str(t)},
+                      "start": 1})
+    code, out, err = run(capsys, "gen", "--sigma", sigma, "--tau", tau, "-n", "70")
+    assert code == 0 and err == ""
+    expected = fraction_terms(SequenceSpec.constant(s), SequenceSpec.constant(t, start=1), 70)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert max(len(term) for term in out.split()) > 5000
+        assert [int(term) for term in out.split()] == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_matrix_text(capsys):

@@ -1,6 +1,7 @@
 """Tests for the exact rational kernels: matrices, determinants, minors."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,17 @@ def test_as_rat_rejects_floats_and_junk():
 def test_format_rat():
     assert format_rat(Fraction(7)) == "7"
     assert format_rat(Fraction(-3, 4)) == "-3/4"
+
+
+def test_format_rat_past_the_interpreter_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert format_rat(Fraction(10**5000 + 7)) == "1" + "0" * 4999 + "7"
+    assert format_rat(Fraction(-(10**9000), 10**4400 + 1)) == (
+        "-1" + "0" * 9000 + "/1" + "0" * 4399 + "1")
+    # just past the limit, with a low half that needs its leading zeros
+    big = 10**4300 * 3 + 10**2150 + 42
+    assert format_rat(Fraction(big)) == "3" + "0" * 2149 + "1" + "0" * 2148 + "42"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_matrix_construction_and_access():
