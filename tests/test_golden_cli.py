@@ -4,9 +4,12 @@ Each case runs `catmoments.cli.main(argv)` in-process and compares the
 SHA-256 digests of its stdout and stderr, and its exit code, with the values
 frozen in golden_cli.json.  Any change to a single output byte fails.
 
-The cases cover every catalog entry under `gen -n 40` and `matrix -n 12` in
-every format, one weight pair with rational prefix and polynomial tails,
-both Hankel families, the Stieltjes check, verify and a few error paths.
+The cases cover every subcommand: every catalog entry under `gen -n 40`,
+`matrix -n 12`, `hankel-det`, `stieltjes`, `verify` and `tp` in every
+format, one weight pair with rational prefix and polynomial tails, both
+Hankel families, the (p, q, s, t) criterion, every named and parameterised
+generating function, the catalog listing, and the usage-error (exit 2)
+path of each command.
 After a deliberate output change, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -22,6 +25,7 @@ import pytest
 
 from catmoments.cli import main
 from catmoments.seqspec import CATALOG_NAMES
+from catmoments.series import NAMED_GF_NAMES
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")
 
@@ -34,6 +38,20 @@ RATIONAL_SIGMA = json.dumps({"prefix": ["1/2", "-3/5"],
 RATIONAL_TAU = json.dumps({"prefix": ["5/11"],
                            "tail": {"kind": "polynomial", "coeffs": ["1", "0", "1/13"]},
                            "start": 1})
+
+# sigma = (2, 1, 1, ...), tau = (1, 1, 0, 1, ...): nonnegative weights whose
+# leading minor chain 2, 1, -1, ... refutes total positivity at k = 2
+TP_FALSE_SIGMA = json.dumps({"prefix": ["2"], "tail": {"kind": "constant", "value": "1"},
+                             "start": 0})
+TP_FALSE_TAU = json.dumps({"prefix": ["1", "1", "0"],
+                           "tail": {"kind": "constant", "value": "1"}, "start": 1})
+
+GF_SPECS = {
+    "closed-form": {"kind": "closed_form", "p": "1", "q": "2", "s": "3", "t": "2"},
+    "tied-q": {"kind": "tied_q", "p": "1", "s": "3", "t": "1/2"},
+    "tied-qp": {"kind": "tied_qp", "s": "2", "t": "1"},
+    "inverse-sqrt": {"kind": "inverse_sqrt", "s": "3", "t": "2"},
+}
 
 
 def cases() -> dict[str, list[str]]:
@@ -54,6 +72,21 @@ def cases() -> dict[str, list[str]]:
         out[f"hankel-det-rational-{f}"] = ["hankel-det", *rational, "--depth", "6"]
         out[f"hankel-det-shift-{f}"] = ["hankel-det", "--name", "bell", "--depth", "6",
                                         "--shift", "1", "--format", f]
+        for name in CATALOG_NAMES:
+            out[f"tp-{name}-{f}"] = ["tp", "--jacobi-name", name, "--depth", "8",
+                                     "--format", f]
+        out[f"tp-pqst-true-{f}"] = ["tp", "--pqst", "2,1,3,2", "--format", f]
+        out[f"tp-pqst-false-{f}"] = ["tp", "--pqst", "1,3,2,1", "--format", f]
+        out[f"tp-weights-false-{f}"] = ["tp", "--sigma", TP_FALSE_SIGMA, "--tau", TP_FALSE_TAU,
+                                        "--depth", "6", "--format", f]
+        for name in NAMED_GF_NAMES:
+            out[f"series-{name}-{f}"] = ["series", "--gf", name, "--format", f]
+        for kind, spec in GF_SPECS.items():
+            out[f"series-{kind}-{f}"] = ["series", "--gf", json.dumps(spec), "-n", "12",
+                                         "--format", f]
+        out[f"catalog-{f}"] = ["catalog", "--format", f]
+        out[f"stieltjes-terms-fail-{f}"] = ["stieltjes", "--terms", "1,2,1,2", "--depth", "1",
+                                            "--format", f]
     out["gen-n0"] = ["gen", "--name", "catalan", "-n", "0"]
     out["matrix-n0"] = ["matrix", "--name", "factorial", "-n", "0", "--format", "json"]
     out["gen-negative-n"] = ["gen", "--name", "catalan", "-n", "-1"]
@@ -61,6 +94,27 @@ def cases() -> dict[str, list[str]]:
     out["gen-unknown-name"] = ["gen", "--name", "fibonacci"]
     out["gen-bad-json"] = ["gen", "--sigma", "{not json", "--tau", RATIONAL_TAU]
     out["gen-wrong-start"] = ["gen", "--sigma", RATIONAL_TAU, "--tau", RATIONAL_TAU]
+    out["verify-delannoy-depth-12"] = ["verify", "--name", "delannoy", "--depth", "12"]
+    out["tp-pqst-negative"] = ["tp", "--pqst", "1,-2,3,4"]
+    out["tp-pqst-count"] = ["tp", "--pqst", "1,2,3"]
+    out["tp-pqst-not-rational"] = ["tp", "--pqst", "1,2,x,4", "--format", "json"]
+    out["tp-no-weights"] = ["tp", "--sigma", TP_FALSE_SIGMA]
+    out["tp-unknown-name"] = ["tp", "--jacobi-name", "fibonacci", "--format", "csv"]
+    out["series-unknown-name"] = ["series", "--gf", "motzkin"]
+    out["series-negative-field"] = ["series", "--gf", json.dumps(
+        {"kind": "tied_q", "p": "1", "s": "3", "t": "-1/2"})]
+    out["series-missing-field"] = ["series", "--gf", json.dumps(
+        {"kind": "closed_form", "p": "1"}), "--format", "json"]
+    out["series-bad-json"] = ["series", "--gf", "{not json"]
+    out["series-negative-n"] = ["series", "--gf", "catalan", "-n", "-1"]
+    out["stieltjes-too-few-terms"] = ["stieltjes", "--terms", "1,2,1", "--depth", "1"]
+    out["stieltjes-not-rational"] = ["stieltjes", "--terms", "1,x", "--format", "csv"]
+    out["stieltjes-no-terms"] = ["stieltjes", "--terms", " , "]
+    out["stieltjes-negative-depth"] = ["stieltjes", "--name", "catalan", "--depth", "-1"]
+    out["hankel-det-negative-depth"] = ["hankel-det", "--name", "catalan", "--depth", "-1"]
+    out["hankel-det-unknown-name"] = ["hankel-det", "--name", "fibonacci", "--format", "json"]
+    out["verify-unknown-name"] = ["verify", "--name", "fibonacci"]
+    out["verify-depth-0"] = ["verify", "--name", "catalan", "--depth", "0", "--format", "json"]
     return out
 
 
@@ -80,6 +134,13 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
 
 def test_golden_file_covers_every_case():
     assert sorted(GOLDEN) == sorted(cases())
+
+
+def test_usage_errors_leave_stdout_empty():
+    empty = hashlib.sha256(b"").hexdigest()
+    errors = [case for case, golden in GOLDEN.items() if golden["exit"] == 2]
+    assert len(errors) >= 20
+    assert [case for case in errors if GOLDEN[case]["stdout_sha256"] != empty] == []
 
 
 @pytest.mark.parametrize("case", sorted(cases()))
