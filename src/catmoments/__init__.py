@@ -14,10 +14,8 @@ from .exact import (
     INCONCLUSIVE,
     TRUE,
     DenseMatrix,
-    all_minors_nonneg,
     as_rat,
     det_bareiss,
-    det_cofactor,
     format_rat,
 )
 from .hankel import (
@@ -29,6 +27,7 @@ from .hankel import (
     build_hankel,
     hankel_det_product,
     hankel_det_products,
+    hankel_dets,
     stieltjes_check,
     verify_H_eq_RTRt,
 )
@@ -93,8 +92,6 @@ __all__ = [
     "as_rat",
     "format_rat",
     "det_bareiss",
-    "det_cofactor",
-    "all_minors_nonneg",
     "SequenceSpec",
     "ConstantTail",
     "PolynomialTail",
@@ -127,6 +124,7 @@ __all__ = [
     "verify_H_eq_RTRt",
     "hankel_det_product",
     "hankel_det_products",
+    "hankel_dets",
     "Series",
     "solve_h",
     "solve_d",

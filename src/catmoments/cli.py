@@ -7,6 +7,12 @@ selects text, json, or csv.  Exit codes: 0 for success or PASS, 1 for a
 checked FAIL (or a certification that came back FALSE or INCONCLUSIVE), 2
 for usage and parse errors.  The MOMENTS_BUDGET environment variable
 overrides the minor-enumeration budget.
+
+Each cmd_* function computes its whole result and returns it as
+(exit code, JSON object, CSV rows with the header first, text), all built
+from the same format_rat strings; main prints the format asked for, once.
+Nothing reaches stdout before a command has finished, so a command that
+fails prints only its error message.
 """
 
 from __future__ import annotations
@@ -18,13 +24,14 @@ import re
 import sys
 from fractions import Fraction
 
-from .exact import DEFAULT_MINOR_BUDGET, FALSE, TRUE, as_rat, det_bareiss, format_rat
+from .exact import DEFAULT_MINOR_BUDGET, TRUE, as_rat, det_bareiss, format_rat
 from .hankel import (
     DEFAULT_DEPTH,
+    FAIL,
     PASS,
     MomentSequence,
-    build_hankel,
     hankel_det_products,
+    hankel_dets,
     stieltjes_check,
     verify_H_eq_RTRt,
 )
@@ -47,8 +54,9 @@ from .seqspec import CATALOG, SequenceSpec, catalog_lookup, pqst_of
 from .series import DEFAULT_ORDER, NamedGF, gf_expand, gf_from_json, gf_to_json
 
 
-class UsageError(Exception):
-    """Bad command-line input; reported on stderr with exit code 2."""
+class UsageError(ValueError):
+    """Bad command-line input; reported on stderr with exit code 2, like
+    every ValueError a command raises."""
 
 
 def _read_arg_payload(text: str) -> str:
@@ -146,44 +154,29 @@ def minor_budget() -> int:
     return value
 
 
-def emit(text: str):
-    print(text, end="" if text.endswith("\n") else "\n")
+# what every cmd_* returns: (exit code, JSON value, CSV rows with the header
+# first, text-mode output)
+Rendered = tuple[int, object, list, str]
 
 
-def cmd_gen(args) -> int:
+def _named(name: str | None, data: dict) -> dict:
+    """A weight pair's JSON object, led by its catalog name when it has one."""
+    return {"name": name, **data} if name else data
+
+
+def cmd_gen(args) -> Rendered:
     sigma, tau, name = resolve_weights(args)
-    terms = catalan_like(sigma, tau, args.n)
-    if args.format == "json":
-        data = {
-            "sigma": sigma.to_json(),
-            "tau": tau.to_json(),
-            "n": args.n,
-            "terms": [format_rat(v) for v in terms],
-        }
-        if name:
-            data = {"name": name, **data}
-        emit(json.dumps(data))
-    elif args.format == "csv":
-        lines = ["n,term"] + [f"{i},{format_rat(v)}" for i, v in enumerate(terms)]
-        emit("\n".join(lines))
-    else:
-        emit(" ".join(format_rat(v) for v in terms))
-    return 0
+    terms = [format_rat(v) for v in catalan_like(sigma, tau, args.n)]
+    data = {"sigma": sigma.to_json(), "tau": tau.to_json(), "n": args.n, "terms": terms}
+    return 0, _named(name, data), [("n", "term"), *enumerate(terms)], " ".join(terms)
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args) -> Rendered:
     sigma, tau, name = resolve_weights(args)
     matrix = build_recursive(sigma, tau, args.n)
-    if args.format == "json":
-        data = matrix.to_json()
-        if name:
-            data = {"name": name, **data}
-        emit(json.dumps(data))
-    else:
-        sep = "," if args.format == "csv" else " "
-        emit("\n".join(sep.join(format_rat(v) for v in matrix.row(n))
-                       for n in range(args.n + 1)))
-    return 0
+    rows = [[format_rat(v) for v in matrix.row(n)] for n in range(args.n + 1)]
+    data = {"sigma": sigma.to_json(), "tau": tau.to_json(), "rows": rows}
+    return 0, _named(name, data), rows, "\n".join(" ".join(row) for row in rows)
 
 
 def _moment_sequence(args, count: int) -> tuple[MomentSequence, str | None]:
@@ -194,110 +187,61 @@ def _moment_sequence(args, count: int) -> tuple[MomentSequence, str | None]:
     return MomentSequence.from_recurrence(sigma, tau, count), name
 
 
-def cmd_stieltjes(args) -> int:
+def cmd_stieltjes(args) -> Rendered:
     seq, name = _moment_sequence(args, 2 * args.depth + 2)
-    try:
-        report = stieltjes_check(seq, args.depth)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.format == "json":
-        data = report.to_json()
-        if name:
-            data = {"name": name, **data}
-        emit(json.dumps(data))
-    elif args.format == "csv":
-        emit(report.to_csv())
-    else:
-        emit(f"verdict: {report.verdict} (depth {report.depth})")
-        emit("k det0 det1")
-        for k in range(report.depth + 1):
-            emit(f"{k} {format_rat(report.dets0[k])} {format_rat(report.dets1[k])}")
-        if report.witness:
-            w = report.witness
-            emit(f"first negative: {w['family']} at k={w['k']} value {w['value']}")
-    return 0 if report.verdict == PASS else 1
+    report = stieltjes_check(seq, args.depth)
+    data = _named(name, report.to_json())
+    table = [("k", "det0", "det1"), *zip(range(report.depth + 1), data["dets0"], data["dets1"])]
+    lines = [f"verdict: {report.verdict} (depth {report.depth})"]
+    lines += [" ".join(map(str, row)) for row in table]
+    if report.witness:
+        w = report.witness
+        lines.append(f"first negative: {w['family']} at k={w['k']} value {w['value']}")
+    return 0 if report.verdict == PASS else 1, data, table, "\n".join(lines)
 
 
-def cmd_hankel_det(args) -> int:
+def cmd_hankel_det(args) -> Rendered:
     sigma, tau, name = resolve_weights(args)
     seq = MomentSequence.from_recurrence(sigma, tau, 2 * args.depth + 1 + args.shift)
-    products = hankel_det_products(tau, args.depth) if args.shift == 0 else None
-    rows = []
-    all_match = True
-    for k in range(args.depth + 1):
-        det = det_bareiss(build_hankel(seq, k, args.shift))
-        row = {"k": k, "det": format_rat(det)}
-        if args.shift == 0:
-            product = products[k]
-            row["product"] = format_rat(product)
-            row["match"] = det == product
-            all_match = all_match and det == product
-        rows.append(row)
-    if args.format == "json":
-        data = {"depth": args.depth, "shift": args.shift, "rows": rows}
-        if name:
-            data = {"name": name, **data}
-        emit(json.dumps(data))
-    elif args.format == "csv":
-        if args.shift == 0:
-            lines = ["k,det,product,match"]
-            lines += [f"{r['k']},{r['det']},{r['product']},{str(r['match']).lower()}"
-                      for r in rows]
-        else:
-            lines = ["k,det"] + [f"{r['k']},{r['det']}" for r in rows]
-        emit("\n".join(lines))
-    else:
-        for r in rows:
-            if args.shift == 0:
-                flag = "ok" if r["match"] else "MISMATCH"
-                emit(f"k={r['k']} det={r['det']} product={r['product']} {flag}")
-            else:
-                emit(f"k={r['k']} det={r['det']}")
-    return 0 if all_match else 1
+    dets = hankel_dets(seq, args.depth, args.shift)
+    rows = [{"k": k, "det": format_rat(det)} for k, det in enumerate(dets)]
+    lines = [f"k={row['k']} det={row['det']}" for row in rows]
+    if args.shift == 0:
+        # the plain family also has the weight-product form det H_k = T_0 ... T_k
+        for k, product in enumerate(hankel_det_products(tau, args.depth)):
+            match = dets[k] == product
+            rows[k].update(product=format_rat(product), match=match)
+            lines[k] += f" product={rows[k]['product']} {'ok' if match else 'MISMATCH'}"
+    data = {"depth": args.depth, "shift": args.shift, "rows": rows}
+    table = [tuple(rows[0]), *(tuple(row.values()) for row in rows)]
+    code = 0 if all(row.get("match", True) for row in rows) else 1
+    return code, _named(name, data), table, "\n".join(lines)
 
 
-def cmd_tp(args) -> int:
+def cmd_tp(args) -> Rendered:
     if args.pqst is not None:
         params = parse_pqst_arg(args.pqst)
         report = tp_criterion_pqst(params)
-        extra = {"params": params.to_json()}
+        data = {"params": params.to_json(), **report.to_json()}
     else:
         sigma, tau, name = resolve_weights(args)
         report = tp_certify(JacobiMatrix(sigma, tau), args.depth, minor_budget())
-        extra = {"name": name} if name else {}
-    data = {**extra, **report.to_json()}
-    if args.format == "json":
-        emit(json.dumps(data))
-    elif args.format == "csv":
-        lines = ["key,value"]
-        lines += [f"{k},{json.dumps(v) if isinstance(v, dict) else v}"
-                  for k, v in data.items() if v is not None]
-        emit("\n".join(lines))
-    else:
-        emit(f"verdict: {report.verdict} (criterion {report.criterion}, "
-             f"depth {report.depth})")
-        if report.detail:
-            emit(report.detail)
-        if report.witness:
-            emit(f"witness: rows {report.witness['rows']} cols {report.witness['cols']} "
-                 f"value {report.witness['value']}")
-    return 0 if report.verdict == TRUE else 1
+        data = _named(name, report.to_json())
+    table = [("key", "value"), *((k, v) for k, v in data.items() if v is not None)]
+    lines = [f"verdict: {report.verdict} (criterion {report.criterion}, depth {report.depth})"]
+    if report.detail:
+        lines.append(report.detail)
+    if report.witness:
+        w = report.witness
+        lines.append(f"witness: rows {w['rows']} cols {w['cols']} value {w['value']}")
+    return 0 if report.verdict == TRUE else 1, data, table, "\n".join(lines)
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> Rendered:
     gf = parse_gf_arg(args.gf)
-    try:
-        series = gf_expand(gf, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    coeffs = [format_rat(c) for c in series.coeffs]
-    if args.format == "json":
-        emit(json.dumps({"spec": gf_to_json(gf), "order": args.n, "coeffs": coeffs}))
-    elif args.format == "csv":
-        emit("\n".join(["n,coeff"] + [f"{i},{c}" for i, c in enumerate(coeffs)]))
-    else:
-        emit(" ".join(coeffs))
-    return 0
+    coeffs = [format_rat(c) for c in gf_expand(gf, args.n).coeffs]
+    data = {"spec": gf_to_json(gf), "order": args.n, "coeffs": coeffs}
+    return 0, data, [("n", "coeff"), *enumerate(coeffs)], " ".join(coeffs)
 
 
 def verify_checks(name: str, depth: int, budget: int) -> list[tuple[str, bool]]:
@@ -305,7 +249,7 @@ def verify_checks(name: str, depth: int, budget: int) -> list[tuple[str, bool]]:
     entry = catalog_lookup(name)
     sigma, tau = entry.sigma, entry.tau
     terms = catalan_like(sigma, tau, max(2 * depth + 1, 16))
-    seq = MomentSequence.from_terms(terms, "recurrence")
+    seq = MomentSequence.from_terms(terms)
     matrix = build_recursive(sigma, tau, depth)
     J = JacobiMatrix(sigma, tau)
     checks: list[tuple[str, bool]] = []
@@ -319,10 +263,9 @@ def verify_checks(name: str, depth: int, budget: int) -> list[tuple[str, bool]]:
     checks.append(("step_factorization",
                    verify_step_factorization(sigma, tau, depth) == TRUE))
     checks.append(("hankel_factorization", verify_H_eq_RTRt(sigma, tau, depth) == TRUE))
-    products = hankel_det_products(tau, depth)
-    checks.append(("det_product", all(
-        det_bareiss(build_hankel(seq, n, 0)) == products[n] for n in range(depth + 1))))
-    checks.append(("stieltjes", stieltjes_check(seq, depth).verdict == PASS))
+    stieltjes = stieltjes_check(seq, depth)
+    checks.append(("det_product", list(stieltjes.dets0) == hankel_det_products(tau, depth)))
+    checks.append(("stieltjes", stieltjes.verdict == PASS))
     chain = leading_minors(J, depth)
     checks.append(("leading_minors_vs_det", all(
         chain.values[n] == det_bareiss(J.section(n)) for n in range(depth + 1))))
@@ -340,52 +283,33 @@ def verify_checks(name: str, depth: int, budget: int) -> list[tuple[str, bool]]:
     return checks
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Rendered:
     try:
         catalog_lookup(args.name)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
-    checks = verify_checks(args.name, args.depth, minor_budget())
-    failed = [label for label, ok in checks if not ok]
-    verdict = PASS if not failed else "FAIL"
-    if args.format == "json":
-        emit(json.dumps({
-            "name": args.name,
-            "depth": args.depth,
-            "checks": [{"check": label, "status": "PASS" if ok else "FAIL"}
-                       for label, ok in checks],
-            "verdict": verdict,
-        }))
-    elif args.format == "csv":
-        lines = ["check,status"]
-        lines += [f"{label},{'PASS' if ok else 'FAIL'}" for label, ok in checks]
-        emit("\n".join(lines))
-    else:
-        width = max(len(label) for label, _ in checks)
-        for label, ok in checks:
-            emit(f"{label:<{width}}  {'PASS' if ok else 'FAIL'}")
-        emit(f"verdict: {verdict} (depth {args.depth})"
-             + (f", first failing check: {failed[0]}" if failed else ""))
-    return 0 if not failed else 1
+    checks = [(label, PASS if ok else FAIL)
+              for label, ok in verify_checks(args.name, args.depth, minor_budget())]
+    failed = [label for label, status in checks if status == FAIL]
+    verdict = FAIL if failed else PASS
+    data = {"name": args.name, "depth": args.depth,
+            "checks": [{"check": label, "status": status} for label, status in checks],
+            "verdict": verdict}
+    width = max(len(label) for label, _ in checks)
+    lines = [f"{label:<{width}}  {status}" for label, status in checks]
+    lines.append(f"verdict: {verdict} (depth {args.depth})"
+                 + (f", first failing check: {failed[0]}" if failed else ""))
+    return 1 if failed else 0, data, [("check", "status"), *checks], "\n".join(lines)
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> Rendered:
     entries = list(CATALOG.values())
-    if args.format == "json":
-        emit(json.dumps([entry.to_json() for entry in entries]))
-    elif args.format == "csv":
-        lines = ["name,terms,gf"]
-        for entry in entries:
-            terms = " ".join(format_rat(v) for v in entry.reference_terms)
-            lines.append(f"{entry.name},{terms},{entry.gf.name if entry.gf else ''}")
-        emit("\n".join(lines))
-    else:
-        width = max(len(entry.name) for entry in entries)
-        for entry in entries:
-            terms = " ".join(format_rat(v) for v in entry.reference_terms)
-            gf = f"  gf={entry.gf.name}" if entry.gf else ""
-            emit(f"{entry.name:<{width}}  {terms}{gf}")
-    return 0
+    rows = [(entry.name, " ".join(format_rat(v) for v in entry.reference_terms),
+             entry.gf.name if entry.gf else "") for entry in entries]
+    width = max(len(name) for name, _, _ in rows)
+    text = "\n".join(f"{name:<{width}}  {terms}" + (f"  gf={gf}" if gf else "")
+                     for name, terms, gf in rows)
+    return 0, [entry.to_json() for entry in entries], [("name", "terms", "gf"), *rows], text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,17 +389,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _csv_cell(value) -> str:
+    return json.dumps(value) if isinstance(value, (bool, dict)) else str(value)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, data, table, text = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps(data))
+    elif args.format == "csv":
+        print("\n".join(",".join(map(_csv_cell, row)) for row in table))
+    else:
+        print(text)
+    return code
 
 
 def entrypoint():

@@ -1,19 +1,17 @@
-"""Exact rational linear algebra: dense matrices, determinants, minor scans.
+"""Exact rational linear algebra: dense matrices and determinants.
 
 Everything in this package runs on arbitrary-precision rationals
 (fractions.Fraction); no floating point is ever involved.  This module holds
-the shared scalar helpers, the dense matrix value type, two independent
-determinant kernels, and the exhaustive minor scan used by the total
-positivity checks.
+the shared scalar helpers, the dense matrix value type and the fraction-free
+determinant kernel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Verdict vocabulary shared by the certification routines.
 TRUE = "TRUE"
@@ -22,8 +20,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 # Upper bound on the number of minors an exhaustive scan may evaluate.
 DEFAULT_MINOR_BUDGET = 2_000_000
-
-COFACTOR_MAX_DIM = 9
 
 
 def as_rat(value) -> Fraction:
@@ -44,6 +40,16 @@ def as_rat(value) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"refusing float {value!r}; pass an int, Fraction or 'p/q' string")
     raise ValueError(f"cannot interpret {value!r} as a rational")
+
+
+def coerce_nonneg_fields(obj, label: str = "") -> None:
+    """Coerce every field of the frozen dataclass obj to a Fraction in place,
+    refusing a negative one with "<label><field> must be nonnegative"."""
+    for field in fields(obj):
+        value = as_rat(getattr(obj, field.name))
+        if value < 0:
+            raise ValueError(f"{label}{field.name} must be nonnegative, got {format_rat(value)}")
+        object.__setattr__(obj, field.name, value)
 
 
 def _int_str(n: int) -> str:
@@ -67,22 +73,21 @@ def format_rat(value: Fraction) -> str:
     return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
+@dataclass(frozen=True, slots=True)
 class DenseMatrix:
-    """Immutable rectangular matrix of exact rationals."""
+    """Immutable rectangular matrix of exact rationals, built from any
+    iterable of rows."""
 
-    __slots__ = ("entries",)
+    entries: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, rows: Iterable[Iterable]):
-        grid = tuple(tuple(as_rat(x) for x in row) for row in rows)
+    def __post_init__(self):
+        grid = tuple(tuple(as_rat(x) for x in row) for row in self.entries)
         if not grid or not grid[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise ValueError("matrix rows have unequal lengths")
         object.__setattr__(self, "entries", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseMatrix is immutable")
 
     @property
     def rows(self) -> int:
@@ -102,14 +107,6 @@ class DenseMatrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
@@ -192,100 +189,3 @@ def det_bareiss(matrix: DenseMatrix) -> Fraction:
         prev = pivot
 
     return Fraction(sign * work[n - 1][n - 1], scale)
-
-
-def det_cofactor(matrix: DenseMatrix) -> Fraction:
-    """Exact determinant by Laplace expansion; independent of det_bareiss.
-
-    Factorial cost, so the dimension is capped at COFACTOR_MAX_DIM.
-    """
-    n = _require_square(matrix)
-    if n > COFACTOR_MAX_DIM:
-        raise ValueError(f"cofactor expansion capped at {COFACTOR_MAX_DIM}x{COFACTOR_MAX_DIM}, got {n}")
-    return _cofactor(matrix.to_lists())
-
-
-def _cofactor(grid: list[list[Fraction]]) -> Fraction:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    if n == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    total = Fraction(0)
-    for j, head in enumerate(grid[0]):
-        if head == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in grid[1:]]
-        term = head * _cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
-@dataclass(frozen=True)
-class NegativeMinor:
-    """Witness for a failed nonnegativity scan: the offending minor."""
-
-    row_idx: tuple[int, ...]
-    col_idx: tuple[int, ...]
-    value: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "rows": list(self.row_idx),
-            "cols": list(self.col_idx),
-            "value": format_rat(self.value),
-        }
-
-
-@dataclass(frozen=True)
-class MinorScan:
-    """Outcome of an exhaustive minor nonnegativity scan.
-
-    status is TRUE, FALSE (with the lexicographically first negative minor
-    as witness) or INCONCLUSIVE when the scan would exceed its budget; an
-    over-budget scan never reports TRUE.
-    """
-
-    status: str
-    witness: NegativeMinor | None = None
-    minors_checked: int = 0
-    reason: str | None = None
-
-
-def count_minors(rows: int, cols: int, max_order: int) -> int:
-    return sum(math.comb(rows, w) * math.comb(cols, w) for w in range(1, max_order + 1))
-
-
-def all_minors_nonneg(
-    matrix: DenseMatrix,
-    max_order: int,
-    budget: int = DEFAULT_MINOR_BUDGET,
-) -> MinorScan:
-    """Scan every minor of order <= max_order for negativity.
-
-    Minors are enumerated by increasing order, then lexicographically by row
-    subset and column subset, so a FALSE witness is deterministic.
-    """
-    if max_order < 0 or max_order > min(matrix.rows, matrix.cols):
-        raise ValueError(
-            f"max_order must lie in 0..{min(matrix.rows, matrix.cols)}, got {max_order}"
-        )
-    total = count_minors(matrix.rows, matrix.cols, max_order)
-    if total > budget:
-        return MinorScan(
-            INCONCLUSIVE,
-            reason=f"minor count {total} exceeds budget {budget}",
-        )
-
-    checked = 0
-    for order in range(1, max_order + 1):
-        for row_idx in itertools.combinations(range(matrix.rows), order):
-            for col_idx in itertools.combinations(range(matrix.cols), order):
-                if order == 1:
-                    value = matrix.entries[row_idx[0]][col_idx[0]]
-                else:
-                    value = det_bareiss(matrix.submatrix(row_idx, col_idx))
-                checked += 1
-                if value < 0:
-                    return MinorScan(FALSE, NegativeMinor(row_idx, col_idx, value), checked)
-    return MinorScan(TRUE, None, checked)

@@ -3,15 +3,16 @@ factorization of the Hankel matrix through the recursive matrix.
 
 A sequence (m_n) is a Stieltjes moment sequence exactly when both Hankel
 determinant families det[m_{i+j}] and det[m_{i+j+1}] are nonnegative at
-every size.  stieltjes_check evaluates both families exactly up to a stated
-depth; the verdict is a bounded certificate and says so.
+every size.  hankel_dets evaluates one family exactly up to a stated depth,
+and is the only place that does; stieltjes_check runs it on both families
+and turns them into a verdict, a bounded certificate that says so.
 
 For a sequence generated by a weight pair, the Hankel matrix factors as
 H = R T R^t with R the recursive matrix and T the diagonal of subdiagonal
 weight products T_k = t_1 ... t_k.  Since R is unit triangular this gives
 det H_n = T_0 * ... * T_n, which hankel_det_product evaluates directly and
 hankel_det_products evaluates for every n up to a depth at once; the
-shifted family has no such product form and is always computed by
+shifted family has no such product form here and is always computed by
 determinant.
 """
 
@@ -35,22 +36,19 @@ FAIL = "FAIL"
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """A finite run of exact sequence terms plus where they came from."""
+    """A finite run of exact sequence terms."""
 
     terms: tuple[Fraction, ...]
-    provenance: str = "explicit"
 
     def __post_init__(self):
         terms = tuple(as_rat(v) for v in self.terms)
         if not terms:
             raise ValueError("a moment sequence needs at least one term")
-        if self.provenance not in ("recurrence", "series", "explicit"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "terms", terms)
 
     @classmethod
-    def from_terms(cls, values: Sequence, provenance: str = "explicit") -> "MomentSequence":
-        return cls(tuple(as_rat(v) for v in values), provenance)
+    def from_terms(cls, values: Sequence) -> "MomentSequence":
+        return cls(tuple(values))
 
     @classmethod
     def from_recurrence(
@@ -59,7 +57,7 @@ class MomentSequence:
         """First `count` terms of the weight pair's sequence."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        return cls(tuple(catalan_like(sigma, tau, count - 1)), "recurrence")
+        return cls(tuple(catalan_like(sigma, tau, count - 1)))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -77,6 +75,11 @@ def build_hankel(seq: MomentSequence, n: int, shift: int = 0) -> DenseMatrix:
     return DenseMatrix(
         tuple(seq.terms[i + j + shift] for j in range(n + 1)) for i in range(n + 1)
     )
+
+
+def hankel_dets(seq: MomentSequence, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
+    """det[m_{i+j+shift}] on the (k+1) x (k+1) sections for k = 0..depth."""
+    return tuple(det_bareiss(build_hankel(seq, k, shift)) for k in range(depth + 1))
 
 
 @dataclass(frozen=True)
@@ -106,12 +109,6 @@ class StieltjesReport:
             data["witness"] = self.witness
         return data
 
-    def to_csv(self) -> str:
-        lines = ["k,det0,det1"]
-        for k in range(self.depth + 1):
-            lines.append(f"{k},{format_rat(self.dets0[k])},{format_rat(self.dets1[k])}")
-        return "\n".join(lines) + "\n"
-
 
 def stieltjes_check(seq: MomentSequence, depth: int = DEFAULT_DEPTH) -> StieltjesReport:
     """Evaluate both Hankel determinant families for k = 0..depth."""
@@ -120,8 +117,8 @@ def stieltjes_check(seq: MomentSequence, depth: int = DEFAULT_DEPTH) -> Stieltje
     needed = 2 * depth + 2
     if len(seq) < needed:
         raise ValueError(f"need {needed} terms for depth {depth}, have {len(seq)}")
-    dets0 = tuple(det_bareiss(build_hankel(seq, k, 0)) for k in range(depth + 1))
-    dets1 = tuple(det_bareiss(build_hankel(seq, k, 1)) for k in range(depth + 1))
+    dets0 = hankel_dets(seq, depth, 0)
+    dets1 = hankel_dets(seq, depth, 1)
     witness = None
     for k in range(depth + 1):
         if dets0[k] < 0:

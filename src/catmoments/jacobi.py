@@ -36,7 +36,7 @@ from .exact import (
     INCONCLUSIVE,
     TRUE,
     DenseMatrix,
-    as_rat,
+    coerce_nonneg_fields,
     det_bareiss,
     format_rat,
 )
@@ -45,18 +45,13 @@ from .seqspec import SequenceSpec
 DOMINANCE_GUARD_INDEX = 64
 
 
+@dataclass(frozen=True, slots=True)
 class JacobiMatrix:
     """Tridiagonal coefficient matrix: diagonal sigma, subdiagonal tau,
     unit superdiagonal."""
 
-    __slots__ = ("sigma", "tau")
-
-    def __init__(self, sigma: SequenceSpec, tau: SequenceSpec):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "tau", tau)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JacobiMatrix is immutable")
+    sigma: SequenceSpec
+    tau: SequenceSpec
 
     def section(self, n: int) -> DenseMatrix:
         """The (n+1) x (n+1) leading section."""
@@ -94,11 +89,7 @@ class JacobiParams:
     t: Fraction
 
     def __post_init__(self):
-        for name in ("p", "q", "s", "t"):
-            value = as_rat(getattr(self, name))
-            if value < 0:
-                raise ValueError(f"parameter {name} must be nonnegative, got {format_rat(value)}")
-            object.__setattr__(self, name, value)
+        coerce_nonneg_fields(self, "parameter ")
 
     def sigma(self) -> SequenceSpec:
         return SequenceSpec.first_then_constant(self.p, self.s, start=0)
@@ -118,13 +109,6 @@ class MinorChain:
     """Leading principal minors D_0..D_n of a coefficient matrix."""
 
     values: tuple[Fraction, ...]
-
-    def is_nondecreasing_from_one(self) -> bool:
-        """The chain property 1 <= D_0 <= D_1 <= ... claimed under the
-        dominance condition."""
-        if not self.values or self.values[0] < 1:
-            return False
-        return all(a <= b for a, b in zip(self.values, self.values[1:]))
 
 
 @dataclass(frozen=True)

@@ -25,27 +25,28 @@ column 0 by the last row.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import FALSE, TRUE, DenseMatrix, format_rat
+from .exact import FALSE, TRUE, DenseMatrix
 from .jacobi import JacobiMatrix
 from .seqspec import SequenceSpec
 
 ORACLE_MAX_LENGTH = 14
 
 
+# repr=False keeps object's short repr: the rows can hold thousands of long rationals
+@dataclass(frozen=True, slots=True, repr=False)
 class RecursiveMatrix:
-    """Triangle of recurrence values; row n stores r_{n,0..n}."""
+    """Triangle of recurrence values; row n stores r_{n,0..n}.  rows_ may be
+    any iterable of rows."""
 
-    __slots__ = ("rows_", "sigma", "tau")
+    rows_: tuple[tuple[Fraction, ...], ...]
+    sigma: SequenceSpec
+    tau: SequenceSpec
 
-    def __init__(self, rows, sigma: SequenceSpec, tau: SequenceSpec):
-        object.__setattr__(self, "rows_", tuple(tuple(row) for row in rows))
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "tau", tau)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RecursiveMatrix is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "rows_", tuple(tuple(row) for row in self.rows_))
 
     @property
     def depth(self) -> int:
@@ -71,13 +72,6 @@ class RecursiveMatrix:
         return DenseMatrix(
             tuple(self.entry(i, j) for j in range(n + 1)) for i in range(n + 1)
         )
-
-    def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma.to_json(),
-            "tau": self.tau.to_json(),
-            "rows": [[format_rat(v) for v in row] for row in self.rows_],
-        }
 
 
 def _scaled_rows(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: bool = False):

@@ -89,14 +89,12 @@ class SequenceSpec:
     """Prefix-plus-tail description of an infinite sequence u_k, k >= start.
 
     start is 0 for diagonal weight sequences and 1 for subdiagonal ones; the
-    prefix covers indices start, start+1, ... in order.  With the
-    nonnegative flag set, evaluation raises on any negative value.
+    prefix covers indices start, start+1, ... in order.
     """
 
     prefix: tuple[Fraction, ...]
     tail: object
     start: int = 0
-    nonnegative: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(as_rat(c) for c in self.prefix))
@@ -106,18 +104,16 @@ class SequenceSpec:
             raise ValueError(f"start must be 0 or 1, got {self.start}")
 
     @classmethod
-    def constant(cls, value, start: int = 0, nonnegative: bool = False) -> "SequenceSpec":
-        return cls((), ConstantTail(as_rat(value)), start, nonnegative)
+    def constant(cls, value, start: int = 0) -> "SequenceSpec":
+        return cls((), ConstantTail(as_rat(value)), start)
 
     @classmethod
-    def first_then_constant(
-        cls, first, rest, start: int = 0, nonnegative: bool = False
-    ) -> "SequenceSpec":
-        return cls((as_rat(first),), ConstantTail(as_rat(rest)), start, nonnegative)
+    def first_then_constant(cls, first, rest, start: int = 0) -> "SequenceSpec":
+        return cls((as_rat(first),), ConstantTail(as_rat(rest)), start)
 
     @classmethod
-    def polynomial(cls, coeffs, start: int = 0, nonnegative: bool = False) -> "SequenceSpec":
-        return cls((), PolynomialTail(tuple(as_rat(c) for c in coeffs)), start, nonnegative)
+    def polynomial(cls, coeffs, start: int = 0) -> "SequenceSpec":
+        return cls((), PolynomialTail(tuple(as_rat(c) for c in coeffs)), start)
 
     def eval(self, k: int) -> Fraction:
         """Value at index k; k must be >= start."""
@@ -125,12 +121,8 @@ class SequenceSpec:
             raise ValueError(f"index {k} below start index {self.start}")
         offset = k - self.start
         if offset < len(self.prefix):
-            value = self.prefix[offset]
-        else:
-            value = self.tail.eval(k)
-        if self.nonnegative and value < 0:
-            raise ValueError(f"negative value {format_rat(value)} at index {k}")
-        return value
+            return self.prefix[offset]
+        return self.tail.eval(k)
 
     def values(self, count: int) -> list[Fraction]:
         """The first `count` values, starting at the start index."""
@@ -165,7 +157,7 @@ class SequenceSpec:
         }
 
     @classmethod
-    def from_json(cls, data: dict, nonnegative: bool = False) -> "SequenceSpec":
+    def from_json(cls, data: dict) -> "SequenceSpec":
         if not isinstance(data, dict):
             raise ValueError("sequence spec JSON must be an object")
         missing = [key for key in ("prefix", "tail", "start") if key not in data]
@@ -178,7 +170,7 @@ class SequenceSpec:
         start = data["start"]
         if start not in (0, 1):
             raise ValueError(f"sequence spec 'start' must be 0 or 1, got {start!r}")
-        return cls(prefix, tail, start, nonnegative)
+        return cls(prefix, tail, start)
 
 
 def pqst_of(sigma: SequenceSpec, tau: SequenceSpec) -> Optional[tuple]:

@@ -22,24 +22,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import FALSE, TRUE, as_rat, format_rat
+from .exact import FALSE, TRUE, as_rat, coerce_nonneg_fields, format_rat
 
 DEFAULT_ORDER = 16
 
 
+@dataclass(frozen=True, slots=True)
 class Series:
-    """Truncated formal power series with exact rational coefficients."""
+    """Truncated formal power series with exact rational coefficients, built
+    from any sequence of rationals."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...]
 
-    def __init__(self, coeffs: Sequence):
-        values = tuple(as_rat(c) for c in coeffs)
+    def __post_init__(self):
+        values = tuple(as_rat(c) for c in self.coeffs)
         if not values:
             raise ValueError("a series needs at least one coefficient")
         object.__setattr__(self, "coeffs", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
 
     @property
     def order(self) -> int:
@@ -61,14 +60,6 @@ class Series:
 
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         shown = ", ".join(format_rat(c) for c in self.coeffs[:8])
@@ -261,11 +252,7 @@ class ClosedFormGF:
     t: Fraction
 
     def __post_init__(self):
-        for field in ("p", "q", "s", "t"):
-            value = as_rat(getattr(self, field))
-            if value < 0:
-                raise ValueError(f"{field} must be nonnegative, got {format_rat(value)}")
-            object.__setattr__(self, field, value)
+        coerce_nonneg_fields(self)
 
     def params(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.p, self.q, self.s, self.t)
@@ -283,11 +270,7 @@ class TiedQGF:
     t: Fraction
 
     def __post_init__(self):
-        for field in ("p", "s", "t"):
-            value = as_rat(getattr(self, field))
-            if value < 0:
-                raise ValueError(f"{field} must be nonnegative, got {format_rat(value)}")
-            object.__setattr__(self, field, value)
+        coerce_nonneg_fields(self)
 
     def params(self):
         return (self.p, self.t, self.s, self.t)
@@ -307,11 +290,7 @@ class TiedQPGF:
     t: Fraction
 
     def __post_init__(self):
-        for field in ("s", "t"):
-            value = as_rat(getattr(self, field))
-            if value < 0:
-                raise ValueError(f"{field} must be nonnegative, got {format_rat(value)}")
-            object.__setattr__(self, field, value)
+        coerce_nonneg_fields(self)
 
     def params(self):
         return (self.s, self.t, self.s, self.t)
@@ -329,11 +308,7 @@ class InverseSqrtGF:
     t: Fraction
 
     def __post_init__(self):
-        for field in ("s", "t"):
-            value = as_rat(getattr(self, field))
-            if value < 0:
-                raise ValueError(f"{field} must be nonnegative, got {format_rat(value)}")
-            object.__setattr__(self, field, value)
+        coerce_nonneg_fields(self)
 
     def params(self):
         return (self.s, 2 * self.t, self.s, self.t)

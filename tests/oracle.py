@@ -1,15 +1,35 @@
-"""Test-side oracle for the recursive matrix: the recurrence on Fractions.
+"""Test-side oracles: slow, independent routes the library is checked against.
 
-This is the textbook evaluation of
+fraction_triangle is the textbook evaluation of
 
     r_{n+1,k} = r_{n,k-1} + s_k * r_{n,k} + t_{k+1} * r_{n,k+1}
 
 cell by cell on exact rationals, with every weight evaluated where it is
 used.  The library runs the same recurrence on integer rows scaled by the
 common denominator of the weights; the tests compare the two.
+
+det_cofactor is a determinant by Laplace expansion, independent of the
+library's Bareiss kernel; all_minors_nonneg scans every minor of a matrix
+for negativity, the brute-force definition of total positivity the
+library's structured routes must agree with.
 """
 
+import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+
+from catmoments.exact import (
+    DEFAULT_MINOR_BUDGET,
+    FALSE,
+    INCONCLUSIVE,
+    TRUE,
+    DenseMatrix,
+    det_bareiss,
+    format_rat,
+)
+
+COFACTOR_MAX_DIM = 9
 
 
 def fraction_triangle(sigma, tau, depth: int) -> list[list[Fraction]]:
@@ -33,3 +53,110 @@ def fraction_triangle(sigma, tau, depth: int) -> list[list[Fraction]]:
 def fraction_terms(sigma, tau, depth: int) -> list[Fraction]:
     """Column 0 of fraction_triangle."""
     return [row[0] for row in fraction_triangle(sigma, tau, depth)]
+
+
+def det_cofactor(matrix: DenseMatrix) -> Fraction:
+    """Exact determinant by Laplace expansion; independent of det_bareiss.
+
+    Factorial cost, so the dimension is capped at COFACTOR_MAX_DIM.
+    """
+    if not matrix.is_square:
+        raise ValueError(f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
+    n = matrix.rows
+    if n > COFACTOR_MAX_DIM:
+        raise ValueError(f"cofactor expansion capped at {COFACTOR_MAX_DIM}x{COFACTOR_MAX_DIM}, got {n}")
+    return _cofactor(matrix.to_lists())
+
+
+def _cofactor(grid: list[list[Fraction]]) -> Fraction:
+    n = len(grid)
+    if n == 1:
+        return grid[0][0]
+    if n == 2:
+        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
+    total = Fraction(0)
+    for j, head in enumerate(grid[0]):
+        if head == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in grid[1:]]
+        term = head * _cofactor(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+@dataclass(frozen=True)
+class NegativeMinor:
+    """Witness for a failed nonnegativity scan: the offending minor."""
+
+    row_idx: tuple[int, ...]
+    col_idx: tuple[int, ...]
+    value: Fraction
+
+    def to_json(self) -> dict:
+        return {
+            "rows": list(self.row_idx),
+            "cols": list(self.col_idx),
+            "value": format_rat(self.value),
+        }
+
+
+@dataclass(frozen=True)
+class MinorScan:
+    """Outcome of an exhaustive minor nonnegativity scan.
+
+    status is TRUE, FALSE (with the lexicographically first negative minor
+    as witness) or INCONCLUSIVE when the scan would exceed its budget; an
+    over-budget scan never reports TRUE.
+    """
+
+    status: str
+    witness: NegativeMinor | None = None
+    minors_checked: int = 0
+    reason: str | None = None
+
+
+def count_minors(rows: int, cols: int, max_order: int) -> int:
+    return sum(math.comb(rows, w) * math.comb(cols, w) for w in range(1, max_order + 1))
+
+
+def all_minors_nonneg(
+    matrix: DenseMatrix,
+    max_order: int,
+    budget: int = DEFAULT_MINOR_BUDGET,
+) -> MinorScan:
+    """Scan every minor of order <= max_order for negativity.
+
+    Minors are enumerated by increasing order, then lexicographically by row
+    subset and column subset, so a FALSE witness is deterministic.
+    """
+    if max_order < 0 or max_order > min(matrix.rows, matrix.cols):
+        raise ValueError(
+            f"max_order must lie in 0..{min(matrix.rows, matrix.cols)}, got {max_order}"
+        )
+    total = count_minors(matrix.rows, matrix.cols, max_order)
+    if total > budget:
+        return MinorScan(
+            INCONCLUSIVE,
+            reason=f"minor count {total} exceeds budget {budget}",
+        )
+
+    checked = 0
+    for order in range(1, max_order + 1):
+        for row_idx in itertools.combinations(range(matrix.rows), order):
+            for col_idx in itertools.combinations(range(matrix.cols), order):
+                if order == 1:
+                    value = matrix.entries[row_idx[0]][col_idx[0]]
+                else:
+                    value = det_bareiss(matrix.submatrix(row_idx, col_idx))
+                checked += 1
+                if value < 0:
+                    return MinorScan(FALSE, NegativeMinor(row_idx, col_idx, value), checked)
+    return MinorScan(TRUE, None, checked)
+
+
+def is_nondecreasing_from_one(values) -> bool:
+    """The chain property 1 <= D_0 <= D_1 <= ... of a leading-minor chain,
+    claimed under the dominance condition."""
+    if not values or values[0] < 1:
+        return False
+    return all(a <= b for a, b in zip(values, values[1:]))

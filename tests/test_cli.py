@@ -112,7 +112,8 @@ def test_matrix_json(capsys):
                        "--format", "json")
     assert code == 0
     data = json.loads(out)
-    assert data["rows"][3] == ["5", "9", "5", "1"]
+    assert data["rows"] == [["1"], ["1", "1"], ["2", "3", "1"], ["5", "9", "5", "1"]]
+    assert data["sigma"] == CATALOG["catalan"].sigma.to_json()
 
 
 def test_stieltjes_pass(capsys):
@@ -135,6 +136,10 @@ def test_stieltjes_csv(capsys):
                        "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["k,det0,det1", "0,1,1", "1,1,1", "2,1,1"]
+    code, out, _ = run(capsys, "stieltjes", "--terms", "1,2,1,2", "--depth", "1",
+                       "--format", "csv")
+    assert code == 1
+    assert out == "k,det0,det1\n0,1,2\n1,-3,3\n"
 
 
 def test_stieltjes_json_round_trip(capsys):

@@ -143,9 +143,3 @@ def test_step_factorization_trivial_and_catalog():
 def test_step_factorization_all_catalog_depth_8():
     for entry in CATALOG.values():
         assert verify_step_factorization(entry.sigma, entry.tau, 8) == TRUE
-
-
-def test_matrix_json_dump():
-    sigma, tau = _specs("catalan")
-    data = build_recursive(sigma, tau, 2).to_json()
-    assert data["rows"] == [["1"], ["1", "1"], ["2", "3", "1"]]

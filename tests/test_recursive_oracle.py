@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catmoments.exact import format_rat
 from catmoments.recursive import build_recursive, catalan_like, motzkin_oracle
 from catmoments.seqspec import CATALOG, ConstantTail, PolynomialTail, SequenceSpec
 from oracle import fraction_terms, fraction_triangle
@@ -25,10 +26,20 @@ tails = st.one_of(
 )
 
 
-def specs(start, nonnegative=False):
-    return st.builds(
-        lambda prefix, tail: SequenceSpec(tuple(prefix), tail, start, nonnegative),
-        st.lists(weights, max_size=4), tails)
+class SignCheckedSpec(SequenceSpec):
+    """A weight sequence that raises on reading a negative value, so that
+    the error shows which weight the recurrence read first."""
+
+    def eval(self, k):
+        value = super().eval(k)
+        if value < 0:
+            raise ValueError(f"negative value {format_rat(value)} at index {k}")
+        return value
+
+
+def specs(start, spec_type=SequenceSpec):
+    return st.builds(lambda prefix, tail: spec_type(tuple(prefix), tail, start),
+                     st.lists(weights, max_size=4), tails)
 
 
 def outcome(build, *args):
@@ -64,7 +75,7 @@ def test_catalog_terms_match_fraction_oracle_at_depth_60(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(specs(0, nonnegative=True), specs(1, nonnegative=True), st.integers(0, 12))
+@given(specs(0, SignCheckedSpec), specs(1, SignCheckedSpec), st.integers(0, 12))
 def test_sign_checked_weights_fail_like_the_oracle(sigma, tau, depth):
     rows = outcome(fraction_triangle, sigma, tau, depth)
     if isinstance(rows, str):
@@ -76,12 +87,12 @@ def test_sign_checked_weights_fail_like_the_oracle(sigma, tau, depth):
 
 def test_weights_are_read_only_where_the_recurrence_uses_them():
     # row 0 reads no weight; row 1 reads s_0, s_1, t_1 and t_2
-    sigma = SequenceSpec.constant(-1, nonnegative=True)
-    tau = SequenceSpec((Fraction(1),), ConstantTail(Fraction(-1)), 1, nonnegative=True)
+    sigma = SignCheckedSpec((), ConstantTail(Fraction(-1)), 0)
+    tau = SignCheckedSpec((Fraction(1),), ConstantTail(Fraction(-1)), 1)
     assert catalan_like(sigma, tau, 0) == [1]
     assert build_recursive(sigma, tau, 0).row(0) == (1,)
     for build in (catalan_like, build_recursive, fraction_triangle):
         with pytest.raises(ValueError, match="at index 0"):
             build(sigma, tau, 1)
         with pytest.raises(ValueError, match="at index 2"):
-            build(SequenceSpec.constant(1, nonnegative=True), tau, 1)
+            build(SignCheckedSpec((), ConstantTail(Fraction(1)), 0), tau, 1)

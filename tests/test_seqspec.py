@@ -48,14 +48,6 @@ def test_values_run_from_start():
     assert spec.values(4) == [2, 1, 1, 1]
 
 
-def test_nonnegative_flag_is_lazy():
-    spec = SequenceSpec.polynomial([2, -1], start=0, nonnegative=True)
-    assert spec.eval(0) == 2
-    assert spec.eval(2) == 0
-    with pytest.raises(ValueError):
-        spec.eval(3)
-
-
 def test_polynomial_tail_degree_cap():
     with pytest.raises(ValueError):
         PolynomialTail((1, 1, 1, 1, 1, 1))
