@@ -1,10 +1,12 @@
 """Tests for the recursive matrix, the path-enumeration oracle, and the
 structural identities."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from catmoments.cli import main
 from catmoments.exact import FALSE, TRUE, det_bareiss
 from catmoments.jacobi import JacobiMatrix
 from catmoments.recursive import (
@@ -143,3 +145,10 @@ def test_step_factorization_trivial_and_catalog():
 def test_step_factorization_all_catalog_depth_8():
     for entry in CATALOG.values():
         assert verify_step_factorization(entry.sigma, entry.tau, 8) == TRUE
+
+
+def test_matrix_json_dump(capsys):
+    # the JSON dump of the matrix is built by the matrix command
+    assert main(["matrix", "--name", "catalan", "-n", "2", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["rows"] == [["1"], ["1", "1"], ["2", "3", "1"]]
