@@ -24,7 +24,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .exact import DEFAULT_MINOR_BUDGET, TRUE, as_rat, det_bareiss, format_rat
+from .exact import DEFAULT_MINOR_BUDGET, TRUE, as_rat, format_rat, leading_principal_minors
 from .hankel import (
     DEFAULT_DEPTH,
     FAIL,
@@ -123,6 +123,12 @@ def parse_gf_arg(text: str):
         raise UsageError(f"--gf: {exc}") from exc
 
 
+def check_depth(depth: int, low: int) -> None:
+    """Refuse a --depth below low before any work starts."""
+    if depth < low:
+        raise UsageError(f"--depth must be >= {low}, got {depth}")
+
+
 def resolve_weights(args) -> tuple[SequenceSpec, SequenceSpec, str | None]:
     """Weight pair from --name or --sigma/--tau, plus the name when named."""
     name = getattr(args, "name", None) or getattr(args, "jacobi_name", None)
@@ -188,6 +194,7 @@ def _moment_sequence(args, count: int) -> tuple[MomentSequence, str | None]:
 
 
 def cmd_stieltjes(args) -> Rendered:
+    check_depth(args.depth, 0)
     seq, name = _moment_sequence(args, 2 * args.depth + 2)
     report = stieltjes_check(seq, args.depth)
     data = _named(name, report.to_json())
@@ -201,6 +208,7 @@ def cmd_stieltjes(args) -> Rendered:
 
 
 def cmd_hankel_det(args) -> Rendered:
+    check_depth(args.depth, 0)
     sigma, tau, name = resolve_weights(args)
     seq = MomentSequence.from_recurrence(sigma, tau, 2 * args.depth + 1 + args.shift)
     dets = hankel_dets(seq, args.depth, args.shift)
@@ -228,7 +236,9 @@ def cmd_tp(args) -> Rendered:
         report = tp_certify(JacobiMatrix(sigma, tau), args.depth, minor_budget())
         data = _named(name, report.to_json())
     table = [("key", "value"), *((k, v) for k, v in data.items() if v is not None)]
-    lines = [f"verdict: {report.verdict} (criterion {report.criterion}, depth {report.depth})"]
+    # a symbolic criterion holds at every depth and reports none
+    depth = "" if report.depth is None else f", depth {report.depth}"
+    lines = [f"verdict: {report.verdict} (criterion {report.criterion}{depth})"]
     if report.detail:
         lines.append(report.detail)
     if report.witness:
@@ -267,8 +277,8 @@ def verify_checks(name: str, depth: int, budget: int) -> list[tuple[str, bool]]:
     checks.append(("det_product", list(stieltjes.dets0) == hankel_det_products(tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))
     chain = leading_minors(J, depth)
-    checks.append(("leading_minors_vs_det", all(
-        chain.values[n] == det_bareiss(J.section(n)) for n in range(depth + 1))))
+    checks.append(("leading_minors_vs_det",
+                   chain.values == leading_principal_minors(J.section(depth))))
     checks.append(("tp_certified", tp_certify(J, depth, budget).verdict == TRUE))
     if entry.gf is not None:
         expansion = gf_expand(entry.gf, depth)
@@ -284,6 +294,7 @@ def verify_checks(name: str, depth: int, budget: int) -> list[tuple[str, bool]]:
 
 
 def cmd_verify(args) -> Rendered:
+    check_depth(args.depth, 1)
     try:
         catalog_lookup(args.name)
     except KeyError as exc:

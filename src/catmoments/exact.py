@@ -3,7 +3,12 @@
 Everything in this package runs on arbitrary-precision rationals
 (fractions.Fraction); no floating point is ever involved.  This module holds
 the shared scalar helpers, the dense matrix value type and the fraction-free
-determinant kernel.
+(Bareiss) elimination, in two forms: leading_principal_minors runs it once
+without row swaps and reads the determinant of every leading section off its
+pivots (Sylvester's identity), which is how each Hankel determinant family
+is computed; det_bareiss, which swaps rows past a zero pivot, evaluates one
+determinant and serves the leading sections past a singular one and the
+total-positivity windows.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence
 
 # Verdict vocabulary shared by the certification routines.
 TRUE = "TRUE"
@@ -114,11 +118,6 @@ class DenseMatrix:
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix(zip(*self.entries))
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "DenseMatrix":
-        return DenseMatrix(
-            tuple(self.entries[i][j] for j in col_idx) for i in row_idx
-        )
-
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         if not isinstance(other, DenseMatrix):
             return NotImplemented
@@ -132,20 +131,36 @@ class DenseMatrix:
             for row in self.entries
         )
 
-    @classmethod
-    def identity(cls, n: int) -> "DenseMatrix":
-        return cls(
-            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-        )
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.entries]
-
 
 def _require_square(matrix: DenseMatrix) -> int:
     if not matrix.is_square:
         raise ValueError(f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
     return matrix.rows
+
+
+def _scaled_rows(matrix: DenseMatrix) -> tuple[list[list[int]], list[int]]:
+    """The rows of matrix made integral, each multiplied by the LCM of its
+    denominators, and those multipliers."""
+    work: list[list[int]] = []
+    scales: list[int] = []
+    for row in matrix.entries:
+        den_lcm = math.lcm(*(x.denominator for x in row))
+        scales.append(den_lcm)
+        work.append([x.numerator * (den_lcm // x.denominator) for x in row])
+    return work, scales
+
+
+def _bareiss_step(work: list[list[int]], k: int, prev: int) -> None:
+    """Clear column k below the pivot work[k][k], fraction-free: prev is the
+    previous pivot (1 at the first step), and the division by it is exact
+    because each new entry is itself a minor of the scaled matrix."""
+    pivot = work[k][k]
+    tail_k = work[k][k + 1:]
+    for row_i in work[k + 1:]:
+        factor = row_i[k]
+        row_i[k + 1:] = [(x * pivot - factor * y) // prev
+                         for x, y in zip(row_i[k + 1:], tail_k)]
+        row_i[k] = 0
 
 
 def det_bareiss(matrix: DenseMatrix) -> Fraction:
@@ -157,14 +172,7 @@ def det_bareiss(matrix: DenseMatrix) -> Fraction:
     pivot column that is zero all the way down short-circuits to 0.
     """
     n = _require_square(matrix)
-    scale = 1
-    work: list[list[int]] = []
-    for row in matrix.entries:
-        den_lcm = 1
-        for x in row:
-            den_lcm = math.lcm(den_lcm, x.denominator)
-        scale *= den_lcm
-        work.append([x.numerator * (den_lcm // x.denominator) for x in row])
+    work, scales = _scaled_rows(matrix)
 
     sign = 1
     prev = 1
@@ -177,15 +185,35 @@ def det_bareiss(matrix: DenseMatrix) -> Fraction:
                     break
             else:
                 return Fraction(0)
-        pivot = work[k][k]
-        row_k = work[k]
-        for i in range(k + 1, n):
-            row_i = work[i]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                # exact integer division: the quotient is itself a minor
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+        _bareiss_step(work, k, prev)
+        prev = work[k][k]
 
-    return Fraction(sign * work[n - 1][n - 1], scale)
+    return Fraction(sign * work[n - 1][n - 1], math.prod(scales))
+
+
+def leading_principal_minors(matrix: DenseMatrix) -> tuple[Fraction, ...]:
+    """The determinants of the leading k x k sections, k = 1..n, from one
+    Bareiss elimination without row swaps.
+
+    By Sylvester's identity the k-th pivot of that elimination is the k-th
+    leading minor of the row-scaled matrix, so dividing it by the product
+    of the first k row scales gives the minor itself, and all n cost one
+    O(n^3) pass.  A zero pivot ends the pass, since every later step would
+    divide by it; the sections from there on go to det_bareiss one by one.
+    """
+    n = _require_square(matrix)
+    work, scales = _scaled_rows(matrix)
+    minors: list[Fraction] = []
+    scale = 1
+    prev = 1
+    for k in range(n):
+        pivot = work[k][k]
+        if pivot == 0:
+            break
+        scale *= scales[k]
+        minors.append(Fraction(pivot, scale))
+        _bareiss_step(work, k, prev)
+        prev = pivot
+    for size in range(len(minors) + 1, n + 1):
+        minors.append(det_bareiss(DenseMatrix(row[:size] for row in matrix.entries[:size])))
+    return tuple(minors)

@@ -4,8 +4,11 @@ factorization of the Hankel matrix through the recursive matrix.
 A sequence (m_n) is a Stieltjes moment sequence exactly when both Hankel
 determinant families det[m_{i+j}] and det[m_{i+j+1}] are nonnegative at
 every size.  hankel_dets evaluates one family exactly up to a stated depth,
-and is the only place that does; stieltjes_check runs it on both families
-and turns them into a verdict, a bounded certificate that says so.
+and is the only place that does: one fraction-free elimination of the
+largest section yields every smaller section's determinant as a pivot
+(exact.leading_principal_minors), so a family costs O(depth^3), not one
+elimination per size.  stieltjes_check runs it on both families and turns
+them into a verdict, a bounded certificate that says so.
 
 For a sequence generated by a weight pair, the Hankel matrix factors as
 H = R T R^t with R the recursive matrix and T the diagonal of subdiagonal
@@ -24,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .exact import FALSE, TRUE, DenseMatrix, as_rat, det_bareiss, format_rat
+from .exact import FALSE, TRUE, DenseMatrix, as_rat, format_rat, leading_principal_minors
 from .recursive import build_recursive, catalan_like
 from .seqspec import SequenceSpec
 
@@ -78,8 +81,9 @@ def build_hankel(seq: MomentSequence, n: int, shift: int = 0) -> DenseMatrix:
 
 
 def hankel_dets(seq: MomentSequence, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
-    """det[m_{i+j+shift}] on the (k+1) x (k+1) sections for k = 0..depth."""
-    return tuple(det_bareiss(build_hankel(seq, k, shift)) for k in range(depth + 1))
+    """det[m_{i+j+shift}] on the (k+1) x (k+1) sections for k = 0..depth,
+    all read off one elimination of the largest section."""
+    return leading_principal_minors(build_hankel(seq, depth, shift))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ cell by cell on exact rationals, with every weight evaluated where it is
 used.  The library runs the same recurrence on integer rows scaled by the
 common denominator of the weights; the tests compare the two.
 
+identity, to_lists and submatrix are the small matrix helpers only the
+tests need.
+
 det_cofactor is a determinant by Laplace expansion, independent of the
 library's Bareiss kernel; all_minors_nonneg scans every minor of a matrix
 for negativity, the brute-force definition of total positivity the
@@ -30,6 +33,18 @@ from catmoments.exact import (
 )
 
 COFACTOR_MAX_DIM = 9
+
+
+def identity(n: int) -> DenseMatrix:
+    return DenseMatrix(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def to_lists(matrix: DenseMatrix) -> list[list[Fraction]]:
+    return [list(row) for row in matrix.entries]
+
+
+def submatrix(matrix: DenseMatrix, row_idx, col_idx) -> DenseMatrix:
+    return DenseMatrix(tuple(matrix.entries[i][j] for j in col_idx) for i in row_idx)
 
 
 def fraction_triangle(sigma, tau, depth: int) -> list[list[Fraction]]:
@@ -65,7 +80,7 @@ def det_cofactor(matrix: DenseMatrix) -> Fraction:
     n = matrix.rows
     if n > COFACTOR_MAX_DIM:
         raise ValueError(f"cofactor expansion capped at {COFACTOR_MAX_DIM}x{COFACTOR_MAX_DIM}, got {n}")
-    return _cofactor(matrix.to_lists())
+    return _cofactor(to_lists(matrix))
 
 
 def _cofactor(grid: list[list[Fraction]]) -> Fraction:
@@ -147,7 +162,7 @@ def all_minors_nonneg(
                 if order == 1:
                     value = matrix.entries[row_idx[0]][col_idx[0]]
                 else:
-                    value = det_bareiss(matrix.submatrix(row_idx, col_idx))
+                    value = det_bareiss(submatrix(matrix, row_idx, col_idx))
                 checked += 1
                 if value < 0:
                     return MinorScan(FALSE, NegativeMinor(row_idx, col_idx, value), checked)

@@ -166,6 +166,17 @@ def test_stieltjes_insufficient_terms(capsys):
     assert "need 8 terms" in err
 
 
+@pytest.mark.parametrize("argv, low, depth", [
+    (("stieltjes", "--name", "catalan"), 0, -1),
+    (("stieltjes", "--terms", "1,1"), 0, -3),
+    (("hankel-det", "--name", "catalan"), 0, -1),
+    (("verify", "--name", "catalan"), 1, 0),
+])
+def test_depth_below_range(capsys, argv, low, depth):
+    code, out, err = run(capsys, *argv, "--depth", str(depth))
+    assert (code, out, err) == (2, "", f"error: --depth must be >= {low}, got {depth}\n")
+
+
 def test_hankel_det_product_column(capsys):
     code, out, _ = run(capsys, "hankel-det", "--name", "delannoy", "--depth", "2")
     assert code == 0
@@ -191,6 +202,16 @@ def test_tp_pqst_false(capsys):
     code, out, _ = run(capsys, "tp", "--pqst", "1,3,2,1")
     assert code == 1
     assert "verdict: FALSE" in out
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("--pqst", "1,1,2,1"), "verdict: TRUE (criterion pqst_criterion)"),
+    (("--jacobi-name", "catalan"), "verdict: TRUE (criterion dominance)"),
+])
+def test_tp_symbolic_verdict_states_no_depth(capsys, argv, line):
+    code, out, _ = run(capsys, "tp", *argv)
+    assert code == 0
+    assert out.splitlines()[0] == line
 
 
 def test_tp_pqst_arity(capsys):
