@@ -7,9 +7,9 @@ frozen in golden_cli.json.  Any change to a single output byte fails.
 The cases cover every subcommand: every catalog entry under `gen -n 40`,
 `matrix -n 12`, `hankel-det`, `stieltjes`, `verify` and `tp` in every
 format, one weight pair with rational prefix and polynomial tails, both
-Hankel families, the (p, q, s, t) criterion, every named and parameterised
-generating function, the catalog listing, and the usage-error (exit 2)
-path of each command.
+Hankel families, the (p, q, s, t) criterion, the contiguous-minor TP route,
+every named and parameterised generating function, the catalog listing,
+and the usage-error (exit 2) path of each command.
 After a deliberate output change, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -46,6 +46,25 @@ TP_FALSE_SIGMA = json.dumps({"prefix": ["2"], "tail": {"kind": "constant", "valu
 TP_FALSE_TAU = json.dumps({"prefix": ["1", "1", "0"],
                            "tail": {"kind": "constant", "value": "1"}, "start": 1})
 
+
+def _constant_tail_spec(prefix: list[str], value: str, start: int) -> str:
+    return json.dumps({"prefix": prefix, "tail": {"kind": "constant", "value": value},
+                       "start": start})
+
+
+# weight pairs that neither dominance nor the leading minor chain decides
+# (a zero weight makes J reducible), so the contiguous-minor route answers:
+# TRUE at depth 12, FALSE with the window 1..4 (value -12) at depth 6, and
+# sigma = 12/5, tau = (1, 0, 36/25, ...) TRUE at depth 20
+CONTIGUOUS_CASES = {
+    "true": (_constant_tail_spec(["3", "2", "5/2"], "3", 0),
+             _constant_tail_spec(["2", "1", "0"], "1", 1), "12"),
+    "false": (_constant_tail_spec(["0", "2", "3", "3", "0"], "3", 0),
+              _constant_tail_spec(["0", "0", "3", "2"], "1", 1), "6"),
+    "deep": (_constant_tail_spec([], "12/5", 0),
+             _constant_tail_spec(["1", "0"], "36/25", 1), "20"),
+}
+
 GF_SPECS = {
     "closed-form": {"kind": "closed_form", "p": "1", "q": "2", "s": "3", "t": "2"},
     "tied-q": {"kind": "tied_q", "p": "1", "s": "3", "t": "1/2"},
@@ -79,6 +98,9 @@ def cases() -> dict[str, list[str]]:
         out[f"tp-pqst-false-{f}"] = ["tp", "--pqst", "1,3,2,1", "--format", f]
         out[f"tp-weights-false-{f}"] = ["tp", "--sigma", TP_FALSE_SIGMA, "--tau", TP_FALSE_TAU,
                                         "--depth", "6", "--format", f]
+        for label, (sigma, tau, depth) in CONTIGUOUS_CASES.items():
+            out[f"tp-contiguous-{label}-{f}"] = ["tp", "--sigma", sigma, "--tau", tau,
+                                                 "--depth", depth, "--format", f]
         for name in NAMED_GF_NAMES:
             out[f"series-{name}-{f}"] = ["series", "--gf", name, "--format", f]
         for kind, spec in GF_SPECS.items():
