@@ -35,7 +35,6 @@ from .hankel import (
 from .jacobi import (
     JacobiMatrix,
     JacobiParams,
-    MinorChain,
     TPReport,
     leading_minors,
     tp_by_leading_minors,
@@ -71,7 +70,6 @@ from .series import (
     TiedQPGF,
     closed_form_d,
     closed_form_h,
-    column_gf,
     gf_expand,
     gf_from_json,
     gf_to_json,
@@ -110,7 +108,6 @@ __all__ = [
     "verify_step_factorization",
     "JacobiMatrix",
     "JacobiParams",
-    "MinorChain",
     "TPReport",
     "leading_minors",
     "tp_by_leading_minors",
@@ -133,7 +130,6 @@ __all__ = [
     "sqrt_discriminant",
     "closed_form_h",
     "closed_form_d",
-    "column_gf",
     "ClosedFormGF",
     "TiedQGF",
     "TiedQPGF",

@@ -5,8 +5,8 @@ Subcommands: gen, matrix, stieltjes, hankel-det, tp, series, verify,
 catalog.  Every number prints as an exact integer or "p/q" string; --format
 selects text, json, or csv.  Exit codes: 0 for success or PASS, 1 for a
 checked FAIL (or a certification that came back FALSE or INCONCLUSIVE), 2
-for usage and parse errors.  The MOMENTS_BUDGET environment variable
-overrides the minor-enumeration budget.
+for usage and parse errors, including a count option (-n, --depth) below
+its range.  No environment variable is read.
 
 Each cmd_* function computes its whole result and returns it as
 (exit code, JSON object, CSV rows with the header first, text), all built
@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 
-from .exact import DEFAULT_MINOR_BUDGET, TRUE, as_rat, format_rat, leading_principal_minors
+from .exact import TRUE, as_rat, format_rat, leading_principal_minors
 from .hankel import (
     DEFAULT_DEPTH,
     FAIL,
@@ -123,10 +122,10 @@ def parse_gf_arg(text: str):
         raise UsageError(f"--gf: {exc}") from exc
 
 
-def check_depth(depth: int, low: int) -> None:
-    """Refuse a --depth below low before any work starts."""
-    if depth < low:
-        raise UsageError(f"--depth must be >= {low}, got {depth}")
+def check_count(option: str, value: int, low: int) -> None:
+    """Refuse a count option (-n, --depth) below low before any work starts."""
+    if value < low:
+        raise UsageError(f"{option} must be >= {low}, got {value}")
 
 
 def resolve_weights(args) -> tuple[SequenceSpec, SequenceSpec, str | None]:
@@ -147,19 +146,6 @@ def resolve_weights(args) -> tuple[SequenceSpec, SequenceSpec, str | None]:
     return sigma, tau, None
 
 
-def minor_budget() -> int:
-    raw = os.environ.get("MOMENTS_BUDGET")
-    if raw is None:
-        return DEFAULT_MINOR_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"MOMENTS_BUDGET must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise UsageError(f"MOMENTS_BUDGET must be >= 1, got {value}")
-    return value
-
-
 # what every cmd_* returns: (exit code, JSON value, CSV rows with the header
 # first, text-mode output)
 Rendered = tuple[int, object, list, str]
@@ -171,6 +157,7 @@ def _named(name: str | None, data: dict) -> dict:
 
 
 def cmd_gen(args) -> Rendered:
+    check_count("-n", args.n, 0)
     sigma, tau, name = resolve_weights(args)
     terms = [format_rat(v) for v in catalan_like(sigma, tau, args.n)]
     data = {"sigma": sigma.to_json(), "tau": tau.to_json(), "n": args.n, "terms": terms}
@@ -178,6 +165,7 @@ def cmd_gen(args) -> Rendered:
 
 
 def cmd_matrix(args) -> Rendered:
+    check_count("-n", args.n, 0)
     sigma, tau, name = resolve_weights(args)
     matrix = build_recursive(sigma, tau, args.n)
     rows = [[format_rat(v) for v in matrix.row(n)] for n in range(args.n + 1)]
@@ -194,7 +182,7 @@ def _moment_sequence(args, count: int) -> tuple[MomentSequence, str | None]:
 
 
 def cmd_stieltjes(args) -> Rendered:
-    check_depth(args.depth, 0)
+    check_count("--depth", args.depth, 0)
     seq, name = _moment_sequence(args, 2 * args.depth + 2)
     report = stieltjes_check(seq, args.depth)
     data = _named(name, report.to_json())
@@ -208,7 +196,7 @@ def cmd_stieltjes(args) -> Rendered:
 
 
 def cmd_hankel_det(args) -> Rendered:
-    check_depth(args.depth, 0)
+    check_count("--depth", args.depth, 0)
     sigma, tau, name = resolve_weights(args)
     seq = MomentSequence.from_recurrence(sigma, tau, 2 * args.depth + 1 + args.shift)
     dets = hankel_dets(seq, args.depth, args.shift)
@@ -227,13 +215,14 @@ def cmd_hankel_det(args) -> Rendered:
 
 
 def cmd_tp(args) -> Rendered:
+    check_count("--depth", args.depth, 0)
     if args.pqst is not None:
         params = parse_pqst_arg(args.pqst)
         report = tp_criterion_pqst(params)
         data = {"params": params.to_json(), **report.to_json()}
     else:
         sigma, tau, name = resolve_weights(args)
-        report = tp_certify(JacobiMatrix(sigma, tau), args.depth, minor_budget())
+        report = tp_certify(JacobiMatrix(sigma, tau), args.depth)
         data = _named(name, report.to_json())
     table = [("key", "value"), *((k, v) for k, v in data.items() if v is not None)]
     # a symbolic criterion holds at every depth and reports none
@@ -248,13 +237,14 @@ def cmd_tp(args) -> Rendered:
 
 
 def cmd_series(args) -> Rendered:
+    check_count("-n", args.n, 0)
     gf = parse_gf_arg(args.gf)
     coeffs = [format_rat(c) for c in gf_expand(gf, args.n).coeffs]
     data = {"spec": gf_to_json(gf), "order": args.n, "coeffs": coeffs}
     return 0, data, [("n", "coeff"), *enumerate(coeffs)], " ".join(coeffs)
 
 
-def verify_checks(name: str, depth: int, budget: int) -> list[tuple[str, bool]]:
+def verify_checks(name: str, depth: int) -> list[tuple[str, bool]]:
     """The cross-check bundle for one catalog entry at one depth."""
     entry = catalog_lookup(name)
     sigma, tau = entry.sigma, entry.tau
@@ -276,10 +266,9 @@ def verify_checks(name: str, depth: int, budget: int) -> list[tuple[str, bool]]:
     stieltjes = stieltjes_check(seq, depth)
     checks.append(("det_product", list(stieltjes.dets0) == hankel_det_products(tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))
-    chain = leading_minors(J, depth)
     checks.append(("leading_minors_vs_det",
-                   chain.values == leading_principal_minors(J.section(depth))))
-    checks.append(("tp_certified", tp_certify(J, depth, budget).verdict == TRUE))
+                   leading_minors(J, depth) == leading_principal_minors(J.section(depth))))
+    checks.append(("tp_certified", tp_certify(J, depth).verdict == TRUE))
     if entry.gf is not None:
         expansion = gf_expand(entry.gf, depth)
         checks.append(("gf_terms", list(expansion.coeffs) == terms[: depth + 1]))
@@ -294,13 +283,13 @@ def verify_checks(name: str, depth: int, budget: int) -> list[tuple[str, bool]]:
 
 
 def cmd_verify(args) -> Rendered:
-    check_depth(args.depth, 1)
+    check_count("--depth", args.depth, 1)
     try:
         catalog_lookup(args.name)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
     checks = [(label, PASS if ok else FAIL)
-              for label, ok in verify_checks(args.name, args.depth, minor_budget())]
+              for label, ok in verify_checks(args.name, args.depth)]
     failed = [label for label, status in checks if status == FAIL]
     verdict = FAIL if failed else PASS
     data = {"name": args.name, "depth": args.depth,

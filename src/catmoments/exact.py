@@ -7,8 +7,9 @@ the shared scalar helpers, the dense matrix value type and the fraction-free
 without row swaps and reads the determinant of every leading section off its
 pivots (Sylvester's identity), which is how each Hankel determinant family
 is computed; det_bareiss, which swaps rows past a zero pivot, evaluates one
-determinant and serves the leading sections past a singular one and the
-total-positivity windows.
+determinant and serves the leading sections past a singular one.  The
+total-positivity routes need neither: the minors of the tridiagonal
+coefficient matrix follow a three-term recurrence (see jacobi).
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from fractions import Fraction
 TRUE = "TRUE"
 FALSE = "FALSE"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-# Upper bound on the number of minors an exhaustive scan may evaluate.
-DEFAULT_MINOR_BUDGET = 2_000_000
 
 
 def as_rat(value) -> Fraction:

@@ -14,9 +14,11 @@ For a sequence generated by a weight pair, the Hankel matrix factors as
 H = R T R^t with R the recursive matrix and T the diagonal of subdiagonal
 weight products T_k = t_1 ... t_k.  Since R is unit triangular this gives
 det H_n = T_0 * ... * T_n, which hankel_det_product evaluates directly and
-hankel_det_products evaluates for every n up to a depth at once; the
-shifted family has no such product form here and is always computed by
-determinant.
+hankel_det_products evaluates for every n up to a depth at once.  The
+shifted family has a product form too, det[m_{i+j+1}]_n = D_n * T_0 * ... *
+T_n with D_n the leading minor of the coefficient matrix J
+(jacobi.leading_minors); hankel_dets still computes it by elimination,
+and the tests hold the two routes against each other.
 """
 
 from __future__ import annotations

@@ -5,20 +5,28 @@ The coefficient matrix J carries the diagonal weights s_0, s_1, ... on its
 diagonal, the subdiagonal weights t_1, t_2, ... below, and 1 everywhere on
 the superdiagonal.  Total positivity of J (all minors of all orders
 nonnegative) is what makes the attached sequence a Stieltjes moment
-sequence, and three routes certify it:
+sequence, and four routes certify it:
 
-  * leading_minors: the determinant chain D_k of leading sections, via a
-    three-term recurrence; for irreducible J (all t_k > 0), all D_k > 0 is
-    equivalent to total positivity of the section.
-  * tp_sufficient_dominance: the weight-dominance condition s_0 >= 1 and
-    s_k >= t_k + 1, which certifies the infinite matrix outright; tails are
-    analyzed symbolically where possible.
+  * leading_minors: the determinant chain D_k of leading sections; for
+    irreducible J (all t_k > 0), all D_k > 0 is equivalent to total
+    positivity of the section.
+  * tp_sufficient_dominance: the weight-dominance condition s_0 >= 1,
+    t_k >= 0 and s_k >= t_k + 1, which certifies the infinite matrix
+    outright; tails are analyzed symbolically where possible.
   * tp_criterion_pqst: for weights constant after the first entry, an exact
     if-and-only-if criterion, evaluated without floating point by case
     analysis and squaring.
-  * tp_check_sections: brute force over all contiguous principal minors of
-    a finite section, which for nonnegative tridiagonal matrices decides
-    total positivity of the section; serves as fallback and cross-check.
+  * tp_check_sections: every contiguous principal minor of a finite
+    section, which for nonnegative tridiagonal matrices decides total
+    positivity of the section; serves as fallback and cross-check.
+
+Every contiguous principal minor of a tridiagonal matrix, the leading ones
+included, follows one three-term recurrence,
+
+    D[lo..hi] = s_hi D[lo..hi-1] - t_hi D[lo..hi-2],
+
+so _window_minors is the only determinant evaluation here: O(depth)
+multiplications for the leading chain, O(depth^2) for all windows.
 
 All verdicts are TRUE / FALSE / INCONCLUSIVE, and every report states the
 depth it actually checked.
@@ -28,21 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
-from .exact import (
-    DEFAULT_MINOR_BUDGET,
-    FALSE,
-    INCONCLUSIVE,
-    TRUE,
-    DenseMatrix,
-    coerce_nonneg_fields,
-    det_bareiss,
-    format_rat,
-)
+from .exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, coerce_nonneg_fields, format_rat
 from .seqspec import SequenceSpec
 
 DOMINANCE_GUARD_INDEX = 64
+
+# Upper bound on the number of windows tp_check_sections may scan.
+MAX_WINDOWS = 2_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,27 +57,24 @@ class JacobiMatrix:
 
     def section(self, n: int) -> DenseMatrix:
         """The (n+1) x (n+1) leading section."""
-        return self.window(0, n)
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        s, t = self.weights(n)
+        return DenseMatrix(
+            tuple(s[i] if j == i else t[i] if j == i - 1 else int(j == i + 1)
+                  for j in range(n + 1))
+            for i in range(n + 1))
 
-    def window(self, lo: int, hi: int) -> DenseMatrix:
-        """The contiguous principal section on rows and columns lo..hi."""
-        if lo < 0 or hi < lo:
-            raise ValueError(f"invalid window {lo}..{hi}")
-        size = hi - lo + 1
-        rows = []
-        for i in range(size):
-            row = [Fraction(0)] * size
-            row[i] = self.sigma.eval(lo + i)
-            if i >= 1:
-                row[i - 1] = self.tau.eval(lo + i)
-            if i + 1 < size:
-                row[i + 1] = Fraction(1)
-            rows.append(row)
-        return DenseMatrix(rows)
+    def weights(self, depth: int) -> tuple[list[Fraction], list[Fraction]]:
+        """s_0..s_depth and t_0..t_depth, each evaluated once; t_0 = 0 stands
+        in for the subdiagonal entry the matrix does not have."""
+        s = [self.sigma.eval(k) for k in range(depth + 1)]
+        t = [Fraction(0)] + [self.tau.eval(k) for k in range(1, depth + 1)]
+        return s, t
 
     def is_irreducible(self, depth: int) -> bool:
-        """True when every subdiagonal entry t_1..t_depth is nonzero."""
-        return all(self.tau.eval(k) != 0 for k in range(1, depth + 1))
+        """True when every subdiagonal entry t_1..t_depth is positive."""
+        return all(self.tau.eval(k) > 0 for k in range(1, depth + 1))
 
 
 @dataclass(frozen=True)
@@ -105,13 +104,6 @@ class JacobiParams:
 
 
 @dataclass(frozen=True)
-class MinorChain:
-    """Leading principal minors D_0..D_n of a coefficient matrix."""
-
-    values: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class TPReport:
     """Outcome of one total-positivity route.
 
@@ -135,34 +127,39 @@ class TPReport:
         return data
 
 
-def leading_minors(J: JacobiMatrix, n: int) -> MinorChain:
-    """D_0..D_n by the three-term recurrence D_k = s_k D_{k-1} - t_k D_{k-2}
-    (D_{-1} = 1), each D_k the determinant of the (k+1) x (k+1) section."""
+def _window_minors(s: list[Fraction], t: list[Fraction], lo: int) -> Iterator[Fraction]:
+    """D[lo..hi] for hi = lo, lo+1, ..., len(s) - 1, the determinants of the
+    contiguous principal sections of J starting at row lo, by the recurrence
+    D[lo..hi] = s_hi D[lo..hi-1] - t_hi D[lo..hi-2] from D[lo..lo-1] = 1 and
+    D[lo..lo-2] = 0 (t_lo couples row lo to a row outside the window)."""
+    prev2, prev1 = Fraction(0), Fraction(1)
+    for hi in range(lo, len(s)):
+        prev2, prev1 = prev1, s[hi] * prev1 - t[hi] * prev2
+        yield prev1
+
+
+def leading_minors(J: JacobiMatrix, n: int) -> tuple[Fraction, ...]:
+    """D_0..D_n, each D_k the determinant of the (k+1) x (k+1) section: the
+    windows starting at row 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    values: list[Fraction] = []
-    prev2 = Fraction(1)
-    prev1 = J.sigma.eval(0)
-    values.append(prev1)
-    for k in range(1, n + 1):
-        current = J.sigma.eval(k) * prev1 - J.tau.eval(k) * prev2
-        values.append(current)
-        prev2, prev1 = prev1, current
-    return MinorChain(tuple(values))
+    return tuple(_window_minors(*J.weights(n), 0))
 
 
 def tp_by_leading_minors(J: JacobiMatrix, depth: int) -> TPReport:
     """Certify the (depth+1)-section through the leading minor chain.
 
-    Requires irreducibility (all inspected t_k nonzero): then the section
-    is totally positive iff all leading minors are positive.  A negative
-    minor refutes total positivity outright; a zero minor or a reducible
-    matrix yields INCONCLUSIVE (callers fall back to tp_check_sections).
+    Requires irreducibility (all inspected t_k > 0).  Then all leading
+    minors positive forces every s_k > 0, J is diagonally similar to a
+    positive definite symmetric tridiagonal matrix with nonnegative entries,
+    and the section is totally positive.  A negative minor refutes total
+    positivity outright; a zero minor or a matrix that is not irreducible
+    yields INCONCLUSIVE (callers fall back to tp_check_sections).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     chain = leading_minors(J, depth)
-    for k, value in enumerate(chain.values):
+    for k, value in enumerate(chain):
         if value < 0:
             witness = {"rows": list(range(k + 1)), "cols": list(range(k + 1)),
                        "value": format_rat(value)}
@@ -170,16 +167,16 @@ def tp_by_leading_minors(J: JacobiMatrix, depth: int) -> TPReport:
                             detail=_chain_detail(chain))
     if not J.is_irreducible(depth):
         return TPReport("leading_minors", INCONCLUSIVE, depth=depth,
-                        detail="matrix is reducible at this depth; "
-                               "use the contiguous-minor check")
-    if any(value == 0 for value in chain.values):
+                        detail="matrix is reducible or has a negative subdiagonal "
+                               "weight at this depth; use the contiguous-minor check")
+    if any(value == 0 for value in chain):
         return TPReport("leading_minors", INCONCLUSIVE, depth=depth,
                         detail="zero leading minor; use the contiguous-minor check")
     return TPReport("leading_minors", TRUE, depth=depth, detail=_chain_detail(chain))
 
 
-def _chain_detail(chain: MinorChain) -> str:
-    return "minor chain " + ", ".join(format_rat(v) for v in chain.values)
+def _chain_detail(chain: tuple[Fraction, ...]) -> str:
+    return "minor chain " + ", ".join(format_rat(v) for v in chain)
 
 
 def _poly_derivative(coeffs: list[Fraction]) -> list[Fraction]:
@@ -215,13 +212,13 @@ def _tail_poly(spec: SequenceSpec) -> list[Fraction]:
 def tp_sufficient_dominance(
     sigma: SequenceSpec, tau: SequenceSpec, probe_depth: int = 8
 ) -> TPReport:
-    """The weight-dominance sufficient condition: s_0 >= 1 and
-    s_k >= t_k + 1 for every k >= 1.
+    """The weight-dominance sufficient condition: s_0 >= 1, and t_k >= 0
+    and s_k >= t_k + 1 for every k >= 1.
 
     Explicit evaluation covers k up to a guard index; beyond both prefixes
-    the inequality becomes a polynomial condition, certified symbolically
-    when the difference polynomial and all its derivatives are nonnegative
-    at the guard.  TRUE therefore certifies the full infinite matrix; when
+    the inequalities become polynomial conditions on the tails, certified
+    symbolically when the tau tail and the difference polynomial, with all
+    their derivatives, are nonnegative at the guard.  TRUE therefore certifies the full infinite matrix; when
     only the bounded checks succeed the verdict is INCONCLUSIVE, stating
     how far the condition was verified.
     """
@@ -234,6 +231,9 @@ def tp_sufficient_dominance(
     guard = max(DOMINANCE_GUARD_INDEX, probe_depth,
                 sigma.tail_start() + 1, tau.tail_start() + 1)
     for k in range(1, guard + 1):
+        if tau.eval(k) < 0:
+            return TPReport("dominance", FALSE, depth=k,
+                            detail=f"t_{k} = {format_rat(tau.eval(k))} < 0")
         if sigma.eval(k) < tau.eval(k) + 1:
             return TPReport(
                 "dominance", FALSE, depth=k,
@@ -246,7 +246,7 @@ def tp_sufficient_dominance(
     for i, c in enumerate(tail):
         diff[i] -= c
     diff[0] -= 1
-    if _eventually_nonneg(diff, guard + 1):
+    if _eventually_nonneg(tail, guard + 1) and _eventually_nonneg(diff, guard + 1):
         return TPReport("dominance", TRUE, depth=None,
                         detail=f"condition holds for all k (symbolic beyond k = {guard})")
     return TPReport("dominance", INCONCLUSIVE, depth=guard,
@@ -273,37 +273,31 @@ def tp_criterion_pqst(params: JacobiParams) -> TPReport:
                     detail=f"p(s + sqrt(s^2-4t))/2 < q with 2q - ps = {format_rat(gap)}")
 
 
-def tp_check_sections(
-    J: JacobiMatrix, depth: int, budget: int = DEFAULT_MINOR_BUDGET
-) -> TPReport:
-    """Decide total positivity of the (depth+1)-section by brute force.
+def tp_check_sections(J: JacobiMatrix, depth: int) -> TPReport:
+    """Decide total positivity of the (depth+1)-section exactly.
 
     For a nonnegative tridiagonal matrix, the section is totally positive
     iff every contiguous principal minor (consecutive row/column window) is
     nonnegative; windows are scanned by ascending start then ascending end,
     and the first negative window is the witness.  A negative entry anywhere
-    refutes immediately.  Exceeding the window budget is INCONCLUSIVE.
+    refutes immediately.  More than MAX_WINDOWS windows is INCONCLUSIVE.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    s, t = J.weights(depth)
     for k in range(depth + 1):
-        entry = J.sigma.eval(k)
-        if entry < 0:
+        if s[k] < 0:
             return TPReport("contiguous_minors", FALSE, depth=depth,
-                            witness={"rows": [k], "cols": [k], "value": format_rat(entry)})
-        if k >= 1:
-            entry = J.tau.eval(k)
-            if entry < 0:
-                return TPReport("contiguous_minors", FALSE, depth=depth,
-                                witness={"rows": [k], "cols": [k - 1],
-                                         "value": format_rat(entry)})
+                            witness={"rows": [k], "cols": [k], "value": format_rat(s[k])})
+        if t[k] < 0:
+            return TPReport("contiguous_minors", FALSE, depth=depth,
+                            witness={"rows": [k], "cols": [k - 1], "value": format_rat(t[k])})
     windows = (depth + 1) * (depth + 2) // 2
-    if windows > budget:
+    if windows > MAX_WINDOWS:
         return TPReport("contiguous_minors", INCONCLUSIVE, depth=depth,
-                        detail=f"window count {windows} exceeds budget {budget}")
+                        detail=f"window count {windows} exceeds budget {MAX_WINDOWS}")
     for lo in range(depth + 1):
-        for hi in range(lo, depth + 1):
-            value = det_bareiss(J.window(lo, hi))
+        for hi, value in enumerate(_window_minors(s, t, lo), start=lo):
             if value < 0:
                 witness = {"rows": list(range(lo, hi + 1)),
                            "cols": list(range(lo, hi + 1)),
@@ -312,7 +306,7 @@ def tp_check_sections(
     return TPReport("contiguous_minors", TRUE, depth=depth)
 
 
-def tp_certify(J: JacobiMatrix, depth: int, budget: int = DEFAULT_MINOR_BUDGET) -> TPReport:
+def tp_certify(J: JacobiMatrix, depth: int) -> TPReport:
     """Run the routes in order of strength: dominance (certifies the
     infinite matrix), then leading minors, then contiguous minors.
 
@@ -325,4 +319,4 @@ def tp_certify(J: JacobiMatrix, depth: int, budget: int = DEFAULT_MINOR_BUDGET) 
     structured = tp_by_leading_minors(J, depth)
     if structured.verdict != INCONCLUSIVE:
         return structured
-    return tp_check_sections(J, depth, budget)
+    return tp_check_sections(J, depth)

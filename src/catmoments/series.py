@@ -224,23 +224,6 @@ def closed_form_d(p, q, s, t, order: int) -> Series:
     return Series.constant(2 * t, order).divide(denom)
 
 
-def column_gf(p, q, s, t, k: int, order: int) -> Series:
-    """Expand x**k * h(x)**k * d(x), the generating function of column k."""
-    if k < 0:
-        raise ValueError("column index must be >= 0")
-    p, q, s, t = as_rat(p), as_rat(q), as_rat(s), as_rat(t)
-    if t == 0:
-        h = solve_h([1, s, t], order)
-        d = solve_d([p, q], h)
-    else:
-        h = closed_form_h(s, t, order)
-        d = closed_form_d(p, q, s, t, order)
-    acc = d
-    for _ in range(k):
-        acc = acc * h
-    return acc.mul_xk(k)
-
-
 @dataclass(frozen=True)
 class ClosedFormGF:
     """Column-0 generating function for weights (p, s, s, ...) over
@@ -429,16 +412,25 @@ def riordan_column_check(p, q, s, t, order: int = DEFAULT_ORDER, k_max: int = 5)
 
     Returns TRUE when every requested column of the matrix built from the
     recurrence matches its generating function expansion to the given order.
+    h and d are expanded once (by the closed forms, or by the fixed-point
+    route when t = 0) and each column is x * h times the one before.
     """
     from .recursive import build_recursive
     from .seqspec import SequenceSpec
 
+    p, q, s, t = as_rat(p), as_rat(q), as_rat(s), as_rat(t)
+    if t == 0:
+        h = solve_h([1, s, t], order)
+        d = solve_d([p, q], h)
+    else:
+        h = closed_form_h(s, t, order)
+        d = closed_form_d(p, q, s, t, order)
     sigma = SequenceSpec.first_then_constant(p, s, start=0)
     tau = SequenceSpec.first_then_constant(q, t, start=1)
     matrix = build_recursive(sigma, tau, order)
+    column = d
     for k in range(k_max + 1):
-        expected = column_gf(p, q, s, t, k, order)
-        actual = [matrix.entry(n, k) for n in range(order + 1)]
-        if list(expected.coeffs) != actual:
+        if list(column.coeffs) != [matrix.entry(n, k) for n in range(order + 1)]:
             return FALSE
+        column = (column * h).mul_xk(1)
     return TRUE

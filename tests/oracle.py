@@ -9,7 +9,9 @@ used.  The library runs the same recurrence on integer rows scaled by the
 common denominator of the weights; the tests compare the two.
 
 identity, to_lists and submatrix are the small matrix helpers only the
-tests need.
+tests need; jacobi_window cuts a contiguous principal window out of a
+coefficient matrix, so that det_bareiss can evaluate it independently of
+the library's three-term recurrence.
 
 det_cofactor is a determinant by Laplace expansion, independent of the
 library's Bareiss kernel; all_minors_nonneg scans every minor of a matrix
@@ -22,17 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from catmoments.exact import (
-    DEFAULT_MINOR_BUDGET,
-    FALSE,
-    INCONCLUSIVE,
-    TRUE,
-    DenseMatrix,
-    det_bareiss,
-    format_rat,
-)
+from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, det_bareiss, format_rat
 
 COFACTOR_MAX_DIM = 9
+
+# Upper bound on the number of minors an exhaustive scan may evaluate.
+DEFAULT_MINOR_BUDGET = 2_000_000
 
 
 def identity(n: int) -> DenseMatrix:
@@ -45,6 +42,12 @@ def to_lists(matrix: DenseMatrix) -> list[list[Fraction]]:
 
 def submatrix(matrix: DenseMatrix, row_idx, col_idx) -> DenseMatrix:
     return DenseMatrix(tuple(matrix.entries[i][j] for j in col_idx) for i in row_idx)
+
+
+def jacobi_window(J, lo: int, hi: int) -> DenseMatrix:
+    """The contiguous principal section of J on rows and columns lo..hi."""
+    window = range(lo, hi + 1)
+    return submatrix(J.section(hi), window, window)
 
 
 def fraction_triangle(sigma, tau, depth: int) -> list[list[Fraction]]:

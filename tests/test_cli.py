@@ -1,5 +1,5 @@
 """End-to-end tests of the command-line interface: output formats, exit
-codes, file arguments, and the environment budget override."""
+codes, file arguments, and range checks on the count options."""
 
 import json
 import sys
@@ -171,10 +171,28 @@ def test_stieltjes_insufficient_terms(capsys):
     (("stieltjes", "--terms", "1,1"), 0, -3),
     (("hankel-det", "--name", "catalan"), 0, -1),
     (("verify", "--name", "catalan"), 1, 0),
+    (("tp", "--jacobi-name", "catalan"), 0, -1),
+    (("tp", "--pqst", "2,1,3,2"), 0, -2),
 ])
 def test_depth_below_range(capsys, argv, low, depth):
     code, out, err = run(capsys, *argv, "--depth", str(depth))
     assert (code, out, err) == (2, "", f"error: --depth must be >= {low}, got {depth}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--name", "catalan"),
+    ("matrix", "--name", "factorial"),
+    ("series", "--gf", "catalan"),
+])
+def test_n_below_range(capsys, argv):
+    code, out, err = run(capsys, *argv, "-n", "-1")
+    assert (code, out, err) == (2, "", "error: -n must be >= 0, got -1\n")
+
+
+def test_tp_accepts_depth_zero(capsys):
+    code, out, _ = run(capsys, "tp", "--sigma", SIGMA_DROP, "--tau", TAU_ZERO, "--depth", "0")
+    assert code == 0
+    assert out == "verdict: TRUE (criterion leading_minors, depth 0)\nminor chain 1\n"
 
 
 def test_hankel_det_product_column(capsys):
@@ -228,30 +246,6 @@ def test_tp_catalog_name(capsys):
     assert data["verdict"] == "TRUE"
     assert data["criterion"] == "leading_minors"
     assert "1, 2, 6, 24, 120, 720, 5040" in data["detail"]
-
-
-def test_tp_budget_override(capsys, monkeypatch):
-    args = ("tp", "--sigma", SIGMA_DROP, "--tau", TAU_ZERO, "--depth", "4",
-            "--format", "json")
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    assert json.loads(out)["verdict"] == "TRUE"
-    monkeypatch.setenv("MOMENTS_BUDGET", "1")
-    code, out, _ = run(capsys, *args)
-    assert code == 1
-    data = json.loads(out)
-    assert data["verdict"] == "INCONCLUSIVE"
-    assert "budget" in data["detail"]
-
-
-def test_tp_budget_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("MOMENTS_BUDGET", "lots")
-    code, _, err = run(capsys, "tp", "--jacobi-name", "catalan")
-    assert code == 2
-    assert "MOMENTS_BUDGET" in err
-    monkeypatch.setenv("MOMENTS_BUDGET", "0")
-    code, _, err = run(capsys, "tp", "--jacobi-name", "catalan")
-    assert code == 2
 
 
 def test_series_named(capsys):

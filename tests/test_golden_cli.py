@@ -122,6 +122,7 @@ def cases() -> dict[str, list[str]]:
     out["tp-pqst-not-rational"] = ["tp", "--pqst", "1,2,x,4", "--format", "json"]
     out["tp-no-weights"] = ["tp", "--sigma", TP_FALSE_SIGMA]
     out["tp-unknown-name"] = ["tp", "--jacobi-name", "fibonacci", "--format", "csv"]
+    out["tp-negative-depth"] = ["tp", "--jacobi-name", "catalan", "--depth", "-1"]
     out["series-unknown-name"] = ["series", "--gf", "motzkin"]
     out["series-negative-field"] = ["series", "--gf", json.dumps(
         {"kind": "tied_q", "p": "1", "s": "3", "t": "-1/2"})]

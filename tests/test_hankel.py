@@ -14,9 +14,12 @@ from catmoments.hankel import (
     TotalsDiagonal,
     build_hankel,
     hankel_det_product,
+    hankel_det_products,
+    hankel_dets,
     stieltjes_check,
     verify_H_eq_RTRt,
 )
+from catmoments.jacobi import JacobiMatrix, leading_minors
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from oracle import to_lists
 
@@ -183,3 +186,28 @@ def test_det_product_depends_only_on_subdiagonal_weights():
         seq = MomentSequence.from_recurrence(sigma, tau, 9)
         for n in range(4):
             assert det_bareiss(build_hankel(seq, n)) == products[n]
+
+
+def _shifted_family_is_chain_times_products(sigma, tau, depth):
+    """det[m_{i+j+1}]_n = D_n * T_0 * ... * T_n for n = 0..depth."""
+    seq = MomentSequence.from_recurrence(sigma, tau, 2 * depth + 2)
+    chain = leading_minors(JacobiMatrix(sigma, tau), depth)
+    products = hankel_det_products(tau, depth)
+    return list(hankel_dets(seq, depth, 1)) == [d * p for d, p in zip(chain, products)]
+
+
+def test_shifted_family_product_form_across_catalog():
+    for entry in CATALOG.values():
+        assert _shifted_family_is_chain_times_products(entry.sigma, entry.tau, 12), entry.name
+
+
+def test_shifted_family_product_form_for_random_rational_weights():
+    rng = random.Random(1506)
+    for _ in range(10):
+        sigma = SequenceSpec(
+            tuple(Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(4)),
+            ConstantTail(Fraction(rng.randint(1, 5), rng.randint(1, 3))), start=0)
+        tau = SequenceSpec(
+            tuple(Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(3)),
+            ConstantTail(Fraction(rng.randint(1, 5), rng.randint(1, 3))), start=1)
+        assert _shifted_family_is_chain_times_products(sigma, tau, 7)

@@ -7,6 +7,7 @@ import pytest
 
 from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, det_bareiss
 from catmoments.jacobi import (
+    MAX_WINDOWS,
     JacobiMatrix,
     JacobiParams,
     leading_minors,
@@ -17,7 +18,7 @@ from catmoments.jacobi import (
     tp_sufficient_dominance,
 )
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
-from oracle import all_minors_nonneg, is_nondecreasing_from_one
+from oracle import all_minors_nonneg, is_nondecreasing_from_one, jacobi_window
 
 
 def _matrix(name):
@@ -36,7 +37,7 @@ def test_section_layout():
 
 def test_window_uses_absolute_indices():
     J = _matrix("factorial")
-    window = J.window(2, 4)
+    window = jacobi_window(J, 2, 4)
     assert [window[i, i] for i in range(3)] == [5, 7, 9]
     assert window[1, 0] == 9 and window[2, 1] == 16
 
@@ -46,23 +47,23 @@ def test_leading_minors_match_determinants_for_catalog():
         J = JacobiMatrix(entry.sigma, entry.tau)
         chain = leading_minors(J, 10)
         for n in range(11):
-            assert chain.values[n] == det_bareiss(J.section(n))
+            assert chain[n] == det_bareiss(J.section(n))
 
 
 def test_factorial_chain_is_shifted_factorials():
     chain = leading_minors(_matrix("factorial"), 6)
-    assert list(chain.values) == [1, 2, 6, 24, 120, 720, 5040]
+    assert list(chain) == [1, 2, 6, 24, 120, 720, 5040]
 
 
 def test_catalan_chain_is_all_ones():
     chain = leading_minors(_matrix("catalan"), 8)
-    assert set(chain.values) == {Fraction(1)}
+    assert set(chain) == {Fraction(1)}
 
 
 def test_zero_diagonal_gives_negative_minor():
     J = JacobiMatrix(SequenceSpec.constant(0, start=0), SequenceSpec.constant(1, start=1))
     chain = leading_minors(J, 1)
-    assert chain.values[1] == -1
+    assert chain[1] == -1
 
 
 def test_params_reject_negative_values():
@@ -113,6 +114,24 @@ def test_dominance_rejects_small_leading_weight():
     assert report.verdict == FALSE and report.depth == 0
 
 
+def test_dominance_rejects_negative_subdiagonal_weight():
+    # s_k >= t_k + 1 holds throughout, but t_1 = -2 is an entry of J
+    sigma = SequenceSpec((Fraction(1), Fraction(-1)), ConstantTail(Fraction(5)), start=0)
+    tau = SequenceSpec((Fraction(-2),), ConstantTail(Fraction(1)), start=1)
+    report = tp_sufficient_dominance(sigma, tau)
+    assert (report.verdict, report.depth, report.detail) == (FALSE, 1, "t_1 = -2 < 0")
+
+
+def test_dominance_needs_a_nonnegative_subdiagonal_tail():
+    # t_k = 100 - k turns negative at k = 101, past the guard, while
+    # s_k - t_k - 1 = 99 + k stays positive
+    sigma = SequenceSpec.constant(200, start=0)
+    tau = SequenceSpec.polynomial([100, -1], start=1)
+    report = tp_sufficient_dominance(sigma, tau)
+    assert report.verdict == INCONCLUSIVE
+    assert "tail could not be certified" in report.detail
+
+
 def test_dominance_bounded_verdict_when_tail_uncertifiable():
     # s_k - t_k - 1 = (k - 100)^2 - 1 dips negative near k = 100, past the
     # guard range; the symbolic test must not claim TRUE
@@ -133,7 +152,7 @@ def test_dominance_chain_property_randomized():
         sigma = SequenceSpec(tuple(s_values), ConstantTail(Fraction(0)), start=0)
         tau = SequenceSpec(tuple(t_values), ConstantTail(Fraction(0)), start=1)
         chain = leading_minors(JacobiMatrix(sigma, tau), 10)
-        assert is_nondecreasing_from_one(chain.values)
+        assert is_nondecreasing_from_one(chain)
 
 
 def test_leading_minor_route_certifies_catalog():
@@ -147,6 +166,18 @@ def test_leading_minor_route_refuses_reducible_matrices():
     report = tp_by_leading_minors(J, 4)
     assert report.verdict == INCONCLUSIVE
     assert "reducible" in report.detail
+
+
+def test_leading_minor_route_needs_positive_subdiagonal():
+    # sigma = (1, -1, 1, ...), tau = (-3, 1, ...): chain 1, 2, 1, -1, ...
+    # stays positive at depth 2 although J has negative entries
+    sigma = SequenceSpec((Fraction(1), Fraction(-1)), ConstantTail(Fraction(1)), start=0)
+    tau = SequenceSpec((Fraction(-3),), ConstantTail(Fraction(1)), start=1)
+    J = JacobiMatrix(sigma, tau)
+    assert leading_minors(J, 2) == (1, 2, 1)
+    report = tp_by_leading_minors(J, 2)
+    assert report.verdict == INCONCLUSIVE
+    assert "negative subdiagonal" in report.detail
 
 
 def test_leading_minor_route_inconclusive_on_zero_minor():
@@ -181,9 +212,10 @@ def test_sections_one_by_one():
 
 
 def test_sections_budget_inconclusive():
-    report = tp_check_sections(_matrix("catalan"), 8, budget=3)
+    # 2000 * 2001 / 2 = 2,001,000 windows, just past the cap
+    report = tp_check_sections(_matrix("catalan"), 1999)
     assert report.verdict == INCONCLUSIVE
-    assert "budget" in report.detail
+    assert report.detail == f"window count 2001000 exceeds budget {MAX_WINDOWS}"
 
 
 def test_sections_agree_with_exhaustive_minor_scan():

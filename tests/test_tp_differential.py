@@ -1,0 +1,144 @@
+"""Differential tests of the total-positivity routes against brute force.
+
+Random small weight pairs (negative, zero and rational entries) go through
+every route and are compared with tests/oracle.all_minors_nonneg, which
+evaluates every minor of the section.  No route may claim TRUE where a
+minor is negative, no minor route may refute where none is, and the
+contiguous-minor route must find the same first witness as a scan that
+evaluates each window with det_bareiss.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import catmoments.exact
+from catmoments.cli import main
+from catmoments.exact import FALSE, TRUE, det_bareiss, format_rat
+from catmoments.jacobi import (
+    JacobiMatrix,
+    tp_by_leading_minors,
+    tp_certify,
+    tp_check_sections,
+    tp_sufficient_dominance,
+)
+from catmoments.seqspec import ConstantTail, SequenceSpec
+from oracle import all_minors_nonneg, jacobi_window
+
+weights = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-2, 4).map(Fraction),
+    st.builds(Fraction, st.integers(-6, 12), st.sampled_from((2, 3, 5))),
+)
+
+
+@st.composite
+def weight_pairs(draw):
+    """A coefficient matrix with drawn prefixes and constant tails, and a
+    section depth 0..5."""
+    depth = draw(st.integers(0, 5))
+    sigma = SequenceSpec(tuple(draw(st.lists(weights, max_size=depth + 1))),
+                         ConstantTail(draw(weights)), start=0)
+    tau = SequenceSpec(tuple(draw(st.lists(weights, max_size=depth))),
+                       ConstantTail(draw(weights)), start=1)
+    return JacobiMatrix(sigma, tau), depth
+
+
+def first_negative_window(J: JacobiMatrix, depth: int):
+    """The contiguous-minor scan with one det_bareiss per window: entry
+    signs first, then windows by ascending start and end."""
+    for k in range(depth + 1):
+        if J.sigma.eval(k) < 0:
+            return {"rows": [k], "cols": [k], "value": format_rat(J.sigma.eval(k))}
+        if k >= 1 and J.tau.eval(k) < 0:
+            return {"rows": [k], "cols": [k - 1], "value": format_rat(J.tau.eval(k))}
+    for lo in range(depth + 1):
+        for hi in range(lo, depth + 1):
+            value = det_bareiss(jacobi_window(J, lo, hi))
+            if value < 0:
+                window = list(range(lo, hi + 1))
+                return {"rows": window, "cols": window, "value": format_rat(value)}
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_pairs())
+def test_no_route_contradicts_the_exhaustive_minor_scan(pair):
+    J, depth = pair
+    oracle = all_minors_nonneg(J.section(depth), depth + 1).status
+    reports = {
+        "dominance": tp_sufficient_dominance(J.sigma, J.tau, probe_depth=max(depth, 1)),
+        "leading_minors": tp_by_leading_minors(J, depth),
+        "contiguous_minors": tp_check_sections(J, depth),
+        "certify": tp_certify(J, depth),
+    }
+    if oracle == FALSE:
+        assert [name for name, r in reports.items() if r.verdict == TRUE] == []
+    else:
+        # dominance FALSE only says its sufficient condition failed
+        assert [name for name, r in reports.items()
+                if r.verdict == FALSE and name != "dominance"] == []
+    # the contiguous-minor route decides the section outright
+    assert reports["contiguous_minors"].verdict == oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_pairs())
+def test_contiguous_witness_matches_window_determinants(pair):
+    J, depth = pair
+    report = tp_check_sections(J, depth)
+    assert report.witness == first_negative_window(J, depth)
+    assert report.verdict == (TRUE if report.witness is None else FALSE)
+
+
+def _spec(prefix, value, start):
+    return SequenceSpec(tuple(Fraction(v) for v in prefix), ConstantTail(Fraction(value)),
+                        start=start)
+
+
+# the three weight pairs the CLI golden test pins on the contiguous route
+CONTIGUOUS_PAIRS = [
+    (_spec([3, 2, "5/2"], 3, 0), _spec([2, 1, 0], 1, 1), 12, None),
+    (_spec([0, 2, 3, 3, 0], 3, 0), _spec([0, 0, 3, 2], 1, 1), 6,
+     {"rows": [1, 2, 3, 4], "cols": [1, 2, 3, 4], "value": "-12"}),
+    (_spec([], "12/5", 0), _spec([1, 0], "36/25", 1), 20, None),
+]
+
+
+def test_contiguous_route_evaluates_no_dense_determinant(monkeypatch):
+    calls = []
+    real = catmoments.exact.det_bareiss
+
+    def counting(matrix):
+        calls.append(matrix.rows)
+        return real(matrix)
+
+    monkeypatch.setattr(catmoments.exact, "det_bareiss", counting)
+    for sigma, tau, depth, witness in CONTIGUOUS_PAIRS:
+        report = tp_check_sections(JacobiMatrix(sigma, tau), depth)
+        assert report.verdict == (TRUE if witness is None else FALSE)
+        assert report.witness == witness
+    assert calls == []
+
+
+# ROADMAP item 1: J has negative entries, yet dominance (first pair) and the
+# leading minor chain (second pair) used to certify it
+REPRODUCERS = [
+    ({"prefix": ["1", "-1"], "tail": {"kind": "constant", "value": "5"}, "start": 0},
+     {"prefix": ["-2"], "tail": {"kind": "constant", "value": "1"}, "start": 1}),
+    ({"prefix": ["1", "-1"], "tail": {"kind": "constant", "value": "1"}, "start": 0},
+     {"prefix": ["-3"], "tail": {"kind": "constant", "value": "1"}, "start": 1}),
+]
+
+
+@pytest.mark.parametrize("sigma, tau", REPRODUCERS)
+def test_negative_weights_are_refuted(capsys, sigma, tau):
+    code = main(["tp", "--sigma", json.dumps(sigma), "--tau", json.dumps(tau),
+                 "--depth", "2", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert (data["verdict"], data["criterion"]) == (FALSE, "contiguous_minors")
+    assert data["witness"] == {"rows": [1], "cols": [1], "value": "-1"}
