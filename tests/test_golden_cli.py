@@ -7,7 +7,8 @@ frozen in golden_cli.json.  Any change to a single output byte fails.
 The cases cover every subcommand: every catalog entry under `gen -n 40`,
 `matrix -n 12`, `hankel-det`, `stieltjes`, `verify` and `tp` in every
 format, one weight pair with rational prefix and polynomial tails, both
-Hankel families, the (p, q, s, t) criterion, the contiguous-minor TP route,
+Hankel families, stieltjes on explicit weight pairs (PASS, FAIL in either
+family, a zero weight), the (p, q, s, t) criterion, the contiguous-minor TP route,
 every named and parameterised generating function, the catalog listing,
 and the usage-error (exit 2) path of each command.
 After a deliberate output change, rewrite the file with
@@ -65,6 +66,18 @@ CONTIGUOUS_CASES = {
              _constant_tail_spec(["1", "0"], "36/25", 1), "20"),
 }
 
+# weight pairs through the stieltjes product route: PASS; FAIL on det0 at
+# k = 2 (value -1); FAIL on det1 at k = 1 (value -2); PASS with both
+# families 0 from k = 2 on (t_2 = 0)
+STIELTJES_WEIGHT_CASES = {
+    "pass": (_constant_tail_spec(["3/2"], "5/2", 0), _constant_tail_spec(["2/3"], "1", 1)),
+    "det0-fail": (_constant_tail_spec(["2", "3"], "3", 0),
+                  _constant_tail_spec(["1", "-1"], "1", 1)),
+    "det1-fail": (_constant_tail_spec(["1", "1"], "3", 0), _constant_tail_spec(["2"], "1", 1)),
+    "zero-weight": (_constant_tail_spec(["2", "3"], "3", 0),
+                    _constant_tail_spec(["1", "0"], "1", 1)),
+}
+
 GF_SPECS = {
     "closed-form": {"kind": "closed_form", "p": "1", "q": "2", "s": "3", "t": "2"},
     "tied-q": {"kind": "tied_q", "p": "1", "s": "3", "t": "1/2"},
@@ -101,6 +114,9 @@ def cases() -> dict[str, list[str]]:
         for label, (sigma, tau, depth) in CONTIGUOUS_CASES.items():
             out[f"tp-contiguous-{label}-{f}"] = ["tp", "--sigma", sigma, "--tau", tau,
                                                  "--depth", depth, "--format", f]
+        for label, (sigma, tau) in STIELTJES_WEIGHT_CASES.items():
+            out[f"stieltjes-weights-{label}-{f}"] = ["stieltjes", "--sigma", sigma, "--tau", tau,
+                                                    "--depth", "4", "--format", f]
         for name in NAMED_GF_NAMES:
             out[f"series-{name}-{f}"] = ["series", "--gf", name, "--format", f]
         for kind, spec in GF_SPECS.items():
