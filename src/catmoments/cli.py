@@ -8,6 +8,13 @@ checked FAIL (or a certification that came back FALSE or INCONCLUSIVE), 2
 for usage and parse errors, including a count option (-n, --depth) below
 its range.  No environment variable is read.
 
+stieltjes takes one of two routes to the same report (see hankel): explicit
+--terms go through elimination on the Hankel sections, which a zero leading
+minor sends on to an exact semidefiniteness test, and a weight pair, named
+or given by --sigma/--tau, goes through the weight products alone.
+hankel-det keeps the elimination for weight pairs too, since printing it
+against the products is what that command is for.
+
 Each cmd_* function computes its whole result and returns it as
 (exit code, JSON object, CSV rows with the header first, text), all built
 from the same format_rat strings; main prints the format asked for, once.
@@ -32,6 +39,7 @@ from .hankel import (
     hankel_det_products,
     hankel_dets,
     stieltjes_check,
+    stieltjes_weights,
     verify_H_eq_RTRt,
 )
 from .jacobi import (
@@ -173,25 +181,22 @@ def cmd_matrix(args) -> Rendered:
     return 0, _named(name, data), rows, "\n".join(" ".join(row) for row in rows)
 
 
-def _moment_sequence(args, count: int) -> tuple[MomentSequence, str | None]:
-    terms_text = getattr(args, "terms", None)
-    if terms_text is not None:
-        return MomentSequence.from_terms(parse_terms_arg(terms_text)), None
-    sigma, tau, name = resolve_weights(args)
-    return MomentSequence.from_recurrence(sigma, tau, count), name
-
-
 def cmd_stieltjes(args) -> Rendered:
     check_count("--depth", args.depth, 0)
-    seq, name = _moment_sequence(args, 2 * args.depth + 2)
-    report = stieltjes_check(seq, args.depth)
+    if args.terms is not None:
+        seq = MomentSequence.from_terms(parse_terms_arg(args.terms))
+        report, name = stieltjes_check(seq, args.depth), None
+    else:
+        sigma, tau, name = resolve_weights(args)
+        report = stieltjes_weights(sigma, tau, args.depth)
     data = _named(name, report.to_json())
     table = [("k", "det0", "det1"), *zip(range(report.depth + 1), data["dets0"], data["dets1"])]
     lines = [f"verdict: {report.verdict} (depth {report.depth})"]
     lines += [" ".join(map(str, row)) for row in table]
     if report.witness:
         w = report.witness
-        lines.append(f"first negative: {w['family']} at k={w['k']} value {w['value']}")
+        where = f"at k={w['k']}" if "k" in w else f"rows {w['rows']}"
+        lines.append(f"first negative: {w['family']} {where} value {w['value']}")
     return 0 if report.verdict == PASS else 1, data, table, "\n".join(lines)
 
 
@@ -264,7 +269,8 @@ def verify_checks(name: str, depth: int) -> list[tuple[str, bool]]:
                    verify_step_factorization(sigma, tau, depth) == TRUE))
     checks.append(("hankel_factorization", verify_H_eq_RTRt(sigma, tau, depth) == TRUE))
     stieltjes = stieltjes_check(seq, depth)
-    checks.append(("det_product", list(stieltjes.dets0) == hankel_det_products(tau, depth)))
+    # elimination on the terms against the weight products, whole report
+    checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))
     checks.append(("leading_minors_vs_det",
                    leading_minors(J, depth) == leading_principal_minors(J.section(depth))))

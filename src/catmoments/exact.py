@@ -6,35 +6,54 @@ the shared scalar helpers, the dense matrix value type and the fraction-free
 (Bareiss) elimination, in two forms: leading_principal_minors runs it once
 without row swaps and reads the determinant of every leading section off its
 pivots (Sylvester's identity), which is how each Hankel determinant family
-is computed; det_bareiss, which swaps rows past a zero pivot, evaluates one
-determinant and serves the leading sections past a singular one.  The
-total-positivity routes need neither: the minors of the tridiagonal
-coefficient matrix follow a three-term recurrence (see jacobi).
+of explicit terms is computed; det_bareiss, which swaps rows past a zero
+pivot, evaluates one determinant and serves the leading sections past a
+singular one.  Where a zero leading minor leaves positive semidefiniteness
+open, negative_principal_minor decides it by a symmetric elimination with
+diagonal pivoting.  The total-positivity routes need none of these: the
+minors of the tridiagonal coefficient matrix follow a three-term recurrence
+(see jacobi).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Optional
 
 # Verdict vocabulary shared by the certification routines.
 TRUE = "TRUE"
 FALSE = "FALSE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+# Largest decimal exponent magnitude a string may carry: the interpreter's
+# default digit limit.  "1e200000" would otherwise build a 665,000-bit power
+# of ten from eight characters.
+MAX_DECIMAL_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE][-+]?0*([0-9_]+)\s*\Z")
+
 
 def as_rat(value) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to an exact Fraction.
+    """Coerce an int, Fraction, "p/q" or decimal string to an exact Fraction.
 
     Floats are rejected outright: silently converting one would smuggle
-    rounding into a library whose whole point is exactness.
+    rounding into a library whose whole point is exactness.  A decimal
+    exponent beyond MAX_DECIMAL_EXPONENT in magnitude is refused too, since
+    its cost grows with its value, not with the length of the string.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        digits = exponent.group(1).replace("_", "") if exponent else "0"
+        # lengths first: a long exponent would be costly to convert itself
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"not a rational: {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -215,3 +234,38 @@ def leading_principal_minors(matrix: DenseMatrix) -> tuple[Fraction, ...]:
     for size in range(len(minors) + 1, n + 1):
         minors.append(det_bareiss(DenseMatrix(row[:size] for row in matrix.entries[:size])))
     return tuple(minors)
+
+
+def negative_principal_minor(matrix: DenseMatrix) -> Optional[tuple[list[int], Fraction]]:
+    """A negative principal minor of the symmetric matrix, as (rows, value),
+    or None when the matrix is positive semidefinite.
+
+    Leading minors decide this only when they are all positive (Sylvester's
+    criterion has no weak form), so this runs an exact symmetric (LDL^t)
+    elimination in index order instead.  The product of the positive
+    pivots taken so far is the principal minor on their rows P.  At index
+    k, with d the diagonal entry of the Schur complement: d > 0 is the next
+    pivot; d < 0 refutes, the minor on P + {k} being the product times d;
+    d = 0 needs row k of the complement to be zero, else an entry a_kj != 0
+    refutes, the minor on P + {k, j} being the product times -a_kj^2.
+    """
+    n = _require_square(matrix)
+    work = [list(row) for row in matrix.entries]
+    pivots: list[int] = []
+    product = Fraction(1)
+    for k in range(n):
+        pivot = work[k][k]
+        if pivot < 0:
+            return pivots + [k], product * pivot
+        if pivot == 0:
+            j = next((j for j in range(k + 1, n) if work[k][j] != 0), None)
+            if j is not None:
+                return pivots + [k, j], -product * work[k][j] ** 2
+            continue
+        pivots.append(k)
+        product *= pivot
+        for row_i in work[k + 1:]:
+            factor = row_i[k] / pivot
+            if factor:
+                row_i[k + 1:] = [x - factor * y for x, y in zip(row_i[k + 1:], work[k][k + 1:])]
+    return None

@@ -2,23 +2,41 @@
 factorization of the Hankel matrix through the recursive matrix.
 
 A sequence (m_n) is a Stieltjes moment sequence exactly when both Hankel
-determinant families det[m_{i+j}] and det[m_{i+j+1}] are nonnegative at
-every size.  hankel_dets evaluates one family exactly up to a stated depth,
-and is the only place that does: one fraction-free elimination of the
-largest section yields every smaller section's determinant as a pivot
-(exact.leading_principal_minors), so a family costs O(depth^3), not one
-elimination per size.  stieltjes_check runs it on both families and turns
-them into a verdict, a bounded certificate that says so.
+sections [m_{i+j}] and [m_{i+j+1}] are positive semidefinite at every size.
+Two routes evaluate both determinant families up to a stated depth and turn
+them into a verdict, a bounded certificate that says so; both build the
+report with one helper, so the same families give the same report.
 
-For a sequence generated by a weight pair, the Hankel matrix factors as
-H = R T R^t with R the recursive matrix and T the diagonal of subdiagonal
-weight products T_k = t_1 ... t_k.  Since R is unit triangular this gives
-det H_n = T_0 * ... * T_n, which hankel_det_product evaluates directly and
-hankel_det_products evaluates for every n up to a depth at once.  The
-shifted family has a product form too, det[m_{i+j+1}]_n = D_n * T_0 * ... *
-T_n with D_n the leading minor of the coefficient matrix J
-(jacobi.leading_minors); hankel_dets still computes it by elimination,
-and the tests hold the two routes against each other.
+  * stieltjes_check, for explicit terms: hankel_dets, the only place a
+    family is evaluated by elimination, reads every leading minor of a
+    section off one fraction-free elimination of the largest section
+    (exact.leading_principal_minors), O(depth^3) per family.  A negative
+    leading minor refutes.  Nonnegative leading minors prove semidefiniteness
+    only when all are positive, so a family with a zero one has its largest
+    section decided by exact.negative_principal_minor, whose witness names
+    a negative principal minor by its rows.
+
+  * stieltjes_weights, for a sequence generated by a weight pair, builds no
+    Hankel matrix and generates no terms.  The Hankel matrix factors as
+    H = R T R^t with R the unit lower triangular recursive matrix and T the
+    diagonal of subdiagonal weight products T_k = t_1 ... t_k, and the
+    shifted one as H^(1) = R (J T) R^t with J the coefficient matrix, so
+    on every section det H_n = T_0 * ... * T_n (hankel_det_products) and
+    det H^(1)_n = D_n * T_0 * ... * T_n with D_n the leading minor of J
+    (jacobi.leading_minors): O(depth) multiplications over weights
+    evaluated once.
+
+Why nonnegative leading minors suffice on the weight route: H_n and H^(1)_n
+are congruent, through the invertible R_n, to the diagonal T_n and to the
+symmetric tridiagonal (J T)_n, whose off-diagonal entries are T_1, T_2, ...
+For those two matrices nonnegative leading minors do decide semidefiniteness.
+A zero T_k zeroes every later T, so each matrix is an irreducible leading
+block followed by zeros, and on that block a negative T_k makes the first
+negative leading minor.  In an irreducible symmetric tridiagonal matrix two
+consecutive leading minors are never both zero, so a zero minor D_j T_0 ...
+T_j with T_{j+1} != 0 and a positive minor before it makes the next leading
+minor negative.  Only the explicit-terms route, where no such structure is
+known, needs the elimination.
 """
 
 from __future__ import annotations
@@ -29,7 +47,16 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .exact import FALSE, TRUE, DenseMatrix, as_rat, format_rat, leading_principal_minors
+from .exact import (
+    FALSE,
+    TRUE,
+    DenseMatrix,
+    as_rat,
+    format_rat,
+    leading_principal_minors,
+    negative_principal_minor,
+)
+from .jacobi import JacobiMatrix, leading_minors
 from .recursive import build_recursive, catalan_like
 from .seqspec import SequenceSpec
 
@@ -93,9 +120,11 @@ class StieltjesReport:
     """Both determinant families up to a depth, with the verdict.
 
     dets0[k] = det[m_{i+j}] and dets1[k] = det[m_{i+j+1}] on (k+1)-sections.
-    PASS means every listed determinant is nonnegative; FAIL carries the
-    first negative one (smallest k, plain family before shifted).  Either
-    way the claim is bounded by the stated depth.
+    PASS means both largest sections are positive semidefinite.  FAIL
+    carries a witness: the first negative determinant (smallest k, plain
+    family before shifted) as family, k and value, or, when no determinant
+    is negative, a negative principal minor as family, rows and value.
+    Either way the claim is bounded by the stated depth.
     """
 
     depth: int
@@ -103,6 +132,26 @@ class StieltjesReport:
     dets1: tuple[Fraction, ...]
     verdict: str
     witness: Optional[dict] = None
+
+    @classmethod
+    def from_dets(cls, depth: int, dets0, dets1,
+                  seq: Optional[MomentSequence] = None) -> "StieltjesReport":
+        """The report on two determinant families.  seq, when given, has
+        the Hankel sections of a family decided by elimination when that
+        family has no negative leading minor but a zero one."""
+        dets0, dets1 = tuple(dets0), tuple(dets1)
+        witness = next(({"family": family, "k": k, "value": format_rat(dets[k])}
+                        for k in range(depth + 1)
+                        for family, dets in (("det0", dets0), ("det1", dets1))
+                        if dets[k] < 0), None)
+        if witness is None and seq is not None:
+            for shift, dets in enumerate((dets0, dets1)):
+                found = 0 in dets and negative_principal_minor(build_hankel(seq, depth, shift))
+                if found:
+                    witness = {"family": f"det{shift}", "rows": found[0],
+                               "value": format_rat(found[1])}
+                    break
+        return cls(depth, dets0, dets1, PASS if witness is None else FAIL, witness)
 
     def to_json(self) -> dict:
         data = {
@@ -117,24 +166,26 @@ class StieltjesReport:
 
 
 def stieltjes_check(seq: MomentSequence, depth: int = DEFAULT_DEPTH) -> StieltjesReport:
-    """Evaluate both Hankel determinant families for k = 0..depth."""
+    """Evaluate both Hankel determinant families of explicit terms for
+    k = 0..depth by elimination, and decide both sections."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     needed = 2 * depth + 2
     if len(seq) < needed:
         raise ValueError(f"need {needed} terms for depth {depth}, have {len(seq)}")
-    dets0 = hankel_dets(seq, depth, 0)
-    dets1 = hankel_dets(seq, depth, 1)
-    witness = None
-    for k in range(depth + 1):
-        if dets0[k] < 0:
-            witness = {"family": "det0", "k": k, "value": format_rat(dets0[k])}
-            break
-        if dets1[k] < 0:
-            witness = {"family": "det1", "k": k, "value": format_rat(dets1[k])}
-            break
-    verdict = PASS if witness is None else FAIL
-    return StieltjesReport(depth, dets0, dets1, verdict, witness)
+    return StieltjesReport.from_dets(depth, hankel_dets(seq, depth, 0),
+                                     hankel_dets(seq, depth, 1), seq)
+
+
+def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
+                      depth: int = DEFAULT_DEPTH) -> StieltjesReport:
+    """The report stieltjes_check gives on the terms of the weight pair,
+    read off the weights: both families as products, no Hankel matrix."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    dets0 = hankel_det_products(tau, depth)
+    chain = leading_minors(JacobiMatrix(sigma, tau), depth)
+    return StieltjesReport.from_dets(depth, dets0, (d * p for d, p in zip(chain, dets0)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ coefficient matrix, so that det_bareiss can evaluate it independently of
 the library's three-term recurrence.
 
 det_cofactor is a determinant by Laplace expansion, independent of the
-library's Bareiss kernel; all_minors_nonneg scans every minor of a matrix
+library's Bareiss kernel; principal_minors_nonneg evaluates every principal
+minor with it, the brute-force definition of positive semidefiniteness the
+Stieltjes verdicts must agree with; all_minors_nonneg scans every minor of a matrix
 for negativity, the brute-force definition of total positivity the
 library's structured routes must agree with.
 """
@@ -100,6 +102,14 @@ def _cofactor(grid: list[list[Fraction]]) -> Fraction:
         term = head * _cofactor(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def principal_minors_nonneg(matrix: DenseMatrix) -> bool:
+    """Every principal minor of the square matrix is >= 0: for a symmetric
+    matrix, positive semidefiniteness by definition."""
+    return all(det_cofactor(submatrix(matrix, rows, rows)) >= 0
+               for order in range(1, matrix.rows + 1)
+               for rows in itertools.combinations(range(matrix.rows), order))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,20 @@ def test_as_rat_rejects_floats_and_junk():
         as_rat(None)
 
 
+@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1E+200000", "2.5e1_0000",
+                                  "1e" + "9" * 30])
+def test_as_rat_refuses_a_decimal_exponent_past_the_cap(text):
+    with pytest.raises(ValueError, match="not a rational"):
+        as_rat(text)
+
+
+def test_as_rat_accepts_exponents_up_to_the_cap_and_long_digit_strings():
+    assert as_rat("1e4300") == 10**4300
+    assert as_rat(" 3E-0004300 ") == Fraction(3, 10**4300)
+    assert as_rat("1_5e2") == 1500
+    assert as_rat("7" * 4000) == int("7" * 4000)
+
+
 def test_format_rat():
     assert format_rat(Fraction(7)) == "7"
     assert format_rat(Fraction(-3, 4)) == "-3/4"

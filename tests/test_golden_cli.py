@@ -8,8 +8,9 @@ The cases cover every subcommand: every catalog entry under `gen -n 40`,
 `matrix -n 12`, `hankel-det`, `stieltjes`, `verify` and `tp` in every
 format, one weight pair with rational prefix and polynomial tails, both
 Hankel families, stieltjes on explicit weight pairs (PASS, FAIL in either
-family, a zero weight), the (p, q, s, t) criterion, the contiguous-minor TP route,
-every named and parameterised generating function, the catalog listing,
+family, a zero weight) and on terms whose leading minors are nonnegative
+but not all positive, the (p, q, s, t) criterion, the contiguous-minor TP
+route, every named and parameterised generating function, the catalog listing,
 and the usage-error (exit 2) path of each command.
 After a deliberate output change, rewrite the file with
 
@@ -125,6 +126,11 @@ def cases() -> dict[str, list[str]]:
         out[f"catalog-{f}"] = ["catalog", "--format", f]
         out[f"stieltjes-terms-fail-{f}"] = ["stieltjes", "--terms", "1,2,1,2", "--depth", "1",
                                             "--format", f]
+        # no negative leading minor, but a zero one and a negative principal minor
+        out[f"stieltjes-weak-sylvester-0-{f}"] = ["stieltjes", "--terms", "1,1,1,1,1,-1",
+                                                  "--depth", "2", "--format", f]
+        out[f"stieltjes-weak-sylvester-1-{f}"] = ["stieltjes", "--terms", "2,0,0,-1",
+                                                  "--depth", "1", "--format", f]
     out["gen-n0"] = ["gen", "--name", "catalan", "-n", "0"]
     out["matrix-n0"] = ["matrix", "--name", "factorial", "-n", "0", "--format", "json"]
     out["gen-negative-n"] = ["gen", "--name", "catalan", "-n", "-1"]
@@ -149,6 +155,7 @@ def cases() -> dict[str, list[str]]:
     out["stieltjes-too-few-terms"] = ["stieltjes", "--terms", "1,2,1", "--depth", "1"]
     out["stieltjes-not-rational"] = ["stieltjes", "--terms", "1,x", "--format", "csv"]
     out["stieltjes-no-terms"] = ["stieltjes", "--terms", " , "]
+    out["stieltjes-exponent-cap"] = ["stieltjes", "--terms", "1e200000"]
     out["stieltjes-negative-depth"] = ["stieltjes", "--name", "catalan", "--depth", "-1"]
     out["hankel-det-negative-depth"] = ["hankel-det", "--name", "catalan", "--depth", "-1"]
     out["hankel-det-unknown-name"] = ["hankel-det", "--name", "fibonacci", "--format", "json"]

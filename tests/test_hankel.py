@@ -93,6 +93,10 @@ def test_stieltjes_witness_ordering():
     # shifted family can fail first ...
     report = stieltjes_check(MomentSequence.from_terms([1, -1]), 0)
     assert report.witness == {"family": "det1", "k": 0, "value": "-1"}
+    # ... the smallest k wins over the family, even with a later det0 negative
+    report = stieltjes_check(MomentSequence.from_terms([1, -1, 0, 5]), 1)
+    assert report.dets0[1] < 0
+    assert report.witness == {"family": "det1", "k": 0, "value": "-1"}
     # ... but at the same k the plain family is reported first
     report = stieltjes_check(MomentSequence.from_terms([1, 2, 1, 0]), 1)
     assert report.dets0[1] < 0 and report.dets1[1] < 0

@@ -63,7 +63,7 @@ def test_hankel_dets_match_one_elimination_per_section(case):
 ])
 def test_weak_sylvester_terms_keep_their_dets(terms, depth, dets0, dets1):
     # zero leading minors: the inputs on which "every minor >= 0" is too weak
-    # a test; the dets are pinned here, the verdict is not
+    # a test; the dets are pinned here, the verdict in test_stieltjes_weights
     seq = MomentSequence.from_terms(terms.split(","))
     assert hankel_dets(seq, depth, 0) == dets0
     assert hankel_dets(seq, depth, 1) == dets1
