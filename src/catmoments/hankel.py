@@ -180,7 +180,9 @@ def stieltjes_check(seq: MomentSequence, depth: int = DEFAULT_DEPTH) -> Stieltje
 def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
                       depth: int = DEFAULT_DEPTH) -> StieltjesReport:
     """The report stieltjes_check gives on the terms of the weight pair,
-    read off the weights: both families as products, no Hankel matrix."""
+    read off the weights: both families as products, no Hankel matrix.
+    Here nonnegative leading minors decide both sections (see the module
+    docstring), so no elimination is needed past a zero one."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     dets0 = hankel_det_products(tau, depth)

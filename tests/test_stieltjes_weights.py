@@ -184,7 +184,6 @@ def test_terms_run_the_elimination(capsys, guarded_calls):
     # the positive control of the guard: the same families from terms
     entry = catalog_lookup("catalan")
     terms = ",".join(format_rat(v) for v in catalan_like(entry.sigma, entry.tau, 41))
-    guarded_calls.clear()
     assert main(["stieltjes", "--terms", terms, "--depth", "20", "--format", "json"]) == 0
     assert sorted(set(guarded_calls)) == ["build_hankel", "leading_principal_minors"]
     named = main(["stieltjes", "--name", "catalan", "--depth", "20", "--format", "json"])
@@ -206,7 +205,6 @@ def test_verify_compares_the_whole_report(monkeypatch):
     checks = dict(catmoments.cli.verify_checks(entry.name, 4))
     assert checks["det_product"] is False
     assert [label for label, ok in checks.items() if not ok] == ["det_product"]
-
 
 
 def test_principal_minor_oracle():
