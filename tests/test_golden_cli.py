@@ -6,9 +6,10 @@ frozen in golden_cli.json.  Any change to a single output byte fails.
 
 The cases cover every subcommand: every catalog entry under `gen -n 40`,
 `matrix -n 12`, `hankel-det`, `stieltjes`, `verify` and `tp` in every
-format, one weight pair with rational prefix and polynomial tails, both
-Hankel families, stieltjes on explicit weight pairs (PASS, FAIL in either
-family, a zero weight) and on terms whose leading minors are nonnegative
+format, one weight pair with rational prefix and polynomial tails (gen,
+matrix, both Hankel families, stieltjes and tp), both Hankel families,
+stieltjes on explicit weight pairs (PASS, FAIL in either family, a zero
+weight) and on terms whose leading minors are nonnegative
 but not all positive, the (p, q, s, t) criterion, the contiguous-minor TP
 route, every named and parameterised generating function, the catalog listing,
 and the usage-error (exit 2) path of each command.
@@ -103,6 +104,12 @@ def cases() -> dict[str, list[str]]:
         out[f"gen-rational-{f}"] = ["gen", *rational, "-n", "40"]
         out[f"matrix-rational-{f}"] = ["matrix", *rational, "-n", "12"]
         out[f"hankel-det-rational-{f}"] = ["hankel-det", *rational, "--depth", "6"]
+        # the weight route and the leading-minor route on polynomial tails
+        # with a negative weight: FAIL on det1 at k = 1, FALSE on D_1
+        out[f"hankel-det-rational-shift-{f}"] = ["hankel-det", *rational, "--depth", "6",
+                                                 "--shift", "1"]
+        out[f"stieltjes-rational-{f}"] = ["stieltjes", *rational, "--depth", "6"]
+        out[f"tp-rational-{f}"] = ["tp", *rational, "--depth", "6"]
         out[f"hankel-det-shift-{f}"] = ["hankel-det", "--name", "bell", "--depth", "6",
                                         "--shift", "1", "--format", f]
         for name in CATALOG_NAMES:
