@@ -46,7 +46,7 @@ def as_rat(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         exponent = _EXPONENT.search(value)

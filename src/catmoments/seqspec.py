@@ -168,7 +168,8 @@ class SequenceSpec:
         prefix = tuple(as_rat(c) for c in data["prefix"])
         tail = tail_from_json(data["tail"])
         start = data["start"]
-        if start not in (0, 1):
+        # JSON true/false and 0.0 compare equal to 0 and 1 in Python
+        if type(start) is not int or start not in (0, 1):
             raise ValueError(f"sequence spec 'start' must be 0 or 1, got {start!r}")
         return cls(prefix, tail, start)
 

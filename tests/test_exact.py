@@ -38,6 +38,13 @@ def test_as_rat_rejects_floats_and_junk():
         as_rat(None)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_as_rat_refuses_booleans(value):
+    # bool is an int subclass: JSON true would otherwise read as 1
+    with pytest.raises(ValueError, match=f"cannot interpret {value!r} as a rational"):
+        as_rat(value)
+
+
 @pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1E+200000", "2.5e1_0000",
                                   "1e" + "9" * 30])
 def test_as_rat_refuses_a_decimal_exponent_past_the_cap(text):

@@ -50,7 +50,7 @@ TP_FALSE_TAU = json.dumps({"prefix": ["1", "1", "0"],
                            "tail": {"kind": "constant", "value": "1"}, "start": 1})
 
 
-def _constant_tail_spec(prefix: list[str], value: str, start: int) -> str:
+def _constant_tail_spec(prefix: list, value: str, start) -> str:
     return json.dumps({"prefix": prefix, "tail": {"kind": "constant", "value": value},
                        "start": start})
 
@@ -145,6 +145,11 @@ def cases() -> dict[str, list[str]]:
     out["gen-unknown-name"] = ["gen", "--name", "fibonacci"]
     out["gen-bad-json"] = ["gen", "--sigma", "{not json", "--tau", RATIONAL_TAU]
     out["gen-wrong-start"] = ["gen", "--sigma", RATIONAL_TAU, "--tau", RATIONAL_TAU]
+    # JSON booleans are not numbers, neither as a weight nor as a start index
+    out["gen-bool-weight"] = ["gen", "--sigma", _constant_tail_spec([True], "1", 0),
+                              "--tau", RATIONAL_TAU]
+    out["gen-bool-start"] = ["gen", "--sigma", RATIONAL_SIGMA,
+                             "--tau", _constant_tail_spec([], "1", True)]
     out["verify-delannoy-depth-12"] = ["verify", "--name", "delannoy", "--depth", "12"]
     out["tp-pqst-negative"] = ["tp", "--pqst", "1,-2,3,4"]
     out["tp-pqst-count"] = ["tp", "--pqst", "1,2,3"]

@@ -83,6 +83,23 @@ def test_from_json_validation():
         tail_from_json({"kind": "polynomial"})
 
 
+@pytest.mark.parametrize("start", [True, False, 0.0, 1.0, "0"])
+def test_from_json_refuses_a_start_that_is_not_an_int(start):
+    # True == 1 and 0.0 == 0 in Python, so "start in (0, 1)" alone lets them by
+    data = {"prefix": [], "tail": {"kind": "constant", "value": "1"}, "start": start}
+    with pytest.raises(ValueError, match=f"'start' must be 0 or 1, got {start!r}"):
+        SequenceSpec.from_json(data)
+
+
+def test_from_json_refuses_boolean_weights():
+    with pytest.raises(ValueError, match="cannot interpret True"):
+        SequenceSpec.from_json({"prefix": [True], "tail": {"kind": "constant", "value": "1"},
+                                "start": 0})
+    with pytest.raises(ValueError, match="cannot interpret False"):
+        SequenceSpec.from_json({"prefix": [], "tail": {"kind": "constant", "value": False},
+                                "start": 1})
+
+
 def test_catalog_has_the_eight_names():
     assert set(CATALOG_NAMES) == {
         "catalan", "central_binomial", "delannoy", "schroder_large",
