@@ -23,11 +23,8 @@ from .exact import (
 from .hankel import (
     FAIL,
     PASS,
-    MomentSequence,
     StieltjesReport,
-    TotalsDiagonal,
     build_hankel,
-    hankel_det_product,
     hankel_det_products,
     hankel_dets,
     stieltjes_check,
@@ -44,6 +41,7 @@ from .jacobi import (
     tp_check_sections,
     tp_criterion_pqst,
     tp_sufficient_dominance,
+    window_minors,
 )
 from .recursive import (
     RecursiveMatrix,
@@ -113,19 +111,17 @@ __all__ = [
     "JacobiParams",
     "TPReport",
     "leading_minors",
+    "window_minors",
     "tp_by_leading_minors",
     "tp_sufficient_dominance",
     "tp_criterion_pqst",
     "tp_check_sections",
     "tp_certify",
-    "MomentSequence",
     "StieltjesReport",
-    "TotalsDiagonal",
     "build_hankel",
     "stieltjes_check",
     "stieltjes_weights",
     "verify_H_eq_RTRt",
-    "hankel_det_product",
     "hankel_det_products",
     "hankel_dets",
     "Series",

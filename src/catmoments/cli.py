@@ -35,7 +35,6 @@ from .hankel import (
     DEFAULT_DEPTH,
     FAIL,
     PASS,
-    MomentSequence,
     hankel_det_products,
     hankel_dets,
     stieltjes_check,
@@ -58,7 +57,14 @@ from .recursive import (
     verify_step_factorization,
 )
 from .seqspec import CATALOG, SequenceSpec, catalog_lookup, pqst_of
-from .series import DEFAULT_ORDER, NamedGF, gf_expand, gf_from_json, gf_to_json
+from .series import (
+    DEFAULT_ORDER,
+    NamedGF,
+    gf_expand,
+    gf_from_json,
+    gf_to_json,
+    riordan_column_check,
+)
 
 
 class UsageError(ValueError):
@@ -184,8 +190,7 @@ def cmd_matrix(args) -> Rendered:
 def cmd_stieltjes(args) -> Rendered:
     check_count("--depth", args.depth, 0)
     if args.terms is not None:
-        seq = MomentSequence.from_terms(parse_terms_arg(args.terms))
-        report, name = stieltjes_check(seq, args.depth), None
+        report, name = stieltjes_check(parse_terms_arg(args.terms), args.depth), None
     else:
         sigma, tau, name = resolve_weights(args)
         report = stieltjes_weights(sigma, tau, args.depth)
@@ -203,13 +208,13 @@ def cmd_stieltjes(args) -> Rendered:
 def cmd_hankel_det(args) -> Rendered:
     check_count("--depth", args.depth, 0)
     sigma, tau, name = resolve_weights(args)
-    seq = MomentSequence.from_recurrence(sigma, tau, 2 * args.depth + 1 + args.shift)
-    dets = hankel_dets(seq, args.depth, args.shift)
+    terms = catalan_like(sigma, tau, 2 * args.depth + args.shift)
+    dets = hankel_dets(terms, args.depth, args.shift)
     rows = [{"k": k, "det": format_rat(det)} for k, det in enumerate(dets)]
     lines = [f"k={row['k']} det={row['det']}" for row in rows]
     if args.shift == 0:
         # the plain family also has the weight-product form det H_k = T_0 ... T_k
-        for k, product in enumerate(hankel_det_products(tau, args.depth)):
+        for k, product in enumerate(hankel_det_products(tau.values(args.depth))):
             match = dets[k] == product
             rows[k].update(product=format_rat(product), match=match)
             lines[k] += f" product={rows[k]['product']} {'ok' if match else 'MISMATCH'}"
@@ -254,7 +259,6 @@ def verify_checks(name: str, depth: int) -> list[tuple[str, bool]]:
     entry = catalog_lookup(name)
     sigma, tau = entry.sigma, entry.tau
     terms = catalan_like(sigma, tau, max(2 * depth + 1, 16))
-    seq = MomentSequence.from_terms(terms)
     matrix = build_recursive(sigma, tau, depth)
     J = JacobiMatrix(sigma, tau)
     checks: list[tuple[str, bool]] = []
@@ -268,7 +272,7 @@ def verify_checks(name: str, depth: int) -> list[tuple[str, bool]]:
     checks.append(("step_factorization",
                    verify_step_factorization(sigma, tau, depth) == TRUE))
     checks.append(("hankel_factorization", verify_H_eq_RTRt(sigma, tau, depth) == TRUE))
-    stieltjes = stieltjes_check(seq, depth)
+    stieltjes = stieltjes_check(terms, depth)
     # elimination on the terms against the weight products, whole report
     checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))
@@ -280,8 +284,6 @@ def verify_checks(name: str, depth: int) -> list[tuple[str, bool]]:
         checks.append(("gf_terms", list(expansion.coeffs) == terms[: depth + 1]))
     pqst = pqst_of(sigma, tau)
     if pqst is not None:
-        from .series import riordan_column_check
-
         checks.append(("riordan_columns",
                        riordan_column_check(*pqst, order=depth,
                                             k_max=min(5, depth)) == TRUE))

@@ -7,14 +7,15 @@ Two routes evaluate both determinant families up to a stated depth and turn
 them into a verdict, a bounded certificate that says so; both build the
 report with one helper, so the same families give the same report.
 
-  * stieltjes_check, for explicit terms: hankel_dets, the only place a
-    family is evaluated by elimination, reads every leading minor of a
-    section off one fraction-free elimination of the largest section
-    (exact.leading_principal_minors), O(depth^3) per family.  A negative
-    leading minor refutes.  Nonnegative leading minors prove semidefiniteness
-    only when all are positive, so a family with a zero one has its largest
-    section decided by exact.negative_principal_minor, whose witness names
-    a negative principal minor by its rows.
+  * stieltjes_check, for explicit terms (a plain sequence m_0, m_1, ...):
+    hankel_dets, the only place a family is evaluated by elimination,
+    reads every leading minor of a section off one fraction-free
+    elimination of the largest section (exact.leading_principal_minors),
+    O(depth^3) per family.  A negative leading minor refutes.  Nonnegative
+    leading minors prove semidefiniteness only when all are positive, so a
+    family with a zero one has its largest section decided by
+    exact.negative_principal_minor, whose witness names a negative
+    principal minor by its rows.
 
   * stieltjes_weights, for a sequence generated by a weight pair, builds no
     Hankel matrix and generates no terms.  The Hankel matrix factors as
@@ -23,8 +24,8 @@ report with one helper, so the same families give the same report.
     shifted one as H^(1) = R (J T) R^t with J the coefficient matrix, so
     on every section det H_n = T_0 * ... * T_n (hankel_det_products) and
     det H^(1)_n = D_n * T_0 * ... * T_n with D_n the leading minor of J
-    (jacobi.leading_minors): O(depth) multiplications over weights
-    evaluated once.
+    (jacobi.window_minors from row 0): O(depth) multiplications over
+    weights read once (JacobiMatrix.weights).
 
 Why nonnegative leading minors suffice on the weight route: H_n and H^(1)_n
 are congruent, through the invertible R_n, to the diagonal T_n and to the
@@ -51,12 +52,11 @@ from .exact import (
     FALSE,
     TRUE,
     DenseMatrix,
-    as_rat,
     format_rat,
     leading_principal_minors,
     negative_principal_minor,
 )
-from .jacobi import JacobiMatrix, leading_minors
+from .jacobi import JacobiMatrix, window_minors
 from .recursive import build_recursive, catalan_like
 from .seqspec import SequenceSpec
 
@@ -66,53 +66,25 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
-@dataclass(frozen=True)
-class MomentSequence:
-    """A finite run of exact sequence terms."""
-
-    terms: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        terms = tuple(as_rat(v) for v in self.terms)
-        if not terms:
-            raise ValueError("a moment sequence needs at least one term")
-        object.__setattr__(self, "terms", terms)
-
-    @classmethod
-    def from_terms(cls, values: Sequence) -> "MomentSequence":
-        return cls(tuple(values))
-
-    @classmethod
-    def from_recurrence(
-        cls, sigma: SequenceSpec, tau: SequenceSpec, count: int
-    ) -> "MomentSequence":
-        """First `count` terms of the weight pair's sequence."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        return cls(tuple(catalan_like(sigma, tau, count - 1)))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def build_hankel(seq: MomentSequence, n: int, shift: int = 0) -> DenseMatrix:
-    """The (n+1) x (n+1) matrix with entry (i, j) = m_{i+j+shift}."""
+def build_hankel(terms: Sequence, n: int, shift: int = 0) -> DenseMatrix:
+    """The (n+1) x (n+1) matrix with entry (i, j) = m_{i+j+shift}, from the
+    terms m_0, m_1, ..."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if shift not in (0, 1):
         raise ValueError(f"shift must be 0 or 1, got {shift}")
     needed = 2 * n + 1 + shift
-    if len(seq) < needed:
-        raise ValueError(f"need {needed} terms for depth {n} shift {shift}, have {len(seq)}")
+    if len(terms) < needed:
+        raise ValueError(f"need {needed} terms for depth {n} shift {shift}, have {len(terms)}")
     return DenseMatrix(
-        tuple(seq.terms[i + j + shift] for j in range(n + 1)) for i in range(n + 1)
+        tuple(terms[i + j + shift] for j in range(n + 1)) for i in range(n + 1)
     )
 
 
-def hankel_dets(seq: MomentSequence, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
+def hankel_dets(terms: Sequence, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
     """det[m_{i+j+shift}] on the (k+1) x (k+1) sections for k = 0..depth,
     all read off one elimination of the largest section."""
-    return leading_principal_minors(build_hankel(seq, depth, shift))
+    return leading_principal_minors(build_hankel(terms, depth, shift))
 
 
 @dataclass(frozen=True)
@@ -135,8 +107,8 @@ class StieltjesReport:
 
     @classmethod
     def from_dets(cls, depth: int, dets0, dets1,
-                  seq: Optional[MomentSequence] = None) -> "StieltjesReport":
-        """The report on two determinant families.  seq, when given, has
+                  terms: Optional[Sequence] = None) -> "StieltjesReport":
+        """The report on two determinant families.  terms, when given, have
         the Hankel sections of a family decided by elimination when that
         family has no negative leading minor but a zero one."""
         dets0, dets1 = tuple(dets0), tuple(dets1)
@@ -144,9 +116,9 @@ class StieltjesReport:
                         for k in range(depth + 1)
                         for family, dets in (("det0", dets0), ("det1", dets1))
                         if dets[k] < 0), None)
-        if witness is None and seq is not None:
+        if witness is None and terms is not None:
             for shift, dets in enumerate((dets0, dets1)):
-                found = 0 in dets and negative_principal_minor(build_hankel(seq, depth, shift))
+                found = 0 in dets and negative_principal_minor(build_hankel(terms, depth, shift))
                 if found:
                     witness = {"family": f"det{shift}", "rows": found[0],
                                "value": format_rat(found[1])}
@@ -165,16 +137,17 @@ class StieltjesReport:
         return data
 
 
-def stieltjes_check(seq: MomentSequence, depth: int = DEFAULT_DEPTH) -> StieltjesReport:
-    """Evaluate both Hankel determinant families of explicit terms for
-    k = 0..depth by elimination, and decide both sections."""
+def stieltjes_check(terms: Sequence, depth: int = DEFAULT_DEPTH) -> StieltjesReport:
+    """Evaluate both Hankel determinant families of the explicit terms
+    m_0, m_1, ... for k = 0..depth by elimination, and decide both
+    sections."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     needed = 2 * depth + 2
-    if len(seq) < needed:
-        raise ValueError(f"need {needed} terms for depth {depth}, have {len(seq)}")
-    return StieltjesReport.from_dets(depth, hankel_dets(seq, depth, 0),
-                                     hankel_dets(seq, depth, 1), seq)
+    if len(terms) < needed:
+        raise ValueError(f"need {needed} terms for depth {depth}, have {len(terms)}")
+    return StieltjesReport.from_dets(depth, hankel_dets(terms, depth, 0),
+                                     hankel_dets(terms, depth, 1), terms)
 
 
 def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
@@ -185,55 +158,32 @@ def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
     docstring), so no elimination is needed past a zero one."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    dets0 = hankel_det_products(tau, depth)
-    chain = leading_minors(JacobiMatrix(sigma, tau), depth)
-    return StieltjesReport.from_dets(depth, dets0, (d * p for d, p in zip(chain, dets0)))
-
-
-@dataclass(frozen=True)
-class TotalsDiagonal:
-    """Running products of the subdiagonal weights: T_0 = 1, T_k = t_1...t_k."""
-
-    values: tuple[Fraction, ...]
-
-    @classmethod
-    def from_tau(cls, tau: SequenceSpec, n: int) -> "TotalsDiagonal":
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        values = [Fraction(1)]
-        for k in range(1, n + 1):
-            values.append(values[-1] * tau.eval(k))
-        return cls(tuple(values))
-
-    def matrix(self) -> DenseMatrix:
-        size = len(self.values)
-        return DenseMatrix(
-            tuple(self.values[i] if i == j else Fraction(0) for j in range(size))
-            for i in range(size)
-        )
+    s, t = JacobiMatrix(sigma, tau).weights(depth)
+    dets0 = hankel_det_products(t[1:])
+    dets1 = map(operator.mul, window_minors(s, t, 0), dets0)
+    return StieltjesReport.from_dets(depth, dets0, dets1)
 
 
 def verify_H_eq_RTRt(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> str:
-    """Check the factorization H = R T R^t on (depth+1)-sections.
+    """Check the factorization H = R T R^t on (depth+1)-sections, where T is
+    the diagonal of the running products T_0 = 1, T_k = t_1 ... t_k.
 
     Exact on sections because row n of R ends at column n, so the product
     never reaches truncated entries.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    seq = MomentSequence.from_recurrence(sigma, tau, 2 * depth + 1)
-    H = build_hankel(seq, depth, 0)
+    H = build_hankel(catalan_like(sigma, tau, 2 * depth), depth, 0)
     R = build_recursive(sigma, tau, depth).section(depth)
-    T = TotalsDiagonal.from_tau(tau, depth).matrix()
+    totals = list(accumulate(tau.values(depth), operator.mul, initial=Fraction(1)))
+    T = DenseMatrix(tuple(totals[i] if i == j else 0 for j in range(depth + 1))
+                    for i in range(depth + 1))
     return TRUE if H == R @ T @ R.transpose() else FALSE
 
 
-def hankel_det_products(tau: SequenceSpec, depth: int) -> list[Fraction]:
-    """hankel_det_product(tau, n) for n = 0..depth, as one running product."""
-    return list(accumulate(TotalsDiagonal.from_tau(tau, depth).values, operator.mul))
-
-
-def hankel_det_product(tau: SequenceSpec, n: int) -> Fraction:
-    """det of the depth-n plain Hankel section, via the factorization:
-    the product T_0 * T_1 * ... * T_n."""
-    return hankel_det_products(tau, n)[-1]
+def hankel_det_products(t: Sequence[Fraction]) -> list[Fraction]:
+    """det[m_{i+j}] on the (n+1)-sections, n = 0..d, from the subdiagonal
+    weights t_1..t_d alone: by H = R T R^t with R unit triangular, the
+    running product T_0 * ... * T_n of T_0 = 1, T_k = t_1 * ... * t_k."""
+    totals = accumulate(t, operator.mul, initial=Fraction(1))
+    return list(accumulate(totals, operator.mul))

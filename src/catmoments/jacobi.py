@@ -25,8 +25,10 @@ included, follows one three-term recurrence,
 
     D[lo..hi] = s_hi D[lo..hi-1] - t_hi D[lo..hi-2],
 
-so _window_minors is the only determinant evaluation here: O(depth)
-multiplications for the leading chain, O(depth^2) for all windows.
+so window_minors is the only determinant evaluation here, and hankel reads
+the shifted Hankel family off the same chain: O(depth) multiplications for
+the leading chain, O(depth^2) for all windows.  Every route reads the
+weights it inspects once, through JacobiMatrix.weights.
 
 All verdicts are TRUE / FALSE / INCONCLUSIVE, and every report states the
 depth it actually checked.
@@ -68,13 +70,7 @@ class JacobiMatrix:
     def weights(self, depth: int) -> tuple[list[Fraction], list[Fraction]]:
         """s_0..s_depth and t_0..t_depth, each evaluated once; t_0 = 0 stands
         in for the subdiagonal entry the matrix does not have."""
-        s = [self.sigma.eval(k) for k in range(depth + 1)]
-        t = [Fraction(0)] + [self.tau.eval(k) for k in range(1, depth + 1)]
-        return s, t
-
-    def is_irreducible(self, depth: int) -> bool:
-        """True when every subdiagonal entry t_1..t_depth is positive."""
-        return all(self.tau.eval(k) > 0 for k in range(1, depth + 1))
+        return self.sigma.values(depth + 1), [Fraction(0), *self.tau.values(depth)]
 
 
 @dataclass(frozen=True)
@@ -89,15 +85,6 @@ class JacobiParams:
 
     def __post_init__(self):
         coerce_nonneg_fields(self, "parameter ")
-
-    def sigma(self) -> SequenceSpec:
-        return SequenceSpec.first_then_constant(self.p, self.s, start=0)
-
-    def tau(self) -> SequenceSpec:
-        return SequenceSpec.first_then_constant(self.q, self.t, start=1)
-
-    def matrix(self) -> JacobiMatrix:
-        return JacobiMatrix(self.sigma(), self.tau())
 
     def to_json(self) -> dict:
         return {name: format_rat(getattr(self, name)) for name in ("p", "q", "s", "t")}
@@ -127,7 +114,7 @@ class TPReport:
         return data
 
 
-def _window_minors(s: list[Fraction], t: list[Fraction], lo: int) -> Iterator[Fraction]:
+def window_minors(s: list[Fraction], t: list[Fraction], lo: int) -> Iterator[Fraction]:
     """D[lo..hi] for hi = lo, lo+1, ..., len(s) - 1, the determinants of the
     contiguous principal sections of J starting at row lo, by the recurrence
     D[lo..hi] = s_hi D[lo..hi-1] - t_hi D[lo..hi-2] from D[lo..lo-1] = 1 and
@@ -143,7 +130,7 @@ def leading_minors(J: JacobiMatrix, n: int) -> tuple[Fraction, ...]:
     windows starting at row 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return tuple(_window_minors(*J.weights(n), 0))
+    return tuple(window_minors(*J.weights(n), 0))
 
 
 def tp_by_leading_minors(J: JacobiMatrix, depth: int) -> TPReport:
@@ -158,14 +145,15 @@ def tp_by_leading_minors(J: JacobiMatrix, depth: int) -> TPReport:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    chain = leading_minors(J, depth)
+    s, t = J.weights(depth)
+    chain = tuple(window_minors(s, t, 0))
     for k, value in enumerate(chain):
         if value < 0:
             witness = {"rows": list(range(k + 1)), "cols": list(range(k + 1)),
                        "value": format_rat(value)}
             return TPReport("leading_minors", FALSE, depth=depth, witness=witness,
                             detail=_chain_detail(chain))
-    if not J.is_irreducible(depth):
+    if not all(w > 0 for w in t[1:]):
         return TPReport("leading_minors", INCONCLUSIVE, depth=depth,
                         detail="matrix is reducible or has a negative subdiagonal "
                                "weight at this depth; use the contiguous-minor check")
@@ -224,21 +212,20 @@ def tp_sufficient_dominance(
     """
     if probe_depth < 1:
         raise ValueError("probe_depth must be >= 1")
-    s0 = sigma.eval(0)
-    if s0 < 1:
-        return TPReport("dominance", FALSE, depth=0,
-                        detail=f"s_0 = {format_rat(s0)} < 1")
     guard = max(DOMINANCE_GUARD_INDEX, probe_depth,
                 sigma.tail_start() + 1, tau.tail_start() + 1)
+    s, t = JacobiMatrix(sigma, tau).weights(guard)
+    if s[0] < 1:
+        return TPReport("dominance", FALSE, depth=0,
+                        detail=f"s_0 = {format_rat(s[0])} < 1")
     for k in range(1, guard + 1):
-        if tau.eval(k) < 0:
+        if t[k] < 0:
             return TPReport("dominance", FALSE, depth=k,
-                            detail=f"t_{k} = {format_rat(tau.eval(k))} < 0")
-        if sigma.eval(k) < tau.eval(k) + 1:
+                            detail=f"t_{k} = {format_rat(t[k])} < 0")
+        if s[k] < t[k] + 1:
             return TPReport(
                 "dominance", FALSE, depth=k,
-                detail=f"s_{k} = {format_rat(sigma.eval(k))} < "
-                       f"t_{k} + 1 = {format_rat(tau.eval(k) + 1)}")
+                detail=f"s_{k} = {format_rat(s[k])} < t_{k} + 1 = {format_rat(t[k] + 1)}")
     diff = _tail_poly(sigma)
     tail = _tail_poly(tau)
     width = max(len(diff), len(tail))
@@ -297,7 +284,7 @@ def tp_check_sections(J: JacobiMatrix, depth: int) -> TPReport:
         return TPReport("contiguous_minors", INCONCLUSIVE, depth=depth,
                         detail=f"window count {windows} exceeds budget {MAX_WINDOWS}")
     for lo in range(depth + 1):
-        for hi, value in enumerate(_window_minors(s, t, lo), start=lo):
+        for hi, value in enumerate(window_minors(s, t, lo), start=lo):
             if value < 0:
                 witness = {"rows": list(range(lo, hi + 1)),
                            "cols": list(range(lo, hi + 1)),

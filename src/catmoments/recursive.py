@@ -61,10 +61,6 @@ class RecursiveMatrix:
             return Fraction(0)
         return self.rows_[n][k]
 
-    def column(self, k: int) -> list[Fraction]:
-        """Column k, padded with leading zeros: entries for n = 0..depth."""
-        return [self.entry(n, k) for n in range(self.depth + 1)]
-
     def section(self, n: int) -> DenseMatrix:
         """The (n+1) x (n+1) leading section as a dense matrix."""
         if n < 0 or n > self.depth:

@@ -66,11 +66,6 @@ class Series:
         tail = ", ..." if self.order > 7 else ""
         return f"Series([{shown}{tail}], order={self.order})"
 
-    def truncate(self, order: int) -> "Series":
-        if order < 0 or order > self.order:
-            raise ValueError(f"cannot truncate order-{self.order} series to {order}")
-        return Series(self.coeffs[: order + 1])
-
     def __neg__(self) -> "Series":
         return Series(tuple(-c for c in self.coeffs))
 
@@ -237,9 +232,6 @@ class ClosedFormGF:
     def __post_init__(self):
         coerce_nonneg_fields(self)
 
-    def params(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.p, self.q, self.s, self.t)
-
     def expand(self, order: int) -> Series:
         return closed_form_d(self.p, self.q, self.s, self.t, order)
 
@@ -254,9 +246,6 @@ class TiedQGF:
 
     def __post_init__(self):
         coerce_nonneg_fields(self)
-
-    def params(self):
-        return (self.p, self.t, self.s, self.t)
 
     def expand(self, order: int) -> Series:
         denom = Series.from_poly([1, self.s - 2 * self.p], order) + sqrt_discriminant(
@@ -275,9 +264,6 @@ class TiedQPGF:
     def __post_init__(self):
         coerce_nonneg_fields(self)
 
-    def params(self):
-        return (self.s, self.t, self.s, self.t)
-
     def expand(self, order: int) -> Series:
         denom = Series.from_poly([1, -self.s], order) + sqrt_discriminant(self.s, self.t, order)
         return Series.constant(2, order).divide(denom)
@@ -292,9 +278,6 @@ class InverseSqrtGF:
 
     def __post_init__(self):
         coerce_nonneg_fields(self)
-
-    def params(self):
-        return (self.s, 2 * self.t, self.s, self.t)
 
     def expand(self, order: int) -> Series:
         one = Series.constant(1, order)
@@ -332,11 +315,11 @@ def _named_expand_schroder_little(order: int) -> Series:
 #: classical closed forms, expanded from their literal formulas rather than
 #: via the parameterized reductions, so the two routes can cross-check
 _NAMED = {
-    "catalan": ((1, 1, 2, 1), _named_expand_catalan),
-    "central_binomial": ((2, 2, 2, 1), _named_expand_central_binomial),
-    "delannoy": ((3, 4, 3, 2), _named_expand_delannoy),
-    "schroder_large": ((2, 2, 3, 2), _named_expand_schroder_large),
-    "schroder_little": ((1, 2, 3, 2), _named_expand_schroder_little),
+    "catalan": _named_expand_catalan,
+    "central_binomial": _named_expand_central_binomial,
+    "delannoy": _named_expand_delannoy,
+    "schroder_large": _named_expand_schroder_large,
+    "schroder_little": _named_expand_schroder_little,
 }
 
 NAMED_GF_NAMES = tuple(sorted(_NAMED))
@@ -355,11 +338,8 @@ class NamedGF:
                 f"choose from {', '.join(NAMED_GF_NAMES)}"
             )
 
-    def params(self):
-        return tuple(Fraction(v) for v in _NAMED[self.name][0])
-
     def expand(self, order: int) -> Series:
-        return _NAMED[self.name][1](order)
+        return _NAMED[self.name](order)
 
 
 GF_TYPES = (ClosedFormGF, TiedQGF, TiedQPGF, InverseSqrtGF, NamedGF)

@@ -11,7 +11,8 @@ common denominator of the weights; the tests compare the two.
 identity, to_lists and submatrix are the small matrix helpers only the
 tests need; jacobi_window cuts a contiguous principal window out of a
 coefficient matrix, so that det_bareiss can evaluate it independently of
-the library's three-term recurrence.
+the library's three-term recurrence; pqst_matrix builds the coefficient
+matrix of weights constant after their first entries.
 
 det_cofactor is a determinant by Laplace expansion, independent of the
 library's Bareiss kernel; principal_minors_nonneg evaluates every principal
@@ -27,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, det_bareiss, format_rat
+from catmoments.jacobi import JacobiMatrix
+from catmoments.seqspec import SequenceSpec
 
 COFACTOR_MAX_DIM = 9
 
@@ -50,6 +53,13 @@ def jacobi_window(J, lo: int, hi: int) -> DenseMatrix:
     """The contiguous principal section of J on rows and columns lo..hi."""
     window = range(lo, hi + 1)
     return submatrix(J.section(hi), window, window)
+
+
+def pqst_matrix(params) -> JacobiMatrix:
+    """J with diagonal (p, s, s, ...) and subdiagonal (q, t, t, ...), from
+    anything with fields p, q, s, t (a JacobiParams)."""
+    return JacobiMatrix(SequenceSpec.first_then_constant(params.p, params.s, start=0),
+                        SequenceSpec.first_then_constant(params.q, params.t, start=1))
 
 
 def fraction_triangle(sigma, tau, depth: int) -> list[list[Fraction]]:

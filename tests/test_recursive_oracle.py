@@ -58,7 +58,7 @@ def test_rows_and_terms_match_fraction_oracle(sigma, tau, depth):
     assert [list(matrix.row(n)) for n in range(depth + 1)] == rows
     terms = catalan_like(sigma, tau, depth)
     assert terms == [row[0] for row in rows]
-    assert terms == matrix.column(0)
+    assert terms == [matrix.entry(n, 0) for n in range(depth + 1)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from catmoments.seqspec import catalog_lookup
+from catmoments.seqspec import catalog_lookup, pqst_of
 from catmoments.series import (
     DEFAULT_ORDER,
     ClosedFormGF,
@@ -61,8 +61,6 @@ def test_series_rejects_bad_input():
         Series([0.5])
     with pytest.raises(ValueError):
         Series.from_poly([1], -1)
-    with pytest.raises(ValueError):
-        Series([1, 2, 3]).truncate(5)
 
 
 def test_arithmetic_truncates_to_shorter_operand():
@@ -197,13 +195,6 @@ def test_specializations_reduce_to_general_form():
         assert InverseSqrtGF(s, t).expand(16) == ClosedFormGF(s, 2 * t, s, t).expand(16)
 
 
-def test_specialization_params():
-    assert TiedQGF(1, 2, 3).params() == (1, 3, 2, 3)
-    assert TiedQPGF(2, 3).params() == (2, 3, 2, 3)
-    assert InverseSqrtGF(2, 3).params() == (2, 6, 2, 3)
-    assert NamedGF("delannoy").params() == (3, 4, 3, 2)
-
-
 def test_gf_rejects_negative_parameters():
     with pytest.raises(ValueError):
         ClosedFormGF(1, -1, 2, 1)
@@ -215,10 +206,11 @@ def test_gf_rejects_negative_parameters():
 
 def test_named_forms_match_parameter_reductions_and_catalog():
     for name in NAMED_GF_NAMES:
-        gf = NamedGF(name)
-        literal = gf.expand(16)
-        assert literal == ClosedFormGF(*gf.params()).expand(16), name
-        assert literal.coeffs[:8] == catalog_lookup(name).reference_terms, name
+        # the literal formula against the general one at the catalog weights
+        entry = catalog_lookup(name)
+        literal = NamedGF(name).expand(16)
+        assert literal == ClosedFormGF(*pqst_of(entry.sigma, entry.tau)).expand(16), name
+        assert literal.coeffs[:8] == entry.reference_terms, name
 
 
 def test_tied_qp_at_catalan_weights_is_the_shifted_sequence():
@@ -268,7 +260,8 @@ def test_gf_expand_dispatch():
 
 def test_riordan_columns_match_recurrence():
     for name in NAMED_GF_NAMES:
-        p, q, s, t = NamedGF(name).params()
+        entry = catalog_lookup(name)
+        p, q, s, t = pqst_of(entry.sigma, entry.tau)
         assert riordan_column_check(p, q, s, t, order=10, k_max=10) == TRUE, name
     # degenerate subdiagonal exercises the fixed-point route end to end
     assert riordan_column_check(1, 1, 1, 0, order=8, k_max=8) == TRUE

@@ -25,13 +25,13 @@ from catmoments.exact import DenseMatrix, format_rat, negative_principal_minor
 from catmoments.hankel import (
     FAIL,
     PASS,
-    MomentSequence,
     build_hankel,
     stieltjes_check,
     stieltjes_weights,
 )
+from catmoments.jacobi import JacobiMatrix, tp_by_leading_minors
 from catmoments.recursive import catalan_like
-from catmoments.seqspec import ConstantTail, SequenceSpec, catalog_lookup
+from catmoments.seqspec import ConstantTail, PolynomialTail, SequenceSpec, catalog_lookup
 from oracle import det_cofactor, principal_minors_nonneg, submatrix
 
 values = st.one_of(
@@ -58,8 +58,7 @@ def term_lists(draw):
     leading minors are common."""
     depth = draw(st.integers(0, 3))
     small = st.one_of(st.integers(-1, 2).map(Fraction), values)
-    return MomentSequence.from_terms(draw(st.lists(small, min_size=2 * depth + 2,
-                                                   max_size=2 * depth + 2))), depth
+    return draw(st.lists(small, min_size=2 * depth + 2, max_size=2 * depth + 2)), depth
 
 
 @st.composite
@@ -72,10 +71,10 @@ def low_rank_term_lists(draw):
                           min_size=1, max_size=2))
     terms = [sum(Fraction(w) * x ** n for w, x in atoms) for n in range(2 * depth + 2)]
     terms[draw(st.integers(0, 2 * depth + 1))] += draw(st.integers(-2, 2))
-    return MomentSequence.from_terms(terms), depth
+    return terms, depth
 
 
-def both_sections_psd(seq: MomentSequence, depth: int) -> bool:
+def both_sections_psd(seq, depth: int) -> bool:
     return all(principal_minors_nonneg(build_hankel(seq, depth, shift)) for shift in (0, 1))
 
 
@@ -91,7 +90,7 @@ def assert_witness_is_a_negative_principal_minor(seq, report):
 @given(weight_pairs())
 def test_weight_route_equals_elimination_and_brute_force(pair):
     sigma, tau, depth = pair
-    seq = MomentSequence.from_recurrence(sigma, tau, 2 * depth + 2)
+    seq = catalan_like(sigma, tau, 2 * depth + 1)
     report = stieltjes_weights(sigma, tau, depth)
     assert report == stieltjes_check(seq, depth)
     assert (report.verdict == PASS) == both_sections_psd(seq, depth)
@@ -127,7 +126,7 @@ def test_negative_principal_minor_decides_semidefiniteness(grid):
     ("2,0,0,-1", 1, {"family": "det1", "rows": [1], "value": "-1"}),
 ])
 def test_weak_sylvester_terms_fail_with_a_principal_minor(capsys, terms, depth, witness):
-    report = stieltjes_check(MomentSequence.from_terms(terms.split(",")), depth)
+    report = stieltjes_check(terms.split(","), depth)
     assert (report.verdict, report.witness) == (FAIL, witness)
     assert main(["stieltjes", "--terms", terms, "--depth", str(depth)]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
@@ -205,6 +204,44 @@ def test_verify_compares_the_whole_report(monkeypatch):
     checks = dict(catmoments.cli.verify_checks(entry.name, 4))
     assert checks["det_product"] is False
     assert [label for label, ok in checks.items() if not ok] == ["det_product"]
+
+
+@pytest.fixture
+def weight_reads(monkeypatch):
+    """Every SequenceSpec.eval call, as (spec, index) pairs in call order."""
+    reads = []
+    original = SequenceSpec.eval
+
+    def counting(spec, k):
+        reads.append((spec, k))
+        return original(spec, k)
+
+    monkeypatch.setattr(SequenceSpec, "eval", counting)
+    return reads
+
+
+# bell, and a prefix followed by a polynomial tail on either side; both have
+# positive leading minors, so tp_by_leading_minors inspects every weight
+READ_ONCE_PAIRS = {
+    "bell": (catalog_lookup("bell").sigma, catalog_lookup("bell").tau),
+    "prefix-polynomial": (
+        SequenceSpec((Fraction(2), Fraction(3, 2)), PolynomialTail((1, 2)), start=0),
+        SequenceSpec((Fraction(5, 11),), PolynomialTail((0, 1)), start=1)),
+}
+
+
+@pytest.mark.parametrize("route", ["stieltjes_weights", "tp_by_leading_minors"])
+@pytest.mark.parametrize("pair", sorted(READ_ONCE_PAIRS))
+def test_each_weight_is_read_once(weight_reads, route, pair):
+    sigma, tau = READ_ONCE_PAIRS[pair]
+    depth = 6
+    if route == "stieltjes_weights":
+        assert stieltjes_weights(sigma, tau, depth).verdict == PASS
+    else:
+        assert tp_by_leading_minors(JacobiMatrix(sigma, tau), depth).verdict == "TRUE"
+    expected = [(sigma, k) for k in range(depth + 1)] + [(tau, k) for k in range(1, depth + 1)]
+    assert sorted(weight_reads, key=lambda read: (read[0] is tau, read[1])) == expected
+    assert all(spec is sigma or spec is tau for spec, _ in weight_reads)
 
 
 def test_principal_minor_oracle():
