@@ -27,8 +27,9 @@ included, follows one three-term recurrence,
 
 so window_minors is the only determinant evaluation here, and hankel reads
 the shifted Hankel family off the same chain: O(depth) multiplications for
-the leading chain, O(depth^2) for all windows.  Every route reads the
-weights it inspects once, through JacobiMatrix.weights.
+the leading chain, O(depth^2) for all windows.  Every route reads each
+weight it inspects once: the section routes through JacobiMatrix.weights,
+dominance index by index up to its first failure.
 
 All verdicts are TRUE / FALSE / INCONCLUSIVE, and every report states the
 depth it actually checked.
@@ -212,20 +213,23 @@ def tp_sufficient_dominance(
     """
     if probe_depth < 1:
         raise ValueError("probe_depth must be >= 1")
+    s0 = sigma.eval(0)
+    if s0 < 1:
+        return TPReport("dominance", FALSE, depth=0,
+                        detail=f"s_0 = {format_rat(s0)} < 1")
     guard = max(DOMINANCE_GUARD_INDEX, probe_depth,
                 sigma.tail_start() + 1, tau.tail_start() + 1)
-    s, t = JacobiMatrix(sigma, tau).weights(guard)
-    if s[0] < 1:
-        return TPReport("dominance", FALSE, depth=0,
-                        detail=f"s_0 = {format_rat(s[0])} < 1")
+    # each weight read once, and none past the first failing index: the
+    # guard is 64 or more, and a failing condition usually fails early
     for k in range(1, guard + 1):
-        if t[k] < 0:
+        s_k, t_k = sigma.eval(k), tau.eval(k)
+        if t_k < 0:
             return TPReport("dominance", FALSE, depth=k,
-                            detail=f"t_{k} = {format_rat(t[k])} < 0")
-        if s[k] < t[k] + 1:
+                            detail=f"t_{k} = {format_rat(t_k)} < 0")
+        if s_k < t_k + 1:
             return TPReport(
                 "dominance", FALSE, depth=k,
-                detail=f"s_{k} = {format_rat(s[k])} < t_{k} + 1 = {format_rat(t[k] + 1)}")
+                detail=f"s_{k} = {format_rat(s_k)} < t_{k} + 1 = {format_rat(t_k + 1)}")
     diff = _tail_poly(sigma)
     tail = _tail_poly(tau)
     width = max(len(diff), len(tail))

@@ -100,8 +100,8 @@ class SequenceSpec:
         object.__setattr__(self, "prefix", tuple(as_rat(c) for c in self.prefix))
         if not isinstance(self.tail, (ConstantTail, PolynomialTail)):
             raise ValueError("tail must be a ConstantTail or PolynomialTail")
-        if self.start not in (0, 1):
-            raise ValueError(f"start must be 0 or 1, got {self.start}")
+        if type(self.start) is not int or self.start not in (0, 1):
+            raise ValueError(f"start must be 0 or 1, got {self.start!r}")
 
     @classmethod
     def constant(cls, value, start: int = 0) -> "SequenceSpec":

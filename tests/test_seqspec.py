@@ -58,6 +58,9 @@ def test_polynomial_tail_degree_cap():
 def test_start_must_be_zero_or_one():
     with pytest.raises(ValueError):
         SequenceSpec((), ConstantTail(Fraction(1)), start=2)
+    for start in (True, 0.0):
+        with pytest.raises(ValueError, match=f"start must be 0 or 1, got {start!r}"):
+            SequenceSpec((), ConstantTail(Fraction(1)), start=start)
 
 
 def test_json_round_trip():

@@ -5,7 +5,9 @@ weights; stieltjes_check evaluates them on explicit terms by elimination
 and decides a family with a zero leading minor by a symmetric elimination.
 Random small weight pairs and term lists (zero, negative and rational
 entries) go through both, and every verdict is compared with
-tests/oracle.principal_minors_nonneg on both Hankel sections.
+tests/oracle.principal_minors_nonneg on both Hankel sections.  Work
+counts: the weight route runs no elimination, and it, tp_by_leading_minors
+and tp_sufficient_dominance read each weight exactly once.
 """
 
 import json
@@ -21,7 +23,7 @@ import catmoments.hankel
 import catmoments.jacobi
 import catmoments.recursive
 from catmoments.cli import main
-from catmoments.exact import DenseMatrix, format_rat, negative_principal_minor
+from catmoments.exact import TRUE, DenseMatrix, format_rat, negative_principal_minor
 from catmoments.hankel import (
     FAIL,
     PASS,
@@ -29,7 +31,12 @@ from catmoments.hankel import (
     stieltjes_check,
     stieltjes_weights,
 )
-from catmoments.jacobi import JacobiMatrix, tp_by_leading_minors
+from catmoments.jacobi import (
+    DOMINANCE_GUARD_INDEX,
+    JacobiMatrix,
+    tp_by_leading_minors,
+    tp_sufficient_dominance,
+)
 from catmoments.recursive import catalan_like
 from catmoments.seqspec import ConstantTail, PolynomialTail, SequenceSpec, catalog_lookup
 from oracle import det_cofactor, principal_minors_nonneg, submatrix
@@ -230,18 +237,31 @@ READ_ONCE_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("route", ["stieltjes_weights", "tp_by_leading_minors"])
+def assert_read_once_through(weight_reads, sigma, tau, last):
+    expected = [(sigma, k) for k in range(last + 1)] + [(tau, k) for k in range(1, last + 1)]
+    assert sorted(weight_reads, key=lambda read: (read[0] is tau, read[1])) == expected
+
+
+@pytest.mark.parametrize("route", ["stieltjes_weights", "tp_by_leading_minors", "dominance"])
 @pytest.mark.parametrize("pair", sorted(READ_ONCE_PAIRS))
 def test_each_weight_is_read_once(weight_reads, route, pair):
     sigma, tau = READ_ONCE_PAIRS[pair]
     depth = 6
     if route == "stieltjes_weights":
         assert stieltjes_weights(sigma, tau, depth).verdict == PASS
+    elif route == "tp_by_leading_minors":
+        assert tp_by_leading_minors(JacobiMatrix(sigma, tau), depth).verdict == TRUE
     else:
-        assert tp_by_leading_minors(JacobiMatrix(sigma, tau), depth).verdict == "TRUE"
-    expected = [(sigma, k) for k in range(depth + 1)] + [(tau, k) for k in range(1, depth + 1)]
-    assert sorted(weight_reads, key=lambda read: (read[0] is tau, read[1])) == expected
-    assert all(spec is sigma or spec is tau for spec, _ in weight_reads)
+        assert tp_sufficient_dominance(sigma, tau, depth).verdict == TRUE
+        depth = DOMINANCE_GUARD_INDEX
+    assert_read_once_through(weight_reads, sigma, tau, depth)
+
+
+def test_dominance_reads_no_weight_past_its_first_failure(weight_reads):
+    # factorial: s_3 = 7 < t_3 + 1 = 10, so nothing past index 3 is read
+    entry = catalog_lookup("factorial")
+    assert tp_sufficient_dominance(entry.sigma, entry.tau, 8).depth == 3
+    assert_read_once_through(weight_reads, entry.sigma, entry.tau, 3)
 
 
 def test_principal_minor_oracle():
