@@ -20,11 +20,15 @@ Each cmd_* function computes its whole result and returns it as
 from the same format_rat strings; main prints the format asked for, once.
 Nothing reaches stdout before a command has finished, so a command that
 fails prints only its error message.
+
+build_parser returns a new parser on every call; main builds one on first
+use, not at import, and keeps it for the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -397,12 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use and kept for the process."""
+    return build_parser()
+
+
 def _csv_cell(value) -> str:
     return json.dumps(value) if isinstance(value, (bool, dict)) else str(value)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, data, table, text = args.func(args)
     except ValueError as exc:

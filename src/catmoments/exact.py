@@ -12,7 +12,7 @@ singular one.  Where a zero leading minor leaves positive semidefiniteness
 open, negative_principal_minor decides it by a symmetric elimination with
 diagonal pivoting.  The total-positivity routes need none of these: the
 minors of the tridiagonal coefficient matrix follow a three-term recurrence
-(see jacobi).
+(see jacobi), and the identity checks use band sums, not matrix products.
 """
 
 from __future__ import annotations
@@ -126,27 +126,8 @@ class DenseMatrix:
         i, j = index
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(zip(*self.entries))
-
-    def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        cols = other.transpose().entries
-        return DenseMatrix(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries
-        )
 
 
 def _require_square(matrix: DenseMatrix) -> int:

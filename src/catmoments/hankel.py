@@ -38,6 +38,9 @@ consecutive leading minors are never both zero, so a zero minor D_j T_0 ...
 T_j with T_{j+1} != 0 and a positive minor before it makes the next leading
 minor negative.  Only the explicit-terms route, where no such structure is
 known, needs the elimination.
+
+verify_H_eq_RTRt checks the factorization on the terms by band sums, not a
+dense product: O(depth^3), R being triangular and T diagonal.
 """
 
 from __future__ import annotations
@@ -156,8 +159,6 @@ def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
     read off the weights: both families as products, no Hankel matrix.
     Here nonnegative leading minors decide both sections (see the module
     docstring), so no elimination is needed past a zero one."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     s, t = JacobiMatrix(sigma, tau).weights(depth)
     dets0 = hankel_det_products(t[1:])
     dets1 = map(operator.mul, window_minors(s, t, 0), dets0)
@@ -168,17 +169,19 @@ def verify_H_eq_RTRt(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> str:
     """Check the factorization H = R T R^t on (depth+1)-sections, where T is
     the diagonal of the running products T_0 = 1, T_k = t_1 ... t_k.
 
-    Exact on sections because row n of R ends at column n, so the product
-    never reaches truncated entries.
+    Exact on sections because row n of R ends at column n.  Entry (i, j)
+    of R T R^t is the sum over k <= min(i, j) of r_{i,k} T_k r_{j,k}; both
+    sides are symmetric, so the lower triangle is compared with m_{i+j}.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    H = build_hankel(catalan_like(sigma, tau, 2 * depth), depth, 0)
-    R = build_recursive(sigma, tau, depth).section(depth)
+    terms = catalan_like(sigma, tau, 2 * depth)
+    R = build_recursive(sigma, tau, depth)
     totals = list(accumulate(tau.values(depth), operator.mul, initial=Fraction(1)))
-    T = DenseMatrix(tuple(totals[i] if i == j else 0 for j in range(depth + 1))
-                    for i in range(depth + 1))
-    return TRUE if H == R @ T @ R.transpose() else FALSE
+    for i in range(depth + 1):
+        weighted = [r * total for r, total in zip(R.row(i), totals)]
+        for j in range(i + 1):
+            if sum(map(operator.mul, weighted, R.row(j))) != terms[i + j]:
+                return FALSE
+    return TRUE
 
 
 def hankel_det_products(t: Sequence[Fraction]) -> list[Fraction]:

@@ -29,7 +29,8 @@ so window_minors is the only determinant evaluation here, and hankel reads
 the shifted Hankel family off the same chain: O(depth) multiplications for
 the leading chain, O(depth^2) for all windows.  Every route reads each
 weight it inspects once: the section routes through JacobiMatrix.weights,
-dominance index by index up to its first failure.
+dominance index by index up to its first failure.  tp_certify hands one
+read of the weights to both minor routes.
 
 All verdicts are TRUE / FALSE / INCONCLUSIVE, and every report states the
 depth it actually checked.
@@ -71,6 +72,8 @@ class JacobiMatrix:
     def weights(self, depth: int) -> tuple[list[Fraction], list[Fraction]]:
         """s_0..s_depth and t_0..t_depth, each evaluated once; t_0 = 0 stands
         in for the subdiagonal entry the matrix does not have."""
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
         return self.sigma.values(depth + 1), [Fraction(0), *self.tau.values(depth)]
 
 
@@ -144,9 +147,12 @@ def tp_by_leading_minors(J: JacobiMatrix, depth: int) -> TPReport:
     positivity outright; a zero minor or a matrix that is not irreducible
     yields INCONCLUSIVE (callers fall back to tp_check_sections).
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    s, t = J.weights(depth)
+    return _leading_minors_report(*J.weights(depth))
+
+
+def _leading_minors_report(s: list[Fraction], t: list[Fraction]) -> TPReport:
+    """tp_by_leading_minors on the weights s_0..s_depth, t_0..t_depth."""
+    depth = len(s) - 1
     chain = tuple(window_minors(s, t, 0))
     for k, value in enumerate(chain):
         if value < 0:
@@ -273,9 +279,12 @@ def tp_check_sections(J: JacobiMatrix, depth: int) -> TPReport:
     and the first negative window is the witness.  A negative entry anywhere
     refutes immediately.  More than MAX_WINDOWS windows is INCONCLUSIVE.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    s, t = J.weights(depth)
+    return _contiguous_minors_report(*J.weights(depth))
+
+
+def _contiguous_minors_report(s: list[Fraction], t: list[Fraction]) -> TPReport:
+    """tp_check_sections on the weights s_0..s_depth, t_0..t_depth."""
+    depth = len(s) - 1
     for k in range(depth + 1):
         if s[k] < 0:
             return TPReport("contiguous_minors", FALSE, depth=depth,
@@ -302,12 +311,14 @@ def tp_certify(J: JacobiMatrix, depth: int) -> TPReport:
     infinite matrix), then leading minors, then contiguous minors.
 
     FALSE from a minor route refutes outright; FALSE from dominance only
-    means the sufficient condition failed, so the minor routes still run.
+    means the sufficient condition failed, so the minor routes still run,
+    both on one read of the weights.
     """
     dominance = tp_sufficient_dominance(J.sigma, J.tau, probe_depth=max(depth, 1))
     if dominance.verdict == TRUE:
         return dominance
-    structured = tp_by_leading_minors(J, depth)
+    s, t = J.weights(depth)
+    structured = _leading_minors_report(s, t)
     if structured.verdict != INCONCLUSIVE:
         return structured
-    return tp_check_sections(J, depth)
+    return _contiguous_minors_report(s, t)

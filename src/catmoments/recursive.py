@@ -20,6 +20,10 @@ n+1 follows from row n with int arithmetic only.  A row becomes Fractions
 only when it is materialised.  catalan_like keeps one row at a time and only
 the columns k <= depth - n, the cells from which a path can still return to
 column 0 by the last row.
+
+The shift identity and the step factorization multiply by banded factors,
+so their checks form each product entry as a three-term band sum, O(d^2) on
+a section of size d, instead of a dense product.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import FALSE, TRUE, DenseMatrix
+from .exact import FALSE, TRUE
 from .jacobi import JacobiMatrix
 from .seqspec import SequenceSpec
 
@@ -60,14 +64,6 @@ class RecursiveMatrix:
         if n < 0 or k < 0 or k > n:
             return Fraction(0)
         return self.rows_[n][k]
-
-    def section(self, n: int) -> DenseMatrix:
-        """The (n+1) x (n+1) leading section as a dense matrix."""
-        if n < 0 or n > self.depth:
-            raise ValueError(f"section depth must lie in 0..{self.depth}")
-        return DenseMatrix(
-            tuple(self.entry(i, j) for j in range(n + 1)) for i in range(n + 1)
-        )
 
 
 def _scaled_rows(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: bool = False):
@@ -143,47 +139,40 @@ def verify_RJ_identity(R: RecursiveMatrix, J: JacobiMatrix, depth: int) -> str:
     """Check that deleting row 0 of R equals R times the coefficient matrix.
 
     Compares rows 1..depth of R with rows 0..depth-1 of R_section @
-    J_section; the truncation is exact because row n of R ends at column n.
+    J_section, entry (n, k) being r_{n,k-1} + s_k r_{n,k} + t_{k+1} r_{n,k+1};
+    the truncation is exact because row n of R ends at column n.
     """
     if depth < 1 or depth > R.depth:
         raise ValueError(f"depth must lie in 1..{R.depth}")
-    product = R.section(depth) @ J.section(depth)
+    s, t = J.weights(depth)
+    t = [*t[1:], 0]                     # t_{k+1}; the section ends at row depth
     for n in range(depth):
-        expected = tuple(R.entry(n + 1, k) for k in range(depth + 1))
-        if product.row(n) != expected:
+        r = [*R.row(n), *[0] * (depth - n)]
+        product = [up + sk * level + tk * down
+                   for up, level, down, sk, tk in zip([0, *r], r, [*r[1:], 0], s, t)]
+        if product != [*R.row(n + 1), *[0] * (depth - n - 1)]:
             return FALSE
     return TRUE
 
 
-def step_matrix(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> DenseMatrix:
-    """The (n+2) x (n+2) elimination factor: unit diagonal, s_0..s_n on the
-    first subdiagonal, t_1..t_n on the second."""
-    size = n + 2
-    rows = []
-    for i in range(size):
-        row = [Fraction(0)] * size
-        row[i] = Fraction(1)
-        if i >= 1:
-            row[i - 1] = sigma.eval(i - 1)
-        if i >= 2:
-            row[i - 2] = tau.eval(i - 1)
-        rows.append(row)
-    return DenseMatrix(rows)
-
-
 def verify_step_factorization(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> str:
     """Check R_{n+1} = blockdiag(1, R_n) @ L_n, the one-step factorization
-    that peels the recurrence off the leading section."""
+    that peels the recurrence off the leading section.  L_n has unit
+    diagonal, s_0..s_n and t_1..t_n below it, so with B the block matrix
+    entry (i, j) is B[i][j] + s_j B[i][j+1] + t_{j+1} B[i][j+2].
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     matrix = build_recursive(sigma, tau, n + 1)
-    left = matrix.section(n + 1)
-    inner = matrix.section(n)
     size = n + 2
-    block = [[Fraction(0)] * size for _ in range(size)]
-    block[0][0] = Fraction(1)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            block[i + 1][j + 1] = inner[i, j]
-    right = DenseMatrix(block) @ step_matrix(sigma, tau, n)
-    return TRUE if left == right else FALSE
+    s, t = JacobiMatrix(sigma, tau).weights(n)
+    s = [*s, 0]                         # column n+1 has nothing below it
+    t = [*t[1:], 0, 0]                  # t_{j+1}
+    for i in range(size):
+        head = [1] if i == 0 else [0, *matrix.row(i - 1)]
+        block = [*head, *[0] * (size + 2 - len(head))]
+        product = [x + sj * y + tj * z
+                   for x, y, z, sj, tj in zip(block, block[1:], block[2:], s, t)]
+        if product != [*matrix.row(i), *[0] * (size - i - 1)]:
+            return FALSE
+    return TRUE

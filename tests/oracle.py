@@ -8,11 +8,15 @@ cell by cell on exact rationals, with every weight evaluated where it is
 used.  The library runs the same recurrence on integer rows scaled by the
 common denominator of the weights; the tests compare the two.
 
-identity, to_lists and submatrix are the small matrix helpers only the
-tests need; jacobi_window cuts a contiguous principal window out of a
-coefficient matrix, so that det_bareiss can evaluate it independently of
-the library's three-term recurrence; pqst_matrix builds the coefficient
-matrix of weights constant after their first entries.
+identity, to_lists, submatrix, transpose and matmul are the small matrix
+helpers only the tests need; jacobi_window cuts a contiguous principal
+window out of a coefficient matrix, so that det_bareiss can evaluate it
+independently of the library's three-term recurrence; pqst_matrix builds the
+coefficient matrix of weights constant after their first entries.
+
+recursive_section, step_matrix and the three dense_* checks are the
+structural identities of the recursive matrix as dense Fraction products,
+the textbook form of the band sums the library checks them by.
 
 det_cofactor is a determinant by Laplace expansion, independent of the
 library's Bareiss kernel; principal_minors_nonneg evaluates every principal
@@ -24,11 +28,14 @@ library's structured routes must agree with.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, det_bareiss, format_rat
+from catmoments.hankel import build_hankel
 from catmoments.jacobi import JacobiMatrix
+from catmoments.recursive import build_recursive, catalan_like
 from catmoments.seqspec import SequenceSpec
 
 COFACTOR_MAX_DIM = 9
@@ -49,6 +56,18 @@ def submatrix(matrix: DenseMatrix, row_idx, col_idx) -> DenseMatrix:
     return DenseMatrix(tuple(matrix.entries[i][j] for j in col_idx) for i in row_idx)
 
 
+def transpose(matrix: DenseMatrix) -> DenseMatrix:
+    return DenseMatrix(zip(*matrix.entries))
+
+
+def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    cols = transpose(b).entries
+    return DenseMatrix(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                       for row in a.entries)
+
+
 def jacobi_window(J, lo: int, hi: int) -> DenseMatrix:
     """The contiguous principal section of J on rows and columns lo..hi."""
     window = range(lo, hi + 1)
@@ -60,6 +79,57 @@ def pqst_matrix(params) -> JacobiMatrix:
     anything with fields p, q, s, t (a JacobiParams)."""
     return JacobiMatrix(SequenceSpec.first_then_constant(params.p, params.s, start=0),
                         SequenceSpec.first_then_constant(params.q, params.t, start=1))
+
+
+def recursive_section(R, n: int) -> DenseMatrix:
+    """The (n+1) x (n+1) leading section of the recursive matrix R."""
+    if n < 0 or n > R.depth:
+        raise ValueError(f"section depth must lie in 0..{R.depth}")
+    return DenseMatrix(tuple(R.entry(i, j) for j in range(n + 1)) for i in range(n + 1))
+
+
+def step_matrix(sigma, tau, n: int) -> DenseMatrix:
+    """The (n+2) x (n+2) elimination factor L_n: unit diagonal, s_0..s_n on
+    the first subdiagonal, t_1..t_n on the second."""
+    size = n + 2
+    rows = []
+    for i in range(size):
+        row = [Fraction(0)] * size
+        row[i] = Fraction(1)
+        if i >= 1:
+            row[i - 1] = sigma.eval(i - 1)
+        if i >= 2:
+            row[i - 2] = tau.eval(i - 1)
+        rows.append(row)
+    return DenseMatrix(rows)
+
+
+def dense_RJ_identity(R, J, depth: int) -> str:
+    """Rows 1..depth of R against rows 0..depth-1 of R_section @ J_section."""
+    product = matmul(recursive_section(R, depth), J.section(depth))
+    shifted = (tuple(R.entry(n + 1, k) for k in range(depth + 1)) for n in range(depth))
+    return TRUE if all(map(operator.eq, product.entries, shifted)) else FALSE
+
+
+def dense_step_factorization(sigma, tau, n: int) -> str:
+    """R_{n+1} against blockdiag(1, R_n) @ L_n."""
+    matrix = build_recursive(sigma, tau, n + 1)
+    block = DenseMatrix([[int(i == j == 0) if min(i, j) == 0 else matrix.entry(i - 1, j - 1)
+                          for j in range(n + 2)] for i in range(n + 2)])
+    product = matmul(block, step_matrix(sigma, tau, n))
+    return TRUE if recursive_section(matrix, n + 1) == product else FALSE
+
+
+def dense_H_eq_RTRt(sigma, tau, depth: int) -> str:
+    """The (depth+1)-section of H against R T R^t, T = diag(1, t_1, t_1 t_2, ...)."""
+    H = build_hankel(catalan_like(sigma, tau, 2 * depth), depth, 0)
+    R = recursive_section(build_recursive(sigma, tau, depth), depth)
+    totals = [Fraction(1)]
+    for k in range(1, depth + 1):
+        totals.append(totals[-1] * tau.eval(k))
+    T = DenseMatrix(tuple(totals[i] if i == j else 0 for j in range(depth + 1))
+                    for i in range(depth + 1))
+    return TRUE if H == matmul(matmul(R, T), transpose(R)) else FALSE
 
 
 def fraction_triangle(sigma, tau, depth: int) -> list[list[Fraction]]:

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface: output formats, exit
-codes, file arguments, and range checks on the count options."""
+codes, file arguments, range checks on the count options, the parser kept
+for the process, and the one-shot `python -m catmoments.cli` entry point."""
 
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
 
-from catmoments.cli import main
+import catmoments.cli
+from catmoments.cli import build_parser, main
 from catmoments.seqspec import CATALOG, SequenceSpec
 from oracle import fraction_terms
 
@@ -321,3 +326,119 @@ def test_catalog_listing(capsys):
     assert sorted(e["name"] for e in data) == sorted(CATALOG)
     code, out, _ = run(capsys, "catalog", "--format", "csv")
     assert len(out.splitlines()) == len(CATALOG) + 1
+
+
+# ------------------------------------------------- one parser per process
+
+SIGMA_HALF = json.dumps({"prefix": ["1/2"], "tail": {"kind": "constant", "value": "2"},
+                         "start": 0})
+TAU_THIRD = json.dumps({"prefix": [], "tail": {"kind": "constant", "value": "1/3"},
+                        "start": 1})
+
+# usage errors from argparse and from the commands, every format, and a
+# subcommand called by --name and then by --sigma/--tau
+MIXED_ARGV = [
+    ("gen", "--bogus"),
+    ("gen", "--name", "catalan", "-n", "6", "--format", "json"),
+    ("gen", "--sigma", SIGMA_HALF, "--tau", TAU_THIRD, "-n", "6", "--format", "csv"),
+    ("gen", "--sigma", SIGMA_HALF, "-n", "6"),
+    ("stieltjes", "--name", "bell", "--depth", "4"),
+    ("stieltjes", "--sigma", SIGMA_HALF, "--tau", TAU_THIRD, "--depth", "3",
+     "--format", "json"),
+    ("stieltjes", "--terms", "1,1,2,5,14,42", "--depth", "2", "--format", "csv"),
+    ("matrix", "-n", "-1", "--name", "hexagonal"),
+    ("matrix", "--name", "factorial", "-n", "3", "--format", "csv"),
+    ("hankel-det", "--name", "delannoy", "--depth", "3", "--shift", "1"),
+    ("tp", "--jacobi-name", "catalan", "--depth", "5", "--format", "json"),
+    ("tp", "--sigma", SIGMA_HALF, "--tau", TAU_THIRD, "--depth", "5"),
+    ("tp", "--pqst", "1,2,3"),
+    ("series", "--gf", "catalan", "-n", "6", "--format", "csv"),
+    ("verify", "--name", "schroder_large", "--depth", "3"),
+    ("verify", "--depth", "3"),
+    ("catalog", "--format", "json"),
+    (),
+]
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, usage exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def fresh_parser():
+    """main's parser, dropped before and after the test."""
+    catmoments.cli._parser.cache_clear()
+    yield
+    catmoments.cli._parser.cache_clear()
+
+
+def test_reused_parser_answers_in_any_order(capsys, fresh_parser):
+    forward = [outcome(capsys, argv) for argv in MIXED_ARGV]
+    backward = [outcome(capsys, argv) for argv in reversed(MIXED_ARGV)][::-1]
+    assert backward == forward
+    assert catmoments.cli._parser.cache_info().currsize == 1
+    # and a new parser for each call gives the same
+    for argv, expected in zip(MIXED_ARGV, forward):
+        catmoments.cli._parser.cache_clear()
+        assert outcome(capsys, argv) == expected
+    assert [code for code, _, _ in forward] == [2, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 2,
+                                                0, 0, 2, 0, 2]
+    assert "usage:" in forward[0][2] and forward[0][1] == ""
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, fresh_parser):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(catmoments.cli, "build_parser", counting)
+    for argv in MIXED_ARGV * 2:
+        outcome(capsys, argv)
+    assert len(built) == 1
+
+
+def test_build_parser_is_a_factory():
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    assert first.format_help() == second.format_help()
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def python(*args):
+    """Run the interpreter on ARGS as a new process, with src/ importable."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def shell(*args):
+    """`python -m catmoments.cli ARGS`, as a shell user runs it."""
+    return python("-m", "catmoments.cli", *args)
+
+
+def test_one_shot_entry_point():
+    result = shell("--help")
+    assert result.returncode == 0
+    for command in ("gen", "matrix", "stieltjes", "hankel-det", "tp", "series", "verify",
+                    "catalog"):
+        assert command in result.stdout
+    result = shell("catalog")
+    assert result.returncode == 0 and "catalan" in result.stdout
+    result = shell("gen", "-n", "-1")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: -n must be >= 0, got -1\n"
+
+
+def test_import_builds_no_parser():
+    result = python("-c", "import catmoments.cli as c; print(c._parser.cache_info().currsize)")
+    assert (result.returncode, result.stdout) == (0, "0\n")

@@ -1,0 +1,193 @@
+"""The three structural identity checks: band sums against dense products.
+
+verify_RJ_identity, verify_step_factorization and verify_H_eq_RTRt form each
+entry of a product with a banded or diagonal factor as a short band sum.
+tests/oracle.py keeps the same three checks as dense Fraction products.
+Changing any one entry of the recursive matrix or of the generated terms
+must make each check FALSE, and on random weight pairs (catalog, rational,
+zero weights), with or without such a change, each check must give the
+dense oracle's verdict.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import catmoments.hankel
+import catmoments.recursive
+import oracle
+from catmoments.exact import FALSE, TRUE
+from catmoments.hankel import verify_H_eq_RTRt
+from catmoments.jacobi import JacobiMatrix
+from catmoments.recursive import (
+    RecursiveMatrix,
+    build_recursive,
+    catalan_like,
+    verify_RJ_identity,
+    verify_step_factorization,
+)
+from catmoments.seqspec import CATALOG, ConstantTail, PolynomialTail, SequenceSpec, catalog_lookup
+from oracle import dense_H_eq_RTRt, dense_RJ_identity, dense_step_factorization
+
+DEPTH = 4
+
+
+def _catalan():
+    entry = catalog_lookup("catalan")
+    return entry.sigma, entry.tau
+
+
+def _changed(R: RecursiveMatrix, n: int, k: int, delta) -> RecursiveMatrix:
+    """R with entry (n, k) moved by delta; (n, k) outside rows 0..R.depth is
+    left alone."""
+    rows = [list(row) for row in R.rows_]
+    if n <= R.depth:
+        rows[n][k] += delta
+    return RecursiveMatrix(rows, R.sigma, R.tau)
+
+
+def _changing_build(n: int, k: int, delta):
+    def build(sigma, tau, depth):
+        return _changed(build_recursive(sigma, tau, depth), n, k, delta)
+    return build
+
+
+def _changing_terms(q: int, delta):
+    def terms(sigma, tau, depth):
+        values = catalan_like(sigma, tau, depth)
+        values[q] += delta
+        return values
+    return terms
+
+
+def _patch(monkeypatch, name, replacement):
+    """Rebind name in the library module that calls it and in the oracle."""
+    for module in (catmoments.recursive, catmoments.hankel, oracle):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
+
+
+TRIANGLE = [(n, k) for n in range(DEPTH + 1) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n, k", TRIANGLE)
+def test_shift_identity_rejects_a_changed_entry(n, k):
+    sigma, tau = _catalan()
+    R = _changed(build_recursive(sigma, tau, DEPTH), n, k, 1)
+    assert verify_RJ_identity(R, JacobiMatrix(sigma, tau), DEPTH) == FALSE
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(DEPTH + 2) for k in range(n + 1)])
+def test_step_factorization_rejects_a_changed_entry(monkeypatch, n, k):
+    sigma, tau = _catalan()
+    monkeypatch.setattr(catmoments.recursive, "build_recursive", _changing_build(n, k, 1))
+    assert verify_step_factorization(sigma, tau, DEPTH) == FALSE
+
+
+@pytest.mark.parametrize("n, k", TRIANGLE)
+def test_hankel_factorization_rejects_a_changed_entry(monkeypatch, n, k):
+    sigma, tau = _catalan()
+    monkeypatch.setattr(catmoments.hankel, "build_recursive", _changing_build(n, k, 1))
+    assert verify_H_eq_RTRt(sigma, tau, DEPTH) == FALSE
+
+
+@pytest.mark.parametrize("q", range(2 * DEPTH + 1))
+def test_hankel_factorization_rejects_a_changed_term(monkeypatch, q):
+    sigma, tau = _catalan()
+    monkeypatch.setattr(catmoments.hankel, "catalan_like", _changing_terms(q, 1))
+    assert verify_H_eq_RTRt(sigma, tau, DEPTH) == FALSE
+
+
+@pytest.mark.parametrize("check, args, message", [
+    (verify_step_factorization, (-1,), "n must be >= 0"),
+    (verify_H_eq_RTRt, (-1,), "depth must be >= 0"),
+])
+def test_checks_refuse_a_negative_size(check, args, message):
+    with pytest.raises(ValueError, match=message):
+        check(*_catalan(), *args)
+
+
+@pytest.mark.parametrize("depth", [0, DEPTH + 1])
+def test_shift_identity_refuses_a_depth_outside_the_matrix(depth):
+    sigma, tau = _catalan()
+    with pytest.raises(ValueError, match=rf"depth must lie in 1\.\.{DEPTH}"):
+        verify_RJ_identity(build_recursive(sigma, tau, DEPTH), JacobiMatrix(sigma, tau), depth)
+
+
+# ------------------------------------------------- against the dense oracle
+
+DENOMINATORS = (1, 1, 2, 3, 5, 7)
+
+weights = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 6).map(Fraction),
+    st.builds(Fraction, st.integers(-12, 24), st.sampled_from(DENOMINATORS)),
+)
+tails = st.one_of(
+    weights.map(ConstantTail),
+    st.lists(weights, min_size=1, max_size=3).map(lambda cs: PolynomialTail(tuple(cs))),
+)
+
+
+def _spec(start):
+    return st.builds(lambda prefix, tail: SequenceSpec(tuple(prefix), tail, start=start),
+                     st.lists(weights, max_size=4), tails)
+
+
+ZERO_PAIR = (SequenceSpec.constant(0, start=0), SequenceSpec.constant(0, start=1))
+
+pairs = st.one_of(
+    st.sampled_from([(entry.sigma, entry.tau) for entry in CATALOG.values()]),
+    st.just(ZERO_PAIR),
+    st.tuples(_spec(0), _spec(1)),
+)
+
+# a change of one entry, or none (delta 0)
+deltas = st.sampled_from((Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=pairs, other=st.one_of(st.none(), pairs), depth=st.integers(1, 5),
+       delta=deltas, data=st.data())
+def test_shift_identity_agrees_with_the_dense_product(pair, other, depth, delta, data):
+    n = data.draw(st.integers(0, depth))
+    R = _changed(build_recursive(*pair, depth), n, data.draw(st.integers(0, n)), delta)
+    J = JacobiMatrix(*(other or pair))
+    verdict = verify_RJ_identity(R, J, depth)
+    assert verdict == dense_RJ_identity(R, J, depth)
+    if other is None and delta == 0:
+        assert verdict == TRUE
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=pairs, n=st.integers(0, 5), delta=deltas, data=st.data())
+def test_step_factorization_agrees_with_the_dense_product(pair, n, delta, data):
+    row = data.draw(st.integers(0, n + 1))
+    build = _changing_build(row, data.draw(st.integers(0, row)), delta)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _patch(monkeypatch, "build_recursive", build)
+        verdict = verify_step_factorization(*pair, n)
+        assert verdict == dense_step_factorization(*pair, n)
+    assert verdict == (TRUE if delta == 0 else FALSE)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=pairs, depth=st.integers(0, 4), change_terms=st.booleans(),
+       delta=deltas, data=st.data())
+def test_hankel_factorization_agrees_with_the_dense_product(pair, depth, change_terms,
+                                                           delta, data):
+    if change_terms:
+        name, replacement = "catalan_like", _changing_terms(
+            data.draw(st.integers(0, 2 * depth)), delta)
+    else:
+        row = data.draw(st.integers(0, depth))
+        name, replacement = "build_recursive", _changing_build(
+            row, data.draw(st.integers(0, row)), delta)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _patch(monkeypatch, name, replacement)
+        verdict = verify_H_eq_RTRt(*pair, depth)
+        assert verdict == dense_H_eq_RTRt(*pair, depth)
+    if delta == 0:
+        assert verdict == TRUE

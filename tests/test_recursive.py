@@ -13,11 +13,11 @@ from catmoments.recursive import (
     build_recursive,
     catalan_like,
     motzkin_oracle,
-    step_matrix,
     verify_RJ_identity,
     verify_step_factorization,
 )
 from catmoments.seqspec import CATALOG, SequenceSpec, catalog_lookup
+from oracle import recursive_section, step_matrix
 
 
 def _specs(name):
@@ -71,7 +71,7 @@ def test_entries_nonnegative_for_catalog_weights():
 def test_section_is_unit_lower_triangular():
     sigma, tau = _specs("factorial")
     matrix = build_recursive(sigma, tau, 6)
-    section = matrix.section(6)
+    section = recursive_section(matrix, 6)
     assert det_bareiss(section) == 1
     for i in range(7):
         for j in range(i + 1, 7):

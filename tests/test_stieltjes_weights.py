@@ -7,7 +7,8 @@ Random small weight pairs and term lists (zero, negative and rational
 entries) go through both, and every verdict is compared with
 tests/oracle.principal_minors_nonneg on both Hankel sections.  Work
 counts: the weight route runs no elimination, and it, tp_by_leading_minors
-and tp_sufficient_dominance read each weight exactly once.
+and tp_sufficient_dominance read each weight exactly once, as do the two
+minor routes of tp_certify together.
 """
 
 import json
@@ -35,6 +36,7 @@ from catmoments.jacobi import (
     DOMINANCE_GUARD_INDEX,
     JacobiMatrix,
     tp_by_leading_minors,
+    tp_certify,
     tp_sufficient_dominance,
 )
 from catmoments.recursive import catalan_like
@@ -262,6 +264,19 @@ def test_dominance_reads_no_weight_past_its_first_failure(weight_reads):
     entry = catalog_lookup("factorial")
     assert tp_sufficient_dominance(entry.sigma, entry.tau, 8).depth == 3
     assert_read_once_through(weight_reads, entry.sigma, entry.tau, 3)
+
+
+def test_tp_certify_reads_each_weight_once_in_its_minor_routes(weight_reads):
+    # sigma = (3, 2, 5/2, 3, ...), tau = (2, 1, 0, 1, ...): dominance fails at
+    # k = 1 and the zero t_3 leaves the leading minors inconclusive, so both
+    # minor routes run; each used to read all 25 weights itself
+    sigma = SequenceSpec((3, 2, Fraction(5, 2)), ConstantTail(Fraction(3)), start=0)
+    tau = SequenceSpec((2, 1, 0), ConstantTail(Fraction(1)), start=1)
+    report = tp_certify(JacobiMatrix(sigma, tau), 12)
+    assert (report.criterion, report.verdict) == ("contiguous_minors", TRUE)
+    assert weight_reads[:3] == [(sigma, 0), (sigma, 1), (tau, 1)]   # dominance
+    assert_read_once_through(weight_reads[3:], sigma, tau, 12)
+    assert len(weight_reads) == 28
 
 
 def test_principal_minor_oracle():
