@@ -136,16 +136,16 @@ def _require_square(matrix: DenseMatrix) -> int:
     return matrix.rows
 
 
+def _scaled_ints(values) -> tuple[list[int], int]:
+    """Integers C and the LCM D of the denominators, with values[k] == C[k] / D."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _scaled_rows(matrix: DenseMatrix) -> tuple[list[list[int]], list[int]]:
-    """The rows of matrix made integral, each multiplied by the LCM of its
-    denominators, and those multipliers."""
-    work: list[list[int]] = []
-    scales: list[int] = []
-    for row in matrix.entries:
-        den_lcm = math.lcm(*(x.denominator for x in row))
-        scales.append(den_lcm)
-        work.append([x.numerator * (den_lcm // x.denominator) for x in row])
-    return work, scales
+    """The rows of matrix made integral by _scaled_ints, and their multipliers."""
+    rows = [_scaled_ints(row) for row in matrix.entries]
+    return [work for work, _ in rows], [den for _, den in rows]
 
 
 def _bareiss_step(work: list[list[int]], k: int, prev: int) -> None:

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, coerce_nonneg_fields, format_rat
-from .seqspec import SequenceSpec
+from .seqspec import PolynomialTail, SequenceSpec
 
 DOMINANCE_GUARD_INDEX = 64
 
@@ -178,20 +178,13 @@ def _poly_derivative(coeffs: list[Fraction]) -> list[Fraction]:
     return [coeffs[i] * i for i in range(1, len(coeffs))]
 
 
-def _poly_eval(coeffs: list[Fraction], k: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * k + c
-    return acc
-
-
 def _eventually_nonneg(coeffs: list[Fraction], from_index: int) -> bool:
     """Sound sufficient test for P(k) >= 0 on all integers k >= from_index:
     P and all its derivatives nonnegative at from_index (Taylor expansion
     around from_index has only nonnegative terms)."""
     poly = list(coeffs)
     while poly:
-        if _poly_eval(poly, from_index) < 0:
+        if PolynomialTail(tuple(poly)).eval(from_index) < 0:
             return False
         poly = _poly_derivative(poly)
     return True

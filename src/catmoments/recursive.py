@@ -28,11 +28,10 @@ a section of size d, instead of a dense product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import FALSE, TRUE
+from .exact import FALSE, TRUE, _scaled_ints
 from .jacobi import JacobiMatrix
 from .seqspec import SequenceSpec
 
@@ -76,9 +75,8 @@ def _scaled_rows(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: b
     for k in range(depth + 1 if depth else 0):      # row 0 alone needs no weight
         s.append(sigma.eval(k))
         t.append(tau.eval(k + 1))
-    scale = math.lcm(*(w.denominator for w in s + t))
-    s = [w.numerator * (scale // w.denominator) for w in s]
-    t = [w.numerator * (scale // w.denominator) for w in t]
+    weights, scale = _scaled_ints(s + t)
+    s, t = weights[:len(s)], weights[len(s):]
     row, den = [1], 1
     yield row, den
     for n in range(depth):
@@ -118,6 +116,9 @@ def motzkin_oracle(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> Fraction:
             f"oracle enumerates paths explicitly; length is capped at {ORACLE_MAX_LENGTH}"
         )
     total = Fraction(0)
+    # each weight read once: a path of length n stays at height <= n // 2
+    s = [sigma.eval(k) for k in range(n // 2 + 1)]
+    t = [None, *(tau.eval(k) for k in range(1, n // 2 + 1))]
 
     def walk(remaining: int, height: int, weight: Fraction):
         nonlocal total
@@ -127,9 +128,9 @@ def motzkin_oracle(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> Fraction:
             total += weight
             return
         walk(remaining - 1, height + 1, weight)
-        walk(remaining - 1, height, weight * sigma.eval(height))
+        walk(remaining - 1, height, weight * s[height])
         if height > 0:
-            walk(remaining - 1, height - 1, weight * tau.eval(height))
+            walk(remaining - 1, height - 1, weight * t[height])
 
     walk(n, 0, Fraction(1))
     return total

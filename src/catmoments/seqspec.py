@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import as_rat, format_rat
+from .exact import _scaled_ints, as_rat, format_rat
 from .series import NamedGF
 
 MAX_TAIL_DEGREE = 4
@@ -50,6 +50,8 @@ class PolynomialTail:
     """
 
     coeffs: tuple[Fraction, ...]
+    # reversed coefficients as ints over their common denominator, for eval
+    _scaled: tuple[list[int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(as_rat(c) for c in self.coeffs)
@@ -58,12 +60,15 @@ class PolynomialTail:
         if len(coeffs) > MAX_TAIL_DEGREE + 1:
             raise ValueError(f"polynomial tail degree is capped at {MAX_TAIL_DEGREE}")
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_scaled", _scaled_ints(coeffs[::-1]))
 
     def eval(self, k: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        """Horner on the scaled ints; one Fraction per call."""
+        nums, den = self._scaled
+        acc = 0
+        for c in nums:
             acc = acc * k + c
-        return acc
+        return Fraction(acc, den)
 
     def to_json(self) -> dict:
         return {"kind": "polynomial", "coeffs": [format_rat(c) for c in self.coeffs]}

@@ -7,6 +7,15 @@ be trustworthy anyway).  Square roots require constant term 1 and division
 requires a nonzero constant term; both are computed coefficient by
 coefficient, exactly.
 
+The three kernels run on integers: each operand is scaled to ints over the
+common denominator of its coefficients, the O(N^2) loop runs on those, and
+each output coefficient becomes one Fraction.  Product: with a = A/d_a and
+b = B/d_b, [x^k] ab = (sum_i A_i B_(k-i)) / (d_a d_b).  Quotient f/g with
+f = F/d_f, g = G/d_g: Q_k = q_k G_0^(k+1) d_f/d_g is an integer, since
+Q_k = F_k G_0^k - sum_(i<k) Q_i G_(k-i) G_0^(k-1-i).  Square root of
+f = F/L (constant term 1): U_k = u_k (4L)^k is an integer, because
+4^j binom(1/2, j) is, and 2 U_k = F_k 4^k L^(k-1) - sum_(0<i<k) U_i U_(k-i).
+
 The generating function types expand the ordinary generating function of
 column 0 of a recursive matrix whose weight sequences are constant after the
 first entry: diagonal weights (p, s, s, ...) over subdiagonal weights
@@ -20,9 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
-from .exact import FALSE, TRUE, as_rat, coerce_nonneg_fields, format_rat
+from .exact import FALSE, TRUE, _scaled_ints, as_rat, coerce_nonneg_fields, format_rat
 
 DEFAULT_ORDER = 16
 
@@ -85,18 +96,11 @@ class Series:
         return Series(tuple(f * c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, Series):
-            n = min(len(self.coeffs), len(other.coeffs))
-            a, b = self.coeffs, other.coeffs
-            out = []
-            for k in range(n):
-                acc = Fraction(0)
-                for i in range(k + 1):
-                    if a[i]:
-                        acc += a[i] * b[k - i]
-                out.append(acc)
-            return Series(out)
-        return self.scale(other)
+        if not isinstance(other, Series):
+            return self.scale(other)
+        n = min(len(self.coeffs), len(other.coeffs))
+        (a, da), (b, db) = _scaled_ints(self.coeffs[:n]), _scaled_ints(other.coeffs[:n])
+        return Series(Fraction(sum(map(mul, a[:k + 1], b[k::-1])), da * db) for k in range(n))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -111,27 +115,26 @@ class Series:
         if divisor.coeffs[0] == 0:
             raise ValueError("division requires a nonzero constant term")
         n = min(len(self.coeffs), len(divisor.coeffs))
-        g = divisor.coeffs
-        g0 = g[0]
-        out: list[Fraction] = []
+        (f, df), (g, dg) = _scaled_ints(self.coeffs[:n]), _scaled_ints(divisor.coeffs[:n])
+        powers = list(accumulate([1] + [g[0]] * n, mul))            # G_0^k
+        lifted = [0] + [g[j] * powers[j - 1] for j in range(1, n)]   # G_j G_0^(j-1)
+        quot: list[int] = []                                         # Q_k
         for k in range(n):
-            acc = self.coeffs[k]
-            for i in range(k):
-                acc -= out[i] * g[k - i]
-            out.append(acc / g0)
-        return Series(out)
+            quot.append(f[k] * powers[k] - sum(map(mul, quot, lifted[k:0:-1])))
+        return Series(Fraction(q * dg, df * powers[k + 1]) for k, q in enumerate(quot))
 
     def sqrt(self) -> "Series":
         """Exact square root of a series with constant term 1."""
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires constant term 1")
-        out: list[Fraction] = [Fraction(1)]
-        for k in range(1, len(self.coeffs)):
-            acc = self.coeffs[k]
-            for i in range(1, k):
-                acc -= out[i] * out[k - i]
-            out.append(acc / 2)
-        return Series(out)
+        f, den = _scaled_ints(self.coeffs)
+        roots, lift, scale = [1], 4, 4 * den                         # U_k; 4^k L^(k-1); 4L
+        for k in range(1, len(f)):
+            twice = f[k] * lift - sum(map(mul, roots[1:k], roots[k - 1:0:-1]))
+            assert twice % 2 == 0, "2 U_k is even"
+            roots.append(twice // 2)
+            lift *= scale
+        return Series(Fraction(u, scale ** k) for k, u in enumerate(roots))
 
     def mul_xk(self, k: int) -> "Series":
         """Multiply by x**k, keeping the order (tail coefficients drop off)."""
@@ -163,19 +166,26 @@ def poly_eval(poly: Sequence, arg: Series) -> Series:
 
 
 def solve_h(a_poly: Sequence, order: int) -> Series:
-    """Solve the fixed-point equation h(x) = A(x*h(x)), A a polynomial.
-
-    Each iteration pins down one further coefficient, so order+1 rounds
-    produce the unique solution exactly to the requested order.
+    """Solve the fixed-point equation h(x) = A(x*h(x)), A a polynomial, in
+    one pass: [x^n] (x*h)^j = [x^(n-j)] h^j needs only h_0..h_(n-j), so
+    h_n = sum_j a_j [x^(n-j)] h^j follows from the coefficients before it.
     """
     a = [as_rat(c) for c in a_poly]
     if not a or a[0] == 0:
         raise ValueError("A must have a nonzero constant term")
-    x = Series.from_poly([0, 1], order)
-    h = Series.constant(a[0], order)
-    for _ in range(order + 1):
-        h = poly_eval(a, x * h)
-    return h
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    while a[-1] == 0:               # a zero top coefficient needs no power of h
+        a.pop()
+    h: list[Fraction] = []
+    powers = [[Fraction(int(r == 0)) for r in range(order + 1)]]   # powers[j][r] = [x^r] h^j
+    powers += [[] for _ in a[1:]]
+    for n in range(order + 1):
+        terms = range(min(n, len(a) - 1) + 1)
+        for j in terms[1:]:
+            powers[j].append(sum(map(mul, h[:n - j + 1], powers[j - 1][n - j::-1])))
+        h.append(sum(a[j] * powers[j][n - j] for j in terms))
+    return Series(h)
 
 
 def solve_d(z_poly: Sequence, h: Series) -> Series:

@@ -18,6 +18,13 @@ recursive_section, step_matrix and the three dense_* checks are the
 structural identities of the recursive matrix as dense Fraction products,
 the textbook form of the band sums the library checks them by.
 
+fraction_mul, fraction_divide and fraction_sqrt are the schoolbook series
+kernels on Fractions, coefficient by coefficient, which the library runs on
+integers over a common denominator; iterated_solve_h solves h = A(x*h) by
+order+1 rounds of full re-evaluation with those kernels, against the
+library's one-pass fixed point; fraction_horner evaluates a polynomial on
+Fractions, against PolynomialTail.eval on scaled integers.
+
 det_cofactor is a determinant by Laplace expansion, independent of the
 library's Bareiss kernel; principal_minors_nonneg evaluates every principal
 minor with it, the brute-force definition of positive semidefiniteness the
@@ -37,6 +44,7 @@ from catmoments.hankel import build_hankel
 from catmoments.jacobi import JacobiMatrix
 from catmoments.recursive import build_recursive, catalan_like
 from catmoments.seqspec import SequenceSpec
+from catmoments.series import Series
 
 COFACTOR_MAX_DIM = 9
 
@@ -153,6 +161,69 @@ def fraction_triangle(sigma, tau, depth: int) -> list[list[Fraction]]:
 def fraction_terms(sigma, tau, depth: int) -> list[Fraction]:
     """Column 0 of fraction_triangle."""
     return [row[0] for row in fraction_triangle(sigma, tau, depth)]
+
+
+def fraction_mul(f: Series, g: Series) -> Series:
+    n = min(len(f.coeffs), len(g.coeffs))
+    a, b = f.coeffs, g.coeffs
+    out = []
+    for k in range(n):
+        acc = Fraction(0)
+        for i in range(k + 1):
+            if a[i]:
+                acc += a[i] * b[k - i]
+        out.append(acc)
+    return Series(out)
+
+
+def fraction_divide(f: Series, g: Series) -> Series:
+    if g.coeffs[0] == 0:
+        raise ValueError("division requires a nonzero constant term")
+    n = min(len(f.coeffs), len(g.coeffs))
+    out: list[Fraction] = []
+    for k in range(n):
+        acc = f.coeffs[k]
+        for i in range(k):
+            acc -= out[i] * g.coeffs[k - i]
+        out.append(acc / g.coeffs[0])
+    return Series(out)
+
+
+def fraction_sqrt(f: Series) -> Series:
+    if f.coeffs[0] != 1:
+        raise ValueError("sqrt requires constant term 1")
+    out: list[Fraction] = [Fraction(1)]
+    for k in range(1, len(f.coeffs)):
+        acc = f.coeffs[k]
+        for i in range(1, k):
+            acc -= out[i] * out[k - i]
+        out.append(acc / 2)
+    return Series(out)
+
+
+def iterated_solve_h(a_poly, order: int) -> Series:
+    """h = A(x*h) by order+1 rounds of h <- A(x*h), each pinning down one
+    more coefficient; A(y) is evaluated by Horner with fraction_mul."""
+    a = [Fraction(c) for c in a_poly]
+    if not a or a[0] == 0:
+        raise ValueError("A must have a nonzero constant term")
+    x = Series.from_poly([0, 1], order)
+    h = Series.constant(a[0], order)
+    for _ in range(order + 1):
+        y = fraction_mul(x, h)
+        acc = Series.constant(a[-1], order)
+        for c in reversed(a[:-1]):
+            acc = fraction_mul(acc, y) + Series.constant(c, order)
+        h = acc
+    return h
+
+
+def fraction_horner(coeffs, k: int) -> Fraction:
+    """coeffs[0] + coeffs[1]*k + ... on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * k + c
+    return acc
 
 
 def det_cofactor(matrix: DenseMatrix) -> Fraction:

@@ -16,7 +16,7 @@ from catmoments.recursive import (
     verify_RJ_identity,
     verify_step_factorization,
 )
-from catmoments.seqspec import CATALOG, SequenceSpec, catalog_lookup
+from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from oracle import recursive_section, step_matrix
 
 
@@ -95,6 +95,24 @@ def test_oracle_matches_recurrence_for_catalog():
         terms = catalan_like(entry.sigma, entry.tau, 10)
         for n in range(11):
             assert motzkin_oracle(entry.sigma, entry.tau, n) == terms[n]
+
+
+def test_oracle_reads_each_weight_once():
+    reads = []
+
+    class CountingSpec(SequenceSpec):
+        def eval(self, k):
+            reads.append((self.start, k))
+            return super().eval(k)
+
+    sigma = CountingSpec((), ConstantTail(Fraction(1, 2)), 0)
+    tau = CountingSpec((Fraction(3),), ConstantTail(Fraction(2)), 1)
+    terms = catalan_like(sigma, tau, 10)
+    for n in range(11):
+        reads.clear()
+        assert motzkin_oracle(sigma, tau, n) == terms[n]
+        half = range(n // 2 + 1)
+        assert sorted(reads) == [(0, k) for k in half] + [(1, k) for k in half[1:]]
 
 
 def test_oracle_rejects_long_paths():

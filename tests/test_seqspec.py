@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catmoments.recursive import catalan_like
 from catmoments.seqspec import (
@@ -15,6 +17,7 @@ from catmoments.seqspec import (
     pqst_of,
     tail_from_json,
 )
+from oracle import fraction_horner
 
 
 def test_eval_prefix_then_tail():
@@ -165,3 +168,27 @@ def test_catalog_entry_to_json_shape():
     assert data["tau"]["start"] == 1
     assert data["gf"] == {"kind": "named", "name": "delannoy"}
     assert data["reference_terms"][:4] == ["1", "3", "13", "63"]
+
+
+@pytest.mark.parametrize("coeffs", [
+    (3, 0, 2),                              # integers
+    ("4/2", -1, "6/3"),                     # integers given as fractions
+    ("1/2", 3, "-5/7"),                     # rationals
+    (0, "7/3", 2, "-4/2", "1/9"),           # mixed, degree 4
+    ("-8",),
+])
+def test_polynomial_tail_matches_fraction_horner(coeffs):
+    tail = PolynomialTail(coeffs)
+    for k in range(-3, 70):
+        value = tail.eval(k)
+        assert type(value) is Fraction
+        assert value == fraction_horner([Fraction(c) for c in coeffs], k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10**9, 10**9).map(Fraction),
+                          st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**9))),
+                min_size=1, max_size=5),
+       st.integers(0, 10**4))
+def test_polynomial_tail_matches_fraction_horner_randomized(coeffs, k):
+    assert PolynomialTail(tuple(coeffs)).eval(k) == fraction_horner(coeffs, k)

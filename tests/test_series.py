@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catmoments.seqspec import catalog_lookup, pqst_of
 from catmoments.series import (
@@ -28,6 +29,22 @@ from catmoments.series import (
     sqrt_discriminant,
 )
 from catmoments.exact import TRUE
+from oracle import fraction_divide, fraction_mul, fraction_sqrt, iterated_solve_h
+
+# small denominators, and pairwise coprime primes of 31, 32 and 61 bits
+DENOMINATORS = (1, 2, 3, 7, 1_073_741_827, 4_294_967_291, 2**61 - 1)
+coefficients = st.one_of(
+    st.integers(-5, 5).map(Fraction),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from(DENOMINATORS)),
+)
+nonzero = coefficients.filter(bool)
+orders = st.one_of(st.sampled_from((0, 1, 40)), st.integers(0, 12))
+
+
+def series_of(order, head=coefficients):
+    """Series of the given order whose constant term is drawn from head."""
+    return st.builds(lambda c0, rest: Series([c0, *rest]),
+                     head, st.lists(coefficients, min_size=order, max_size=order))
 
 
 def _random_series(rng, order, unit_constant=False):
@@ -142,6 +159,8 @@ def test_solve_h_trivial_and_classical():
         solve_h([], 4)
     with pytest.raises(ValueError):
         solve_h([0, 1], 4)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        solve_h([1, 2], -1)
 
 
 def test_solve_d_trivial_and_classical():
@@ -274,3 +293,48 @@ def test_sqrt_discriminant_definition():
         t = Fraction(rng.randint(0, 4))
         root = sqrt_discriminant(s, t, 10)
         assert root * root == Series.from_poly([1, -2 * s, s * s - 4 * t], 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders.flatmap(series_of), orders.flatmap(series_of), st.booleans())
+def test_mul_matches_fraction_kernel(f, g, zero_constant):
+    if zero_constant:
+        f = Series([0, *f.coeffs[1:]])
+    assert f * g == fraction_mul(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders.flatmap(series_of),
+       orders.flatmap(lambda order: series_of(order, nonzero | st.sampled_from(
+           (Fraction(-3), Fraction(-7, 2**61 - 1), Fraction(12, 5))))))
+def test_divide_matches_fraction_kernel(f, g):
+    assert f.divide(g) == fraction_divide(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders.flatmap(lambda order: series_of(order, st.just(Fraction(1)))))
+def test_sqrt_matches_fraction_kernel(f):
+    assert f.sqrt() == fraction_sqrt(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficients, coefficients, orders)
+def test_sqrt_discriminant_matches_fraction_kernel(s, t, order):
+    inner = Series.from_poly([1, -2 * s, s * s - 4 * t], order)
+    assert sqrt_discriminant(s, t, order) == fraction_sqrt(inner)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(coefficients, min_size=0, max_size=3), nonzero,
+       st.one_of(st.sampled_from((0, 1, 16)), st.integers(2, 10)), st.booleans())
+def test_solve_h_matches_iteration(rest, a0, order, t_zero):
+    a = [a0, *rest]
+    if t_zero:                  # A = (1, s, 0): the t = 0 Riordan route
+        a = [Fraction(1), a[-1], Fraction(0)]
+    assert solve_h(a, order) == iterated_solve_h(a, order)
+
+
+def test_solve_h_matches_iteration_at_order_40():
+    for a in ([1, 2, 1], [Fraction(3, 2), Fraction(-5, 7), 0],
+              [1, Fraction(1, 3), 0, Fraction(-2, 11)]):
+        assert solve_h(a, 40) == iterated_solve_h(a, 40)
