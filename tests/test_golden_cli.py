@@ -163,6 +163,23 @@ def cases() -> dict[str, list[str]]:
     out["series-missing-field"] = ["series", "--gf", json.dumps(
         {"kind": "closed_form", "p": "1"}), "--format", "json"]
     out["series-bad-json"] = ["series", "--gf", "{not json"]
+    # t = 0: the general closed form refuses it at expansion time, the three
+    # specializations expand it to a geometric series
+    out["series-closed-form-t0"] = ["series", "--gf", json.dumps(
+        {"kind": "closed_form", "p": "1", "q": "2", "s": "3", "t": "0"})]
+    for kind, spec in (("tied-q", {"kind": "tied_q", "p": "1", "s": "3", "t": "0"}),
+                       ("tied-qp", {"kind": "tied_qp", "s": "2", "t": "0"}),
+                       ("inverse-sqrt", {"kind": "inverse_sqrt", "s": "3", "t": "0"})):
+        out[f"series-{kind}-t0"] = ["series", "--gf", json.dumps(spec), "-n", "8"]
+    out["series-unknown-kind"] = ["series", "--gf", json.dumps({"kind": "polynomial"})]
+    out["series-named-no-name"] = ["series", "--gf", json.dumps({"kind": "named"})]
+    out["series-named-unknown-name"] = ["series", "--gf", json.dumps(
+        {"kind": "named", "name": "motzkin"})]
+    # every field is parsed before the first negative one is refused
+    out["series-negative-before-not-rational"] = ["series", "--gf", json.dumps(
+        {"kind": "tied_q", "p": "-1", "s": "x", "t": "1"})]
+    out["series-closed-form-n0"] = ["series", "--gf", json.dumps(GF_SPECS["closed-form"]),
+                                    "-n", "0", "--format", "json"]
     out["series-negative-n"] = ["series", "--gf", "catalan", "-n", "-1"]
     out["stieltjes-too-few-terms"] = ["stieltjes", "--terms", "1,2,1", "--depth", "1"]
     out["stieltjes-not-rational"] = ["stieltjes", "--terms", "1,x", "--format", "csv"]
