@@ -9,6 +9,8 @@ three independent computation routes: the recurrence, the Hankel
 factorization, and generating-function expansion.
 """
 
+from types import ModuleType as _ModuleType
+
 from .exact import (
     FALSE,
     INCONCLUSIVE,
@@ -62,17 +64,14 @@ from .seqspec import (
     pqst_of,
 )
 from .series import (
-    ClosedFormGF,
-    InverseSqrtGF,
-    NamedGF,
+    GFSpec,
     Series,
-    TiedQGF,
-    TiedQPGF,
     closed_form_d,
     closed_form_h,
     gf_expand,
     gf_from_json,
     gf_to_json,
+    radical_quotient,
     riordan_column_check,
     solve_d,
     solve_h,
@@ -81,62 +80,6 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TRUE",
-    "FALSE",
-    "INCONCLUSIVE",
-    "PASS",
-    "FAIL",
-    "DenseMatrix",
-    "as_rat",
-    "format_rat",
-    "det_bareiss",
-    "leading_principal_minors",
-    "negative_principal_minor",
-    "SequenceSpec",
-    "ConstantTail",
-    "PolynomialTail",
-    "CatalogEntry",
-    "CATALOG",
-    "CATALOG_NAMES",
-    "catalog_lookup",
-    "pqst_of",
-    "RecursiveMatrix",
-    "build_recursive",
-    "catalan_like",
-    "motzkin_oracle",
-    "verify_RJ_identity",
-    "verify_step_factorization",
-    "JacobiMatrix",
-    "JacobiParams",
-    "TPReport",
-    "leading_minors",
-    "window_minors",
-    "tp_by_leading_minors",
-    "tp_sufficient_dominance",
-    "tp_criterion_pqst",
-    "tp_check_sections",
-    "tp_certify",
-    "StieltjesReport",
-    "build_hankel",
-    "stieltjes_check",
-    "stieltjes_weights",
-    "verify_H_eq_RTRt",
-    "hankel_det_products",
-    "hankel_dets",
-    "Series",
-    "solve_h",
-    "solve_d",
-    "sqrt_discriminant",
-    "closed_form_h",
-    "closed_form_d",
-    "ClosedFormGF",
-    "TiedQGF",
-    "TiedQPGF",
-    "InverseSqrtGF",
-    "NamedGF",
-    "gf_expand",
-    "gf_to_json",
-    "gf_from_json",
-    "riordan_column_check",
-]
+# every public name above, and no submodule
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -63,7 +63,7 @@ from .recursive import (
 from .seqspec import CATALOG, SequenceSpec, catalog_lookup, pqst_of
 from .series import (
     DEFAULT_ORDER,
-    NamedGF,
+    GFSpec,
     gf_expand,
     gf_from_json,
     gf_to_json,
@@ -127,7 +127,7 @@ def parse_gf_arg(text: str):
     stripped = payload.strip()
     if not stripped.startswith("{"):
         try:
-            return NamedGF(stripped)
+            return GFSpec("named", (stripped,))
         except ValueError as exc:
             raise UsageError(f"--gf: {exc}") from exc
     try:
@@ -317,7 +317,7 @@ def cmd_verify(args) -> Rendered:
 def cmd_catalog(args) -> Rendered:
     entries = list(CATALOG.values())
     rows = [(entry.name, " ".join(format_rat(v) for v in entry.reference_terms),
-             entry.gf.name if entry.gf else "") for entry in entries]
+             entry.gf.params[0] if entry.gf else "") for entry in entries]
     width = max(len(name) for name, _, _ in rows)
     text = "\n".join(f"{name:<{width}}  {terms}" + (f"  gf={gf}" if gf else "")
                      for name, terms, gf in rows)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -63,14 +63,16 @@ def as_rat(value) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 
-def coerce_nonneg_fields(obj, label: str = "") -> None:
-    """Coerce every field of the frozen dataclass obj to a Fraction in place,
-    refusing a negative one with "<label><field> must be nonnegative"."""
-    for field in fields(obj):
-        value = as_rat(getattr(obj, field.name))
+def nonneg_rats(pairs, label: str = "") -> tuple[Fraction, ...]:
+    """Coerce the value of each (name, value) pair to a Fraction, in order,
+    refusing a negative one with "<label><name> must be nonnegative"."""
+    values = []
+    for name, value in pairs:
+        value = as_rat(value)
         if value < 0:
-            raise ValueError(f"{label}{field.name} must be nonnegative, got {format_rat(value)}")
-        object.__setattr__(obj, field.name, value)
+            raise ValueError(f"{label}{name} must be nonnegative, got {format_rat(value)}")
+        values.append(value)
+    return tuple(values)
 
 
 def _int_str(n: int) -> str:

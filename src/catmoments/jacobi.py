@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, coerce_nonneg_fields, format_rat
+from .exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, format_rat, nonneg_rats
 from .seqspec import PolynomialTail, SequenceSpec
 
 DOMINANCE_GUARD_INDEX = 64
@@ -88,10 +88,12 @@ class JacobiParams:
     t: Fraction
 
     def __post_init__(self):
-        coerce_nonneg_fields(self, "parameter ")
+        pairs = [(name, getattr(self, name)) for name in "pqst"]
+        for (name, _), value in zip(pairs, nonneg_rats(pairs, "parameter ")):
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
-        return {name: format_rat(getattr(self, name)) for name in ("p", "q", "s", "t")}
+        return {name: format_rat(getattr(self, name)) for name in "pqst"}
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import _scaled_ints, as_rat, format_rat
-from .series import NamedGF
+from .series import NAMED_GF_NAMES, GFSpec, gf_to_json
 
 MAX_TAIL_DEGREE = 4
 
@@ -201,7 +201,7 @@ class CatalogEntry:
     sigma: SequenceSpec
     tau: SequenceSpec
     reference_terms: tuple[Fraction, ...]
-    gf: Optional[NamedGF] = None
+    gf: Optional[GFSpec] = None
     aliases: tuple[str, ...] = field(default=())
 
     def to_json(self) -> dict:
@@ -211,21 +211,21 @@ class CatalogEntry:
             "sigma": self.sigma.to_json(),
             "tau": self.tau.to_json(),
             "reference_terms": [format_rat(v) for v in self.reference_terms],
-            "gf": None if self.gf is None else {"kind": "named", "name": self.gf.name},
+            "gf": None if self.gf is None else gf_to_json(self.gf),
         }
         if self.aliases:
             data["aliases"] = list(self.aliases)
         return data
 
 
-def _entry(name, description, sigma, tau, terms, gf=None, aliases=()):
+def _entry(name, description, sigma, tau, terms, aliases=()):
     return CatalogEntry(
         name=name,
         description=description,
         sigma=sigma,
         tau=tau,
         reference_terms=tuple(Fraction(v) for v in terms),
-        gf=gf,
+        gf=GFSpec("named", (name,)) if name in NAMED_GF_NAMES else None,
         aliases=tuple(aliases),
     )
 
@@ -242,7 +242,6 @@ CATALOG: dict[str, CatalogEntry] = {
             SequenceSpec.first_then_constant(1, 2, start=0),
             SequenceSpec.constant(1, start=1),
             (1, 1, 2, 5, 14, 42, 132, 429),
-            gf=NamedGF("catalan"),
         ),
         _entry(
             "central_binomial",
@@ -250,7 +249,6 @@ CATALOG: dict[str, CatalogEntry] = {
             SequenceSpec.constant(2, start=0),
             SequenceSpec.first_then_constant(2, 1, start=1),
             (1, 2, 6, 20, 70, 252, 924, 3432),
-            gf=NamedGF("central_binomial"),
         ),
         _entry(
             "delannoy",
@@ -258,7 +256,6 @@ CATALOG: dict[str, CatalogEntry] = {
             SequenceSpec.constant(3, start=0),
             SequenceSpec.first_then_constant(4, 2, start=1),
             (1, 3, 13, 63, 321, 1683, 8989, 48639),
-            gf=NamedGF("delannoy"),
         ),
         _entry(
             "schroder_large",
@@ -266,7 +263,6 @@ CATALOG: dict[str, CatalogEntry] = {
             SequenceSpec.first_then_constant(2, 3, start=0),
             SequenceSpec.constant(2, start=1),
             (1, 2, 6, 22, 90, 394, 1806, 8558),
-            gf=NamedGF("schroder_large"),
         ),
         _entry(
             "schroder_little",
@@ -274,7 +270,6 @@ CATALOG: dict[str, CatalogEntry] = {
             SequenceSpec.first_then_constant(1, 3, start=0),
             SequenceSpec.constant(2, start=1),
             (1, 1, 3, 11, 45, 197, 903, 4279),
-            gf=NamedGF("schroder_little"),
         ),
         _entry(
             "hexagonal",

@@ -16,13 +16,19 @@ Q_k = F_k G_0^k - sum_(i<k) Q_i G_(k-i) G_0^(k-1-i).  Square root of
 f = F/L (constant term 1): U_k = u_k (4L)^k is an integer, because
 4^j binom(1/2, j) is, and 2 U_k = F_k 4^k L^(k-1) - sum_(0<i<k) U_i U_(k-i).
 
-The generating function types expand the ordinary generating function of
-column 0 of a recursive matrix whose weight sequences are constant after the
-first entry: diagonal weights (p, s, s, ...) over subdiagonal weights
-(q, t, t, ...).  Two independent expansion routes are provided, a
-fixed-point functional equation solver and explicit closed forms, so each
-can certify the other.  The closed forms divide by 2t and refuse t = 0; the
-fixed-point route covers that case.
+A generating function spec (GFSpec) names the ordinary generating function
+of column 0 of a recursive matrix whose weight sequences are constant after
+the first entry: diagonal weights (p, s, s, ...) over subdiagonal weights
+(q, t, t, ...).  Every closed form here has one shape,
+
+    c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)),
+
+and radical_quotient is the one routine that expands it; each kind of spec
+is a map from its parameters to (c, a0, a1, e, r1, r2), and each named
+classic a literal row of them.  Two independent expansion routes are
+provided, a fixed-point functional equation solver and the closed forms, so
+each can certify the other.  The general closed form divides by 2t and
+refuses t = 0; the fixed-point route covers that case.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .exact import FALSE, TRUE, _scaled_ints, as_rat, coerce_nonneg_fields, format_rat
+from .exact import FALSE, TRUE, _scaled_ints, as_rat, format_rat, nonneg_rats
 
 DEFAULT_ORDER = 16
 
@@ -97,18 +103,10 @@ class Series:
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            return self.scale(other)
+            return NotImplemented
         n = min(len(self.coeffs), len(other.coeffs))
         (a, da), (b, db) = _scaled_ints(self.coeffs[:n]), _scaled_ints(other.coeffs[:n])
         return Series(Fraction(sum(map(mul, a[:k + 1], b[k::-1])), da * db) for k in range(n))
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self.divide(other)
-        return self.scale(Fraction(1) / as_rat(other))
 
     def divide(self, divisor: "Series") -> "Series":
         """Exact long division; the divisor's constant term must be nonzero."""
@@ -216,185 +214,119 @@ def closed_form_h(s, t, order: int) -> Series:
     return num.div_xk(2).scale(Fraction(1, 2) / t)
 
 
+def radical_quotient(c, a0, a1, e, r1, r2, order: int) -> Series:
+    """Expand c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)), the one shape every
+    generating function spec has.  The root is scaled only when e != 1 and the
+    linear part added only when it is nonzero."""
+    denom = Series.from_poly([1, r1, r2], order).sqrt()
+    if e != 1:
+        denom = denom.scale(e)
+    if a0 or a1:
+        denom = Series.from_poly([a0, a1], order) + denom
+    return Series.constant(c, order).divide(denom)
+
+
+def _closed_form(p, q, s, t) -> tuple:
+    if t == 0:
+        raise ValueError("closed form divides by 2*t; use solve_d for t = 0")
+    return 2 * t, 2 * t - q, q * s - 2 * p * t, q, -2 * s, s * s - 4 * t
+
+
 def closed_form_d(p, q, s, t, order: int) -> Series:
     """Expand d(x) = 2*t / (2*t - q + (q*s - 2*p*t)*x + q*sqrt(...)).
 
     Refuses t = 0, where the formula degenerates to 0/0; use solve_d there.
     """
-    p, q, s, t = as_rat(p), as_rat(q), as_rat(s), as_rat(t)
-    if t == 0:
-        raise ValueError("closed form divides by 2*t; use solve_d for t = 0")
-    root = sqrt_discriminant(s, t, order)
-    denom = Series.from_poly([2 * t - q, q * s - 2 * p * t], order) + root.scale(q)
-    return Series.constant(2 * t, order).divide(denom)
+    return radical_quotient(*_closed_form(as_rat(p), as_rat(q), as_rat(s), as_rat(t)), order)
 
 
-@dataclass(frozen=True)
-class ClosedFormGF:
-    """Column-0 generating function for weights (p, s, s, ...) over
-    (q, t, t, ...), in full generality."""
-
-    p: Fraction
-    q: Fraction
-    s: Fraction
-    t: Fraction
-
-    def __post_init__(self):
-        coerce_nonneg_fields(self)
-
-    def expand(self, order: int) -> Series:
-        return closed_form_d(self.p, self.q, self.s, self.t, order)
-
-
-@dataclass(frozen=True)
-class TiedQGF:
-    """Specialization q = t:  d(x) = 2 / (1 + (s - 2*p)*x + sqrt(...))."""
-
-    p: Fraction
-    s: Fraction
-    t: Fraction
-
-    def __post_init__(self):
-        coerce_nonneg_fields(self)
-
-    def expand(self, order: int) -> Series:
-        denom = Series.from_poly([1, self.s - 2 * self.p], order) + sqrt_discriminant(
-            self.s, self.t, order
-        )
-        return Series.constant(2, order).divide(denom)
-
-
-@dataclass(frozen=True)
-class TiedQPGF:
-    """Specialization q = t, p = s:  d(x) = 2 / (1 - s*x + sqrt(...))."""
-
-    s: Fraction
-    t: Fraction
-
-    def __post_init__(self):
-        coerce_nonneg_fields(self)
-
-    def expand(self, order: int) -> Series:
-        denom = Series.from_poly([1, -self.s], order) + sqrt_discriminant(self.s, self.t, order)
-        return Series.constant(2, order).divide(denom)
-
-
-@dataclass(frozen=True)
-class InverseSqrtGF:
-    """Specialization q = 2*t, p = s:  d(x) = 1 / sqrt(...)."""
-
-    s: Fraction
-    t: Fraction
-
-    def __post_init__(self):
-        coerce_nonneg_fields(self)
-
-    def expand(self, order: int) -> Series:
-        one = Series.constant(1, order)
-        return one.divide(sqrt_discriminant(self.s, self.t, order))
-
-
-def _named_expand_catalan(order: int) -> Series:
-    root = Series.from_poly([1, -4], order).sqrt()
-    denom = Series.constant(1, order) + root
-    return Series.constant(2, order).divide(denom)
-
-
-def _named_expand_central_binomial(order: int) -> Series:
-    root = Series.from_poly([1, -4], order).sqrt()
-    return Series.constant(1, order).divide(root)
-
-
-def _named_expand_delannoy(order: int) -> Series:
-    root = Series.from_poly([1, -6, 1], order).sqrt()
-    return Series.constant(1, order).divide(root)
-
-
-def _named_expand_schroder_large(order: int) -> Series:
-    root = Series.from_poly([1, -6, 1], order).sqrt()
-    denom = Series.from_poly([1, -1], order) + root
-    return Series.constant(2, order).divide(denom)
-
-
-def _named_expand_schroder_little(order: int) -> Series:
-    root = Series.from_poly([1, -6, 1], order).sqrt()
-    denom = Series.from_poly([1, 1], order) + root
-    return Series.constant(2, order).divide(denom)
-
-
-#: classical closed forms, expanded from their literal formulas rather than
-#: via the parameterized reductions, so the two routes can cross-check
+#: radical_quotient coefficients (c, a0, a1, e, r1, r2) of the classical
+#: closed forms, written from their literal formulas rather than via the
+#: parameterized reductions, so the two routes can cross-check
 _NAMED = {
-    "catalan": _named_expand_catalan,
-    "central_binomial": _named_expand_central_binomial,
-    "delannoy": _named_expand_delannoy,
-    "schroder_large": _named_expand_schroder_large,
-    "schroder_little": _named_expand_schroder_little,
+    "catalan": (2, 1, 0, 1, -4, 0),             # 2 / (1 + sqrt(1 - 4x))
+    "central_binomial": (1, 0, 0, 1, -4, 0),    # 1 / sqrt(1 - 4x)
+    "delannoy": (1, 0, 0, 1, -6, 1),            # 1 / sqrt(1 - 6x + x^2)
+    "schroder_large": (2, 1, -1, 1, -6, 1),     # 2 / (1 - x + sqrt(1 - 6x + x^2))
+    "schroder_little": (2, 1, 1, 1, -6, 1),     # 2 / (1 + x + sqrt(1 - 6x + x^2))
 }
 
 NAMED_GF_NAMES = tuple(sorted(_NAMED))
 
-
-@dataclass(frozen=True)
-class NamedGF:
-    """One of the classical closed forms, identified by name."""
-
-    name: str
-
-    def __post_init__(self):
-        if self.name not in _NAMED:
-            raise ValueError(
-                f"unknown generating function {self.name!r}; "
-                f"choose from {', '.join(NAMED_GF_NAMES)}"
-            )
-
-    def expand(self, order: int) -> Series:
-        return _NAMED[self.name](order)
-
-
-GF_TYPES = (ClosedFormGF, TiedQGF, TiedQPGF, InverseSqrtGF, NamedGF)
-
-_GF_KINDS = {
-    "closed_form": (ClosedFormGF, ("p", "q", "s", "t")),
-    "tied_q": (TiedQGF, ("p", "s", "t")),
-    "tied_qp": (TiedQPGF, ("s", "t")),
-    "inverse_sqrt": (InverseSqrtGF, ("s", "t")),
+#: kind -> (fields, map from the field values to radical_quotient's
+#: coefficients); each specialization is written from its own formula, with
+#: sqrt(...) = sqrt(1 - 2*s*x + (s**2 - 4*t)*x**2)
+_KINDS = {
+    "closed_form": (("p", "q", "s", "t"), _closed_form),
+    # q = t:  2 / (1 + (s - 2*p)*x + sqrt(...))
+    "tied_q": (("p", "s", "t"), lambda p, s, t: (2, 1, s - 2 * p, 1, -2 * s, s * s - 4 * t)),
+    # q = t, p = s:  2 / (1 - s*x + sqrt(...))
+    "tied_qp": (("s", "t"), lambda s, t: (2, 1, -s, 1, -2 * s, s * s - 4 * t)),
+    # q = 2*t, p = s:  1 / sqrt(...)
+    "inverse_sqrt": (("s", "t"), lambda s, t: (1, 0, 0, 1, -2 * s, s * s - 4 * t)),
+    "named": (("name",), _NAMED.__getitem__),
 }
 
 
-def gf_to_json(gf) -> dict:
-    if isinstance(gf, NamedGF):
-        return {"kind": "named", "name": gf.name}
-    for kind, (cls, fields) in _GF_KINDS.items():
-        if isinstance(gf, cls):
-            return {"kind": kind, **{f: format_rat(getattr(gf, f)) for f in fields}}
-    raise ValueError(f"not a generating function spec: {gf!r}")
+def _fields(kind) -> tuple[str, ...]:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown generating function kind {kind!r}")
+    return _KINDS[kind][0]
 
 
-def gf_from_json(data: dict):
+@dataclass(frozen=True)
+class GFSpec:
+    """A column-0 generating function for weights (p, s, s, ...) over
+    (q, t, t, ...): a kind and its parameters in the kind's field order.
+    The rational kinds take nonnegative rationals; kind "named" takes the
+    one name of a classical closed form."""
+
+    kind: str
+    params: tuple
+
+    def __post_init__(self):
+        fields = _fields(self.kind)
+        params = tuple(self.params)
+        if len(params) != len(fields):
+            raise ValueError(
+                f"generating function kind {self.kind!r} needs fields {', '.join(fields)}"
+            )
+        if self.kind != "named":
+            params = nonneg_rats(zip(fields, [as_rat(v) for v in params]))
+        elif params[0] not in _NAMED:
+            raise ValueError(
+                f"unknown generating function {params[0]!r}; "
+                f"choose from {', '.join(NAMED_GF_NAMES)}"
+            )
+        object.__setattr__(self, "params", params)
+
+
+def _spec(gf) -> GFSpec:
+    if not isinstance(gf, GFSpec):
+        raise ValueError(f"not a generating function spec: {gf!r}")
+    return gf
+
+
+def gf_to_json(gf: GFSpec) -> dict:
+    kind, params = _spec(gf).kind, gf.params
+    values = params if kind == "named" else map(format_rat, params)
+    return {"kind": kind, **dict(zip(_KINDS[kind][0], values))}
+
+
+def gf_from_json(data: dict) -> GFSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("generating function JSON needs a 'kind' field")
     kind = data["kind"]
-    if kind == "named":
-        if "name" not in data:
-            raise ValueError("named generating function JSON needs a 'name' field")
-        return NamedGF(data["name"])
-    if kind not in _GF_KINDS:
-        raise ValueError(f"unknown generating function kind {kind!r}")
-    cls, fields = _GF_KINDS[kind]
-    missing = [f for f in fields if f not in data]
-    if missing:
-        raise ValueError(f"generating function kind {kind!r} needs fields {', '.join(fields)}")
-    return cls(**{f: as_rat(data[f]) for f in fields})
+    if kind == "named" and "name" not in data:
+        raise ValueError("named generating function JSON needs a 'name' field")
+    return GFSpec(kind, tuple(data[f] for f in _fields(kind) if f in data))
 
 
-def gf_expand(gf, order: int = DEFAULT_ORDER) -> Series:
-    """Expand any of the generating function types to the given order."""
+def gf_expand(gf: GFSpec, order: int = DEFAULT_ORDER) -> Series:
+    """Expand a generating function spec to the given order."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    if not isinstance(gf, GF_TYPES):
-        raise ValueError(f"not a generating function spec: {gf!r}")
-    return gf.expand(order)
+    return radical_quotient(*_KINDS[_spec(gf).kind][1](*gf.params), order)
 
 
 def riordan_column_check(p, q, s, t, order: int = DEFAULT_ORDER, k_max: int = 5) -> str:

@@ -36,14 +36,7 @@ from catmoments.jacobi import (
 )
 from catmoments.recursive import catalan_like, motzkin_oracle
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
-from catmoments.series import (
-    ClosedFormGF,
-    InverseSqrtGF,
-    TiedQGF,
-    TiedQPGF,
-    gf_expand,
-    riordan_column_check,
-)
+from catmoments.series import GFSpec, gf_expand, riordan_column_check
 from oracle import det_cofactor, is_nondecreasing_from_one, jacobi_window, pqst_matrix
 
 TIME_BUDGET = 10.0
@@ -162,9 +155,11 @@ def test_criterion_09_specializations_equal_general_closed_form():
         p = Fraction(rng.randint(0, 6), rng.randint(1, 3))
         s = Fraction(rng.randint(0, 6), rng.randint(1, 3))
         t = Fraction(rng.randint(1, 6), rng.randint(1, 3))
-        assert TiedQGF(p, s, t).expand(16) == ClosedFormGF(p, t, s, t).expand(16)
-        assert TiedQPGF(s, t).expand(16) == ClosedFormGF(s, t, s, t).expand(16)
-        assert InverseSqrtGF(s, t).expand(16) == ClosedFormGF(s, 2 * t, s, t).expand(16)
+        for kind, params, general in (("tied_q", (p, s, t), (p, t, s, t)),
+                                      ("tied_qp", (s, t), (s, t, s, t)),
+                                      ("inverse_sqrt", (s, t), (s, 2 * t, s, t))):
+            assert gf_expand(GFSpec(kind, params), 16) == \
+                gf_expand(GFSpec("closed_form", general), 16), kind
 
 
 def test_criterion_10_determinant_kernels_agree_on_random_matrices():

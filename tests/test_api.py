@@ -26,5 +26,6 @@ def test_every_exported_name_resolves():
     assert len(set(catmoments.__all__)) == len(catmoments.__all__)
     missing = [name for name in catmoments.__all__ if not hasattr(catmoments, name)]
     assert missing == []
-    for gone in ("MomentSequence", "TotalsDiagonal", "hankel_det_product"):
-        assert not hasattr(catmoments, gone)
+    for gone in ("MomentSequence", "TotalsDiagonal", "hankel_det_product", "ClosedFormGF",
+                 "TiedQGF", "TiedQPGF", "InverseSqrtGF", "NamedGF", "GF_TYPES"):
+        assert not hasattr(catmoments, gone) and not hasattr(catmoments.series, gone)

@@ -11,8 +11,9 @@ matrix, both Hankel families, stieltjes and tp), both Hankel families,
 stieltjes on explicit weight pairs (PASS, FAIL in either family, a zero
 weight) and on terms whose leading minors are nonnegative
 but not all positive, the (p, q, s, t) criterion, the contiguous-minor TP
-route, every named and parameterised generating function, the catalog listing,
-and the usage-error (exit 2) path of each command.
+route, every named and parameterised generating function (the three
+specializations also at t = 0, and the general form at -n 0), the catalog
+listing, and the usage-error (exit 2) path of each command.
 After a deliberate output change, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py

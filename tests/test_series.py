@@ -7,22 +7,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catmoments.seqspec import catalog_lookup, pqst_of
+from catmoments.recursive import catalan_like
+from catmoments.seqspec import SequenceSpec, catalog_lookup, pqst_of
 from catmoments.series import (
     DEFAULT_ORDER,
-    ClosedFormGF,
-    InverseSqrtGF,
-    NamedGF,
     NAMED_GF_NAMES,
+    GFSpec,
     Series,
-    TiedQGF,
-    TiedQPGF,
     closed_form_d,
     closed_form_h,
     gf_expand,
     gf_from_json,
     gf_to_json,
     poly_eval,
+    radical_quotient,
     riordan_column_check,
     solve_d,
     solve_h,
@@ -92,14 +90,16 @@ def test_arithmetic_truncates_to_shorter_operand():
 def test_scalar_operations():
     f = Series([1, 2, 3])
     assert f.scale(Fraction(1, 2)).coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
-    assert (2 * f).coeffs == (2, 4, 6)
-    assert (f * 2).coeffs == (2, 4, 6)
-    assert (f / 2).coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
+    assert f.scale(2).coeffs == (2, 4, 6)
+    # scalars go through scale only: no operator takes a plain number
+    for product in (lambda: 2 * f, lambda: f * 2, lambda: f / 2):
+        with pytest.raises(TypeError):
+            product()
 
 
 def test_geometric_series_division():
     one = Series.constant(1, 8)
-    geom = one / Series.from_poly([1, -1], 8)
+    geom = one.divide(Series.from_poly([1, -1], 8))
     assert geom.coeffs == (1,) * 9
 
 
@@ -203,32 +203,94 @@ def test_closed_form_d_matches_fixed_point_solver():
         assert closed_form_d(p, q, s, t, 16) == solve_d([p, q], h)
 
 
+def gf(kind, *params):
+    return GFSpec(kind, params)
+
+
+def test_radical_quotient_shape():
+    # scaled root and no linear part: 1 / (2 sqrt(1 - 4x)) = binom(2n, n) / 2
+    assert radical_quotient(1, 0, 0, 2, -4, 0, 4).coeffs == tuple(
+        Fraction(c, 2) for c in (1, 2, 6, 20, 70))
+    # e = 0 leaves the plain quotient c / (a0 + a1 x)
+    assert radical_quotient(3, 1, -2, 0, -4, 1, 4).coeffs == (3, 6, 12, 24, 48)
+    assert radical_quotient(2, 1, 0, 1, -4, 0, 0).coeffs == (1,)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        radical_quotient(1, 0, 0, 1, -4, 0, -1)
+
+
 def test_specializations_reduce_to_general_form():
     rng = random.Random(31337)
     for _ in range(10):
         p = Fraction(rng.randint(0, 4), rng.randint(1, 2))
         s = Fraction(rng.randint(0, 4), rng.randint(1, 2))
         t = Fraction(rng.randint(1, 4), rng.randint(1, 2))
-        assert TiedQGF(p, s, t).expand(16) == ClosedFormGF(p, t, s, t).expand(16)
-        assert TiedQPGF(s, t).expand(16) == ClosedFormGF(s, t, s, t).expand(16)
-        assert InverseSqrtGF(s, t).expand(16) == ClosedFormGF(s, 2 * t, s, t).expand(16)
+        assert gf_expand(gf("tied_q", p, s, t)) == gf_expand(gf("closed_form", p, t, s, t))
+        assert gf_expand(gf("tied_qp", s, t)) == gf_expand(gf("closed_form", s, t, s, t))
+        assert gf_expand(gf("inverse_sqrt", s, t)) == \
+            gf_expand(gf("closed_form", s, 2 * t, s, t))
+
+
+#: each JSON kind's fields, and the column-0 weights (p, q, s, t) it stands for
+KIND_WEIGHTS = {
+    "closed_form": ("pqst", lambda p, q, s, t: (p, q, s, t)),
+    "tied_q": ("pst", lambda p, s, t: (p, t, s, t)),
+    "tied_qp": ("st", lambda s, t: (s, t, s, t)),
+    "inverse_sqrt": ("st", lambda s, t: (s, 2 * t, s, t)),
+}
+weights = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(KIND_WEIGHTS)), st.lists(weights, min_size=4, max_size=4),
+       st.sampled_from((0, 1, 9)) | st.integers(0, 6))
+def test_every_kind_matches_the_recurrence(kind, values, order):
+    fields, weights_of = KIND_WEIGHTS[kind]
+    params = dict(zip(fields, values))
+    if kind == "closed_form":
+        params["t"] += 1            # the general form refuses t = 0
+    p, q, s, t = weights_of(**params)
+    sigma = SequenceSpec.first_then_constant(p, s, start=0)
+    tau = SequenceSpec.first_then_constant(q, t, start=1)
+    expansion = gf_expand(GFSpec(kind, tuple(params.values())), order)
+    assert list(expansion.coeffs) == catalan_like(sigma, tau, order)
+
+
+def test_specializations_expand_t0_to_a_geometric_series():
+    assert gf_expand(gf("tied_q", 1, 3, 0), 4).coeffs == (1, 1, 1, 1, 1)
+    assert gf_expand(gf("tied_qp", 2, 0), 4).coeffs == (1, 2, 4, 8, 16)
+    assert gf_expand(gf("inverse_sqrt", 3, 0), 4).coeffs == (1, 3, 9, 27, 81)
+    spec = gf("closed_form", 1, 2, 3, 0)             # accepted, refused on expansion
+    with pytest.raises(ValueError, match="use solve_d for t = 0"):
+        gf_expand(spec, 4)
 
 
 def test_gf_rejects_negative_parameters():
+    with pytest.raises(ValueError, match="q must be nonnegative, got -1"):
+        gf("closed_form", 1, -1, 2, 1)
+    with pytest.raises(ValueError, match="s must be nonnegative"):
+        gf("tied_qp", -2, 1)
+    # every field is parsed before the first negative one is refused
+    with pytest.raises(ValueError, match="not a rational: 'x'"):
+        gf("tied_q", -1, "x", 1)
+    with pytest.raises(ValueError, match="unknown generating function 'fibonacci'"):
+        gf("named", "fibonacci")
+    with pytest.raises(ValueError, match="unknown generating function kind 'polynomial'"):
+        gf("polynomial", 1)
+    with pytest.raises(ValueError, match="'tied_qp' needs fields s, t"):
+        gf("tied_qp", 1)
+    with pytest.raises(ValueError, match="'named' needs fields name"):
+        gf("named")
     with pytest.raises(ValueError):
-        ClosedFormGF(1, -1, 2, 1)
-    with pytest.raises(ValueError):
-        TiedQPGF(-2, 1)
-    with pytest.raises(ValueError):
-        NamedGF("fibonacci")
+        gf("inverse_sqrt", 0.5, 1)
 
 
 def test_named_forms_match_parameter_reductions_and_catalog():
     for name in NAMED_GF_NAMES:
         # the literal formula against the general one at the catalog weights
         entry = catalog_lookup(name)
-        literal = NamedGF(name).expand(16)
-        assert literal == ClosedFormGF(*pqst_of(entry.sigma, entry.tau)).expand(16), name
+        literal = gf_expand(gf("named", name), 16)
+        assert entry.gf == gf("named", name)
+        assert literal == gf_expand(GFSpec("closed_form", pqst_of(entry.sigma, entry.tau)), 16)
         assert literal.coeffs[:8] == entry.reference_terms, name
 
 
@@ -236,43 +298,48 @@ def test_tied_qp_at_catalan_weights_is_the_shifted_sequence():
     # the q = t, p = s reduction at (s, t) = (2, 1) has column-0 weights
     # (2, 2, ...), so it generates 1, 2, 5, 14, ... -- one shift away from
     # the named catalan form, whose weights are (1, 2, 2, ...)
-    assert TiedQPGF(2, 1).expand(5).coeffs == (1, 2, 5, 14, 42, 132)
-    assert NamedGF("catalan").expand(5) == TiedQGF(1, 2, 1).expand(5)
-    assert NamedGF("catalan").expand(5).coeffs == (1, 1, 2, 5, 14, 42)
+    assert gf_expand(gf("tied_qp", 2, 1), 5).coeffs == (1, 2, 5, 14, 42, 132)
+    assert gf_expand(gf("named", "catalan"), 5) == gf_expand(gf("tied_q", 1, 2, 1), 5)
+    assert gf_expand(gf("named", "catalan"), 5).coeffs == (1, 1, 2, 5, 14, 42)
 
 
 def test_gf_json_round_trip():
     forms = [
-        ClosedFormGF(1, Fraction(1, 2), 2, 1),
-        TiedQGF(1, 2, 1),
-        TiedQPGF(3, 2),
-        InverseSqrtGF(2, 1),
-        NamedGF("schroder_large"),
+        gf("closed_form", 1, Fraction(1, 2), 2, 1),
+        gf("tied_q", 1, 2, 1),
+        gf("tied_qp", 3, 2),
+        gf("inverse_sqrt", 2, 1),
+        gf("named", "schroder_large"),
     ]
-    for gf in forms:
-        assert gf_from_json(gf_to_json(gf)) == gf
-    assert gf_to_json(TiedQPGF(3, 2)) == {"kind": "tied_qp", "s": "3", "t": "2"}
-    assert gf_to_json(NamedGF("catalan")) == {"kind": "named", "name": "catalan"}
+    for spec in forms:
+        assert gf_from_json(gf_to_json(spec)) == spec
+    assert gf_to_json(gf("tied_qp", 3, 2)) == {"kind": "tied_qp", "s": "3", "t": "2"}
+    assert gf_to_json(gf("tied_q", "1/2", 2, 1)) == {"kind": "tied_q", "p": "1/2", "s": "2",
+                                                      "t": "1"}
+    assert gf_to_json(gf("named", "catalan")) == {"kind": "named", "name": "catalan"}
+    assert gf("tied_qp", "3", 2) == gf("tied_qp", 3, Fraction(2))
 
 
 def test_gf_json_rejects_malformed_input():
     with pytest.raises(ValueError):
         gf_from_json({"s": "1"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown generating function kind"):
         gf_from_json({"kind": "polynomial"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs fields s, t"):
         gf_from_json({"kind": "tied_qp", "s": "1"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a 'name' field"):
         gf_from_json({"kind": "named"})
+    with pytest.raises(ValueError, match="unknown generating function 'motzkin'"):
+        gf_from_json({"kind": "named", "name": "motzkin"})
     with pytest.raises(ValueError):
         gf_to_json(object())
 
 
 def test_gf_expand_dispatch():
-    assert gf_expand(NamedGF("catalan")).order == DEFAULT_ORDER
-    assert gf_expand(TiedQGF(2, 3, 2), 4).coeffs == (1, 2, 6, 22, 90)
+    assert gf_expand(gf("named", "catalan")).order == DEFAULT_ORDER
+    assert gf_expand(gf("tied_q", 2, 3, 2), 4).coeffs == (1, 2, 6, 22, 90)
     with pytest.raises(ValueError):
-        gf_expand(NamedGF("catalan"), -1)
+        gf_expand(gf("named", "catalan"), -1)
     with pytest.raises(ValueError):
         gf_expand("catalan")
 
