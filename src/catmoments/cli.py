@@ -60,7 +60,7 @@ from .recursive import (
     verify_RJ_identity,
     verify_step_factorization,
 )
-from .seqspec import CATALOG, SequenceSpec, catalog_lookup, pqst_of
+from .seqspec import CATALOG, CatalogEntry, SequenceSpec, catalog_lookup, pqst_of
 from .series import (
     DEFAULT_ORDER,
     GFSpec,
@@ -258,12 +258,12 @@ def cmd_series(args) -> Rendered:
     return 0, data, [("n", "coeff"), *enumerate(coeffs)], " ".join(coeffs)
 
 
-def verify_checks(name: str, depth: int) -> list[tuple[str, bool]]:
-    """The cross-check bundle for one catalog entry at one depth."""
-    entry = catalog_lookup(name)
+def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
+    """The cross-check bundle for one catalog entry at one depth; the three
+    identity checks share one recursive matrix and one term list."""
     sigma, tau = entry.sigma, entry.tau
     terms = catalan_like(sigma, tau, max(2 * depth + 1, 16))
-    matrix = build_recursive(sigma, tau, depth)
+    matrix = build_recursive(sigma, tau, depth + 1)
     J = JacobiMatrix(sigma, tau)
     checks: list[tuple[str, bool]] = []
 
@@ -272,10 +272,9 @@ def verify_checks(name: str, depth: int) -> list[tuple[str, bool]]:
     oracle_depth = min(depth, 10, ORACLE_MAX_LENGTH)
     checks.append(("oracle", all(
         motzkin_oracle(sigma, tau, n) == terms[n] for n in range(oracle_depth + 1))))
-    checks.append(("shift_identity", verify_RJ_identity(matrix, J, depth) == TRUE))
-    checks.append(("step_factorization",
-                   verify_step_factorization(sigma, tau, depth) == TRUE))
-    checks.append(("hankel_factorization", verify_H_eq_RTRt(sigma, tau, depth) == TRUE))
+    checks.append(("shift_identity", verify_RJ_identity(matrix, depth) == TRUE))
+    checks.append(("step_factorization", verify_step_factorization(matrix, depth) == TRUE))
+    checks.append(("hankel_factorization", verify_H_eq_RTRt(matrix, terms, depth) == TRUE))
     stieltjes = stieltjes_check(terms, depth)
     # elimination on the terms against the weight products, whole report
     checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))
@@ -297,11 +296,10 @@ def verify_checks(name: str, depth: int) -> list[tuple[str, bool]]:
 def cmd_verify(args) -> Rendered:
     check_count("--depth", args.depth, 1)
     try:
-        catalog_lookup(args.name)
+        entry = catalog_lookup(args.name)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
-    checks = [(label, PASS if ok else FAIL)
-              for label, ok in verify_checks(args.name, args.depth)]
+    checks = [(label, PASS if ok else FAIL) for label, ok in verify_checks(entry, args.depth)]
     failed = [label for label, status in checks if status == FAIL]
     verdict = FAIL if failed else PASS
     data = {"name": args.name, "depth": args.depth,

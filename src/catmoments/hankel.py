@@ -39,8 +39,8 @@ T_j with T_{j+1} != 0 and a positive minor before it makes the next leading
 minor negative.  Only the explicit-terms route, where no such structure is
 known, needs the elimination.
 
-verify_H_eq_RTRt checks the factorization on the terms by band sums, not a
-dense product: O(depth^3), R being triangular and T diagonal.
+verify_H_eq_RTRt checks the factorization of a given R and term list by band
+sums, not a dense product: O(depth^3), R being triangular and T diagonal.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .exact import (
     negative_principal_minor,
 )
 from .jacobi import JacobiMatrix, window_minors
-from .recursive import build_recursive, catalan_like
+from .recursive import RecursiveMatrix
 from .seqspec import SequenceSpec
 
 DEFAULT_DEPTH = 8
@@ -165,17 +165,20 @@ def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
     return StieltjesReport.from_dets(depth, dets0, dets1)
 
 
-def verify_H_eq_RTRt(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> str:
-    """Check the factorization H = R T R^t on (depth+1)-sections, where T is
-    the diagonal of the running products T_0 = 1, T_k = t_1 ... t_k.
+def verify_H_eq_RTRt(R: RecursiveMatrix, terms: Sequence, depth: int) -> str:
+    """Check the factorization H = R T R^t of the Hankel matrix of the terms
+    m_0..m_{2 depth} on (depth+1)-sections, where T is the diagonal of the
+    running products T_0 = 1, T_k = t_1 ... t_k of R.tau.
 
     Exact on sections because row n of R ends at column n.  Entry (i, j)
     of R T R^t is the sum over k <= min(i, j) of r_{i,k} T_k r_{j,k}; both
     sides are symmetric, so the lower triangle is compared with m_{i+j}.
     """
-    terms = catalan_like(sigma, tau, 2 * depth)
-    R = build_recursive(sigma, tau, depth)
-    totals = list(accumulate(tau.values(depth), operator.mul, initial=Fraction(1)))
+    if not 0 <= depth <= R.depth:
+        raise ValueError(f"depth must be >= 0 and <= {R.depth}, got {depth}")
+    if len(terms) < 2 * depth + 1:
+        raise ValueError(f"need {2 * depth + 1} terms for depth {depth}, have {len(terms)}")
+    totals = list(accumulate(R.tau.values(depth), operator.mul, initial=Fraction(1)))
     for i in range(depth + 1):
         weighted = [r * total for r, total in zip(R.row(i), totals)]
         for j in range(i + 1):

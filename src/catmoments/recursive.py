@@ -21,9 +21,9 @@ only when it is materialised.  catalan_like keeps one row at a time and only
 the columns k <= depth - n, the cells from which a path can still return to
 column 0 by the last row.
 
-The shift identity and the step factorization multiply by banded factors,
-so their checks form each product entry as a three-term band sum, O(d^2) on
-a section of size d, instead of a dense product.
+The shift identity check forms each entry of R times the banded J, read
+off R.sigma and R.tau, as a three-term band sum, O(d^2) on a section of size
+d.  Past row 0 the step factorization is the shift identity one row deeper.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import FALSE, TRUE, _scaled_ints
-from .jacobi import JacobiMatrix
 from .seqspec import SequenceSpec
 
 ORACLE_MAX_LENGTH = 14
@@ -136,8 +135,9 @@ def motzkin_oracle(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> Fraction:
     return total
 
 
-def verify_RJ_identity(R: RecursiveMatrix, J: JacobiMatrix, depth: int) -> str:
-    """Check that deleting row 0 of R equals R times the coefficient matrix.
+def verify_RJ_identity(R: RecursiveMatrix, depth: int) -> str:
+    """Check that deleting row 0 of R equals R times the coefficient matrix
+    J of R.sigma and R.tau.
 
     Compares rows 1..depth of R with rows 0..depth-1 of R_section @
     J_section, entry (n, k) being r_{n,k-1} + s_k r_{n,k} + t_{k+1} r_{n,k+1};
@@ -145,8 +145,8 @@ def verify_RJ_identity(R: RecursiveMatrix, J: JacobiMatrix, depth: int) -> str:
     """
     if depth < 1 or depth > R.depth:
         raise ValueError(f"depth must lie in 1..{R.depth}")
-    s, t = J.weights(depth)
-    t = [*t[1:], 0]                     # t_{k+1}; the section ends at row depth
+    s = R.sigma.values(depth + 1)
+    t = [*R.tau.values(depth), 0]       # t_{k+1}; the section ends at row depth
     for n in range(depth):
         r = [*R.row(n), *[0] * (depth - n)]
         product = [up + sk * level + tk * down
@@ -156,24 +156,15 @@ def verify_RJ_identity(R: RecursiveMatrix, J: JacobiMatrix, depth: int) -> str:
     return TRUE
 
 
-def verify_step_factorization(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> str:
+def verify_step_factorization(R: RecursiveMatrix, n: int) -> str:
     """Check R_{n+1} = blockdiag(1, R_n) @ L_n, the one-step factorization
     that peels the recurrence off the leading section.  L_n has unit
-    diagonal, s_0..s_n and t_1..t_n below it, so with B the block matrix
-    entry (i, j) is B[i][j] + s_j B[i][j+1] + t_{j+1} B[i][j+2].
+    diagonal, s_0..s_n and t_1..t_n below it, so row 0 of the product is
+    e_0 and entry (i, j) below it is r_{i-1,j-1} + s_j r_{i-1,j} +
+    t_{j+1} r_{i-1,j+1}, entry (i-1, j) of R @ J.  R must hold rows 0..n+1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    matrix = build_recursive(sigma, tau, n + 1)
-    size = n + 2
-    s, t = JacobiMatrix(sigma, tau).weights(n)
-    s = [*s, 0]                         # column n+1 has nothing below it
-    t = [*t[1:], 0, 0]                  # t_{j+1}
-    for i in range(size):
-        head = [1] if i == 0 else [0, *matrix.row(i - 1)]
-        block = [*head, *[0] * (size + 2 - len(head))]
-        product = [x + sj * y + tj * z
-                   for x, y, z, sj, tj in zip(block, block[1:], block[2:], s, t)]
-        if product != [*matrix.row(i), *[0] * (size - i - 1)]:
-            return FALSE
-    return TRUE
+    if R.row(0) != (1,):
+        return FALSE
+    return verify_RJ_identity(R, n + 1)

@@ -269,7 +269,7 @@ _KINDS = {
 
 
 def _fields(kind) -> tuple[str, ...]:
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown generating function kind {kind!r}")
     return _KINDS[kind][0]
 
@@ -293,7 +293,7 @@ class GFSpec:
             )
         if self.kind != "named":
             params = nonneg_rats(zip(fields, [as_rat(v) for v in params]))
-        elif params[0] not in _NAMED:
+        elif not isinstance(params[0], str) or params[0] not in _NAMED:
             raise ValueError(
                 f"unknown generating function {params[0]!r}; "
                 f"choose from {', '.join(NAMED_GF_NAMES)}"

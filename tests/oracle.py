@@ -42,7 +42,6 @@ from fractions import Fraction
 from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, det_bareiss, format_rat
 from catmoments.hankel import build_hankel
 from catmoments.jacobi import JacobiMatrix
-from catmoments.recursive import build_recursive, catalan_like
 from catmoments.seqspec import SequenceSpec
 from catmoments.series import Series
 
@@ -112,32 +111,33 @@ def step_matrix(sigma, tau, n: int) -> DenseMatrix:
     return DenseMatrix(rows)
 
 
-def dense_RJ_identity(R, J, depth: int) -> str:
-    """Rows 1..depth of R against rows 0..depth-1 of R_section @ J_section."""
-    product = matmul(recursive_section(R, depth), J.section(depth))
+def dense_RJ_identity(R, depth: int) -> str:
+    """Rows 1..depth of R against rows 0..depth-1 of R_section @ J_section,
+    J the coefficient matrix of R.sigma and R.tau."""
+    product = matmul(recursive_section(R, depth), JacobiMatrix(R.sigma, R.tau).section(depth))
     shifted = (tuple(R.entry(n + 1, k) for k in range(depth + 1)) for n in range(depth))
     return TRUE if all(map(operator.eq, product.entries, shifted)) else FALSE
 
 
-def dense_step_factorization(sigma, tau, n: int) -> str:
-    """R_{n+1} against blockdiag(1, R_n) @ L_n."""
-    matrix = build_recursive(sigma, tau, n + 1)
-    block = DenseMatrix([[int(i == j == 0) if min(i, j) == 0 else matrix.entry(i - 1, j - 1)
+def dense_step_factorization(R, n: int) -> str:
+    """R_{n+1} against blockdiag(1, R_n) @ L_n, L_n from R.sigma and R.tau."""
+    block = DenseMatrix([[int(i == j == 0) if min(i, j) == 0 else R.entry(i - 1, j - 1)
                           for j in range(n + 2)] for i in range(n + 2)])
-    product = matmul(block, step_matrix(sigma, tau, n))
-    return TRUE if recursive_section(matrix, n + 1) == product else FALSE
+    product = matmul(block, step_matrix(R.sigma, R.tau, n))
+    return TRUE if recursive_section(R, n + 1) == product else FALSE
 
 
-def dense_H_eq_RTRt(sigma, tau, depth: int) -> str:
-    """The (depth+1)-section of H against R T R^t, T = diag(1, t_1, t_1 t_2, ...)."""
-    H = build_hankel(catalan_like(sigma, tau, 2 * depth), depth, 0)
-    R = recursive_section(build_recursive(sigma, tau, depth), depth)
+def dense_H_eq_RTRt(R, terms, depth: int) -> str:
+    """The (depth+1)-section of the Hankel matrix of the terms against
+    R T R^t, T = diag(1, t_1, t_1 t_2, ...) from R.tau."""
+    H = build_hankel(terms, depth, 0)
+    section = recursive_section(R, depth)
     totals = [Fraction(1)]
     for k in range(1, depth + 1):
-        totals.append(totals[-1] * tau.eval(k))
+        totals.append(totals[-1] * R.tau.eval(k))
     T = DenseMatrix(tuple(totals[i] if i == j else 0 for j in range(depth + 1))
                     for i in range(depth + 1))
-    return TRUE if H == matmul(matmul(R, T), transpose(R)) else FALSE
+    return TRUE if H == matmul(matmul(section, T), transpose(section)) else FALSE
 
 
 def fraction_triangle(sigma, tau, depth: int) -> list[list[Fraction]]:

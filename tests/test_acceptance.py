@@ -34,7 +34,7 @@ from catmoments.jacobi import (
     tp_check_sections,
     tp_criterion_pqst,
 )
-from catmoments.recursive import catalan_like, motzkin_oracle
+from catmoments.recursive import build_recursive, catalan_like, motzkin_oracle
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from catmoments.series import GFSpec, gf_expand, riordan_column_check
 from oracle import det_cofactor, is_nondecreasing_from_one, jacobi_window, pqst_matrix
@@ -79,9 +79,10 @@ def test_criterion_03_catalog_terms_agree_across_three_routes():
 
 def test_criterion_04_hankel_factorization_and_det_product():
     for entry in CATALOG.values():
-        for depth in range(9):
-            assert verify_H_eq_RTRt(entry.sigma, entry.tau, depth) == TRUE, entry.name
+        R = build_recursive(entry.sigma, entry.tau, 8)
         terms = catalan_like(entry.sigma, entry.tau, 17)
+        for depth in range(9):
+            assert verify_H_eq_RTRt(R, terms, depth) == TRUE, entry.name
         products = hankel_det_products(entry.tau.values(8))
         for n in range(9):
             det = det_bareiss(build_hankel(terms, n, 0))

@@ -2,6 +2,8 @@
 codes, file arguments, range checks on the count options, the parser kept
 for the process, and the one-shot `python -m catmoments.cli` entry point."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -9,10 +11,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catmoments.cli
+import catmoments.hankel
+import catmoments.recursive
 from catmoments.cli import build_parser, main
-from catmoments.seqspec import CATALOG, SequenceSpec
+from catmoments.seqspec import CATALOG, SequenceSpec, catalog_lookup
 from oracle import fraction_terms
 
 SIGMA_DROP = json.dumps(
@@ -303,6 +309,24 @@ def test_verify_entry_without_gf(capsys):
     assert "riordan_columns" not in labels
 
 
+def test_verify_builds_the_matrix_and_the_terms_once(monkeypatch):
+    # bell has no (p, q, s, t) form, so no Riordan check builds its own matrix
+    calls = []
+    for name in ("build_recursive", "catalan_like"):
+        original = getattr(catmoments.recursive, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in (catmoments.cli, catmoments.hankel, catmoments.recursive):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    checks = catmoments.cli.verify_checks(catalog_lookup("bell"), 6)
+    assert [label for label, ok in checks if not ok] == []
+    assert sorted(calls) == ["build_recursive", "catalan_like"]
+
+
 def test_verify_accepts_alias(capsys):
     code, out, _ = run(capsys, "verify", "--name", "restricted_hexagonal",
                        "--depth", "4")
@@ -442,3 +466,69 @@ def test_one_shot_entry_point():
 def test_import_builds_no_parser():
     result = python("-c", "import catmoments.cli as c; print(c._parser.cache_info().currsize)")
     assert (result.returncode, result.stdout) == (0, "0\n")
+
+
+# ------------------------------------------------- the JSON input boundary
+
+VALID_GF_SPECS = (
+    {"kind": "closed_form", "p": "1", "q": "2", "s": "3", "t": "2"},
+    {"kind": "tied_q", "p": "1", "s": "3", "t": "1/2"},
+    {"kind": "tied_qp", "s": "2", "t": "1"},
+    {"kind": "inverse_sqrt", "s": "3", "t": "2"},
+    {"kind": "named", "name": "catalan"},
+)
+VALID_SIGMA = {"prefix": ["1/2", "2"], "tail": {"kind": "polynomial", "coeffs": ["1", "1/3"]},
+               "start": 0}
+VALID_TAU = {"prefix": ["1"], "tail": {"kind": "constant", "value": "2"}, "start": 1}
+
+# JSON values of every type, with strings that are valid somewhere among them
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.sampled_from(["named", "tied_q", "constant", "polynomial", "catalan", "-1", "1/0"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _replaced(spec: dict, path: tuple, value) -> dict:
+    """A deep copy of spec with the field at path set to value."""
+    spec = json.loads(json.dumps(spec))
+    *parents, last = path
+    inner = spec
+    for key in parents:
+        inner = inner[key]
+    inner[last] = value
+    return spec
+
+
+def _field_paths(spec: dict) -> list[tuple]:
+    """Every field of spec, and every field of an object nested in it."""
+    paths = []
+    for key, value in spec.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths.extend((key, sub) for sub in value)
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), value=json_values)
+def test_any_json_field_exits_0_or_2(data, value):
+    target = data.draw(st.sampled_from(("gf", "sigma", "tau")))
+    if target == "gf":
+        spec = data.draw(st.sampled_from(VALID_GF_SPECS))
+        spec = _replaced(spec, data.draw(st.sampled_from(_field_paths(spec))), value)
+        argv = ["series", "--gf", json.dumps(spec), "-n", "4"]
+    else:
+        weights = {"sigma": VALID_SIGMA, "tau": VALID_TAU}
+        spec = weights[target]
+        weights[target] = _replaced(spec, data.draw(st.sampled_from(_field_paths(spec))), value)
+        argv = ["gen", "--sigma", json.dumps(weights["sigma"]),
+                "--tau", json.dumps(weights["tau"]), "-n", "4"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert stdout.getvalue() == "" and stderr.getvalue().startswith("error: ")

@@ -176,6 +176,10 @@ def cases() -> dict[str, list[str]]:
     out["series-named-no-name"] = ["series", "--gf", json.dumps({"kind": "named"})]
     out["series-named-unknown-name"] = ["series", "--gf", json.dumps(
         {"kind": "named", "name": "motzkin"})]
+    # a kind or a name that is not a string is unknown, not a traceback
+    out["series-kind-not-a-string"] = ["series", "--gf", json.dumps({"kind": ["x"]})]
+    out["series-named-name-not-a-string"] = ["series", "--gf", json.dumps(
+        {"kind": "named", "name": ["x"]})]
     # every field is parsed before the first negative one is refused
     out["series-negative-before-not-rational"] = ["series", "--gf", json.dumps(
         {"kind": "tied_q", "p": "-1", "s": "x", "t": "1"})]

@@ -17,7 +17,7 @@ from catmoments.hankel import (
     verify_H_eq_RTRt,
 )
 from catmoments.jacobi import JacobiMatrix, leading_minors
-from catmoments.recursive import catalan_like
+from catmoments.recursive import build_recursive, catalan_like
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from oracle import to_lists
 
@@ -128,7 +128,9 @@ def test_report_serialization():
 
 def test_factorization_holds_across_catalog():
     for entry in CATALOG.values():
-        assert verify_H_eq_RTRt(entry.sigma, entry.tau, 5) == TRUE, entry.name
+        R = build_recursive(entry.sigma, entry.tau, 5)
+        terms = catalan_like(entry.sigma, entry.tau, 10)
+        assert verify_H_eq_RTRt(R, terms, 5) == TRUE, entry.name
 
 
 def test_factorization_holds_for_random_rational_weights():
@@ -140,7 +142,8 @@ def test_factorization_holds_for_random_rational_weights():
         tau = SequenceSpec(
             tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(3)),
             ConstantTail(Fraction(1)), start=1)
-        assert verify_H_eq_RTRt(sigma, tau, 4) == TRUE
+        terms = catalan_like(sigma, tau, 8)
+        assert verify_H_eq_RTRt(build_recursive(sigma, tau, 4), terms, 4) == TRUE
 
 
 def test_det_product_known_values():

@@ -1,12 +1,13 @@
 """The three structural identity checks: band sums against dense products.
 
-verify_RJ_identity, verify_step_factorization and verify_H_eq_RTRt form each
-entry of a product with a banded or diagonal factor as a short band sum.
+verify_RJ_identity, verify_step_factorization and verify_H_eq_RTRt certify
+the recursive matrix and the terms they are given, forming each entry of a
+product with a banded or diagonal factor as a short band sum.
 tests/oracle.py keeps the same three checks as dense Fraction products.
-Changing any one entry of the recursive matrix or of the generated terms
-must make each check FALSE, and on random weight pairs (catalog, rational,
-zero weights), with or without such a change, each check must give the
-dense oracle's verdict.
+Changing any one entry of the recursive matrix or of the terms must make
+each check FALSE, and on random weight pairs (catalog, rational, zero
+weights), with or without such a change, each check must give the dense
+oracle's verdict.
 """
 
 from fractions import Fraction
@@ -15,12 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import catmoments.hankel
-import catmoments.recursive
-import oracle
 from catmoments.exact import FALSE, TRUE
 from catmoments.hankel import verify_H_eq_RTRt
-from catmoments.jacobi import JacobiMatrix
 from catmoments.recursive import (
     RecursiveMatrix,
     build_recursive,
@@ -48,72 +45,80 @@ def _changed(R: RecursiveMatrix, n: int, k: int, delta) -> RecursiveMatrix:
     return RecursiveMatrix(rows, R.sigma, R.tau)
 
 
-def _changing_build(n: int, k: int, delta):
-    def build(sigma, tau, depth):
-        return _changed(build_recursive(sigma, tau, depth), n, k, delta)
-    return build
-
-
-def _changing_terms(q: int, delta):
-    def terms(sigma, tau, depth):
-        values = catalan_like(sigma, tau, depth)
-        values[q] += delta
-        return values
+def _changed_terms(terms: list, q: int, delta) -> list:
+    """A copy of terms with term q moved by delta."""
+    terms = list(terms)
+    terms[q] += delta
     return terms
 
 
-def _patch(monkeypatch, name, replacement):
-    """Rebind name in the library module that calls it and in the oracle."""
-    for module in (catmoments.recursive, catmoments.hankel, oracle):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, replacement)
-
+CATALAN_R = build_recursive(*_catalan(), DEPTH + 1)
+CATALAN_TERMS = catalan_like(*_catalan(), 2 * DEPTH)
 
 TRIANGLE = [(n, k) for n in range(DEPTH + 1) for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("n, k", TRIANGLE)
 def test_shift_identity_rejects_a_changed_entry(n, k):
-    sigma, tau = _catalan()
-    R = _changed(build_recursive(sigma, tau, DEPTH), n, k, 1)
-    assert verify_RJ_identity(R, JacobiMatrix(sigma, tau), DEPTH) == FALSE
+    R = _changed(build_recursive(*_catalan(), DEPTH), n, k, 1)
+    assert verify_RJ_identity(R, DEPTH) == FALSE
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(DEPTH + 2) for k in range(n + 1)])
-def test_step_factorization_rejects_a_changed_entry(monkeypatch, n, k):
-    sigma, tau = _catalan()
-    monkeypatch.setattr(catmoments.recursive, "build_recursive", _changing_build(n, k, 1))
-    assert verify_step_factorization(sigma, tau, DEPTH) == FALSE
+def test_step_factorization_rejects_a_changed_entry(n, k):
+    assert verify_step_factorization(_changed(CATALAN_R, n, k, 1), DEPTH) == FALSE
 
 
 @pytest.mark.parametrize("n, k", TRIANGLE)
-def test_hankel_factorization_rejects_a_changed_entry(monkeypatch, n, k):
-    sigma, tau = _catalan()
-    monkeypatch.setattr(catmoments.hankel, "build_recursive", _changing_build(n, k, 1))
-    assert verify_H_eq_RTRt(sigma, tau, DEPTH) == FALSE
+def test_hankel_factorization_rejects_a_changed_entry(n, k):
+    R = _changed(build_recursive(*_catalan(), DEPTH), n, k, 1)
+    assert verify_H_eq_RTRt(R, CATALAN_TERMS, DEPTH) == FALSE
 
 
 @pytest.mark.parametrize("q", range(2 * DEPTH + 1))
-def test_hankel_factorization_rejects_a_changed_term(monkeypatch, q):
-    sigma, tau = _catalan()
-    monkeypatch.setattr(catmoments.hankel, "catalan_like", _changing_terms(q, 1))
-    assert verify_H_eq_RTRt(sigma, tau, DEPTH) == FALSE
+def test_hankel_factorization_rejects_a_changed_term(q):
+    terms = _changed_terms(CATALAN_TERMS, q, 1)
+    assert verify_H_eq_RTRt(CATALAN_R, terms, DEPTH) == FALSE
 
 
 @pytest.mark.parametrize("check, args, message", [
-    (verify_step_factorization, (-1,), "n must be >= 0"),
-    (verify_H_eq_RTRt, (-1,), "depth must be >= 0"),
+    (verify_step_factorization, (CATALAN_R, -1), "n must be >= 0"),
+    (verify_H_eq_RTRt, (CATALAN_R, CATALAN_TERMS, -1), "depth must be >= 0"),
 ])
 def test_checks_refuse_a_negative_size(check, args, message):
     with pytest.raises(ValueError, match=message):
-        check(*_catalan(), *args)
+        check(*args)
+
+
+@pytest.mark.parametrize("R, terms, message", [
+    (build_recursive(*_catalan(), DEPTH - 1), CATALAN_TERMS,
+     rf"depth must be >= 0 and <= {DEPTH - 1}, got {DEPTH}"),
+    (CATALAN_R, CATALAN_TERMS[:-1], rf"need {2 * DEPTH + 1} terms for depth {DEPTH}, have {2 * DEPTH}"),
+], ids=["depth-beyond-R", "too-few-terms"])
+def test_hankel_factorization_refuses_a_short_R_or_term_list(R, terms, message):
+    with pytest.raises(ValueError, match=message):
+        verify_H_eq_RTRt(R, terms, DEPTH)
+
+
+def test_step_factorization_needs_one_row_more_than_n():
+    R = build_recursive(*_catalan(), DEPTH)
+    assert verify_step_factorization(R, DEPTH - 1) == TRUE
+    with pytest.raises(ValueError, match=rf"depth must lie in 1\.\.{DEPTH}"):
+        verify_step_factorization(R, DEPTH)
+
+
+def test_step_factorization_pins_row_0():
+    # R J = R-bar is linear in R, so only row 0 tells 2 R from R
+    doubled = RecursiveMatrix([[2 * v for v in row] for row in CATALAN_R.rows_], *_catalan())
+    assert verify_RJ_identity(doubled, DEPTH + 1) == TRUE
+    assert verify_step_factorization(doubled, DEPTH) == FALSE
+    assert dense_step_factorization(doubled, DEPTH) == FALSE
 
 
 @pytest.mark.parametrize("depth", [0, DEPTH + 1])
 def test_shift_identity_refuses_a_depth_outside_the_matrix(depth):
-    sigma, tau = _catalan()
     with pytest.raises(ValueError, match=rf"depth must lie in 1\.\.{DEPTH}"):
-        verify_RJ_identity(build_recursive(sigma, tau, DEPTH), JacobiMatrix(sigma, tau), depth)
+        verify_RJ_identity(build_recursive(*_catalan(), DEPTH), depth)
 
 
 # ------------------------------------------------- against the dense oracle
@@ -154,9 +159,10 @@ deltas = st.sampled_from((Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)
 def test_shift_identity_agrees_with_the_dense_product(pair, other, depth, delta, data):
     n = data.draw(st.integers(0, depth))
     R = _changed(build_recursive(*pair, depth), n, data.draw(st.integers(0, n)), delta)
-    J = JacobiMatrix(*(other or pair))
-    verdict = verify_RJ_identity(R, J, depth)
-    assert verdict == dense_RJ_identity(R, J, depth)
+    if other is not None:
+        R = RecursiveMatrix(R.rows_, *other)
+    verdict = verify_RJ_identity(R, depth)
+    assert verdict == dense_RJ_identity(R, depth)
     if other is None and delta == 0:
         assert verdict == TRUE
 
@@ -165,11 +171,9 @@ def test_shift_identity_agrees_with_the_dense_product(pair, other, depth, delta,
 @given(pair=pairs, n=st.integers(0, 5), delta=deltas, data=st.data())
 def test_step_factorization_agrees_with_the_dense_product(pair, n, delta, data):
     row = data.draw(st.integers(0, n + 1))
-    build = _changing_build(row, data.draw(st.integers(0, row)), delta)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _patch(monkeypatch, "build_recursive", build)
-        verdict = verify_step_factorization(*pair, n)
-        assert verdict == dense_step_factorization(*pair, n)
+    R = _changed(build_recursive(*pair, n + 1), row, data.draw(st.integers(0, row)), delta)
+    verdict = verify_step_factorization(R, n)
+    assert verdict == dense_step_factorization(R, n)
     assert verdict == (TRUE if delta == 0 else FALSE)
 
 
@@ -178,16 +182,13 @@ def test_step_factorization_agrees_with_the_dense_product(pair, n, delta, data):
        delta=deltas, data=st.data())
 def test_hankel_factorization_agrees_with_the_dense_product(pair, depth, change_terms,
                                                            delta, data):
+    R, terms = build_recursive(*pair, depth), catalan_like(*pair, 2 * depth)
     if change_terms:
-        name, replacement = "catalan_like", _changing_terms(
-            data.draw(st.integers(0, 2 * depth)), delta)
+        terms = _changed_terms(terms, data.draw(st.integers(0, 2 * depth)), delta)
     else:
         row = data.draw(st.integers(0, depth))
-        name, replacement = "build_recursive", _changing_build(
-            row, data.draw(st.integers(0, row)), delta)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _patch(monkeypatch, name, replacement)
-        verdict = verify_H_eq_RTRt(*pair, depth)
-        assert verdict == dense_H_eq_RTRt(*pair, depth)
+        R = _changed(R, row, data.draw(st.integers(0, row)), delta)
+    verdict = verify_H_eq_RTRt(R, terms, depth)
+    assert verdict == dense_H_eq_RTRt(R, terms, depth)
     if delta == 0:
         assert verdict == TRUE

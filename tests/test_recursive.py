@@ -8,8 +8,8 @@ import pytest
 
 from catmoments.cli import main
 from catmoments.exact import FALSE, TRUE, det_bareiss
-from catmoments.jacobi import JacobiMatrix
 from catmoments.recursive import (
+    RecursiveMatrix,
     build_recursive,
     catalan_like,
     motzkin_oracle,
@@ -130,17 +130,13 @@ def test_oracle_handles_rational_weights():
 
 def test_shift_identity_holds_for_catalog():
     for name in ("catalan", "factorial"):
-        sigma, tau = _specs(name)
-        matrix = build_recursive(sigma, tau, 6)
-        J = JacobiMatrix(sigma, tau)
-        assert verify_RJ_identity(matrix, J, 6) == TRUE
+        assert verify_RJ_identity(build_recursive(*_specs(name), 6), 6) == TRUE
 
 
 def test_shift_identity_rejects_mismatched_generators():
-    sigma, tau = _specs("catalan")
-    matrix = build_recursive(sigma, tau, 6)
+    matrix = build_recursive(*_specs("catalan"), 6)
     other = catalog_lookup("bell")
-    assert verify_RJ_identity(matrix, JacobiMatrix(other.sigma, other.tau), 6) == FALSE
+    assert verify_RJ_identity(RecursiveMatrix(matrix.rows_, other.sigma, other.tau), 6) == FALSE
 
 
 def test_step_matrix_layout():
@@ -153,16 +149,15 @@ def test_step_matrix_layout():
 
 
 def test_step_factorization_trivial_and_catalog():
-    sigma, tau = _specs("catalan")
-    assert verify_step_factorization(sigma, tau, 0) == TRUE
-    assert verify_step_factorization(sigma, tau, 5) == TRUE
-    bell_sigma, bell_tau = _specs("bell")
-    assert verify_step_factorization(bell_sigma, bell_tau, 5) == TRUE
+    catalan = build_recursive(*_specs("catalan"), 6)
+    assert verify_step_factorization(catalan, 0) == TRUE
+    assert verify_step_factorization(catalan, 5) == TRUE
+    assert verify_step_factorization(build_recursive(*_specs("bell"), 6), 5) == TRUE
 
 
 def test_step_factorization_all_catalog_depth_8():
     for entry in CATALOG.values():
-        assert verify_step_factorization(entry.sigma, entry.tau, 8) == TRUE
+        assert verify_step_factorization(build_recursive(entry.sigma, entry.tau, 9), 8) == TRUE
 
 
 def test_matrix_json_dump(capsys):

@@ -210,7 +210,7 @@ def test_verify_compares_the_whole_report(monkeypatch):
         return type(report)(depth, report.dets0, dets1, report.verdict, report.witness)
 
     monkeypatch.setattr(catmoments.cli, "stieltjes_weights", shifted_family_off_by_one)
-    checks = dict(catmoments.cli.verify_checks(entry.name, 4))
+    checks = dict(catmoments.cli.verify_checks(entry, 4))
     assert checks["det_product"] is False
     assert [label for label, ok in checks.items() if not ok] == ["det_product"]
 
