@@ -23,12 +23,15 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
 
 import pytest
 
 from catmoments.cli import main
-from catmoments.seqspec import CATALOG_NAMES
+from catmoments.exact import format_rat
+from catmoments.recursive import catalan_like
+from catmoments.seqspec import CATALOG_NAMES, SequenceSpec
 from catmoments.series import NAMED_GF_NAMES
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_cli.json")
@@ -79,6 +82,26 @@ STIELTJES_WEIGHT_CASES = {
     "det1-fail": (_constant_tail_spec(["1", "1"], "3", 0), _constant_tail_spec(["2"], "1", 1)),
     "zero-weight": (_constant_tail_spec(["2", "3"], "3", 0),
                     _constant_tail_spec(["1", "0"], "1", 1)),
+}
+
+
+def _weight_terms(sigma: str, tau: str, count: int) -> str:
+    spec = (SequenceSpec.from_json(json.loads(text)) for text in (sigma, tau))
+    return ",".join(format_rat(v) for v in catalan_like(*spec, count - 1))
+
+
+# explicit term lists for stieltjes --terms, with their depths: catalan's
+# terms times 3 (m_0 = 3), factorial's, the terms of a positive rational
+# pair (PASS) and of the rational polynomial-tail pair (FAIL on det1), and
+# all ones, whose weights t_1 = 0 stops the weight recovery: both families
+# are 0 from k = 1 on and the sections are semidefinite
+STIELTJES_TERM_CASES = {
+    "catalan-times-3": (",".join(str(3 * math.comb(2 * n, n) // (n + 1)) for n in range(22)),
+                        "10"),
+    "factorial": (",".join(str(math.factorial(n)) for n in range(26)), "12"),
+    "rational-pass": (_weight_terms(*STIELTJES_WEIGHT_CASES["pass"], 18), "8"),
+    "rational-fail": (_weight_terms(RATIONAL_SIGMA, RATIONAL_TAU, 14), "6"),
+    "zero-t": ("1,1,1,1,1,1", "2"),
 }
 
 GF_SPECS = {
@@ -132,6 +155,9 @@ def cases() -> dict[str, list[str]]:
             out[f"series-{kind}-{f}"] = ["series", "--gf", json.dumps(spec), "-n", "12",
                                          "--format", f]
         out[f"catalog-{f}"] = ["catalog", "--format", f]
+        for label, (terms, depth) in STIELTJES_TERM_CASES.items():
+            out[f"stieltjes-terms-{label}-{f}"] = ["stieltjes", "--terms", terms,
+                                                  "--depth", depth, "--format", f]
         out[f"stieltjes-terms-fail-{f}"] = ["stieltjes", "--terms", "1,2,1,2", "--depth", "1",
                                             "--format", f]
         # no negative leading minor, but a zero one and a negative principal minor
