@@ -8,12 +8,14 @@ checked FAIL (or a certification that came back FALSE or INCONCLUSIVE), 2
 for usage and parse errors, including a count option (-n, --depth) below
 its range.  No environment variable is read.
 
-stieltjes takes one of two routes to the same report (see hankel): explicit
---terms go through elimination on the Hankel sections, which a zero leading
-minor sends on to an exact semidefiniteness test, and a weight pair, named
-or given by --sigma/--tau, goes through the weight products alone.
-hankel-det keeps the elimination for weight pairs too, since printing it
-against the products is what that command is for.
+stieltjes reads both Hankel families off weight products (see hankel): a
+weight pair, named or given by --sigma/--tau, gives them directly, and
+explicit --terms are inverted to their weights, which must replay to every
+term.  Terms that do not invert or replay go through elimination on the
+Hankel sections instead, which a zero leading minor sends on to an exact
+semidefiniteness test.  Elimination stays the independent cross check of
+the products: hankel-det prints it against them, and verify compares its
+whole report with the weight route's.
 
 Each cmd_* function computes its whole result and returns it as
 (exit code, JSON object, CSV rows with the header first, text), all built
@@ -39,6 +41,7 @@ from .hankel import (
     DEFAULT_DEPTH,
     FAIL,
     PASS,
+    StieltjesReport,
     hankel_det_products,
     hankel_dets,
     stieltjes_check,
@@ -272,10 +275,13 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
     oracle_depth = min(depth, 10, ORACLE_MAX_LENGTH)
     checks.append(("oracle", all(
         motzkin_oracle(sigma, tau, n) == terms[n] for n in range(oracle_depth + 1))))
-    checks.append(("shift_identity", verify_RJ_identity(matrix, depth) == TRUE))
-    checks.append(("step_factorization", verify_step_factorization(matrix, depth) == TRUE))
+    # the step factorization is the shift identity one row deeper, so only
+    # its failure leaves the shift identity at depth to check on its own
+    step = verify_step_factorization(matrix, depth) == TRUE
+    checks.append(("shift_identity", step or verify_RJ_identity(matrix, depth) == TRUE))
+    checks.append(("step_factorization", step))
     checks.append(("hankel_factorization", verify_H_eq_RTRt(matrix, terms, depth) == TRUE))
-    stieltjes = stieltjes_check(terms, depth)
+    stieltjes = StieltjesReport.by_elimination(terms, depth)
     # elimination on the terms against the weight products, whole report
     checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))

@@ -5,10 +5,11 @@ Everything in this package runs on arbitrary-precision rationals
 the shared scalar helpers, the dense matrix value type and the fraction-free
 (Bareiss) elimination, in two forms: leading_principal_minors runs it once
 without row swaps and reads the determinant of every leading section off its
-pivots (Sylvester's identity), which is how each Hankel determinant family
-of explicit terms is computed; det_bareiss, which swaps rows past a zero
-pivot, evaluates one determinant and serves the leading sections past a
-singular one.  Where a zero leading minor leaves positive semidefiniteness
+pivots (Sylvester's identity), which is how a Hankel determinant family is
+computed by elimination (the fallback for explicit terms that do not invert
+to weights, and the cross check of the weight products); det_bareiss,
+which swaps rows past a zero pivot, evaluates one determinant and serves
+the leading sections past a singular one.  Where a zero leading minor leaves positive semidefiniteness
 open, negative_principal_minor decides it by a symmetric elimination with
 diagonal pivoting.  The total-positivity routes need none of these: the
 minors of the tridiagonal coefficient matrix follow a three-term recurrence

@@ -7,16 +7,6 @@ Two routes evaluate both determinant families up to a stated depth and turn
 them into a verdict, a bounded certificate that says so; both build the
 report with one helper, so the same families give the same report.
 
-  * stieltjes_check, for explicit terms (a plain sequence m_0, m_1, ...):
-    hankel_dets, the only place a family is evaluated by elimination,
-    reads every leading minor of a section off one fraction-free
-    elimination of the largest section (exact.leading_principal_minors),
-    O(depth^3) per family.  A negative leading minor refutes.  Nonnegative
-    leading minors prove semidefiniteness only when all are positive, so a
-    family with a zero one has its largest section decided by
-    exact.negative_principal_minor, whose witness names a negative
-    principal minor by its rows.
-
   * stieltjes_weights, for a sequence generated by a weight pair, builds no
     Hankel matrix and generates no terms.  The Hankel matrix factors as
     H = R T R^t with R the unit lower triangular recursive matrix and T the
@@ -27,17 +17,37 @@ report with one helper, so the same families give the same report.
     (jacobi.window_minors from row 0): O(depth) multiplications over
     weights read once (JacobiMatrix.weights).
 
-Why nonnegative leading minors suffice on the weight route: H_n and H^(1)_n
-are congruent, through the invertible R_n, to the diagonal T_n and to the
-symmetric tridiagonal (J T)_n, whose off-diagonal entries are T_1, T_2, ...
-For those two matrices nonnegative leading minors do decide semidefiniteness.
-A zero T_k zeroes every later T, so each matrix is an irreducible leading
-block followed by zeros, and on that block a negative T_k makes the first
-negative leading minor.  In an irreducible symmetric tridiagonal matrix two
-consecutive leading minors are never both zero, so a zero minor D_j T_0 ...
-T_j with T_{j+1} != 0 and a positive minor before it makes the next leading
-minor negative.  Only the explicit-terms route, where no such structure is
-known, needs the elimination.
+  * stieltjes_check, for explicit terms (a plain sequence m_0, m_1, ...),
+    inverts them first: the Chebyshev algorithm (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, 2004, section 2.1) recovers
+    the weights s_0..s_depth, t_1..t_depth of m / m_0 from m_0..m_{2 depth+1}
+    column by column of the recursive matrix, O(depth^2) integer products.
+    The recovered weights are certified by replay: m_0 times their
+    Catalan-like numbers (recursive.catalan_like) must give back every term,
+    and only then are both families read off them as above, each scaled by
+    m_0^(k+1).  Terms with m_0 <= 0, with a zero t_k (a zero leading minor
+    of H) or that do not replay go to elimination instead.
+
+Elimination is the fallback of stieltjes_check and the independent cross
+check of the weight products (cli verify, cli hankel-det).  hankel_dets, the
+only place a family is evaluated by elimination, reads every leading minor
+of a section off one fraction-free elimination of the largest section
+(exact.leading_principal_minors), O(depth^3) per family.  A negative leading
+minor refutes.  Nonnegative leading minors prove semidefiniteness only when
+all are positive, so a family with a zero one has its largest section
+decided by exact.negative_principal_minor, whose witness names a negative
+principal minor by its rows.
+
+Why nonnegative leading minors suffice on the weight products: H_n and
+H^(1)_n are congruent, through the invertible R_n, to the diagonal T_n and
+to the symmetric tridiagonal (J T)_n, whose off-diagonal entries are T_1,
+T_2, ...  For those two matrices nonnegative leading minors do decide
+semidefiniteness.  A zero T_k zeroes every later T, so each matrix is an
+irreducible leading block followed by zeros, and on that block a negative
+T_k makes the first negative leading minor.  In an irreducible symmetric
+tridiagonal matrix two consecutive leading minors are never both zero, so a
+zero minor D_j T_0 ... T_j with T_{j+1} != 0 and a positive minor before it
+makes the next leading minor negative.  Scaling by m_0 > 0 changes no sign.
 
 verify_H_eq_RTRt checks the factorization of a given R and term list by band
 sums, not a dense product: O(depth^3), R being triangular and T diagonal.
@@ -45,6 +55,7 @@ sums, not a dense product: O(depth^3), R being triangular and T diagonal.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,13 +66,15 @@ from .exact import (
     FALSE,
     TRUE,
     DenseMatrix,
+    _scaled_ints,
+    as_rat,
     format_rat,
     leading_principal_minors,
     negative_principal_minor,
 )
 from .jacobi import JacobiMatrix, window_minors
-from .recursive import RecursiveMatrix
-from .seqspec import SequenceSpec
+from .recursive import RecursiveMatrix, catalan_like
+from .seqspec import ConstantTail, SequenceSpec
 
 DEFAULT_DEPTH = 8
 
@@ -128,6 +141,13 @@ class StieltjesReport:
                     break
         return cls(depth, dets0, dets1, PASS if witness is None else FAIL, witness)
 
+    @classmethod
+    def by_elimination(cls, terms: Sequence, depth: int) -> "StieltjesReport":
+        """The report on both families of the explicit terms evaluated by
+        elimination, each section with a zero leading minor decided too."""
+        return cls.from_dets(depth, hankel_dets(terms, depth, 0),
+                             hankel_dets(terms, depth, 1), terms)
+
     def to_json(self) -> dict:
         data = {
             "depth": self.depth,
@@ -142,15 +162,20 @@ class StieltjesReport:
 
 def stieltjes_check(terms: Sequence, depth: int = DEFAULT_DEPTH) -> StieltjesReport:
     """Evaluate both Hankel determinant families of the explicit terms
-    m_0, m_1, ... for k = 0..depth by elimination, and decide both
-    sections."""
+    m_0, m_1, ... for k = 0..depth and decide both sections: from the
+    weights the terms invert to when those replay to every term, by
+    elimination otherwise (see the module docstring)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     needed = 2 * depth + 2
     if len(terms) < needed:
         raise ValueError(f"need {needed} terms for depth {depth}, have {len(terms)}")
-    return StieltjesReport.from_dets(depth, hankel_dets(terms, depth, 0),
-                                     hankel_dets(terms, depth, 1), terms)
+    terms = [as_rat(v) for v in terms[:needed]]
+    m0 = terms[0]
+    weights = _chebyshev_weights(terms, depth) if m0 > 0 else None
+    if weights is None or not _replays(terms, *weights):
+        return StieltjesReport.by_elimination(terms, depth)
+    return _weight_report(depth, *weights, m0)
 
 
 def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
@@ -159,10 +184,56 @@ def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
     read off the weights: both families as products, no Hankel matrix.
     Here nonnegative leading minors decide both sections (see the module
     docstring), so no elimination is needed past a zero one."""
-    s, t = JacobiMatrix(sigma, tau).weights(depth)
-    dets0 = hankel_det_products(t[1:])
+    return _weight_report(depth, *JacobiMatrix(sigma, tau).weights(depth))
+
+
+def _weight_report(depth: int, s: list, t: list, m0=Fraction(1)) -> StieltjesReport:
+    """The report on m0 times the Catalan-like numbers of s_0..s_depth and
+    t_0 = 0, t_1..t_depth, both families read off the weights."""
+    dets0 = hankel_det_products(t[1:], m0)
     dets1 = map(operator.mul, window_minors(s, t, 0), dets0)
     return StieltjesReport.from_dets(depth, dets0, dets1)
+
+
+def _chebyshev_weights(terms: list[Fraction], depth: int) -> Optional[tuple[list, list]]:
+    """(s_0..s_depth, t_0 = 0 and t_1..t_depth) of the weight pair whose
+    Catalan-like numbers are m_n / m_0, from m_0..m_{2 depth+1} with
+    m_0 > 0, or None when some t_k is zero.
+
+    Walks the recursive matrix R of m / m_0 column by column: column k holds
+    r_{n,k} for n = k..2 depth+1-k as ints over one denominator, which is
+    the column's first int since r_{k,k} = 1.  The recurrence of R gives
+    s_k = r_{k+1,k} - r_{k,k-1} and, with x_n = r_{n+1,k} - r_{n,k-1} -
+    s_k r_{n,k}, t_{k+1} = x_{k+1} and r_{n,k+1} = x_n / t_{k+1}: the x_n
+    over their common denominator are column k+1, up to one gcd.
+    """
+    col, _ = _scaled_ints(terms)        # column 0: r_{n,0} = m_n / m_0
+    prev = [1] + [0] * (len(col) - 1)   # column -1: zeros over the denominator 1
+    s, t = [], [Fraction(0)]
+    for k in range(depth + 1):
+        den, prev_den = col[0], prev[0]
+        s.append(Fraction(col[1] * prev_den - prev[1] * den, den * prev_den))
+        if k == depth:
+            return s, t
+        a, b = s[k].numerator, s[k].denominator
+        common = math.lcm(den * b, prev_den)
+        u, v = common // (den * b), common // prev_den
+        x = [(col[i + 1] * b - col[i] * a) * u - prev[i + 1] * v
+             for i in range(1, len(col) - 1)]
+        if x[0] == 0:
+            return None
+        t.append(Fraction(x[0], common))
+        g = math.gcd(*x) if x[0] > 0 else -math.gcd(*x)
+        prev, col = col, [c // g for c in x]
+
+
+def _replays(terms: list[Fraction], s: list, t: list) -> bool:
+    """Whether m_0 times the Catalan-like numbers of the weights gives back
+    every term: the certificate that the inversion found the weights."""
+    sigma = SequenceSpec(tuple(s), ConstantTail(0), 0)
+    tau = SequenceSpec(tuple(t[1:]), ConstantTail(0), 1)
+    m0 = terms[0]
+    return [m0 * v for v in catalan_like(sigma, tau, len(terms) - 1)] == terms
 
 
 def verify_H_eq_RTRt(R: RecursiveMatrix, terms: Sequence, depth: int) -> str:
@@ -187,9 +258,11 @@ def verify_H_eq_RTRt(R: RecursiveMatrix, terms: Sequence, depth: int) -> str:
     return TRUE
 
 
-def hankel_det_products(t: Sequence[Fraction]) -> list[Fraction]:
+def hankel_det_products(t: Sequence[Fraction], m0: Fraction = Fraction(1)) -> list[Fraction]:
     """det[m_{i+j}] on the (n+1)-sections, n = 0..d, from the subdiagonal
     weights t_1..t_d alone: by H = R T R^t with R unit triangular, the
-    running product T_0 * ... * T_n of T_0 = 1, T_k = t_1 * ... * t_k."""
-    totals = accumulate(t, operator.mul, initial=Fraction(1))
+    running product T_0 * ... * T_n of T_0 = 1, T_k = t_1 * ... * t_k.  For
+    m0 times the terms of the weights each T_k is scaled by m0, which
+    scales the n-th product by m0^(n+1)."""
+    totals = accumulate(t, operator.mul, initial=m0)
     return list(accumulate(totals, operator.mul))

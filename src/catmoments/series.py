@@ -7,9 +7,10 @@ be trustworthy anyway).  Square roots require constant term 1 and division
 requires a nonzero constant term; both are computed coefficient by
 coefficient, exactly.
 
-The three kernels run on integers: each operand is scaled to ints over the
-common denominator of its coefficients, the O(N^2) loop runs on those, and
-each output coefficient becomes one Fraction.  Product: with a = A/d_a and
+The three kernels run on integers (solve_h too; see its docstring): each
+operand is scaled to ints over the common denominator of its coefficients,
+the O(N^2) loop runs on those, and each output coefficient becomes one
+Fraction.  Product: with a = A/d_a and
 b = B/d_b, [x^k] ab = (sum_i A_i B_(k-i)) / (d_a d_b).  Quotient f/g with
 f = F/d_f, g = G/d_g: Q_k = q_k G_0^(k+1) d_f/d_g is an integer, since
 Q_k = F_k G_0^k - sum_(i<k) Q_i G_(k-i) G_0^(k-1-i).  Square root of
@@ -167,6 +168,11 @@ def solve_h(a_poly: Sequence, order: int) -> Series:
     """Solve the fixed-point equation h(x) = A(x*h(x)), A a polynomial, in
     one pass: [x^n] (x*h)^j = [x^(n-j)] h^j needs only h_0..h_(n-j), so
     h_n = sum_j a_j [x^(n-j)] h^j follows from the coefficients before it.
+
+    With A = C/D over the common denominator D of its coefficients,
+    H_n = D^(n+1) h_n and P_j(r) = D^(r+j) [x^r] h^j are integers, and
+    P_j(r) = sum_i H_i P_(j-1)(r-i), H_n = sum_j C_j P_j(n-j): the loop runs
+    on those, one Fraction per output coefficient.
     """
     a = [as_rat(c) for c in a_poly]
     if not a or a[0] == 0:
@@ -175,15 +181,16 @@ def solve_h(a_poly: Sequence, order: int) -> Series:
         raise ValueError("order must be >= 0")
     while a[-1] == 0:               # a zero top coefficient needs no power of h
         a.pop()
-    h: list[Fraction] = []
-    powers = [[Fraction(int(r == 0)) for r in range(order + 1)]]   # powers[j][r] = [x^r] h^j
+    a, den = _scaled_ints(a)
+    h: list[int] = []                                           # H_n
+    powers = [[int(r == 0) for r in range(order + 1)]]          # powers[j][r] = P_j(r)
     powers += [[] for _ in a[1:]]
     for n in range(order + 1):
         terms = range(min(n, len(a) - 1) + 1)
         for j in terms[1:]:
             powers[j].append(sum(map(mul, h[:n - j + 1], powers[j - 1][n - j::-1])))
         h.append(sum(a[j] * powers[j][n - j] for j in terms))
-    return Series(h)
+    return Series(Fraction(v, den ** (n + 1)) for n, v in enumerate(h))
 
 
 def solve_d(z_poly: Sequence, h: Series) -> Series:

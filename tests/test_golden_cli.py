@@ -9,11 +9,13 @@ The cases cover every subcommand: every catalog entry under `gen -n 40`,
 format, one weight pair with rational prefix and polynomial tails (gen,
 matrix, both Hankel families, stieltjes and tp), both Hankel families,
 stieltjes on explicit weight pairs (PASS, FAIL in either family, a zero
-weight) and on terms whose leading minors are nonnegative
-but not all positive, the (p, q, s, t) criterion, the contiguous-minor TP
-route, every named and parameterised generating function (the three
-specializations also at t = 0, and the general form at -n 0), the catalog
-listing, and the usage-error (exit 2) path of each command.
+weight), on term lists that invert to weights (m_0 = 3, rational,
+factorial) or fall back to elimination (a zero t_1), and on terms whose
+leading minors are nonnegative but not all positive, the (p, q, s, t)
+criterion, the contiguous-minor TP route, every named and parameterised
+generating function (the three specializations also at t = 0, and the
+general form at -n 0), the catalog listing, and the usage-error (exit 2)
+path of each command.
 After a deliberate output change, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py

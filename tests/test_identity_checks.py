@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catmoments.cli
 from catmoments.exact import FALSE, TRUE
 from catmoments.hankel import verify_H_eq_RTRt
 from catmoments.recursive import (
@@ -192,3 +193,19 @@ def test_hankel_factorization_agrees_with_the_dense_product(pair, depth, change_
     assert verdict == dense_H_eq_RTRt(R, terms, depth)
     if delta == 0:
         assert verdict == TRUE
+
+
+@pytest.mark.parametrize("step", [TRUE, FALSE])
+def test_verify_checks_the_shift_identity_alone_only_past_a_failed_step(monkeypatch, step):
+    # a TRUE step factorization is the shift identity one row deeper, so the
+    # depth-d pass runs only when the step factorization fails
+    calls = []
+    real = catmoments.cli.verify_RJ_identity
+    monkeypatch.setattr(catmoments.cli, "verify_step_factorization", lambda R, n: step)
+    monkeypatch.setattr(catmoments.cli, "verify_RJ_identity",
+                        lambda R, depth: calls.append(depth) or real(R, depth))
+    checks = catmoments.cli.verify_checks(catalog_lookup("catalan"), DEPTH)
+    assert [label for label, _ in checks[2:4]] == ["shift_identity", "step_factorization"]
+    assert dict(checks)["shift_identity"] is True
+    assert dict(checks)["step_factorization"] is (step == TRUE)
+    assert calls == ([] if step == TRUE else [DEPTH])

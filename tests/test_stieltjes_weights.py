@@ -1,14 +1,17 @@
-"""The two Stieltjes routes against each other and against brute force.
+"""The Stieltjes routes against each other and against brute force.
 
 stieltjes_weights reads both Hankel families of a weight pair off its
-weights; stieltjes_check evaluates them on explicit terms by elimination
-and decides a family with a zero leading minor by a symmetric elimination.
-Random small weight pairs and term lists (zero, negative and rational
-entries) go through both, and every verdict is compared with
-tests/oracle.principal_minors_nonneg on both Hankel sections.  Work
-counts: the weight route runs no elimination, and it, tp_by_leading_minors
-and tp_sufficient_dominance read each weight exactly once, as do the two
-minor routes of tp_certify together.
+weights; stieltjes_check inverts explicit terms to weights, certifies them
+by replay and reads the families off them, or falls back to elimination,
+which decides a family with a zero leading minor by a symmetric
+elimination.  Random small weight pairs and term lists (zero, negative and
+rational entries, scaled by m_0, with a term changed) go through the
+routes, every report is compared with the elimination report, and every
+verdict with tests/oracle.principal_minors_nonneg on both Hankel sections.
+Work counts: the weight route runs no elimination, terms that invert run
+none either, and the weight route, tp_by_leading_minors and
+tp_sufficient_dominance read each weight exactly once, as do the two minor
+routes of tp_certify together.
 """
 
 import json
@@ -28,6 +31,8 @@ from catmoments.exact import TRUE, DenseMatrix, format_rat, negative_principal_m
 from catmoments.hankel import (
     FAIL,
     PASS,
+    StieltjesReport,
+    _chebyshev_weights,
     build_hankel,
     stieltjes_check,
     stieltjes_weights,
@@ -51,14 +56,26 @@ values = st.one_of(
 
 
 @st.composite
-def weight_pairs(draw):
+def weight_pairs(draw, tau_values=values):
     """Drawn prefixes and constant tails, and a depth 0..4."""
     depth = draw(st.integers(0, 4))
     sigma = SequenceSpec(tuple(draw(st.lists(values, max_size=depth + 1))),
                          ConstantTail(draw(values)), start=0)
-    tau = SequenceSpec(tuple(draw(st.lists(values, max_size=depth))),
-                       ConstantTail(draw(values)), start=1)
+    tau = SequenceSpec(tuple(draw(st.lists(tau_values, max_size=depth))),
+                       ConstantTail(draw(tau_values)), start=1)
     return sigma, tau, depth
+
+
+@st.composite
+def scaled_weight_terms(draw):
+    """m_0 times the terms of a drawn weight pair, m_0 any drawn value, with
+    one term changed half of the time."""
+    sigma, tau, depth = draw(weight_pairs())
+    m0 = draw(values)
+    terms = [m0 * v for v in catalan_like(sigma, tau, 2 * depth + 1)]
+    if draw(st.booleans()):
+        terms[draw(st.integers(0, 2 * depth + 1))] += draw(values.filter(bool))
+    return terms, depth
 
 
 @st.composite
@@ -101,8 +118,29 @@ def test_weight_route_equals_elimination_and_brute_force(pair):
     sigma, tau, depth = pair
     seq = catalan_like(sigma, tau, 2 * depth + 1)
     report = stieltjes_weights(sigma, tau, depth)
-    assert report == stieltjes_check(seq, depth)
+    assert report == StieltjesReport.by_elimination(seq, depth)
     assert (report.verdict == PASS) == both_sections_psd(seq, depth)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(scaled_weight_terms(), low_rank_term_lists()))
+def test_terms_report_equals_elimination(drawn):
+    seq, depth = drawn
+    assert stieltjes_check(seq, depth) == StieltjesReport.by_elimination(seq, depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_pairs(tau_values=values.filter(bool)),
+       st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)))
+def test_terms_round_trip_through_their_weights(pair, m0):
+    # nonzero t_k: the terms determine the weights, and replay to themselves
+    sigma, tau, depth = pair
+    terms = [m0 * v for v in catalan_like(sigma, tau, 2 * depth + 1)]
+    s, t = _chebyshev_weights(terms, depth)
+    assert (s, t) == JacobiMatrix(sigma, tau).weights(depth)
+    replay = catalan_like(SequenceSpec(tuple(s), ConstantTail(0), 0),
+                          SequenceSpec(tuple(t[1:]), ConstantTail(0), 1), 2 * depth + 1)
+    assert [m0 * v for v in replay] == terms
 
 
 @settings(max_examples=400, deadline=None)
@@ -188,16 +226,39 @@ def test_weight_pair_runs_no_elimination(capsys, guarded_calls):
     assert capsys.readouterr().out.startswith("verdict: PASS (depth 20)\n")
 
 
-def test_terms_run_the_elimination(capsys, guarded_calls):
-    # the positive control of the guard: the same families from terms
+def test_terms_run_no_elimination_unless_they_fall_back(capsys, guarded_calls):
+    # catalan's terms invert to its weights: one replay, no Hankel matrix
     entry = catalog_lookup("catalan")
     terms = ",".join(format_rat(v) for v in catalan_like(entry.sigma, entry.tau, 41))
     assert main(["stieltjes", "--terms", terms, "--depth", "20", "--format", "json"]) == 0
-    assert sorted(set(guarded_calls)) == ["build_hankel", "leading_principal_minors"]
+    assert guarded_calls == ["catalan_like"]
     named = main(["stieltjes", "--name", "catalan", "--depth", "20", "--format", "json"])
     from_terms, from_weights = capsys.readouterr().out.splitlines()
     assert named == 0 and json.loads(from_weights) == {"name": "catalan",
                                                         **json.loads(from_terms)}
+    # the positive control of the guard: t_1 = 0 stops the inversion, and
+    # elimination decides the sections with their zero leading minors
+    guarded_calls.clear()
+    assert main(["stieltjes", "--terms", "1,1,1,1,1,1", "--depth", "2"]) == 0
+    assert sorted(set(guarded_calls)) == ["build_hankel", "det_bareiss",
+                                          "leading_principal_minors"]
+
+
+@pytest.mark.parametrize("corrupt", ["s_d", "t_d"])
+def test_weights_that_do_not_replay_fall_back(monkeypatch, guarded_calls, corrupt):
+    # one recovered weight off by one: the replay misses a term, and the
+    # report is the elimination's
+    real = catmoments.hankel._chebyshev_weights
+
+    def corrupted(terms, depth):
+        s, t = real(terms, depth)
+        (s if corrupt == "s_d" else t)[depth] += 1
+        return s, t
+
+    monkeypatch.setattr(catmoments.hankel, "_chebyshev_weights", corrupted)
+    terms = catalan_like(catalog_lookup("bell").sigma, catalog_lookup("bell").tau, 11)
+    assert stieltjes_check(terms, 5) == StieltjesReport.by_elimination(terms, 5)
+    assert guarded_calls[0] == "catalan_like" and "leading_principal_minors" in guarded_calls
 
 
 def test_verify_compares_the_whole_report(monkeypatch):
