@@ -7,7 +7,9 @@ frozen in golden_cli.json.  Any change to a single output byte fails.
 The cases cover every subcommand: every catalog entry under `gen -n 40`,
 `matrix -n 12`, `hankel-det`, `stieltjes`, `verify` and `tp` in every
 format, one weight pair with rational prefix and polynomial tails (gen,
-matrix, both Hankel families, stieltjes and tp), both Hankel families,
+matrix, both Hankel families, stieltjes and tp), both Hankel families
+(also of a weight pair with a zero weight, and factorial's shifted family
+at depth 24),
 stieltjes on explicit weight pairs (PASS, FAIL in either family, a zero
 weight), on term lists that invert to weights (m_0 = 3, rational,
 factorial) or fall back to elimination (a zero t_1), and on terms whose
@@ -63,8 +65,10 @@ def _constant_tail_spec(prefix: list, value: str, start) -> str:
 
 # weight pairs that neither dominance nor the leading minor chain decides
 # (a zero weight makes J reducible), so the contiguous-minor route answers:
-# TRUE at depth 12, FALSE with the window 1..4 (value -12) at depth 6, and
-# sigma = 12/5, tau = (1, 0, 36/25, ...) TRUE at depth 20
+# TRUE at depth 12, FALSE with the window 1..4 (value -12) at depth 6,
+# sigma = 12/5, tau = (1, 0, 36/25, ...) TRUE at depth 20, and a rational
+# pair with s_0 = t_1 = 0 whose windows from row 0 are all 0, FALSE with the
+# window 1..4 (value -1874/315) at depth 8
 CONTIGUOUS_CASES = {
     "true": (_constant_tail_spec(["3", "2", "5/2"], "3", 0),
              _constant_tail_spec(["2", "1", "0"], "1", 1), "12"),
@@ -72,6 +76,8 @@ CONTIGUOUS_CASES = {
               _constant_tail_spec(["0", "0", "3", "2"], "1", 1), "6"),
     "deep": (_constant_tail_spec([], "12/5", 0),
              _constant_tail_spec(["1", "0"], "36/25", 1), "20"),
+    "rational-window": (_constant_tail_spec(["0", "2", "5/2", "2", "1/3"], "7/2", 0),
+                        _constant_tail_spec(["0", "1/7", "2/3", "9/5"], "2", 1), "8"),
 }
 
 # weight pairs through the stieltjes product route: PASS; FAIL on det0 at
@@ -138,6 +144,16 @@ def cases() -> dict[str, list[str]]:
         out[f"tp-rational-{f}"] = ["tp", *rational, "--depth", "6"]
         out[f"hankel-det-shift-{f}"] = ["hankel-det", "--name", "bell", "--depth", "6",
                                         "--shift", "1", "--format", f]
+        # t_2 = 0: both families are 0 from k = 2 on, so the sections past
+        # the first zero pivot are evaluated one by one
+        for shift in ("0", "1"):
+            out[f"hankel-det-zero-weight-shift{shift}-{f}"] = [
+                "hankel-det", "--sigma", STIELTJES_WEIGHT_CASES["zero-weight"][0],
+                "--tau", STIELTJES_WEIGHT_CASES["zero-weight"][1], "--depth", "6",
+                "--shift", shift, "--format", f]
+        # wide integers: the 25-section of the shifted family has 512 digits
+        out[f"hankel-det-factorial-wide-{f}"] = ["hankel-det", "--name", "factorial",
+                                                 "--depth", "24", "--shift", "1", "--format", f]
         for name in CATALOG_NAMES:
             out[f"tp-{name}-{f}"] = ["tp", "--jacobi-name", name, "--depth", "8",
                                      "--format", f]
