@@ -2,18 +2,19 @@
 
 Everything in this package runs on arbitrary-precision rationals
 (fractions.Fraction); no floating point is ever involved.  This module holds
-the shared scalar helpers, the dense matrix value type and the fraction-free
-(Bareiss) elimination, in two forms: leading_principal_minors runs it once
-without row swaps and reads the determinant of every leading section off its
-pivots (Sylvester's identity), which is how a Hankel determinant family is
-computed by elimination (the fallback for explicit terms that do not invert
-to weights, and the cross check of the weight products); det_bareiss,
-which swaps rows past a zero pivot, evaluates one determinant and serves
-the leading sections past a singular one.  Where a zero leading minor leaves positive semidefiniteness
-open, negative_principal_minor decides it by a symmetric elimination with
-diagonal pivoting.  The total-positivity routes need none of these: the
-minors of the tridiagonal coefficient matrix follow a three-term recurrence
-(see jacobi), and the identity checks use band sums, not matrix products.
+the shared scalar helpers, the dense matrix value type and one fraction-free
+(Bareiss) elimination on integer rows over one common denominator, in two
+forms.  _int_leading_minors runs it once without row swaps and reads the
+determinant of every leading section off its pivots (Sylvester's identity);
+on a symmetric input, such as a Hankel section, it updates only the upper
+triangle, half the products.  hankel.hankel_dets hands it the scaled terms
+and leading_principal_minors a DenseMatrix.  det_bareiss, which swaps rows
+past a zero pivot, evaluates one determinant and serves the leading sections
+past a singular one.  Where a zero leading minor leaves positive
+semidefiniteness open, negative_principal_minor decides it by a symmetric
+elimination with diagonal pivoting.  The total-positivity routes need none
+of these: the minors of the tridiagonal coefficient matrix follow a
+three-term recurrence (see jacobi), and the identity checks use band sums.
 """
 
 from __future__ import annotations
@@ -145,38 +146,42 @@ def _scaled_ints(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _scaled_rows(matrix: DenseMatrix) -> tuple[list[list[int]], list[int]]:
-    """The rows of matrix made integral by _scaled_ints, and their multipliers."""
-    rows = [_scaled_ints(row) for row in matrix.entries]
-    return [work for work, _ in rows], [den for _, den in rows]
+def _over(numerator: int, den: int) -> Fraction:
+    """numerator / den, with no gcd when den is 1 (integral weights and terms)."""
+    return Fraction(numerator, den) if den != 1 else Fraction(numerator)
 
 
-def _bareiss_step(work: list[list[int]], k: int, prev: int) -> None:
-    """Clear column k below the pivot work[k][k], fraction-free: prev is the
-    previous pivot (1 at the first step), and the division by it is exact
-    because each new entry is itself a minor of the scaled matrix."""
-    pivot = work[k][k]
-    tail_k = work[k][k + 1:]
-    for row_i in work[k + 1:]:
-        factor = row_i[k]
-        row_i[k + 1:] = [(x * pivot - factor * y) // prev
-                         for x, y in zip(row_i[k + 1:], tail_k)]
-        row_i[k] = 0
+def _int_rows(matrix: DenseMatrix) -> tuple[list[list[int]], int]:
+    """The rows of matrix as ints over the LCM of all its denominators, and the LCM."""
+    ints, den = _scaled_ints([x for row in matrix.entries for x in row])
+    return [ints[i:i + matrix.cols] for i in range(0, len(ints), matrix.cols)], den
+
+
+def _bareiss_step(work: list[list[int]], k: int, prev: int, symmetric: bool = False) -> None:
+    """Eliminate column k below the pivot work[k][k], fraction-free: each new
+    entry is a minor, so the division by prev, the previous pivot (1 at
+    first), is exact.  A symmetric matrix stays symmetric, so then only the
+    entries (i, j), j >= i, are updated, row i's factor read from row k."""
+    row_k = work[k]
+    pivot = row_k[k]
+    for i in range(k + 1, len(work)):
+        row_i = work[i]
+        factor, start = (row_k[i], i) if symmetric else (row_i[k], k + 1)
+        row_i[start:] = [(x * pivot - factor * y) // prev
+                         for x, y in zip(row_i[start:], row_k[start:])]
 
 
 def det_bareiss(matrix: DenseMatrix) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Rows are first scaled integral by the LCM of their denominators (the
-    scale product is tracked exactly), then eliminated with integer-only
-    pivots.  Zero pivots are repaired by row swaps with sign tracking; a
-    pivot column that is zero all the way down short-circuits to 0.
+    The matrix is scaled integral by the LCM of its denominators, then
+    eliminated with integer-only pivots.  Zero pivots are repaired by row
+    swaps with sign tracking; a pivot column that is zero all the way down
+    short-circuits to 0.
     """
     n = _require_square(matrix)
-    work, scales = _scaled_rows(matrix)
-
-    sign = 1
-    prev = 1
+    work, den = _int_rows(matrix)
+    sign = prev = 1
     for k in range(n - 1):
         if work[k][k] == 0:
             for r in range(k + 1, n):
@@ -189,34 +194,37 @@ def det_bareiss(matrix: DenseMatrix) -> Fraction:
         _bareiss_step(work, k, prev)
         prev = work[k][k]
 
-    return Fraction(sign * work[n - 1][n - 1], math.prod(scales))
+    return Fraction(sign * work[n - 1][n - 1], den ** n)
 
 
 def leading_principal_minors(matrix: DenseMatrix) -> tuple[Fraction, ...]:
-    """The determinants of the leading k x k sections, k = 1..n, from one
-    Bareiss elimination without row swaps.
+    """The determinants of the leading k x k sections, k = 1..n, by
+    _int_leading_minors on the matrix made integral."""
+    _require_square(matrix)
+    return _int_leading_minors(*_int_rows(matrix))
 
-    By Sylvester's identity the k-th pivot of that elimination is the k-th
-    leading minor of the row-scaled matrix, so dividing it by the product
-    of the first k row scales gives the minor itself, and all n cost one
-    O(n^3) pass.  A zero pivot ends the pass, since every later step would
-    divide by it; the sections from there on go to det_bareiss one by one.
-    """
-    n = _require_square(matrix)
-    work, scales = _scaled_rows(matrix)
+
+def _int_leading_minors(rows: list[list[int]], den: int) -> tuple[Fraction, ...]:
+    """The leading minors of the square matrix rows / den, k = 1..n, from
+    one Bareiss elimination without row swaps: the k-th pivot over den^k,
+    all in one O(n^3) pass, half of it when the rows equal their transpose.
+    A zero pivot ends the pass, since every later step would divide by it;
+    the sections from there on go to det_bareiss one by one."""
+    n = len(rows)
+    symmetric = rows == [list(col) for col in zip(*rows)]
+    work = [list(row) for row in rows]
     minors: list[Fraction] = []
-    scale = 1
-    prev = 1
+    scale = prev = 1
     for k in range(n):
         pivot = work[k][k]
         if pivot == 0:
             break
-        scale *= scales[k]
-        minors.append(Fraction(pivot, scale))
-        _bareiss_step(work, k, prev)
+        scale *= den
+        minors.append(_over(pivot, scale))
+        _bareiss_step(work, k, prev, symmetric)
         prev = pivot
     for size in range(len(minors) + 1, n + 1):
-        minors.append(det_bareiss(DenseMatrix(row[:size] for row in matrix.entries[:size])))
+        minors.append(det_bareiss(DenseMatrix(row[:size] for row in rows[:size])) / den**size)
     return tuple(minors)
 
 

@@ -14,8 +14,8 @@ report with one helper, so the same families give the same report.
     shifted one as H^(1) = R (J T) R^t with J the coefficient matrix, so
     on every section det H_n = T_0 * ... * T_n (hankel_det_products) and
     det H^(1)_n = D_n * T_0 * ... * T_n with D_n the leading minor of J
-    (jacobi.window_minors from row 0): O(depth) multiplications over
-    weights read once (JacobiMatrix.weights).
+    (jacobi.window_minors from row 0): O(depth) integer multiplications
+    over weights read once (JacobiMatrix.weights) and scaled integral.
 
   * stieltjes_check, for explicit terms (a plain sequence m_0, m_1, ...),
     inverts them first: the Chebyshev algorithm (Gautschi, Orthogonal
@@ -30,9 +30,11 @@ report with one helper, so the same families give the same report.
 
 Elimination is the fallback of stieltjes_check and the independent cross
 check of the weight products (cli verify, cli hankel-det).  hankel_dets, the
-only place a family is evaluated by elimination, reads every leading minor
-of a section off one fraction-free elimination of the largest section
-(exact.leading_principal_minors), O(depth^3) per family.  A negative leading
+only place a family is evaluated by elimination, scales the 2 depth+1 terms
+of the family to integers over one denominator, and their windows are the
+rows of the largest section: one symmetric fraction-free elimination
+(exact._int_leading_minors) reads every leading minor off its pivots, about
+depth^3/6 products per family and no DenseMatrix.  A negative leading
 minor refutes.  Nonnegative leading minors prove semidefiniteness only when
 all are positive, so a family with a zero one has its largest section
 decided by exact.negative_principal_minor, whose witness names a negative
@@ -66,10 +68,11 @@ from .exact import (
     FALSE,
     TRUE,
     DenseMatrix,
+    _int_leading_minors,
+    _over,
     _scaled_ints,
     as_rat,
     format_rat,
-    leading_principal_minors,
     negative_principal_minor,
 )
 from .jacobi import JacobiMatrix, window_minors
@@ -82,25 +85,31 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
-def build_hankel(terms: Sequence, n: int, shift: int = 0) -> DenseMatrix:
-    """The (n+1) x (n+1) matrix with entry (i, j) = m_{i+j+shift}, from the
-    terms m_0, m_1, ..."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def _hankel_terms(terms: Sequence, depth: int, shift: int) -> list[Fraction]:
+    """m_shift..m_{2 depth+shift}, the terms of the (depth+1)-section."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if shift not in (0, 1):
         raise ValueError(f"shift must be 0 or 1, got {shift}")
-    needed = 2 * n + 1 + shift
+    needed = 2 * depth + 1 + shift
     if len(terms) < needed:
-        raise ValueError(f"need {needed} terms for depth {n} shift {shift}, have {len(terms)}")
-    return DenseMatrix(
-        tuple(terms[i + j + shift] for j in range(n + 1)) for i in range(n + 1)
-    )
+        raise ValueError(f"need {needed} terms for depth {depth} shift {shift}, have {len(terms)}")
+    return [as_rat(v) for v in terms[shift:needed]]
+
+
+def build_hankel(terms: Sequence, depth: int, shift: int = 0) -> DenseMatrix:
+    """The (depth+1) x (depth+1) matrix with entry (i, j) = m_{i+j+shift},
+    from the terms m_0, m_1, ..."""
+    window = _hankel_terms(terms, depth, shift)
+    return DenseMatrix(window[i:i + depth + 1] for i in range(depth + 1))
 
 
 def hankel_dets(terms: Sequence, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
     """det[m_{i+j+shift}] on the (k+1) x (k+1) sections for k = 0..depth,
-    all read off one elimination of the largest section."""
-    return leading_principal_minors(build_hankel(terms, depth, shift))
+    all read off one elimination of the largest section, whose integer rows
+    are windows of the terms scaled by one common denominator."""
+    ints, den = _scaled_ints(_hankel_terms(terms, depth, shift))
+    return _int_leading_minors([ints[i:i + depth + 1] for i in range(depth + 1)], den)
 
 
 @dataclass(frozen=True)
@@ -263,6 +272,8 @@ def hankel_det_products(t: Sequence[Fraction], m0: Fraction = Fraction(1)) -> li
     weights t_1..t_d alone: by H = R T R^t with R unit triangular, the
     running product T_0 * ... * T_n of T_0 = 1, T_k = t_1 * ... * t_k.  For
     m0 times the terms of the weights each T_k is scaled by m0, which
-    scales the n-th product by m0^(n+1)."""
-    totals = accumulate(t, operator.mul, initial=m0)
-    return list(accumulate(totals, operator.mul))
+    scales the n-th product by m0^(n+1).  Over L, the LCM of the
+    denominators of m0 and t, m0 T_k is an integer over L^(k+1)."""
+    ints, den = _scaled_ints([m0, *t])
+    products = accumulate(accumulate(ints, operator.mul), operator.mul)
+    return [_over(p, den ** ((n + 1) * (n + 2) // 2)) for n, p in enumerate(products)]

@@ -27,7 +27,9 @@ included, follows one three-term recurrence,
 
 so window_minors is the only determinant evaluation here, and hankel reads
 the shifted Hankel family off the same chain: O(depth) multiplications for
-the leading chain, O(depth^2) for all windows.  Every route reads each
+the leading chain, O(depth^2) for all windows.  The chain runs on integers:
+with L the LCM of the weights' denominators, s' = L s and t' = L^2 t give
+D' = L^(hi-lo+1) D by the same recurrence.  Every route reads each
 weight it inspects once: the section routes through JacobiMatrix.weights,
 dominance index by index up to its first failure.  tp_certify hands one
 read of the weights to both minor routes.
@@ -42,7 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, format_rat, nonneg_rats
+from .exact import (FALSE, INCONCLUSIVE, TRUE, DenseMatrix, _over, _scaled_ints, format_rat,
+                    nonneg_rats)
 from .seqspec import PolynomialTail, SequenceSpec
 
 DOMINANCE_GUARD_INDEX = 64
@@ -124,11 +127,15 @@ def window_minors(s: list[Fraction], t: list[Fraction], lo: int) -> Iterator[Fra
     """D[lo..hi] for hi = lo, lo+1, ..., len(s) - 1, the determinants of the
     contiguous principal sections of J starting at row lo, by the recurrence
     D[lo..hi] = s_hi D[lo..hi-1] - t_hi D[lo..hi-2] from D[lo..lo-1] = 1 and
-    D[lo..lo-2] = 0 (t_lo couples row lo to a row outside the window)."""
-    prev2, prev1 = Fraction(0), Fraction(1)
-    for hi in range(lo, len(s)):
-        prev2, prev1 = prev1, s[hi] * prev1 - t[hi] * prev2
-        yield prev1
+    D[lo..lo-2] = 0 (t_lo couples row lo to a row outside the window), run
+    on the integers s' = L s, t' = L^2 t (see the module docstring)."""
+    width = len(s) - lo
+    ints, den = _scaled_ints([*s[lo:], 0, *t[lo + 1:len(s)]])
+    prev2, prev1, scale = 0, 1, 1
+    for s_k, t_k in zip(ints[:width], ints[width:]):
+        prev2, prev1 = prev1, s_k * prev1 - den * t_k * prev2
+        scale *= den
+        yield _over(prev1, scale)
 
 
 def leading_minors(J: JacobiMatrix, n: int) -> tuple[Fraction, ...]:

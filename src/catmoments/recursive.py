@@ -13,13 +13,16 @@ s_k and down steps from height k weighted t_k); motzkin_oracle evaluates
 that count by explicit path enumeration, independent of the recurrence, and
 serves as the test oracle.
 
-The recurrence runs on integers.  The weights s_0..s_depth and
-t_1..t_{depth+1} are evaluated once and scaled by L, the least common
-multiple of their denominators; then L**n * r_{n,k} is an integer and row
-n+1 follows from row n with int arithmetic only.  A row becomes Fractions
-only when it is materialised.  catalan_like keeps one row at a time and only
-the columns k <= depth - n, the cells from which a path can still return to
-column 0 by the last row.
+The recurrence runs on integers.  Each weight it uses is evaluated once and
+scaled by L, the least common multiple of their denominators; then
+L**n * r_{n,k} is an integer and row n+1 follows from row n with int
+arithmetic only.  A row becomes Fractions only when it is materialised.
+Rows 0..depth use s_0..s_{depth-1} and t_1..t_{depth-1}.  catalan_like keeps
+one row at a time and only the columns k <= depth - n, the cells from which
+a path can still return to column 0 by the last row, so it uses only
+s_0..s_{(depth-1)//2} and t_1..t_{depth//2}: a closed path of length depth
+takes a level step at height k only if 2k + 1 <= depth, and a down step
+from height k only if 2k <= depth.
 
 The shift identity check forms each entry of R times the banded J, read
 off R.sigma and R.tau, as a three-term band sum, O(d^2) on a section of size
@@ -67,15 +70,16 @@ class RecursiveMatrix:
 def _scaled_rows(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: bool = False):
     """Yield (row, den) for n = 0..depth, row[k] = den * r_{n,k} as ints and
     den = L**n.  Row n holds columns 0..n, or 0..min(n, depth - n) when
-    truncate is set."""
+    truncate is set.  Only the weights that meet a nonzero kept cell are
+    read (see the module docstring); the others stand as 0."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    s, t = [], []
-    for k in range(depth + 1 if depth else 0):      # row 0 alone needs no weight
-        s.append(sigma.eval(k))
-        t.append(tau.eval(k + 1))
+    s_count, t_count = ((depth + 1) // 2, depth // 2) if truncate else (depth, depth - 1)
+    s = [sigma.eval(k) for k in range(s_count)]
+    t = [tau.eval(k) for k in range(1, t_count + 1)]
     weights, scale = _scaled_ints(s + t)
-    s, t = weights[:len(s)], weights[len(s):]
+    pad = [0] * (depth + 1)
+    s, t = weights[:len(s)] + pad, weights[len(s):] + pad
     row, den = [1], 1
     yield row, den
     for n in range(depth):

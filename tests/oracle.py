@@ -25,6 +25,10 @@ order+1 rounds of full re-evaluation with those kernels, against the
 library's one-pass fixed point; fraction_horner evaluates a polynomial on
 Fractions, against PolynomialTail.eval on scaled integers.
 
+fraction_window_minors and fraction_det_products are the three-term minor
+chain and the running weight products on Fractions, step by step, which the
+library runs on integers over a common denominator.
+
 det_cofactor is a determinant by Laplace expansion, independent of the
 library's Bareiss kernel; principal_minors_nonneg evaluates every principal
 minor with it, the brute-force definition of positive semidefiniteness the
@@ -224,6 +228,21 @@ def fraction_horner(coeffs, k: int) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * k + c
     return acc
+
+
+def fraction_window_minors(s, t, lo: int) -> list[Fraction]:
+    """D[lo..hi] for hi = lo..len(s) - 1 by D[lo..hi] = s_hi D[lo..hi-1] -
+    t_hi D[lo..hi-2] on Fractions, from D[lo..lo-1] = 1, D[lo..lo-2] = 0."""
+    chain = [Fraction(0), Fraction(1)]
+    for hi in range(lo, len(s)):
+        chain.append(s[hi] * chain[-1] - t[hi] * chain[-2])
+    return chain[2:]
+
+
+def fraction_det_products(t, m0) -> list[Fraction]:
+    """T_0 * ... * T_n for n = 0..len(t), T_k = m0 t_1 ... t_k, on Fractions."""
+    totals = itertools.accumulate(t, operator.mul, initial=Fraction(m0))
+    return list(itertools.accumulate(totals, operator.mul))
 
 
 def det_cofactor(matrix: DenseMatrix) -> Fraction:

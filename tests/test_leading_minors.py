@@ -1,6 +1,9 @@
-"""Differential tests of the one-pass leading-minor kernel: against cofactor
-expansion section by section, against one Bareiss elimination per Hankel
-section, and a count of the per-section eliminations it still makes."""
+"""Differential tests of the integer determinant kernels: the one-pass
+leading-minor elimination on integer rows (symmetric or not) and the Hankel
+families built on it against cofactor expansion section by section and one
+Bareiss elimination per section, a count of the per-section eliminations it
+still makes, and the scaled three-term minor chain and the running weight
+products against their Fraction forms."""
 
 from fractions import Fraction
 
@@ -9,11 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catmoments.exact
-from catmoments.exact import DenseMatrix, det_bareiss, leading_principal_minors
-from catmoments.hankel import build_hankel, hankel_dets
+from catmoments.exact import (
+    DenseMatrix,
+    _int_leading_minors,
+    _scaled_ints,
+    det_bareiss,
+    leading_principal_minors,
+)
+from catmoments.hankel import build_hankel, hankel_det_products, hankel_dets
+from catmoments.jacobi import window_minors
 from catmoments.recursive import catalan_like
 from catmoments.seqspec import catalog_lookup
-from oracle import det_cofactor, submatrix
+from oracle import (
+    det_cofactor,
+    fraction_det_products,
+    fraction_window_minors,
+    submatrix,
+)
 
 # distinct primes, so that the row scales differ from row to row
 DENOMINATORS = (1, 1, 1, 2, 3, 5, 7, 11, 13)
@@ -45,6 +60,80 @@ def test_leading_minors_match_cofactor_expansion(matrix):
     sections = range(1, matrix.rows + 1)
     expected = tuple(det_cofactor(submatrix(matrix, range(k), range(k))) for k in sections)
     assert leading_principal_minors(matrix) == expected
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric matrix of size 1..6 whose rows 0 and k are made equal for
+    a drawn k, so that every section past k is singular, or left as drawn."""
+    n = draw(st.integers(1, 6))
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = draw(entries)
+    k = draw(st.one_of(st.none(), st.integers(1, n - 1) if n > 1 else st.nothing()))
+    if k is not None:
+        grid[k] = list(grid[0])
+        for row in grid:
+            row[k] = row[0]
+    return DenseMatrix(grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(), symmetric_matrices()))
+def test_int_leading_minors_match_each_section(matrix):
+    # one common denominator, as hankel_dets hands them over; the rows are
+    # left as they were, since the sections past a zero pivot are cut from them
+    n = matrix.rows
+    ints, den = _scaled_ints([x for row in matrix.entries for x in row])
+    rows = [ints[i * n:(i + 1) * n] for i in range(n)]
+    before = [list(row) for row in rows]
+    sections = [submatrix(matrix, range(k), range(k)) for k in range(1, n + 1)]
+    minors = _int_leading_minors(rows, den)
+    assert minors == tuple(map(det_cofactor, sections)) == tuple(map(det_bareiss, sections))
+    assert rows == before
+
+
+def test_int_leading_minors_on_a_symmetric_matrix_with_a_zero_pivot():
+    # 2 x 2 minor 0 ends the pass; the 3 x 3 minor comes from det_bareiss
+    rows = [[1, 1, 2], [1, 1, 3], [2, 3, 4]]
+    assert _int_leading_minors(rows, 2) == (Fraction(1, 2), 0, Fraction(-1, 8))
+
+
+def point_mass_moments(masses):
+    """m_n = a x^n + b y^n: the Hankel sections from size 3 on are singular."""
+    (a, x), (b, y) = masses
+    return [a * x ** n + b * y ** n for n in range(16)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.one_of(
+    st.lists(entries, min_size=14, max_size=14),
+    st.lists(st.tuples(entries, entries), min_size=2, max_size=2).map(point_mass_moments)))
+def test_hankel_dets_match_cofactor_expansion(depth, seq):
+    for shift in (0, 1):
+        assert hankel_dets(seq, depth, shift) == tuple(
+            det_cofactor(build_hankel(seq, k, shift)) for k in range(depth + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(entries, entries), min_size=1, max_size=10))
+def test_window_minors_match_the_fraction_chain_at_every_start(weights):
+    # t[lo] couples row lo to a row outside the window and must not count
+    s, t = map(list, zip(*weights))
+    for lo in range(len(s) + 1):
+        assert list(window_minors(s, t, lo)) == fraction_window_minors(s, t, lo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(entries, max_size=10), entries)
+def test_det_products_match_the_fraction_products(t, m0):
+    assert hankel_det_products(t, m0) == fraction_det_products(t, m0)
+
+
+def test_hankel_dets_refuse_negative_depth():
+    with pytest.raises(ValueError, match="^depth must be >= 0$"):
+        hankel_dets([1, 1, 2], -1)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,7 @@
 """Differential tests: the integer recurrence kernel against the Fraction
 recurrence oracle and the weighted-path enumeration."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -74,25 +75,70 @@ def test_catalog_terms_match_fraction_oracle_at_depth_60(name):
     assert catalan_like(entry.sigma, entry.tau, 60) == fraction_terms(entry.sigma, entry.tau, 60)
 
 
+def read_failure(sigma, tau, s_last, t_last):
+    """The error a SignCheckedSpec raises on the first negative weight among
+    s_0..s_last, then t_1..t_last, or None when there is none."""
+    reads = [(sigma, k) for k in range(s_last + 1)] + [(tau, k) for k in range(1, t_last + 1)]
+    return next((f"negative value {format_rat(value)} at index {k}"
+                 for spec, k in reads if (value := SequenceSpec.eval(spec, k)) < 0), None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(specs(0, SignCheckedSpec), specs(1, SignCheckedSpec), st.integers(0, 12))
 def test_sign_checked_weights_fail_like_the_oracle(sigma, tau, depth):
-    rows = outcome(fraction_triangle, sigma, tau, depth)
-    if isinstance(rows, str):
-        assert outcome(catalan_like, sigma, tau, depth) == rows
-        assert outcome(build_recursive, sigma, tau, depth) == rows
+    # the terms read s_0..s_{(depth-1)//2} and t_1..t_{depth//2}, the whole
+    # triangle s_0..s_{depth-1} and t_1..t_{depth-1}: no other weight meets a
+    # nonzero cell, so a negative one fails the build exactly when the
+    # Fraction oracle, which reads every weight of its formula, would have
+    # used its value
+    rows = fraction_triangle(*(SequenceSpec(spec.prefix, spec.tail, spec.start)
+                               for spec in (sigma, tau)), depth)
+    terms_failure = read_failure(sigma, tau, (depth - 1) // 2, depth // 2)
+    assert outcome(catalan_like, sigma, tau, depth) == (
+        terms_failure or [row[0] for row in rows])
+    triangle_failure = read_failure(sigma, tau, depth - 1, depth - 1)
+    if triangle_failure:
+        assert outcome(build_recursive, sigma, tau, depth) == triangle_failure
     else:
-        assert catalan_like(sigma, tau, depth) == [row[0] for row in rows]
+        assert [list(row) for row in build_recursive(sigma, tau, depth).rows_] == rows
 
 
 def test_weights_are_read_only_where_the_recurrence_uses_them():
-    # row 0 reads no weight; row 1 reads s_0, s_1, t_1 and t_2
+    # row 0 reads no weight; row 1 = (s_0, 1) reads s_0 alone
     sigma = SignCheckedSpec((), ConstantTail(Fraction(-1)), 0)
     tau = SignCheckedSpec((Fraction(1),), ConstantTail(Fraction(-1)), 1)
     assert catalan_like(sigma, tau, 0) == [1]
     assert build_recursive(sigma, tau, 0).row(0) == (1,)
-    for build in (catalan_like, build_recursive, fraction_triangle):
+    for build in (catalan_like, build_recursive):
         with pytest.raises(ValueError, match="at index 0"):
             build(sigma, tau, 1)
+    # t_2 = -1 meets a nonzero cell from row 3 of the triangle on, and from
+    # term 4 on; s_1 = -1 from row 2 and from term 3
+    ones = SignCheckedSpec((Fraction(1),), ConstantTail(Fraction(1)), 0)
+    assert catalan_like(ones, tau, 3) == [1, 1, 2, 4]
+    assert build_recursive(ones, tau, 2).row(2) == (2, 2, 1)
+    for build, depth in ((catalan_like, 4), (build_recursive, 3)):
         with pytest.raises(ValueError, match="at index 2"):
-            build(SignCheckedSpec((), ConstantTail(Fraction(1)), 0), tau, 1)
+            build(ones, tau, depth)
+    s_1 = SignCheckedSpec((Fraction(1),), ConstantTail(Fraction(-1)), 0)
+    plain_tau = SequenceSpec((), ConstantTail(Fraction(1)), 1)
+    assert catalan_like(s_1, plain_tau, 2) == [1, 1, 2]
+    for build, depth in ((catalan_like, 3), (build_recursive, 2)):
+        with pytest.raises(ValueError, match="at index 1"):
+            build(s_1, plain_tau, depth)
+
+
+def test_terms_read_each_weight_they_use_once(monkeypatch):
+    # terms 0..40 use s_0..s_19 and t_1..t_20: 40 reads, one per weight
+    entry = CATALOG["factorial"]
+    reads = []
+    original = SequenceSpec.eval
+
+    def counting(spec, k):
+        reads.append((spec is entry.tau, k))
+        return original(spec, k)
+
+    monkeypatch.setattr(SequenceSpec, "eval", counting)
+    terms = catalan_like(entry.sigma, entry.tau, 40)
+    assert terms[40] == math.factorial(40)
+    assert reads == [(False, k) for k in range(20)] + [(True, k) for k in range(1, 21)]

@@ -196,8 +196,11 @@ def test_weight_route_refuses_negative_depth():
         stieltjes_weights(entry.sigma, entry.tau, -1)
 
 
+# every elimination entry point: hankel_dets hands its integer rows straight
+# to _int_leading_minors, a DenseMatrix goes through leading_principal_minors
 GUARDED = ((catmoments.exact, "det_bareiss"), (catmoments.exact, "leading_principal_minors"),
-           (catmoments.hankel, "build_hankel"), (catmoments.recursive, "catalan_like"))
+           (catmoments.exact, "_int_leading_minors"), (catmoments.hankel, "build_hankel"),
+           (catmoments.recursive, "catalan_like"))
 
 
 @pytest.fixture
@@ -240,8 +243,8 @@ def test_terms_run_no_elimination_unless_they_fall_back(capsys, guarded_calls):
     # elimination decides the sections with their zero leading minors
     guarded_calls.clear()
     assert main(["stieltjes", "--terms", "1,1,1,1,1,1", "--depth", "2"]) == 0
-    assert sorted(set(guarded_calls)) == ["build_hankel", "det_bareiss",
-                                          "leading_principal_minors"]
+    assert sorted(set(guarded_calls)) == ["_int_leading_minors", "build_hankel",
+                                          "det_bareiss"]
 
 
 @pytest.mark.parametrize("corrupt", ["s_d", "t_d"])
@@ -258,7 +261,7 @@ def test_weights_that_do_not_replay_fall_back(monkeypatch, guarded_calls, corrup
     monkeypatch.setattr(catmoments.hankel, "_chebyshev_weights", corrupted)
     terms = catalan_like(catalog_lookup("bell").sigma, catalog_lookup("bell").tau, 11)
     assert stieltjes_check(terms, 5) == StieltjesReport.by_elimination(terms, 5)
-    assert guarded_calls[0] == "catalan_like" and "leading_principal_minors" in guarded_calls
+    assert guarded_calls[0] == "catalan_like" and "_int_leading_minors" in guarded_calls
 
 
 def test_verify_compares_the_whole_report(monkeypatch):
