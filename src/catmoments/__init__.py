@@ -66,16 +66,12 @@ from .seqspec import (
 from .series import (
     GFSpec,
     Series,
-    closed_form_d,
-    closed_form_h,
     gf_expand,
     gf_from_json,
     gf_to_json,
     radical_quotient,
     riordan_column_check,
     solve_d,
-    solve_h,
-    sqrt_discriminant,
 )
 
 __version__ = "0.1.0"

@@ -7,10 +7,9 @@ be trustworthy anyway).  Square roots require constant term 1 and division
 requires a nonzero constant term; both are computed coefficient by
 coefficient, exactly.
 
-The three kernels run on integers (solve_h too; see its docstring): each
-operand is scaled to ints over the common denominator of its coefficients,
-the O(N^2) loop runs on those, and each output coefficient becomes one
-Fraction.  Product: with a = A/d_a and
+The three kernels run on integers: each operand is scaled to ints over the
+common denominator of its coefficients, the O(N^2) loop runs on those, and
+each output coefficient becomes one Fraction.  Product: with a = A/d_a and
 b = B/d_b, [x^k] ab = (sum_i A_i B_(k-i)) / (d_a d_b).  Quotient f/g with
 f = F/d_f, g = G/d_g: Q_k = q_k G_0^(k+1) d_f/d_g is an integer, since
 Q_k = F_k G_0^k - sum_(i<k) Q_i G_(k-i) G_0^(k-1-i).  Square root of
@@ -26,10 +25,10 @@ the first entry: diagonal weights (p, s, s, ...) over subdiagonal weights
 
 and radical_quotient is the one routine that expands it; each kind of spec
 is a map from its parameters to (c, a0, a1, e, r1, r2), and each named
-classic a literal row of them.  Two independent expansion routes are
-provided, a fixed-point functional equation solver and the closed forms, so
-each can certify the other.  The general closed form divides by 2t and
-refuses t = 0; the fixed-point route covers that case.
+classic a literal row of them.  Each generating function has one expansion
+route, and the recurrence (recursive.build_recursive) is the independent
+check on it.  The general closed form divides by 2t and refuses t = 0; the
+Riordan column check needs no division by t (see riordan_column_check).
 """
 
 from __future__ import annotations
@@ -144,14 +143,6 @@ class Series:
         padded = (Fraction(0),) * k + self.coeffs
         return Series(padded[: len(self.coeffs)])
 
-    def div_xk(self, k: int) -> "Series":
-        """Divide by x**k; the first k coefficients must vanish."""
-        if k < 0 or k > self.order:
-            raise ValueError(f"k must lie in 0..{self.order}")
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError(f"series is not divisible by x**{k}")
-        return Series(self.coeffs[k:]) if k else self
-
 
 def poly_eval(poly: Sequence, arg: Series) -> Series:
     """Evaluate a polynomial at a series argument (Horner)."""
@@ -164,61 +155,11 @@ def poly_eval(poly: Sequence, arg: Series) -> Series:
     return acc
 
 
-def solve_h(a_poly: Sequence, order: int) -> Series:
-    """Solve the fixed-point equation h(x) = A(x*h(x)), A a polynomial, in
-    one pass: [x^n] (x*h)^j = [x^(n-j)] h^j needs only h_0..h_(n-j), so
-    h_n = sum_j a_j [x^(n-j)] h^j follows from the coefficients before it.
-
-    With A = C/D over the common denominator D of its coefficients,
-    H_n = D^(n+1) h_n and P_j(r) = D^(r+j) [x^r] h^j are integers, and
-    P_j(r) = sum_i H_i P_(j-1)(r-i), H_n = sum_j C_j P_j(n-j): the loop runs
-    on those, one Fraction per output coefficient.
-    """
-    a = [as_rat(c) for c in a_poly]
-    if not a or a[0] == 0:
-        raise ValueError("A must have a nonzero constant term")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    while a[-1] == 0:               # a zero top coefficient needs no power of h
-        a.pop()
-    a, den = _scaled_ints(a)
-    h: list[int] = []                                           # H_n
-    powers = [[int(r == 0) for r in range(order + 1)]]          # powers[j][r] = P_j(r)
-    powers += [[] for _ in a[1:]]
-    for n in range(order + 1):
-        terms = range(min(n, len(a) - 1) + 1)
-        for j in terms[1:]:
-            powers[j].append(sum(map(mul, h[:n - j + 1], powers[j - 1][n - j::-1])))
-        h.append(sum(a[j] * powers[j][n - j] for j in terms))
-    return Series(Fraction(v, den ** (n + 1)) for n, v in enumerate(h))
-
-
 def solve_d(z_poly: Sequence, h: Series) -> Series:
-    """Compute d(x) = 1 / (1 - x*Z(x*h(x))), Z a polynomial, h from solve_h."""
+    """Compute d(x) = 1 / (1 - x*Z(x*h(x))), Z a polynomial, to h's order."""
     order = h.order
-    x = Series.from_poly([0, 1], order)
-    denom = Series.constant(1, order) - x * poly_eval(z_poly, x * h)
+    denom = Series.constant(1, order) - poly_eval(z_poly, h.mul_xk(1)).mul_xk(1)
     return Series.constant(1, order).divide(denom)
-
-
-def sqrt_discriminant(s, t, order: int) -> Series:
-    """Expand sqrt(1 - 2*s*x + (s**2 - 4*t)*x**2)."""
-    s, t = as_rat(s), as_rat(t)
-    inner = Series.from_poly([1, -2 * s, s * s - 4 * t], order)
-    return inner.sqrt()
-
-
-def closed_form_h(s, t, order: int) -> Series:
-    """Expand h(x) = (1 - s*x - sqrt(1 - 2*s*x + (s**2-4*t)*x**2)) / (2*t*x**2).
-
-    Refuses t = 0, where the formula divides by zero; use solve_h there.
-    """
-    s, t = as_rat(s), as_rat(t)
-    if t == 0:
-        raise ValueError("closed form divides by 2*t; use solve_h for t = 0")
-    # two extra working coefficients pay for the division by x**2
-    num = Series.from_poly([1, -s], order + 2) - sqrt_discriminant(s, t, order + 2)
-    return num.div_xk(2).scale(Fraction(1, 2) / t)
 
 
 def radical_quotient(c, a0, a1, e, r1, r2, order: int) -> Series:
@@ -237,14 +178,6 @@ def _closed_form(p, q, s, t) -> tuple:
     if t == 0:
         raise ValueError("closed form divides by 2*t; use solve_d for t = 0")
     return 2 * t, 2 * t - q, q * s - 2 * p * t, q, -2 * s, s * s - 4 * t
-
-
-def closed_form_d(p, q, s, t, order: int) -> Series:
-    """Expand d(x) = 2*t / (2*t - q + (q*s - 2*p*t)*x + q*sqrt(...)).
-
-    Refuses t = 0, where the formula degenerates to 0/0; use solve_d there.
-    """
-    return radical_quotient(*_closed_form(as_rat(p), as_rat(q), as_rat(s), as_rat(t)), order)
 
 
 #: radical_quotient coefficients (c, a0, a1, e, r1, r2) of the classical
@@ -341,19 +274,18 @@ def riordan_column_check(p, q, s, t, order: int = DEFAULT_ORDER, k_max: int = 5)
 
     Returns TRUE when every requested column of the matrix built from the
     recurrence matches its generating function expansion to the given order.
-    h and d are expanded once (by the closed forms, or by the fixed-point
-    route when t = 0) and each column is x * h times the one before.
+    h = 1 + s*x*h + t*x**2*h**2 is the tied_qp row,
+    2 / (1 - s*x + sqrt(1 - 2*s*x + (s**2 - 4*t)*x**2)), which never divides
+    by t; d comes from solve_d, and each column is x * h times the one before.
     """
     from .recursive import build_recursive
     from .seqspec import SequenceSpec
 
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     p, q, s, t = as_rat(p), as_rat(q), as_rat(s), as_rat(t)
-    if t == 0:
-        h = solve_h([1, s, t], order)
-        d = solve_d([p, q], h)
-    else:
-        h = closed_form_h(s, t, order)
-        d = closed_form_d(p, q, s, t, order)
+    h = radical_quotient(*_KINDS["tied_qp"][1](s, t), order)
+    d = solve_d([p, q], h)
     sigma = SequenceSpec.first_then_constant(p, s, start=0)
     tau = SequenceSpec.first_then_constant(q, t, start=1)
     matrix = build_recursive(sigma, tau, order)

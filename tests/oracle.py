@@ -21,9 +21,9 @@ the textbook form of the band sums the library checks them by.
 fraction_mul, fraction_divide and fraction_sqrt are the schoolbook series
 kernels on Fractions, coefficient by coefficient, which the library runs on
 integers over a common denominator; iterated_solve_h solves h = A(x*h) by
-order+1 rounds of full re-evaluation with those kernels, against the
-library's one-pass fixed point; fraction_horner evaluates a polynomial on
-Fractions, against PolynomialTail.eval on scaled integers.
+order+1 rounds of full re-evaluation with those kernels, against the closed
+form the Riordan column check expands h by; fraction_horner evaluates a
+polynomial on Fractions, against PolynomialTail.eval on scaled integers.
 
 fraction_window_minors and fraction_det_products are the three-term minor
 chain and the running weight products on Fractions, step by step, which the

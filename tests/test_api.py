@@ -27,5 +27,7 @@ def test_every_exported_name_resolves():
     missing = [name for name in catmoments.__all__ if not hasattr(catmoments, name)]
     assert missing == []
     for gone in ("MomentSequence", "TotalsDiagonal", "hankel_det_product", "ClosedFormGF",
-                 "TiedQGF", "TiedQPGF", "InverseSqrtGF", "NamedGF", "GF_TYPES"):
+                 "TiedQGF", "TiedQPGF", "InverseSqrtGF", "NamedGF", "GF_TYPES", "solve_h",
+                 "closed_form_h", "closed_form_d", "sqrt_discriminant"):
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.series, gone)
+    assert not hasattr(catmoments.Series, "div_xk")

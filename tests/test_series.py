@@ -1,11 +1,11 @@
 """Tests for exact truncated power series and the generating function
-layer: fixed-point solvers, closed forms, specializations, named forms."""
+layer: closed forms, specializations, named forms, the Riordan check."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catmoments.recursive import catalan_like
 from catmoments.seqspec import SequenceSpec, catalog_lookup, pqst_of
@@ -14,8 +14,7 @@ from catmoments.series import (
     NAMED_GF_NAMES,
     GFSpec,
     Series,
-    closed_form_d,
-    closed_form_h,
+    _KINDS,
     gf_expand,
     gf_from_json,
     gf_to_json,
@@ -23,8 +22,6 @@ from catmoments.series import (
     radical_quotient,
     riordan_column_check,
     solve_d,
-    solve_h,
-    sqrt_discriminant,
 )
 from catmoments.exact import TRUE
 from oracle import fraction_divide, fraction_mul, fraction_sqrt, iterated_solve_h
@@ -37,6 +34,8 @@ coefficients = st.one_of(
 )
 nonzero = coefficients.filter(bool)
 orders = st.one_of(st.sampled_from((0, 1, 40)), st.integers(0, 12))
+# nonnegative weights, as GFSpec takes them
+weights = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
 
 
 def series_of(order, head=coefficients):
@@ -134,9 +133,7 @@ def test_shift_by_powers_of_x():
     f = Series([1, 2, 3])
     assert f.mul_xk(1).coeffs == (0, 1, 2)
     assert f.mul_xk(0) is f
-    assert Series([0, 0, 7]).div_xk(2).coeffs == (7,)
-    with pytest.raises(ValueError):
-        f.div_xk(1)
+    assert f.mul_xk(3).coeffs == (0, 0, 0)
     with pytest.raises(ValueError):
         f.mul_xk(-1)
 
@@ -149,58 +146,61 @@ def test_poly_eval():
         poly_eval([], x)
 
 
-def test_solve_h_trivial_and_classical():
-    assert solve_h([1], 4).coeffs == (1, 0, 0, 0, 0)
-    # quadratic A gives the shifted classical column-0 sequence
-    assert solve_h([1, 2, 1], 4).coeffs == (1, 2, 5, 14, 42)
-    # t = 0 degenerates to a geometric series
-    assert solve_h([1, 3], 4).coeffs == (1, 3, 9, 27, 81)
-    with pytest.raises(ValueError):
-        solve_h([], 4)
-    with pytest.raises(ValueError):
-        solve_h([0, 1], 4)
-    with pytest.raises(ValueError, match="order must be >= 0"):
-        solve_h([1, 2], -1)
+def riordan_h(s, t, order):
+    """The h riordan_column_check expands, h = 1 + s*x*h + t*x**2*h**2: the
+    tied_qp row, which takes any rational s and t."""
+    return radical_quotient(*_KINDS["tied_qp"][1](s, t), order)
 
 
 def test_solve_d_trivial_and_classical():
-    h = solve_h([1, 3, 2], 4)
+    h = riordan_h(3, 2, 4)
     assert solve_d([0], h).coeffs == (1, 0, 0, 0, 0)
-    assert solve_d([2], solve_h([1], 4)).coeffs == (1, 2, 4, 8, 16)
+    assert solve_d([2], Series.constant(1, 4)).coeffs == (1, 2, 4, 8, 16)
     assert solve_d([3, 4], h).coeffs == (1, 3, 13, 63, 321)
 
 
 def test_closed_form_h_known_expansions():
-    assert closed_form_h(2, 1, 4).coeffs == (1, 2, 5, 14, 42)
-    assert closed_form_h(3, 2, 4).coeffs == (1, 3, 11, 45, 197)
+    assert riordan_h(2, 1, 4).coeffs == (1, 2, 5, 14, 42)
+    assert riordan_h(3, 2, 4).coeffs == (1, 3, 11, 45, 197)
     # s = 0 aerates: odd coefficients vanish
-    assert closed_form_h(0, 1, 6).coeffs == (1, 0, 1, 0, 2, 0, 5)
+    assert riordan_h(0, 1, 6).coeffs == (1, 0, 1, 0, 2, 0, 5)
+    # t = 0 is the geometric series 1 / (1 - s*x), with no division by t
+    assert riordan_h(3, 0, 4).coeffs == (1, 3, 9, 27, 81)
+    assert riordan_h(Fraction(-1, 2), 0, 3).coeffs == (1, Fraction(-1, 2), Fraction(1, 4),
+                                                       Fraction(-1, 8))
 
 
-def test_closed_forms_refuse_degenerate_subdiagonal():
-    with pytest.raises(ValueError, match="use solve_h"):
-        closed_form_h(2, 0, 4)
-    with pytest.raises(ValueError, match="use solve_d"):
-        closed_form_d(1, 1, 2, 0, 4)
+@settings(max_examples=40, deadline=None)
+@given(coefficients, st.just(Fraction(0)) | coefficients,
+       st.one_of(st.sampled_from((0, 1, 16)), st.integers(2, 10)))
+@example(Fraction(2), Fraction(1), 40)
+@example(Fraction(-5, 7), Fraction(0), 40)
+@example(Fraction(1, 3), Fraction(-2, 11), 40)
+def test_closed_form_h_matches_fixed_point_solver(s, t, order):
+    assert riordan_h(s, t, order) == iterated_solve_h([1, s, t], order)
 
 
-def test_closed_form_h_matches_fixed_point_solver():
-    rng = random.Random(2024)
-    for _ in range(15):
-        s = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-        t = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        assert closed_form_h(s, t, 12) == solve_h([1, s, t], 12)
+@settings(max_examples=40, deadline=None)
+@given(weights, weights, weights, weights.map(lambda t: t + Fraction(1, 3)),
+       st.sampled_from((0, 1, 16)) | st.integers(2, 10))
+def test_closed_form_d_matches_fixed_point_solver(p, q, s, t, order):
+    h = riordan_h(s, t, order)
+    assert gf_expand(gf("closed_form", p, q, s, t), order) == solve_d([p, q], h)
 
 
-def test_closed_form_d_matches_fixed_point_solver():
-    rng = random.Random(2025)
-    for _ in range(15):
-        p = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-        q = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-        s = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-        t = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        h = solve_h([1, s, t], 16)
-        assert closed_form_d(p, q, s, t, 16) == solve_d([p, q], h)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(coefficients, min_size=1, max_size=4), orders.flatmap(series_of))
+def test_solve_d_matches_fraction_kernels(z, h):
+    # d = 1 / (1 - x*Z(x*h)), Z by Horner, every product and the quotient
+    # on the schoolbook Fraction kernels
+    order = h.order
+    x = Series.from_poly([0, 1], order)
+    y = fraction_mul(x, h)
+    acc = Series.constant(z[-1], order)
+    for c in reversed(z[:-1]):
+        acc = fraction_mul(acc, y) + Series.constant(c, order)
+    one = Series.constant(1, order)
+    assert solve_d(z, h) == fraction_divide(one, one - fraction_mul(x, acc))
 
 
 def gf(kind, *params):
@@ -237,7 +237,6 @@ KIND_WEIGHTS = {
     "tied_qp": ("st", lambda s, t: (s, t, s, t)),
     "inverse_sqrt": ("st", lambda s, t: (s, 2 * t, s, t)),
 }
-weights = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,17 +348,24 @@ def test_riordan_columns_match_recurrence():
         entry = catalog_lookup(name)
         p, q, s, t = pqst_of(entry.sigma, entry.tau)
         assert riordan_column_check(p, q, s, t, order=10, k_max=10) == TRUE, name
-    # degenerate subdiagonal exercises the fixed-point route end to end
+    # a degenerate subdiagonal takes the same route
     assert riordan_column_check(1, 1, 1, 0, order=8, k_max=8) == TRUE
 
 
-def test_sqrt_discriminant_definition():
-    rng = random.Random(5)
-    for _ in range(5):
-        s = Fraction(rng.randint(0, 4))
-        t = Fraction(rng.randint(0, 4))
-        root = sqrt_discriminant(s, t, 10)
-        assert root * root == Series.from_poly([1, -2 * s, s * s - 4 * t], 10)
+@settings(max_examples=40, deadline=None)
+@given(coefficients, coefficients, coefficients, st.just(Fraction(0)) | coefficients,
+       st.integers(0, 10), st.integers(0, 6))
+def test_riordan_column_check_holds_on_random_rational_weights(p, q, s, t, order, k_max):
+    assert riordan_column_check(p, q, s, t, order=order, k_max=k_max) == TRUE
+
+
+def test_riordan_column_check_refuses_negative_order_and_k_max():
+    # a negative k_max would compare no column and still answer TRUE
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        riordan_column_check(1, 1, 1, 1, order=4, k_max=-1)
+    for t in (0, 1):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            riordan_column_check(1, 1, 1, t, order=-1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,26 +388,3 @@ def test_divide_matches_fraction_kernel(f, g):
 @given(orders.flatmap(lambda order: series_of(order, st.just(Fraction(1)))))
 def test_sqrt_matches_fraction_kernel(f):
     assert f.sqrt() == fraction_sqrt(f)
-
-
-@settings(max_examples=40, deadline=None)
-@given(coefficients, coefficients, orders)
-def test_sqrt_discriminant_matches_fraction_kernel(s, t, order):
-    inner = Series.from_poly([1, -2 * s, s * s - 4 * t], order)
-    assert sqrt_discriminant(s, t, order) == fraction_sqrt(inner)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(coefficients, min_size=0, max_size=3), nonzero,
-       st.one_of(st.sampled_from((0, 1, 16)), st.integers(2, 10)), st.booleans())
-def test_solve_h_matches_iteration(rest, a0, order, t_zero):
-    a = [a0, *rest]
-    if t_zero:                  # A = (1, s, 0): the t = 0 Riordan route
-        a = [Fraction(1), a[-1], Fraction(0)]
-    assert solve_h(a, order) == iterated_solve_h(a, order)
-
-
-def test_solve_h_matches_iteration_at_order_40():
-    for a in ([1, 2, 1], [Fraction(3, 2), Fraction(-5, 7), 0],
-              [1, Fraction(1, 3), 0, Fraction(-2, 11)]):
-        assert solve_h(a, 40) == iterated_solve_h(a, 40)
