@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from catmoments.recursive import catalan_like
 from catmoments.seqspec import SequenceSpec, catalog_lookup, pqst_of
@@ -171,13 +171,26 @@ def test_closed_form_h_known_expansions():
 
 
 @settings(max_examples=40, deadline=None)
-@given(coefficients, st.just(Fraction(0)) | coefficients,
+@given(weights, weights.map(lambda t: t + Fraction(1, 3)),
        st.one_of(st.sampled_from((0, 1, 16)), st.integers(2, 10)))
-@example(Fraction(2), Fraction(1), 40)
-@example(Fraction(-5, 7), Fraction(0), 40)
-@example(Fraction(1, 3), Fraction(-2, 11), 40)
 def test_closed_form_h_matches_fixed_point_solver(s, t, order):
+    # nonnegative weights with t > 0, as GFSpec takes them: the radical route
     assert riordan_h(s, t, order) == iterated_solve_h([1, s, t], order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficients, coefficients,
+       st.one_of(st.sampled_from((0, 1, 16)), st.integers(2, 10)), st.booleans())
+def test_solve_h_matches_iteration(s, t, order, t_zero):
+    # h = A(x*h) for A = (1, s, t) with any rational s and t
+    if t_zero:                  # A = (1, s, 0): the t = 0 geometric route
+        t = Fraction(0)
+    assert riordan_h(s, t, order) == iterated_solve_h([1, s, t], order)
+
+
+def test_solve_h_matches_iteration_at_order_40():
+    for s, t in ((2, 1), (Fraction(-5, 7), 0), (Fraction(1, 3), Fraction(-2, 11))):
+        assert riordan_h(s, t, 40) == iterated_solve_h([1, s, t], 40)
 
 
 @settings(max_examples=40, deadline=None)
