@@ -7,7 +7,10 @@ frozen in golden_cli.json.  Any change to a single output byte fails.
 The cases cover every subcommand: every catalog entry under `gen -n 40`,
 `matrix -n 12`, `hankel-det`, `stieltjes`, `verify` and `tp` in every
 format, one weight pair with rational prefix and polynomial tails (gen,
-matrix, both Hankel families, stieltjes and tp), both Hankel families
+matrix, both Hankel families, stieltjes and tp), the matrix of a rational
+pair with zero, negative and integral cells, gen on 256-bit constant
+weights (terms past the 4,300-digit limit) and on a zero weight, both
+Hankel families
 (also of a weight pair with a zero weight, and factorial's shifted family
 at depth 24),
 stieltjes on explicit weight pairs (PASS, FAIL in either family, a zero
@@ -92,6 +95,20 @@ STIELTJES_WEIGHT_CASES = {
                     _constant_tail_spec(["1", "0"], "1", 1)),
 }
 
+# a rational pair whose matrix cells at -n 8 include zeros (t_3 = 0),
+# negatives and integers over a denominator L**n != 1
+MATRIX_MIXED_SIGMA = json.dumps({"prefix": ["-1/2", "0"],
+                                 "tail": {"kind": "polynomial", "coeffs": ["3/2", "-1/2"]},
+                                 "start": 0})
+MATRIX_MIXED_TAU = json.dumps({"prefix": ["1/4"],
+                               "tail": {"kind": "polynomial", "coeffs": ["-3/2", "1/2"]},
+                               "start": 1})
+
+# 256-bit constant weights: term 70 has over 5,000 digits, past the
+# interpreter's 4,300-digit limit on int-to-str conversion
+WIDE_SIGMA = _constant_tail_spec([], str(2**256 - 189), 0)
+WIDE_TAU = _constant_tail_spec([], str(2**255 + 95), 1)
+
 
 def _weight_terms(sigma: str, tau: str, count: int) -> str:
     spec = (SequenceSpec.from_json(json.loads(text)) for text in (sigma, tau))
@@ -135,6 +152,8 @@ def cases() -> dict[str, list[str]]:
         rational = ["--sigma", RATIONAL_SIGMA, "--tau", RATIONAL_TAU, "--format", f]
         out[f"gen-rational-{f}"] = ["gen", *rational, "-n", "40"]
         out[f"matrix-rational-{f}"] = ["matrix", *rational, "-n", "12"]
+        out[f"matrix-mixed-{f}"] = ["matrix", "--sigma", MATRIX_MIXED_SIGMA,
+                                    "--tau", MATRIX_MIXED_TAU, "-n", "8", "--format", f]
         out[f"hankel-det-rational-{f}"] = ["hankel-det", *rational, "--depth", "6"]
         # the weight route and the leading-minor route on polynomial tails
         # with a negative weight: FAIL on det1 at k = 1, FALSE on D_1
@@ -183,6 +202,9 @@ def cases() -> dict[str, list[str]]:
                                                   "--depth", "2", "--format", f]
         out[f"stieltjes-weak-sylvester-1-{f}"] = ["stieltjes", "--terms", "2,0,0,-1",
                                                   "--depth", "1", "--format", f]
+    out["gen-wide256-n70"] = ["gen", "--sigma", WIDE_SIGMA, "--tau", WIDE_TAU, "-n", "70"]
+    out["gen-zero-weight"] = ["gen", "--sigma", STIELTJES_WEIGHT_CASES["zero-weight"][0],
+                              "--tau", STIELTJES_WEIGHT_CASES["zero-weight"][1], "-n", "20"]
     out["gen-n0"] = ["gen", "--name", "catalan", "-n", "0"]
     out["matrix-n0"] = ["matrix", "--name", "factorial", "-n", "0", "--format", "json"]
     out["gen-negative-n"] = ["gen", "--name", "catalan", "-n", "-1"]
