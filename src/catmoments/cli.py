@@ -5,8 +5,8 @@ Subcommands: gen, matrix, stieltjes, hankel-det, tp, series, verify,
 catalog.  Every number prints as an exact integer or "p/q" string; --format
 selects text, json, or csv.  Exit codes: 0 for success or PASS, 1 for a
 checked FAIL (or a certification that came back FALSE or INCONCLUSIVE), 2
-for usage and parse errors, including a count option (-n, --depth) below
-its range.  No environment variable is read.
+for usage and parse errors, including a count option (-n, --depth) out of
+its range (gen and matrix cap -n).  No environment variable is read.
 
 stieltjes reads both Hankel families off weight products (see hankel): a
 weight pair, named or given by --sigma/--tau, gives them directly, and
@@ -19,7 +19,8 @@ whole report with the weight route's.
 
 Each cmd_* function computes its whole result and returns it as
 (exit code, JSON object, CSV rows with the header first, text), all built
-from the same format_rat strings; main prints the format asked for, once.
+from the same number strings (gen and matrix: from the recurrence's ints,
+no Fraction per cell); main prints the format asked for, once.
 Nothing reaches stdout before a command has finished, so a command that
 fails prints only its error message.
 
@@ -32,11 +33,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
 
-from .exact import TRUE, as_rat, format_rat, leading_principal_minors
+from .exact import TRUE, as_rat, format_over, format_rat, format_row, leading_principal_minors
 from .hankel import (
     DEFAULT_DEPTH,
     FAIL,
@@ -57,9 +59,11 @@ from .jacobi import (
 )
 from .recursive import (
     ORACLE_MAX_LENGTH,
+    _scaled_rows,
     build_recursive,
     catalan_like,
     motzkin_oracle,
+    read_weights,
     verify_RJ_identity,
     verify_step_factorization,
 )
@@ -143,10 +147,16 @@ def parse_gf_arg(text: str):
         raise UsageError(f"--gf: {exc}") from exc
 
 
-def check_count(option: str, value: int, low: int) -> None:
-    """Refuse a count option (-n, --depth) below low before any work starts."""
-    if value < low:
-        raise UsageError(f"{option} must be >= {low}, got {value}")
+# the largest -n: factorial, the fastest-growing catalog entry, takes 12 s as
+# a process at gen -n 4000, and 5 s and 770 MiB at matrix -n 800 (output ~ n**3)
+GEN_MAX_N, MATRIX_MAX_N = 4000, 800
+
+
+def check_count(option: str, value: int, low: int, high: float = math.inf) -> None:
+    """Refuse a count option (-n, --depth) outside low..high before any work starts."""
+    if not low <= value <= high:
+        bound = f">= {low}" if value < low else f"<= {high}"
+        raise UsageError(f"{option} must be {bound}, got {value}")
 
 
 def resolve_weights(args) -> tuple[SequenceSpec, SequenceSpec, str | None]:
@@ -178,18 +188,19 @@ def _named(name: str | None, data: dict) -> dict:
 
 
 def cmd_gen(args) -> Rendered:
-    check_count("-n", args.n, 0)
+    check_count("-n", args.n, 0, GEN_MAX_N)
     sigma, tau, name = resolve_weights(args)
-    terms = [format_rat(v) for v in catalan_like(sigma, tau, args.n)]
+    rows = _scaled_rows(*read_weights(sigma, tau, args.n, True), args.n, True)
+    terms = [format_over(row[0], den) for row, den in rows]
     data = {"sigma": sigma.to_json(), "tau": tau.to_json(), "n": args.n, "terms": terms}
     return 0, _named(name, data), [("n", "term"), *enumerate(terms)], " ".join(terms)
 
 
 def cmd_matrix(args) -> Rendered:
-    check_count("-n", args.n, 0)
+    check_count("-n", args.n, 0, MATRIX_MAX_N)
     sigma, tau, name = resolve_weights(args)
-    matrix = build_recursive(sigma, tau, args.n)
-    rows = [[format_rat(v) for v in matrix.row(n)] for n in range(args.n + 1)]
+    rows = [format_row(row, den)
+            for row, den in _scaled_rows(*read_weights(sigma, tau, args.n), args.n)]
     data = {"sigma": sigma.to_json(), "tau": tau.to_json(), "rows": rows}
     return 0, _named(name, data), rows, "\n".join(" ".join(row) for row in rows)
 
@@ -215,13 +226,15 @@ def cmd_stieltjes(args) -> Rendered:
 def cmd_hankel_det(args) -> Rendered:
     check_count("--depth", args.depth, 0)
     sigma, tau, name = resolve_weights(args)
-    terms = catalan_like(sigma, tau, 2 * args.depth + args.shift)
+    top = 2 * args.depth + args.shift
+    s, t = read_weights(sigma, tau, top, True)     # t_1..t_depth: terms and products
+    terms = [Fraction(row[0], den) for row, den in _scaled_rows(s, t, top, True)]
     dets = hankel_dets(terms, args.depth, args.shift)
     rows = [{"k": k, "det": format_rat(det)} for k, det in enumerate(dets)]
     lines = [f"k={row['k']} det={row['det']}" for row in rows]
     if args.shift == 0:
         # the plain family also has the weight-product form det H_k = T_0 ... T_k
-        for k, product in enumerate(hankel_det_products(tau.values(args.depth))):
+        for k, product in enumerate(hankel_det_products(t)):
             match = dets[k] == product
             rows[k].update(product=format_rat(product), match=match)
             lines[k] += f" product={rows[k]['product']} {'ok' if match else 'MISMATCH'}"
@@ -349,12 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[common, named],
                        help="generate sequence terms 0..N")
-    p.add_argument("-n", type=int, default=DEFAULT_DEPTH, help="last index (default 8)")
+    p.add_argument("-n", type=int, default=DEFAULT_DEPTH,
+                   help=f"last index (default 8, at most {GEN_MAX_N})")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("matrix", parents=[common, named],
                        help="dump the recursive matrix triangle")
-    p.add_argument("-n", type=int, default=DEFAULT_DEPTH, help="last row (default 8)")
+    p.add_argument("-n", type=int, default=DEFAULT_DEPTH,
+                   help=f"last row (default 8, at most {MATRIX_MAX_N})")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("stieltjes", parents=[common, named],

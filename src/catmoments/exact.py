@@ -91,11 +91,24 @@ def _int_str(n: int) -> str:
         return _int_str(high) + _int_str(low).zfill(half)
 
 
+def _format_reduced(num: int, den: int) -> str:
+    return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
+
+
 def format_rat(value: Fraction) -> str:
     """Render a Fraction as "p" or "p/q" (never decimal)."""
-    if value.denominator == 1:
-        return _int_str(value.numerator)
-    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+    return _format_reduced(value.numerator, value.denominator)
+
+
+def format_over(num: int, den: int) -> str:
+    """format_rat(Fraction(num, den)) for den > 0, without the Fraction."""
+    g = math.gcd(num, den)
+    return _format_reduced(num // g, den // g)
+
+
+def format_row(row: list[int], den: int) -> list[str]:
+    """format_over of every entry of row over one den > 0."""
+    return list(map(_int_str, row)) if den == 1 else [format_over(v, den) for v in row]
 
 
 @dataclass(frozen=True, slots=True)

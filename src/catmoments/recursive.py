@@ -16,13 +16,13 @@ serves as the test oracle.
 The recurrence runs on integers.  Each weight it uses is evaluated once and
 scaled by L, the least common multiple of their denominators; then
 L**n * r_{n,k} is an integer and row n+1 follows from row n with int
-arithmetic only.  A row becomes Fractions only when it is materialised.
-Rows 0..depth use s_0..s_{depth-1} and t_1..t_{depth-1}.  catalan_like keeps
-one row at a time and only the columns k <= depth - n, the cells from which
-a path can still return to column 0 by the last row, so it uses only
-s_0..s_{(depth-1)//2} and t_1..t_{depth//2}: a closed path of length depth
-takes a level step at height k only if 2k + 1 <= depth, and a down step
-from height k only if 2k <= depth.
+arithmetic only.  The library returns Fractions; gen and matrix print the
+ints over L**n (exact.format_over).  Rows 0..depth use s_0..s_{depth-1} and
+t_1..t_{depth-1}.  catalan_like keeps one row at a time and only the columns
+k <= depth - n, the cells from which a path can still return to column 0 by
+the last row, so it uses only s_0..s_{(depth-1)//2} and t_1..t_{depth//2}: a
+closed path of length depth takes a level step at height k only if
+2k + 1 <= depth, and a down step from height k only if 2k <= depth.
 
 The shift identity check forms each entry of R times the banded J, read
 off R.sigma and R.tau, as a three-term band sum, O(d^2) on a section of size
@@ -67,16 +67,18 @@ class RecursiveMatrix:
         return self.rows_[n][k]
 
 
-def _scaled_rows(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: bool = False):
+def read_weights(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: bool = False):
+    """s_0.. and t_1.., read once each: those rows 0..depth (or their kept cells) use."""
+    s_count, t_count = ((depth + 1) // 2, depth // 2) if truncate else (depth, depth - 1)
+    return sigma.values(s_count), tau.values(t_count)
+
+
+def _scaled_rows(s: list[Fraction], t: list[Fraction], depth: int, truncate: bool = False):
     """Yield (row, den) for n = 0..depth, row[k] = den * r_{n,k} as ints and
-    den = L**n.  Row n holds columns 0..n, or 0..min(n, depth - n) when
-    truncate is set.  Only the weights that meet a nonzero kept cell are
-    read (see the module docstring); the others stand as 0."""
+    den = L**n, from the weights of read_weights(..., depth, truncate).  Row n
+    holds columns 0..n, or 0..min(n, depth - n) when truncate is set."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    s_count, t_count = ((depth + 1) // 2, depth // 2) if truncate else (depth, depth - 1)
-    s = [sigma.eval(k) for k in range(s_count)]
-    t = [tau.eval(k) for k in range(1, t_count + 1)]
     weights, scale = _scaled_ints(s + t)
     pad = [0] * (depth + 1)
     s, t = weights[:len(s)] + pad, weights[len(s):] + pad
@@ -93,13 +95,13 @@ def _scaled_rows(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: b
 
 def build_recursive(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> RecursiveMatrix:
     """Populate rows 0..depth of the recursive matrix from the recurrence."""
-    rows = _scaled_rows(sigma, tau, depth)
+    rows = _scaled_rows(*read_weights(sigma, tau, depth), depth)
     return RecursiveMatrix(((Fraction(v, den) for v in row) for row, den in rows), sigma, tau)
 
 
 def catalan_like(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> list[Fraction]:
     """Column 0 of the recursive matrix: terms 0..depth of the sequence."""
-    rows = _scaled_rows(sigma, tau, depth, truncate=True)
+    rows = _scaled_rows(*read_weights(sigma, tau, depth, True), depth, True)
     return [Fraction(row[0], den) for row, den in rows]
 
 

@@ -200,6 +200,35 @@ def test_n_below_range(capsys, argv):
     assert (code, out, err) == (2, "", "error: -n must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("command, cap", [("gen", 4000), ("matrix", 800)])
+def test_n_above_cap(capsys, monkeypatch, command, cap):
+    # refused before any weight is read
+    monkeypatch.setattr(catmoments.cli, "read_weights", None)
+    code, out, err = run(capsys, command, "--name", "catalan", "-n", str(cap + 1))
+    assert (code, out, err) == (2, "", f"error: -n must be <= {cap}, got {cap + 1}\n")
+
+
+@pytest.mark.parametrize("command, cap_name", [("gen", "GEN_MAX_N"), ("matrix", "MATRIX_MAX_N")])
+def test_n_at_cap_is_accepted(capsys, monkeypatch, command, cap_name):
+    monkeypatch.setattr(catmoments.cli, cap_name, 5)
+    assert run(capsys, command, "--name", "catalan", "-n", "5")[0] == 0
+    assert run(capsys, command, "--name", "catalan", "-n", "6")[0] == 2
+
+
+def test_hankel_det_reads_each_weight_once(capsys, monkeypatch):
+    reads = []
+    original = SequenceSpec.eval
+
+    def counting(self, k):
+        reads.append((self.start, k))
+        return original(self, k)
+
+    monkeypatch.setattr(SequenceSpec, "eval", counting)
+    code, _, _ = run(capsys, "hankel-det", "--name", "factorial", "--depth", "24")
+    assert code == 0
+    assert sorted(reads) == [(0, k) for k in range(24)] + [(1, k) for k in range(1, 25)]
+
+
 def test_tp_accepts_depth_zero(capsys):
     code, out, _ = run(capsys, "tp", "--sigma", SIGMA_DROP, "--tau", TAU_ZERO, "--depth", "0")
     assert code == 0

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catmoments.exact import (
     FALSE,
@@ -13,7 +15,9 @@ from catmoments.exact import (
     DenseMatrix,
     as_rat,
     det_bareiss,
+    format_over,
     format_rat,
+    format_row,
     leading_principal_minors,
 )
 from oracle import (
@@ -81,6 +85,29 @@ def test_format_rat_past_the_interpreter_digit_limit():
     big = 10**4300 * 3 + 10**2150 + 42
     assert format_rat(Fraction(big)) == "3" + "0" * 2149 + "1" + "0" * 2148 + "42"
     assert sys.get_int_max_str_digits() == limit
+
+
+numerators = st.one_of(
+    st.just(0),
+    st.integers(-10**40, 10**40),
+    # 3**e has 4,247 to 4,438 digits: past the interpreter's limit
+    st.builds(lambda sign, e, low: sign * (3**e + low),
+              st.sampled_from((1, -1)), st.integers(8900, 9300), st.integers(0, 10**9)),
+)
+denominators = st.one_of(
+    st.integers(1, 10**12),
+    st.builds(pow, st.sampled_from((2, 6, 35, 1001)), st.integers(0, 1500)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerators, denominators, st.sampled_from((1, 6, 35, "den")))
+def test_format_over_matches_format_rat(num, den, factor):
+    # a factor shared with den: none, part of a power's base, or all of den
+    num *= den if factor == "den" else factor
+    assert format_over(num, den) == format_rat(Fraction(num, den))
+    assert format_row([num, 0, -num], den) == [format_rat(Fraction(v, den))
+                                               for v in (num, 0, -num)]
 
 
 def test_matrix_construction_and_access():

@@ -20,7 +20,7 @@ leading minors are nonnegative but not all positive, the (p, q, s, t)
 criterion, the contiguous-minor TP route, every named and parameterised
 generating function (the three specializations also at t = 0, and the
 general form at -n 0), the catalog listing, and the usage-error (exit 2)
-path of each command.
+path of each command, including one past the -n caps of gen and matrix.
 After a deliberate output change, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -209,6 +209,9 @@ def cases() -> dict[str, list[str]]:
     out["matrix-n0"] = ["matrix", "--name", "factorial", "-n", "0", "--format", "json"]
     out["gen-negative-n"] = ["gen", "--name", "catalan", "-n", "-1"]
     out["matrix-negative-n"] = ["matrix", "--name", "catalan", "-n", "-2"]
+    # one past each size cap
+    out["gen-n-over-cap"] = ["gen", "--name", "catalan", "-n", "4001"]
+    out["matrix-n-over-cap"] = ["matrix", "--name", "catalan", "-n", "801", "--format", "json"]
     out["gen-unknown-name"] = ["gen", "--name", "fibonacci"]
     out["gen-bad-json"] = ["gen", "--sigma", "{not json", "--tau", RATIONAL_TAU]
     out["gen-wrong-start"] = ["gen", "--sigma", RATIONAL_TAU, "--tau", RATIONAL_TAU]

@@ -1,6 +1,10 @@
 """Differential tests: the integer recurrence kernel against the Fraction
-recurrence oracle and the weighted-path enumeration."""
+recurrence oracle and the weighted-path enumeration, and the gen and matrix
+output against the library's Fraction rows."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catmoments.cli import main
 from catmoments.exact import format_rat
 from catmoments.recursive import build_recursive, catalan_like, motzkin_oracle
 from catmoments.seqspec import CATALOG, ConstantTail, PolynomialTail, SequenceSpec
@@ -60,6 +65,31 @@ def test_rows_and_terms_match_fraction_oracle(sigma, tau, depth):
     terms = catalan_like(sigma, tau, depth)
     assert terms == [row[0] for row in rows]
     assert terms == [matrix.entry(n, 0) for n in range(depth + 1)]
+
+
+def polynomial_specs(start):
+    return st.builds(lambda prefix, coeffs: SequenceSpec(tuple(prefix),
+                                                         PolynomialTail(tuple(coeffs)), start),
+                     st.lists(weights, max_size=4), st.lists(weights, min_size=1, max_size=3))
+
+
+def cli_json(*argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main([*argv, "--format", "json"]) == 0
+    return json.loads(stdout.getvalue())
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_specs(0), polynomial_specs(1), st.integers(0, 24))
+def test_gen_and_matrix_print_the_fraction_rows(sigma, tau, n):
+    # the CLI formats the scaled integer rows; the library's Fraction rows
+    # are the reference
+    pair = ["--sigma", json.dumps(sigma.to_json()), "--tau", json.dumps(tau.to_json())]
+    assert cli_json("gen", *pair, "-n", str(n))["terms"] == [
+        format_rat(v) for v in catalan_like(sigma, tau, n)]
+    assert cli_json("matrix", *pair, "-n", str(n))["rows"] == [
+        [format_rat(v) for v in row] for row in build_recursive(sigma, tau, n).rows_]
 
 
 @settings(max_examples=40, deadline=None)
