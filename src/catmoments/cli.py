@@ -147,8 +147,8 @@ def parse_gf_arg(text: str):
         raise UsageError(f"--gf: {exc}") from exc
 
 
-# the largest -n: factorial, the fastest-growing catalog entry, takes 12 s as
-# a process at gen -n 4000, and 5 s and 770 MiB at matrix -n 800 (output ~ n**3)
+# the largest -n, about where factorial, the fastest-growing catalog entry,
+# takes 10 s as a process; matrix output grows as n**3 (770 MiB at 800)
 GEN_MAX_N, MATRIX_MAX_N = 4000, 800
 
 

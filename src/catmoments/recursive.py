@@ -68,7 +68,7 @@ class RecursiveMatrix:
 
 
 def read_weights(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: bool = False):
-    """s_0.. and t_1.., read once each: those rows 0..depth (or their kept cells) use."""
+    """s_0.. and t_1.., each read once: those rows 0..depth use (truncate: their kept cells)."""
     s_count, t_count = ((depth + 1) // 2, depth // 2) if truncate else (depth, depth - 1)
     return sigma.values(s_count), tau.values(t_count)
 
