@@ -46,7 +46,6 @@ from .jacobi import (
     window_minors,
 )
 from .recursive import (
-    RecursiveMatrix,
     build_recursive,
     catalan_like,
     motzkin_oracle,

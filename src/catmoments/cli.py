@@ -6,7 +6,9 @@ catalog.  Every number prints as an exact integer or "p/q" string; --format
 selects text, json, or csv.  Exit codes: 0 for success or PASS, 1 for a
 checked FAIL (or a certification that came back FALSE or INCONCLUSIVE), 2
 for usage and parse errors, including a count option (-n, --depth) out of
-its range (gen and matrix cap -n).  No environment variable is read.
+its range (gen and matrix cap -n), two weight sources at once (a name with
+--sigma/--tau, or --terms or --pqst with either) and a JSON field no reader
+knows.  No environment variable is read.
 
 stieltjes reads both Hankel families off weight products (see hankel): a
 weight pair, named or given by --sigma/--tau, gives them directly, and
@@ -160,21 +162,21 @@ def check_count(option: str, value: int, low: int, high: float = math.inf) -> No
 
 
 def resolve_weights(args) -> tuple[SequenceSpec, SequenceSpec, str | None]:
-    """Weight pair from --name or --sigma/--tau, plus the name when named."""
+    """Weight pair from --name (tp: --jacobi-name) or --sigma/--tau, plus the
+    name when named; both sources at once is an error."""
     name = getattr(args, "name", None) or getattr(args, "jacobi_name", None)
     if name is not None:
+        if (args.sigma, args.tau) != (None, None):
+            flag = "--jacobi-name" if hasattr(args, "jacobi_name") else "--name"
+            raise UsageError(f"give {flag} or --sigma/--tau, not both")
         try:
             entry = catalog_lookup(name)
         except KeyError as exc:
             raise UsageError(str(exc.args[0])) from exc
         return entry.sigma, entry.tau, entry.name
-    sigma_text = getattr(args, "sigma", None)
-    tau_text = getattr(args, "tau", None)
-    if sigma_text is None or tau_text is None:
+    if args.sigma is None or args.tau is None:
         raise UsageError("provide either a catalog name or both --sigma and --tau")
-    sigma = parse_spec_arg(sigma_text, 0, "--sigma")
-    tau = parse_spec_arg(tau_text, 1, "--tau")
-    return sigma, tau, None
+    return parse_spec_arg(args.sigma, 0, "--sigma"), parse_spec_arg(args.tau, 1, "--tau"), None
 
 
 # what every cmd_* returns: (exit code, JSON value, CSV rows with the header
@@ -208,6 +210,8 @@ def cmd_matrix(args) -> Rendered:
 def cmd_stieltjes(args) -> Rendered:
     check_count("--depth", args.depth, 0)
     if args.terms is not None:
+        if (args.name, args.sigma, args.tau) != (None, None, None):
+            raise UsageError("give --terms or a weight pair (--name, --sigma/--tau), not both")
         report, name = stieltjes_check(parse_terms_arg(args.terms), args.depth), None
     else:
         sigma, tau, name = resolve_weights(args)
@@ -247,6 +251,8 @@ def cmd_hankel_det(args) -> Rendered:
 def cmd_tp(args) -> Rendered:
     check_count("--depth", args.depth, 0)
     if args.pqst is not None:
+        if (args.jacobi_name, args.sigma, args.tau) != (None, None, None):
+            raise UsageError("give --pqst or weights (--jacobi-name, --sigma/--tau), not both")
         params = parse_pqst_arg(args.pqst)
         report = tp_criterion_pqst(params)
         data = {"params": params.to_json(), **report.to_json()}
@@ -279,7 +285,7 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
     identity checks share one recursive matrix and one term list."""
     sigma, tau = entry.sigma, entry.tau
     terms = catalan_like(sigma, tau, max(2 * depth + 1, 16))
-    matrix = build_recursive(sigma, tau, depth + 1)
+    R = build_recursive(sigma, tau, depth + 1)
     J = JacobiMatrix(sigma, tau)
     checks: list[tuple[str, bool]] = []
 
@@ -290,10 +296,10 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
         motzkin_oracle(sigma, tau, n) == terms[n] for n in range(oracle_depth + 1))))
     # the step factorization is the shift identity one row deeper, so only
     # its failure leaves the shift identity at depth to check on its own
-    step = verify_step_factorization(matrix, depth) == TRUE
-    checks.append(("shift_identity", step or verify_RJ_identity(matrix, depth) == TRUE))
+    step = verify_step_factorization(R, sigma, tau, depth) == TRUE
+    checks.append(("shift_identity", step or verify_RJ_identity(R, sigma, tau, depth) == TRUE))
     checks.append(("step_factorization", step))
-    checks.append(("hankel_factorization", verify_H_eq_RTRt(matrix, terms, depth) == TRUE))
+    checks.append(("hankel_factorization", verify_H_eq_RTRt(R, tau, terms, depth) == TRUE))
     stieltjes = StieltjesReport.by_elimination(terms, depth)
     # elimination on the terms against the weight products, whole report
     checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))

@@ -77,6 +77,13 @@ def nonneg_rats(pairs, label: str = "") -> tuple[Fraction, ...]:
     return tuple(values)
 
 
+def check_fields(data: dict, allowed, what: str) -> None:
+    """Refuse a JSON object holding a key outside allowed, naming each one."""
+    unknown = [str(key) for key in data if key not in allowed]
+    if unknown:
+        raise ValueError(f"{what} JSON has unknown fields: {', '.join(unknown)}")
+
+
 def _int_str(n: int) -> str:
     """str(n) at any size.  Past the interpreter's digit limit (4,300 digits by
     default) n is split by divmod with a power of ten and rendered in halves,

@@ -23,7 +23,7 @@ report with one helper, so the same families give the same report.
     the weights s_0..s_depth, t_1..t_depth of m / m_0 from m_0..m_{2 depth+1}
     column by column of the recursive matrix, O(depth^2) integer products.
     The recovered weights are certified by replay: m_0 times their
-    Catalan-like numbers (recursive.catalan_like) must give back every term,
+    Catalan-like numbers (recursive._scaled_rows) must give back every term,
     and only then are both families read off them as above, each scaled by
     m_0^(k+1).  Terms with m_0 <= 0, with a zero t_k (a zero leading minor
     of H) or that do not replay go to elimination instead.
@@ -51,8 +51,8 @@ tridiagonal matrix two consecutive leading minors are never both zero, so a
 zero minor D_j T_0 ... T_j with T_{j+1} != 0 and a positive minor before it
 makes the next leading minor negative.  Scaling by m_0 > 0 changes no sign.
 
-verify_H_eq_RTRt checks the factorization of a given R and term list by band
-sums, not a dense product: O(depth^3), R being triangular and T diagonal.
+verify_H_eq_RTRt checks the factorization on given rows, weights and terms by
+band sums, not a dense product: O(depth^3), R being triangular and T diagonal.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ from .exact import (
     negative_principal_minor,
 )
 from .jacobi import JacobiMatrix, window_minors
-from .recursive import RecursiveMatrix, catalan_like
-from .seqspec import ConstantTail, SequenceSpec
+from .recursive import _scaled_rows
+from .seqspec import SequenceSpec
 
 DEFAULT_DEPTH = 8
 
@@ -238,31 +238,32 @@ def _chebyshev_weights(terms: list[Fraction], depth: int) -> Optional[tuple[list
 
 def _replays(terms: list[Fraction], s: list, t: list) -> bool:
     """Whether m_0 times the Catalan-like numbers of the weights gives back
-    every term: the certificate that the inversion found the weights."""
-    sigma = SequenceSpec(tuple(s), ConstantTail(0), 0)
-    tau = SequenceSpec(tuple(t[1:]), ConstantTail(0), 1)
+    every term: the certificate that the inversion found the weights.  The
+    2 depth+2 terms use exactly s_0..s_depth and t_1..t_depth."""
     m0 = terms[0]
-    return [m0 * v for v in catalan_like(sigma, tau, len(terms) - 1)] == terms
+    rows = _scaled_rows(s, t[1:], len(terms) - 1, True)
+    return [m0 * Fraction(row[0], den) for row, den in rows] == terms
 
 
-def verify_H_eq_RTRt(R: RecursiveMatrix, terms: Sequence, depth: int) -> str:
+def verify_H_eq_RTRt(R, tau: SequenceSpec, terms: Sequence, depth: int) -> str:
     """Check the factorization H = R T R^t of the Hankel matrix of the terms
-    m_0..m_{2 depth} on (depth+1)-sections, where T is the diagonal of the
-    running products T_0 = 1, T_k = t_1 ... t_k of R.tau.
+    m_0..m_{2 depth} on (depth+1)-sections, where R is given by its rows
+    r_{n,0..n} and T is the diagonal of the running products T_0 = 1,
+    T_k = t_1 ... t_k of tau.
 
     Exact on sections because row n of R ends at column n.  Entry (i, j)
     of R T R^t is the sum over k <= min(i, j) of r_{i,k} T_k r_{j,k}; both
     sides are symmetric, so the lower triangle is compared with m_{i+j}.
     """
-    if not 0 <= depth <= R.depth:
-        raise ValueError(f"depth must be >= 0 and <= {R.depth}, got {depth}")
+    if not 0 <= depth < len(R):
+        raise ValueError(f"depth must be >= 0 and <= {len(R) - 1}, got {depth}")
     if len(terms) < 2 * depth + 1:
         raise ValueError(f"need {2 * depth + 1} terms for depth {depth}, have {len(terms)}")
-    totals = list(accumulate(R.tau.values(depth), operator.mul, initial=Fraction(1)))
+    totals = list(accumulate(tau.values(depth), operator.mul, initial=Fraction(1)))
     for i in range(depth + 1):
-        weighted = [r * total for r, total in zip(R.row(i), totals)]
+        weighted = [r * total for r, total in zip(R[i], totals)]
         for j in range(i + 1):
-            if sum(map(operator.mul, weighted, R.row(j))) != terms[i + j]:
+            if sum(map(operator.mul, weighted, R[j])) != terms[i + j]:
                 return FALSE
     return TRUE
 

@@ -24,47 +24,20 @@ the last row, so it uses only s_0..s_{(depth-1)//2} and t_1..t_{depth//2}: a
 closed path of length depth takes a level step at height k only if
 2k + 1 <= depth, and a down step from height k only if 2k <= depth.
 
-The shift identity check forms each entry of R times the banded J, read
-off R.sigma and R.tau, as a three-term band sum, O(d^2) on a section of size
-d.  Past row 0 the step factorization is the shift identity one row deeper.
+build_recursive returns the rows of R.  The shift identity check takes rows
+and a weight pair, and forms each entry of R times the banded J of the pair
+as a three-term band sum, O(d^2) on a section of size d.  Past row 0 the
+step factorization is the shift identity one row deeper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import FALSE, TRUE, _scaled_ints
 from .seqspec import SequenceSpec
 
 ORACLE_MAX_LENGTH = 14
-
-
-# repr=False keeps object's short repr: the rows can hold thousands of long rationals
-@dataclass(frozen=True, slots=True, repr=False)
-class RecursiveMatrix:
-    """Triangle of recurrence values; row n stores r_{n,0..n}.  rows_ may be
-    any iterable of rows."""
-
-    rows_: tuple[tuple[Fraction, ...], ...]
-    sigma: SequenceSpec
-    tau: SequenceSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows_", tuple(tuple(row) for row in self.rows_))
-
-    @property
-    def depth(self) -> int:
-        return len(self.rows_) - 1
-
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        return self.rows_[n]
-
-    def entry(self, n: int, k: int) -> Fraction:
-        """r_{n,k}, with the zero convention outside the triangle."""
-        if n < 0 or k < 0 or k > n:
-            return Fraction(0)
-        return self.rows_[n][k]
 
 
 def read_weights(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: bool = False):
@@ -93,10 +66,10 @@ def _scaled_rows(s: list[Fraction], t: list[Fraction], depth: int, truncate: boo
         yield row, den
 
 
-def build_recursive(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> RecursiveMatrix:
-    """Populate rows 0..depth of the recursive matrix from the recurrence."""
+def build_recursive(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> list[tuple]:
+    """Rows 0..depth of the recursive matrix, row n the tuple r_{n,0..n}."""
     rows = _scaled_rows(*read_weights(sigma, tau, depth), depth)
-    return RecursiveMatrix(((Fraction(v, den) for v in row) for row, den in rows), sigma, tau)
+    return [tuple(Fraction(v, den) for v in row) for row, den in rows]
 
 
 def catalan_like(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> list[Fraction]:
@@ -141,28 +114,28 @@ def motzkin_oracle(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> Fraction:
     return total
 
 
-def verify_RJ_identity(R: RecursiveMatrix, depth: int) -> str:
-    """Check that deleting row 0 of R equals R times the coefficient matrix
-    J of R.sigma and R.tau.
+def verify_RJ_identity(R, sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> str:
+    """Check that deleting row 0 of R, given as its rows r_{n,0..n}, equals R
+    times the coefficient matrix J of sigma and tau.
 
     Compares rows 1..depth of R with rows 0..depth-1 of R_section @
     J_section, entry (n, k) being r_{n,k-1} + s_k r_{n,k} + t_{k+1} r_{n,k+1};
     the truncation is exact because row n of R ends at column n.
     """
-    if depth < 1 or depth > R.depth:
-        raise ValueError(f"depth must lie in 1..{R.depth}")
-    s = R.sigma.values(depth + 1)
-    t = [*R.tau.values(depth), 0]       # t_{k+1}; the section ends at row depth
+    if depth < 1 or depth >= len(R):
+        raise ValueError(f"depth must lie in 1..{len(R) - 1}")
+    s = sigma.values(depth + 1)
+    t = [*tau.values(depth), 0]         # t_{k+1}; the section ends at row depth
     for n in range(depth):
-        r = [*R.row(n), *[0] * (depth - n)]
+        r = [*R[n], *[0] * (depth - n)]
         product = [up + sk * level + tk * down
                    for up, level, down, sk, tk in zip([0, *r], r, [*r[1:], 0], s, t)]
-        if product != [*R.row(n + 1), *[0] * (depth - n - 1)]:
+        if product != [*R[n + 1], *[0] * (depth - n - 1)]:
             return FALSE
     return TRUE
 
 
-def verify_step_factorization(R: RecursiveMatrix, n: int) -> str:
+def verify_step_factorization(R, sigma: SequenceSpec, tau: SequenceSpec, n: int) -> str:
     """Check R_{n+1} = blockdiag(1, R_n) @ L_n, the one-step factorization
     that peels the recurrence off the leading section.  L_n has unit
     diagonal, s_0..s_n and t_1..t_n below it, so row 0 of the product is
@@ -171,6 +144,6 @@ def verify_step_factorization(R: RecursiveMatrix, n: int) -> str:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if R.row(0) != (1,):
+    if list(R[0]) != [1]:
         return FALSE
-    return verify_RJ_identity(R, n + 1)
+    return verify_RJ_identity(R, sigma, tau, n + 1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import _scaled_ints, as_rat, format_rat
+from .exact import _scaled_ints, as_rat, check_fields, format_rat
 from .series import NAMED_GF_NAMES, GFSpec, gf_to_json
 
 MAX_TAIL_DEGREE = 4
@@ -81,10 +81,12 @@ def tail_from_json(data: dict):
     if kind == "constant":
         if "value" not in data:
             raise ValueError("constant tail JSON needs a 'value' field")
+        check_fields(data, ("kind", "value"), "constant tail")
         return ConstantTail(as_rat(data["value"]))
     if kind == "polynomial":
         if "coeffs" not in data or not isinstance(data["coeffs"], list):
             raise ValueError("polynomial tail JSON needs a 'coeffs' list")
+        check_fields(data, ("kind", "coeffs"), "polynomial tail")
         return PolynomialTail(tuple(as_rat(c) for c in data["coeffs"]))
     raise ValueError(f"unknown tail kind {kind!r}")
 
@@ -168,6 +170,7 @@ class SequenceSpec:
         missing = [key for key in ("prefix", "tail", "start") if key not in data]
         if missing:
             raise ValueError(f"sequence spec JSON lacks fields: {', '.join(missing)}")
+        check_fields(data, ("prefix", "tail", "start"), "sequence spec")
         if not isinstance(data["prefix"], list):
             raise ValueError("sequence spec 'prefix' must be a list")
         prefix = tuple(as_rat(c) for c in data["prefix"])

@@ -1,11 +1,12 @@
 """Truncated formal power series over exact rationals, and the generating
 function layer for recursive matrices with banded weight data.
 
-A Series of order N holds the N+1 coefficients of x^0..x^N; binary
-operations truncate to the smaller operand order (the longer tail would not
-be trustworthy anyway).  Square roots require constant term 1 and division
-requires a nonzero constant term; both are computed coefficient by
-coefficient, exactly.
+A Series of order N holds the N+1 coefficients of x^0..x^N; the product
+and the quotient truncate to the smaller operand order (the longer tail
+would not be trustworthy anyway).  Square roots require constant term 1 and
+division requires a nonzero constant term; both are computed coefficient by
+coefficient, exactly.  There is no sum, shift or scalar operator: the few
+coefficient lists that need one are written directly.
 
 The three kernels run on integers: each operand is scaled to ints over the
 common denominator of its coefficients, the O(N^2) loop runs on those, and
@@ -26,7 +27,7 @@ the first entry: diagonal weights (p, s, s, ...) over subdiagonal weights
 and radical_quotient is the one routine that expands it; each kind of spec
 is a map from its parameters to (c, a0, a1, e, r1, r2), and each named
 classic a literal row of them.  Each generating function has one expansion
-route, and the recurrence (recursive.build_recursive) is the independent
+route, and the recurrence (recursive.catalan_like) is the independent
 check on it.  The general closed form divides by 2t and refuses t = 0; the
 Riordan column check needs no division by t (see riordan_column_check).
 """
@@ -37,9 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Sequence
 
-from .exact import FALSE, TRUE, _scaled_ints, as_rat, format_rat, nonneg_rats
+from .exact import FALSE, TRUE, _scaled_ints, as_rat, check_fields, format_rat, nonneg_rats
 
 DEFAULT_ORDER = 16
 
@@ -62,44 +62,10 @@ class Series:
         """Truncation order N: coefficients of x^0..x^N are stored."""
         return len(self.coeffs) - 1
 
-    @classmethod
-    def from_poly(cls, coeffs: Sequence, order: int) -> "Series":
-        """Embed a polynomial as a series of the given order."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        values = [as_rat(c) for c in coeffs[: order + 1]]
-        values.extend([Fraction(0)] * (order + 1 - len(values)))
-        return cls(values)
-
-    @classmethod
-    def constant(cls, value, order: int) -> "Series":
-        return cls.from_poly([value], order)
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
     def __repr__(self) -> str:
         shown = ", ".join(format_rat(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order > 7 else ""
         return f"Series([{shown}{tail}], order={self.order})"
-
-    def __neg__(self) -> "Series":
-        return Series(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "Series") -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return Series(tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])))
-
-    def __sub__(self, other: "Series") -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor) -> "Series":
-        f = as_rat(factor)
-        return Series(tuple(f * c for c in self.coeffs))
 
     def __mul__(self, other):
         if not isinstance(other, Series):
@@ -134,44 +100,28 @@ class Series:
             lift *= scale
         return Series(Fraction(u, scale ** k) for k, u in enumerate(roots))
 
-    def mul_xk(self, k: int) -> "Series":
-        """Multiply by x**k, keeping the order (tail coefficients drop off)."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if k == 0:
-            return self
-        padded = (Fraction(0),) * k + self.coeffs
-        return Series(padded[: len(self.coeffs)])
 
-
-def poly_eval(poly: Sequence, arg: Series) -> Series:
-    """Evaluate a polynomial at a series argument (Horner)."""
-    coeffs = [as_rat(c) for c in poly]
-    if not coeffs:
-        raise ValueError("empty polynomial")
-    acc = Series.constant(coeffs[-1], arg.order)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * arg + Series.constant(c, arg.order)
-    return acc
-
-
-def solve_d(z_poly: Sequence, h: Series) -> Series:
-    """Compute d(x) = 1 / (1 - x*Z(x*h(x))), Z a polynomial, to h's order."""
-    order = h.order
-    denom = Series.constant(1, order) - poly_eval(z_poly, h.mul_xk(1)).mul_xk(1)
-    return Series.constant(1, order).divide(denom)
+def solve_d(p, q, h: Series) -> Series:
+    """Compute d(x) = 1 / (1 - p*x - q*x**2*h(x)) to h's order: column 0 of
+    the Riordan array (d, x*h) of weights (p, s, s, ...) over (q, t, t, ...),
+    h = 1 + s*x*h + t*x**2*h**2 the series of (s, s, ...) over (t, t, ...)."""
+    denom = [1, -as_rat(p), *(-as_rat(q) * c for c in h.coeffs)][:h.order + 1]
+    return Series([1] + [Fraction(0)] * h.order).divide(Series(denom))
 
 
 def radical_quotient(c, a0, a1, e, r1, r2, order: int) -> Series:
     """Expand c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)), the one shape every
-    generating function spec has.  The root is scaled only when e != 1 and the
-    linear part added only when it is nonzero."""
-    denom = Series.from_poly([1, r1, r2], order).sqrt()
+    generating function spec has.  The root is scaled only when e != 1, and
+    a0, a1 are added to the first two coefficients only."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    pad = [Fraction(0)] * order
+    denom = Series([1, r1, r2, *pad][:order + 1]).sqrt().coeffs
     if e != 1:
-        denom = denom.scale(e)
+        denom = [as_rat(e) * v for v in denom]
     if a0 or a1:
-        denom = Series.from_poly([a0, a1], order) + denom
-    return Series.constant(c, order).divide(denom)
+        denom = [as_rat(a) + v for a, v in zip((a0, a1), denom)] + list(denom[2:])
+    return Series([c, *pad]).divide(Series(denom))
 
 
 def _closed_form(p, q, s, t) -> tuple:
@@ -256,10 +206,11 @@ def gf_to_json(gf: GFSpec) -> dict:
 def gf_from_json(data: dict) -> GFSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("generating function JSON needs a 'kind' field")
-    kind = data["kind"]
+    kind, fields = data["kind"], _fields(data["kind"])
     if kind == "named" and "name" not in data:
         raise ValueError("named generating function JSON needs a 'name' field")
-    return GFSpec(kind, tuple(data[f] for f in _fields(kind) if f in data))
+    check_fields(data, ("kind", *fields), f"{kind} generating function")
+    return GFSpec(kind, tuple(data[f] for f in fields if f in data))
 
 
 def gf_expand(gf: GFSpec, order: int = DEFAULT_ORDER) -> Series:
@@ -270,28 +221,23 @@ def gf_expand(gf: GFSpec, order: int = DEFAULT_ORDER) -> Series:
 
 
 def riordan_column_check(p, q, s, t, order: int = DEFAULT_ORDER, k_max: int = 5) -> str:
-    """Verify columns 0..k_max of the recursive matrix against x**k * h**k * d.
-
-    Returns TRUE when every requested column of the matrix built from the
-    recurrence matches its generating function expansion to the given order.
-    h = 1 + s*x*h + t*x**2*h**2 is the tied_qp row,
-    2 / (1 - s*x + sqrt(1 - 2*s*x + (s**2 - 4*t)*x**2)), which never divides
-    by t; d comes from solve_d, and each column is x * h times the one before.
+    """TRUE when columns 0..k_max of the recursive matrix of (p, s, s, ...)
+    over (q, t, t, ...), run on integer rows, match x**k * h**k * d to the
+    given order.  h = 1 + s*x*h + t*x**2*h**2 is the tied_qp row, which never
+    divides by t; d comes from solve_d, and each column is x * h times the
+    one before.  Only the cells of columns 0..k_max become Fractions.
     """
-    from .recursive import build_recursive
-    from .seqspec import SequenceSpec
+    from .recursive import _scaled_rows
 
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     p, q, s, t = as_rat(p), as_rat(q), as_rat(s), as_rat(t)
     h = radical_quotient(*_KINDS["tied_qp"][1](s, t), order)
-    d = solve_d([p, q], h)
-    sigma = SequenceSpec.first_then_constant(p, s, start=0)
-    tau = SequenceSpec.first_then_constant(q, t, start=1)
-    matrix = build_recursive(sigma, tau, order)
-    column = d
+    rows = _scaled_rows([p, *[s] * order], [q, *[t] * order], order)
+    cells = [[Fraction(v, den) for v in row[:k_max + 1]] for row, den in rows]
+    column = solve_d(p, q, h)
     for k in range(k_max + 1):
-        if list(column.coeffs) != [matrix.entry(n, k) for n in range(order + 1)]:
+        if list(column.coeffs) != [row[k] if k < len(row) else 0 for row in cells]:
             return FALSE
-        column = (column * h).mul_xk(1)
+        column = Series([0, *(column * h).coeffs[:-1]])
     return TRUE

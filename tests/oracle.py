@@ -15,15 +15,18 @@ independently of the library's three-term recurrence; pqst_matrix builds the
 coefficient matrix of weights constant after their first entries.
 
 recursive_section, step_matrix and the three dense_* checks are the
-structural identities of the recursive matrix as dense Fraction products,
-the textbook form of the band sums the library checks them by.
+structural identities of the recursive matrix, given by its rows r_{n,0..n}
+(cell reads r_{n,k} off them, zero outside the triangle), as dense Fraction
+products, the textbook form of the band sums the library checks them by.
 
 fraction_mul, fraction_divide and fraction_sqrt are the schoolbook series
-kernels on Fractions, coefficient by coefficient, which the library runs on
-integers over a common denominator; iterated_solve_h solves h = A(x*h) by
-order+1 rounds of full re-evaluation with those kernels, against the closed
-form the Riordan column check expands h by; fraction_horner evaluates a
-polynomial on Fractions, against PolynomialTail.eval on scaled integers.
+kernels on Fraction coefficient lists, coefficient by coefficient, which the
+library runs on integers over a common denominator; iterated_solve_h solves
+h = A(x*h) by order+1 rounds of full re-evaluation with those kernels,
+against the closed form the Riordan column check expands h by, and
+fraction_riordan_check is that check on fraction_triangle and these kernels;
+fraction_horner evaluates a polynomial on Fractions, against
+PolynomialTail.eval on scaled integers.
 
 fraction_window_minors and fraction_det_products are the three-term minor
 chain and the running weight products on Fractions, step by step, which the
@@ -47,7 +50,6 @@ from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, det_bareiss
 from catmoments.hankel import build_hankel
 from catmoments.jacobi import JacobiMatrix
 from catmoments.seqspec import SequenceSpec
-from catmoments.series import Series
 
 COFACTOR_MAX_DIM = 9
 
@@ -92,11 +94,16 @@ def pqst_matrix(params) -> JacobiMatrix:
                         SequenceSpec.first_then_constant(params.q, params.t, start=1))
 
 
+def cell(R, n: int, k: int) -> Fraction:
+    """r_{n,k} of the rows R, zero outside the triangle."""
+    return R[n][k] if 0 <= k <= n < len(R) else Fraction(0)
+
+
 def recursive_section(R, n: int) -> DenseMatrix:
-    """The (n+1) x (n+1) leading section of the recursive matrix R."""
-    if n < 0 or n > R.depth:
-        raise ValueError(f"section depth must lie in 0..{R.depth}")
-    return DenseMatrix(tuple(R.entry(i, j) for j in range(n + 1)) for i in range(n + 1))
+    """The (n+1) x (n+1) leading section of the recursive matrix with rows R."""
+    if n < 0 or n >= len(R):
+        raise ValueError(f"section depth must lie in 0..{len(R) - 1}")
+    return DenseMatrix(tuple(cell(R, i, j) for j in range(n + 1)) for i in range(n + 1))
 
 
 def step_matrix(sigma, tau, n: int) -> DenseMatrix:
@@ -115,30 +122,30 @@ def step_matrix(sigma, tau, n: int) -> DenseMatrix:
     return DenseMatrix(rows)
 
 
-def dense_RJ_identity(R, depth: int) -> str:
+def dense_RJ_identity(R, sigma, tau, depth: int) -> str:
     """Rows 1..depth of R against rows 0..depth-1 of R_section @ J_section,
-    J the coefficient matrix of R.sigma and R.tau."""
-    product = matmul(recursive_section(R, depth), JacobiMatrix(R.sigma, R.tau).section(depth))
-    shifted = (tuple(R.entry(n + 1, k) for k in range(depth + 1)) for n in range(depth))
+    J the coefficient matrix of sigma and tau."""
+    product = matmul(recursive_section(R, depth), JacobiMatrix(sigma, tau).section(depth))
+    shifted = (tuple(cell(R, n + 1, k) for k in range(depth + 1)) for n in range(depth))
     return TRUE if all(map(operator.eq, product.entries, shifted)) else FALSE
 
 
-def dense_step_factorization(R, n: int) -> str:
-    """R_{n+1} against blockdiag(1, R_n) @ L_n, L_n from R.sigma and R.tau."""
-    block = DenseMatrix([[int(i == j == 0) if min(i, j) == 0 else R.entry(i - 1, j - 1)
+def dense_step_factorization(R, sigma, tau, n: int) -> str:
+    """R_{n+1} against blockdiag(1, R_n) @ L_n, L_n from sigma and tau."""
+    block = DenseMatrix([[int(i == j == 0) if min(i, j) == 0 else cell(R, i - 1, j - 1)
                           for j in range(n + 2)] for i in range(n + 2)])
-    product = matmul(block, step_matrix(R.sigma, R.tau, n))
+    product = matmul(block, step_matrix(sigma, tau, n))
     return TRUE if recursive_section(R, n + 1) == product else FALSE
 
 
-def dense_H_eq_RTRt(R, terms, depth: int) -> str:
+def dense_H_eq_RTRt(R, tau, terms, depth: int) -> str:
     """The (depth+1)-section of the Hankel matrix of the terms against
-    R T R^t, T = diag(1, t_1, t_1 t_2, ...) from R.tau."""
+    R T R^t, T = diag(1, t_1, t_1 t_2, ...) from tau."""
     H = build_hankel(terms, depth, 0)
     section = recursive_section(R, depth)
     totals = [Fraction(1)]
     for k in range(1, depth + 1):
-        totals.append(totals[-1] * R.tau.eval(k))
+        totals.append(totals[-1] * tau.eval(k))
     T = DenseMatrix(tuple(totals[i] if i == j else 0 for j in range(depth + 1))
                     for i in range(depth + 1))
     return TRUE if H == matmul(matmul(section, T), transpose(section)) else FALSE
@@ -167,9 +174,9 @@ def fraction_terms(sigma, tau, depth: int) -> list[Fraction]:
     return [row[0] for row in fraction_triangle(sigma, tau, depth)]
 
 
-def fraction_mul(f: Series, g: Series) -> Series:
-    n = min(len(f.coeffs), len(g.coeffs))
-    a, b = f.coeffs, g.coeffs
+def fraction_mul(a, b) -> list[Fraction]:
+    """The product of two coefficient lists, to the shorter one's length."""
+    n = min(len(a), len(b))
     out = []
     for k in range(n):
         acc = Fraction(0)
@@ -177,49 +184,72 @@ def fraction_mul(f: Series, g: Series) -> Series:
             if a[i]:
                 acc += a[i] * b[k - i]
         out.append(acc)
-    return Series(out)
+    return out
 
 
-def fraction_divide(f: Series, g: Series) -> Series:
-    if g.coeffs[0] == 0:
+def fraction_divide(f, g) -> list[Fraction]:
+    """The quotient f / g of two coefficient lists, to the shorter one's length."""
+    if g[0] == 0:
         raise ValueError("division requires a nonzero constant term")
-    n = min(len(f.coeffs), len(g.coeffs))
     out: list[Fraction] = []
-    for k in range(n):
-        acc = f.coeffs[k]
+    for k in range(min(len(f), len(g))):
+        acc = Fraction(f[k])
         for i in range(k):
-            acc -= out[i] * g.coeffs[k - i]
-        out.append(acc / g.coeffs[0])
-    return Series(out)
+            acc -= out[i] * g[k - i]
+        out.append(acc / g[0])
+    return out
 
 
-def fraction_sqrt(f: Series) -> Series:
-    if f.coeffs[0] != 1:
+def fraction_sqrt(f) -> list[Fraction]:
+    """The square root of a coefficient list with constant term 1."""
+    if f[0] != 1:
         raise ValueError("sqrt requires constant term 1")
     out: list[Fraction] = [Fraction(1)]
-    for k in range(1, len(f.coeffs)):
-        acc = f.coeffs[k]
+    for k in range(1, len(f)):
+        acc = Fraction(f[k])
         for i in range(1, k):
             acc -= out[i] * out[k - i]
         out.append(acc / 2)
-    return Series(out)
+    return out
 
 
-def iterated_solve_h(a_poly, order: int) -> Series:
+def shift(f) -> list[Fraction]:
+    """x * f, cut to the length of f."""
+    return [Fraction(0), *f[:-1]]
+
+
+def iterated_solve_h(a_poly, order: int) -> list[Fraction]:
     """h = A(x*h) by order+1 rounds of h <- A(x*h), each pinning down one
     more coefficient; A(y) is evaluated by Horner with fraction_mul."""
     a = [Fraction(c) for c in a_poly]
     if not a or a[0] == 0:
         raise ValueError("A must have a nonzero constant term")
-    x = Series.from_poly([0, 1], order)
-    h = Series.constant(a[0], order)
+    h = [a[0]] + [Fraction(0)] * order
     for _ in range(order + 1):
-        y = fraction_mul(x, h)
-        acc = Series.constant(a[-1], order)
+        y = shift(h)
+        acc = [a[-1]] + [Fraction(0)] * order
         for c in reversed(a[:-1]):
-            acc = fraction_mul(acc, y) + Series.constant(c, order)
+            acc = fraction_mul(acc, y)
+            acc[0] += c
         h = acc
     return h
+
+
+def fraction_riordan_check(p, q, s, t, order: int, k_max: int) -> str:
+    """Columns 0..k_max of fraction_triangle of (p, s, s, ...) over
+    (q, t, t, ...) against d (x h)^k, with h = iterated_solve_h([1, s, t])
+    and d = 1 / (1 - p x - q x^2 h) on the schoolbook kernels."""
+    rows = fraction_triangle(SequenceSpec.first_then_constant(p, s, start=0),
+                             SequenceSpec.first_then_constant(q, t, start=1), order)
+    h = iterated_solve_h([1, s, t], order)
+    one = [Fraction(1)] + [Fraction(0)] * order
+    denom = [c - p * x - q * y for c, x, y in zip(one, shift(one), shift(shift(h)))]
+    column = fraction_divide(one, denom)
+    for k in range(k_max + 1):
+        if column != [cell(rows, n, k) for n in range(order + 1)]:
+            return FALSE
+        column = fraction_mul(column, shift(h))
+    return TRUE
 
 
 def fraction_horner(coeffs, k: int) -> Fraction:

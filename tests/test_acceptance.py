@@ -82,7 +82,7 @@ def test_criterion_04_hankel_factorization_and_det_product():
         R = build_recursive(entry.sigma, entry.tau, 8)
         terms = catalan_like(entry.sigma, entry.tau, 17)
         for depth in range(9):
-            assert verify_H_eq_RTRt(R, terms, depth) == TRUE, entry.name
+            assert verify_H_eq_RTRt(R, entry.tau, terms, depth) == TRUE, entry.name
         products = hankel_det_products(entry.tau.values(8))
         for n in range(9):
             det = det_bareiss(build_hankel(terms, n, 0))

@@ -28,6 +28,10 @@ def test_every_exported_name_resolves():
     assert missing == []
     for gone in ("MomentSequence", "TotalsDiagonal", "hankel_det_product", "ClosedFormGF",
                  "TiedQGF", "TiedQPGF", "InverseSqrtGF", "NamedGF", "GF_TYPES", "solve_h",
-                 "closed_form_h", "closed_form_d", "sqrt_discriminant"):
+                 "closed_form_h", "closed_form_d", "sqrt_discriminant", "poly_eval"):
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.series, gone)
-    assert not hasattr(catmoments.Series, "div_xk")
+    assert not hasattr(catmoments, "RecursiveMatrix")
+    assert not hasattr(catmoments.recursive, "RecursiveMatrix")
+    for gone in ("div_xk", "from_poly", "constant", "scale", "__neg__", "__add__", "__sub__",
+                 "mul_xk", "__getitem__"):
+        assert not hasattr(catmoments.Series, gone)

@@ -80,6 +80,26 @@ def test_gen_requires_weights(capsys):
     assert "--sigma" in err
 
 
+@pytest.mark.parametrize("argv, first, second", [
+    (["gen", "--name", "catalan", "--sigma", SIGMA_DROP], "--name", "--sigma"),
+    (["matrix", "--name", "catalan", "--tau", TAU_ZERO], "--name", "--sigma/--tau"),
+    (["tp", "--jacobi-name", "catalan", "--sigma", SIGMA_DROP, "--tau", TAU_ZERO],
+     "--jacobi-name", "--sigma/--tau"),
+    (["stieltjes", "--terms", "1,1,2,5", "--depth", "1", "--name", "nosuch"],
+     "--terms", "--name"),
+    (["stieltjes", "--terms", "1,1,2,5", "--depth", "1", "--tau", TAU_ZERO],
+     "--terms", "--sigma/--tau"),
+    (["tp", "--pqst", "1,1,2,1", "--jacobi-name", "catalan"], "--pqst", "--jacobi-name"),
+    (["tp", "--pqst", "1,1,2,1", "--sigma", SIGMA_DROP], "--pqst", "--sigma/--tau"),
+])
+def test_two_weight_sources_are_refused(capsys, argv, first, second):
+    # no source wins silently: a name, explicit specs, --terms and --pqst
+    # exclude each other
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"give {first} or" in err and second in err and err.endswith("not both\n")
+
+
 def test_gen_rejects_wrong_start(capsys):
     # a start-1 payload in the start-0 slot
     code, _, err = run(capsys, "gen", "--sigma", TAU_ZERO, "--tau", TAU_ZERO)
@@ -339,21 +359,22 @@ def test_verify_entry_without_gf(capsys):
 
 
 def test_verify_builds_the_matrix_and_the_terms_once(monkeypatch):
-    # bell has no (p, q, s, t) form, so no Riordan check builds its own matrix
-    calls = []
-    for name in ("build_recursive", "catalan_like"):
-        original = getattr(catmoments.recursive, name)
+    # every run of the recurrence goes through _scaled_rows: the full
+    # triangle (truncate False) is the matrix, column 0 alone (True) the
+    # terms; bell has no (p, q, s, t) form, so no Riordan check runs its own
+    runs = []
+    original = catmoments.recursive._scaled_rows
 
-        def counting(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
+    def counting(s, t, depth, truncate=False):
+        runs.append((depth, truncate))
+        return original(s, t, depth, truncate)
 
-        for module in (catmoments.cli, catmoments.hankel, catmoments.recursive):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+    for module in (catmoments.cli, catmoments.hankel, catmoments.recursive):
+        if getattr(module, "_scaled_rows", None) is original:
+            monkeypatch.setattr(module, "_scaled_rows", counting)
     checks = catmoments.cli.verify_checks(catalog_lookup("bell"), 6)
     assert [label for label, ok in checks if not ok] == []
-    assert sorted(calls) == ["build_recursive", "catalan_like"]
+    assert sorted(runs) == [(7, False), (16, True)]
 
 
 def test_verify_accepts_alias(capsys):

@@ -20,7 +20,10 @@ leading minors are nonnegative but not all positive, the (p, q, s, t)
 criterion, the contiguous-minor TP route, every named and parameterised
 generating function (the three specializations also at t = 0, and the
 general form at -n 0), the catalog listing, and the usage-error (exit 2)
-path of each command, including one past the -n caps of gen and matrix.
+path of each command, including one past the -n caps of gen and matrix,
+each mix of weight sources (a name with --sigma, --terms or --pqst with a
+weight pair) and a JSON spec, tail or generating function with an unknown
+field.
 After a deliberate output change, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -263,6 +266,23 @@ def cases() -> dict[str, list[str]]:
     out["hankel-det-negative-depth"] = ["hankel-det", "--name", "catalan", "--depth", "-1"]
     out["hankel-det-unknown-name"] = ["hankel-det", "--name", "fibonacci", "--format", "json"]
     out["verify-unknown-name"] = ["verify", "--name", "fibonacci"]
+    # one weight source per command: a name or --sigma/--tau, and for
+    # stieltjes and tp either those or --terms and --pqst
+    out["gen-name-and-sigma"] = ["gen", "--name", "catalan", "--sigma", RATIONAL_SIGMA]
+    out["tp-name-and-sigma"] = ["tp", "--jacobi-name", "catalan", "--sigma", TP_FALSE_SIGMA,
+                                "--tau", TP_FALSE_TAU]
+    out["stieltjes-terms-and-name"] = ["stieltjes", "--terms", "1,1,2,5", "--depth", "1",
+                                       "--name", "nosuch"]
+    out["tp-pqst-and-name"] = ["tp", "--jacobi-name", "catalan", "--pqst", "1,1,2,1"]
+    # a JSON field no reader knows is refused, not ignored
+    out["series-unknown-field"] = ["series", "--gf", json.dumps(
+        {"kind": "tied_qp", "s": "3", "t": "2", "p": "5"})]
+    out["gen-tail-unknown-field"] = ["gen", "--sigma", json.dumps(
+        {"prefix": [], "tail": {"kind": "constant", "value": "2", "coeffs": ["1"]},
+         "start": 0}), "--tau", RATIONAL_TAU]
+    out["gen-spec-unknown-field"] = ["gen", "--sigma", RATIONAL_SIGMA, "--tau", json.dumps(
+        {"prefix": ["1"], "prefx": ["2"], "tail": {"kind": "constant", "value": "1"},
+         "start": 1}), "--format", "json"]
     out["verify-depth-0"] = ["verify", "--name", "catalan", "--depth", "0", "--format", "json"]
     return out
 

@@ -130,7 +130,7 @@ def test_factorization_holds_across_catalog():
     for entry in CATALOG.values():
         R = build_recursive(entry.sigma, entry.tau, 5)
         terms = catalan_like(entry.sigma, entry.tau, 10)
-        assert verify_H_eq_RTRt(R, terms, 5) == TRUE, entry.name
+        assert verify_H_eq_RTRt(R, entry.tau, terms, 5) == TRUE, entry.name
 
 
 def test_factorization_holds_for_random_rational_weights():
@@ -143,7 +143,7 @@ def test_factorization_holds_for_random_rational_weights():
             tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(3)),
             ConstantTail(Fraction(1)), start=1)
         terms = catalan_like(sigma, tau, 8)
-        assert verify_H_eq_RTRt(build_recursive(sigma, tau, 4), terms, 4) == TRUE
+        assert verify_H_eq_RTRt(build_recursive(sigma, tau, 4), tau, terms, 4) == TRUE
 
 
 def test_det_product_known_values():

@@ -9,7 +9,6 @@ import pytest
 from catmoments.cli import main
 from catmoments.exact import FALSE, TRUE, det_bareiss
 from catmoments.recursive import (
-    RecursiveMatrix,
     build_recursive,
     catalan_like,
     motzkin_oracle,
@@ -17,7 +16,7 @@ from catmoments.recursive import (
     verify_step_factorization,
 )
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
-from oracle import recursive_section, step_matrix
+from oracle import cell, recursive_section, step_matrix
 
 
 def _specs(name):
@@ -29,9 +28,7 @@ def test_zero_weights_degenerate_to_pure_shift():
     zero_sigma = SequenceSpec.constant(0, start=0)
     zero_tau = SequenceSpec.constant(0, start=1)
     matrix = build_recursive(zero_sigma, zero_tau, 3)
-    for n in range(4):
-        for k in range(n + 1):
-            assert matrix.entry(n, k) == (1 if n == k else 0)
+    assert matrix == [(1,), (0, 1), (0, 0, 1), (0, 0, 0, 1)]
 
 
 def test_catalan_column_zero():
@@ -47,25 +44,27 @@ def test_bell_column_zero():
 def test_triangle_shape_and_unit_diagonal():
     sigma, tau = _specs("delannoy")
     matrix = build_recursive(sigma, tau, 6)
-    assert matrix.depth == 6
+    assert len(matrix) == 7
     for n in range(7):
-        assert len(matrix.row(n)) == n + 1
-        assert matrix.entry(n, n) == 1
+        assert type(matrix[n]) is tuple and len(matrix[n]) == n + 1
+        assert matrix[n][n] == 1
 
 
 def test_out_of_triangle_reads_are_zero():
+    # the rows end at the diagonal; the oracle reads zero past them
     sigma, tau = _specs("catalan")
     matrix = build_recursive(sigma, tau, 3)
-    assert matrix.entry(2, 3) == 0
-    assert matrix.entry(1, -1) == 0
-    assert matrix.entry(-1, 0) == 0
+    assert [len(row) for row in matrix] == [1, 2, 3, 4]
+    assert cell(matrix, 2, 3) == 0
+    assert cell(matrix, 1, -1) == 0
+    assert cell(matrix, 4, 0) == 0
 
 
 def test_entries_nonnegative_for_catalog_weights():
     for entry in CATALOG.values():
         matrix = build_recursive(entry.sigma, entry.tau, 8)
         for n in range(9):
-            assert all(v >= 0 for v in matrix.row(n))
+            assert all(v >= 0 for v in matrix[n])
 
 
 def test_section_is_unit_lower_triangular():
@@ -130,13 +129,12 @@ def test_oracle_handles_rational_weights():
 
 def test_shift_identity_holds_for_catalog():
     for name in ("catalan", "factorial"):
-        assert verify_RJ_identity(build_recursive(*_specs(name), 6), 6) == TRUE
+        assert verify_RJ_identity(build_recursive(*_specs(name), 6), *_specs(name), 6) == TRUE
 
 
 def test_shift_identity_rejects_mismatched_generators():
     matrix = build_recursive(*_specs("catalan"), 6)
-    other = catalog_lookup("bell")
-    assert verify_RJ_identity(RecursiveMatrix(matrix.rows_, other.sigma, other.tau), 6) == FALSE
+    assert verify_RJ_identity(matrix, *_specs("bell"), 6) == FALSE
 
 
 def test_step_matrix_layout():
@@ -150,14 +148,16 @@ def test_step_matrix_layout():
 
 def test_step_factorization_trivial_and_catalog():
     catalan = build_recursive(*_specs("catalan"), 6)
-    assert verify_step_factorization(catalan, 0) == TRUE
-    assert verify_step_factorization(catalan, 5) == TRUE
-    assert verify_step_factorization(build_recursive(*_specs("bell"), 6), 5) == TRUE
+    assert verify_step_factorization(catalan, *_specs("catalan"), 0) == TRUE
+    assert verify_step_factorization(catalan, *_specs("catalan"), 5) == TRUE
+    assert verify_step_factorization(build_recursive(*_specs("bell"), 6), *_specs("bell"),
+                                     5) == TRUE
 
 
 def test_step_factorization_all_catalog_depth_8():
     for entry in CATALOG.values():
-        assert verify_step_factorization(build_recursive(entry.sigma, entry.tau, 9), 8) == TRUE
+        R = build_recursive(entry.sigma, entry.tau, 9)
+        assert verify_step_factorization(R, entry.sigma, entry.tau, 8) == TRUE
 
 
 def test_matrix_json_dump(capsys):

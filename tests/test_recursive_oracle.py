@@ -61,10 +61,10 @@ def outcome(build, *args):
 def test_rows_and_terms_match_fraction_oracle(sigma, tau, depth):
     rows = fraction_triangle(sigma, tau, depth)
     matrix = build_recursive(sigma, tau, depth)
-    assert [list(matrix.row(n)) for n in range(depth + 1)] == rows
+    assert [list(row) for row in matrix] == rows
     terms = catalan_like(sigma, tau, depth)
     assert terms == [row[0] for row in rows]
-    assert terms == [matrix.entry(n, 0) for n in range(depth + 1)]
+    assert terms == [row[0] for row in matrix]
 
 
 def polynomial_specs(start):
@@ -89,7 +89,7 @@ def test_gen_and_matrix_print_the_fraction_rows(sigma, tau, n):
     assert cli_json("gen", *pair, "-n", str(n))["terms"] == [
         format_rat(v) for v in catalan_like(sigma, tau, n)]
     assert cli_json("matrix", *pair, "-n", str(n))["rows"] == [
-        [format_rat(v) for v in row] for row in build_recursive(sigma, tau, n).rows_]
+        [format_rat(v) for v in row] for row in build_recursive(sigma, tau, n)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,7 +130,7 @@ def test_sign_checked_weights_fail_like_the_oracle(sigma, tau, depth):
     if triangle_failure:
         assert outcome(build_recursive, sigma, tau, depth) == triangle_failure
     else:
-        assert [list(row) for row in build_recursive(sigma, tau, depth).rows_] == rows
+        assert [list(row) for row in build_recursive(sigma, tau, depth)] == rows
 
 
 def test_weights_are_read_only_where_the_recurrence_uses_them():
@@ -138,7 +138,7 @@ def test_weights_are_read_only_where_the_recurrence_uses_them():
     sigma = SignCheckedSpec((), ConstantTail(Fraction(-1)), 0)
     tau = SignCheckedSpec((Fraction(1),), ConstantTail(Fraction(-1)), 1)
     assert catalan_like(sigma, tau, 0) == [1]
-    assert build_recursive(sigma, tau, 0).row(0) == (1,)
+    assert build_recursive(sigma, tau, 0) == [(1,)]
     for build in (catalan_like, build_recursive):
         with pytest.raises(ValueError, match="at index 0"):
             build(sigma, tau, 1)
@@ -146,7 +146,7 @@ def test_weights_are_read_only_where_the_recurrence_uses_them():
     # term 4 on; s_1 = -1 from row 2 and from term 3
     ones = SignCheckedSpec((Fraction(1),), ConstantTail(Fraction(1)), 0)
     assert catalan_like(ones, tau, 3) == [1, 1, 2, 4]
-    assert build_recursive(ones, tau, 2).row(2) == (2, 2, 1)
+    assert build_recursive(ones, tau, 2)[2] == (2, 2, 1)
     for build, depth in ((catalan_like, 4), (build_recursive, 3)):
         with pytest.raises(ValueError, match="at index 2"):
             build(ones, tau, depth)

@@ -97,6 +97,18 @@ def test_from_json_refuses_a_start_that_is_not_an_int(start):
         SequenceSpec.from_json(data)
 
 
+def test_from_json_refuses_unknown_fields():
+    constant = {"kind": "constant", "value": "1"}
+    with pytest.raises(ValueError, match="sequence spec JSON has unknown fields: prefx"):
+        SequenceSpec.from_json({"prefix": [], "prefx": ["2"], "tail": constant, "start": 0})
+    with pytest.raises(ValueError, match="constant tail JSON has unknown fields: coeffs"):
+        tail_from_json({**constant, "coeffs": ["1"]})
+    with pytest.raises(ValueError, match="polynomial tail JSON has unknown fields: value, x"):
+        tail_from_json({"kind": "polynomial", "coeffs": ["1"], "value": "1", "x": 0})
+    spec = SequenceSpec.first_then_constant(1, 2)
+    assert SequenceSpec.from_json(spec.to_json()) == spec
+
+
 def test_from_json_refuses_boolean_weights():
     with pytest.raises(ValueError, match="cannot interpret True"):
         SequenceSpec.from_json({"prefix": [True], "tail": {"kind": "constant", "value": "1"},

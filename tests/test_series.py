@@ -18,13 +18,19 @@ from catmoments.series import (
     gf_expand,
     gf_from_json,
     gf_to_json,
-    poly_eval,
     radical_quotient,
     riordan_column_check,
     solve_d,
 )
-from catmoments.exact import TRUE
-from oracle import fraction_divide, fraction_mul, fraction_sqrt, iterated_solve_h
+import catmoments.series
+from catmoments.exact import FALSE, TRUE
+from oracle import (
+    fraction_divide,
+    fraction_mul,
+    fraction_riordan_check,
+    fraction_sqrt,
+    iterated_solve_h,
+)
 
 # small denominators, and pairwise coprime primes of 31, 32 and 61 bits
 DENOMINATORS = (1, 2, 3, 7, 1_073_741_827, 4_294_967_291, 2**61 - 1)
@@ -33,6 +39,7 @@ coefficients = st.one_of(
     st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from(DENOMINATORS)),
 )
 nonzero = coefficients.filter(bool)
+maybe_zero = st.just(Fraction(0)) | coefficients
 orders = st.one_of(st.sampled_from((0, 1, 40)), st.integers(0, 12))
 # nonnegative weights, as GFSpec takes them
 weights = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
@@ -54,12 +61,10 @@ def _random_series(rng, order, unit_constant=False):
 def test_series_basics():
     f = Series([1, 2, 3])
     assert f.order == 2
-    assert f[1] == 2
+    assert f.coeffs[1] == 2
     assert f == Series(["1", "2", "3"])
     assert hash(f) == hash(Series([1, 2, 3]))
-    assert Series.from_poly([1, 2], 4).coeffs == (1, 2, 0, 0, 0)
-    assert Series.from_poly([1, 2, 3, 4], 1).coeffs == (1, 2)
-    assert Series.constant(5, 2).coeffs == (5, 0, 0)
+    assert repr(Series(range(10))) == "Series([0, 1, 2, 3, 4, 5, 6, 7, ...], order=9)"
 
 
 def test_series_is_immutable():
@@ -73,32 +78,26 @@ def test_series_rejects_bad_input():
         Series([])
     with pytest.raises(ValueError):
         Series([0.5])
-    with pytest.raises(ValueError):
-        Series.from_poly([1], -1)
 
 
 def test_arithmetic_truncates_to_shorter_operand():
     f = Series([1, 2, 3, 4])
     g = Series([1, 1])
-    assert (f + g).coeffs == (2, 3)
-    assert (f - g).coeffs == (0, 1)
     assert (f * g).coeffs == (1, 3)
-    assert (-g).coeffs == (-1, -1)
+    assert f.divide(g).coeffs == (1, 1)
 
 
 def test_scalar_operations():
+    # no operator takes a plain number, and no series operator sums
     f = Series([1, 2, 3])
-    assert f.scale(Fraction(1, 2)).coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
-    assert f.scale(2).coeffs == (2, 4, 6)
-    # scalars go through scale only: no operator takes a plain number
-    for product in (lambda: 2 * f, lambda: f * 2, lambda: f / 2):
+    for operation in (lambda: 2 * f, lambda: f * 2, lambda: f / 2, lambda: f + f,
+                      lambda: f - f, lambda: -f, lambda: f[0]):
         with pytest.raises(TypeError):
-            product()
+            operation()
 
 
 def test_geometric_series_division():
-    one = Series.constant(1, 8)
-    geom = one.divide(Series.from_poly([1, -1], 8))
+    geom = Series([1] + [0] * 8).divide(Series([1, -1] + [0] * 7))
     assert geom.coeffs == (1,) * 9
 
 
@@ -112,13 +111,13 @@ def test_multiply_divide_round_trip():
     for _ in range(20):
         f = _random_series(rng, 8)
         g = _random_series(rng, 8)
-        if g[0] == 0:
+        if g.coeffs[0] == 0:
             continue
         assert (f * g).divide(g) == f
 
 
 def test_sqrt_round_trip_and_known_expansion():
-    root = Series.from_poly([1, -4], 5).sqrt()
+    root = Series([1, -4, 0, 0, 0, 0]).sqrt()
     assert root.coeffs == (1, -2, -2, -4, -10, -28)
     rng = random.Random(11)
     for _ in range(20):
@@ -129,23 +128,6 @@ def test_sqrt_round_trip_and_known_expansion():
         Series([2, 1]).sqrt()
 
 
-def test_shift_by_powers_of_x():
-    f = Series([1, 2, 3])
-    assert f.mul_xk(1).coeffs == (0, 1, 2)
-    assert f.mul_xk(0) is f
-    assert f.mul_xk(3).coeffs == (0, 0, 0)
-    with pytest.raises(ValueError):
-        f.mul_xk(-1)
-
-
-def test_poly_eval():
-    x = Series.from_poly([0, 1], 4)
-    assert poly_eval([1, 2, 3], x).coeffs == (1, 2, 3, 0, 0)
-    assert poly_eval([5], x).coeffs == (5, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        poly_eval([], x)
-
-
 def riordan_h(s, t, order):
     """The h riordan_column_check expands, h = 1 + s*x*h + t*x**2*h**2: the
     tied_qp row, which takes any rational s and t."""
@@ -154,9 +136,11 @@ def riordan_h(s, t, order):
 
 def test_solve_d_trivial_and_classical():
     h = riordan_h(3, 2, 4)
-    assert solve_d([0], h).coeffs == (1, 0, 0, 0, 0)
-    assert solve_d([2], Series.constant(1, 4)).coeffs == (1, 2, 4, 8, 16)
-    assert solve_d([3, 4], h).coeffs == (1, 3, 13, 63, 321)
+    assert solve_d(0, 0, h).coeffs == (1, 0, 0, 0, 0)
+    assert solve_d(2, 0, Series([1, 0, 0, 0, 0])).coeffs == (1, 2, 4, 8, 16)
+    assert solve_d(3, 4, h).coeffs == (1, 3, 13, 63, 321)
+    # order 0: d = 1 whatever p, q and h
+    assert solve_d(Fraction(-2, 3), 5, Series([7])).coeffs == (1,)
 
 
 def test_closed_form_h_known_expansions():
@@ -175,7 +159,7 @@ def test_closed_form_h_known_expansions():
        st.one_of(st.sampled_from((0, 1, 16)), st.integers(2, 10)))
 def test_closed_form_h_matches_fixed_point_solver(s, t, order):
     # nonnegative weights with t > 0, as GFSpec takes them: the radical route
-    assert riordan_h(s, t, order) == iterated_solve_h([1, s, t], order)
+    assert list(riordan_h(s, t, order).coeffs) == iterated_solve_h([1, s, t], order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,12 +169,12 @@ def test_solve_h_matches_iteration(s, t, order, t_zero):
     # h = A(x*h) for A = (1, s, t) with any rational s and t
     if t_zero:                  # A = (1, s, 0): the t = 0 geometric route
         t = Fraction(0)
-    assert riordan_h(s, t, order) == iterated_solve_h([1, s, t], order)
+    assert list(riordan_h(s, t, order).coeffs) == iterated_solve_h([1, s, t], order)
 
 
 def test_solve_h_matches_iteration_at_order_40():
     for s, t in ((2, 1), (Fraction(-5, 7), 0), (Fraction(1, 3), Fraction(-2, 11))):
-        assert riordan_h(s, t, 40) == iterated_solve_h([1, s, t], 40)
+        assert list(riordan_h(s, t, 40).coeffs) == iterated_solve_h([1, s, t], 40)
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,22 +182,24 @@ def test_solve_h_matches_iteration_at_order_40():
        st.sampled_from((0, 1, 16)) | st.integers(2, 10))
 def test_closed_form_d_matches_fixed_point_solver(p, q, s, t, order):
     h = riordan_h(s, t, order)
-    assert gf_expand(gf("closed_form", p, q, s, t), order) == solve_d([p, q], h)
+    assert gf_expand(gf("closed_form", p, q, s, t), order) == solve_d(p, q, h)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(coefficients, min_size=1, max_size=4), orders.flatmap(series_of))
-def test_solve_d_matches_fraction_kernels(z, h):
-    # d = 1 / (1 - x*Z(x*h)), Z by Horner, every product and the quotient
-    # on the schoolbook Fraction kernels
+@settings(max_examples=60, deadline=None)
+@given(maybe_zero, maybe_zero, st.one_of(
+    orders.flatmap(series_of),
+    st.builds(riordan_h, coefficients, maybe_zero, orders)))
+def test_solve_d_matches_fraction_kernels(p, q, h):
+    # d = 1 / (1 - p*x - q*x**2*h) on the schoolbook quotient, with p, q and
+    # the t of the Riordan check's h drawn 0 too, and d times its
+    # denominator is 1 on the schoolbook product
     order = h.order
-    x = Series.from_poly([0, 1], order)
-    y = fraction_mul(x, h)
-    acc = Series.constant(z[-1], order)
-    for c in reversed(z[:-1]):
-        acc = fraction_mul(acc, y) + Series.constant(c, order)
-    one = Series.constant(1, order)
-    assert solve_d(z, h) == fraction_divide(one, one - fraction_mul(x, acc))
+    one = [Fraction(1)] + [Fraction(0)] * order
+    x2h = [Fraction(0), Fraction(0), *h.coeffs][:order + 1]
+    denom = [c - p * int(k == 1) - q * y for k, (c, y) in enumerate(zip(one, x2h))]
+    d = list(solve_d(p, q, h).coeffs)
+    assert d == fraction_divide(one, denom)
+    assert fraction_mul(d, denom) == one
 
 
 def gf(kind, *params):
@@ -229,6 +215,25 @@ def test_radical_quotient_shape():
     assert radical_quotient(2, 1, 0, 1, -4, 0, 0).coeffs == (1,)
     with pytest.raises(ValueError, match="order must be >= 0"):
         radical_quotient(1, 0, 0, 1, -4, 0, -1)
+
+
+def fraction_radical_quotient(c, a0, a1, e, r1, r2, order):
+    """c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)) on the schoolbook kernels."""
+    pad = [Fraction(0)] * order
+    root = fraction_sqrt([Fraction(1), r1, r2, *pad][:order + 1])
+    denom = [a + e * v for a, v in zip([a0, a1, *pad], root)]
+    return fraction_divide([c, *pad], denom)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(maybe_zero, min_size=6, max_size=6), st.sampled_from((0, 1, 2, 7)))
+def test_radical_quotient_matches_fraction_kernels(row, order):
+    # orders 0 and 1 cut the linear part (a0, a1) and the radicand to the order
+    c, a0, a1, e, r1, r2 = row
+    if a0 + e == 0:
+        a0 += 1                 # the constant term a0 + e of the denominator
+    assert list(radical_quotient(c, a0, a1, e, r1, r2, order).coeffs) == \
+        fraction_radical_quotient(c, a0, a1, e, r1, r2, order)
 
 
 def test_specializations_reduce_to_general_form():
@@ -343,6 +348,10 @@ def test_gf_json_rejects_malformed_input():
         gf_from_json({"kind": "named"})
     with pytest.raises(ValueError, match="unknown generating function 'motzkin'"):
         gf_from_json({"kind": "named", "name": "motzkin"})
+    with pytest.raises(ValueError, match="tied_qp generating function JSON has unknown fields: p"):
+        gf_from_json({"kind": "tied_qp", "s": "3", "t": "2", "p": "5"})
+    with pytest.raises(ValueError, match="named generating function JSON has unknown fields: s"):
+        gf_from_json({"kind": "named", "name": "catalan", "s": "1"})
     with pytest.raises(ValueError):
         gf_to_json(object())
 
@@ -382,11 +391,32 @@ def test_riordan_column_check_refuses_negative_order_and_k_max():
 
 
 @settings(max_examples=60, deadline=None)
+@given(maybe_zero, maybe_zero, maybe_zero, maybe_zero, st.sampled_from((0, 1, 3)),
+       st.integers(0, 6))
+def test_riordan_column_check_matches_fraction_kernels(p, q, s, t, order, k_max):
+    # orders 0 and 1, and k_max past the order, whose columns are all zero
+    assert riordan_column_check(p, q, s, t, order=order, k_max=k_max) == \
+        fraction_riordan_check(p, q, s, t, order, k_max) == TRUE
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_riordan_column_check_compares_column_0_at_every_order(monkeypatch, order):
+    real = catmoments.series.solve_d
+
+    def last_coefficient_off_by_one(p, q, h):
+        d = real(p, q, h).coeffs
+        return Series([*d[:-1], d[-1] + 1])
+
+    monkeypatch.setattr(catmoments.series, "solve_d", last_coefficient_off_by_one)
+    assert riordan_column_check(1, 2, 3, 4, order=order, k_max=order + 2) == FALSE
+
+
+@settings(max_examples=60, deadline=None)
 @given(orders.flatmap(series_of), orders.flatmap(series_of), st.booleans())
 def test_mul_matches_fraction_kernel(f, g, zero_constant):
     if zero_constant:
         f = Series([0, *f.coeffs[1:]])
-    assert f * g == fraction_mul(f, g)
+    assert list((f * g).coeffs) == fraction_mul(f.coeffs, g.coeffs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -394,10 +424,10 @@ def test_mul_matches_fraction_kernel(f, g, zero_constant):
        orders.flatmap(lambda order: series_of(order, nonzero | st.sampled_from(
            (Fraction(-3), Fraction(-7, 2**61 - 1), Fraction(12, 5))))))
 def test_divide_matches_fraction_kernel(f, g):
-    assert f.divide(g) == fraction_divide(f, g)
+    assert list(f.divide(g).coeffs) == fraction_divide(f.coeffs, g.coeffs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(orders.flatmap(lambda order: series_of(order, st.just(Fraction(1)))))
 def test_sqrt_matches_fraction_kernel(f):
-    assert f.sqrt() == fraction_sqrt(f)
+    assert list(f.sqrt().coeffs) == fraction_sqrt(f.coeffs)

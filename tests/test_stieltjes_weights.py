@@ -197,10 +197,11 @@ def test_weight_route_refuses_negative_depth():
 
 
 # every elimination entry point: hankel_dets hands its integer rows straight
-# to _int_leading_minors, a DenseMatrix goes through leading_principal_minors
+# to _int_leading_minors, a DenseMatrix goes through leading_principal_minors;
+# and the recurrence the replay runs, recursive._scaled_rows
 GUARDED = ((catmoments.exact, "det_bareiss"), (catmoments.exact, "leading_principal_minors"),
            (catmoments.exact, "_int_leading_minors"), (catmoments.hankel, "build_hankel"),
-           (catmoments.recursive, "catalan_like"))
+           (catmoments.recursive, "_scaled_rows"))
 
 
 @pytest.fixture
@@ -233,8 +234,9 @@ def test_terms_run_no_elimination_unless_they_fall_back(capsys, guarded_calls):
     # catalan's terms invert to its weights: one replay, no Hankel matrix
     entry = catalog_lookup("catalan")
     terms = ",".join(format_rat(v) for v in catalan_like(entry.sigma, entry.tau, 41))
+    guarded_calls.clear()               # the terms above ran the recurrence too
     assert main(["stieltjes", "--terms", terms, "--depth", "20", "--format", "json"]) == 0
-    assert guarded_calls == ["catalan_like"]
+    assert guarded_calls == ["_scaled_rows"]
     named = main(["stieltjes", "--name", "catalan", "--depth", "20", "--format", "json"])
     from_terms, from_weights = capsys.readouterr().out.splitlines()
     assert named == 0 and json.loads(from_weights) == {"name": "catalan",
@@ -260,8 +262,9 @@ def test_weights_that_do_not_replay_fall_back(monkeypatch, guarded_calls, corrup
 
     monkeypatch.setattr(catmoments.hankel, "_chebyshev_weights", corrupted)
     terms = catalan_like(catalog_lookup("bell").sigma, catalog_lookup("bell").tau, 11)
+    guarded_calls.clear()
     assert stieltjes_check(terms, 5) == StieltjesReport.by_elimination(terms, 5)
-    assert guarded_calls[0] == "catalan_like" and "_int_leading_minors" in guarded_calls
+    assert guarded_calls[0] == "_scaled_rows" and "_int_leading_minors" in guarded_calls
 
 
 def test_verify_compares_the_whole_report(monkeypatch):
