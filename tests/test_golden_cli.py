@@ -17,7 +17,8 @@ stieltjes on explicit weight pairs (PASS, FAIL in either family, a zero
 weight), on term lists that invert to weights (m_0 = 3, rational,
 factorial) or fall back to elimination (a zero t_1), and on terms whose
 leading minors are nonnegative but not all positive, the (p, q, s, t)
-criterion, the contiguous-minor TP route, every named and parameterised
+criterion, the contiguous-minor TP route (with its single-entry witnesses),
+tp at depth 0, every named and parameterised
 generating function (the three specializations also at t = 0, and the
 general form at -n 0), the catalog listing, and the usage-error (exit 2)
 path of each command, including one past the -n caps of gen and matrix,
@@ -70,11 +71,14 @@ def _constant_tail_spec(prefix: list, value: str, start) -> str:
 
 
 # weight pairs that neither dominance nor the leading minor chain decides
-# (a zero weight makes J reducible), so the contiguous-minor route answers:
-# TRUE at depth 12, FALSE with the window 1..4 (value -12) at depth 6,
-# sigma = 12/5, tau = (1, 0, 36/25, ...) TRUE at depth 20, and a rational
-# pair with s_0 = t_1 = 0 whose windows from row 0 are all 0, FALSE with the
-# window 1..4 (value -1874/315) at depth 8
+# (a zero weight makes J reducible, a negative one leaves the chain
+# inconclusive), so the contiguous-minor route answers: TRUE at depth 12,
+# FALSE with the window 1..4 (value -12) at depth 6, sigma = 12/5,
+# tau = (1, 0, 36/25, ...) TRUE at depth 20, a rational pair with
+# s_0 = t_1 = 0 whose windows from row 0 are all 0, FALSE with the window
+# 1..4 (value -1874/315) at depth 8, and two single-entry witnesses: the
+# subdiagonal entry t_2 = -1 (rows [2] cols [1]) at depth 4, and s_1 = -1
+# (rows [1] cols [1]) refuting before t_1 = -3 at depth 2
 CONTIGUOUS_CASES = {
     "true": (_constant_tail_spec(["3", "2", "5/2"], "3", 0),
              _constant_tail_spec(["2", "1", "0"], "1", 1), "12"),
@@ -84,6 +88,9 @@ CONTIGUOUS_CASES = {
              _constant_tail_spec(["1", "0"], "36/25", 1), "20"),
     "rational-window": (_constant_tail_spec(["0", "2", "5/2", "2", "1/3"], "7/2", 0),
                         _constant_tail_spec(["0", "1/7", "2/3", "9/5"], "2", 1), "8"),
+    "t-entry": (_constant_tail_spec([], "2", 0), _constant_tail_spec(["1", "-1"], "1", 1), "4"),
+    "s-entry": (_constant_tail_spec(["1", "-1"], "1", 0), _constant_tail_spec(["-3"], "1", 1),
+                "2"),
 }
 
 # weight pairs through the stieltjes product route: PASS; FAIL on det0 at
@@ -109,6 +116,11 @@ MATRIX_MIXED_TAU = json.dumps({"prefix": ["1/4"],
 
 # 256-bit constant weights: term 70 has over 5,000 digits, past the
 # interpreter's 4,300-digit limit on int-to-str conversion
+# sigma = (1, 0, 0, ...), tau = 0: dominance fails at k = 1, so tp at
+# depth 0 reaches the minor routes
+SIGMA_DROP = _constant_tail_spec(["1", "0"], "0", 0)
+TAU_ZERO = _constant_tail_spec([], "0", 1)
+
 WIDE_SIGMA = _constant_tail_spec([], str(2**256 - 189), 0)
 WIDE_TAU = _constant_tail_spec([], str(2**255 + 95), 1)
 
@@ -186,6 +198,9 @@ def cases() -> dict[str, list[str]]:
         for label, (sigma, tau, depth) in CONTIGUOUS_CASES.items():
             out[f"tp-contiguous-{label}-{f}"] = ["tp", "--sigma", sigma, "--tau", tau,
                                                  "--depth", depth, "--format", f]
+        # depth 0 past dominance: a 1 x 1 section and no subdiagonal weight
+        out[f"tp-depth-0-{f}"] = ["tp", "--sigma", SIGMA_DROP, "--tau", TAU_ZERO,
+                                  "--depth", "0", "--format", f]
         for label, (sigma, tau) in STIELTJES_WEIGHT_CASES.items():
             out[f"stieltjes-weights-{label}-{f}"] = ["stieltjes", "--sigma", sigma, "--tau", tau,
                                                     "--depth", "4", "--format", f]
