@@ -34,10 +34,9 @@ from .hankel import (
     verify_H_eq_RTRt,
 )
 from .jacobi import (
-    JacobiMatrix,
     JacobiParams,
     TPReport,
-    leading_minors,
+    jacobi_section,
     tp_by_leading_minors,
     tp_certify,
     tp_check_sections,

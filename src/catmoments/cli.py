@@ -6,7 +6,8 @@ catalog.  Every number prints as an exact integer or "p/q" string; --format
 selects text, json, or csv.  Exit codes: 0 for success or PASS, 1 for a
 checked FAIL (or a certification that came back FALSE or INCONCLUSIVE), 2
 for usage and parse errors, including a count option (-n, --depth) out of
-its range (gen and matrix cap -n), two weight sources at once (a name with
+its range (gen and matrix cap -n; stieltjes, hankel-det, tp and verify cap
+--depth), two weight sources at once (a name with
 --sigma/--tau, or --terms or --pqst with either) and a JSON field no reader
 knows.  No environment variable is read.
 
@@ -52,13 +53,7 @@ from .hankel import (
     stieltjes_weights,
     verify_H_eq_RTRt,
 )
-from .jacobi import (
-    JacobiMatrix,
-    JacobiParams,
-    leading_minors,
-    tp_certify,
-    tp_criterion_pqst,
-)
+from .jacobi import JacobiParams, jacobi_section, tp_certify, tp_criterion_pqst, window_minors
 from .recursive import (
     ORACLE_MAX_LENGTH,
     _scaled_rows,
@@ -152,6 +147,9 @@ def parse_gf_arg(text: str):
 # the largest -n, about where factorial, the fastest-growing catalog entry,
 # takes 10 s as a process; matrix output grows as n**3 (770 MiB at 800)
 GEN_MAX_N, MATRIX_MAX_N = 4000, 800
+# the largest --depth by the same rule; tp's contiguous scan passes its
+# window budget at depth 1999, and the cap leaves that reachable
+STIELTJES_MAX_DEPTH, HANKEL_DET_MAX_DEPTH, VERIFY_MAX_DEPTH, TP_MAX_DEPTH = 230, 85, 75, 2000
 
 
 def check_count(option: str, value: int, low: int, high: float = math.inf) -> None:
@@ -208,7 +206,7 @@ def cmd_matrix(args) -> Rendered:
 
 
 def cmd_stieltjes(args) -> Rendered:
-    check_count("--depth", args.depth, 0)
+    check_count("--depth", args.depth, 0, STIELTJES_MAX_DEPTH)
     if args.terms is not None:
         if (args.name, args.sigma, args.tau) != (None, None, None):
             raise UsageError("give --terms or a weight pair (--name, --sigma/--tau), not both")
@@ -228,7 +226,7 @@ def cmd_stieltjes(args) -> Rendered:
 
 
 def cmd_hankel_det(args) -> Rendered:
-    check_count("--depth", args.depth, 0)
+    check_count("--depth", args.depth, 0, HANKEL_DET_MAX_DEPTH)
     sigma, tau, name = resolve_weights(args)
     top = 2 * args.depth + args.shift
     s, t = read_weights(sigma, tau, top, True)     # t_1..t_depth: terms and products
@@ -249,7 +247,7 @@ def cmd_hankel_det(args) -> Rendered:
 
 
 def cmd_tp(args) -> Rendered:
-    check_count("--depth", args.depth, 0)
+    check_count("--depth", args.depth, 0, TP_MAX_DEPTH)
     if args.pqst is not None:
         if (args.jacobi_name, args.sigma, args.tau) != (None, None, None):
             raise UsageError("give --pqst or weights (--jacobi-name, --sigma/--tau), not both")
@@ -258,7 +256,7 @@ def cmd_tp(args) -> Rendered:
         data = {"params": params.to_json(), **report.to_json()}
     else:
         sigma, tau, name = resolve_weights(args)
-        report = tp_certify(JacobiMatrix(sigma, tau), args.depth)
+        report = tp_certify(sigma, tau, args.depth)
         data = _named(name, report.to_json())
     table = [("key", "value"), *((k, v) for k, v in data.items() if v is not None)]
     # a symbolic criterion holds at every depth and reports none
@@ -286,7 +284,6 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
     sigma, tau = entry.sigma, entry.tau
     terms = catalan_like(sigma, tau, max(2 * depth + 1, 16))
     R = build_recursive(sigma, tau, depth + 1)
-    J = JacobiMatrix(sigma, tau)
     checks: list[tuple[str, bool]] = []
 
     checks.append(("reference_terms",
@@ -304,9 +301,10 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
     # elimination on the terms against the weight products, whole report
     checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))
-    checks.append(("leading_minors_vs_det",
-                   leading_minors(J, depth) == leading_principal_minors(J.section(depth))))
-    checks.append(("tp_certified", tp_certify(J, depth).verdict == TRUE))
+    s, t = read_weights(sigma, tau, depth + 1)
+    checks.append(("leading_minors_vs_det", tuple(window_minors(s, t, 0))
+                   == leading_principal_minors(jacobi_section(s, t))))
+    checks.append(("tp_certified", tp_certify(sigma, tau, depth).verdict == TRUE))
     if entry.gf is not None:
         expansion = gf_expand(entry.gf, depth)
         checks.append(("gf_terms", list(expansion.coeffs) == terms[: depth + 1]))
@@ -319,7 +317,7 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
 
 
 def cmd_verify(args) -> Rendered:
-    check_count("--depth", args.depth, 1)
+    check_count("--depth", args.depth, 1, VERIFY_MAX_DEPTH)
     try:
         entry = catalog_lookup(args.name)
     except KeyError as exc:
@@ -383,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", metavar="LIST",
                    help="explicit comma-separated terms (alternative to specs)")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
-                   help="largest section index (default 8)")
+                   help=f"largest section index (default 8, at most {STIELTJES_MAX_DEPTH})")
     p.set_defaults(func=cmd_stieltjes)
 
     p = sub.add_parser("hankel-det", parents=[common, named],
                        help="Hankel determinants against the weight-product formula")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
-                   help="largest section index (default 8)")
+                   help=f"largest section index (default 8, at most {HANKEL_DET_MAX_DEPTH})")
     p.add_argument("--shift", type=int, choices=(0, 1), default=0,
                    help="0 for [m_{i+j}], 1 for [m_{i+j+1}] (default 0)")
     p.set_defaults(func=cmd_hankel_det)
@@ -402,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", metavar="SPEC", help="diagonal weight spec (start 0)")
     p.add_argument("--tau", metavar="SPEC", help="subdiagonal weight spec (start 1)")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
-                   help="section depth for bounded routes (default 8)")
+                   help=f"section depth for bounded routes (default 8, at most {TP_MAX_DEPTH})")
     p.set_defaults(func=cmd_tp)
 
     p = sub.add_parser("series", parents=[common],
@@ -417,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the full cross-check bundle for a catalog entry")
     p.add_argument("--name", required=True, help="catalog sequence name")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
-                   help="check depth (default 8)")
+                   help=f"check depth (default 8, at most {VERIFY_MAX_DEPTH})")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("catalog", parents=[common], help="list the catalog entries")

@@ -15,7 +15,7 @@ report with one helper, so the same families give the same report.
     on every section det H_n = T_0 * ... * T_n (hankel_det_products) and
     det H^(1)_n = D_n * T_0 * ... * T_n with D_n the leading minor of J
     (jacobi.window_minors from row 0): O(depth) integer multiplications
-    over weights read once (JacobiMatrix.weights) and scaled integral.
+    over weights read once (recursive.read_weights) and scaled integral.
 
   * stieltjes_check, for explicit terms (a plain sequence m_0, m_1, ...),
     inverts them first: the Chebyshev algorithm (Gautschi, Orthogonal
@@ -75,8 +75,8 @@ from .exact import (
     format_rat,
     negative_principal_minor,
 )
-from .jacobi import JacobiMatrix, window_minors
-from .recursive import _scaled_rows
+from .jacobi import window_minors
+from .recursive import _scaled_rows, read_weights
 from .seqspec import SequenceSpec
 
 DEFAULT_DEPTH = 8
@@ -193,21 +193,23 @@ def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
     read off the weights: both families as products, no Hankel matrix.
     Here nonnegative leading minors decide both sections (see the module
     docstring), so no elimination is needed past a zero one."""
-    return _weight_report(depth, *JacobiMatrix(sigma, tau).weights(depth))
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    return _weight_report(depth, *read_weights(sigma, tau, depth + 1))
 
 
 def _weight_report(depth: int, s: list, t: list, m0=Fraction(1)) -> StieltjesReport:
     """The report on m0 times the Catalan-like numbers of s_0..s_depth and
-    t_0 = 0, t_1..t_depth, both families read off the weights."""
-    dets0 = hankel_det_products(t[1:], m0)
+    t_1..t_depth, both families read off the weights."""
+    dets0 = hankel_det_products(t, m0)
     dets1 = map(operator.mul, window_minors(s, t, 0), dets0)
     return StieltjesReport.from_dets(depth, dets0, dets1)
 
 
 def _chebyshev_weights(terms: list[Fraction], depth: int) -> Optional[tuple[list, list]]:
-    """(s_0..s_depth, t_0 = 0 and t_1..t_depth) of the weight pair whose
-    Catalan-like numbers are m_n / m_0, from m_0..m_{2 depth+1} with
-    m_0 > 0, or None when some t_k is zero.
+    """(s_0..s_depth, t_1..t_depth) of the weight pair whose Catalan-like
+    numbers are m_n / m_0, from m_0..m_{2 depth+1} with m_0 > 0, or None
+    when some t_k is zero.
 
     Walks the recursive matrix R of m / m_0 column by column: column k holds
     r_{n,k} for n = k..2 depth+1-k as ints over one denominator, which is
@@ -218,7 +220,7 @@ def _chebyshev_weights(terms: list[Fraction], depth: int) -> Optional[tuple[list
     """
     col, _ = _scaled_ints(terms)        # column 0: r_{n,0} = m_n / m_0
     prev = [1] + [0] * (len(col) - 1)   # column -1: zeros over the denominator 1
-    s, t = [], [Fraction(0)]
+    s, t = [], []
     for k in range(depth + 1):
         den, prev_den = col[0], prev[0]
         s.append(Fraction(col[1] * prev_den - prev[1] * den, den * prev_den))
@@ -241,7 +243,7 @@ def _replays(terms: list[Fraction], s: list, t: list) -> bool:
     every term: the certificate that the inversion found the weights.  The
     2 depth+2 terms use exactly s_0..s_depth and t_1..t_depth."""
     m0 = terms[0]
-    rows = _scaled_rows(s, t[1:], len(terms) - 1, True)
+    rows = _scaled_rows(s, t, len(terms) - 1, True)
     return [m0 * Fraction(row[0], den) for row, den in rows] == terms
 
 

@@ -7,8 +7,8 @@ the superdiagonal.  Total positivity of J (all minors of all orders
 nonnegative) is what makes the attached sequence a Stieltjes moment
 sequence, and four routes certify it:
 
-  * leading_minors: the determinant chain D_k of leading sections; for
-    irreducible J (all t_k > 0), all D_k > 0 is equivalent to total
+  * tp_by_leading_minors: the determinant chain D_k of leading sections;
+    for irreducible J (all t_k > 0), all D_k > 0 is equivalent to total
     positivity of the section.
   * tp_sufficient_dominance: the weight-dominance condition s_0 >= 1,
     t_k >= 0 and s_k >= t_k + 1, which certifies the infinite matrix
@@ -29,10 +29,11 @@ so window_minors is the only determinant evaluation here, and hankel reads
 the shifted Hankel family off the same chain: O(depth) multiplications for
 the leading chain, O(depth^2) for all windows.  The chain runs on integers:
 with L the LCM of the weights' denominators, s' = L s and t' = L^2 t give
-D' = L^(hi-lo+1) D by the same recurrence.  Every route reads each
-weight it inspects once: the section routes through JacobiMatrix.weights,
-dominance index by index up to its first failure.  tp_certify hands one
-read of the weights to both minor routes.
+D' = L^(hi-lo+1) D by the same recurrence.  The section routes take the
+lists s_0..s_depth and t_1..t_depth that recursive.read_weights(sigma, tau,
+depth + 1) reads (jacobi_section lays them out densely); tp_certify reads
+them once for both minor routes, dominance index by index up to its first
+failure.
 
 All verdicts are TRUE / FALSE / INCONCLUSIVE, and every report states the
 depth it actually checked.
@@ -46,38 +47,13 @@ from typing import Iterator, Optional
 
 from .exact import (FALSE, INCONCLUSIVE, TRUE, DenseMatrix, _over, _scaled_ints, format_rat,
                     nonneg_rats)
+from .recursive import read_weights
 from .seqspec import PolynomialTail, SequenceSpec
 
 DOMINANCE_GUARD_INDEX = 64
 
 # Upper bound on the number of windows tp_check_sections may scan.
 MAX_WINDOWS = 2_000_000
-
-
-@dataclass(frozen=True, slots=True)
-class JacobiMatrix:
-    """Tridiagonal coefficient matrix: diagonal sigma, subdiagonal tau,
-    unit superdiagonal."""
-
-    sigma: SequenceSpec
-    tau: SequenceSpec
-
-    def section(self, n: int) -> DenseMatrix:
-        """The (n+1) x (n+1) leading section."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        s, t = self.weights(n)
-        return DenseMatrix(
-            tuple(s[i] if j == i else t[i] if j == i - 1 else int(j == i + 1)
-                  for j in range(n + 1))
-            for i in range(n + 1))
-
-    def weights(self, depth: int) -> tuple[list[Fraction], list[Fraction]]:
-        """s_0..s_depth and t_0..t_depth, each evaluated once; t_0 = 0 stands
-        in for the subdiagonal entry the matrix does not have."""
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        return self.sigma.values(depth + 1), [Fraction(0), *self.tau.values(depth)]
 
 
 @dataclass(frozen=True)
@@ -123,14 +99,29 @@ class TPReport:
         return data
 
 
+def _section_depth(s: list[Fraction], t: list[Fraction]) -> int:
+    """depth, for the weights s_0..s_depth and t_1..t_depth of a section."""
+    if not s or len(t) != len(s) - 1:
+        raise ValueError(f"need s_0..s_d and t_1..t_d, d >= 0; got {len(s)} and {len(t)}")
+    return len(s) - 1
+
+
+def jacobi_section(s: list[Fraction], t: list[Fraction]) -> DenseMatrix:
+    """The leading section of J on the weights s_0..s_n and t_1..t_n."""
+    n = _section_depth(s, t)
+    return DenseMatrix(
+        tuple(s[i] if j == i else t[j] if j == i - 1 else int(j == i + 1) for j in range(n + 1))
+        for i in range(n + 1))
+
+
 def window_minors(s: list[Fraction], t: list[Fraction], lo: int) -> Iterator[Fraction]:
-    """D[lo..hi] for hi = lo, lo+1, ..., len(s) - 1, the determinants of the
-    contiguous principal sections of J starting at row lo, by the recurrence
-    D[lo..hi] = s_hi D[lo..hi-1] - t_hi D[lo..hi-2] from D[lo..lo-1] = 1 and
-    D[lo..lo-2] = 0 (t_lo couples row lo to a row outside the window), run
-    on the integers s' = L s, t' = L^2 t (see the module docstring)."""
+    """D[lo..hi] for hi = lo..n, the contiguous principal minors of J on
+    s_0..s_n and t_1..t_n from row lo, by the recurrence D[lo..hi] =
+    s_hi D[lo..hi-1] - t_hi D[lo..hi-2] from D[lo..lo-1] = 1 and D[lo..lo-2]
+    = 0 (t_lo couples row lo to a row outside the window), run on the
+    integers s' = L s, t' = L^2 t (see the module docstring)."""
     width = len(s) - lo
-    ints, den = _scaled_ints([*s[lo:], 0, *t[lo + 1:len(s)]])
+    ints, den = _scaled_ints([*s[lo:], 0, *t[lo:len(s) - 1]])
     prev2, prev1, scale = 0, 1, 1
     for s_k, t_k in zip(ints[:width], ints[width:]):
         prev2, prev1 = prev1, s_k * prev1 - den * t_k * prev2
@@ -138,16 +129,8 @@ def window_minors(s: list[Fraction], t: list[Fraction], lo: int) -> Iterator[Fra
         yield _over(prev1, scale)
 
 
-def leading_minors(J: JacobiMatrix, n: int) -> tuple[Fraction, ...]:
-    """D_0..D_n, each D_k the determinant of the (k+1) x (k+1) section: the
-    windows starting at row 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return tuple(window_minors(*J.weights(n), 0))
-
-
-def tp_by_leading_minors(J: JacobiMatrix, depth: int) -> TPReport:
-    """Certify the (depth+1)-section through the leading minor chain.
+def tp_by_leading_minors(s: list[Fraction], t: list[Fraction]) -> TPReport:
+    """Certify the section on s_0..s_depth, t_1..t_depth by its leading minors.
 
     Requires irreducibility (all inspected t_k > 0).  Then all leading
     minors positive forces every s_k > 0, J is diagonally similar to a
@@ -156,12 +139,7 @@ def tp_by_leading_minors(J: JacobiMatrix, depth: int) -> TPReport:
     positivity outright; a zero minor or a matrix that is not irreducible
     yields INCONCLUSIVE (callers fall back to tp_check_sections).
     """
-    return _leading_minors_report(*J.weights(depth))
-
-
-def _leading_minors_report(s: list[Fraction], t: list[Fraction]) -> TPReport:
-    """tp_by_leading_minors on the weights s_0..s_depth, t_0..t_depth."""
-    depth = len(s) - 1
+    depth = _section_depth(s, t)
     chain = tuple(window_minors(s, t, 0))
     for k, value in enumerate(chain):
         if value < 0:
@@ -169,7 +147,7 @@ def _leading_minors_report(s: list[Fraction], t: list[Fraction]) -> TPReport:
                        "value": format_rat(value)}
             return TPReport("leading_minors", FALSE, depth=depth, witness=witness,
                             detail=_chain_detail(chain))
-    if not all(w > 0 for w in t[1:]):
+    if not all(w > 0 for w in t):
         return TPReport("leading_minors", INCONCLUSIVE, depth=depth,
                         detail="matrix is reducible or has a negative subdiagonal "
                                "weight at this depth; use the contiguous-minor check")
@@ -272,8 +250,8 @@ def tp_criterion_pqst(params: JacobiParams) -> TPReport:
                     detail=f"p(s + sqrt(s^2-4t))/2 < q with 2q - ps = {format_rat(gap)}")
 
 
-def tp_check_sections(J: JacobiMatrix, depth: int) -> TPReport:
-    """Decide total positivity of the (depth+1)-section exactly.
+def tp_check_sections(s: list[Fraction], t: list[Fraction]) -> TPReport:
+    """Decide total positivity of the section on s_0..s_depth, t_1..t_depth.
 
     For a nonnegative tridiagonal matrix, the section is totally positive
     iff every contiguous principal minor (consecutive row/column window) is
@@ -281,19 +259,14 @@ def tp_check_sections(J: JacobiMatrix, depth: int) -> TPReport:
     and the first negative window is the witness.  A negative entry anywhere
     refutes immediately.  More than MAX_WINDOWS windows is INCONCLUSIVE.
     """
-    return _contiguous_minors_report(*J.weights(depth))
-
-
-def _contiguous_minors_report(s: list[Fraction], t: list[Fraction]) -> TPReport:
-    """tp_check_sections on the weights s_0..s_depth, t_0..t_depth."""
-    depth = len(s) - 1
+    depth = _section_depth(s, t)
     for k in range(depth + 1):
         if s[k] < 0:
             return TPReport("contiguous_minors", FALSE, depth=depth,
                             witness={"rows": [k], "cols": [k], "value": format_rat(s[k])})
-        if t[k] < 0:
+        if k and t[k - 1] < 0:
             return TPReport("contiguous_minors", FALSE, depth=depth,
-                            witness={"rows": [k], "cols": [k - 1], "value": format_rat(t[k])})
+                            witness={"rows": [k], "cols": [k - 1], "value": format_rat(t[k - 1])})
     windows = (depth + 1) * (depth + 2) // 2
     if windows > MAX_WINDOWS:
         return TPReport("contiguous_minors", INCONCLUSIVE, depth=depth,
@@ -308,19 +281,19 @@ def _contiguous_minors_report(s: list[Fraction], t: list[Fraction]) -> TPReport:
     return TPReport("contiguous_minors", TRUE, depth=depth)
 
 
-def tp_certify(J: JacobiMatrix, depth: int) -> TPReport:
-    """Run the routes in order of strength: dominance (certifies the
-    infinite matrix), then leading minors, then contiguous minors.
-
-    FALSE from a minor route refutes outright; FALSE from dominance only
-    means the sufficient condition failed, so the minor routes still run,
-    both on one read of the weights.
-    """
-    dominance = tp_sufficient_dominance(J.sigma, J.tau, probe_depth=max(depth, 1))
+def tp_certify(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> TPReport:
+    """Run the routes on J of sigma and tau in order of strength: dominance
+    (certifies the infinite matrix), then on the (depth+1)-section leading
+    minors, then contiguous minors, both on one read of the weights.  FALSE
+    from dominance only means its sufficient condition failed; it refutes
+    nothing, so the minor routes still run."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    dominance = tp_sufficient_dominance(sigma, tau, probe_depth=max(depth, 1))
     if dominance.verdict == TRUE:
         return dominance
-    s, t = J.weights(depth)
-    structured = _leading_minors_report(s, t)
+    s, t = read_weights(sigma, tau, depth + 1)
+    structured = tp_by_leading_minors(s, t)
     if structured.verdict != INCONCLUSIVE:
         return structured
-    return _contiguous_minors_report(s, t)
+    return tp_check_sections(s, t)

@@ -41,7 +41,8 @@ ORACLE_MAX_LENGTH = 14
 
 
 def read_weights(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: bool = False):
-    """s_0.. and t_1.., each read once: those rows 0..depth use (truncate: their kept cells)."""
+    """s_0.. and t_1.., each read once: those rows 0..depth use (truncate: their kept cells).
+    Also the lists of the TP routes and stieltjes_weights: s_0..s_d, t_1..t_d at depth d + 1."""
     s_count, t_count = ((depth + 1) // 2, depth // 2) if truncate else (depth, depth - 1)
     return sigma.values(s_count), tau.values(t_count)
 

@@ -10,9 +10,10 @@ common denominator of the weights; the tests compare the two.
 
 identity, to_lists, submatrix, transpose and matmul are the small matrix
 helpers only the tests need; jacobi_window cuts a contiguous principal
-window out of a coefficient matrix, so that det_bareiss can evaluate it
-independently of the library's three-term recurrence; pqst_matrix builds the
-coefficient matrix of weights constant after their first entries.
+window out of the coefficient matrix of the weight lists s_0.., t_1.., so
+that det_bareiss can evaluate it independently of the library's three-term
+recurrence; pqst_matrix builds the weight pair (sigma, tau) constant after
+their first entries.
 
 recursive_section, step_matrix and the three dense_* checks are the
 structural identities of the recursive matrix, given by its rows r_{n,0..n}
@@ -48,7 +49,7 @@ from fractions import Fraction
 
 from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, det_bareiss, format_rat
 from catmoments.hankel import build_hankel
-from catmoments.jacobi import JacobiMatrix
+from catmoments.jacobi import jacobi_section
 from catmoments.seqspec import SequenceSpec
 
 COFACTOR_MAX_DIM = 9
@@ -81,17 +82,18 @@ def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
                        for row in a.entries)
 
 
-def jacobi_window(J, lo: int, hi: int) -> DenseMatrix:
-    """The contiguous principal section of J on rows and columns lo..hi."""
+def jacobi_window(s, t, lo: int, hi: int) -> DenseMatrix:
+    """The contiguous principal section on rows and columns lo..hi of J with
+    diagonal s_0, s_1, ... and subdiagonal t_1, t_2, ..."""
     window = range(lo, hi + 1)
-    return submatrix(J.section(hi), window, window)
+    return submatrix(jacobi_section(s[:hi + 1], t[:hi]), window, window)
 
 
-def pqst_matrix(params) -> JacobiMatrix:
-    """J with diagonal (p, s, s, ...) and subdiagonal (q, t, t, ...), from
-    anything with fields p, q, s, t (a JacobiParams)."""
-    return JacobiMatrix(SequenceSpec.first_then_constant(params.p, params.s, start=0),
-                        SequenceSpec.first_then_constant(params.q, params.t, start=1))
+def pqst_matrix(params) -> tuple[SequenceSpec, SequenceSpec]:
+    """The weight pair of J with diagonal (p, s, s, ...) and subdiagonal
+    (q, t, t, ...), from anything with fields p, q, s, t (a JacobiParams)."""
+    return (SequenceSpec.first_then_constant(params.p, params.s, start=0),
+            SequenceSpec.first_then_constant(params.q, params.t, start=1))
 
 
 def cell(R, n: int, k: int) -> Fraction:
@@ -125,7 +127,8 @@ def step_matrix(sigma, tau, n: int) -> DenseMatrix:
 def dense_RJ_identity(R, sigma, tau, depth: int) -> str:
     """Rows 1..depth of R against rows 0..depth-1 of R_section @ J_section,
     J the coefficient matrix of sigma and tau."""
-    product = matmul(recursive_section(R, depth), JacobiMatrix(sigma, tau).section(depth))
+    J = jacobi_section(sigma.values(depth + 1), tau.values(depth))
+    product = matmul(recursive_section(R, depth), J)
     shifted = (tuple(cell(R, n + 1, k) for k in range(depth + 1)) for n in range(depth))
     return TRUE if all(map(operator.eq, product.entries, shifted)) else FALSE
 
@@ -262,10 +265,11 @@ def fraction_horner(coeffs, k: int) -> Fraction:
 
 def fraction_window_minors(s, t, lo: int) -> list[Fraction]:
     """D[lo..hi] for hi = lo..len(s) - 1 by D[lo..hi] = s_hi D[lo..hi-1] -
-    t_hi D[lo..hi-2] on Fractions, from D[lo..lo-1] = 1, D[lo..lo-2] = 0."""
+    t_hi D[lo..hi-2] on Fractions, from D[lo..lo-1] = 1, D[lo..lo-2] = 0,
+    with s = [s_0, s_1, ...] and t = [t_1, t_2, ...]."""
     chain = [Fraction(0), Fraction(1)]
     for hi in range(lo, len(s)):
-        chain.append(s[hi] * chain[-1] - t[hi] * chain[-2])
+        chain.append(s[hi] * chain[-1] - (t[hi - 1] if hi > lo else 0) * chain[-2])
     return chain[2:]
 
 

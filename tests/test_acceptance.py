@@ -28,13 +28,13 @@ from catmoments.hankel import (
     verify_H_eq_RTRt,
 )
 from catmoments.jacobi import (
-    JacobiMatrix,
     JacobiParams,
-    leading_minors,
+    jacobi_section,
     tp_check_sections,
     tp_criterion_pqst,
+    window_minors,
 )
-from catmoments.recursive import build_recursive, catalan_like, motzkin_oracle
+from catmoments.recursive import build_recursive, catalan_like, motzkin_oracle, read_weights
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from catmoments.series import GFSpec, gf_expand, riordan_column_check
 from oracle import det_cofactor, is_nondecreasing_from_one, jacobi_window, pqst_matrix
@@ -59,12 +59,12 @@ def test_criterion_01_catalan_hankel_families_are_all_ones():
 
 def test_criterion_02_factorial_leading_minors_both_routes():
     entry = catalog_lookup("factorial")
-    J = JacobiMatrix(entry.sigma, entry.tau)
-    chain = leading_minors(J, 10)
+    s, t = read_weights(entry.sigma, entry.tau, 11)
+    chain = tuple(window_minors(s, t, 0))
     for n in range(11):
         expected = math.factorial(n + 1)
         assert chain[n] == expected
-        assert det_bareiss(J.section(n)) == expected
+        assert det_bareiss(jacobi_section(s[:n + 1], t[:n])) == expected
 
 
 def test_criterion_03_catalog_terms_agree_across_three_routes():
@@ -107,7 +107,7 @@ def test_criterion_06_randomized_dominance_chains():
                      for t in t_values]
         sigma = SequenceSpec(tuple(s_values), ConstantTail(s_values[-1]), start=0)
         tau = SequenceSpec(tuple(t_values), ConstantTail(t_values[-1]), start=1)
-        chain = leading_minors(JacobiMatrix(sigma, tau), 10)
+        chain = tuple(window_minors(*read_weights(sigma, tau, 11), 0))
         assert len(chain) == 11
         assert chain[0] >= 1
         for a, b in zip(chain, chain[1:]):
@@ -124,20 +124,20 @@ def test_criterion_07_randomized_pqst_criterion_vs_minor_search():
                                 for _ in range(4)])
         verdict = tp_criterion_pqst(params).verdict
         seen[verdict] += 1
-        J = pqst_matrix(params)
+        s, t = read_weights(*pqst_matrix(params), 9)
         if verdict == TRUE:
-            assert tp_check_sections(J, 6).verdict == TRUE, params
+            assert tp_check_sections(s[:7], t[:6]).verdict == TRUE, params
         else:
             # bounded refutation search: a verified negative window, or no
             # refutation at this depth -- but never a claim the criterion
             # was wrong
-            scan = tp_check_sections(J, 8)
+            scan = tp_check_sections(s, t)
             assert scan.verdict in (TRUE, FALSE), params
             if scan.verdict == FALSE:
                 lo, hi = scan.witness["rows"][0], scan.witness["rows"][-1]
                 value = as_rat(scan.witness["value"])
                 assert value < 0, params
-                assert det_bareiss(jacobi_window(J, lo, hi)) == value, params
+                assert det_bareiss(jacobi_window(s, t, lo, hi)) == value, params
                 refuted += 1
             else:
                 not_refuted += 1

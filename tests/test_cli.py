@@ -220,19 +220,32 @@ def test_n_below_range(capsys, argv):
     assert (code, out, err) == (2, "", "error: -n must be >= 0, got -1\n")
 
 
-@pytest.mark.parametrize("command, cap", [("gen", 4000), ("matrix", 800)])
+def count_argv(command: str, value: int) -> list[str]:
+    """catalan through the command, with its count option (-n or --depth) at value."""
+    option = "-n" if command in ("gen", "matrix") else "--depth"
+    return [command, "--jacobi-name" if command == "tp" else "--name", "catalan",
+            option, str(value)]
+
+
+@pytest.mark.parametrize("command, cap", [("gen", 4000), ("matrix", 800), ("stieltjes", 230),
+                                          ("hankel-det", 85), ("tp", 2000), ("verify", 75)])
 def test_n_above_cap(capsys, monkeypatch, command, cap):
-    # refused before any weight is read
+    # refused before the name is looked up or any weight is read
     monkeypatch.setattr(catmoments.cli, "read_weights", None)
-    code, out, err = run(capsys, command, "--name", "catalan", "-n", str(cap + 1))
-    assert (code, out, err) == (2, "", f"error: -n must be <= {cap}, got {cap + 1}\n")
+    monkeypatch.setattr(catmoments.cli, "catalog_lookup", None)
+    code, out, err = run(capsys, *count_argv(command, cap + 1))
+    option = count_argv(command, 0)[3]
+    assert (code, out, err) == (2, "", f"error: {option} must be <= {cap}, got {cap + 1}\n")
 
 
-@pytest.mark.parametrize("command, cap_name", [("gen", "GEN_MAX_N"), ("matrix", "MATRIX_MAX_N")])
+@pytest.mark.parametrize("command, cap_name", [
+    ("gen", "GEN_MAX_N"), ("matrix", "MATRIX_MAX_N"), ("stieltjes", "STIELTJES_MAX_DEPTH"),
+    ("hankel-det", "HANKEL_DET_MAX_DEPTH"), ("tp", "TP_MAX_DEPTH"),
+    ("verify", "VERIFY_MAX_DEPTH")])
 def test_n_at_cap_is_accepted(capsys, monkeypatch, command, cap_name):
     monkeypatch.setattr(catmoments.cli, cap_name, 5)
-    assert run(capsys, command, "--name", "catalan", "-n", "5")[0] == 0
-    assert run(capsys, command, "--name", "catalan", "-n", "6")[0] == 2
+    assert run(capsys, *count_argv(command, 5))[0] == 0
+    assert run(capsys, *count_argv(command, 6))[0] == 2
 
 
 def test_hankel_det_reads_each_weight_once(capsys, monkeypatch):

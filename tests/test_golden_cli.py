@@ -21,7 +21,8 @@ criterion, the contiguous-minor TP route (with its single-entry witnesses),
 tp at depth 0, every named and parameterised
 generating function (the three specializations also at t = 0, and the
 general form at -n 0), the catalog listing, and the usage-error (exit 2)
-path of each command, including one past the -n caps of gen and matrix,
+path of each command, including one past the -n caps of gen and matrix
+and the --depth caps of stieltjes, hankel-det, tp and verify,
 each mix of weight sources (a name with --sigma, --terms or --pqst with a
 weight pair) and a JSON spec, tail or generating function with an unknown
 field.
@@ -230,6 +231,12 @@ def cases() -> dict[str, list[str]]:
     # one past each size cap
     out["gen-n-over-cap"] = ["gen", "--name", "catalan", "-n", "4001"]
     out["matrix-n-over-cap"] = ["matrix", "--name", "catalan", "-n", "801", "--format", "json"]
+    out["stieltjes-depth-over-cap"] = ["stieltjes", "--name", "catalan", "--depth", "231"]
+    out["hankel-det-depth-over-cap"] = ["hankel-det", "--name", "catalan", "--depth", "86",
+                                        "--format", "json"]
+    out["tp-depth-over-cap"] = ["tp", "--jacobi-name", "catalan", "--depth", "2001"]
+    out["verify-depth-over-cap"] = ["verify", "--name", "catalan", "--depth", "76",
+                                    "--format", "csv"]
     out["gen-unknown-name"] = ["gen", "--name", "fibonacci"]
     out["gen-bad-json"] = ["gen", "--sigma", "{not json", "--tau", RATIONAL_TAU]
     out["gen-wrong-start"] = ["gen", "--sigma", RATIONAL_TAU, "--tau", RATIONAL_TAU]

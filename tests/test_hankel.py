@@ -16,8 +16,8 @@ from catmoments.hankel import (
     stieltjes_check,
     verify_H_eq_RTRt,
 )
-from catmoments.jacobi import JacobiMatrix, leading_minors
-from catmoments.recursive import build_recursive, catalan_like
+from catmoments.jacobi import window_minors
+from catmoments.recursive import build_recursive, catalan_like, read_weights
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from oracle import to_lists
 
@@ -174,7 +174,7 @@ def test_det_product_depends_only_on_subdiagonal_weights():
 def _shifted_family_is_chain_times_products(sigma, tau, depth):
     """det[m_{i+j+1}]_n = D_n * T_0 * ... * T_n for n = 0..depth."""
     seq = catalan_like(sigma, tau, 2 * depth + 1)
-    chain = leading_minors(JacobiMatrix(sigma, tau), depth)
+    chain = window_minors(*read_weights(sigma, tau, depth + 1), 0)
     products = hankel_det_products(tau.values(depth))
     return list(hankel_dets(seq, depth, 1)) == [d * p for d, p in zip(chain, products)]
 

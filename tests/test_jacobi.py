@@ -8,27 +8,33 @@ import pytest
 from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, det_bareiss
 from catmoments.jacobi import (
     MAX_WINDOWS,
-    JacobiMatrix,
     JacobiParams,
-    leading_minors,
+    jacobi_section,
     tp_by_leading_minors,
     tp_certify,
     tp_check_sections,
     tp_criterion_pqst,
     tp_sufficient_dominance,
+    window_minors,
 )
+from catmoments.recursive import read_weights
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from oracle import all_minors_nonneg, is_nondecreasing_from_one, jacobi_window, pqst_matrix
 
 
-def _matrix(name):
+def _weights(name, depth):
+    """s_0..s_depth and t_1..t_depth of a catalog entry."""
     entry = catalog_lookup(name)
-    return JacobiMatrix(entry.sigma, entry.tau)
+    return read_weights(entry.sigma, entry.tau, depth + 1)
+
+
+def _chain(sigma, tau, depth):
+    """The leading minors D_0..D_depth of J of sigma and tau."""
+    return tuple(window_minors(*read_weights(sigma, tau, depth + 1), 0))
 
 
 def test_section_layout():
-    J = _matrix("delannoy")
-    section = J.section(2)
+    section = jacobi_section(*_weights("delannoy", 2))
     assert section[0, 0] == 3 and section[1, 1] == 3 and section[2, 2] == 3
     assert section[1, 0] == 4 and section[2, 1] == 2
     assert section[0, 1] == 1 and section[1, 2] == 1
@@ -36,34 +42,40 @@ def test_section_layout():
 
 
 def test_window_uses_absolute_indices():
-    J = _matrix("factorial")
-    window = jacobi_window(J, 2, 4)
+    window = jacobi_window(*_weights("factorial", 6), 2, 4)
     assert [window[i, i] for i in range(3)] == [5, 7, 9]
     assert window[1, 0] == 9 and window[2, 1] == 16
 
 
 def test_leading_minors_match_determinants_for_catalog():
     for entry in CATALOG.values():
-        J = JacobiMatrix(entry.sigma, entry.tau)
-        chain = leading_minors(J, 10)
+        s, t = read_weights(entry.sigma, entry.tau, 11)
+        chain = tuple(window_minors(s, t, 0))
         for n in range(11):
-            assert chain[n] == det_bareiss(J.section(n))
+            assert chain[n] == det_bareiss(jacobi_section(s[:n + 1], t[:n]))
 
 
 def test_factorial_chain_is_shifted_factorials():
-    chain = leading_minors(_matrix("factorial"), 6)
+    chain = tuple(window_minors(*_weights("factorial", 6), 0))
     assert list(chain) == [1, 2, 6, 24, 120, 720, 5040]
 
 
 def test_catalan_chain_is_all_ones():
-    chain = leading_minors(_matrix("catalan"), 8)
+    chain = tuple(window_minors(*_weights("catalan", 8), 0))
     assert set(chain) == {Fraction(1)}
 
 
 def test_zero_diagonal_gives_negative_minor():
-    J = JacobiMatrix(SequenceSpec.constant(0, start=0), SequenceSpec.constant(1, start=1))
-    chain = leading_minors(J, 1)
+    chain = _chain(SequenceSpec.constant(0, start=0), SequenceSpec.constant(1, start=1), 1)
     assert chain[1] == -1
+
+
+@pytest.mark.parametrize("s, t", [([], []), ([2, 2], [0, 1])])
+@pytest.mark.parametrize("route", [jacobi_section, tp_by_leading_minors, tp_check_sections])
+def test_section_routes_refuse_weight_lists_of_no_section(route, s, t):
+    # s_0..s_d and t_1..t_d, d >= 0: no section at depth -1, and no t_0
+    with pytest.raises(ValueError, match="need s_0..s_d and t_1..t_d"):
+        route(s, t)
 
 
 def test_params_reject_negative_values():
@@ -72,9 +84,9 @@ def test_params_reject_negative_values():
 
 
 def test_params_expand_to_weight_specs():
-    s, t = pqst_matrix(JacobiParams(3, 4, 3, 2)).weights(2)
+    s, t = read_weights(*pqst_matrix(JacobiParams(3, 4, 3, 2)), 3)
     assert s == [3, 3, 3]
-    assert t == [0, 4, 2]
+    assert t == [4, 2]
 
 
 def test_criterion_classical_parameter_sets():
@@ -151,19 +163,18 @@ def test_dominance_chain_property_randomized():
                      for t in t_values]
         sigma = SequenceSpec(tuple(s_values), ConstantTail(Fraction(0)), start=0)
         tau = SequenceSpec(tuple(t_values), ConstantTail(Fraction(0)), start=1)
-        chain = leading_minors(JacobiMatrix(sigma, tau), 10)
+        chain = _chain(sigma, tau, 10)
         assert is_nondecreasing_from_one(chain)
 
 
 def test_leading_minor_route_certifies_catalog():
     for entry in CATALOG.values():
-        J = JacobiMatrix(entry.sigma, entry.tau)
-        assert tp_by_leading_minors(J, 8).verdict == TRUE
+        s, t = read_weights(entry.sigma, entry.tau, 9)
+        assert tp_by_leading_minors(s, t).verdict == TRUE
 
 
 def test_leading_minor_route_refuses_reducible_matrices():
-    J = JacobiMatrix(SequenceSpec.constant(1, start=0), SequenceSpec.constant(0, start=1))
-    report = tp_by_leading_minors(J, 4)
+    report = tp_by_leading_minors([Fraction(1)] * 5, [Fraction(0)] * 4)
     assert report.verdict == INCONCLUSIVE
     assert "reducible" in report.detail
 
@@ -173,9 +184,8 @@ def test_leading_minor_route_needs_positive_subdiagonal():
     # stays positive at depth 2 although J has negative entries
     sigma = SequenceSpec((Fraction(1), Fraction(-1)), ConstantTail(Fraction(1)), start=0)
     tau = SequenceSpec((Fraction(-3),), ConstantTail(Fraction(1)), start=1)
-    J = JacobiMatrix(sigma, tau)
-    assert leading_minors(J, 2) == (1, 2, 1)
-    report = tp_by_leading_minors(J, 2)
+    assert _chain(sigma, tau, 2) == (1, 2, 1)
+    report = tp_by_leading_minors(*read_weights(sigma, tau, 3))
     assert report.verdict == INCONCLUSIVE
     assert "negative subdiagonal" in report.detail
 
@@ -183,37 +193,35 @@ def test_leading_minor_route_needs_positive_subdiagonal():
 def test_leading_minor_route_inconclusive_on_zero_minor():
     # s = (1, 1, ...), t = 1: chain 1, 0 at depth 1 (and the 2x2 section
     # really is totally positive, so zero must not be read as a refutation)
-    J = JacobiMatrix(SequenceSpec.constant(1, start=0), SequenceSpec.constant(1, start=1))
-    report = tp_by_leading_minors(J, 1)
+    ones = [Fraction(1)] * 4
+    report = tp_by_leading_minors(ones[:2], ones[:1])
     assert report.verdict == INCONCLUSIVE
     assert "zero leading minor" in report.detail
-    assert all_minors_nonneg(J.section(1), 2).status == TRUE
+    assert all_minors_nonneg(jacobi_section(ones[:2], ones[:1]), 2).status == TRUE
     # one step deeper the chain turns negative: D_2 = -1 refutes outright,
     # zeros notwithstanding
-    deeper = tp_by_leading_minors(J, 3)
+    deeper = tp_by_leading_minors(ones, ones[:3])
     assert deeper.verdict == FALSE
     assert deeper.witness["value"] == "-1"
 
 
 def test_sections_catalan_depth_six():
-    assert tp_check_sections(_matrix("catalan"), 6).verdict == TRUE
+    assert tp_check_sections(*_weights("catalan", 6)).verdict == TRUE
 
 
 def test_sections_refute_bad_parameters_with_witness():
-    J = pqst_matrix(JacobiParams(1, 3, 2, 1))
-    report = tp_check_sections(J, 4)
+    report = tp_check_sections(*read_weights(*pqst_matrix(JacobiParams(1, 3, 2, 1)), 5))
     assert report.verdict == FALSE
     assert report.witness == {"rows": [0, 1], "cols": [0, 1], "value": "-1"}
 
 
 def test_sections_one_by_one():
-    J = JacobiMatrix(SequenceSpec.constant(5, start=0), SequenceSpec.constant(1, start=1))
-    assert tp_check_sections(J, 0).verdict == TRUE
+    assert tp_check_sections([Fraction(5)], []).verdict == TRUE
 
 
 def test_sections_budget_inconclusive():
     # 2000 * 2001 / 2 = 2,001,000 windows, just past the cap
-    report = tp_check_sections(_matrix("catalan"), 1999)
+    report = tp_check_sections(*_weights("catalan", 1999))
     assert report.verdict == INCONCLUSIVE
     assert report.detail == f"window count 2001000 exceeds budget {MAX_WINDOWS}"
 
@@ -227,27 +235,34 @@ def test_sections_agree_with_exhaustive_minor_scan():
         tau = SequenceSpec(
             tuple(Fraction(rng.randint(0, 4)) for _ in range(4)),
             ConstantTail(Fraction(1)), start=1)
-        J = JacobiMatrix(sigma, tau)
-        sections = tp_check_sections(J, 4)
-        exhaustive = all_minors_nonneg(J.section(4), 5)
+        s, t = read_weights(sigma, tau, 5)
+        sections = tp_check_sections(s, t)
+        exhaustive = all_minors_nonneg(jacobi_section(s, t), 5)
         assert sections.verdict == exhaustive.status
 
 
 def test_certify_prefers_strongest_applicable_route():
     catalan = catalog_lookup("catalan")
-    report = tp_certify(JacobiMatrix(catalan.sigma, catalan.tau), 8)
+    report = tp_certify(catalan.sigma, catalan.tau, 8)
     assert report.verdict == TRUE and report.criterion == "dominance"
 
     factorial = catalog_lookup("factorial")
-    report = tp_certify(JacobiMatrix(factorial.sigma, factorial.tau), 8)
+    report = tp_certify(factorial.sigma, factorial.tau, 8)
     assert report.verdict == TRUE and report.criterion == "leading_minors"
 
     bad = pqst_matrix(JacobiParams(1, 3, 2, 1))
-    assert tp_certify(bad, 6).verdict == FALSE
+    assert tp_certify(*bad, 6).verdict == FALSE
+
+
+def test_certify_refuses_negative_depth():
+    # catalan's dominance TRUE holds at every depth, but there is no depth -1
+    entry = catalog_lookup("catalan")
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        tp_certify(entry.sigma, entry.tau, -1)
 
 
 def test_report_json_shape():
-    report = tp_check_sections(pqst_matrix(JacobiParams(1, 3, 2, 1)), 4)
+    report = tp_check_sections(*read_weights(*pqst_matrix(JacobiParams(1, 3, 2, 1)), 5))
     data = report.to_json()
     assert data["criterion"] == "contiguous_minors"
     assert data["verdict"] == FALSE

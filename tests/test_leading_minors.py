@@ -119,8 +119,9 @@ def test_hankel_dets_match_cofactor_expansion(depth, seq):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(entries, entries), min_size=1, max_size=10))
 def test_window_minors_match_the_fraction_chain_at_every_start(weights):
-    # t[lo] couples row lo to a row outside the window and must not count
+    # t_lo couples row lo to a row outside the window and must not count
     s, t = map(list, zip(*weights))
+    t = t[1:]                           # t_1..t_n
     for lo in range(len(s) + 1):
         assert list(window_minors(s, t, lo)) == fraction_window_minors(s, t, lo)
 

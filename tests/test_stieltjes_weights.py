@@ -9,9 +9,9 @@ rational entries, scaled by m_0, with a term changed) go through the
 routes, every report is compared with the elimination report, and every
 verdict with tests/oracle.principal_minors_nonneg on both Hankel sections.
 Work counts: the weight route runs no elimination, terms that invert run
-none either, and the weight route, tp_by_leading_minors and
-tp_sufficient_dominance read each weight exactly once, as do the two minor
-routes of tp_certify together.
+none either, and the weight route, the weight lists tp_by_leading_minors
+takes (recursive.read_weights) and tp_sufficient_dominance read each weight
+exactly once, as does tp_certify for its two minor routes together.
 """
 
 import json
@@ -39,12 +39,11 @@ from catmoments.hankel import (
 )
 from catmoments.jacobi import (
     DOMINANCE_GUARD_INDEX,
-    JacobiMatrix,
     tp_by_leading_minors,
     tp_certify,
     tp_sufficient_dominance,
 )
-from catmoments.recursive import catalan_like
+from catmoments.recursive import catalan_like, read_weights
 from catmoments.seqspec import ConstantTail, PolynomialTail, SequenceSpec, catalog_lookup
 from oracle import det_cofactor, principal_minors_nonneg, submatrix
 
@@ -137,9 +136,9 @@ def test_terms_round_trip_through_their_weights(pair, m0):
     sigma, tau, depth = pair
     terms = [m0 * v for v in catalan_like(sigma, tau, 2 * depth + 1)]
     s, t = _chebyshev_weights(terms, depth)
-    assert (s, t) == JacobiMatrix(sigma, tau).weights(depth)
+    assert (s, t) == read_weights(sigma, tau, depth + 1)
     replay = catalan_like(SequenceSpec(tuple(s), ConstantTail(0), 0),
-                          SequenceSpec(tuple(t[1:]), ConstantTail(0), 1), 2 * depth + 1)
+                          SequenceSpec(tuple(t), ConstantTail(0), 1), 2 * depth + 1)
     assert [m0 * v for v in replay] == terms
 
 
@@ -257,7 +256,10 @@ def test_weights_that_do_not_replay_fall_back(monkeypatch, guarded_calls, corrup
 
     def corrupted(terms, depth):
         s, t = real(terms, depth)
-        (s if corrupt == "s_d" else t)[depth] += 1
+        if corrupt == "s_d":
+            s[depth] += 1
+        else:
+            t[depth - 1] += 1           # t holds t_1..t_depth
         return s, t
 
     monkeypatch.setattr(catmoments.hankel, "_chebyshev_weights", corrupted)
@@ -319,7 +321,7 @@ def test_each_weight_is_read_once(weight_reads, route, pair):
     if route == "stieltjes_weights":
         assert stieltjes_weights(sigma, tau, depth).verdict == PASS
     elif route == "tp_by_leading_minors":
-        assert tp_by_leading_minors(JacobiMatrix(sigma, tau), depth).verdict == TRUE
+        assert tp_by_leading_minors(*read_weights(sigma, tau, depth + 1)).verdict == TRUE
     else:
         assert tp_sufficient_dominance(sigma, tau, depth).verdict == TRUE
         depth = DOMINANCE_GUARD_INDEX
@@ -339,7 +341,7 @@ def test_tp_certify_reads_each_weight_once_in_its_minor_routes(weight_reads):
     # minor routes run; each used to read all 25 weights itself
     sigma = SequenceSpec((3, 2, Fraction(5, 2)), ConstantTail(Fraction(3)), start=0)
     tau = SequenceSpec((2, 1, 0), ConstantTail(Fraction(1)), start=1)
-    report = tp_certify(JacobiMatrix(sigma, tau), 12)
+    report = tp_certify(sigma, tau, 12)
     assert (report.criterion, report.verdict) == ("contiguous_minors", TRUE)
     assert weight_reads[:3] == [(sigma, 0), (sigma, 1), (tau, 1)]   # dominance
     assert_read_once_through(weight_reads[3:], sigma, tau, 12)

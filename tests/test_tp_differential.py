@@ -19,12 +19,13 @@ import catmoments.exact
 from catmoments.cli import main
 from catmoments.exact import FALSE, TRUE, det_bareiss, format_rat
 from catmoments.jacobi import (
-    JacobiMatrix,
+    jacobi_section,
     tp_by_leading_minors,
     tp_certify,
     tp_check_sections,
     tp_sufficient_dominance,
 )
+from catmoments.recursive import read_weights
 from catmoments.seqspec import ConstantTail, SequenceSpec
 from oracle import all_minors_nonneg, jacobi_window
 
@@ -37,27 +38,28 @@ weights = st.one_of(
 
 @st.composite
 def weight_pairs(draw):
-    """A coefficient matrix with drawn prefixes and constant tails, and a
-    section depth 0..5."""
+    """A weight pair with drawn prefixes and constant tails, and a section
+    depth 0..5."""
     depth = draw(st.integers(0, 5))
     sigma = SequenceSpec(tuple(draw(st.lists(weights, max_size=depth + 1))),
                          ConstantTail(draw(weights)), start=0)
     tau = SequenceSpec(tuple(draw(st.lists(weights, max_size=depth))),
                        ConstantTail(draw(weights)), start=1)
-    return JacobiMatrix(sigma, tau), depth
+    return sigma, tau, depth
 
 
-def first_negative_window(J: JacobiMatrix, depth: int):
+def first_negative_window(sigma, tau, depth: int):
     """The contiguous-minor scan with one det_bareiss per window: entry
     signs first, then windows by ascending start and end."""
     for k in range(depth + 1):
-        if J.sigma.eval(k) < 0:
-            return {"rows": [k], "cols": [k], "value": format_rat(J.sigma.eval(k))}
-        if k >= 1 and J.tau.eval(k) < 0:
-            return {"rows": [k], "cols": [k - 1], "value": format_rat(J.tau.eval(k))}
+        if sigma.eval(k) < 0:
+            return {"rows": [k], "cols": [k], "value": format_rat(sigma.eval(k))}
+        if k >= 1 and tau.eval(k) < 0:
+            return {"rows": [k], "cols": [k - 1], "value": format_rat(tau.eval(k))}
+    s, t = sigma.values(depth + 1), tau.values(depth)
     for lo in range(depth + 1):
         for hi in range(lo, depth + 1):
-            value = det_bareiss(jacobi_window(J, lo, hi))
+            value = det_bareiss(jacobi_window(s, t, lo, hi))
             if value < 0:
                 window = list(range(lo, hi + 1))
                 return {"rows": window, "cols": window, "value": format_rat(value)}
@@ -67,13 +69,14 @@ def first_negative_window(J: JacobiMatrix, depth: int):
 @settings(max_examples=300, deadline=None)
 @given(weight_pairs())
 def test_no_route_contradicts_the_exhaustive_minor_scan(pair):
-    J, depth = pair
-    oracle = all_minors_nonneg(J.section(depth), depth + 1).status
+    sigma, tau, depth = pair
+    s, t = read_weights(sigma, tau, depth + 1)
+    oracle = all_minors_nonneg(jacobi_section(s, t), depth + 1).status
     reports = {
-        "dominance": tp_sufficient_dominance(J.sigma, J.tau, probe_depth=max(depth, 1)),
-        "leading_minors": tp_by_leading_minors(J, depth),
-        "contiguous_minors": tp_check_sections(J, depth),
-        "certify": tp_certify(J, depth),
+        "dominance": tp_sufficient_dominance(sigma, tau, probe_depth=max(depth, 1)),
+        "leading_minors": tp_by_leading_minors(s, t),
+        "contiguous_minors": tp_check_sections(s, t),
+        "certify": tp_certify(sigma, tau, depth),
     }
     if oracle == FALSE:
         assert [name for name, r in reports.items() if r.verdict == TRUE] == []
@@ -88,9 +91,9 @@ def test_no_route_contradicts_the_exhaustive_minor_scan(pair):
 @settings(max_examples=200, deadline=None)
 @given(weight_pairs())
 def test_contiguous_witness_matches_window_determinants(pair):
-    J, depth = pair
-    report = tp_check_sections(J, depth)
-    assert report.witness == first_negative_window(J, depth)
+    sigma, tau, depth = pair
+    report = tp_check_sections(*read_weights(sigma, tau, depth + 1))
+    assert report.witness == first_negative_window(sigma, tau, depth)
     assert report.verdict == (TRUE if report.witness is None else FALSE)
 
 
@@ -99,7 +102,7 @@ def _spec(prefix, value, start):
                         start=start)
 
 
-# the three weight pairs the CLI golden test pins on the contiguous route
+# three of the weight pairs the CLI golden test pins on the contiguous route
 CONTIGUOUS_PAIRS = [
     (_spec([3, 2, "5/2"], 3, 0), _spec([2, 1, 0], 1, 1), 12, None),
     (_spec([0, 2, 3, 3, 0], 3, 0), _spec([0, 0, 3, 2], 1, 1), 6,
@@ -118,7 +121,7 @@ def test_contiguous_route_evaluates_no_dense_determinant(monkeypatch):
 
     monkeypatch.setattr(catmoments.exact, "det_bareiss", counting)
     for sigma, tau, depth, witness in CONTIGUOUS_PAIRS:
-        report = tp_check_sections(JacobiMatrix(sigma, tau), depth)
+        report = tp_check_sections(*read_weights(sigma, tau, depth + 1))
         assert report.verdict == (TRUE if witness is None else FALSE)
         assert report.witness == witness
     assert calls == []
