@@ -19,7 +19,6 @@ from .exact import (
     as_rat,
     det_bareiss,
     format_rat,
-    leading_principal_minors,
     negative_principal_minor,
 )
 from .hankel import (
@@ -36,7 +35,6 @@ from .hankel import (
 from .jacobi import (
     JacobiParams,
     TPReport,
-    jacobi_section,
     tp_by_leading_minors,
     tp_certify,
     tp_check_sections,

@@ -41,7 +41,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .exact import TRUE, as_rat, format_over, format_rat, format_row, leading_principal_minors
+from .exact import TRUE, _int_leading_minors, as_rat, format_over, format_rat, format_row
 from .hankel import (
     DEFAULT_DEPTH,
     FAIL,
@@ -53,11 +53,10 @@ from .hankel import (
     stieltjes_weights,
     verify_H_eq_RTRt,
 )
-from .jacobi import JacobiParams, jacobi_section, tp_certify, tp_criterion_pqst, window_minors
+from .jacobi import JacobiParams, _int_section, tp_certify, tp_criterion_pqst, window_minors
 from .recursive import (
     ORACLE_MAX_LENGTH,
     _scaled_rows,
-    build_recursive,
     catalan_like,
     motzkin_oracle,
     read_weights,
@@ -280,10 +279,12 @@ def cmd_series(args) -> Rendered:
 
 def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
     """The cross-check bundle for one catalog entry at one depth; the three
-    identity checks share one recursive matrix and one term list."""
+    identity checks and J's section share one read of s_0..s_{d+1} and
+    t_1..t_{d+1}, R as the recurrence's int rows, and one term list."""
     sigma, tau = entry.sigma, entry.tau
     terms = catalan_like(sigma, tau, max(2 * depth + 1, 16))
-    R = build_recursive(sigma, tau, depth + 1)
+    s, t = read_weights(sigma, tau, depth + 2)
+    R = list(_scaled_rows(s, t, depth + 1))
     checks: list[tuple[str, bool]] = []
 
     checks.append(("reference_terms",
@@ -293,17 +294,16 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
         motzkin_oracle(sigma, tau, n) == terms[n] for n in range(oracle_depth + 1))))
     # the step factorization is the shift identity one row deeper, so only
     # its failure leaves the shift identity at depth to check on its own
-    step = verify_step_factorization(R, sigma, tau, depth) == TRUE
-    checks.append(("shift_identity", step or verify_RJ_identity(R, sigma, tau, depth) == TRUE))
+    step = verify_step_factorization(R, s, t, depth) == TRUE
+    checks.append(("shift_identity", step or verify_RJ_identity(R, s, t, depth) == TRUE))
     checks.append(("step_factorization", step))
-    checks.append(("hankel_factorization", verify_H_eq_RTRt(R, tau, terms, depth) == TRUE))
+    checks.append(("hankel_factorization", verify_H_eq_RTRt(R, t, terms, depth) == TRUE))
     stieltjes = StieltjesReport.by_elimination(terms, depth)
     # elimination on the terms against the weight products, whole report
     checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))
-    s, t = read_weights(sigma, tau, depth + 1)
-    checks.append(("leading_minors_vs_det", tuple(window_minors(s, t, 0))
-                   == leading_principal_minors(jacobi_section(s, t))))
+    checks.append(("leading_minors_vs_det", tuple(window_minors(s[:depth + 1], t, 0))
+                   == _int_leading_minors(*_int_section(s[:depth + 1], t[:depth]))))
     checks.append(("tp_certified", tp_certify(sigma, tau, depth).verdict == TRUE))
     if entry.gf is not None:
         expansion = gf_expand(entry.gf, depth)

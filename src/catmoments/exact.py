@@ -5,15 +5,15 @@ Everything in this package runs on arbitrary-precision rationals
 the shared scalar helpers, the dense matrix value type and one fraction-free
 (Bareiss) elimination on integer rows over one common denominator, in two
 forms.  _int_leading_minors runs it once without row swaps and reads the
-determinant of every leading section off its pivots (Sylvester's identity);
-on a symmetric input, such as a Hankel section, it updates only the upper
-triangle, half the products.  hankel.hankel_dets hands it the scaled terms
-and leading_principal_minors a DenseMatrix.  det_bareiss, which swaps rows
-past a zero pivot, evaluates one determinant and serves the leading sections
-past a singular one.  Where a zero leading minor leaves positive
-semidefiniteness open, negative_principal_minor decides it by a symmetric
-elimination with diagonal pivoting.  The total-positivity routes need none
-of these: the minors of the tridiagonal coefficient matrix follow a
+determinant of every leading section off its pivots (Sylvester's identity); on
+a symmetric input, such as a Hankel section, it updates only the upper
+triangle, half the products.  hankel.hankel_dets hands it the scaled terms and
+cli verify J's section as int rows (jacobi._int_section), no DenseMatrix.
+det_bareiss, which swaps rows past a zero pivot, evaluates one determinant and
+serves the leading sections past a singular one.  Where a zero leading minor
+leaves positive semidefiniteness open, negative_principal_minor decides it by
+a symmetric elimination with diagonal pivoting.  The total-positivity routes
+need none of these: the minors of the tridiagonal coefficient matrix follow a
 three-term recurrence (see jacobi), and the identity checks use band sums.
 """
 
@@ -171,12 +171,6 @@ def _over(numerator: int, den: int) -> Fraction:
     return Fraction(numerator, den) if den != 1 else Fraction(numerator)
 
 
-def _int_rows(matrix: DenseMatrix) -> tuple[list[list[int]], int]:
-    """The rows of matrix as ints over the LCM of all its denominators, and the LCM."""
-    ints, den = _scaled_ints([x for row in matrix.entries for x in row])
-    return [ints[i:i + matrix.cols] for i in range(0, len(ints), matrix.cols)], den
-
-
 def _bareiss_step(work: list[list[int]], k: int, prev: int, symmetric: bool = False) -> None:
     """Eliminate column k below the pivot work[k][k], fraction-free: each new
     entry is a minor, so the division by prev, the previous pivot (1 at
@@ -200,7 +194,8 @@ def det_bareiss(matrix: DenseMatrix) -> Fraction:
     short-circuits to 0.
     """
     n = _require_square(matrix)
-    work, den = _int_rows(matrix)
+    ints, den = _scaled_ints([x for row in matrix.entries for x in row])
+    work = [ints[i:i + n] for i in range(0, n * n, n)]
     sign = prev = 1
     for k in range(n - 1):
         if work[k][k] == 0:
@@ -215,13 +210,6 @@ def det_bareiss(matrix: DenseMatrix) -> Fraction:
         prev = work[k][k]
 
     return Fraction(sign * work[n - 1][n - 1], den ** n)
-
-
-def leading_principal_minors(matrix: DenseMatrix) -> tuple[Fraction, ...]:
-    """The determinants of the leading k x k sections, k = 1..n, by
-    _int_leading_minors on the matrix made integral."""
-    _require_square(matrix)
-    return _int_leading_minors(*_int_rows(matrix))
 
 
 def _int_leading_minors(rows: list[list[int]], den: int) -> tuple[Fraction, ...]:

@@ -51,8 +51,9 @@ tridiagonal matrix two consecutive leading minors are never both zero, so a
 zero minor D_j T_0 ... T_j with T_{j+1} != 0 and a positive minor before it
 makes the next leading minor negative.  Scaling by m_0 > 0 changes no sign.
 
-verify_H_eq_RTRt checks the factorization on given rows, weights and terms by
-band sums, not a dense product: O(depth^3), R being triangular and T diagonal.
+verify_H_eq_RTRt checks the factorization on the int rows of R, the weights
+and the terms by band sums of ints, not a dense product: O(depth^3), R being
+triangular and T diagonal.
 """
 
 from __future__ import annotations
@@ -247,25 +248,32 @@ def _replays(terms: list[Fraction], s: list, t: list) -> bool:
     return [m0 * Fraction(row[0], den) for row, den in rows] == terms
 
 
-def verify_H_eq_RTRt(R, tau: SequenceSpec, terms: Sequence, depth: int) -> str:
+def verify_H_eq_RTRt(rows, t: list, terms: Sequence, depth: int) -> str:
     """Check the factorization H = R T R^t of the Hankel matrix of the terms
-    m_0..m_{2 depth} on (depth+1)-sections, where R is given by its rows
-    r_{n,0..n} and T is the diagonal of the running products T_0 = 1,
-    T_k = t_1 ... t_k of tau.
+    m_0..m_{2 depth} on (depth+1)-sections, R given by the (row, den) pairs
+    of _scaled_rows (r_{n,k} = row[k] / den) and T the diagonal of the
+    running products T_0 = 1, T_k = t_1 ... t_k.
 
-    Exact on sections because row n of R ends at column n.  Entry (i, j)
-    of R T R^t is the sum over k <= min(i, j) of r_{i,k} T_k r_{j,k}; both
-    sides are symmetric, so the lower triangle is compared with m_{i+j}.
+    Exact on sections because row n of R ends at column n.  Entry (i, j) of
+    R T R^t is the sum over k <= min(i, j) of r_{i,k} T_k r_{j,k}; both
+    sides are symmetric, so the lower triangle is compared with m_{i+j}, on
+    ints: with L the LCM of the denominators of t_1..t_depth and P_k = L t_1
+    ... L t_k, the sum of row_i[k] row_j[k] P_k L^(depth-k) is m_{i+j} den_i
+    den_j L^depth.
     """
-    if not 0 <= depth < len(R):
-        raise ValueError(f"depth must be >= 0 and <= {len(R) - 1}, got {depth}")
+    if not 0 <= depth < len(rows):
+        raise ValueError(f"depth must be >= 0 and <= {len(rows) - 1}, got {depth}")
     if len(terms) < 2 * depth + 1:
         raise ValueError(f"need {2 * depth + 1} terms for depth {depth}, have {len(terms)}")
-    totals = list(accumulate(tau.values(depth), operator.mul, initial=Fraction(1)))
-    for i in range(depth + 1):
-        weighted = [r * total for r, total in zip(R[i], totals)]
-        for j in range(i + 1):
-            if sum(map(operator.mul, weighted, R[j])) != terms[i + j]:
+    if len(t) < depth:
+        raise ValueError(f"need t_1..t_{depth}, have {len(t)} weights")
+    ints, scale = _scaled_ints(t[:depth])
+    products = enumerate(accumulate(ints, operator.mul, initial=1))
+    diagonal = [p * scale**(depth - k) for k, p in products]      # diagonal[0] = L^depth
+    for i, (row_i, den_i) in enumerate(rows[:depth + 1]):
+        row_iT, top = list(map(operator.mul, row_i, diagonal)), den_i * diagonal[0]
+        for (row_j, den_j), m in zip(rows[:i + 1], terms[i:]):
+            if sum(map(operator.mul, row_iT, row_j)) * m.denominator != m.numerator * den_j * top:
                 return FALSE
     return TRUE
 

@@ -31,9 +31,9 @@ the leading chain, O(depth^2) for all windows.  The chain runs on integers:
 with L the LCM of the weights' denominators, s' = L s and t' = L^2 t give
 D' = L^(hi-lo+1) D by the same recurrence.  The section routes take the
 lists s_0..s_depth and t_1..t_depth that recursive.read_weights(sigma, tau,
-depth + 1) reads (jacobi_section lays them out densely); tp_certify reads
-them once for both minor routes, dominance index by index up to its first
-failure.
+depth + 1) reads (_int_section lays them out as ints for verify's
+elimination); tp_certify reads them once for both minor routes, dominance
+index by index up to its first failure.
 
 All verdicts are TRUE / FALSE / INCONCLUSIVE, and every report states the
 depth it actually checked.
@@ -45,8 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exact import (FALSE, INCONCLUSIVE, TRUE, DenseMatrix, _over, _scaled_ints, format_rat,
-                    nonneg_rats)
+from .exact import FALSE, INCONCLUSIVE, TRUE, _over, _scaled_ints, format_rat, nonneg_rats
 from .recursive import read_weights
 from .seqspec import PolynomialTail, SequenceSpec
 
@@ -106,12 +105,13 @@ def _section_depth(s: list[Fraction], t: list[Fraction]) -> int:
     return len(s) - 1
 
 
-def jacobi_section(s: list[Fraction], t: list[Fraction]) -> DenseMatrix:
-    """The leading section of J on the weights s_0..s_n and t_1..t_n."""
-    n = _section_depth(s, t)
-    return DenseMatrix(
-        tuple(s[i] if j == i else t[j] if j == i - 1 else int(j == i + 1) for j in range(n + 1))
-        for i in range(n + 1))
+def _int_section(s: list[Fraction], t: list[Fraction]) -> tuple[list[list[int]], int]:
+    """J's leading section on s_0..s_n and t_1..t_n as int rows over L, the LCM
+    of the weights' denominators: L s on the diagonal, L t below, L above."""
+    n = _section_depth(s, t) + 1
+    ints, scale = _scaled_ints([*s, *t])
+    return [[ints[i] if j == i else ints[n + j] if j == i - 1 else scale * (j == i + 1)
+             for j in range(n)] for i in range(n)], scale
 
 
 def window_minors(s: list[Fraction], t: list[Fraction], lo: int) -> Iterator[Fraction]:

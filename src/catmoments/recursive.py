@@ -24,17 +24,17 @@ the last row, so it uses only s_0..s_{(depth-1)//2} and t_1..t_{depth//2}: a
 closed path of length depth takes a level step at height k only if
 2k + 1 <= depth, and a down step from height k only if 2k <= depth.
 
-build_recursive returns the rows of R.  The shift identity check takes rows
-and a weight pair, and forms each entry of R times the banded J of the pair
-as a three-term band sum, O(d^2) on a section of size d.  Past row 0 the
-step factorization is the shift identity one row deeper.
+build_recursive returns the rows of R as Fractions.  The shift identity check
+takes the int rows of _scaled_rows and the weight lists, and forms each entry
+of R J as a three-term band sum of ints, O(d^2) on a section of size d; past
+row 0 the step factorization is that identity one row deeper.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import FALSE, TRUE, _scaled_ints
+from .exact import FALSE, TRUE, _over, _scaled_ints
 from .seqspec import SequenceSpec
 
 ORACLE_MAX_LENGTH = 14
@@ -86,7 +86,8 @@ def motzkin_oracle(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> Fraction:
     back to height 0 that never dips below 0: up steps weigh 1, a level step
     at height k weighs s_k, a down step from height k weighs t_k.  The only
     pruning is the feasibility bound height <= remaining steps, which
-    discards no completable path.
+    discards no completable path.  Run on ints, with L the LCM of the
+    weights' denominators, steps weigh L, L s_k and L t_k; the total is over L**n.
     """
     if n < 0:
         raise ValueError("path length must be >= 0")
@@ -94,57 +95,62 @@ def motzkin_oracle(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> Fraction:
         raise ValueError(
             f"oracle enumerates paths explicitly; length is capped at {ORACLE_MAX_LENGTH}"
         )
-    total = Fraction(0)
+    total = 0
     # each weight read once: a path of length n stays at height <= n // 2
-    s = [sigma.eval(k) for k in range(n // 2 + 1)]
-    t = [None, *(tau.eval(k) for k in range(1, n // 2 + 1))]
+    weights, scale = _scaled_ints([*sigma.values(n // 2 + 1), *tau.values(n // 2)])
+    s, t = weights[:n // 2 + 1], [None, *weights[n // 2 + 1:]]
 
-    def walk(remaining: int, height: int, weight: Fraction):
+    def walk(remaining: int, height: int, weight: int):
         nonlocal total
         if height > remaining:
             return
         if remaining == 0:
             total += weight
             return
-        walk(remaining - 1, height + 1, weight)
+        walk(remaining - 1, height + 1, weight * scale)
         walk(remaining - 1, height, weight * s[height])
         if height > 0:
             walk(remaining - 1, height - 1, weight * t[height])
 
-    walk(n, 0, Fraction(1))
-    return total
+    walk(n, 0, 1)
+    return _over(total, scale**n)
 
 
-def verify_RJ_identity(R, sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> str:
-    """Check that deleting row 0 of R, given as its rows r_{n,0..n}, equals R
-    times the coefficient matrix J of sigma and tau.
-
-    Compares rows 1..depth of R with rows 0..depth-1 of R_section @
-    J_section, entry (n, k) being r_{n,k-1} + s_k r_{n,k} + t_{k+1} r_{n,k+1};
-    the truncation is exact because row n of R ends at column n.
+def verify_RJ_identity(rows, s: list, t: list, depth: int) -> str:
+    """Check that deleting row 0 of R equals R times the coefficient matrix J
+    of s_0..s_depth and t_1..t_depth, R given by the (row, den) pairs of
+    _scaled_rows: r_{n,k} = row[k] / den, row n ending at column n.  With L
+    the LCM of the weights' denominators, S = L s and T = L t, entry (n, k)
+    of R J times L den_n is the int L r'_{n,k-1} + S_k r'_{n,k} + T_{k+1}
+    r'_{n,k+1}, r' = row n, and row n+1 times L den_n / den_{n+1}; the two
+    are compared cross-multiplied (by 1 when den_n = L**n, as in _scaled_rows).
     """
-    if depth < 1 or depth >= len(R):
-        raise ValueError(f"depth must lie in 1..{len(R) - 1}")
-    s = sigma.values(depth + 1)
-    t = [*tau.values(depth), 0]         # t_{k+1}; the section ends at row depth
-    for n in range(depth):
-        r = [*R[n], *[0] * (depth - n)]
-        product = [up + sk * level + tk * down
-                   for up, level, down, sk, tk in zip([0, *r], r, [*r[1:], 0], s, t)]
-        if product != [*R[n + 1], *[0] * (depth - n - 1)]:
+    if depth < 1 or depth >= len(rows):
+        raise ValueError(f"depth must lie in 1..{len(rows) - 1}")
+    if len(s) <= depth or len(t) < depth:
+        raise ValueError(f"need s_0..s_{depth} and t_1..t_{depth}")
+    weights, scale = _scaled_ints([*s, *t])
+    S, T = weights[:len(s)], [*weights[len(s):], 0]
+    for (row, den), (below, below_den) in zip(rows, rows[1:depth + 1]):
+        padded = [*row, 0, 0]
+        product = [scale * up + sk * level + tk * down
+                   for up, level, down, sk, tk in zip([0, *row], padded, padded[1:], S, T)]
+        if [p * below_den for p in product] != [v * scale * den for v in below]:
             return FALSE
     return TRUE
 
 
-def verify_step_factorization(R, sigma: SequenceSpec, tau: SequenceSpec, n: int) -> str:
+def verify_step_factorization(rows, s: list, t: list, n: int) -> str:
     """Check R_{n+1} = blockdiag(1, R_n) @ L_n, the one-step factorization
     that peels the recurrence off the leading section.  L_n has unit
     diagonal, s_0..s_n and t_1..t_n below it, so row 0 of the product is
     e_0 and entry (i, j) below it is r_{i-1,j-1} + s_j r_{i-1,j} +
-    t_{j+1} r_{i-1,j+1}, entry (i-1, j) of R @ J.  R must hold rows 0..n+1.
+    t_{j+1} r_{i-1,j+1}, entry (i-1, j) of R @ J: the shift identity on
+    rows 0..n+1 of R (row, den pairs), s_0..s_{n+1} and t_1..t_{n+1}.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if list(R[0]) != [1]:
+    row, den = rows[0]
+    if list(row) != [den]:
         return FALSE
-    return verify_RJ_identity(R, sigma, tau, n + 1)
+    return verify_RJ_identity(rows, s, t, n + 1)

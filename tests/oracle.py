@@ -9,16 +9,19 @@ used.  The library runs the same recurrence on integer rows scaled by the
 common denominator of the weights; the tests compare the two.
 
 identity, to_lists, submatrix, transpose and matmul are the small matrix
-helpers only the tests need; jacobi_window cuts a contiguous principal
-window out of the coefficient matrix of the weight lists s_0.., t_1.., so
-that det_bareiss can evaluate it independently of the library's three-term
-recurrence; pqst_matrix builds the weight pair (sigma, tau) constant after
-their first entries.
+helpers only the tests need; jacobi_section lays the weight lists s_0..s_n,
+t_1..t_n out as the dense leading section of the coefficient matrix, and
+jacobi_window cuts a contiguous principal window out of it, so that
+det_bareiss can evaluate it independently of the library's three-term
+recurrence; leading_principal_minors hands a DenseMatrix made integral to
+the library's one-pass elimination; pqst_matrix builds the weight pair
+(sigma, tau) constant after their first entries.
 
 recursive_section, step_matrix and the three dense_* checks are the
 structural identities of the recursive matrix, given by its rows r_{n,0..n}
 (cell reads r_{n,k} off them, zero outside the triangle), as dense Fraction
-products, the textbook form of the band sums the library checks them by.
+products, the textbook form of the band sums of ints the library checks
+them by; fraction_rows turns the library's (row, den) pairs into such rows.
 
 fraction_mul, fraction_divide and fraction_sqrt are the schoolbook series
 kernels on Fraction coefficient lists, coefficient by coefficient, which the
@@ -47,9 +50,18 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, DenseMatrix, det_bareiss, format_rat
+from catmoments.exact import (
+    FALSE,
+    INCONCLUSIVE,
+    TRUE,
+    DenseMatrix,
+    _int_leading_minors,
+    _scaled_ints,
+    det_bareiss,
+    format_rat,
+)
 from catmoments.hankel import build_hankel
-from catmoments.jacobi import jacobi_section
+from catmoments.jacobi import _section_depth
 from catmoments.seqspec import SequenceSpec
 
 COFACTOR_MAX_DIM = 9
@@ -82,6 +94,24 @@ def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
                        for row in a.entries)
 
 
+def jacobi_section(s, t) -> DenseMatrix:
+    """The leading section of J on the weights s_0..s_n and t_1..t_n."""
+    n = _section_depth(s, t)
+    return DenseMatrix(
+        tuple(s[i] if j == i else t[j] if j == i - 1 else int(j == i + 1) for j in range(n + 1))
+        for i in range(n + 1))
+
+
+def leading_principal_minors(matrix: DenseMatrix) -> tuple[Fraction, ...]:
+    """The determinants of the leading k x k sections, k = 1..n, by
+    exact._int_leading_minors on the matrix made integral."""
+    if not matrix.is_square:
+        raise ValueError(f"leading minors need a square matrix, got {matrix!r}")
+    n = matrix.rows
+    ints, den = _scaled_ints([x for row in matrix.entries for x in row])
+    return _int_leading_minors([ints[i:i + n] for i in range(0, n * n, n)], den)
+
+
 def jacobi_window(s, t, lo: int, hi: int) -> DenseMatrix:
     """The contiguous principal section on rows and columns lo..hi of J with
     diagonal s_0, s_1, ... and subdiagonal t_1, t_2, ..."""
@@ -94,6 +124,11 @@ def pqst_matrix(params) -> tuple[SequenceSpec, SequenceSpec]:
     (q, t, t, ...), from anything with fields p, q, s, t (a JacobiParams)."""
     return (SequenceSpec.first_then_constant(params.p, params.s, start=0),
             SequenceSpec.first_then_constant(params.q, params.t, start=1))
+
+
+def fraction_rows(rows) -> list[tuple[Fraction, ...]]:
+    """The (row, den) pairs of the library's integer rows as Fraction rows."""
+    return [tuple(Fraction(v, den) for v in row) for row, den in rows]
 
 
 def cell(R, n: int, k: int) -> Fraction:

@@ -29,15 +29,20 @@ from catmoments.hankel import (
 )
 from catmoments.jacobi import (
     JacobiParams,
-    jacobi_section,
     tp_check_sections,
     tp_criterion_pqst,
     window_minors,
 )
-from catmoments.recursive import build_recursive, catalan_like, motzkin_oracle, read_weights
+from catmoments.recursive import _scaled_rows, catalan_like, motzkin_oracle, read_weights
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from catmoments.series import GFSpec, gf_expand, riordan_column_check
-from oracle import det_cofactor, is_nondecreasing_from_one, jacobi_window, pqst_matrix
+from oracle import (
+    det_cofactor,
+    is_nondecreasing_from_one,
+    jacobi_section,
+    jacobi_window,
+    pqst_matrix,
+)
 
 TIME_BUDGET = 10.0
 
@@ -79,10 +84,11 @@ def test_criterion_03_catalog_terms_agree_across_three_routes():
 
 def test_criterion_04_hankel_factorization_and_det_product():
     for entry in CATALOG.values():
-        R = build_recursive(entry.sigma, entry.tau, 8)
+        s, t = read_weights(entry.sigma, entry.tau, 9)
+        R = list(_scaled_rows(s, t, 8))
         terms = catalan_like(entry.sigma, entry.tau, 17)
         for depth in range(9):
-            assert verify_H_eq_RTRt(R, entry.tau, terms, depth) == TRUE, entry.name
+            assert verify_H_eq_RTRt(R, t, terms, depth) == TRUE, entry.name
         products = hankel_det_products(entry.tau.values(8))
         for n in range(9):
             det = det_bareiss(build_hankel(terms, n, 0))

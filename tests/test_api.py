@@ -33,8 +33,10 @@ def test_every_exported_name_resolves():
     assert not hasattr(catmoments, "RecursiveMatrix")
     assert not hasattr(catmoments.recursive, "RecursiveMatrix")
     for gone in ("JacobiMatrix", "leading_minors", "_leading_minors_report",
-                 "_contiguous_minors_report"):
+                 "_contiguous_minors_report", "jacobi_section"):
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.jacobi, gone)
+    assert not hasattr(catmoments, "leading_principal_minors")
+    assert not hasattr(catmoments.exact, "leading_principal_minors")
     for gone in ("div_xk", "from_poly", "constant", "scale", "__neg__", "__add__", "__sub__",
                  "mul_xk", "__getitem__"):
         assert not hasattr(catmoments.Series, gone)

@@ -2,6 +2,7 @@
 codes, file arguments, range checks on the count options, the parser kept
 for the process, and the one-shot `python -m catmoments.cli` entry point."""
 
+import collections
 import contextlib
 import io
 import json
@@ -15,10 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catmoments.cli
+import catmoments.exact
 import catmoments.hankel
 import catmoments.recursive
 from catmoments.cli import build_parser, main
-from catmoments.seqspec import CATALOG, SequenceSpec, catalog_lookup
+from catmoments.hankel import stieltjes_weights
+from catmoments.jacobi import tp_certify
+from catmoments.recursive import catalan_like, motzkin_oracle
+from catmoments.seqspec import CATALOG, SequenceSpec, catalog_lookup, pqst_of
 from oracle import fraction_terms
 
 SIGMA_DROP = json.dumps(
@@ -388,6 +393,72 @@ def test_verify_builds_the_matrix_and_the_terms_once(monkeypatch):
     checks = catmoments.cli.verify_checks(catalog_lookup("bell"), 6)
     assert [label for label, ok in checks if not ok] == []
     assert sorted(runs) == [(7, False), (16, True)]
+
+
+@pytest.mark.parametrize("name", ["factorial", "catalan"])
+def test_verify_reads_each_weight_of_its_matrix_checks_once(monkeypatch, name):
+    # R, the three identity checks and J's section share one read of
+    # s_0..s_{d+1} and t_1..t_{d+1}; each other route reads its own weights,
+    # counted here by running it alone
+    entry, depth = CATALOG[name], 6
+    sigma, tau = entry.sigma, entry.tau
+    reads = collections.Counter()
+    original = SequenceSpec.eval
+
+    def counting(spec, k):
+        reads[spec is tau, k] += 1
+        return original(spec, k)
+
+    monkeypatch.setattr(SequenceSpec, "eval", counting)
+    catalan_like(sigma, tau, max(2 * depth + 1, 16))
+    for n in range(min(depth, 10) + 1):
+        motzkin_oracle(sigma, tau, n)
+    stieltjes_weights(sigma, tau, depth)
+    tp_certify(sigma, tau, depth)
+    pqst_of(sigma, tau)
+    others = reads.copy()
+    reads.clear()
+    assert all(ok for _, ok in catmoments.cli.verify_checks(entry, depth))
+    shared = collections.Counter([(False, k) for k in range(depth + 2)]
+                                 + [(True, k) for k in range(1, depth + 2)])
+    assert reads == others + shared
+
+
+class Forbidden(Exception):
+    """Raised by a name the verify bundle must not reach."""
+
+
+@pytest.fixture
+def no_fraction_matrices(monkeypatch):
+    """build_recursive, wherever the package binds it, and the DenseMatrix
+    constructor raise Forbidden."""
+    def refuse(*args, **kwargs):
+        raise Forbidden
+
+    original = catmoments.recursive.build_recursive
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "catmoments" and \
+                getattr(module, "build_recursive", None) is original:
+            monkeypatch.setattr(module, "build_recursive", refuse)
+    monkeypatch.setattr(catmoments.exact.DenseMatrix, "__post_init__", refuse)
+
+
+def test_verify_builds_no_fraction_matrix(capsys, no_fraction_matrices):
+    for name in CATALOG:
+        code, out, err = run(capsys, "verify", "--name", name, "--depth", "6")
+        assert (code, err) == (0, ""), name
+        assert out.endswith("verdict: PASS (depth 6)\n"), name
+
+
+def test_fraction_matrix_guard_trips_on_a_zero_hankel_minor(no_fraction_matrices):
+    # t_1 = 0 leaves the terms to elimination, and their zero leading minor
+    # sends them through build_hankel to the exact semidefiniteness test
+    with pytest.raises(Forbidden):
+        main(["stieltjes", "--terms", "1,1,1,1,1,-1", "--depth", "2"])
+    entry = catalog_lookup("catalan")
+    for module in (catmoments, catmoments.recursive):
+        with pytest.raises(Forbidden):
+            module.build_recursive(entry.sigma, entry.tau, 2)
 
 
 def test_verify_accepts_alias(capsys):

@@ -18,13 +18,13 @@ from catmoments.exact import (
     format_over,
     format_rat,
     format_row,
-    leading_principal_minors,
 )
 from oracle import (
     all_minors_nonneg,
     count_minors,
     det_cofactor,
     identity,
+    leading_principal_minors,
     matmul,
     submatrix,
     transpose,

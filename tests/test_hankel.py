@@ -17,7 +17,7 @@ from catmoments.hankel import (
     verify_H_eq_RTRt,
 )
 from catmoments.jacobi import window_minors
-from catmoments.recursive import build_recursive, catalan_like, read_weights
+from catmoments.recursive import _scaled_rows, catalan_like, read_weights
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from oracle import to_lists
 
@@ -128,9 +128,9 @@ def test_report_serialization():
 
 def test_factorization_holds_across_catalog():
     for entry in CATALOG.values():
-        R = build_recursive(entry.sigma, entry.tau, 5)
+        s, t = read_weights(entry.sigma, entry.tau, 6)
         terms = catalan_like(entry.sigma, entry.tau, 10)
-        assert verify_H_eq_RTRt(R, entry.tau, terms, 5) == TRUE, entry.name
+        assert verify_H_eq_RTRt(list(_scaled_rows(s, t, 5)), t, terms, 5) == TRUE, entry.name
 
 
 def test_factorization_holds_for_random_rational_weights():
@@ -143,7 +143,8 @@ def test_factorization_holds_for_random_rational_weights():
             tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(3)),
             ConstantTail(Fraction(1)), start=1)
         terms = catalan_like(sigma, tau, 8)
-        assert verify_H_eq_RTRt(build_recursive(sigma, tau, 4), tau, terms, 4) == TRUE
+        s, t = read_weights(sigma, tau, 5)
+        assert verify_H_eq_RTRt(list(_scaled_rows(s, t, 4)), t, terms, 4) == TRUE
 
 
 def test_det_product_known_values():

@@ -9,7 +9,7 @@ from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, det_bareiss
 from catmoments.jacobi import (
     MAX_WINDOWS,
     JacobiParams,
-    jacobi_section,
+    _int_section,
     tp_by_leading_minors,
     tp_certify,
     tp_check_sections,
@@ -19,7 +19,13 @@ from catmoments.jacobi import (
 )
 from catmoments.recursive import read_weights
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
-from oracle import all_minors_nonneg, is_nondecreasing_from_one, jacobi_window, pqst_matrix
+from oracle import (
+    all_minors_nonneg,
+    is_nondecreasing_from_one,
+    jacobi_section,
+    jacobi_window,
+    pqst_matrix,
+)
 
 
 def _weights(name, depth):
@@ -76,6 +82,22 @@ def test_section_routes_refuse_weight_lists_of_no_section(route, s, t):
     # s_0..s_d and t_1..t_d, d >= 0: no section at depth -1, and no t_0
     with pytest.raises(ValueError, match="need s_0..s_d and t_1..t_d"):
         route(s, t)
+
+
+@pytest.mark.parametrize("s, t", [([], []), ([2, 2], [0, 1])])
+def test_int_section_refuses_weight_lists_of_no_section(s, t):
+    with pytest.raises(ValueError, match="need s_0..s_d and t_1..t_d"):
+        _int_section(s, t)
+
+
+def test_int_section_is_the_dense_section_over_L():
+    s = [Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(0)]
+    t = [Fraction(5, 4), Fraction(0), Fraction(-7)]
+    rows, scale = _int_section(s, t)
+    assert scale == 12 and all(type(v) is int for row in rows for v in row)
+    section = [[Fraction(v, scale) for v in row] for row in rows]
+    assert section == [list(row) for row in jacobi_section(s, t).entries]
+    assert _int_section([Fraction(3)], []) == ([[3]], 1)
 
 
 def test_params_reject_negative_values():

@@ -17,7 +17,6 @@ from catmoments.exact import (
     _int_leading_minors,
     _scaled_ints,
     det_bareiss,
-    leading_principal_minors,
 )
 from catmoments.hankel import build_hankel, hankel_det_products, hankel_dets
 from catmoments.jacobi import window_minors
@@ -27,6 +26,7 @@ from oracle import (
     det_cofactor,
     fraction_det_products,
     fraction_window_minors,
+    leading_principal_minors,
     submatrix,
 )
 

@@ -9,9 +9,11 @@ import pytest
 from catmoments.cli import main
 from catmoments.exact import FALSE, TRUE, det_bareiss
 from catmoments.recursive import (
+    _scaled_rows,
     build_recursive,
     catalan_like,
     motzkin_oracle,
+    read_weights,
     verify_RJ_identity,
     verify_step_factorization,
 )
@@ -22,6 +24,13 @@ from oracle import cell, recursive_section, step_matrix
 def _specs(name):
     entry = catalog_lookup(name)
     return entry.sigma, entry.tau
+
+
+def _rows(name, depth):
+    """The (row, den) pairs of rows 0..depth of R for a catalog entry, and
+    its weights s_0..s_depth and t_1..t_depth."""
+    s, t = read_weights(*_specs(name), depth + 1)
+    return list(_scaled_rows(s, t, depth)), s, t
 
 
 def test_zero_weights_degenerate_to_pure_shift():
@@ -129,12 +138,13 @@ def test_oracle_handles_rational_weights():
 
 def test_shift_identity_holds_for_catalog():
     for name in ("catalan", "factorial"):
-        assert verify_RJ_identity(build_recursive(*_specs(name), 6), *_specs(name), 6) == TRUE
+        assert verify_RJ_identity(*_rows(name, 6), 6) == TRUE
 
 
 def test_shift_identity_rejects_mismatched_generators():
-    matrix = build_recursive(*_specs("catalan"), 6)
-    assert verify_RJ_identity(matrix, *_specs("bell"), 6) == FALSE
+    matrix, _, _ = _rows("catalan", 6)
+    _, s, t = _rows("bell", 6)
+    assert verify_RJ_identity(matrix, s, t, 6) == FALSE
 
 
 def test_step_matrix_layout():
@@ -147,17 +157,15 @@ def test_step_matrix_layout():
 
 
 def test_step_factorization_trivial_and_catalog():
-    catalan = build_recursive(*_specs("catalan"), 6)
-    assert verify_step_factorization(catalan, *_specs("catalan"), 0) == TRUE
-    assert verify_step_factorization(catalan, *_specs("catalan"), 5) == TRUE
-    assert verify_step_factorization(build_recursive(*_specs("bell"), 6), *_specs("bell"),
-                                     5) == TRUE
+    catalan = _rows("catalan", 6)
+    assert verify_step_factorization(*catalan, 0) == TRUE
+    assert verify_step_factorization(*catalan, 5) == TRUE
+    assert verify_step_factorization(*_rows("bell", 6), 5) == TRUE
 
 
 def test_step_factorization_all_catalog_depth_8():
-    for entry in CATALOG.values():
-        R = build_recursive(entry.sigma, entry.tau, 9)
-        assert verify_step_factorization(R, entry.sigma, entry.tau, 8) == TRUE
+    for name in CATALOG:
+        assert verify_step_factorization(*_rows(name, 9), 8) == TRUE
 
 
 def test_matrix_json_dump(capsys):

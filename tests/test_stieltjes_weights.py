@@ -196,11 +196,10 @@ def test_weight_route_refuses_negative_depth():
 
 
 # every elimination entry point: hankel_dets hands its integer rows straight
-# to _int_leading_minors, a DenseMatrix goes through leading_principal_minors;
-# and the recurrence the replay runs, recursive._scaled_rows
-GUARDED = ((catmoments.exact, "det_bareiss"), (catmoments.exact, "leading_principal_minors"),
-           (catmoments.exact, "_int_leading_minors"), (catmoments.hankel, "build_hankel"),
-           (catmoments.recursive, "_scaled_rows"))
+# to _int_leading_minors, a DenseMatrix is built by build_hankel or eliminated
+# by det_bareiss; and the recurrence the replay runs, recursive._scaled_rows
+GUARDED = ((catmoments.exact, "det_bareiss"), (catmoments.exact, "_int_leading_minors"),
+           (catmoments.hankel, "build_hankel"), (catmoments.recursive, "_scaled_rows"))
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ import catmoments.exact
 from catmoments.cli import main
 from catmoments.exact import FALSE, TRUE, det_bareiss, format_rat
 from catmoments.jacobi import (
-    jacobi_section,
     tp_by_leading_minors,
     tp_certify,
     tp_check_sections,
@@ -27,7 +26,7 @@ from catmoments.jacobi import (
 )
 from catmoments.recursive import read_weights
 from catmoments.seqspec import ConstantTail, SequenceSpec
-from oracle import all_minors_nonneg, jacobi_window
+from oracle import all_minors_nonneg, jacobi_section, jacobi_window
 
 weights = st.one_of(
     st.just(Fraction(0)),
