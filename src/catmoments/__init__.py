@@ -67,7 +67,6 @@ from .series import (
     gf_to_json,
     radical_quotient,
     riordan_column_check,
-    solve_d,
 )
 
 __version__ = "0.1.0"

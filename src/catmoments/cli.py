@@ -6,7 +6,7 @@ catalog.  Every number prints as an exact integer or "p/q" string; --format
 selects text, json, or csv.  Exit codes: 0 for success or PASS, 1 for a
 checked FAIL (or a certification that came back FALSE or INCONCLUSIVE), 2
 for usage and parse errors, including a count option (-n, --depth) out of
-its range (gen and matrix cap -n; stieltjes, hankel-det, tp and verify cap
+its range (gen, matrix and series cap -n; stieltjes, hankel-det, tp and verify cap
 --depth), two weight sources at once (a name with --sigma/--tau, or --terms
 or --pqst with either) and a JSON field no reader knows.  No environment
 variable is read.
@@ -144,8 +144,9 @@ def parse_gf_arg(text: str):
 
 
 # the largest -n, about where factorial, the fastest-growing catalog entry,
-# takes 10 s as a process; matrix output grows as n**3 (770 MiB at 800)
-GEN_MAX_N, MATRIX_MAX_N = 4000, 800
+# takes 10 s as a process; matrix output grows as n**3 (770 MiB at 800);
+# series by the slowest named form, delannoy or schroder_large
+GEN_MAX_N, MATRIX_MAX_N, SERIES_MAX_N = 4000, 800, 10_000
 # the largest --depth by the same rule; tp's contiguous scan passes its
 # window budget at depth 1999, and the cap leaves that reachable
 STIELTJES_MAX_DEPTH, HANKEL_DET_MAX_DEPTH, VERIFY_MAX_DEPTH, TP_MAX_DEPTH = 230, 85, 75, 2000
@@ -270,7 +271,7 @@ def cmd_tp(args) -> Rendered:
 
 
 def cmd_series(args) -> Rendered:
-    check_count("-n", args.n, 0)
+    check_count("-n", args.n, 0, SERIES_MAX_N)
     gf = parse_gf_arg(args.gf)
     coeffs = [format_rat(c) for c in gf_expand(gf, args.n).coeffs]
     data = {"spec": gf_to_json(gf), "order": args.n, "coeffs": coeffs}
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gf", required=True, metavar="SPEC",
                    help="named gf or JSON spec with a 'kind' field, or @file")
     p.add_argument("-n", type=int, default=DEFAULT_ORDER,
-                   help="truncation order (default 16)")
+                   help=f"truncation order (default 16, at most {SERIES_MAX_N})")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("verify", parents=[common],

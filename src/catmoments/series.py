@@ -1,21 +1,9 @@
 """Truncated formal power series over exact rationals, and the generating
 function layer for recursive matrices with banded weight data.
 
-A Series of order N holds the N+1 coefficients of x^0..x^N; the product
-and the quotient truncate to the smaller operand order (the longer tail
-would not be trustworthy anyway).  Square roots require constant term 1 and
-division requires a nonzero constant term; both are computed coefficient by
-coefficient, exactly.  There is no sum, shift or scalar operator: the few
-coefficient lists that need one are written directly.
-
-The three kernels run on integers: each operand is scaled to ints over the
-common denominator of its coefficients, the O(N^2) loop runs on those, and
-each output coefficient becomes one Fraction.  Product: with a = A/d_a and
-b = B/d_b, [x^k] ab = (sum_i A_i B_(k-i)) / (d_a d_b).  Quotient f/g with
-f = F/d_f, g = G/d_g: Q_k = q_k G_0^(k+1) d_f/d_g is an integer, since
-Q_k = F_k G_0^k - sum_(i<k) Q_i G_(k-i) G_0^(k-1-i).  Square root of
-f = F/L (constant term 1): U_k = u_k (4L)^k is an integer, because
-4^j binom(1/2, j) is, and 2 U_k = F_k 4^k L^(k-1) - sum_(0<i<k) U_i U_(k-i).
+A Series of order N holds the N+1 coefficients of x^0..x^N.  It has no
+operators: radical_quotient builds it, and the Riordan column check works on
+integer columns.
 
 A generating function spec (GFSpec) names the ordinary generating function
 of column 0 of a recursive matrix whose weight sequences are constant after
@@ -30,10 +18,24 @@ classic a literal row of them.  Each generating function has one expansion
 route, and the recurrence (recursive.catalan_like) is the independent
 check on it.  The general closed form divides by 2t and refuses t = 0; the
 Riordan column check needs no division by t (see riordan_column_check).
+
+radical_quotient costs O(1) int operations per coefficient (the algebraic
+=> D-finite route).  y = sqrt(P), P = 1 + r1*x + r2*x**2, obeys P y' = P' y / 2;
+with r1 = R1/L, r2 = R2/L over one denominator L, U_k = y_k (4L)^k is an
+integer, and (k+1) U_(k+1) = 2 R1 (1 - 2k) U_k + 16 L R2 (2 - k) U_(k-1)
+divides exactly.  Then c / (A + e*y) = c (A - e*y) / Q with A = a0 + a1*x and
+Q = A**2 - e**2 P of degree at most 2.  Q's zero low coefficients are
+dropped: a0 + e != 0, so a zero Q_0 means a0 = e, and the numerator vanishes
+as far.  The rest, made integral and primitive as G (its scale moved into
+c), divides by F_k = G_0^k N_(k+m) - 4L G_1 F_(k-1) - (4L)^2 G_0 G_2 F_(k-2)
+over the one running denominator G_0^(k+1) (4L)^(k+m) D, where N_k (4L)^k D
+is the numerator's kth coefficient scaled to an int.  When Q = 0, e*sqrt(P) = A is a polynomial and the
+denominator is 2A.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -67,61 +69,37 @@ class Series:
         tail = ", ..." if self.order > 7 else ""
         return f"Series([{shown}{tail}], order={self.order})"
 
-    def __mul__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        (a, da), (b, db) = _scaled_ints(self.coeffs[:n]), _scaled_ints(other.coeffs[:n])
-        return Series(Fraction(sum(map(mul, a[:k + 1], b[k::-1])), da * db) for k in range(n))
-
-    def divide(self, divisor: "Series") -> "Series":
-        """Exact long division; the divisor's constant term must be nonzero."""
-        if divisor.coeffs[0] == 0:
-            raise ValueError("division requires a nonzero constant term")
-        n = min(len(self.coeffs), len(divisor.coeffs))
-        (f, df), (g, dg) = _scaled_ints(self.coeffs[:n]), _scaled_ints(divisor.coeffs[:n])
-        powers = list(accumulate([1] + [g[0]] * n, mul))            # G_0^k
-        lifted = [0] + [g[j] * powers[j - 1] for j in range(1, n)]   # G_j G_0^(j-1)
-        quot: list[int] = []                                         # Q_k
-        for k in range(n):
-            quot.append(f[k] * powers[k] - sum(map(mul, quot, lifted[k:0:-1])))
-        return Series(Fraction(q * dg, df * powers[k + 1]) for k, q in enumerate(quot))
-
-    def sqrt(self) -> "Series":
-        """Exact square root of a series with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("sqrt requires constant term 1")
-        f, den = _scaled_ints(self.coeffs)
-        roots, lift, scale = [1], 4, 4 * den                         # U_k; 4^k L^(k-1); 4L
-        for k in range(1, len(f)):
-            twice = f[k] * lift - sum(map(mul, roots[1:k], roots[k - 1:0:-1]))
-            assert twice % 2 == 0, "2 U_k is even"
-            roots.append(twice // 2)
-            lift *= scale
-        return Series(Fraction(u, scale ** k) for k, u in enumerate(roots))
-
-
-def solve_d(p, q, h: Series) -> Series:
-    """Compute d(x) = 1 / (1 - p*x - q*x**2*h(x)) to h's order: column 0 of
-    the Riordan array (d, x*h) of weights (p, s, s, ...) over (q, t, t, ...),
-    h = 1 + s*x*h + t*x**2*h**2 the series of (s, s, ...) over (t, t, ...)."""
-    denom = [1, -as_rat(p), *(-as_rat(q) * c for c in h.coeffs)][:h.order + 1]
-    return Series([1] + [Fraction(0)] * h.order).divide(Series(denom))
-
 
 def radical_quotient(c, a0, a1, e, r1, r2, order: int) -> Series:
     """Expand c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)), the one shape every
-    generating function spec has.  The root is scaled only when e != 1, and
-    a0, a1 are added to the first two coefficients only."""
+    generating function spec has, by the recurrences of the module notes."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    pad = [Fraction(0)] * order
-    denom = Series([1, r1, r2, *pad][:order + 1]).sqrt().coeffs
-    if e != 1:
-        denom = [as_rat(e) * v for v in denom]
-    if a0 or a1:
-        denom = [as_rat(a) + v for a, v in zip((a0, a1), denom)] + list(denom[2:])
-    return Series([c, *pad]).divide(Series(denom))
+    c, a0, a1, e, r1, r2 = map(as_rat, (c, a0, a1, e, r1, r2))
+    if a0 + e == 0:
+        raise ValueError("division requires a nonzero constant term")
+    quad = [a0 * a0 - e * e, 2 * a0 * a1 - e * e * r1, a1 * a1 - e * e * r2]
+    if not any(quad):
+        return Series(accumulate([c / (2 * a0), *[-a1 / a0] * order], mul))
+    shift = next(i for i, v in enumerate(quad) if v)
+    (g0, g1, g2), dg = _scaled_ints([*quad[shift:], *[Fraction(0)] * shift])
+    content = math.gcd(g0, g1, g2)
+    g0, g1, g2 = g0 // content, g1 // content, g2 // content
+    (n0, n1, ne), dn = _scaled_ints([c * v * dg / content for v in (a0, a1, e)])
+    (big_r1, big_r2), scale = _scaled_ints([r1, r2])
+    lift, root_1, root_2 = 4 * scale, 2 * big_r1, 16 * scale * big_r2
+    roots = [0, 1]                                               # U_-1, U_0, ...
+    for k in range(order + shift + 1):
+        roots.append((root_1 * (1 - 2 * k) * roots[-1] + root_2 * (2 - k) * roots[-2]) // (k + 1))
+    num = [-ne * u for u in roots[1:]]                           # N_k (4L)^k D
+    num[0] += n0
+    num[1] += n1 * lift
+    quot, step_1, step_2, power = [0, 0], lift * g1, lift * lift * g0 * g2, 1
+    for k in range(order + 1):
+        quot.append(power * num[k + shift] - step_1 * quot[-1] - step_2 * quot[-2])
+        power *= g0
+    dens = accumulate([g0 * dn * lift ** shift, *[g0 * lift] * order], mul)
+    return Series(map(Fraction, quot[2:], dens))
 
 
 def _closed_form(p, q, s, t) -> tuple:
@@ -223,21 +201,33 @@ def gf_expand(gf: GFSpec, order: int = DEFAULT_ORDER) -> Series:
 def riordan_column_check(p, q, s, t, order: int = DEFAULT_ORDER, k_max: int = 5) -> str:
     """TRUE when columns 0..k_max of the recursive matrix of (p, s, s, ...)
     over (q, t, t, ...), run on integer rows, match x**k * h**k * d to the
-    given order.  h = 1 + s*x*h + t*x**2*h**2 is the tied_qp row, which never
-    divides by t; d comes from solve_d, and each column is x * h times the
-    one before.  Only the cells of columns 0..k_max become Fractions.
-    """
+    given order, where d = 1 / (1 - p*x - q*x**2*h) and h = 1 + s*x*h +
+    t*x**2*h**2 is the tied_qp row, which never divides by t.  Column 0 times
+    d's denominator must be 1, and each later column x * h times the one
+    before; cell (n, k) is row[k] / L**n, and with h = H / dh both sides are
+    compared as ints scaled by dh * L**n."""
     from .recursive import _scaled_rows
 
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    p, q, s, t = as_rat(p), as_rat(q), as_rat(s), as_rat(t)
-    h = radical_quotient(*_KINDS["tied_qp"][1](s, t), order)
-    rows = _scaled_rows([p, *[s] * order], [q, *[t] * order], order)
-    cells = [[Fraction(v, den) for v in row[:k_max + 1]] for row, den in rows]
-    column = solve_d(p, q, h)
+    p, q, s, t = map(as_rat, (p, q, s, t))
+    h, dh = _scaled_ints(radical_quotient(*_KINDS["tied_qp"][1](s, t), order).coeffs)
+    (p_int, q_int, _, _), scale = _scaled_ints([p, q, s, t])   # L of the rows
+    lifted = list(map(mul, h, accumulate([scale] * (order + 1), mul)))   # H_j L^(j+1)
+
+    def times_xh(column: list[int]) -> list[int]:
+        return [sum(map(mul, lifted[:n], column[n - 1::-1])) for n in range(order + 1)]
+
+    rows = [row for row, _ in _scaled_rows([p, *[s] * order], [q, *[t] * order], order)]
+    previous: list[int] = []
     for k in range(k_max + 1):
-        if list(column.coeffs) != [row[k] if k < len(row) else 0 for row in cells]:
+        column = [row[k] if k < len(row) else 0 for row in rows]
+        if k:
+            expected = times_xh(previous)
+        else:
+            expected = [dh, *(dh * p_int * v + q_int * w
+                              for v, w in zip(column, times_xh(column)))][:order + 1]
+        if [dh * v for v in column] != expected:
             return FALSE
-        column = Series([0, *(column * h).coeffs[:-1]])
+        previous = column
     return TRUE

@@ -25,10 +25,13 @@ them by; fraction_rows turns the library's (row, den) pairs into such rows.
 
 fraction_mul, fraction_divide and fraction_sqrt are the schoolbook series
 kernels on Fraction coefficient lists, coefficient by coefficient, which the
-library runs on integers over a common denominator; iterated_solve_h solves
-h = A(x*h) by order+1 rounds of full re-evaluation with those kernels,
-against the closed form the Riordan column check expands h by, and
-fraction_riordan_check is that check on fraction_triangle and these kernels;
+library ran on integers over a common denominator before its expansions
+became three-term recurrences; iterated_solve_h solves h = A(x*h) by
+order+1 rounds of full re-evaluation with those kernels, against the closed
+form the Riordan column check expands h by; solve_d is d = 1 / (1 - p*x -
+q*x**2*h) by the schoolbook quotient, against the closed forms of column 0,
+and fraction_riordan_check is the column check on fraction_triangle and
+these kernels;
 fraction_horner evaluates a polynomial on Fractions, against
 PolynomialTail.eval on scaled integers.
 
@@ -273,16 +276,25 @@ def iterated_solve_h(a_poly, order: int) -> list[Fraction]:
     return h
 
 
+def solve_d(p, q, h) -> list[Fraction]:
+    """d = 1 / (1 - p*x - q*x**2*h(x)) to the length of the coefficient list
+    h: column 0 of the Riordan array (d, x*h) of weights (p, s, s, ...) over
+    (q, t, t, ...), h = 1 + s*x*h + t*x**2*h**2 the series of (s, s, ...)
+    over (t, t, ...)."""
+    p, q, h = Fraction(p), Fraction(q), [Fraction(c) for c in h]
+    one = [Fraction(1)] + [Fraction(0)] * (len(h) - 1)
+    denom = [c - p * x - q * y for c, x, y in zip(one, shift(one), shift(shift(h)))]
+    return fraction_divide(one, denom)
+
+
 def fraction_riordan_check(p, q, s, t, order: int, k_max: int) -> str:
     """Columns 0..k_max of fraction_triangle of (p, s, s, ...) over
     (q, t, t, ...) against d (x h)^k, with h = iterated_solve_h([1, s, t])
-    and d = 1 / (1 - p x - q x^2 h) on the schoolbook kernels."""
+    and d = solve_d(p, q, h) on the schoolbook kernels."""
     rows = fraction_triangle(SequenceSpec.first_then_constant(p, s, start=0),
                              SequenceSpec.first_then_constant(q, t, start=1), order)
     h = iterated_solve_h([1, s, t], order)
-    one = [Fraction(1)] + [Fraction(0)] * order
-    denom = [c - p * x - q * y for c, x, y in zip(one, shift(one), shift(shift(h)))]
-    column = fraction_divide(one, denom)
+    column = solve_d(p, q, h)
     for k in range(k_max + 1):
         if column != [cell(rows, n, k) for n in range(order + 1)]:
             return FALSE

@@ -28,7 +28,7 @@ def test_every_exported_name_resolves():
     assert missing == []
     for gone in ("MomentSequence", "TotalsDiagonal", "hankel_det_product", "ClosedFormGF",
                  "TiedQGF", "TiedQPGF", "InverseSqrtGF", "NamedGF", "GF_TYPES", "solve_h",
-                 "closed_form_h", "closed_form_d", "sqrt_discriminant", "poly_eval"):
+                 "closed_form_h", "closed_form_d", "sqrt_discriminant", "poly_eval", "solve_d"):
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.series, gone)
     assert not hasattr(catmoments, "RecursiveMatrix")
     assert not hasattr(catmoments.recursive, "RecursiveMatrix")
@@ -38,5 +38,5 @@ def test_every_exported_name_resolves():
     assert not hasattr(catmoments, "leading_principal_minors")
     assert not hasattr(catmoments.exact, "leading_principal_minors")
     for gone in ("div_xk", "from_poly", "constant", "scale", "__neg__", "__add__", "__sub__",
-                 "mul_xk", "__getitem__"):
+                 "mul_xk", "__getitem__", "sqrt", "divide", "__mul__"):
         assert not hasattr(catmoments.Series, gone)

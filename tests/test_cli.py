@@ -227,17 +227,19 @@ def test_n_below_range(capsys, argv):
 
 def count_argv(command: str, value: int) -> list[str]:
     """catalan through the command, with its count option (-n or --depth) at value."""
-    option = "-n" if command in ("gen", "matrix") else "--depth"
-    return [command, "--jacobi-name" if command == "tp" else "--name", "catalan",
-            option, str(value)]
+    option = "-n" if command in ("gen", "matrix", "series") else "--depth"
+    source = {"tp": "--jacobi-name", "series": "--gf"}.get(command, "--name")
+    return [command, source, "catalan", option, str(value)]
 
 
 @pytest.mark.parametrize("command, cap", [("gen", 4000), ("matrix", 800), ("stieltjes", 230),
-                                          ("hankel-det", 85), ("tp", 2000), ("verify", 75)])
+                                          ("hankel-det", 85), ("tp", 2000), ("verify", 75),
+                                          ("series", 10000)])
 def test_n_above_cap(capsys, monkeypatch, command, cap):
     # refused before the name is looked up or any weight is read
     monkeypatch.setattr(catmoments.cli, "read_weights", None)
     monkeypatch.setattr(catmoments.cli, "catalog_lookup", None)
+    monkeypatch.setattr(catmoments.cli, "parse_gf_arg", None)
     code, out, err = run(capsys, *count_argv(command, cap + 1))
     option = count_argv(command, 0)[3]
     assert (code, out, err) == (2, "", f"error: {option} must be <= {cap}, got {cap + 1}\n")
@@ -246,7 +248,7 @@ def test_n_above_cap(capsys, monkeypatch, command, cap):
 @pytest.mark.parametrize("command, cap_name", [
     ("gen", "GEN_MAX_N"), ("matrix", "MATRIX_MAX_N"), ("stieltjes", "STIELTJES_MAX_DEPTH"),
     ("hankel-det", "HANKEL_DET_MAX_DEPTH"), ("tp", "TP_MAX_DEPTH"),
-    ("verify", "VERIFY_MAX_DEPTH")])
+    ("verify", "VERIFY_MAX_DEPTH"), ("series", "SERIES_MAX_N")])
 def test_n_at_cap_is_accepted(capsys, monkeypatch, command, cap_name):
     monkeypatch.setattr(catmoments.cli, cap_name, 5)
     assert run(capsys, *count_argv(command, 5))[0] == 0

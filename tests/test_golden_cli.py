@@ -21,8 +21,8 @@ criterion, the contiguous-minor TP route (with its single-entry witnesses),
 tp at depth 0, every named and parameterised
 generating function (the three specializations also at t = 0, and the
 general form at -n 0), the catalog listing, and the usage-error (exit 2)
-path of each command, including one past the -n caps of gen and matrix
-and the --depth caps of stieltjes, hankel-det, tp and verify,
+path of each command, including one past the -n caps of gen, matrix and
+series and the --depth caps of stieltjes, hankel-det, tp and verify,
 each mix of weight sources (a name with --sigma, --terms or --pqst with a
 weight pair) and a JSON spec, tail or generating function with an unknown
 field.
@@ -237,6 +237,7 @@ def cases() -> dict[str, list[str]]:
     out["tp-depth-over-cap"] = ["tp", "--jacobi-name", "catalan", "--depth", "2001"]
     out["verify-depth-over-cap"] = ["verify", "--name", "catalan", "--depth", "76",
                                     "--format", "csv"]
+    out["series-n-over-cap"] = ["series", "--gf", "delannoy", "-n", "10001", "--format", "json"]
     out["gen-unknown-name"] = ["gen", "--name", "fibonacci"]
     out["gen-bad-json"] = ["gen", "--sigma", "{not json", "--tau", RATIONAL_TAU]
     out["gen-wrong-start"] = ["gen", "--sigma", RATIONAL_TAU, "--tau", RATIONAL_TAU]

@@ -20,9 +20,8 @@ from catmoments.series import (
     gf_to_json,
     radical_quotient,
     riordan_column_check,
-    solve_d,
 )
-import catmoments.series
+import catmoments.recursive
 from catmoments.exact import FALSE, TRUE
 from oracle import (
     fraction_divide,
@@ -30,6 +29,7 @@ from oracle import (
     fraction_riordan_check,
     fraction_sqrt,
     iterated_solve_h,
+    solve_d,
 )
 
 # small denominators, and pairwise coprime primes of 31, 32 and 61 bits
@@ -38,24 +38,18 @@ coefficients = st.one_of(
     st.integers(-5, 5).map(Fraction),
     st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from(DENOMINATORS)),
 )
-nonzero = coefficients.filter(bool)
 maybe_zero = st.just(Fraction(0)) | coefficients
 orders = st.one_of(st.sampled_from((0, 1, 40)), st.integers(0, 12))
 # nonnegative weights, as GFSpec takes them
 weights = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
 
 
-def series_of(order, head=coefficients):
-    """Series of the given order whose constant term is drawn from head."""
-    return st.builds(lambda c0, rest: Series([c0, *rest]),
-                     head, st.lists(coefficients, min_size=order, max_size=order))
+def coefficient_lists(order):
+    return st.lists(coefficients, min_size=order + 1, max_size=order + 1)
 
 
-def _random_series(rng, order, unit_constant=False):
-    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(order + 1)]
-    if unit_constant:
-        coeffs[0] = Fraction(1)
-    return Series(coeffs)
+def _random_rat(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
 def test_series_basics():
@@ -80,13 +74,6 @@ def test_series_rejects_bad_input():
         Series([0.5])
 
 
-def test_arithmetic_truncates_to_shorter_operand():
-    f = Series([1, 2, 3, 4])
-    g = Series([1, 1])
-    assert (f * g).coeffs == (1, 3)
-    assert f.divide(g).coeffs == (1, 1)
-
-
 def test_scalar_operations():
     # no operator takes a plain number, and no series operator sums
     f = Series([1, 2, 3])
@@ -97,35 +84,42 @@ def test_scalar_operations():
 
 
 def test_geometric_series_division():
-    geom = Series([1] + [0] * 8).divide(Series([1, -1] + [0] * 7))
-    assert geom.coeffs == (1,) * 9
+    # e = 0 leaves c / (a0 + a1 x), whatever the radicand
+    assert radical_quotient(1, 1, -1, 0, -4, 1, 8).coeffs == (1,) * 9
+    assert radical_quotient(3, 2, -2, 0, Fraction(1, 3), 7, 4).coeffs == (Fraction(3, 2),) * 5
 
 
 def test_division_requires_nonzero_constant_term():
-    with pytest.raises(ValueError):
-        Series([1, 1]).divide(Series([0, 1]))
+    # a0 + e = 0 at every order, and a0 = e = 0
+    for row in ((1, 1, 0, -1, -4, 0), (1, Fraction(-1, 2), 3, Fraction(1, 2), 1, 1),
+                (1, 0, 1, 0, -6, 1)):
+        for order in (0, 1, 5):
+            with pytest.raises(ValueError, match="division requires a nonzero constant term"):
+                radical_quotient(*row, order)
 
 
 def test_multiply_divide_round_trip():
+    # the quotient times its denominator a0 + a1 x + e sqrt(P) gives back c
     rng = random.Random(404)
     for _ in range(20):
-        f = _random_series(rng, 8)
-        g = _random_series(rng, 8)
-        if g.coeffs[0] == 0:
+        c, a0, a1, e, r1, r2 = (_random_rat(rng) for _ in range(6))
+        if a0 + e == 0:
             continue
-        assert (f * g).divide(g) == f
+        root = fraction_sqrt([Fraction(1), r1, r2, *[Fraction(0)] * 6])
+        denom = [a + e * y for a, y in zip([a0, a1, *[0] * 7], root)]
+        quotient = radical_quotient(c, a0, a1, e, r1, r2, 8)
+        assert fraction_mul(list(quotient.coeffs), denom) == [c, *[0] * 8]
 
 
 def test_sqrt_round_trip_and_known_expansion():
-    root = Series([1, -4, 0, 0, 0, 0]).sqrt()
-    assert root.coeffs == (1, -2, -2, -4, -10, -28)
+    # 1 / sqrt(1 - 4x): the central binomial coefficients
+    assert radical_quotient(1, 0, 0, 1, -4, 0, 5).coeffs == (1, 2, 6, 20, 70, 252)
     rng = random.Random(11)
     for _ in range(20):
-        f = _random_series(rng, 8, unit_constant=True)
-        g = f.sqrt()
-        assert g * g == f
-    with pytest.raises(ValueError):
-        Series([2, 1]).sqrt()
+        r1, r2 = _random_rat(rng), _random_rat(rng)
+        g = list(radical_quotient(1, 0, 0, 1, r1, r2, 8).coeffs)
+        radicand = [Fraction(1), r1, r2, *[Fraction(0)] * 6]
+        assert fraction_mul(fraction_mul(g, g), radicand) == [1] + [0] * 8
 
 
 def riordan_h(s, t, order):
@@ -135,12 +129,12 @@ def riordan_h(s, t, order):
 
 
 def test_solve_d_trivial_and_classical():
-    h = riordan_h(3, 2, 4)
-    assert solve_d(0, 0, h).coeffs == (1, 0, 0, 0, 0)
-    assert solve_d(2, 0, Series([1, 0, 0, 0, 0])).coeffs == (1, 2, 4, 8, 16)
-    assert solve_d(3, 4, h).coeffs == (1, 3, 13, 63, 321)
+    h = riordan_h(3, 2, 4).coeffs
+    assert solve_d(0, 0, h) == [1, 0, 0, 0, 0]
+    assert solve_d(2, 0, [1, 0, 0, 0, 0]) == [1, 2, 4, 8, 16]
+    assert solve_d(3, 4, h) == [1, 3, 13, 63, 321]
     # order 0: d = 1 whatever p, q and h
-    assert solve_d(Fraction(-2, 3), 5, Series([7])).coeffs == (1,)
+    assert solve_d(Fraction(-2, 3), 5, [7]) == [1]
 
 
 def test_closed_form_h_known_expansions():
@@ -181,23 +175,23 @@ def test_solve_h_matches_iteration_at_order_40():
 @given(weights, weights, weights, weights.map(lambda t: t + Fraction(1, 3)),
        st.sampled_from((0, 1, 16)) | st.integers(2, 10))
 def test_closed_form_d_matches_fixed_point_solver(p, q, s, t, order):
-    h = riordan_h(s, t, order)
-    assert gf_expand(gf("closed_form", p, q, s, t), order) == solve_d(p, q, h)
+    h = riordan_h(s, t, order).coeffs
+    assert list(gf_expand(gf("closed_form", p, q, s, t), order).coeffs) == solve_d(p, q, h)
 
 
 @settings(max_examples=60, deadline=None)
 @given(maybe_zero, maybe_zero, st.one_of(
-    orders.flatmap(series_of),
-    st.builds(riordan_h, coefficients, maybe_zero, orders)))
+    orders.flatmap(coefficient_lists),
+    st.builds(lambda *args: list(riordan_h(*args).coeffs), coefficients, maybe_zero, orders)))
 def test_solve_d_matches_fraction_kernels(p, q, h):
-    # d = 1 / (1 - p*x - q*x**2*h) on the schoolbook quotient, with p, q and
-    # the t of the Riordan check's h drawn 0 too, and d times its
-    # denominator is 1 on the schoolbook product
-    order = h.order
+    # the reference d = 1 / (1 - p*x - q*x**2*h), with p, q and the t of the
+    # Riordan check's h drawn 0 too: d times its denominator is 1 on the
+    # schoolbook product
+    order = len(h) - 1
     one = [Fraction(1)] + [Fraction(0)] * order
-    x2h = [Fraction(0), Fraction(0), *h.coeffs][:order + 1]
+    x2h = [Fraction(0), Fraction(0), *h][:order + 1]
     denom = [c - p * int(k == 1) - q * y for k, (c, y) in enumerate(zip(one, x2h))]
-    d = list(solve_d(p, q, h).coeffs)
+    d = solve_d(p, q, h)
     assert d == fraction_divide(one, denom)
     assert fraction_mul(d, denom) == one
 
@@ -234,6 +228,50 @@ def test_radical_quotient_matches_fraction_kernels(row, order):
         a0 += 1                 # the constant term a0 + e of the denominator
     assert list(radical_quotient(c, a0, a1, e, r1, r2, order).coeffs) == \
         fraction_radical_quotient(c, a0, a1, e, r1, r2, order)
+
+
+#: the weights each rational kind takes, in its field order
+KIND_ARGS = {
+    "closed_form": lambda p, q, s, t: (p, q, s, t),
+    "tied_q": lambda p, q, s, t: (p, s, t),
+    "tied_qp": lambda p, q, s, t: (s, t),
+    "inverse_sqrt": lambda p, q, s, t: (s, t),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(KIND_ARGS)), st.lists(coefficients, min_size=4, max_size=4),
+       st.booleans(), st.sampled_from((0, 1, 2, 40)) | st.integers(0, 40))
+def test_radical_quotient_matches_fraction_kernels_on_every_kind(kind, pqst, t_zero, order):
+    # the specializations' Q_0 = 0 (a0 = e = 1), and at t = 0 tied_qp's Q = 0;
+    # the general form refuses t = 0
+    p, q, s, t = pqst
+    if t_zero and kind != "closed_form":
+        t = Fraction(0)
+    elif t == 0:
+        t = Fraction(1)
+    row = _KINDS[kind][1](*KIND_ARGS[kind](p, q, s, t))
+    assert list(radical_quotient(*row, order).coeffs) == fraction_radical_quotient(*row, order)
+
+
+def test_radical_quotient_pitfalls():
+    # Q = A^2 - e^2 P = 0: sqrt(P) is the polynomial A / e, the denominator 2A
+    assert radical_quotient(*_KINDS["tied_qp"][1](3, 0), 5).coeffs == (1, 3, 9, 27, 81, 243)
+    assert radical_quotient(1, 2, 1, 2, 1, Fraction(1, 4), 4).coeffs == tuple(
+        Fraction(1, 4) * Fraction(-1, 2) ** k for k in range(5))
+    # a0 = e drops Q's zero low coefficients: catalan's Q = 4x, and Q = -x^2
+    assert gf_expand(gf("named", "catalan"), 9).coeffs == (1, 1, 2, 5, 14, 42, 132, 429, 1430,
+                                                            4862)
+    for order in range(8):
+        assert list(radical_quotient(3, 1, 1, 1, 2, 2, order).coeffs) == \
+            fraction_radical_quotient(3, 1, 1, 1, 2, 2, order)
+
+
+def test_named_forms_match_the_recurrence_at_order_300():
+    for name in NAMED_GF_NAMES:
+        entry = catalog_lookup(name)
+        assert list(gf_expand(entry.gf, 300).coeffs) == \
+            catalan_like(entry.sigma, entry.tau, 300), name
 
 
 def test_specializations_reduce_to_general_form():
@@ -401,33 +439,24 @@ def test_riordan_column_check_matches_fraction_kernels(p, q, s, t, order, k_max)
 
 @pytest.mark.parametrize("order", [0, 1, 4])
 def test_riordan_column_check_compares_column_0_at_every_order(monkeypatch, order):
-    real = catmoments.series.solve_d
+    # the last cell of column 0 off by one: row `order` of the recurrence
+    real = catmoments.recursive._scaled_rows
 
-    def last_coefficient_off_by_one(p, q, h):
-        d = real(p, q, h).coeffs
-        return Series([*d[:-1], d[-1] + 1])
+    def last_cell_of_column_0_off_by_one(*args):
+        rows = list(real(*args))
+        row, den = rows[-1]
+        return iter([*rows[:-1], ([row[0] + 1, *row[1:]], den)])
 
-    monkeypatch.setattr(catmoments.series, "solve_d", last_coefficient_off_by_one)
+    assert riordan_column_check(1, 2, 3, 4, order=order, k_max=order + 2) == TRUE
+    monkeypatch.setattr(catmoments.recursive, "_scaled_rows", last_cell_of_column_0_off_by_one)
     assert riordan_column_check(1, 2, 3, 4, order=order, k_max=order + 2) == FALSE
 
 
 @settings(max_examples=60, deadline=None)
-@given(orders.flatmap(series_of), orders.flatmap(series_of), st.booleans())
-def test_mul_matches_fraction_kernel(f, g, zero_constant):
-    if zero_constant:
-        f = Series([0, *f.coeffs[1:]])
-    assert list((f * g).coeffs) == fraction_mul(f.coeffs, g.coeffs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(orders.flatmap(series_of),
-       orders.flatmap(lambda order: series_of(order, nonzero | st.sampled_from(
-           (Fraction(-3), Fraction(-7, 2**61 - 1), Fraction(12, 5))))))
-def test_divide_matches_fraction_kernel(f, g):
-    assert list(f.divide(g).coeffs) == fraction_divide(f.coeffs, g.coeffs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(orders.flatmap(lambda order: series_of(order, st.just(Fraction(1)))))
-def test_sqrt_matches_fraction_kernel(f):
-    assert list(f.sqrt().coeffs) == fraction_sqrt(f.coeffs)
+@given(coefficients, maybe_zero, orders)
+def test_sqrt_matches_fraction_kernel(r1, r2, order):
+    # 1 / sqrt(1 + r1 x + r2 x^2), the root's recurrence alone
+    radicand = [Fraction(1), r1, r2, *[Fraction(0)] * order][:order + 1]
+    one = [Fraction(1)] + [Fraction(0)] * order
+    assert list(radical_quotient(1, 0, 0, 1, r1, r2, order).coeffs) == \
+        fraction_divide(one, fraction_sqrt(radicand))
