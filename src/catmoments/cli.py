@@ -6,10 +6,10 @@ catalog.  Every number prints as an exact integer or "p/q" string; --format
 selects text, json, or csv.  Exit codes: 0 for success or PASS, 1 for a
 checked FAIL (or a certification that came back FALSE or INCONCLUSIVE), 2
 for usage and parse errors, including a count option (-n, --depth) out of
-its range (gen, matrix and series cap -n; stieltjes, hankel-det, tp and verify cap
---depth), two weight sources at once (a name with --sigma/--tau, or --terms
-or --pqst with either) and a JSON field no reader knows.  No environment
-variable is read.
+its range (gen, matrix and series cap -n; stieltjes, hankel-det, tp and
+verify cap --depth), two weight sources at once (a name with --sigma/--tau,
+or --terms or --pqst with either) and a JSON field no reader knows.  No
+environment variable is read.
 
 stieltjes reads both Hankel families off weight products (see hankel): a
 weight pair, named or given by --sigma/--tau, gives them directly, and

@@ -20,17 +20,18 @@ check on it.  The general closed form divides by 2t and refuses t = 0; the
 Riordan column check needs no division by t (see riordan_column_check).
 
 radical_quotient costs O(1) int operations per coefficient (the algebraic
-=> D-finite route).  y = sqrt(P), P = 1 + r1*x + r2*x**2, obeys P y' = P' y / 2;
-with r1 = R1/L, r2 = R2/L over one denominator L, U_k = y_k (4L)^k is an
-integer, and (k+1) U_(k+1) = 2 R1 (1 - 2k) U_k + 16 L R2 (2 - k) U_(k-1)
-divides exactly.  Then c / (A + e*y) = c (A - e*y) / Q with A = a0 + a1*x and
-Q = A**2 - e**2 P of degree at most 2.  Q's zero low coefficients are
-dropped: a0 + e != 0, so a zero Q_0 means a0 = e, and the numerator vanishes
-as far.  The rest, made integral and primitive as G (its scale moved into
-c), divides by F_k = G_0^k N_(k+m) - 4L G_1 F_(k-1) - (4L)^2 G_0 G_2 F_(k-2)
-over the one running denominator G_0^(k+1) (4L)^(k+m) D, where N_k (4L)^k D
-is the numerator's kth coefficient scaled to an int.  When Q = 0, e*sqrt(P) = A is a polynomial and the
-denominator is 2A.
+=> D-finite route).  y = sqrt(P), P = 1 + r1*x + r2*x**2, obeys P y' = P' y / 2.
+With r1 = R1/L, r2 = R2/L over one denominator L, U_k = y_k (4L)^k is an
+integer, because 4^j binom(1/2, j) is, so the division in
+(k+1) U_(k+1) = 2 R1 (1 - 2k) U_k + 16 L R2 (2 - k) U_(k-1) is exact.  Then
+c / (A + e*y) = c (A - e*y) / Q with A = a0 + a1*x and Q = A**2 - e**2 P, of
+degree at most 2.  Q's m zero low coefficients are dropped: a0 + e != 0, so
+a zero Q_0 means a0 = e, and the numerator vanishes as far.  The rest, made
+integral and primitive as G (its scale moved into c), divides by
+F_k = G_0^k N_(k+m) - 4L G_1 F_(k-1) - (4L)^2 G_0 G_2 F_(k-2), over the one
+running denominator G_0^(k+1) (4L)^(k+m) D, where N_k (4L)^k D is the
+numerator's kth coefficient as an int.  When Q = 0, e*sqrt(P) = A is a
+polynomial and the denominator is 2A.
 """
 
 from __future__ import annotations
@@ -219,15 +220,12 @@ def riordan_column_check(p, q, s, t, order: int = DEFAULT_ORDER, k_max: int = 5)
         return [sum(map(mul, lifted[:n], column[n - 1::-1])) for n in range(order + 1)]
 
     rows = [row for row, _ in _scaled_rows([p, *[s] * order], [q, *[t] * order], order)]
-    previous: list[int] = []
-    for k in range(k_max + 1):
-        column = [row[k] if k < len(row) else 0 for row in rows]
-        if k:
-            expected = times_xh(previous)
-        else:
-            expected = [dh, *(dh * p_int * v + q_int * w
-                              for v, w in zip(column, times_xh(column)))][:order + 1]
-        if [dh * v for v in column] != expected:
+    column = [row[0] for row in rows]
+    expected = [dh, *(dh * p_int * v + q_int * w for v, w in zip(column, times_xh(column)))]
+    if [dh * v for v in column] != expected[:order + 1]:
+        return FALSE
+    for k in range(1, k_max + 1):
+        previous, column = column, [row[k] if k < len(row) else 0 for row in rows]
+        if [dh * v for v in column] != times_xh(previous):
             return FALSE
-        previous = column
     return TRUE

@@ -24,14 +24,13 @@ products, the textbook form of the band sums of ints the library checks
 them by; fraction_rows turns the library's (row, den) pairs into such rows.
 
 fraction_mul, fraction_divide and fraction_sqrt are the schoolbook series
-kernels on Fraction coefficient lists, coefficient by coefficient, which the
-library ran on integers over a common denominator before its expansions
-became three-term recurrences; iterated_solve_h solves h = A(x*h) by
-order+1 rounds of full re-evaluation with those kernels, against the closed
-form the Riordan column check expands h by; solve_d is d = 1 / (1 - p*x -
-q*x**2*h) by the schoolbook quotient, against the closed forms of column 0,
-and fraction_riordan_check is the column check on fraction_triangle and
-these kernels;
+kernels on Fraction coefficient lists, coefficient by coefficient, against
+the library's three-term recurrences on integers; iterated_solve_h solves
+h = A(x*h) by order+1 rounds of full re-evaluation with those kernels,
+against the closed form the Riordan column check expands h by; solve_d is
+d = 1 / (1 - p*x - q*x**2*h) by the schoolbook quotient, against the closed
+forms of column 0, and fraction_riordan_check is the column check on
+fraction_triangle and these kernels;
 fraction_horner evaluates a polynomial on Fractions, against
 PolynomialTail.eval on scaled integers.
 

@@ -44,10 +44,6 @@ orders = st.one_of(st.sampled_from((0, 1, 40)), st.integers(0, 12))
 weights = st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))
 
 
-def coefficient_lists(order):
-    return st.lists(coefficients, min_size=order + 1, max_size=order + 1)
-
-
 def _random_rat(rng):
     return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
@@ -75,9 +71,9 @@ def test_series_rejects_bad_input():
 
 
 def test_scalar_operations():
-    # no operator takes a plain number, and no series operator sums
+    # no operator takes a plain number, and no series operator sums or multiplies
     f = Series([1, 2, 3])
-    for operation in (lambda: 2 * f, lambda: f * 2, lambda: f / 2, lambda: f + f,
+    for operation in (lambda: 2 * f, lambda: f * 2, lambda: f * f, lambda: f / 2, lambda: f + f,
                       lambda: f - f, lambda: -f, lambda: f[0]):
         with pytest.raises(TypeError):
             operation()
@@ -181,7 +177,7 @@ def test_closed_form_d_matches_fixed_point_solver(p, q, s, t, order):
 
 @settings(max_examples=60, deadline=None)
 @given(maybe_zero, maybe_zero, st.one_of(
-    orders.flatmap(coefficient_lists),
+    orders.flatmap(lambda n: st.lists(coefficients, min_size=n + 1, max_size=n + 1)),
     st.builds(lambda *args: list(riordan_h(*args).coeffs), coefficients, maybe_zero, orders)))
 def test_solve_d_matches_fraction_kernels(p, q, h):
     # the reference d = 1 / (1 - p*x - q*x**2*h), with p, q and the t of the
