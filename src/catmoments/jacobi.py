@@ -12,7 +12,8 @@ sequence, and four routes certify it:
     positivity of the section.
   * tp_sufficient_dominance: the weight-dominance condition s_0 >= 1,
     t_k >= 0 and s_k >= t_k + 1, which certifies the infinite matrix
-    outright; tails are analyzed symbolically where possible.
+    outright: checked explicitly below the first tail index and
+    symbolically, on the tail polynomials, from it.
   * tp_criterion_pqst: for weights constant after the first entry, an exact
     if-and-only-if criterion, evaluated without floating point by case
     analysis and squaring.
@@ -25,15 +26,18 @@ included, follows one three-term recurrence,
 
     D[lo..hi] = s_hi D[lo..hi-1] - t_hi D[lo..hi-2],
 
-so window_minors is the only determinant evaluation here, and hankel reads
+so _minor_chain is the only determinant evaluation here, and hankel reads
 the shifted Hankel family off the same chain: O(depth) multiplications for
 the leading chain, O(depth^2) for all windows.  The chain runs on integers:
 with L the LCM of the weights' denominators, s' = L s and t' = L^2 t give
-D' = L^(hi-lo+1) D by the same recurrence.  The section routes take the
-lists s_0..s_depth and t_1..t_depth that recursive.read_weights(sigma, tau,
-depth + 1) reads (_int_section lays them out as ints for verify's
-elimination); tp_certify reads them once for both minor routes, dominance
-index by index up to its first failure.
+D' = L^(hi-lo+1) D by the same recurrence.  Both minor routes scale their
+section once and decide each sign on D'; only a printed minor is reduced
+(format_over), and window_minors is the Fraction form of the same chain.
+The section routes take the lists s_0..s_depth and t_1..t_depth that
+recursive.read_weights(sigma, tau, depth + 1) reads (_int_section lays them
+out as ints for verify's elimination); tp_certify reads them once for both
+minor routes, and dominance reads only the weights below the first tail
+index unless the tails fail their symbolic test there.
 
 All verdicts are TRUE / FALSE / INCONCLUSIVE, and every report states the
 depth it actually checked.
@@ -45,7 +49,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exact import FALSE, INCONCLUSIVE, TRUE, _over, _scaled_ints, format_rat, nonneg_rats
+from .exact import (
+    FALSE,
+    INCONCLUSIVE,
+    TRUE,
+    _over,
+    _scaled_ints,
+    format_over,
+    format_rat,
+    nonneg_rats,
+)
 from .recursive import read_weights
 from .seqspec import PolynomialTail, SequenceSpec
 
@@ -114,19 +127,31 @@ def _int_section(s: list[Fraction], t: list[Fraction]) -> tuple[list[list[int]],
              for j in range(n)] for i in range(n)], scale
 
 
-def window_minors(s: list[Fraction], t: list[Fraction], lo: int) -> Iterator[Fraction]:
-    """D[lo..hi] for hi = lo..n, the contiguous principal minors of J on
-    s_0..s_n and t_1..t_n from row lo, by the recurrence D[lo..hi] =
-    s_hi D[lo..hi-1] - t_hi D[lo..hi-2] from D[lo..lo-1] = 1 and D[lo..lo-2]
-    = 0 (t_lo couples row lo to a row outside the window), run on the
-    integers s' = L s, t' = L^2 t (see the module docstring)."""
-    width = len(s) - lo
-    ints, den = _scaled_ints([*s[lo:], 0, *t[lo:len(s) - 1]])
+def _minor_chain(s: list[int], t: list[int], den: int, lo: int) -> Iterator[tuple[int, int]]:
+    """(D', L^(hi-lo+1)) for hi = lo..n, D' = L^(hi-lo+1) D[lo..hi], the
+    contiguous principal minors of J from row lo on the scaled weights
+    s = L s_0..L s_n and t = L t_1..L t_n over den = L, by D'[lo..hi] =
+    s'_hi D'[lo..hi-1] - L t'_hi D'[lo..hi-2] from D'[lo..lo-1] = 1 and
+    D'[lo..lo-2] = 0 (t_lo couples row lo to a row outside the window)."""
     prev2, prev1, scale = 0, 1, 1
-    for s_k, t_k in zip(ints[:width], ints[width:]):
+    for s_k, t_k in zip(s[lo:], (0, *t[lo:])):
         prev2, prev1 = prev1, s_k * prev1 - den * t_k * prev2
         scale *= den
-        yield _over(prev1, scale)
+        yield prev1, scale
+
+
+def _scaled_section(s: list[Fraction], t: list[Fraction]) -> tuple[list[int], list[int], int]:
+    """L s_0..L s_n, L t_1..L t_n and L, the LCM of the weights' denominators."""
+    ints, den = _scaled_ints([*s, *t])
+    return ints[:len(s)], ints[len(s):], den
+
+
+def window_minors(s: list[Fraction], t: list[Fraction], lo: int) -> Iterator[Fraction]:
+    """D[lo..hi] for hi = lo..n, the contiguous principal minors of J on
+    s_0..s_n and t_1..t_n from row lo, as Fractions: _minor_chain's ints over
+    their powers of L."""
+    for value, scale in _minor_chain(*_scaled_section(s, t), lo):
+        yield _over(value, scale)
 
 
 def tp_by_leading_minors(s: list[Fraction], t: list[Fraction]) -> TPReport:
@@ -137,28 +162,30 @@ def tp_by_leading_minors(s: list[Fraction], t: list[Fraction]) -> TPReport:
     positive definite symmetric tridiagonal matrix with nonnegative entries,
     and the section is totally positive.  A negative minor refutes total
     positivity outright; a zero minor or a matrix that is not irreducible
-    yields INCONCLUSIVE (callers fall back to tp_check_sections).
+    yields INCONCLUSIVE (callers fall back to tp_check_sections).  Signs are
+    read off the int chain; only the printed minors are reduced.
     """
     depth = _section_depth(s, t)
-    chain = tuple(window_minors(s, t, 0))
-    for k, value in enumerate(chain):
+    diag, sub, den = _scaled_section(s, t)
+    chain = tuple(_minor_chain(diag, sub, den, 0))
+    for k, (value, scale) in enumerate(chain):
         if value < 0:
             witness = {"rows": list(range(k + 1)), "cols": list(range(k + 1)),
-                       "value": format_rat(value)}
+                       "value": format_over(value, scale)}
             return TPReport("leading_minors", FALSE, depth=depth, witness=witness,
                             detail=_chain_detail(chain))
-    if not all(w > 0 for w in t):
+    if not all(w > 0 for w in sub):
         return TPReport("leading_minors", INCONCLUSIVE, depth=depth,
                         detail="matrix is reducible or has a negative subdiagonal "
                                "weight at this depth; use the contiguous-minor check")
-    if any(value == 0 for value in chain):
+    if any(value == 0 for value, _ in chain):
         return TPReport("leading_minors", INCONCLUSIVE, depth=depth,
                         detail="zero leading minor; use the contiguous-minor check")
     return TPReport("leading_minors", TRUE, depth=depth, detail=_chain_detail(chain))
 
 
-def _chain_detail(chain: tuple[Fraction, ...]) -> str:
-    return "minor chain " + ", ".join(format_rat(v) for v in chain)
+def _chain_detail(chain: tuple[tuple[int, int], ...]) -> str:
+    return "minor chain " + ", ".join(format_over(v, scale) for v, scale in chain)
 
 
 def _poly_derivative(coeffs: list[Fraction]) -> list[Fraction]:
@@ -184,18 +211,36 @@ def _tail_poly(spec: SequenceSpec) -> list[Fraction]:
     return [tail.value]
 
 
+def _tails_nonneg(sigma: SequenceSpec, tau: SequenceSpec, from_index: int) -> bool:
+    """_eventually_nonneg from from_index of tau's tail and of sigma's tail
+    minus tau's minus 1: t_k >= 0 and s_k >= t_k + 1 for every k >= from_index
+    past both prefixes."""
+    diff = _tail_poly(sigma)
+    tail = _tail_poly(tau)
+    diff.extend([Fraction(0)] * (len(tail) - len(diff)))
+    for i, c in enumerate(tail):
+        diff[i] -= c
+    diff[0] -= 1
+    return _eventually_nonneg(tail, from_index) and _eventually_nonneg(diff, from_index)
+
+
 def tp_sufficient_dominance(
     sigma: SequenceSpec, tau: SequenceSpec, probe_depth: int = 8
 ) -> TPReport:
     """The weight-dominance sufficient condition: s_0 >= 1, and t_k >= 0
     and s_k >= t_k + 1 for every k >= 1.
 
-    Explicit evaluation covers k up to a guard index; beyond both prefixes
-    the inequalities become polynomial conditions on the tails, certified
-    symbolically when the tau tail and the difference polynomial, with all
-    their derivatives, are nonnegative at the guard.  TRUE therefore certifies the full infinite matrix; when
-    only the bounded checks succeed the verdict is INCONCLUSIVE, stating
-    how far the condition was verified.
+    The condition is checked explicitly below K, the first index past both
+    prefixes, and symbolically from K: there it is two polynomial conditions
+    on the tails, certified when the tau tail and the difference polynomial,
+    with all their derivatives, are nonnegative at K, which makes them
+    nonnegative at every k >= K.  When that test fails, explicit evaluation
+    goes on up to a guard index (at least DOMINANCE_GUARD_INDEX and
+    probe_depth) and the symbolic test is tried once more past it; the guard
+    bounds only this fallback probe, and the TRUE report names it either
+    way.  TRUE certifies the full infinite matrix; when only the bounded
+    checks succeed the verdict is INCONCLUSIVE, stating how far the
+    condition was verified.
     """
     if probe_depth < 1:
         raise ValueError("probe_depth must be >= 1")
@@ -203,11 +248,15 @@ def tp_sufficient_dominance(
     if s0 < 1:
         return TPReport("dominance", FALSE, depth=0,
                         detail=f"s_0 = {format_rat(s0)} < 1")
-    guard = max(DOMINANCE_GUARD_INDEX, probe_depth,
-                sigma.tail_start() + 1, tau.tail_start() + 1)
-    # each weight read once, and none past the first failing index: the
-    # guard is 64 or more, and a failing condition usually fails early
+    first_tail = max(sigma.tail_start(), tau.tail_start(), 1)
+    guard = max(DOMINANCE_GUARD_INDEX, probe_depth, first_tail + 1)
+    symbolic = TPReport("dominance", TRUE, depth=None,
+                        detail=f"condition holds for all k (symbolic beyond k = {guard})")
+    # each weight read once, and none past the first failing index or, when
+    # the tails pass their test there, from the first tail index on
     for k in range(1, guard + 1):
+        if k == first_tail and _tails_nonneg(sigma, tau, k):
+            return symbolic
         s_k, t_k = sigma.eval(k), tau.eval(k)
         if t_k < 0:
             return TPReport("dominance", FALSE, depth=k,
@@ -216,16 +265,8 @@ def tp_sufficient_dominance(
             return TPReport(
                 "dominance", FALSE, depth=k,
                 detail=f"s_{k} = {format_rat(s_k)} < t_{k} + 1 = {format_rat(t_k + 1)}")
-    diff = _tail_poly(sigma)
-    tail = _tail_poly(tau)
-    width = max(len(diff), len(tail))
-    diff.extend([Fraction(0)] * (width - len(diff)))
-    for i, c in enumerate(tail):
-        diff[i] -= c
-    diff[0] -= 1
-    if _eventually_nonneg(tail, guard + 1) and _eventually_nonneg(diff, guard + 1):
-        return TPReport("dominance", TRUE, depth=None,
-                        detail=f"condition holds for all k (symbolic beyond k = {guard})")
+    if _tails_nonneg(sigma, tau, guard + 1):
+        return symbolic
     return TPReport("dominance", INCONCLUSIVE, depth=guard,
                     detail=f"condition holds up to k = {guard}; "
                            "tail could not be certified symbolically")
@@ -260,11 +301,12 @@ def tp_check_sections(s: list[Fraction], t: list[Fraction]) -> TPReport:
     refutes immediately.  More than MAX_WINDOWS windows is INCONCLUSIVE.
     """
     depth = _section_depth(s, t)
+    diag, sub, den = _scaled_section(s, t)
     for k in range(depth + 1):
-        if s[k] < 0:
+        if diag[k] < 0:
             return TPReport("contiguous_minors", FALSE, depth=depth,
                             witness={"rows": [k], "cols": [k], "value": format_rat(s[k])})
-        if k and t[k - 1] < 0:
+        if k and sub[k - 1] < 0:
             return TPReport("contiguous_minors", FALSE, depth=depth,
                             witness={"rows": [k], "cols": [k - 1], "value": format_rat(t[k - 1])})
     windows = (depth + 1) * (depth + 2) // 2
@@ -272,11 +314,11 @@ def tp_check_sections(s: list[Fraction], t: list[Fraction]) -> TPReport:
         return TPReport("contiguous_minors", INCONCLUSIVE, depth=depth,
                         detail=f"window count {windows} exceeds budget {MAX_WINDOWS}")
     for lo in range(depth + 1):
-        for hi, value in enumerate(window_minors(s, t, lo), start=lo):
+        for hi, (value, scale) in enumerate(_minor_chain(diag, sub, den, lo), start=lo):
             if value < 0:
                 witness = {"rows": list(range(lo, hi + 1)),
                            "cols": list(range(lo, hi + 1)),
-                           "value": format_rat(value)}
+                           "value": format_over(value, scale)}
                 return TPReport("contiguous_minors", FALSE, depth=depth, witness=witness)
     return TPReport("contiguous_minors", TRUE, depth=depth)
 

@@ -71,9 +71,10 @@ class Series:
         return f"Series([{shown}{tail}], order={self.order})"
 
 
-def radical_quotient(c, a0, a1, e, r1, r2, order: int) -> Series:
-    """Expand c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)), the one shape every
-    generating function spec has, by the recurrences of the module notes."""
+def _radical_quotient_ints(c, a0, a1, e, r1, r2, order: int) -> tuple[list[int], list[int]]:
+    """Numerators and running denominators of radical_quotient's coefficients,
+    unreduced: coefficient k is nums[k] / dens[k], and each dens[k] divides
+    dens[k + 1].  The denominators alternate in sign when G_0 < 0."""
     if order < 0:
         raise ValueError("order must be >= 0")
     c, a0, a1, e, r1, r2 = map(as_rat, (c, a0, a1, e, r1, r2))
@@ -81,7 +82,9 @@ def radical_quotient(c, a0, a1, e, r1, r2, order: int) -> Series:
         raise ValueError("division requires a nonzero constant term")
     quad = [a0 * a0 - e * e, 2 * a0 * a1 - e * e * r1, a1 * a1 - e * e * r2]
     if not any(quad):
-        return Series(accumulate([c / (2 * a0), *[-a1 / a0] * order], mul))
+        first, ratio = c / (2 * a0), -a1 / a0
+        return (list(accumulate([first.numerator, *[ratio.numerator] * order], mul)),
+                list(accumulate([first.denominator, *[ratio.denominator] * order], mul)))
     shift = next(i for i, v in enumerate(quad) if v)
     (g0, g1, g2), dg = _scaled_ints([*quad[shift:], *[Fraction(0)] * shift])
     content = math.gcd(g0, g1, g2)
@@ -99,8 +102,13 @@ def radical_quotient(c, a0, a1, e, r1, r2, order: int) -> Series:
     for k in range(order + 1):
         quot.append(power * num[k + shift] - step_1 * quot[-1] - step_2 * quot[-2])
         power *= g0
-    dens = accumulate([g0 * dn * lift ** shift, *[g0 * lift] * order], mul)
-    return Series(map(Fraction, quot[2:], dens))
+    return quot[2:], list(accumulate([g0 * dn * lift ** shift, *[g0 * lift] * order], mul))
+
+
+def radical_quotient(c, a0, a1, e, r1, r2, order: int) -> Series:
+    """Expand c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)), the one shape every
+    generating function spec has, by the recurrences of the module notes."""
+    return Series(map(Fraction, *_radical_quotient_ints(c, a0, a1, e, r1, r2, order)))
 
 
 def _closed_form(p, q, s, t) -> tuple:
@@ -212,7 +220,9 @@ def riordan_column_check(p, q, s, t, order: int = DEFAULT_ORDER, k_max: int = 5)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     p, q, s, t = map(as_rat, (p, q, s, t))
-    h, dh = _scaled_ints(radical_quotient(*_KINDS["tied_qp"][1](s, t), order).coeffs)
+    nums, dens = _radical_quotient_ints(*_KINDS["tied_qp"][1](s, t), order)
+    dh = dens[-1]                                           # h_j = H_j / dh
+    h = [v * (dh // d) for v, d in zip(nums, dens)]
     (p_int, q_int, _, _), scale = _scaled_ints([p, q, s, t])   # L of the rows
     lifted = list(map(mul, h, accumulate([scale] * (order + 1), mul)))   # H_j L^(j+1)
 

@@ -11,7 +11,9 @@ verdict with tests/oracle.principal_minors_nonneg on both Hankel sections.
 Work counts: the weight route runs no elimination, terms that invert run
 none either, and the weight route, the weight lists tp_by_leading_minors
 takes (recursive.read_weights) and tp_sufficient_dominance read each weight
-exactly once, as does tp_certify for its two minor routes together.
+exactly once, as does tp_certify for its two minor routes together;
+dominance reads none from the first index past both prefixes when the tails
+certify the rest.
 """
 
 import json
@@ -38,7 +40,6 @@ from catmoments.hankel import (
     stieltjes_weights,
 )
 from catmoments.jacobi import (
-    DOMINANCE_GUARD_INDEX,
     tp_by_leading_minors,
     tp_certify,
     tp_sufficient_dominance,
@@ -322,8 +323,10 @@ def test_each_weight_is_read_once(weight_reads, route, pair):
     elif route == "tp_by_leading_minors":
         assert tp_by_leading_minors(*read_weights(sigma, tau, depth + 1)).verdict == TRUE
     else:
+        # the tails pass their symbolic test at the first index past both
+        # prefixes, so dominance reads only the weights below it
         assert tp_sufficient_dominance(sigma, tau, depth).verdict == TRUE
-        depth = DOMINANCE_GUARD_INDEX
+        depth = max(sigma.tail_start(), tau.tail_start()) - 1
     assert_read_once_through(weight_reads, sigma, tau, depth)
 
 
