@@ -8,8 +8,9 @@ checked FAIL (or a certification that came back FALSE or INCONCLUSIVE), 2
 for usage and parse errors, including a count option (-n, --depth) out of
 its range (gen, matrix and series cap -n; stieltjes, hankel-det, tp and
 verify cap --depth), two weight sources at once (a name with --sigma/--tau,
-or --terms or --pqst with either) and a JSON field no reader knows.  No
-environment variable is read.
+or --terms or --pqst with either) and a JSON field no reader knows; 141
+(128 + SIGPIPE) when stdout is closed before the output is written, as by
+`| head`, with no traceback.  No environment variable is read.
 
 stieltjes reads both Hankel families off weight products (see hankel): a
 weight pair, named or given by --sigma/--tau, gives them directly, and
@@ -37,6 +38,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -72,6 +74,10 @@ from .series import (
     gf_to_json,
     riordan_column_check,
 )
+
+
+# exit code when stdout is closed before the output is written: 128 + SIGPIPE
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(ValueError):
@@ -443,11 +449,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(data))
+        text = json.dumps(data)
     elif args.format == "csv":
-        print("\n".join(",".join(map(_csv_cell, row)) for row in table))
-    else:
+        text = "\n".join(",".join(map(_csv_cell, row)) for row in table)
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so the flush at exit
+        # does not raise again, and exit as a process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -586,6 +586,19 @@ def shell(*args):
     return python("-m", "catmoments.cli", *args)
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # as `gen ... | head -c 20`: the reader takes 20 bytes of about 420 kB
+    # and closes the pipe, so print meets EPIPE past the pipe's buffer
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    with subprocess.Popen([sys.executable, "-m", "catmoments.cli", "gen", "--name",
+                           "factorial", "-n", "600"], env={**os.environ, "PYTHONPATH": path},
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+        assert process.stdout.read(20) == b"1 1 2 6 24 120 720 5"
+        process.stdout.close()
+        assert process.wait(timeout=120) == catmoments.cli.EXIT_BROKEN_PIPE == 141
+        assert process.stderr.read() == b""
+
+
 def test_one_shot_entry_point():
     result = shell("--help")
     assert result.returncode == 0
