@@ -113,7 +113,7 @@ def radical_quotient(c, a0, a1, e, r1, r2, order: int) -> Series:
 
 def _closed_form(p, q, s, t) -> tuple:
     if t == 0:
-        raise ValueError("closed form divides by 2*t; use solve_d for t = 0")
+        raise ValueError("closed form divides by 2*t; for t = 0 use kind tied_qp or inverse_sqrt")
     return 2 * t, 2 * t - q, q * s - 2 * p * t, q, -2 * s, s * s - 4 * t
 
 

@@ -311,7 +311,7 @@ def test_specializations_expand_t0_to_a_geometric_series():
     assert gf_expand(gf("tied_qp", 2, 0), 4).coeffs == (1, 2, 4, 8, 16)
     assert gf_expand(gf("inverse_sqrt", 3, 0), 4).coeffs == (1, 3, 9, 27, 81)
     spec = gf("closed_form", 1, 2, 3, 0)             # accepted, refused on expansion
-    with pytest.raises(ValueError, match="use solve_d for t = 0"):
+    with pytest.raises(ValueError, match="for t = 0 use kind tied_qp or inverse_sqrt"):
         gf_expand(spec, 4)
 
 
