@@ -38,6 +38,11 @@ fraction_window_minors and fraction_det_products are the three-term minor
 chain and the running weight products on Fractions, step by step, which the
 library runs on integers over a common denominator.
 
+probe_every_index_dominance is the weight-dominance route as it ran before
+it tested the tails at the first index past both prefixes: every index up to
+the guard explicitly, then the Taylor test past the guard, on Fraction
+Horner steps; the library's route must give the same report.
+
 det_cofactor is a determinant by Laplace expansion, independent of the
 library's Bareiss kernel; principal_minors_nonneg evaluates every principal
 minor with it, the brute-force definition of positive semidefiniteness the
@@ -63,7 +68,7 @@ from catmoments.exact import (
     format_rat,
 )
 from catmoments.hankel import build_hankel
-from catmoments.jacobi import _section_depth
+from catmoments.jacobi import DOMINANCE_GUARD_INDEX, TPReport, _section_depth
 from catmoments.seqspec import SequenceSpec
 
 COFACTOR_MAX_DIM = 9
@@ -317,6 +322,43 @@ def fraction_window_minors(s, t, lo: int) -> list[Fraction]:
     for hi in range(lo, len(s)):
         chain.append(s[hi] * chain[-1] - (t[hi - 1] if hi > lo else 0) * chain[-2])
     return chain[2:]
+
+
+def _taylor_nonneg(coeffs, k: int) -> bool:
+    """Every derivative of the polynomial nonnegative at k."""
+    coeffs = list(coeffs)
+    while coeffs:
+        if fraction_horner(coeffs, k) < 0:
+            return False
+        coeffs = [c * i for i, c in enumerate(coeffs)][1:]
+    return True
+
+
+def probe_every_index_dominance(sigma, tau, probe_depth: int = 8) -> TPReport:
+    """s_0 >= 1, then t_k >= 0 and s_k >= t_k + 1 read at every k = 1..guard,
+    then tau's tail and sigma's minus tau's minus 1 tested past the guard."""
+    s0 = sigma.eval(0)
+    if s0 < 1:
+        return TPReport("dominance", FALSE, depth=0, detail=f"s_0 = {format_rat(s0)} < 1")
+    guard = max(DOMINANCE_GUARD_INDEX, probe_depth, sigma.tail_start() + 1,
+                tau.tail_start() + 1)
+    for k in range(1, guard + 1):
+        s_k, t_k = sigma.eval(k), tau.eval(k)
+        if t_k < 0:
+            return TPReport("dominance", FALSE, depth=k, detail=f"t_{k} = {format_rat(t_k)} < 0")
+        if s_k < t_k + 1:
+            return TPReport("dominance", FALSE, depth=k, detail=(
+                f"s_{k} = {format_rat(s_k)} < t_{k} + 1 = {format_rat(t_k + 1)}"))
+    coeffs = [getattr(spec.tail, "coeffs", None) or (spec.tail.value,) for spec in (sigma, tau)]
+    width = max(map(len, coeffs))
+    s_tail, t_tail = ([*c, *[Fraction(0)] * (width - len(c))] for c in coeffs)
+    diff = [a - b - (i == 0) for i, (a, b) in enumerate(zip(s_tail, t_tail))]
+    if _taylor_nonneg(t_tail, guard + 1) and _taylor_nonneg(diff, guard + 1):
+        return TPReport("dominance", TRUE,
+                        detail=f"condition holds for all k (symbolic beyond k = {guard})")
+    return TPReport("dominance", INCONCLUSIVE, depth=guard,
+                    detail=f"condition holds up to k = {guard}; "
+                           "tail could not be certified symbolically")
 
 
 def fraction_det_products(t, m0) -> list[Fraction]:

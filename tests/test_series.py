@@ -1,6 +1,9 @@
 """Tests for exact truncated power series and the generating function
-layer: closed forms, specializations, named forms, the Riordan check."""
+layer: closed forms, specializations, named forms, the Riordan check (on
+the unreduced ints of radical_quotient's recurrences, and refuting any one
+raised cell of the columns it compares)."""
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -15,6 +18,7 @@ from catmoments.series import (
     GFSpec,
     Series,
     _KINDS,
+    _radical_quotient_ints,
     gf_expand,
     gf_from_json,
     gf_to_json,
@@ -446,6 +450,54 @@ def test_riordan_column_check_compares_column_0_at_every_order(monkeypatch, orde
     assert riordan_column_check(1, 2, 3, 4, order=order, k_max=order + 2) == TRUE
     monkeypatch.setattr(catmoments.recursive, "_scaled_rows", last_cell_of_column_0_off_by_one)
     assert riordan_column_check(1, 2, 3, 4, order=order, k_max=order + 2) == FALSE
+
+
+@pytest.mark.parametrize("name", NAMED_GF_NAMES)
+def test_radical_quotient_ints_are_its_coefficients_over_running_denominators(name):
+    row = _KINDS["named"][1](name)
+    nums, dens = _radical_quotient_ints(*row, 12)
+    assert list(map(Fraction, nums, dens)) == list(radical_quotient(*row, 12).coeffs)
+    assert all(later % earlier == 0 for earlier, later in zip(dens, dens[1:]))
+    # a0 = 0 gives Q = -P, so G_0 = -1 and the denominators alternate in sign
+    assert [d > 0 for d in dens] == [row[1] != 0 or k % 2 == 1 for k in range(13)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficients, coefficients, coefficients,
+       st.just(Fraction(0)) | coefficients.filter(bool).map(lambda v: -abs(v)),
+       st.integers(0, 14), st.integers(0, 8))
+def test_riordan_column_check_holds_for_t_zero_and_negative_t(p, q, s, t, order, k_max):
+    # t < 0 gives h's expansion G_0 = -1: its running denominators alternate
+    # in sign, and the columns are compared over the last one
+    assert riordan_column_check(p, q, s, t, order=order, k_max=k_max) == TRUE
+
+
+@contextlib.contextmanager
+def one_cell_raised(n: int, k: int):
+    """The recurrence's rows, as riordan_column_check reads them, with cell
+    (n, k) raised by one."""
+    real = catmoments.recursive._scaled_rows
+
+    def mutated(*args):
+        rows = list(real(*args))
+        row, den = rows[n]
+        rows[n] = ([*row[:k], row[k] + 1, *row[k + 1:]], den)
+        return iter(rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catmoments.recursive, "_scaled_rows", mutated)
+        yield
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficients, coefficients, coefficients, maybe_zero, st.integers(0, 10), st.data())
+def test_riordan_column_check_refutes_one_mutated_cell(p, q, s, t, order, data):
+    k_max = data.draw(st.integers(0, order))
+    k = data.draw(st.integers(0, k_max))
+    n = data.draw(st.integers(k, order))
+    assert riordan_column_check(p, q, s, t, order=order, k_max=k_max) == TRUE
+    with one_cell_raised(n, k):
+        assert riordan_column_check(p, q, s, t, order=order, k_max=k_max) == FALSE
 
 
 @settings(max_examples=60, deadline=None)

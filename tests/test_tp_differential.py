@@ -5,19 +5,23 @@ every route and are compared with tests/oracle.all_minors_nonneg, which
 evaluates every minor of the section.  No route may claim TRUE where a
 minor is negative, no minor route may refute where none is, and the
 contiguous-minor route must find the same first witness as a scan that
-evaluates each window with det_bareiss.
+evaluates each window with det_bareiss.  The two minor routes, which decide
+signs on the integer chain, must give the reports that the Fraction chain
+(oracle.fraction_window_minors) gives, and dominance, which tests the tails
+at the first index past both prefixes, the report of the probe of every
+index up to the guard (oracle.probe_every_index_dominance).
 """
 
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import catmoments.exact
 from catmoments.cli import main
-from catmoments.exact import FALSE, TRUE, det_bareiss, format_rat
+from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, det_bareiss, format_rat
 from catmoments.jacobi import (
     tp_by_leading_minors,
     tp_certify,
@@ -25,8 +29,14 @@ from catmoments.jacobi import (
     tp_sufficient_dominance,
 )
 from catmoments.recursive import read_weights
-from catmoments.seqspec import ConstantTail, SequenceSpec
-from oracle import all_minors_nonneg, jacobi_section, jacobi_window
+from catmoments.seqspec import ConstantTail, PolynomialTail, SequenceSpec
+from oracle import (
+    all_minors_nonneg,
+    fraction_window_minors,
+    jacobi_section,
+    jacobi_window,
+    probe_every_index_dominance,
+)
 
 weights = st.one_of(
     st.just(Fraction(0)),
@@ -94,6 +104,105 @@ def test_contiguous_witness_matches_window_determinants(pair):
     report = tp_check_sections(*read_weights(sigma, tau, depth + 1))
     assert report.witness == first_negative_window(sigma, tau, depth)
     assert report.verdict == (TRUE if report.witness is None else FALSE)
+
+
+@st.composite
+def sections(draw):
+    """Weight lists s_0..s_d and t_1..t_d, d = 0..6, drawn straight."""
+    depth = draw(st.integers(0, 6))
+    return draw(st.lists(weights, min_size=depth + 1, max_size=depth + 1)), \
+        draw(st.lists(weights, min_size=depth, max_size=depth))
+
+
+def fraction_leading_minors(s, t):
+    """tp_by_leading_minors' report from the Fraction chain."""
+    chain = fraction_window_minors(s, t, 0)
+    detail = "minor chain " + ", ".join(map(format_rat, chain))
+    depth = len(s) - 1
+    for k, value in enumerate(chain):
+        if value < 0:
+            witness = {"rows": list(range(k + 1)), "cols": list(range(k + 1)),
+                       "value": format_rat(value)}
+            return FALSE, witness, detail
+    if not all(w > 0 for w in t) or 0 in chain:
+        return INCONCLUSIVE, None, None
+    return TRUE, None, detail
+
+
+def fraction_first_negative_window(s, t):
+    """tp_check_sections' witness from the Fraction chain of every window."""
+    for k, s_k in enumerate(s):
+        if s_k < 0:
+            return {"rows": [k], "cols": [k], "value": format_rat(s_k)}
+        if k and t[k - 1] < 0:
+            return {"rows": [k], "cols": [k - 1], "value": format_rat(t[k - 1])}
+    for lo in range(len(s)):
+        for hi, value in enumerate(fraction_window_minors(s, t, lo), start=lo):
+            if value < 0:
+                window = list(range(lo, hi + 1))
+                return {"rows": window, "cols": window, "value": format_rat(value)}
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(sections())
+def test_int_minor_routes_match_the_fraction_chain(section):
+    s, t = section
+    leading = tp_by_leading_minors(s, t)
+    verdict, witness, detail = fraction_leading_minors(s, t)
+    assert (leading.verdict, leading.witness, leading.depth) == (verdict, witness, len(s) - 1)
+    if verdict != INCONCLUSIVE:
+        assert leading.detail == detail
+    contiguous = tp_check_sections(s, t)
+    assert contiguous.witness == fraction_first_negative_window(s, t)
+    assert contiguous.verdict == all_minors_nonneg(jacobi_section(s, t), len(s)).status
+    event(f"leading {leading.verdict}, contiguous {contiguous.verdict}")
+
+
+def _polynomial_spec(prefix, coeffs, start):
+    return SequenceSpec(tuple(map(Fraction, prefix)), PolynomialTail(tuple(map(Fraction, coeffs))),
+                        start=start)
+
+
+def _signed(low, high):
+    return st.builds(Fraction, st.integers(low, high), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def dominance_specs(draw):
+    """sigma and tau with prefixes of length <= 2 and constant or polynomial
+    tails of degree <= 2, signed rational coefficients: a large constant and
+    a small negative slope hold the condition past the first tail index and
+    past the guard, or break it late."""
+    def spec(start):
+        prefix = tuple(draw(st.lists(_signed(-2, 6), max_size=2)))
+        coeffs = [draw(_signed(-4, 90)), draw(_signed(-3, 3)), draw(_signed(-1, 1))]
+        degree = draw(st.integers(0, 2))
+        if degree == 0:
+            return SequenceSpec(prefix, ConstantTail(coeffs[0]), start=start)
+        return SequenceSpec(prefix, PolynomialTail(tuple(coeffs[:degree + 1])), start=start)
+
+    return spec(0), spec(1), draw(st.integers(1, 80))
+
+
+# a late failure (s_k = 30 - k < 1 from k = 30), a failure at the first tail
+# index alone (s_2 = 1 < t_2 + 1 = 2, and s_k - t_k - 1 = k - 3 from then on),
+# INCONCLUSIVE (s_k = 80 - k holds through the guard 64 but falls), TRUE with
+# the tails failing their test at the first tail index but passing past the
+# guard (s_k = (k - 4)^2 + 1, t_k = 0 on a prefix), and FALSE at k = 0
+@example((_polynomial_spec([2], [30, -1], 0), _polynomial_spec([], [0], 1), 8))
+@example((_polynomial_spec([2, 2], [-1, 1], 0), _polynomial_spec([0], [1], 1), 8))
+@example((_polynomial_spec([], [80, -1], 0), _polynomial_spec([], [0], 1), 8))
+@example((_polynomial_spec([2, 2], [17, -8, 1], 0), _polynomial_spec([0], [0], 1), 70))
+@example((_polynomial_spec([], ["1/2"], 0), _polynomial_spec([], [1], 1), 8))
+@settings(max_examples=400, deadline=None)
+@given(dominance_specs())
+def test_dominance_matches_the_probe_of_every_index(specs):
+    sigma, tau, probe_depth = specs
+    report = tp_sufficient_dominance(sigma, tau, probe_depth)
+    assert report == probe_every_index_dominance(sigma, tau, probe_depth)
+    late = report.verdict == FALSE and report.depth >= max(sigma.tail_start(), tau.tail_start())
+    event(f"{report.verdict}{' past the first tail index' if late else ''}")
 
 
 def _spec(prefix, value, start):
