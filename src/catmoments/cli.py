@@ -453,8 +453,7 @@ def main(argv=None) -> int:
     elif args.format == "csv":
         text = "\n".join(",".join(map(_csv_cell, row)) for row in table)
     try:
-        print(text)
-        sys.stdout.flush()
+        print(text, flush=True)
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull, so the flush at exit
         # does not raise again, and exit as a process killed by SIGPIPE would

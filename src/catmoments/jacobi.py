@@ -60,7 +60,7 @@ from .exact import (
     nonneg_rats,
 )
 from .recursive import read_weights
-from .seqspec import PolynomialTail, SequenceSpec
+from .seqspec import SequenceSpec
 
 DOMINANCE_GUARD_INDEX = 64
 
@@ -188,19 +188,19 @@ def _chain_detail(chain: tuple[tuple[int, int], ...]) -> str:
     return "minor chain " + ", ".join(format_over(v, scale) for v, scale in chain)
 
 
-def _poly_derivative(coeffs: list[Fraction]) -> list[Fraction]:
-    return [coeffs[i] * i for i in range(1, len(coeffs))]
-
-
 def _eventually_nonneg(coeffs: list[Fraction], from_index: int) -> bool:
     """Sound sufficient test for P(k) >= 0 on all integers k >= from_index:
     P and all its derivatives nonnegative at from_index (Taylor expansion
-    around from_index has only nonnegative terms)."""
-    poly = list(coeffs)
+    around from_index has only nonnegative terms), run on P's coefficients
+    scaled to ints over their positive LCM."""
+    poly, _ = _scaled_ints(coeffs)
     while poly:
-        if PolynomialTail(tuple(poly)).eval(from_index) < 0:
+        value = 0
+        for c in reversed(poly):
+            value = value * from_index + c
+        if value < 0:
             return False
-        poly = _poly_derivative(poly)
+        poly = [c * i for i, c in enumerate(poly)][1:]
     return True
 
 

@@ -25,13 +25,16 @@ With r1 = R1/L, r2 = R2/L over one denominator L, U_k = y_k (4L)^k is an
 integer, because 4^j binom(1/2, j) is, so the division in
 (k+1) U_(k+1) = 2 R1 (1 - 2k) U_k + 16 L R2 (2 - k) U_(k-1) is exact.  Then
 c / (A + e*y) = c (A - e*y) / Q with A = a0 + a1*x and Q = A**2 - e**2 P, of
-degree at most 2.  Q's m zero low coefficients are dropped: a0 + e != 0, so
+degree at most 2, integral once scaled by M**2 L (M the LCM of the
+denominators of a0, a1 and e).  Q's m zero low coefficients are dropped: a0 + e != 0, so
 a zero Q_0 means a0 = e, and the numerator vanishes as far.  The rest, made
 integral and primitive as G (its scale moved into c), divides by
 F_k = G_0^k N_(k+m) - 4L G_1 F_(k-1) - (4L)^2 G_0 G_2 F_(k-2), over the one
 running denominator G_0^(k+1) (4L)^(k+m) D, where N_k (4L)^k D is the
 numerator's kth coefficient as an int.  When Q = 0, e*sqrt(P) = A is a
-polynomial and the denominator is 2A.
+polynomial and the denominator is 2A.  radical_quotient reduces each F_k
+over its denominator to a Fraction; the Riordan column check takes the
+unreduced ints (_radical_quotient_ints) instead.
 """
 
 from __future__ import annotations
@@ -78,19 +81,24 @@ def _radical_quotient_ints(c, a0, a1, e, r1, r2, order: int) -> tuple[list[int],
     if order < 0:
         raise ValueError("order must be >= 0")
     c, a0, a1, e, r1, r2 = map(as_rat, (c, a0, a1, e, r1, r2))
-    if a0 + e == 0:
+    (big_a0, big_a1, big_e), m = _scaled_ints([a0, a1, e])
+    (big_r1, big_r2), scale = _scaled_ints([r1, r2])
+    if big_a0 + big_e == 0:
         raise ValueError("division requires a nonzero constant term")
-    quad = [a0 * a0 - e * e, 2 * a0 * a1 - e * e * r1, a1 * a1 - e * e * r2]
+    square_e = big_e * big_e
+    quad = [(big_a0 * big_a0 - square_e) * scale, 2 * big_a0 * big_a1 * scale - square_e * big_r1,
+            big_a1 * big_a1 * scale - square_e * big_r2]                 # Q M^2 L
     if not any(quad):
-        first, ratio = c / (2 * a0), -a1 / a0
+        first, ratio = c * m / (2 * big_a0), Fraction(-big_a1, big_a0)
         return (list(accumulate([first.numerator, *[ratio.numerator] * order], mul)),
                 list(accumulate([first.denominator, *[ratio.denominator] * order], mul)))
     shift = next(i for i, v in enumerate(quad) if v)
-    (g0, g1, g2), dg = _scaled_ints([*quad[shift:], *[Fraction(0)] * shift])
+    g0, g1, g2 = [*quad[shift:], *[0] * shift]
     content = math.gcd(g0, g1, g2)
     g0, g1, g2 = g0 // content, g1 // content, g2 // content
-    (n0, n1, ne), dn = _scaled_ints([c * v * dg / content for v in (a0, a1, e)])
-    (big_r1, big_r2), scale = _scaled_ints([r1, r2])
+    # c (a0, a1, e) times G / Q = M^2 L / content, over dn
+    n0, n1, ne = (c.numerator * m * scale * v for v in (big_a0, big_a1, big_e))
+    dn = c.denominator * content
     lift, root_1, root_2 = 4 * scale, 2 * big_r1, 16 * scale * big_r2
     roots = [0, 1]                                               # U_-1, U_0, ...
     for k in range(order + shift + 1):
@@ -213,8 +221,9 @@ def riordan_column_check(p, q, s, t, order: int = DEFAULT_ORDER, k_max: int = 5)
     given order, where d = 1 / (1 - p*x - q*x**2*h) and h = 1 + s*x*h +
     t*x**2*h**2 is the tied_qp row, which never divides by t.  Column 0 times
     d's denominator must be 1, and each later column x * h times the one
-    before; cell (n, k) is row[k] / L**n, and with h = H / dh both sides are
-    compared as ints scaled by dh * L**n."""
+    before; cell (n, k) is row[k] / L**n, and with h = H / dh, dh the last of
+    the running denominators of h's expansion (of either sign), both sides
+    are compared as ints scaled by dh * L**n."""
     from .recursive import _scaled_rows
 
     if k_max < 0:
