@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterator, Optional
 
 from .exact import (
@@ -215,11 +216,8 @@ def _tails_nonneg(sigma: SequenceSpec, tau: SequenceSpec, from_index: int) -> bo
     """_eventually_nonneg from from_index of tau's tail and of sigma's tail
     minus tau's minus 1: t_k >= 0 and s_k >= t_k + 1 for every k >= from_index
     past both prefixes."""
-    diff = _tail_poly(sigma)
     tail = _tail_poly(tau)
-    diff.extend([Fraction(0)] * (len(tail) - len(diff)))
-    for i, c in enumerate(tail):
-        diff[i] -= c
+    diff = [a - b for a, b in zip_longest(_tail_poly(sigma), tail, fillvalue=0)]
     diff[0] -= 1
     return _eventually_nonneg(tail, from_index) and _eventually_nonneg(diff, from_index)
 
@@ -230,17 +228,15 @@ def tp_sufficient_dominance(
     """The weight-dominance sufficient condition: s_0 >= 1, and t_k >= 0
     and s_k >= t_k + 1 for every k >= 1.
 
-    The condition is checked explicitly below K, the first index past both
-    prefixes, and symbolically from K: there it is two polynomial conditions
-    on the tails, certified when the tau tail and the difference polynomial,
-    with all their derivatives, are nonnegative at K, which makes them
-    nonnegative at every k >= K.  When that test fails, explicit evaluation
-    goes on up to a guard index (at least DOMINANCE_GUARD_INDEX and
-    probe_depth) and the symbolic test is tried once more past it; the guard
-    bounds only this fallback probe, and the TRUE report names it either
-    way.  TRUE certifies the full infinite matrix; when only the bounded
-    checks succeed the verdict is INCONCLUSIVE, stating how far the
-    condition was verified.
+    Indices below K, the first past both prefixes, are checked explicitly.
+    From K on the condition is two polynomial inequalities on the tails,
+    certified when tau's tail and sigma's minus tau's minus 1, with all
+    their derivatives, are nonnegative at K.  When they are not, the
+    explicit probe goes on to a guard index (DOMINANCE_GUARD_INDEX or
+    probe_depth, if larger) and the test is tried past it; the guard bounds
+    only that fallback, and a TRUE report names it either way.  TRUE
+    certifies the full infinite matrix; INCONCLUSIVE states how far the
+    bounded checks held.
     """
     if probe_depth < 1:
         raise ValueError("probe_depth must be >= 1")

@@ -26,9 +26,9 @@ integer, because 4^j binom(1/2, j) is, so the division in
 (k+1) U_(k+1) = 2 R1 (1 - 2k) U_k + 16 L R2 (2 - k) U_(k-1) is exact.  Then
 c / (A + e*y) = c (A - e*y) / Q with A = a0 + a1*x and Q = A**2 - e**2 P, of
 degree at most 2, integral once scaled by M**2 L (M the LCM of the
-denominators of a0, a1 and e).  Q's m zero low coefficients are dropped: a0 + e != 0, so
-a zero Q_0 means a0 = e, and the numerator vanishes as far.  The rest, made
-integral and primitive as G (its scale moved into c), divides by
+denominators of a0, a1 and e).  Q's m zero low coefficients are dropped:
+a0 + e != 0, so a zero Q_0 means a0 = e, and the numerator vanishes as far.
+The rest, made primitive as G (its scale moved into c), divides by
 F_k = G_0^k N_(k+m) - 4L G_1 F_(k-1) - (4L)^2 G_0 G_2 F_(k-2), over the one
 running denominator G_0^(k+1) (4L)^(k+m) D, where N_k (4L)^k D is the
 numerator's kth coefficient as an int.  When Q = 0, e*sqrt(P) = A is a
