@@ -9,7 +9,9 @@ The cases cover every subcommand: every catalog entry under `gen -n 40`,
 format, one weight pair with rational prefix and polynomial tails (gen,
 matrix, both Hankel families, stieltjes and tp), the matrix of a rational
 pair with zero, negative and integral cells, gen on 256-bit constant
-weights (terms past the 4,300-digit limit) and on a zero weight, both
+weights, integral and rational (terms past the 4,300-digit limit), on a
+zero weight and on constant-tail pairs at t = 0, q = 0, q = t, q = t with
+p = s and with negative rational weights, both
 Hankel families
 (also of a weight pair with a zero weight, and factorial's shifted family
 at depth 24),
@@ -115,15 +117,31 @@ MATRIX_MIXED_TAU = json.dumps({"prefix": ["1/4"],
                                "tail": {"kind": "polynomial", "coeffs": ["-3/2", "1/2"]},
                                "start": 1})
 
-# 256-bit constant weights: term 70 has over 5,000 digits, past the
-# interpreter's 4,300-digit limit on int-to-str conversion
 # sigma = (1, 0, 0, ...), tau = 0: dominance fails at k = 1, so tp at
 # depth 0 reaches the minor routes
 SIGMA_DROP = _constant_tail_spec(["1", "0"], "0", 0)
 TAU_ZERO = _constant_tail_spec([], "0", 1)
 
+# 256-bit constant weights: term 70 has over 5,000 digits, past the
+# interpreter's 4,300-digit limit on int-to-str conversion; and a rational
+# pair of 256-bit numerators over 7 and 3 with distinct first entries,
+# whose term 64 has a numerator of over 4,300 digits after reduction
 WIDE_SIGMA = _constant_tail_spec([], str(2**256 - 189), 0)
 WIDE_TAU = _constant_tail_spec([], str(2**255 + 95), 1)
+WIDE_RATIONAL_SIGMA = _constant_tail_spec([str(2**256 - 357)], f"{2**255 + 95}/7", 0)
+WIDE_RATIONAL_TAU = _constant_tail_spec([str(2**256 - 189)], f"{2**256 - 5}/3", 1)
+
+# pairs constant after their first entry, (p, s, s, ...) over (q, t, t, ...),
+# at each degenerate point of the closed form: t = 0 (no root), q = 0,
+# q = t, q = t with p = s, and negative rational weights
+CONSTANT_TAIL_CASES = {
+    "t0": (_constant_tail_spec(["2"], "3", 0), _constant_tail_spec(["5/2"], "0", 1)),
+    "q0": (_constant_tail_spec(["3"], "1", 0), _constant_tail_spec(["0"], "2", 1)),
+    "tied-q": (_constant_tail_spec(["1"], "3", 0), _constant_tail_spec([], "2", 1)),
+    "tied-qp": (_constant_tail_spec([], "5/2", 0), _constant_tail_spec([], "3/4", 1)),
+    "negative": (_constant_tail_spec(["-1/2"], "3/4", 0),
+                 _constant_tail_spec(["-2/3"], "5/7", 1)),
+}
 
 
 def _weight_terms(sigma: str, tau: str, count: int) -> str:
@@ -167,6 +185,9 @@ def cases() -> dict[str, list[str]]:
                                          "--format", f]
         rational = ["--sigma", RATIONAL_SIGMA, "--tau", RATIONAL_TAU, "--format", f]
         out[f"gen-rational-{f}"] = ["gen", *rational, "-n", "40"]
+        for label, (sigma, tau) in CONSTANT_TAIL_CASES.items():
+            out[f"gen-constant-tail-{label}-{f}"] = ["gen", "--sigma", sigma, "--tau", tau,
+                                                     "-n", "40", "--format", f]
         out[f"matrix-rational-{f}"] = ["matrix", *rational, "-n", "12"]
         out[f"matrix-mixed-{f}"] = ["matrix", "--sigma", MATRIX_MIXED_SIGMA,
                                     "--tau", MATRIX_MIXED_TAU, "-n", "8", "--format", f]
@@ -222,6 +243,8 @@ def cases() -> dict[str, list[str]]:
         out[f"stieltjes-weak-sylvester-1-{f}"] = ["stieltjes", "--terms", "2,0,0,-1",
                                                   "--depth", "1", "--format", f]
     out["gen-wide256-n70"] = ["gen", "--sigma", WIDE_SIGMA, "--tau", WIDE_TAU, "-n", "70"]
+    out["gen-wide256-rational-n64"] = ["gen", "--sigma", WIDE_RATIONAL_SIGMA,
+                                       "--tau", WIDE_RATIONAL_TAU, "-n", "64"]
     out["gen-zero-weight"] = ["gen", "--sigma", STIELTJES_WEIGHT_CASES["zero-weight"][0],
                               "--tau", STIELTJES_WEIGHT_CASES["zero-weight"][1], "-n", "20"]
     out["gen-n0"] = ["gen", "--name", "catalan", "-n", "0"]
