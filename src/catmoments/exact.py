@@ -3,26 +3,30 @@
 Everything in this package runs on arbitrary-precision rationals
 (fractions.Fraction); no floating point is ever involved.  This module holds
 the shared scalar helpers, the dense matrix value type and one fraction-free
-(Bareiss) elimination on integer rows over one common denominator, in two
-forms.  _int_leading_minors runs it once without row swaps and reads the
-determinant of every leading section off its pivots (Sylvester's identity); on
-a symmetric input, such as a Hankel section, it updates only the upper
-triangle, half the products.  hankel.hankel_dets hands it the scaled terms and
-cli verify J's section as int rows (jacobi._int_section), no DenseMatrix.
-det_bareiss, which swaps rows past a zero pivot, evaluates one determinant and
-serves the leading sections past a singular one.  Where a zero leading minor
-leaves positive semidefiniteness open, negative_principal_minor decides it by
-a symmetric elimination with diagonal pivoting.  The total-positivity routes
-need none of these: the minors of the tridiagonal coefficient matrix follow a
-three-term recurrence (see jacobi), and the identity checks use band sums.
+(Bareiss) elimination on integer rows, _minors_ints.  It reads the
+determinant of every leading section off its pivots (Sylvester's identity),
+all in one pass: a zero pivot is repaired by a row swap that keeps the row
+set of every larger section, and on a symmetric input, such as a Hankel
+section, it updates only the upper triangle, half the products, until a
+swap.  _int_leading_minors runs it on int rows over one common denominator:
+hankel.hankel_dets hands it the scaled terms and cli verify J's section
+(jacobi._int_section), no DenseMatrix.  det_bareiss runs it on a
+DenseMatrix scaled integral and keeps the last minor.  Where a zero leading
+minor leaves positive semidefiniteness open, negative_principal_minor
+decides it by a symmetric elimination with diagonal pivoting.  The
+total-positivity routes need none of these: the minors of the tridiagonal
+coefficient matrix follow a three-term recurrence (see jacobi), and the
+identity checks use band sums.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 # Verdict vocabulary shared by the certification routines.
@@ -185,55 +189,50 @@ def _bareiss_step(work: list[list[int]], k: int, prev: int, symmetric: bool = Fa
                          for x, y in zip(row_i[start:], row_k[start:])]
 
 
-def det_bareiss(matrix: DenseMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _minors_ints(work: list[list[int]]) -> list[int]:
+    """The leading minors D_1..D_n of the square int matrix work, from one
+    Bareiss elimination in place: D_(k+1) is the pivot of step k, times the
+    sign of the row swaps made so far.  A zero pivot at k is repaired by
+    swapping in the first row r below it with a nonzero entry in column k.
+    The sections of sizes k+1..r then have a zero column in the eliminated
+    block, so their minors are 0, and every larger section keeps its set of
+    rows.  A column that is zero all the way down makes every later minor 0."""
+    n = len(work)
+    symmetric = work == [list(col) for col in zip(*work)]
+    minors: list[int] = []
+    sign = prev = 1
+    zero_to = 0                                     # D_(k+1) = 0 while k < zero_to
+    for k in range(n):
+        if work[k][k] == 0:
+            if symmetric:                           # the lower triangle the steps skipped
+                for i in range(k + 1, n):
+                    work[i][k:i] = [work[j][i] for j in range(k, i)]
+                symmetric = False
+            swap = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
+            if swap is None:
+                return minors + [0] * (n - k)
+            work[k], work[swap] = work[swap], work[k]
+            sign, zero_to = -sign, max(zero_to, swap)
+        minors.append(sign * work[k][k] if k >= zero_to else 0)
+        _bareiss_step(work, k, prev, symmetric)
+        prev = work[k][k]
+    return minors
 
-    The matrix is scaled integral by the LCM of its denominators, then
-    eliminated with integer-only pivots.  Zero pivots are repaired by row
-    swaps with sign tracking; a pivot column that is zero all the way down
-    short-circuits to 0.
-    """
+
+def det_bareiss(matrix: DenseMatrix) -> Fraction:
+    """Exact determinant of a square matrix: the last leading minor of its
+    entries scaled integral by the LCM of their denominators (_minors_ints)."""
     n = _require_square(matrix)
     ints, den = _scaled_ints([x for row in matrix.entries for x in row])
-    work = [ints[i:i + n] for i in range(0, n * n, n)]
-    sign = prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            for r in range(k + 1, n):
-                if work[r][k] != 0:
-                    work[k], work[r] = work[r], work[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        _bareiss_step(work, k, prev)
-        prev = work[k][k]
-
-    return Fraction(sign * work[n - 1][n - 1], den ** n)
+    return Fraction(_minors_ints([ints[i:i + n] for i in range(0, n * n, n)])[-1], den ** n)
 
 
 def _int_leading_minors(rows: list[list[int]], den: int) -> tuple[Fraction, ...]:
-    """The leading minors of the square matrix rows / den, k = 1..n, from
-    one Bareiss elimination without row swaps: the k-th pivot over den^k,
-    all in one O(n^3) pass, half of it when the rows equal their transpose.
-    A zero pivot ends the pass, since every later step would divide by it;
-    the sections from there on go to det_bareiss one by one."""
-    n = len(rows)
-    symmetric = rows == [list(col) for col in zip(*rows)]
-    work = [list(row) for row in rows]
-    minors: list[Fraction] = []
-    scale = prev = 1
-    for k in range(n):
-        pivot = work[k][k]
-        if pivot == 0:
-            break
-        scale *= den
-        minors.append(_over(pivot, scale))
-        _bareiss_step(work, k, prev, symmetric)
-        prev = pivot
-    for size in range(len(minors) + 1, n + 1):
-        minors.append(det_bareiss(DenseMatrix(row[:size] for row in rows[:size])) / den**size)
-    return tuple(minors)
+    """The leading minors of the square matrix rows / den, k = 1..n: those of
+    the int rows (_minors_ints, on a copy) over den^k, all in one O(n^3)
+    elimination, half of it while the rows equal their transpose."""
+    scales = accumulate([den] * len(rows), operator.mul)
+    return tuple(map(_over, _minors_ints([list(row) for row in rows]), scales))
 
 
 def negative_principal_minor(matrix: DenseMatrix) -> Optional[tuple[list[int], Fraction]]:

@@ -1,10 +1,11 @@
 """Differential tests of the integer determinant kernels: the one-pass
 leading-minor elimination on integer rows (symmetric or not) and the Hankel
 families built on it against cofactor expansion section by section and one
-Bareiss elimination per section, a count of the per-section eliminations it
-still makes, and the scaled three-term minor chain and the running weight
-products against their Fraction forms."""
+Bareiss elimination per section, a count showing that it makes no
+per-section elimination, also past a zero minor, and the scaled three-term
+minor chain and the running weight products against their Fraction forms."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -83,7 +84,7 @@ def symmetric_matrices(draw):
 @given(st.one_of(matrices(), symmetric_matrices()))
 def test_int_leading_minors_match_each_section(matrix):
     # one common denominator, as hankel_dets hands them over; the rows are
-    # left as they were, since the sections past a zero pivot are cut from them
+    # left as they were
     n = matrix.rows
     ints, den = _scaled_ints([x for row in matrix.entries for x in row])
     rows = [ints[i * n:(i + 1) * n] for i in range(n)]
@@ -95,7 +96,8 @@ def test_int_leading_minors_match_each_section(matrix):
 
 
 def test_int_leading_minors_on_a_symmetric_matrix_with_a_zero_pivot():
-    # 2 x 2 minor 0 ends the pass; the 3 x 3 minor comes from det_bareiss
+    # 2 x 2 minor 0: row 2 is swapped in, and the 3 x 3 minor is its pivot
+    # with the sign flipped
     rows = [[1, 1, 2], [1, 1, 3], [2, 3, 4]]
     assert _int_leading_minors(rows, 2) == (Fraction(1, 2), 0, Fraction(-1, 8))
 
@@ -181,8 +183,17 @@ def test_hankel_dets_make_no_per_section_elimination(bareiss_sizes, shift):
 
 
 @pytest.mark.parametrize("shift", (0, 1))
-def test_only_sections_past_a_zero_minor_go_to_det_bareiss(bareiss_sizes, shift):
+def test_sections_past_a_zero_minor_make_no_per_section_elimination(bareiss_sizes, shift):
+    # the 1x1 minor is nonzero, the 2x2 the first zero one; a row swap
+    # repairs its pivot within the same pass
     seq = [1, 1, 1, 1, 1, -1]
     assert hankel_dets(seq, 2, shift) == (1, 0, 0)
-    # the 1x1 minor is nonzero; the 2x2 is the first zero one
-    assert bareiss_sizes == [2, 3]
+    assert bareiss_sizes == []
+
+
+def test_hankel_dets_of_a_zero_first_term_match_cofactor_expansion():
+    # m_0 = 0: every pivot of the symmetric pass needs a swap from the start
+    seq = [0, *(math.factorial(n) for n in range(1, 16))]
+    for shift in (0, 1):
+        assert hankel_dets(seq, 6, shift) == tuple(
+            det_cofactor(build_hankel(seq, k, shift)) for k in range(7))
