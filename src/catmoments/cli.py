@@ -23,8 +23,13 @@ whole report with the weight route's.
 
 Each cmd_* function computes its whole result and returns it as
 (exit code, JSON object, CSV rows with the header first, text), all built
-from the same number strings (gen and matrix: from the recurrence's ints,
-no Fraction per cell); main prints the format asked for, once.
+from the same number strings (gen and matrix: from ints over powers of
+one denominator, no Fraction per cell); main prints the format asked for,
+once.  gen and hankel-det take the terms of weights constant after their
+first entry from the closed form's recurrence (series, O(1) int operations
+a term) and of any other pair from the recursive matrix's triangle; verify
+keeps the triangle (recursive.catalan_like) as the independent check of
+the generating functions.
 Nothing reaches stdout before a command has finished, so a command that
 fails prints only its error message.
 
@@ -38,12 +43,14 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
-from .exact import TRUE, _int_leading_minors, as_rat, format_over, format_rat, format_row
+from .exact import TRUE, _int_leading_minors, _over, as_rat, format_over, format_rat, format_row
 from .hankel import (
     DEFAULT_DEPTH,
     FAIL,
@@ -69,6 +76,7 @@ from .seqspec import CATALOG, CatalogEntry, SequenceSpec, catalog_lookup, pqst_o
 from .series import (
     DEFAULT_ORDER,
     GFSpec,
+    _constant_tail_ints,
     gf_expand,
     gf_from_json,
     gf_to_json,
@@ -150,7 +158,8 @@ def parse_gf_arg(text: str):
 
 
 # the largest -n, about where factorial, the fastest-growing catalog entry,
-# takes 10 s as a process; matrix output grows as n**3 (770 MiB at 800);
+# takes 10 s as a process (polynomial tails set it: constant tails skip the
+# triangle); matrix output grows as n**3 (770 MiB at 800);
 # series by the slowest named form, delannoy or schroder_large
 GEN_MAX_N, MATRIX_MAX_N, SERIES_MAX_N = 4000, 800, 10_000
 # the largest --depth by the same rule; tp's contiguous scan passes its
@@ -193,11 +202,23 @@ def _named(name: str | None, data: dict) -> dict:
     return {"name": name, **data} if name else data
 
 
+def _term_ints(sigma: SequenceSpec, tau: SequenceSpec, n: int, weights=None) -> list:
+    """(num, den) of terms 0..n, term k = num / den.  Weights constant after
+    their first entry go by the closed form's recurrence (series), O(1) int
+    operations a term; any other pair by the triangle's column 0, on the
+    weights read_weights(sigma, tau, n, True) unless the caller has read them."""
+    pqst = pqst_of(sigma, tau)
+    if pqst is not None:
+        nums, scale = _constant_tail_ints(*pqst, n)
+        return list(zip(nums, accumulate([1, *[scale] * n], operator.mul)))
+    rows = _scaled_rows(*(weights or read_weights(sigma, tau, n, True)), n, True)
+    return [(row[0], den) for row, den in rows]
+
+
 def cmd_gen(args) -> Rendered:
     check_count("-n", args.n, 0, GEN_MAX_N)
     sigma, tau, name = resolve_weights(args)
-    rows = _scaled_rows(*read_weights(sigma, tau, args.n, True), args.n, True)
-    terms = [format_over(row[0], den) for row, den in rows]
+    terms = [format_over(num, den) for num, den in _term_ints(sigma, tau, args.n)]
     data = {"sigma": sigma.to_json(), "tau": tau.to_json(), "n": args.n, "terms": terms}
     return 0, _named(name, data), [("n", "term"), *enumerate(terms)], " ".join(terms)
 
@@ -236,7 +257,7 @@ def cmd_hankel_det(args) -> Rendered:
     sigma, tau, name = resolve_weights(args)
     top = 2 * args.depth + args.shift
     s, t = read_weights(sigma, tau, top, True)     # t_1..t_depth: terms and products
-    terms = [Fraction(row[0], den) for row, den in _scaled_rows(s, t, top, True)]
+    terms = [_over(num, den) for num, den in _term_ints(sigma, tau, top, (s, t))]
     dets = hankel_dets(terms, args.depth, args.shift)
     rows = [{"k": k, "det": format_rat(det)} for k, det in enumerate(dets)]
     lines = [f"k={row['k']} det={row['det']}" for row in rows]

@@ -16,13 +16,19 @@ serves as the test oracle.
 The recurrence runs on integers.  Each weight it uses is evaluated once and
 scaled by L, the least common multiple of their denominators; then
 L**n * r_{n,k} is an integer and row n+1 follows from row n with int
-arithmetic only.  The library returns Fractions; gen and matrix print the
-ints over L**n (exact.format_over).  Rows 0..depth use s_0..s_{depth-1} and
-t_1..t_{depth-1}.  catalan_like keeps one row at a time and only the columns
-k <= depth - n, the cells from which a path can still return to column 0 by
-the last row, so it uses only s_0..s_{(depth-1)//2} and t_1..t_{depth//2}: a
-closed path of length depth takes a level step at height k only if
-2k + 1 <= depth, and a down step from height k only if 2k <= depth.
+arithmetic only.  The library returns Fractions; matrix prints the ints
+over L**n (exact.format_over), and gen prints column 0 the same way, for
+weights not constant after their first entry.  For those that are, gen and
+hankel-det take column 0 from series._constant_tail_ints, the closed form's
+recurrence at O(1) int operations a term, where row n here takes O(n).
+catalan_like and the replay of stieltjes --terms stay on the triangle, the
+independent route that verify checks the generating functions against.
+Rows 0..depth use s_0..s_{depth-1} and t_1..t_{depth-1}.  catalan_like
+keeps one row at a time and only the columns k <= depth - n, the cells from
+which a path can still return to column 0 by the last row, so it uses only
+s_0..s_{(depth-1)//2} and t_1..t_{depth//2}: a closed path of length depth
+takes a level step at height k only if 2k + 1 <= depth, and a down step
+from height k only if 2k <= depth.
 
 build_recursive returns the rows of R as Fractions.  The shift identity check
 takes the int rows of _scaled_rows and the weight lists, and forms each entry

@@ -35,6 +35,23 @@ numerator's kth coefficient as an int.  When Q = 0, e*sqrt(P) = A is a
 polynomial and the denominator is 2A.  radical_quotient reduces each F_k
 over its denominator to a Fraction; the Riordan column check takes the
 unreduced ints (_radical_quotient_ints) instead.
+
+The same closed form gives the terms of a first-then-constant pair, which
+gen and hankel-det print (_constant_tail_ints), with no denominator that
+grows.  Write (p, q, s, t) = (p', q', s', t') / L over one L.  The terms
+times L^k, mu_k = L^k m_k, are ints (recursive's triangle runs on them),
+and their generating function M(L*x) = c / (A + e*sqrt(P)) has int data:
+c = 2t', e = q', A = 2t' - q' + (q's' - 2p't') x and
+P = 1 - 2s'x + (s'^2 - 4t'L) x^2 = (1 - s'x)^2 - 4t'L x^2, so sqrt(P) has int
+coefficients (those of sqrt(1 - 4z) are) and the root recurrence runs on
+them with no (4L)^k.  Q = A**2 - e**2 P loses m <= 2 low coefficients:
+G_0 = 4t'(t' - q'), or 4t'^2 (s' - p') when q = t, or 4t'^3 L when also
+p = s.  So G_0 mu_k = N_(k+m) - G_1 mu_(k-1) - G_2 mu_(k-2), N the int
+numerator c (A - e*sqrt(P)), and the one division a term is exact; it is
+checked all the same, and a remainder raises.  For t = 0, M(L*x) =
+(1 - s'x) / (1 - (p' + s')x + (p's' - q'L) x^2), with no root.  The
+triangle stays the independent route: verify compares gf_expand with
+recursive.catalan_like, which runs it.
 """
 
 from __future__ import annotations
@@ -74,6 +91,55 @@ class Series:
         return f"Series([{shown}{tail}], order={self.order})"
 
 
+def _exact_div(num: int, den: int) -> int:
+    """num / den for a division the mathematics makes exact; a remainder means
+    a broken invariant, so it raises rather than return a floor."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(f"{num} is not a multiple of {den}")
+    return quotient
+
+
+def _root_ints(a: int, b: int, count: int) -> list[int]:
+    """V_0..V_(count-1) of V_0 = 1, (k+1) V_(k+1) = a (1 - 2k) V_k + b (2 - k) V_(k-1):
+    the coefficients y_k w^k of y = sqrt(1 + r1*x + r2*x**2) when a = w r1 / 2
+    and b = w**2 r2 (P y' = P' y / 2), each an int when the V_k are."""
+    roots = [0, 1]                                               # V_-1, V_0, ...
+    for k in range(count - 1):
+        roots.append(_exact_div(a * (1 - 2 * k) * roots[-1] + b * (2 - k) * roots[-2], k + 1))
+    return roots[1:]
+
+
+def _quadratic_quotient(num: list[int], g0: int, g1: int, g2: int, count: int) -> list[int]:
+    """The first count coefficients of num / (g0 + g1*x + g2*x**2), known to be
+    ints: g0 v_k = num_k - g1 v_(k-1) - g2 v_(k-2), one exact division a term."""
+    quot = [0, 0]
+    for k in range(count):
+        quot.append(_exact_div(num[k] - g1 * quot[-1] - g2 * quot[-2], g0))
+    return quot[2:]
+
+
+def _constant_tail_ints(p, q, s, t, n: int) -> tuple[list[int], int]:
+    """Terms 0..n of the Catalan-like numbers of (p, s, s, ...) over
+    (q, t, t, ...) as ints over powers of one L: term k = nums[k] / L**k,
+    where L is the LCM of the denominators of p, q, s, t.  These are the
+    recursive matrix's column 0 (recursive.catalan_like), from the closed
+    form's recurrence at O(1) int operations a term; see the module notes."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    (p, q, s, t), scale = _scaled_ints([as_rat(v) for v in (p, q, s, t)])
+    if t == 0:
+        quad, num = (1, -p - s, p * s - q * scale), [1, -s, *[0] * n]
+    else:
+        c, a0, a1, e, r2 = 2 * t, 2 * t - q, q * s - 2 * p * t, q, s * s - 4 * t * scale
+        quad = (a0 * a0 - e * e, 2 * a0 * a1 + 2 * e * e * s, a1 * a1 - e * e * r2)
+        num = [-c * e * y for y in _root_ints(-s, r2, n + 3)]
+        num[0] += c * a0
+        num[1] += c * a1
+    shift = next(i for i, v in enumerate(quad) if v)
+    return _quadratic_quotient(num[shift:], *quad[shift:], *[0] * shift, n + 1), scale
+
+
 def _radical_quotient_ints(c, a0, a1, e, r1, r2, order: int) -> tuple[list[int], list[int]]:
     """Numerators and running denominators of radical_quotient's coefficients,
     unreduced: coefficient k is nums[k] / dens[k], and each dens[k] divides
@@ -99,12 +165,9 @@ def _radical_quotient_ints(c, a0, a1, e, r1, r2, order: int) -> tuple[list[int],
     # c (a0, a1, e) times G / Q = M^2 L / content, over dn
     n0, n1, ne = (c.numerator * m * scale * v for v in (big_a0, big_a1, big_e))
     dn = c.denominator * content
-    lift, root_1, root_2 = 4 * scale, 2 * big_r1, 16 * scale * big_r2
-    roots = [0, 1]                                               # U_-1, U_0, ...
-    for k in range(order + shift + 1):
-        roots.append((root_1 * (1 - 2 * k) * roots[-1] + root_2 * (2 - k) * roots[-2]) // (k + 1))
-    num = [-ne * u for u in roots[1:]]                           # N_k (4L)^k D
-    num[0] += n0
+    lift = 4 * scale                                             # U_k = y_k (4L)^k
+    num = [-ne * u for u in _root_ints(2 * big_r1, 16 * scale * big_r2, order + shift + 2)]
+    num[0] += n0                                                 # N_k (4L)^k D
     num[1] += n1 * lift
     quot, step_1, step_2, power = [0, 0], lift * g1, lift * lift * g0 * g2, 1
     for k in range(order + 1):

@@ -6,10 +6,13 @@ import collections
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +23,12 @@ import catmoments.exact
 import catmoments.hankel
 import catmoments.recursive
 from catmoments.cli import build_parser, main
+from catmoments.exact import format_over
 from catmoments.hankel import stieltjes_weights
 from catmoments.jacobi import tp_certify
-from catmoments.recursive import catalan_like, motzkin_oracle
+from catmoments.recursive import _scaled_rows, catalan_like, motzkin_oracle
 from catmoments.seqspec import CATALOG, SequenceSpec, catalog_lookup, pqst_of
+from catmoments.series import _constant_tail_ints
 from oracle import fraction_terms
 
 SIGMA_DROP = json.dumps(
@@ -424,6 +429,72 @@ def test_verify_reads_each_weight_of_its_matrix_checks_once(monkeypatch, name):
     shared = collections.Counter([(False, k) for k in range(depth + 2)]
                                  + [(True, k) for k in range(1, depth + 2)])
     assert reads == others + shared
+
+
+rationals = st.one_of(st.just(Fraction(0)), st.integers(-6, 6).map(Fraction),
+                     st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+
+
+@st.composite
+def constant_tail_weights(draw):
+    """(p, q, s, t), with the tied points q = t and q = t, p = s drawn often."""
+    p, q, s, t = (draw(rationals) for _ in range(4))
+    tie = draw(st.sampled_from(("none", "q = t", "q = t, p = s")))
+    return (s if tie == "q = t, p = s" else p), (q if tie == "none" else t), s, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(constant_tail_weights(), st.integers(0, 40))
+def test_gen_on_constant_tails_matches_the_triangle(pqst, n):
+    # the closed form's recurrence against column 0 of the recursive matrix
+    p, q, s, t = pqst
+    rows = list(_scaled_rows([p, *[s] * n], [q, *[t] * n], n, True))
+    nums, scale = _constant_tail_ints(p, q, s, t, n)
+    assert [Fraction(v, scale**k) for k, v in enumerate(nums)] == \
+        [Fraction(row[0], den) for row, den in rows]
+    specs = (SequenceSpec.first_then_constant(p, s, start=0),
+             SequenceSpec.first_then_constant(q, t, start=1))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["gen", "--sigma", json.dumps(specs[0].to_json()),
+                     "--tau", json.dumps(specs[1].to_json()), "-n", str(n)]) == 0
+    assert stdout.getvalue() == " ".join(format_over(row[0], den) for row, den in rows) + "\n"
+
+
+@pytest.fixture
+def triangle_calls(monkeypatch):
+    """Calls of recursive._scaled_rows and catalan_like, counted wherever the
+    package binds them."""
+    calls = collections.Counter()
+    for name in ("_scaled_rows", "catalan_like"):
+        original = getattr(catmoments.recursive, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "catmoments" and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_gen_and_hankel_det_on_constant_tails_run_no_triangle(capsys, triangle_calls):
+    code, out, _ = run(capsys, "gen", "--name", "catalan", "-n", "200")
+    assert code == 0 and out.split()[200] == str(math.comb(400, 200) // 201)
+    assert run(capsys, "hankel-det", "--name", "delannoy", "--depth", "8")[0] == 0
+    assert triangle_calls == {}
+    # polynomial tails still take the triangle
+    assert run(capsys, "gen", "--name", "bell", "-n", "20")[0] == 0
+    assert run(capsys, "hankel-det", "--name", "factorial", "--depth", "4")[0] == 0
+    assert triangle_calls == {"_scaled_rows": 2}
+
+
+def test_verify_checks_the_generating_function_against_the_triangle(capsys, triangle_calls):
+    code, out, _ = run(capsys, "verify", "--name", "catalan")
+    assert code == 0 and "gf_terms" in out
+    assert triangle_calls["catalan_like"] == 1 and triangle_calls["_scaled_rows"] >= 2
 
 
 class Forbidden(Exception):

@@ -200,8 +200,8 @@ def cases() -> dict[str, list[str]]:
         out[f"tp-rational-{f}"] = ["tp", *rational, "--depth", "6"]
         out[f"hankel-det-shift-{f}"] = ["hankel-det", "--name", "bell", "--depth", "6",
                                         "--shift", "1", "--format", f]
-        # t_2 = 0: both families are 0 from k = 2 on, so the sections past
-        # the first zero pivot are evaluated one by one
+        # t_2 = 0: both families are 0 from k = 2 on, so the elimination
+        # repairs a zero pivot by a row swap
         for shift in ("0", "1"):
             out[f"hankel-det-zero-weight-shift{shift}-{f}"] = [
                 "hankel-det", "--sigma", STIELTJES_WEIGHT_CASES["zero-weight"][0],

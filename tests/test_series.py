@@ -18,6 +18,8 @@ from catmoments.series import (
     GFSpec,
     Series,
     _KINDS,
+    _constant_tail_ints,
+    _quadratic_quotient,
     _radical_quotient_ints,
     gf_expand,
     gf_from_json,
@@ -26,6 +28,7 @@ from catmoments.series import (
     riordan_column_check,
 )
 import catmoments.recursive
+import catmoments.series
 from catmoments.exact import FALSE, TRUE
 from oracle import (
     fraction_divide,
@@ -500,3 +503,36 @@ def test_sqrt_matches_fraction_kernel(r1, r2, order):
     one = [Fraction(1)] + [Fraction(0)] * order
     assert list(radical_quotient(1, 0, 0, 1, r1, r2, order).coeffs) == \
         fraction_divide(one, fraction_sqrt(radicand))
+
+
+def test_quadratic_quotient_raises_on_a_remainder():
+    # 1 / (1 - x - x^2): the Fibonacci numbers; with g0 = 2 the first
+    # division leaves a remainder, which a floor would hide as 0
+    assert _quadratic_quotient([1, *[0] * 9], 1, -1, -1, 10) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    with pytest.raises(ArithmeticError):
+        _quadratic_quotient([1, *[0] * 9], 2, -1, -1, 10)
+
+
+def test_constant_tail_ints_raise_on_a_wrong_g0(monkeypatch):
+    original = catmoments.series._quadratic_quotient
+    monkeypatch.setattr(catmoments.series, "_quadratic_quotient",
+                        lambda num, g0, g1, g2, count: original(num, g0 + 1, g1, g2, count))
+    with pytest.raises(ArithmeticError):
+        _constant_tail_ints(1, 1, 2, 1, 10)
+
+
+@pytest.mark.parametrize("pqst, terms", [
+    ((1, 1, 2, 1), [1, 1, 2, 5, 14, 42]),                       # catalan: q = t
+    ((2, 2, 2, 1), [1, 2, 6, 20, 70, 252]),                     # central binomial
+    ((3, 1, 3, 1), [1, 3, 10, 36, 137, 543]),                   # q = t, p = s
+    ((2, "5/2", 3, 0), [1, 2, "13/2", "51/2", "419/4", "869/2"]),   # t = 0: no root
+    ((3, 0, 1, 2), [1, 3, 9, 27, 81, 243]),                     # q = 0: p^n
+])
+def test_constant_tail_ints_at_the_degenerate_points(pqst, terms):
+    nums, scale = _constant_tail_ints(*pqst, 5)
+    assert [Fraction(v, scale**k) for k, v in enumerate(nums)] == list(map(Fraction, terms))
+
+
+def test_constant_tail_ints_refuse_a_negative_n():
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        _constant_tail_ints(1, 1, 2, 1, -1)
