@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface: output formats, exit
 codes, file arguments, range checks on the count options, the parser kept
-for the process, and the one-shot `python -m catmoments.cli` entry point."""
+for the process, the one-shot `python -m catmoments.cli` entry point, and
+gen's closed-form route on constant tails against the triangle, with the
+commands that must and must not run the triangle."""
 
 import collections
 import contextlib
@@ -11,7 +13,6 @@ import os
 import pathlib
 import subprocess
 import sys
-
 from fractions import Fraction
 
 import pytest

@@ -1,7 +1,8 @@
 """Tests for exact truncated power series and the generating function
 layer: closed forms, specializations, named forms, the Riordan check (on
 the unreduced ints of radical_quotient's recurrences, and refuting any one
-raised cell of the columns it compares)."""
+raised cell of the columns it compares), and the checked exact divisions of
+the constant-tail terms."""
 
 import contextlib
 import random
@@ -519,18 +520,6 @@ def test_constant_tail_ints_raise_on_a_wrong_g0(monkeypatch):
                         lambda num, g0, g1, g2, count: original(num, g0 + 1, g1, g2, count))
     with pytest.raises(ArithmeticError):
         _constant_tail_ints(1, 1, 2, 1, 10)
-
-
-@pytest.mark.parametrize("pqst, terms", [
-    ((1, 1, 2, 1), [1, 1, 2, 5, 14, 42]),                       # catalan: q = t
-    ((2, 2, 2, 1), [1, 2, 6, 20, 70, 252]),                     # central binomial
-    ((3, 1, 3, 1), [1, 3, 10, 36, 137, 543]),                   # q = t, p = s
-    ((2, "5/2", 3, 0), [1, 2, "13/2", "51/2", "419/4", "869/2"]),   # t = 0: no root
-    ((3, 0, 1, 2), [1, 3, 9, 27, 81, 243]),                     # q = 0: p^n
-])
-def test_constant_tail_ints_at_the_degenerate_points(pqst, terms):
-    nums, scale = _constant_tail_ints(*pqst, 5)
-    assert [Fraction(v, scale**k) for k, v in enumerate(nums)] == list(map(Fraction, terms))
 
 
 def test_constant_tail_ints_refuse_a_negative_n():
