@@ -16,9 +16,10 @@ Hankel families
 (also of a weight pair with a zero weight, and factorial's shifted family
 at depth 24),
 stieltjes on explicit weight pairs (PASS, FAIL in either family, a zero
-weight), on term lists that invert to weights (m_0 = 3, rational,
-factorial) or fall back to elimination (a zero t_1), and on terms whose
-leading minors are nonnegative but not all positive, the (p, q, s, t)
+weight, a witness value over a denominator), on term lists that invert to
+weights (m_0 = 3, m_0 = 2/3, rational, factorial) or fall back to
+elimination (a zero t_1), on terms whose leading minors are nonnegative
+but not all positive, and at depth 0 (also hankel-det), the (p, q, s, t)
 criterion, the contiguous-minor TP route (with its single-entry witnesses),
 tp at depth 0, every named and parameterised
 generating function (the three specializations also at t = 0, and the
@@ -39,6 +40,8 @@ import io
 import json
 import math
 import pathlib
+
+from fractions import Fraction
 
 import pytest
 
@@ -98,7 +101,8 @@ CONTIGUOUS_CASES = {
 
 # weight pairs through the stieltjes product route: PASS; FAIL on det0 at
 # k = 2 (value -1); FAIL on det1 at k = 1 (value -2); PASS with both
-# families 0 from k = 2 on (t_2 = 0)
+# families 0 from k = 2 on (t_2 = 0); FAIL on det0 at k = 2 with a value
+# over a denominator (t = (1/2, -1/3, 1, ...): T_0 T_1 T_2 = -1/12)
 STIELTJES_WEIGHT_CASES = {
     "pass": (_constant_tail_spec(["3/2"], "5/2", 0), _constant_tail_spec(["2/3"], "1", 1)),
     "det0-fail": (_constant_tail_spec(["2", "3"], "3", 0),
@@ -106,6 +110,8 @@ STIELTJES_WEIGHT_CASES = {
     "det1-fail": (_constant_tail_spec(["1", "1"], "3", 0), _constant_tail_spec(["2"], "1", 1)),
     "zero-weight": (_constant_tail_spec(["2", "3"], "3", 0),
                     _constant_tail_spec(["1", "0"], "1", 1)),
+    "rational-witness": (_constant_tail_spec([], "3", 0),
+                         _constant_tail_spec(["1/2", "-1/3"], "1", 1)),
 }
 
 # a rational pair whose matrix cells at -n 8 include zeros (t_3 = 0),
@@ -151,9 +157,10 @@ def _weight_terms(sigma: str, tau: str, count: int) -> str:
 
 # explicit term lists for stieltjes --terms, with their depths: catalan's
 # terms times 3 (m_0 = 3), factorial's, the terms of a positive rational
-# pair (PASS) and of the rational polynomial-tail pair (FAIL on det1), and
-# all ones, whose weights t_1 = 0 stops the weight recovery: both families
-# are 0 from k = 1 on and the sections are semidefinite
+# pair (PASS) and of the rational polynomial-tail pair (FAIL on det1), all
+# ones, whose weights t_1 = 0 stops the weight recovery: both families
+# are 0 from k = 1 on and the sections are semidefinite, and catalan's
+# terms times 2/3, so that every determinant has a denominator m_0^(k+1)
 STIELTJES_TERM_CASES = {
     "catalan-times-3": (",".join(str(3 * math.comb(2 * n, n) // (n + 1)) for n in range(22)),
                         "10"),
@@ -161,6 +168,9 @@ STIELTJES_TERM_CASES = {
     "rational-pass": (_weight_terms(*STIELTJES_WEIGHT_CASES["pass"], 18), "8"),
     "rational-fail": (_weight_terms(RATIONAL_SIGMA, RATIONAL_TAU, 14), "6"),
     "zero-t": ("1,1,1,1,1,1", "2"),
+    "catalan-times-two-thirds": (
+        ",".join(format_rat(Fraction(2 * math.comb(2 * n, n), 3 * (n + 1))) for n in range(22)),
+        "10"),
 }
 
 GF_SPECS = {
@@ -242,6 +252,16 @@ def cases() -> dict[str, list[str]]:
                                                   "--depth", "2", "--format", f]
         out[f"stieltjes-weak-sylvester-1-{f}"] = ["stieltjes", "--terms", "2,0,0,-1",
                                                   "--depth", "1", "--format", f]
+        # depth 0: 1 x 1 sections, from a weight pair, from terms and in both
+        # families of hankel-det
+        out[f"stieltjes-depth-0-{f}"] = ["stieltjes", "--name", "catalan", "--depth", "0",
+                                         "--format", f]
+        out[f"stieltjes-terms-depth-0-{f}"] = ["stieltjes", "--terms", "1,1", "--depth", "0",
+                                               "--format", f]
+        for shift in ("0", "1"):
+            out[f"hankel-det-depth-0-shift{shift}-{f}"] = ["hankel-det", "--name", "catalan",
+                                                           "--depth", "0", "--shift", shift,
+                                                           "--format", f]
     out["gen-wide256-n70"] = ["gen", "--sigma", WIDE_SIGMA, "--tau", WIDE_TAU, "-n", "70"]
     out["gen-wide256-rational-n64"] = ["gen", "--sigma", WIDE_RATIONAL_SIGMA,
                                        "--tau", WIDE_RATIONAL_TAU, "-n", "64"]
