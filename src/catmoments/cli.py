@@ -19,7 +19,11 @@ term.  Terms that do not invert or replay go through elimination on the
 Hankel sections instead, which a zero leading minor sends on to an exact
 semidefiniteness test.  Elimination stays the independent cross check of
 the products: hankel-det prints it against them, and verify compares its
-whole report with the weight route's.
+whole report with the weight route's.  Both commands keep every
+determinant an int over its known denominator, from the weights or the
+terms to the printed digits: hankel-det hands the terms' ints at one
+common scale to the elimination and compares each minor with its product
+by cross-multiplication, and no Fraction is made per determinant.
 
 Each cmd_* function computes its whole result and returns it as
 (exit code, JSON object, CSV rows with the header first, text), all built
@@ -50,19 +54,34 @@ import sys
 from fractions import Fraction
 from itertools import accumulate
 
-from .exact import TRUE, _int_leading_minors, _over, as_rat, format_over, format_rat, format_row
+from .exact import (
+    TRUE,
+    _int_leading_minors,
+    _same_values,
+    as_rat,
+    format_over,
+    format_rat,
+    format_row,
+)
 from .hankel import (
     DEFAULT_DEPTH,
     FAIL,
     PASS,
     StieltjesReport,
-    hankel_det_products,
-    hankel_dets,
+    _section_minors,
+    _weight_families,
     stieltjes_check,
     stieltjes_weights,
     verify_H_eq_RTRt,
 )
-from .jacobi import JacobiParams, _int_section, tp_certify, tp_criterion_pqst, window_minors
+from .jacobi import (
+    JacobiParams,
+    _int_section,
+    _minor_chain,
+    _scaled_section,
+    tp_certify,
+    tp_criterion_pqst,
+)
 from .recursive import (
     ORACLE_MAX_LENGTH,
     _scaled_rows,
@@ -257,15 +276,19 @@ def cmd_hankel_det(args) -> Rendered:
     sigma, tau, name = resolve_weights(args)
     top = 2 * args.depth + args.shift
     s, t = read_weights(sigma, tau, top, True)     # t_1..t_depth: terms and products
-    terms = [_over(num, den) for num, den in _term_ints(sigma, tau, top, (s, t))]
-    dets = hankel_dets(terms, args.depth, args.shift)
-    rows = [{"k": k, "det": format_rat(det)} for k, det in enumerate(dets)]
+    pairs = _term_ints(sigma, tau, top, (s, t))
+    scale = pairs[-1][1]                            # L^top: every term's den divides it
+    ints = [num * (scale // den) for num, den in pairs[args.shift:]]
+    g = math.gcd(scale, *ints)                      # down to the LCM of the reduced dens
+    minors = _section_minors([v // g for v in ints], scale // g, args.depth)
+    rows = [{"k": k, "det": format_over(*minor)} for k, minor in enumerate(minors)]
     lines = [f"k={row['k']} det={row['det']}" for row in rows]
     if args.shift == 0:
-        # the plain family also has the weight-product form det H_k = T_0 ... T_k
-        for k, product in enumerate(hankel_det_products(t)):
-            match = dets[k] == product
-            rows[k].update(product=format_rat(product), match=match)
+        # the plain family also has the weight-product form det H_k = T_0 ... T_k,
+        # compared by cross-multiplication and printed again only when it differs
+        for k, ((num, den), (p, q)) in enumerate(zip(minors, _weight_families(s, t)[0])):
+            match = num * q == p * den
+            rows[k].update(product=rows[k]["det"] if match else format_over(p, q), match=match)
             lines[k] += f" product={rows[k]['product']} {'ok' if match else 'MISMATCH'}"
     data = {"depth": args.depth, "shift": args.shift, "rows": rows}
     table = [tuple(rows[0]), *(tuple(row.values()) for row in rows)]
@@ -330,8 +353,9 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
     # elimination on the terms against the weight products, whole report
     checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))
-    checks.append(("leading_minors_vs_det", tuple(window_minors(s[:depth + 1], t, 0))
-                   == _int_leading_minors(*_int_section(s[:depth + 1], t[:depth]))))
+    checks.append(("leading_minors_vs_det", _same_values(
+        _minor_chain(*_scaled_section(s[:depth + 1], t[:depth]), 0),
+        _int_leading_minors(*_int_section(s[:depth + 1], t[:depth])))))
     checks.append(("tp_certified", tp_certify(sigma, tau, depth).verdict == TRUE))
     if entry.gf is not None:
         expansion = gf_expand(entry.gf, depth)

@@ -1,22 +1,27 @@
 """Exact rational linear algebra: dense matrices and determinants.
 
-Everything in this package runs on arbitrary-precision rationals
-(fractions.Fraction); no floating point is ever involved.  This module holds
-the shared scalar helpers, the dense matrix value type and one fraction-free
-(Bareiss) elimination on integer rows, _minors_ints.  It reads the
-determinant of every leading section off its pivots (Sylvester's identity),
-all in one pass: a zero pivot is repaired by a row swap that keeps the row
-set of every larger section, and on a symmetric input, such as a Hankel
-section, it updates only the upper triangle, half the products, until a
-swap.  _int_leading_minors runs it on int rows over one common denominator:
-hankel.hankel_dets hands it the scaled terms and cli verify J's section
-(jacobi._int_section), no DenseMatrix.  det_bareiss runs it on a
-DenseMatrix scaled integral and keeps the last minor.  Where a zero leading
-minor leaves positive semidefiniteness open, negative_principal_minor
-decides it by a symmetric elimination with diagonal pivoting.  The
-total-positivity routes need none of these: the minors of the tridiagonal
-coefficient matrix follow a three-term recurrence (see jacobi), and the
-identity checks use band sums.
+Everything in this package runs on exact rationals, as Fractions or as ints
+over a known denominator; no floating point is ever involved.  This module
+holds the shared scalar helpers, the dense matrix value type and one
+fraction-free (Bareiss) elimination on integer rows, _minors_ints.  It
+reads the determinant of every leading section off its pivots (Sylvester's
+identity), all in one pass: a zero pivot is repaired by a row swap that
+keeps the row set of every larger section, and on a symmetric input, such
+as a Hankel section, it updates only the upper triangle, half the products,
+until a swap.  _int_leading_minors runs it on int rows over one common
+denominator and returns each minor as an int over its power of that
+denominator: hankel hands it the scaled terms (cli hankel-det the terms'
+ints at their common scale) and cli verify J's section
+(jacobi._int_section), no DenseMatrix, and no Fraction until a library
+wrapper asks for one.  Such (num, den) pairs are compared by
+cross-multiplication (_same_values) and printed by format_over, one gcd a
+printed value and none over 1.  det_bareiss runs it on a DenseMatrix scaled
+integral and keeps the last minor.  Where a zero leading minor leaves
+positive semidefiniteness open, negative_principal_minor decides it by a
+symmetric elimination with diagonal pivoting.  The total-positivity routes
+need none of these: the minors of the tridiagonal coefficient matrix follow
+a three-term recurrence (see jacobi), and the identity checks use band
+sums.
 """
 
 from __future__ import annotations
@@ -112,7 +117,10 @@ def format_rat(value: Fraction) -> str:
 
 
 def format_over(num: int, den: int) -> str:
-    """format_rat(Fraction(num, den)) for den > 0, without the Fraction."""
+    """format_rat(Fraction(num, den)) for den > 0, without the Fraction: one
+    gcd, none when den is 1."""
+    if den == 1:
+        return _int_str(num)
     g = math.gcd(num, den)
     return _format_reduced(num // g, den // g)
 
@@ -227,12 +235,20 @@ def det_bareiss(matrix: DenseMatrix) -> Fraction:
     return Fraction(_minors_ints([ints[i:i + n] for i in range(0, n * n, n)])[-1], den ** n)
 
 
-def _int_leading_minors(rows: list[list[int]], den: int) -> tuple[Fraction, ...]:
-    """The leading minors of the square matrix rows / den, k = 1..n: those of
-    the int rows (_minors_ints, on a copy) over den^k, all in one O(n^3)
-    elimination, half of it while the rows equal their transpose."""
+def _int_leading_minors(rows: list[list[int]], den: int) -> list[tuple[int, int]]:
+    """The leading minors of the square matrix rows / den, k = 1..n, as
+    (num, den^k) int pairs: those of the int rows (_minors_ints, on a copy)
+    over den^k, all in one O(n^3) elimination, half of it while the rows
+    equal their transpose."""
     scales = accumulate([den] * len(rows), operator.mul)
-    return tuple(map(_over, _minors_ints([list(row) for row in rows]), scales))
+    return list(zip(_minors_ints([list(row) for row in rows]), scales))
+
+
+def _same_values(a, b) -> bool:
+    """Whether two sequences of (num, den) int pairs, every den > 0, hold the
+    same values in the same order, by cross-multiplication: no gcd."""
+    a, b = list(a), list(b)
+    return len(a) == len(b) and all(p * s == r * q for (p, q), (r, s) in zip(a, b))
 
 
 def negative_principal_minor(matrix: DenseMatrix) -> Optional[tuple[list[int], Fraction]]:

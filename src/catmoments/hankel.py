@@ -14,8 +14,9 @@ report with one helper, so the same families give the same report.
     shifted one as H^(1) = R (J T) R^t with J the coefficient matrix, so
     on every section det H_n = T_0 * ... * T_n (hankel_det_products) and
     det H^(1)_n = D_n * T_0 * ... * T_n with D_n the leading minor of J
-    (jacobi.window_minors from row 0): O(depth) integer multiplications
-    over weights read once (recursive.read_weights) and scaled integral.
+    (jacobi._minor_chain from row 0): O(depth) integer multiplications
+    over weights read once (recursive.read_weights) and scaled integral
+    (_weight_families).
 
   * stieltjes_check, for explicit terms (a plain sequence m_0, m_1, ...),
     inverts them first: the Chebyshev algorithm (Gautschi, Orthogonal
@@ -28,17 +29,27 @@ report with one helper, so the same families give the same report.
     m_0^(k+1).  Terms with m_0 <= 0, with a zero t_k (a zero leading minor
     of H) or that do not replay go to elimination instead.
 
+Both families stay ints until they are printed.  Each determinant is a
+(num, den) pair of ints over the denominator its route knows: a power of
+the weights' common denominator on the weight route, a power of the terms'
+one from elimination.  Signs, the verdict and the witness are read off the
+numerators (every den is positive), two reports are compared by
+cross-multiplication, and to_json prints each value with exact.format_over.
+StieltjesReport.dets0/dets1, hankel_dets and hankel_det_products are the
+thin Fraction forms of the same ints, for library callers.
+
 Elimination is the fallback of stieltjes_check and the independent cross
-check of the weight products (cli verify, cli hankel-det).  hankel_dets, the
-only place a family is evaluated by elimination, scales the 2 depth+1 terms
-of the family to integers over one denominator, and their windows are the
-rows of the largest section: one symmetric fraction-free elimination
-(exact._int_leading_minors) reads every leading minor off its pivots, about
-depth^3/6 products per family and no DenseMatrix.  A negative leading
-minor refutes.  Nonnegative leading minors prove semidefiniteness only when
-all are positive, so a family with a zero one has its largest section
-decided by exact.negative_principal_minor, whose witness names a negative
-principal minor by its rows.
+check of the weight products (cli verify, cli hankel-det).  A family is
+evaluated by elimination in one place, _section_minors: the 2 depth+1
+terms of the family as integers over one denominator, whose windows are
+the rows of the largest section, go through one symmetric fraction-free
+elimination (exact._int_leading_minors) that reads every leading minor off
+its pivots, about depth^3/6 products per family and no DenseMatrix.  cli
+hankel-det hands it the terms' ints at their common scale.  A negative
+leading minor refutes.  Nonnegative leading minors prove semidefiniteness
+only when all are positive, so a family with a zero one has its largest
+section decided by exact.negative_principal_minor, whose witness names a
+negative principal minor by its rows.
 
 Why nonnegative leading minors suffice on the weight products: H_n and
 H^(1)_n are congruent, through the invertible R_n, to the diagonal T_n and
@@ -62,7 +73,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, starmap
 from typing import Optional, Sequence
 
 from .exact import (
@@ -71,12 +82,14 @@ from .exact import (
     DenseMatrix,
     _int_leading_minors,
     _over,
+    _same_values,
     _scaled_ints,
     as_rat,
+    format_over,
     format_rat,
     negative_principal_minor,
 )
-from .jacobi import window_minors
+from .jacobi import _minor_chain
 from .recursive import _scaled_rows, read_weights
 from .seqspec import SequenceSpec
 
@@ -105,64 +118,97 @@ def build_hankel(terms: Sequence, depth: int, shift: int = 0) -> DenseMatrix:
     return DenseMatrix(window[i:i + depth + 1] for i in range(depth + 1))
 
 
-def hankel_dets(terms: Sequence, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
-    """det[m_{i+j+shift}] on the (k+1) x (k+1) sections for k = 0..depth,
-    all read off one elimination of the largest section, whose integer rows
-    are windows of the terms scaled by one common denominator."""
-    ints, den = _scaled_ints(_hankel_terms(terms, depth, shift))
+def _section_minors(ints: list[int], den: int, depth: int) -> list[tuple[int, int]]:
+    """The leading minors, k = 0..depth, of the Hankel section whose row i is
+    the window ints[i:i + depth + 1] over den, as (num, den^(k+1)) ints."""
     return _int_leading_minors([ints[i:i + depth + 1] for i in range(depth + 1)], den)
 
 
-@dataclass(frozen=True)
+def _elimination_family(terms: Sequence, depth: int, shift: int) -> list[tuple[int, int]]:
+    """det[m_{i+j+shift}] for k = 0..depth as (num, den) ints, read off one
+    elimination of the largest section, whose integer rows are windows of
+    the terms scaled by one common denominator."""
+    return _section_minors(*_scaled_ints(_hankel_terms(terms, depth, shift)), depth)
+
+
+def hankel_dets(terms: Sequence, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
+    """det[m_{i+j+shift}] on the (k+1) x (k+1) sections for k = 0..depth, as
+    Fractions: the library form of the elimination's ints."""
+    return tuple(starmap(_over, _elimination_family(terms, depth, shift)))
+
+
+@dataclass(frozen=True, eq=False)
 class StieltjesReport:
     """Both determinant families up to a depth, with the verdict.
 
-    dets0[k] = det[m_{i+j}] and dets1[k] = det[m_{i+j+1}] on (k+1)-sections.
-    PASS means both largest sections are positive semidefinite.  FAIL
-    carries a witness: the first negative determinant (smallest k, plain
-    family before shifted) as family, k and value, or, when no determinant
-    is negative, a negative principal minor as family, rows and value.
-    Either way the claim is bounded by the stated depth.
+    family0[k] and family1[k] are det[m_{i+j}] and det[m_{i+j+1}] on the
+    (k+1)-sections as (num, den) int pairs, den > 0, over the denominators
+    the route produced them on; dets0 and dets1 are their Fractions, for
+    library callers.  Two reports are equal when their depths, values,
+    verdicts and witnesses are, whatever the denominators.  PASS means both
+    largest sections are positive semidefinite.  FAIL carries a witness:
+    the first negative determinant (smallest k, plain family before shifted)
+    as family, k and value, or, when no determinant is negative, a negative
+    principal minor as family, rows and value.  Either way the claim is
+    bounded by the stated depth.
     """
 
     depth: int
-    dets0: tuple[Fraction, ...]
-    dets1: tuple[Fraction, ...]
+    family0: tuple[tuple[int, int], ...]
+    family1: tuple[tuple[int, int], ...]
     verdict: str
     witness: Optional[dict] = None
 
+    @property
+    def dets0(self) -> tuple[Fraction, ...]:
+        return tuple(starmap(_over, self.family0))
+
+    @property
+    def dets1(self) -> tuple[Fraction, ...]:
+        return tuple(starmap(_over, self.family1))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StieltjesReport):
+            return NotImplemented
+        return ((self.depth, self.verdict, self.witness)
+                == (other.depth, other.verdict, other.witness)
+                and _same_values(self.family0, other.family0)
+                and _same_values(self.family1, other.family1))
+
     @classmethod
-    def from_dets(cls, depth: int, dets0, dets1,
-                  terms: Optional[Sequence] = None) -> "StieltjesReport":
-        """The report on two determinant families.  terms, when given, have
-        the Hankel sections of a family decided by elimination when that
-        family has no negative leading minor but a zero one."""
-        dets0, dets1 = tuple(dets0), tuple(dets1)
-        witness = next(({"family": family, "k": k, "value": format_rat(dets[k])}
+    def from_families(cls, depth: int, family0, family1,
+                      terms: Optional[Sequence] = None) -> "StieltjesReport":
+        """The report on two families of (num, den) ints, every sign read
+        off a numerator.  terms, when given, have the Hankel sections of a
+        family decided by elimination when that family has no negative
+        leading minor but a zero one."""
+        families = tuple(family0), tuple(family1)
+        witness = next(({"family": f"det{shift}", "k": k, "value": format_over(*family[k])}
                         for k in range(depth + 1)
-                        for family, dets in (("det0", dets0), ("det1", dets1))
-                        if dets[k] < 0), None)
+                        for shift, family in enumerate(families)
+                        if family[k][0] < 0), None)
         if witness is None and terms is not None:
-            for shift, dets in enumerate((dets0, dets1)):
-                found = 0 in dets and negative_principal_minor(build_hankel(terms, depth, shift))
+            for shift, family in enumerate(families):
+                found = any(num == 0 for num, _ in family) and \
+                    negative_principal_minor(build_hankel(terms, depth, shift))
                 if found:
                     witness = {"family": f"det{shift}", "rows": found[0],
                                "value": format_rat(found[1])}
                     break
-        return cls(depth, dets0, dets1, PASS if witness is None else FAIL, witness)
+        return cls(depth, *families, PASS if witness is None else FAIL, witness)
 
     @classmethod
     def by_elimination(cls, terms: Sequence, depth: int) -> "StieltjesReport":
         """The report on both families of the explicit terms evaluated by
         elimination, each section with a zero leading minor decided too."""
-        return cls.from_dets(depth, hankel_dets(terms, depth, 0),
-                             hankel_dets(terms, depth, 1), terms)
+        return cls.from_families(depth, _elimination_family(terms, depth, 0),
+                                 _elimination_family(terms, depth, 1), terms)
 
     def to_json(self) -> dict:
         data = {
             "depth": self.depth,
-            "dets0": [format_rat(v) for v in self.dets0],
-            "dets1": [format_rat(v) for v in self.dets1],
+            "dets0": list(starmap(format_over, self.family0)),
+            "dets1": list(starmap(format_over, self.family1)),
             "verdict": self.verdict,
         }
         if self.witness is not None:
@@ -202,9 +248,26 @@ def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
 def _weight_report(depth: int, s: list, t: list, m0=Fraction(1)) -> StieltjesReport:
     """The report on m0 times the Catalan-like numbers of s_0..s_depth and
     t_1..t_depth, both families read off the weights."""
-    dets0 = hankel_det_products(t, m0)
-    dets1 = map(operator.mul, window_minors(s, t, 0), dets0)
-    return StieltjesReport.from_dets(depth, dets0, dets1)
+    return StieltjesReport.from_families(depth, *_weight_families(s, t, m0))
+
+
+def _weight_families(s: list, t: list, m0=Fraction(1)) -> tuple[list, list]:
+    """Both Hankel families of m0 times the Catalan-like numbers of s_0..
+    and t_1..t_d, as (num, den) int pairs, den > 0: det H_n for n = 0..d and
+    det H^(1)_n for n = 0..min(d, len(s) - 1).
+
+    With L the LCM of the denominators of m0, s and t, the ints L m0 and
+    L t_k make L^(k+1) m0 T_k = (L m0)(L t_1)...(L t_k), and their running
+    product P_n is det H_n = m0^(n+1) T_0 ... T_n over L^((n+1)(n+2)/2).
+    jacobi._minor_chain gives D'_n = L^(n+1) D_n, and det H^(1)_n = D_n det
+    H_n is D'_n P_n over the product of the two scales."""
+    ints, scale = _scaled_ints([m0, *t, *s])
+    cut = len(t) + 1
+    powers = accumulate([scale] * cut, operator.mul)                # L^(n+1)
+    products = accumulate(accumulate(ints[:cut], operator.mul), operator.mul)
+    family0 = list(zip(products, accumulate(powers, operator.mul)))
+    chain = _minor_chain(ints[cut:], ints[1:cut], scale, 0)
+    return family0, [(d * p, c * q) for (d, c), (p, q) in zip(chain, family0)]
 
 
 def _chebyshev_weights(terms: list[Fraction], depth: int) -> Optional[tuple[list, list]]:
@@ -241,11 +304,13 @@ def _chebyshev_weights(terms: list[Fraction], depth: int) -> Optional[tuple[list
 
 def _replays(terms: list[Fraction], s: list, t: list) -> bool:
     """Whether m_0 times the Catalan-like numbers of the weights gives back
-    every term: the certificate that the inversion found the weights.  The
-    2 depth+2 terms use exactly s_0..s_depth and t_1..t_depth."""
-    m0 = terms[0]
+    every term: the certificate that the inversion found the weights,
+    checked by int cross-multiplication of m_0 row[0] / den with each term.
+    The 2 depth+2 terms use exactly s_0..s_depth and t_1..t_depth."""
+    a, b = terms[0].numerator, terms[0].denominator
     rows = _scaled_rows(s, t, len(terms) - 1, True)
-    return [m0 * Fraction(row[0], den) for row, den in rows] == terms
+    return all(a * row[0] * m.denominator == m.numerator * b * den
+               for (row, den), m in zip(rows, terms))
 
 
 def verify_H_eq_RTRt(rows, t: list, terms: Sequence, depth: int) -> str:
@@ -283,8 +348,6 @@ def hankel_det_products(t: Sequence[Fraction], m0: Fraction = Fraction(1)) -> li
     weights t_1..t_d alone: by H = R T R^t with R unit triangular, the
     running product T_0 * ... * T_n of T_0 = 1, T_k = t_1 * ... * t_k.  For
     m0 times the terms of the weights each T_k is scaled by m0, which
-    scales the n-th product by m0^(n+1).  Over L, the LCM of the
-    denominators of m0 and t, m0 T_k is an integer over L^(k+1)."""
-    ints, den = _scaled_ints([m0, *t])
-    products = accumulate(accumulate(ints, operator.mul), operator.mul)
-    return [_over(p, den ** ((n + 1) * (n + 2) // 2)) for n, p in enumerate(products)]
+    scales the n-th product by m0^(n+1).  The Fractions of
+    _weight_families' ints."""
+    return list(starmap(_over, _weight_families([], t, m0)[0]))

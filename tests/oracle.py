@@ -116,7 +116,8 @@ def leading_principal_minors(matrix: DenseMatrix) -> tuple[Fraction, ...]:
         raise ValueError(f"leading minors need a square matrix, got {matrix!r}")
     n = matrix.rows
     ints, den = _scaled_ints([x for row in matrix.entries for x in row])
-    return _int_leading_minors([ints[i:i + n] for i in range(0, n * n, n)], den)
+    return tuple(itertools.starmap(
+        Fraction, _int_leading_minors([ints[i:i + n] for i in range(0, n * n, n)], den)))
 
 
 def jacobi_window(s, t, lo: int, hi: int) -> DenseMatrix:

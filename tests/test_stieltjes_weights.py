@@ -13,10 +13,18 @@ none either, and the weight route, the weight lists tp_by_leading_minors
 takes (recursive.read_weights) and tp_sufficient_dominance read each weight
 exactly once, as does tp_certify for its two minor routes together;
 dominance reads none from the first index past both prefixes when the tails
-certify the rest.
+certify the rest.  The int families, (num, den) pairs kept until printed,
+must equal a Fraction reference built from tests/oracle (the products of
+T_k and the minor chain) in values, verdict and witness, from a pair and
+from its terms times m_0; two reports on different denominators are equal
+by value; and stieltjes and hankel-det make no Fraction per determinant.
 """
 
+import collections
+import dataclasses
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -46,7 +54,13 @@ from catmoments.jacobi import (
 )
 from catmoments.recursive import catalan_like, read_weights
 from catmoments.seqspec import ConstantTail, PolynomialTail, SequenceSpec, catalog_lookup
-from oracle import det_cofactor, principal_minors_nonneg, submatrix
+from oracle import (
+    det_cofactor,
+    fraction_det_products,
+    fraction_window_minors,
+    principal_minors_nonneg,
+    submatrix,
+)
 
 values = st.one_of(
     st.just(Fraction(0)),
@@ -275,13 +289,120 @@ def test_verify_compares_the_whole_report(monkeypatch):
 
     def shifted_family_off_by_one(sigma, tau, depth):
         report = real(sigma, tau, depth)
-        dets1 = (report.dets1[0] + 1, *report.dets1[1:])
-        return type(report)(depth, report.dets0, dets1, report.verdict, report.witness)
+        (num, den), *rest = report.family1
+        return dataclasses.replace(report, family1=((num + den, den), *rest))
 
     monkeypatch.setattr(catmoments.cli, "stieltjes_weights", shifted_family_off_by_one)
     checks = dict(catmoments.cli.verify_checks(entry, 4))
     assert checks["det_product"] is False
     assert [label for label, ok in checks.items() if not ok] == ["det_product"]
+
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 5).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 12), st.sampled_from((2, 3, 4, 7))),
+)
+tails = st.one_of(st.builds(ConstantTail, rationals),
+                  st.builds(lambda a, b: PolynomialTail((a, b)), rationals, rationals))
+
+
+@st.composite
+def rational_pairs(draw):
+    """Prefixes of at most two rationals (zero and negative weights
+    included), constant or linear tails, and a depth 0..12."""
+    sigma = SequenceSpec(tuple(draw(st.lists(rationals, max_size=2))), draw(tails), start=0)
+    tau = SequenceSpec(tuple(draw(st.lists(rationals, max_size=2))), draw(tails), start=1)
+    return sigma, tau, draw(st.integers(0, 12))
+
+
+def fraction_report(sigma, tau, depth, m0=Fraction(1)):
+    """(dets0, dets1, verdict, witness) of m0 times the pair's terms, on
+    Fractions: the products of T_k, the minor chain of J times them, and the
+    first negative value, plain family before shifted at each k."""
+    s, t = read_weights(sigma, tau, depth + 1)
+    dets0 = fraction_det_products(t, m0)
+    dets1 = [d * p for d, p in zip(fraction_window_minors(s, t, 0), dets0)]
+    witness = next(({"family": f"det{shift}", "k": k, "value": format_rat(dets[k])}
+                    for k in range(depth + 1)
+                    for shift, dets in enumerate((dets0, dets1)) if dets[k] < 0), None)
+    return tuple(dets0), tuple(dets1), PASS if witness is None else FAIL, witness
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_pairs())
+def test_int_families_of_a_weight_pair_equal_the_fraction_reference(pair):
+    sigma, tau, depth = pair
+    report = stieltjes_weights(sigma, tau, depth)
+    assert (report.dets0, report.dets1, report.verdict, report.witness) == \
+        fraction_report(sigma, tau, depth)
+    assert all(den > 0 for _, den in report.family0 + report.family1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_pairs(), st.builds(Fraction, st.integers(1, 9), st.integers(1, 7)))
+def test_int_families_of_scaled_terms_equal_the_fraction_reference(pair, m0):
+    # terms that invert and replay take the int weight route, and terms
+    # with a zero t_k elimination, which must agree with it
+    sigma, tau, depth = pair
+    terms = [m0 * v for v in catalan_like(sigma, tau, 2 * depth + 1)]
+    report = stieltjes_check(terms, depth)
+    assert (report.dets0, report.dets1, report.verdict, report.witness) == \
+        fraction_report(sigma, tau, depth, m0)
+
+
+def test_reports_on_different_denominators_are_equal_by_value():
+    # elimination scales the terms by the LCM of their denominators, the
+    # weight route the weights by theirs: the ints differ, the values and
+    # so the reports (what verify's det_product compares) do not
+    sigma = SequenceSpec((Fraction(3, 2),), ConstantTail(Fraction(5, 2)), start=0)
+    tau = SequenceSpec((Fraction(2, 3),), ConstantTail(Fraction(7, 5)), start=1)
+    depth = 5
+    weights = stieltjes_weights(sigma, tau, depth)
+    elimination = StieltjesReport.by_elimination(catalan_like(sigma, tau, 2 * depth + 1), depth)
+    assert weights.family0 != elimination.family0 and weights.family1 != elimination.family1
+    assert weights == elimination and weights.verdict == PASS
+    (num, den), *rest = elimination.family1
+    assert weights != dataclasses.replace(elimination, family1=((num - den, den), *rest))
+
+
+# the Fraction forms the int families replace: a determinant made a
+# Fraction, a Fraction printed, the minor chain as Fractions
+WRAPPERS = ((catmoments.exact, "_over"), (catmoments.exact, "format_rat"),
+            (catmoments.jacobi, "window_minors"))
+
+
+@pytest.fixture
+def wrapper_calls(monkeypatch):
+    """Calls of the WRAPPERS, counted wherever a module of the package binds
+    them."""
+    calls = collections.Counter()
+    for home, name in WRAPPERS:
+        original = getattr(home, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "catmoments" and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_families_stay_ints_until_printed(capsys, wrapper_calls):
+    catalan = ",".join(str(math.comb(2 * n, n) // (n + 1)) for n in range(18))
+    assert main(["stieltjes", "--name", "factorial", "--depth", "20"]) == 0
+    assert main(["stieltjes", "--terms", catalan, "--depth", "8", "--format", "json"]) == 0
+    assert main(["hankel-det", "--name", "delannoy", "--depth", "24"]) == 0
+    assert wrapper_calls == {}
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "verdict: PASS (depth 20)" and out[-1].endswith(" ok")
+    # the positive control: t_1 = 0 sends these terms to elimination, whose
+    # principal-minor witness is a Fraction
+    assert main(["stieltjes", "--terms", "1,1,1,1,1,-1", "--depth", "2"]) == 1
+    assert wrapper_calls == {"format_rat": 1}
 
 
 @pytest.fixture
