@@ -275,21 +275,23 @@ def cmd_hankel_det(args) -> Rendered:
     check_count("--depth", args.depth, 0, HANKEL_DET_MAX_DEPTH)
     sigma, tau, name = resolve_weights(args)
     top = 2 * args.depth + args.shift
-    s, t = read_weights(sigma, tau, top, True)     # t_1..t_depth: terms and products
+    # t_1..t_depth, and s_0..s_depth at shift 1: the terms and the products
+    s, t = read_weights(sigma, tau, top, True)
     pairs = _term_ints(sigma, tau, top, (s, t))
     scale = pairs[-1][1]                            # L^top: every term's den divides it
     ints = [num * (scale // den) for num, den in pairs[args.shift:]]
     g = math.gcd(scale, *ints)                      # down to the LCM of the reduced dens
     minors = _section_minors([v // g for v in ints], scale // g, args.depth)
-    rows = [{"k": k, "det": format_over(*minor)} for k, minor in enumerate(minors)]
-    lines = [f"k={row['k']} det={row['det']}" for row in rows]
-    if args.shift == 0:
-        # the plain family also has the weight-product form det H_k = T_0 ... T_k,
-        # compared by cross-multiplication and printed again only when it differs
-        for k, ((num, den), (p, q)) in enumerate(zip(minors, _weight_families(s, t)[0])):
-            match = num * q == p * den
-            rows[k].update(product=rows[k]["det"] if match else format_over(p, q), match=match)
-            lines[k] += f" product={rows[k]['product']} {'ok' if match else 'MISMATCH'}"
+    # each family against its weight-product form, det H_k = T_0 ... T_k and
+    # det H^(1)_k = D_k T_0 ... T_k, by cross-multiplication; a product is
+    # printed again only when it differs
+    rows, lines = [], []
+    for k, ((num, den), (p, q)) in enumerate(zip(minors, _weight_families(s, t)[args.shift])):
+        det, match = format_over(num, den), num * q == p * den
+        rows.append({"k": k, "det": det, "product": det if match else format_over(p, q),
+                     "match": match})
+        lines.append(f"k={k} det={det} product={rows[k]['product']} "
+                     + ("ok" if match else "MISMATCH"))
     data = {"depth": args.depth, "shift": args.shift, "rows": rows}
     table = [tuple(rows[0]), *(tuple(row.values()) for row in rows)]
     code = 0 if all(row.get("match", True) for row in rows) else 1

@@ -288,10 +288,35 @@ def test_hankel_det_product_column(capsys):
 
 
 def test_hankel_det_shifted_family(capsys):
+    # checked against D_k T_0 ... T_k, as the plain family against T_0 ... T_k
     code, out, _ = run(capsys, "hankel-det", "--name", "catalan", "--depth", "2",
                        "--shift", "1", "--format", "csv")
     assert code == 0
-    assert out.splitlines() == ["k,det", "0,1", "1,1", "2,1"]
+    assert out.splitlines() == ["k,det,product,match", "0,1,1,true", "1,1,1,true",
+                                "2,1,1,true"]
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_hankel_det_reports_a_product_that_differs(capsys, monkeypatch, shift):
+    # the product of k = 1 raised by 1/3: that row alone misses, prints the
+    # product's own value and makes the exit code 1
+    real = catmoments.cli._weight_families
+
+    def off_at_k1(s, t):
+        families = real(s, t)
+        (num, den) = families[shift][1]
+        families[shift][1] = (3 * num + den, 3 * den)
+        return families
+
+    monkeypatch.setattr(catmoments.cli, "_weight_families", off_at_k1)
+    code, out, _ = run(capsys, "hankel-det", "--name", "bell", "--depth", "2",
+                       "--shift", str(shift), "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert code == 1 and [row["match"] for row in rows] == [True, False, True]
+    assert Fraction(rows[1]["product"]) == Fraction(rows[1]["det"]) + Fraction(1, 3)
+    code, out, _ = run(capsys, "hankel-det", "--name", "bell", "--depth", "2",
+                       "--shift", str(shift))
+    assert code == 1 and out.splitlines()[1].endswith(" MISMATCH")
 
 
 def test_tp_pqst_true(capsys):
