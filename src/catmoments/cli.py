@@ -52,17 +52,9 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, starmap
 
-from .exact import (
-    TRUE,
-    _int_leading_minors,
-    _same_values,
-    as_rat,
-    format_over,
-    format_rat,
-    format_row,
-)
+from .exact import TRUE, _int_leading_minors, _over, as_rat, format_over, format_rat, format_row
 from .hankel import (
     DEFAULT_DEPTH,
     FAIL,
@@ -74,14 +66,7 @@ from .hankel import (
     stieltjes_weights,
     verify_H_eq_RTRt,
 )
-from .jacobi import (
-    JacobiParams,
-    _int_section,
-    _minor_chain,
-    _scaled_section,
-    tp_certify,
-    tp_criterion_pqst,
-)
+from .jacobi import JacobiParams, _int_section, tp_certify, tp_criterion_pqst, window_minors
 from .recursive import (
     ORACLE_MAX_LENGTH,
     _scaled_rows,
@@ -355,9 +340,8 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
     # elimination on the terms against the weight products, whole report
     checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))
-    checks.append(("leading_minors_vs_det", _same_values(
-        _minor_chain(*_scaled_section(s[:depth + 1], t[:depth]), 0),
-        _int_leading_minors(*_int_section(s[:depth + 1], t[:depth])))))
+    checks.append(("leading_minors_vs_det", tuple(window_minors(s[:depth + 1], t, 0)) == tuple(
+        starmap(_over, _int_leading_minors(*_int_section(s[:depth + 1], t[:depth]))))))
     checks.append(("tp_certified", tp_certify(sigma, tau, depth).verdict == TRUE))
     if entry.gf is not None:
         expansion = gf_expand(entry.gf, depth)

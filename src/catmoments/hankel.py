@@ -29,14 +29,12 @@ report with one helper, so the same families give the same report.
     m_0^(k+1).  Terms with m_0 <= 0, with a zero t_k (a zero leading minor
     of H) or that do not replay go to elimination instead.
 
-Both families stay ints until they are printed.  Each determinant is a
-(num, den) pair of ints over the denominator its route knows: a power of
-the weights' common denominator on the weight route, a power of the terms'
-one from elimination.  Signs, the verdict and the witness are read off the
-numerators (every den is positive), two reports are compared by
-cross-multiplication, and to_json prints each value with exact.format_over.
+Both families stay ints until they are printed: each determinant is an int
+over a power of the weights' or the terms' common denominator.  Signs, the
+verdict and the witness are read off the numerators, reports are compared
+by cross-multiplication, and to_json prints with exact.format_over.
 StieltjesReport.dets0/dets1, hankel_dets and hankel_det_products are the
-thin Fraction forms of the same ints, for library callers.
+Fraction forms of the same ints, for library callers.
 
 Elimination is the fallback of stieltjes_check and the independent cross
 check of the weight products (cli verify, cli hankel-det).  A family is
@@ -124,17 +122,13 @@ def _section_minors(ints: list[int], den: int, depth: int) -> list[tuple[int, in
     return _int_leading_minors([ints[i:i + depth + 1] for i in range(depth + 1)], den)
 
 
-def _elimination_family(terms: Sequence, depth: int, shift: int) -> list[tuple[int, int]]:
-    """det[m_{i+j+shift}] for k = 0..depth as (num, den) ints, read off one
-    elimination of the largest section, whose integer rows are windows of
-    the terms scaled by one common denominator."""
-    return _section_minors(*_scaled_ints(_hankel_terms(terms, depth, shift)), depth)
-
-
 def hankel_dets(terms: Sequence, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
-    """det[m_{i+j+shift}] on the (k+1) x (k+1) sections for k = 0..depth, as
-    Fractions: the library form of the elimination's ints."""
-    return tuple(starmap(_over, _elimination_family(terms, depth, shift)))
+    """det[m_{i+j+shift}] on the (k+1) x (k+1) sections for k = 0..depth,
+    all read off one elimination of the largest section, whose integer rows
+    are windows of the terms scaled by one common denominator: the
+    Fractions of _section_minors' ints."""
+    ints, den = _scaled_ints(_hankel_terms(terms, depth, shift))
+    return tuple(starmap(_over, _section_minors(ints, den, depth)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,15 +136,14 @@ class StieltjesReport:
     """Both determinant families up to a depth, with the verdict.
 
     family0[k] and family1[k] are det[m_{i+j}] and det[m_{i+j+1}] on the
-    (k+1)-sections as (num, den) int pairs, den > 0, over the denominators
-    the route produced them on; dets0 and dets1 are their Fractions, for
-    library callers.  Two reports are equal when their depths, values,
-    verdicts and witnesses are, whatever the denominators.  PASS means both
-    largest sections are positive semidefinite.  FAIL carries a witness:
-    the first negative determinant (smallest k, plain family before shifted)
-    as family, k and value, or, when no determinant is negative, a negative
-    principal minor as family, rows and value.  Either way the claim is
-    bounded by the stated depth.
+    (k+1)-sections as (num, den) ints, den > 0; dets0 and dets1 are their
+    Fractions.  Reports are equal when their values are, whatever the
+    denominators, and so are their depths, verdicts and witnesses.  PASS
+    means both largest sections are positive semidefinite.  FAIL carries a
+    witness: the first negative determinant (smallest k, plain family
+    before shifted) as family, k and value, or, when no determinant is
+    negative, a negative principal minor as family, rows and value.  Either
+    way the claim is bounded by the stated depth.
     """
 
     depth: int
@@ -201,8 +194,9 @@ class StieltjesReport:
     def by_elimination(cls, terms: Sequence, depth: int) -> "StieltjesReport":
         """The report on both families of the explicit terms evaluated by
         elimination, each section with a zero leading minor decided too."""
-        return cls.from_families(depth, _elimination_family(terms, depth, 0),
-                                 _elimination_family(terms, depth, 1), terms)
+        families = (_section_minors(*_scaled_ints(_hankel_terms(terms, depth, shift)), depth)
+                    for shift in (0, 1))
+        return cls.from_families(depth, *families, terms)
 
     def to_json(self) -> dict:
         data = {
@@ -231,7 +225,7 @@ def stieltjes_check(terms: Sequence, depth: int = DEFAULT_DEPTH) -> StieltjesRep
     weights = _chebyshev_weights(terms, depth) if m0 > 0 else None
     if weights is None or not _replays(terms, *weights):
         return StieltjesReport.by_elimination(terms, depth)
-    return _weight_report(depth, *weights, m0)
+    return StieltjesReport.from_families(depth, *_weight_families(*weights, m0))
 
 
 def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
@@ -242,13 +236,8 @@ def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
     docstring), so no elimination is needed past a zero one."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return _weight_report(depth, *read_weights(sigma, tau, depth + 1))
-
-
-def _weight_report(depth: int, s: list, t: list, m0=Fraction(1)) -> StieltjesReport:
-    """The report on m0 times the Catalan-like numbers of s_0..s_depth and
-    t_1..t_depth, both families read off the weights."""
-    return StieltjesReport.from_families(depth, *_weight_families(s, t, m0))
+    s, t = read_weights(sigma, tau, depth + 1)
+    return StieltjesReport.from_families(depth, *_weight_families(s, t))
 
 
 def _weight_families(s: list, t: list, m0=Fraction(1)) -> tuple[list, list]:
