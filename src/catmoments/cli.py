@@ -279,7 +279,7 @@ def cmd_hankel_det(args) -> Rendered:
                      + ("ok" if match else "MISMATCH"))
     data = {"depth": args.depth, "shift": args.shift, "rows": rows}
     table = [tuple(rows[0]), *(tuple(row.values()) for row in rows)]
-    code = 0 if all(row.get("match", True) for row in rows) else 1
+    code = 0 if all(row["match"] for row in rows) else 1
     return code, _named(name, data), table, "\n".join(lines)
 
 

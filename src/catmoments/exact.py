@@ -10,10 +10,9 @@ keeps the row set of every larger section, and on a symmetric input, such
 as a Hankel section, it updates only the upper triangle, half the products,
 until a swap.  _int_leading_minors runs it on int rows over one common
 denominator and returns each minor as an int over its power of that
-denominator: hankel hands it the scaled terms (cli hankel-det the terms'
-ints at their common scale) and cli verify J's section
-(jacobi._int_section), no DenseMatrix, and no Fraction until a library
-wrapper asks for one.  Such (num, den) pairs are compared by
+denominator, no DenseMatrix and no Fraction: hankel hands it the scaled
+terms (cli hankel-det the terms' ints at their common scale) and cli verify
+J's section (jacobi._int_section).  Such (num, den) pairs are compared by
 cross-multiplication (_same_values) and printed by format_over, one gcd a
 printed value and none over 1.  det_bareiss runs it on a DenseMatrix scaled
 integral and keeps the last minor.  Where a zero leading minor leaves
