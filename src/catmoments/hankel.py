@@ -236,8 +236,8 @@ def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
     docstring), so no elimination is needed past a zero one."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    s, t = read_weights(sigma, tau, depth + 1)
-    return StieltjesReport.from_families(depth, *_weight_families(s, t))
+    return StieltjesReport.from_families(
+        depth, *_weight_families(*read_weights(sigma, tau, depth + 1)))
 
 
 def _weight_families(s: list, t: list, m0=Fraction(1)) -> tuple[list, list]:
