@@ -43,7 +43,6 @@ from .jacobi import (
     window_minors,
 )
 from .recursive import (
-    build_recursive,
     catalan_like,
     motzkin_oracle,
     verify_RJ_identity,

@@ -25,20 +25,24 @@ terms to the printed digits: hankel-det hands the terms' ints at one
 common scale to the elimination and compares each minor with its product
 by cross-multiplication, and no Fraction is made per determinant.
 
-Each cmd_* function computes its whole result and returns it as
-(exit code, JSON object, CSV rows with the header first, text), all built
-from the same number strings (gen and matrix: from ints over powers of
-one denominator, no Fraction per cell); main prints the format asked for,
-once.  gen and hankel-det take the terms of weights constant after their
-first entry from the closed form's recurrence (series, O(1) int operations
-a term) and of any other pair from the recursive matrix's triangle; verify
-keeps the triangle (recursive.catalan_like) as the independent check of
-the generating functions.
-Nothing reaches stdout before a command has finished, so a command that
-fails prints only its error message.
+Each cmd_* function computes its whole result and returns it as (exit code,
+JSON object, CSV rows with the header first, text), all built from the same
+number strings (gen, matrix and series: from ints over their denominators,
+no Fraction per number); main prints the format asked for, once, so a
+command that fails prints only its error message.  gen and hankel-det take
+the terms of weights constant after their first entry from the closed form's
+recurrence (series, O(1) int operations a term) and of any other pair from
+the recursive matrix's triangle; verify keeps the triangle
+(recursive.catalan_like) as the independent check of the generating
+functions.
 
-build_parser returns a new parser on every call; main builds one on first
-use, not at import, and keeps it for the process.
+COMMANDS gives each command its help line, its options in help order and
+its cmd_*.  main parses argv[1:] with the parser of the command argv[0]
+names alone, built on first use and kept; argv led by no command (none,
+--help, an unknown name), or with arguments that parser leaves over, goes
+to the full parser, built once, whose help and usage errors name the whole
+program.  build_parser returns a new full parser per call, from the same
+table; importing the module builds no parser.
 """
 
 from __future__ import annotations
@@ -81,6 +85,7 @@ from .series import (
     DEFAULT_ORDER,
     GFSpec,
     _constant_tail_ints,
+    _gf_ints,
     gf_expand,
     gf_from_json,
     gf_to_json,
@@ -310,7 +315,8 @@ def cmd_tp(args) -> Rendered:
 def cmd_series(args) -> Rendered:
     check_count("-n", args.n, 0, SERIES_MAX_N)
     gf = parse_gf_arg(args.gf)
-    coeffs = [format_rat(c) for c in gf_expand(gf, args.n).coeffs]
+    coeffs = [format_over(num, den) if den > 0 else format_over(-num, -den)
+              for num, den in zip(*_gf_ints(gf, args.n))]
     data = {"spec": gf_to_json(gf), "order": args.n, "coeffs": coeffs}
     return 0, data, [("n", "coeff"), *enumerate(coeffs)], " ".join(coeffs)
 
@@ -383,89 +389,79 @@ def cmd_catalog(args) -> Rendered:
     return 0, [entry.to_json() for entry in entries], [("name", "terms", "gf"), *rows], text
 
 
+def _opt(flag: str, help: str, **settings) -> tuple:
+    return flag, {"help": help, **settings}
+
+
+def _count(flag: str, what: str, cap: int, default: int = DEFAULT_DEPTH) -> tuple:
+    return _opt(flag, f"{what} (default {default}, at most {cap})", type=int, default=default)
+
+
+_FORMAT = _opt("--format", "output format (default: text)", choices=("text", "json", "csv"),
+               default="text")
+_WEIGHTS = (_FORMAT, _opt("--name", "catalog sequence name"),
+            _opt("--sigma", "diagonal weight spec as JSON or @file (start 0)", metavar="SPEC"),
+            _opt("--tau", "subdiagonal weight spec as JSON or @file (start 1)", metavar="SPEC"))
+
+# name -> (help line, options in the order help prints them, cmd_*)
+COMMANDS = {
+    "gen": ("generate sequence terms 0..N", (*_WEIGHTS, _count("-n", "last index", GEN_MAX_N)),
+            cmd_gen),
+    "matrix": ("dump the recursive matrix triangle",
+               (*_WEIGHTS, _count("-n", "last row", MATRIX_MAX_N)), cmd_matrix),
+    "stieltjes": ("evaluate both Hankel determinant families", (
+        *_WEIGHTS, _opt("--terms", "explicit comma-separated terms (alternative to specs)",
+                        metavar="LIST"),
+        _count("--depth", "largest section index", STIELTJES_MAX_DEPTH)), cmd_stieltjes),
+    "hankel-det": ("Hankel determinants against the weight-product formula", (
+        *_WEIGHTS, _count("--depth", "largest section index", HANKEL_DET_MAX_DEPTH),
+        _opt("--shift", "0 for [m_{i+j}], 1 for [m_{i+j+1}] (default 0)", type=int,
+             choices=(0, 1), default=0)), cmd_hankel_det),
+    "tp": ("certify total positivity of a coefficient matrix", (
+        _FORMAT, _opt("--pqst", "exact criterion for weights constant after the first entry",
+                      metavar="P,Q,S,T"),
+        _opt("--jacobi-name", "catalog name for the weight pair"),
+        _opt("--sigma", "diagonal weight spec (start 0)", metavar="SPEC"),
+        _opt("--tau", "subdiagonal weight spec (start 1)", metavar="SPEC"),
+        _count("--depth", "section depth for bounded routes", TP_MAX_DEPTH)), cmd_tp),
+    "series": ("expand a generating function spec", (
+        _FORMAT, _opt("--gf", "named gf or JSON spec with a 'kind' field, or @file",
+                      required=True, metavar="SPEC"),
+        _count("-n", "truncation order", SERIES_MAX_N, DEFAULT_ORDER)), cmd_series),
+    "verify": ("run the full cross-check bundle for a catalog entry", (
+        _FORMAT, _opt("--name", "catalog sequence name", required=True),
+        _count("--depth", "check depth", VERIFY_MAX_DEPTH)), cmd_verify),
+    "catalog": ("list the catalog entries", (_FORMAT,), cmd_catalog),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flag, settings in COMMANDS[name][1]:
+        parser.add_argument(flag, **settings)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                        help="output format (default: text)")
-
-    named = argparse.ArgumentParser(add_help=False)
-    named.add_argument("--name", help="catalog sequence name")
-    named.add_argument("--sigma", metavar="SPEC",
-                       help="diagonal weight spec as JSON or @file (start 0)")
-    named.add_argument("--tau", metavar="SPEC",
-                       help="subdiagonal weight spec as JSON or @file (start 1)")
-
-    parser = argparse.ArgumentParser(
-        prog="catmoments",
-        description="Exact generation and Stieltjes moment certification of "
-                    "sequences driven by three-term weight recurrences.",
-    )
+    """A new full parser, every command a subparser."""
+    parser = argparse.ArgumentParser(prog="catmoments", description=(
+        "Exact generation and Stieltjes moment certification of sequences driven by "
+        "three-term weight recurrences."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", parents=[common, named],
-                       help="generate sequence terms 0..N")
-    p.add_argument("-n", type=int, default=DEFAULT_DEPTH,
-                   help=f"last index (default 8, at most {GEN_MAX_N})")
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("matrix", parents=[common, named],
-                       help="dump the recursive matrix triangle")
-    p.add_argument("-n", type=int, default=DEFAULT_DEPTH,
-                   help=f"last row (default 8, at most {MATRIX_MAX_N})")
-    p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser("stieltjes", parents=[common, named],
-                       help="evaluate both Hankel determinant families")
-    p.add_argument("--terms", metavar="LIST",
-                   help="explicit comma-separated terms (alternative to specs)")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
-                   help=f"largest section index (default 8, at most {STIELTJES_MAX_DEPTH})")
-    p.set_defaults(func=cmd_stieltjes)
-
-    p = sub.add_parser("hankel-det", parents=[common, named],
-                       help="Hankel determinants against the weight-product formula")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
-                   help=f"largest section index (default 8, at most {HANKEL_DET_MAX_DEPTH})")
-    p.add_argument("--shift", type=int, choices=(0, 1), default=0,
-                   help="0 for [m_{i+j}], 1 for [m_{i+j+1}] (default 0)")
-    p.set_defaults(func=cmd_hankel_det)
-
-    p = sub.add_parser("tp", parents=[common],
-                       help="certify total positivity of a coefficient matrix")
-    p.add_argument("--pqst", metavar="P,Q,S,T",
-                   help="exact criterion for weights constant after the first entry")
-    p.add_argument("--jacobi-name", help="catalog name for the weight pair")
-    p.add_argument("--sigma", metavar="SPEC", help="diagonal weight spec (start 0)")
-    p.add_argument("--tau", metavar="SPEC", help="subdiagonal weight spec (start 1)")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
-                   help=f"section depth for bounded routes (default 8, at most {TP_MAX_DEPTH})")
-    p.set_defaults(func=cmd_tp)
-
-    p = sub.add_parser("series", parents=[common],
-                       help="expand a generating function spec")
-    p.add_argument("--gf", required=True, metavar="SPEC",
-                   help="named gf or JSON spec with a 'kind' field, or @file")
-    p.add_argument("-n", type=int, default=DEFAULT_ORDER,
-                   help=f"truncation order (default 16, at most {SERIES_MAX_N})")
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the full cross-check bundle for a catalog entry")
-    p.add_argument("--name", required=True, help="catalog sequence name")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
-                   help=f"check depth (default 8, at most {VERIFY_MAX_DEPTH})")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("catalog", parents=[common], help="list the catalog entries")
-    p.set_defaults(func=cmd_catalog)
-
+    for name, (line, _, _) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=line), name)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on first use and kept for the process."""
+    """The full parser main falls back to, built on first use and kept."""
     return build_parser()
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser alone, as build_parser() builds its subparser; kept."""
+    return _add_options(argparse.ArgumentParser(prog=f"catmoments {name}"), name)
 
 
 def _csv_cell(value) -> str:
@@ -473,9 +469,16 @@ def _csv_cell(value) -> str:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv and argv[0] in COMMANDS else None
+    if name is not None:
+        args, extra = _command_parser(name).parse_known_args(argv[1:])
+    if name is None or extra:
+        # no command first, or arguments left over: the full parser's answer
+        args = _parser().parse_args(argv)
+        name = args.command
     try:
-        code, data, table, text = args.func(args)
+        code, data, table, text = COMMANDS[name][2](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

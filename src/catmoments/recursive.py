@@ -30,10 +30,10 @@ s_0..s_{(depth-1)//2} and t_1..t_{depth//2}: a closed path of length depth
 takes a level step at height k only if 2k + 1 <= depth, and a down step
 from height k only if 2k <= depth.
 
-build_recursive returns the rows of R as Fractions.  The shift identity check
-takes the int rows of _scaled_rows and the weight lists, and forms each entry
-of R J as a three-term band sum of ints, O(d^2) on a section of size d; past
-row 0 the step factorization is that identity one row deeper.
+The shift identity check takes the int rows of _scaled_rows and the weight
+lists, and forms each entry of R J as a three-term band sum of ints, O(d^2)
+on a section of size d; past row 0 the step factorization is that identity
+one row deeper.
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ def _scaled_rows(s: list[Fraction], t: list[Fraction], depth: int, truncate: boo
                for up, level, down, sk, tk in zip([0, *row], padded, padded[1:], s[:width], t)]
         den *= scale
         yield row, den
-
-
-def build_recursive(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> list[tuple]:
-    """Rows 0..depth of the recursive matrix, row n the tuple r_{n,0..n}."""
-    rows = _scaled_rows(*read_weights(sigma, tau, depth), depth)
-    return [tuple(Fraction(v, den) for v in row) for row, den in rows]
 
 
 def catalan_like(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> list[Fraction]:

@@ -32,9 +32,8 @@ The rest, made primitive as G (its scale moved into c), divides by
 F_k = G_0^k N_(k+m) - 4L G_1 F_(k-1) - (4L)^2 G_0 G_2 F_(k-2), over the one
 running denominator G_0^(k+1) (4L)^(k+m) D, where N_k (4L)^k D is the
 numerator's kth coefficient as an int.  When Q = 0, e*sqrt(P) = A is a
-polynomial and the denominator is 2A.  radical_quotient reduces each F_k
-over its denominator to a Fraction; the Riordan column check takes the
-unreduced ints (_radical_quotient_ints) instead.
+polynomial and the denominator is 2A.  gf_expand reduces each F_k over its
+denominator to a Fraction; the Riordan check and series take the ints.
 
 The same closed form gives the terms of a first-then-constant pair, which
 gen and hankel-det print (_constant_tail_ints), with no denominator that
@@ -271,11 +270,16 @@ def gf_from_json(data: dict) -> GFSpec:
     return GFSpec(kind, tuple(data[f] for f in fields if f in data))
 
 
-def gf_expand(gf: GFSpec, order: int = DEFAULT_ORDER) -> Series:
-    """Expand a generating function spec to the given order."""
+def _gf_ints(gf: GFSpec, order: int) -> tuple[list[int], list[int]]:
+    """gf_expand's coefficient k as the unreduced nums[k] / dens[k], dens[k] of either sign."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return radical_quotient(*_KINDS[_spec(gf).kind][1](*gf.params), order)
+    return _radical_quotient_ints(*_KINDS[_spec(gf).kind][1](*gf.params), order)
+
+
+def gf_expand(gf: GFSpec, order: int = DEFAULT_ORDER) -> Series:
+    """Expand a generating function spec to the given order."""
+    return Series(map(Fraction, *_gf_ints(gf, order)))
 
 
 def riordan_column_check(p, q, s, t, order: int = DEFAULT_ORDER, k_max: int = 5) -> str:

@@ -21,7 +21,9 @@ recursive_section, step_matrix and the three dense_* checks are the
 structural identities of the recursive matrix, given by its rows r_{n,0..n}
 (cell reads r_{n,k} off them, zero outside the triangle), as dense Fraction
 products, the textbook form of the band sums of ints the library checks
-them by; fraction_rows turns the library's (row, den) pairs into such rows.
+them by; fraction_rows turns the library's (row, den) pairs into such rows,
+and build_recursive gives rows 0..depth of R that way, for the tests that
+compare the library's recurrence with fraction_triangle cell by cell.
 
 fraction_mul, fraction_divide and fraction_sqrt are the schoolbook series
 kernels on Fraction coefficient lists, coefficient by coefficient, against
@@ -69,6 +71,7 @@ from catmoments.exact import (
 )
 from catmoments.hankel import build_hankel
 from catmoments.jacobi import DOMINANCE_GUARD_INDEX, TPReport, _section_depth
+from catmoments.recursive import _scaled_rows, read_weights
 from catmoments.seqspec import SequenceSpec
 
 COFACTOR_MAX_DIM = 9
@@ -137,6 +140,12 @@ def pqst_matrix(params) -> tuple[SequenceSpec, SequenceSpec]:
 def fraction_rows(rows) -> list[tuple[Fraction, ...]]:
     """The (row, den) pairs of the library's integer rows as Fraction rows."""
     return [tuple(Fraction(v, den) for v in row) for row, den in rows]
+
+
+def build_recursive(sigma, tau, depth: int) -> list[tuple[Fraction, ...]]:
+    """Rows 0..depth of the recursive matrix of (sigma, tau) as Fractions, row
+    n the tuple r_{n,0..n}: the library's integer rows, made Fraction rows."""
+    return fraction_rows(_scaled_rows(*read_weights(sigma, tau, depth), depth))
 
 
 def cell(R, n: int, k: int) -> Fraction:

@@ -30,8 +30,8 @@ def test_every_exported_name_resolves():
                  "TiedQGF", "TiedQPGF", "InverseSqrtGF", "NamedGF", "GF_TYPES", "solve_h",
                  "closed_form_h", "closed_form_d", "sqrt_discriminant", "poly_eval", "solve_d"):
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.series, gone)
-    assert not hasattr(catmoments, "RecursiveMatrix")
-    assert not hasattr(catmoments.recursive, "RecursiveMatrix")
+    for gone in ("RecursiveMatrix", "build_recursive"):
+        assert not hasattr(catmoments, gone) and not hasattr(catmoments.recursive, gone)
     for gone in ("JacobiMatrix", "leading_minors", "_leading_minors_report",
                  "_contiguous_minors_report", "jacobi_section"):
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.jacobi, gone)

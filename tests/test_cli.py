@@ -1,8 +1,9 @@
 """End-to-end tests of the command-line interface: output formats, exit
-codes, file arguments, range checks on the count options, the parser kept
-for the process, the one-shot `python -m catmoments.cli` entry point, and
-gen's closed-form route on constant tails against the triangle, with the
-commands that must and must not run the triangle."""
+codes, file arguments, range checks on the count options, each command's
+parser kept for the process and answering as the full parser does, the
+one-shot `python -m catmoments.cli` entry point, and gen's closed-form route
+on constant tails against the triangle, with the commands that must and must
+not run the triangle."""
 
 import collections
 import contextlib
@@ -31,6 +32,7 @@ from catmoments.recursive import _scaled_rows, catalan_like, motzkin_oracle
 from catmoments.seqspec import CATALOG, SequenceSpec, catalog_lookup, pqst_of
 from catmoments.series import _constant_tail_ints
 from oracle import fraction_terms
+from test_golden_cli import cases as golden_cases
 
 SIGMA_DROP = json.dumps(
     {"prefix": ["1", "0"], "tail": {"kind": "constant", "value": "0"}, "start": 0}
@@ -529,16 +531,12 @@ class Forbidden(Exception):
 
 @pytest.fixture
 def no_fraction_matrices(monkeypatch):
-    """build_recursive, wherever the package binds it, and the DenseMatrix
-    constructor raise Forbidden."""
+    """The DenseMatrix constructor raises Forbidden.  The package has no
+    other Fraction matrix: the Fraction rows of R (build_recursive) are
+    test-side only."""
     def refuse(*args, **kwargs):
         raise Forbidden
 
-    original = catmoments.recursive.build_recursive
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "catmoments" and \
-                getattr(module, "build_recursive", None) is original:
-            monkeypatch.setattr(module, "build_recursive", refuse)
     monkeypatch.setattr(catmoments.exact.DenseMatrix, "__post_init__", refuse)
 
 
@@ -554,10 +552,8 @@ def test_fraction_matrix_guard_trips_on_a_zero_hankel_minor(no_fraction_matrices
     # sends them through build_hankel to the exact semidefiniteness test
     with pytest.raises(Forbidden):
         main(["stieltjes", "--terms", "1,1,1,1,1,-1", "--depth", "2"])
-    entry = catalog_lookup("catalan")
-    for module in (catmoments, catmoments.recursive):
-        with pytest.raises(Forbidden):
-            module.build_recursive(entry.sigma, entry.tau, 2)
+    assert [name for name, module in sys.modules.items() if name.split(".")[0] == "catmoments"
+            and hasattr(module, "build_recursive")] == []
 
 
 def test_verify_accepts_alias(capsys):
@@ -585,7 +581,10 @@ def test_catalog_listing(capsys):
     assert len(out.splitlines()) == len(CATALOG) + 1
 
 
-# ------------------------------------------------- one parser per process
+# ------------------------------------------- one parser per command, kept
+
+COMMAND_NAMES = ("gen", "matrix", "stieltjes", "hankel-det", "tp", "series", "verify",
+                 "catalog")
 
 SIGMA_HALF = json.dumps({"prefix": ["1/2"], "tail": {"kind": "constant", "value": "2"},
                          "start": 0})
@@ -629,10 +628,14 @@ def outcome(capsys, argv):
 
 @pytest.fixture
 def fresh_parser():
-    """main's parser, dropped before and after the test."""
-    catmoments.cli._parser.cache_clear()
-    yield
-    catmoments.cli._parser.cache_clear()
+    """main's parsers, dropped before and after the test."""
+    def drop():
+        catmoments.cli._parser.cache_clear()
+        catmoments.cli._command_parser.cache_clear()
+
+    drop()
+    yield drop
+    drop()
 
 
 def test_reused_parser_answers_in_any_order(capsys, fresh_parser):
@@ -640,32 +643,86 @@ def test_reused_parser_answers_in_any_order(capsys, fresh_parser):
     backward = [outcome(capsys, argv) for argv in reversed(MIXED_ARGV)][::-1]
     assert backward == forward
     assert catmoments.cli._parser.cache_info().currsize == 1
-    # and a new parser for each call gives the same
+    assert catmoments.cli._command_parser.cache_info().currsize == len(COMMAND_NAMES)
+    # and new parsers for each call give the same
     for argv, expected in zip(MIXED_ARGV, forward):
-        catmoments.cli._parser.cache_clear()
+        fresh_parser()
         assert outcome(capsys, argv) == expected
     assert [code for code, _, _ in forward] == [2, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 2,
                                                 0, 0, 2, 0, 2]
     assert "usage:" in forward[0][2] and forward[0][1] == ""
 
 
-def test_main_builds_the_parser_once(capsys, monkeypatch, fresh_parser):
+def test_main_builds_each_parser_at_most_once(capsys, monkeypatch, fresh_parser):
     built = []
-
-    def counting():
-        built.append(1)
-        return build_parser()
-
-    monkeypatch.setattr(catmoments.cli, "build_parser", counting)
+    monkeypatch.setattr(catmoments.cli, "build_parser", lambda: built.append(1) or build_parser())
     for argv in MIXED_ARGV * 2:
         outcome(capsys, argv)
+    info = catmoments.cli._command_parser.cache_info()
+    assert info.misses == info.currsize == len(COMMAND_NAMES)
     assert len(built) == 1
+    # the full parser only for the argv a command's parser cannot answer
+    fallback = []
+    for argv in [*MIXED_ARGV, ("stieltjes", "--name", "bell", "--depth", "4")]:
+        catmoments.cli._parser.cache_clear()
+        built.clear()
+        outcome(capsys, argv)
+        fallback += [argv] * len(built)
+    assert fallback == [("gen", "--bogus"), ()]
 
 
 def test_build_parser_is_a_factory():
     first, second = build_parser(), build_parser()
     assert first is not second
     assert first.format_help() == second.format_help()
+
+
+def subparsers(parser) -> dict:
+    """A full parser's subparsers by command name."""
+    return next(action.choices for action in parser._actions if isinstance(action.choices, dict))
+
+
+def test_each_command_parser_prints_its_subparser_help(fresh_parser):
+    full = subparsers(build_parser())
+    assert tuple(full) == COMMAND_NAMES
+    for name in COMMAND_NAMES:
+        assert catmoments.cli._command_parser(name).format_help() == full[name].format_help()
+
+
+class NoCommandFirst(dict):
+    """COMMANDS as main sees it when no argv[0] names a command, so that
+    every argv goes through the full parser."""
+
+    def __contains__(self, name):
+        return False
+
+
+# argv at the edge of the fast path: help, '--', abbreviations, unknown and
+# missing options, extra positionals, invalid values, an option before the
+# command and unknown commands
+EDGE_ARGV = [
+    (), ("--help",), ("-h",), ("--",), ("--", "gen"), ("gen", "--"), ("gen", "--", "-n", "3"),
+    ("hankel-det", "--name", "bell", "--dep", "3"), ("hankel-det", "--name", "bell", "--de", "3"),
+    ("tp", "--jacobi", "catalan"), ("gen", "--he"), ("gen", "--name=catalan", "-n3"),
+    ("gen", "--bogus"), ("gen", "--name", "catalan", "extra"), ("gen", "--name", "catalan",
+                                                                 "x", "y"),
+    ("stieltjes", "--terms", "1,1", "--depth", "0", "--", "x"), ("series",), ("verify",),
+    ("gen", "-n"), ("hankel-det", "--name", "bell", "--shift", "2"),
+    ("catalog", "--format", "xml"), ("--format", "json", "gen", "--name", "catalan"),
+    ("nosuch",), ("GEN",), ("ge",), ("gen", "--name", "catalan", "-n", "2", "--help"),
+    *((name, flag) for name in COMMAND_NAMES for flag in ("-h", "--help")),
+]
+
+
+def test_fast_path_answers_as_the_full_parser(capsys, monkeypatch, fresh_parser):
+    everything = [*map(tuple, golden_cases().values()), *EDGE_ARGV]
+    fast = [outcome(capsys, argv) for argv in everything]
+    monkeypatch.setattr(catmoments.cli, "COMMANDS", NoCommandFirst(catmoments.cli.COMMANDS))
+    full = [outcome(capsys, argv) for argv in everything]
+    assert catmoments.cli._command_parser.cache_info().misses == len(COMMAND_NAMES)
+    assert [argv for argv, one, other in zip(everything, fast, full) if one != other] == []
+    assert {code for code, _, _ in fast} == {0, 1, 2}
+    assert [code for code, _, _ in fast[-2 * len(COMMAND_NAMES):]] == [0] * 2 * len(COMMAND_NAMES)
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -710,8 +767,9 @@ def test_one_shot_entry_point():
 
 
 def test_import_builds_no_parser():
-    result = python("-c", "import catmoments.cli as c; print(c._parser.cache_info().currsize)")
-    assert (result.returncode, result.stdout) == (0, "0\n")
+    result = python("-c", "import catmoments.cli as c; print(c._parser.cache_info().currsize, "
+                          "c._command_parser.cache_info().currsize)")
+    assert (result.returncode, result.stdout) == (0, "0 0\n")
 
 
 # ------------------------------------------------- the JSON input boundary

@@ -10,7 +10,6 @@ from catmoments.cli import main
 from catmoments.exact import FALSE, TRUE, det_bareiss
 from catmoments.recursive import (
     _scaled_rows,
-    build_recursive,
     catalan_like,
     motzkin_oracle,
     read_weights,
@@ -18,7 +17,7 @@ from catmoments.recursive import (
     verify_step_factorization,
 )
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
-from oracle import cell, recursive_section, step_matrix
+from oracle import build_recursive, cell, recursive_section, step_matrix
 
 
 def _specs(name):

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from catmoments.cli import main
 from catmoments.exact import format_rat
-from catmoments.recursive import build_recursive, catalan_like, motzkin_oracle
+from catmoments.recursive import catalan_like, motzkin_oracle
 from catmoments.seqspec import CATALOG, ConstantTail, PolynomialTail, SequenceSpec
-from oracle import fraction_terms, fraction_triangle
+from oracle import build_recursive, fraction_terms, fraction_triangle
 
 # distinct primes, so that the common denominator of several weights grows
 DENOMINATORS = (1, 1, 1, 2, 3, 5, 7, 11, 13)

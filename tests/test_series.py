@@ -5,6 +5,8 @@ raised cell of the columns it compares), and the checked exact divisions of
 the constant-tail terms."""
 
 import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from catmoments.series import (
     Series,
     _KINDS,
     _constant_tail_ints,
+    _gf_ints,
     _quadratic_quotient,
     _radical_quotient_ints,
     gf_expand,
@@ -30,7 +33,8 @@ from catmoments.series import (
 )
 import catmoments.recursive
 import catmoments.series
-from catmoments.exact import FALSE, TRUE
+from catmoments.cli import main
+from catmoments.exact import FALSE, TRUE, format_rat
 from oracle import (
     fraction_divide,
     fraction_mul,
@@ -405,6 +409,31 @@ def test_gf_expand_dispatch():
         gf_expand(gf("named", "catalan"), -1)
     with pytest.raises(ValueError):
         gf_expand("catalan")
+
+
+# nonnegative weights over small and wide denominators
+wide_weights = st.one_of(weights, st.builds(Fraction, st.integers(0, 10**12),
+                                            st.sampled_from(DENOMINATORS)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([*KIND_WEIGHTS, "named"]), st.lists(wide_weights, min_size=4, max_size=4),
+       st.sampled_from(NAMED_GF_NAMES), orders)
+def test_series_command_prints_gf_expand(kind, values, name, order):
+    # series prints the int core over its running denominators, which
+    # alternate in sign when G_0 < 0, as inverse_sqrt's always does
+    params = (name,) if kind == "named" else tuple(values[:len(KIND_WEIGHTS[kind][0])])
+    if kind == "closed_form":
+        params = (*params[:3], params[3] + 1)       # the general form refuses t = 0
+    spec = GFSpec(kind, params)
+    if kind == "inverse_sqrt":
+        assert min(_gf_ints(spec, order)[1]) < 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["series", "--gf", json.dumps(gf_to_json(spec)), "-n", str(order),
+                     "--format", "json"]) == 0
+    assert json.loads(out.getvalue())["coeffs"] == [format_rat(c)
+                                                    for c in gf_expand(spec, order).coeffs]
 
 
 def test_riordan_columns_match_recurrence():
