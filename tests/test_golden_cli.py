@@ -22,8 +22,9 @@ elimination (a zero t_1), on terms whose leading minors are nonnegative
 but not all positive, and at depth 0 (also hankel-det), the (p, q, s, t)
 criterion, the contiguous-minor TP route (with its single-entry witnesses),
 tp at depth 0, every named and parameterised
-generating function (the three specializations also at t = 0, and the
-general form at -n 0), the catalog listing, and the usage-error (exit 2)
+generating function (the three specializations also at t = 0, the
+general form at -n 0, the general form, tied_qp and inverse_sqrt with
+every field over a denominator, and each named form at -n 400), the catalog listing, and the usage-error (exit 2)
 path of each command, including one past the -n caps of gen, matrix and
 series and the --depth caps of stieltjes, hankel-det, tp and verify,
 each mix of weight sources (a name with --sigma, --terms or --pqst with a
@@ -180,6 +181,13 @@ GF_SPECS = {
     "inverse-sqrt": {"kind": "inverse_sqrt", "s": "3", "t": "2"},
 }
 
+# every field over a denominator, so the coefficients are p/q strings
+RATIONAL_GF_SPECS = {
+    "closed-form": {"kind": "closed_form", "p": "1/2", "q": "2/3", "s": "5/3", "t": "1/3"},
+    "tied-qp": {"kind": "tied_qp", "s": "3/2", "t": "2/5"},
+    "inverse-sqrt": {"kind": "inverse_sqrt", "s": "4/3", "t": "3/7"},
+}
+
 
 def cases() -> dict[str, list[str]]:
     out = {}
@@ -241,6 +249,9 @@ def cases() -> dict[str, list[str]]:
         for kind, spec in GF_SPECS.items():
             out[f"series-{kind}-{f}"] = ["series", "--gf", json.dumps(spec), "-n", "12",
                                          "--format", f]
+        out[f"series-closed-form-rational-{f}"] = [
+            "series", "--gf", json.dumps(RATIONAL_GF_SPECS["closed-form"]), "-n", "16",
+            "--format", f]
         out[f"catalog-{f}"] = ["catalog", "--format", f]
         for label, (terms, depth) in STIELTJES_TERM_CASES.items():
             out[f"stieltjes-terms-{label}-{f}"] = ["stieltjes", "--terms", terms,
@@ -310,6 +321,11 @@ def cases() -> dict[str, list[str]]:
                        ("tied-qp", {"kind": "tied_qp", "s": "2", "t": "0"}),
                        ("inverse-sqrt", {"kind": "inverse_sqrt", "s": "3", "t": "0"})):
         out[f"series-{kind}-t0"] = ["series", "--gf", json.dumps(spec), "-n", "8"]
+    for kind in ("tied-qp", "inverse-sqrt"):
+        out[f"series-{kind}-rational"] = ["series", "--gf", json.dumps(RATIONAL_GF_SPECS[kind]),
+                                          "-n", "16"]
+    for name in NAMED_GF_NAMES:
+        out[f"series-{name}-n400"] = ["series", "--gf", name, "-n", "400"]
     out["series-unknown-kind"] = ["series", "--gf", json.dumps({"kind": "polynomial"})]
     out["series-named-no-name"] = ["series", "--gf", json.dumps({"kind": "named"})]
     out["series-named-unknown-name"] = ["series", "--gf", json.dumps(
