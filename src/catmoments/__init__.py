@@ -60,11 +60,9 @@ from .seqspec import (
 )
 from .series import (
     GFSpec,
-    Series,
     gf_expand,
     gf_from_json,
     gf_to_json,
-    radical_quotient,
     riordan_column_check,
 )
 

@@ -30,11 +30,13 @@ JSON object, CSV rows with the header first, text), all built from the same
 number strings (gen, matrix and series: from ints over their denominators,
 no Fraction per number); main prints the format asked for, once, so a
 command that fails prints only its error message.  gen and hankel-det take
-the terms of weights constant after their first entry from the closed form's
-recurrence (series, O(1) int operations a term) and of any other pair from
-the recursive matrix's triangle; verify keeps the triangle
+the terms of weights constant after their first entry, and series the
+coefficients of every generating function spec, from one routine, the
+closed form's recurrence (series._constant_tail_ints, O(1) int operations a
+term, each an int over L^k); gen takes those of any other pair from the
+recursive matrix's triangle.  verify keeps the triangle
 (recursive.catalan_like) as the independent check of the generating
-functions.
+functions, and compares J's minor chain with elimination as int pairs.
 
 COMMANDS gives each command its help line, its options in help order and
 its cmd_*.  main parses argv[1:] with the parser of the command argv[0]
@@ -51,14 +53,20 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate, starmap
 
-from .exact import TRUE, _int_leading_minors, _over, as_rat, format_over, format_rat, format_row
+from .exact import (
+    TRUE,
+    _int_leading_minors,
+    _same_values,
+    as_rat,
+    format_over,
+    format_rat,
+    format_row,
+)
 from .hankel import (
     DEFAULT_DEPTH,
     FAIL,
@@ -70,7 +78,14 @@ from .hankel import (
     stieltjes_weights,
     verify_H_eq_RTRt,
 )
-from .jacobi import JacobiParams, _int_section, tp_certify, tp_criterion_pqst, window_minors
+from .jacobi import (
+    JacobiParams,
+    _int_section,
+    _minor_chain,
+    _scaled_section,
+    tp_certify,
+    tp_criterion_pqst,
+)
 from .recursive import (
     ORACLE_MAX_LENGTH,
     _scaled_rows,
@@ -84,7 +99,7 @@ from .seqspec import CATALOG, CatalogEntry, SequenceSpec, catalog_lookup, pqst_o
 from .series import (
     DEFAULT_ORDER,
     GFSpec,
-    _constant_tail_ints,
+    _constant_tail_pairs,
     _gf_ints,
     gf_expand,
     gf_from_json,
@@ -218,8 +233,7 @@ def _term_ints(sigma: SequenceSpec, tau: SequenceSpec, n: int, weights=None) -> 
     weights read_weights(sigma, tau, n, True) unless the caller has read them."""
     pqst = pqst_of(sigma, tau)
     if pqst is not None:
-        nums, scale = _constant_tail_ints(*pqst, n)
-        return list(zip(nums, accumulate([1, *[scale] * n], operator.mul)))
+        return _constant_tail_pairs(*pqst, n)
     rows = _scaled_rows(*(weights or read_weights(sigma, tau, n, True)), n, True)
     return [(row[0], den) for row, den in rows]
 
@@ -315,8 +329,7 @@ def cmd_tp(args) -> Rendered:
 def cmd_series(args) -> Rendered:
     check_count("-n", args.n, 0, SERIES_MAX_N)
     gf = parse_gf_arg(args.gf)
-    coeffs = [format_over(num, den) if den > 0 else format_over(-num, -den)
-              for num, den in zip(*_gf_ints(gf, args.n))]
+    coeffs = [format_over(num, den) for num, den in _gf_ints(gf, args.n)]
     data = {"spec": gf_to_json(gf), "order": args.n, "coeffs": coeffs}
     return 0, data, [("n", "coeff"), *enumerate(coeffs)], " ".join(coeffs)
 
@@ -346,12 +359,12 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
     # elimination on the terms against the weight products, whole report
     checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))
-    checks.append(("leading_minors_vs_det", tuple(window_minors(s[:depth + 1], t, 0)) == tuple(
-        starmap(_over, _int_leading_minors(*_int_section(s[:depth + 1], t[:depth]))))))
+    section = (s[:depth + 1], t[:depth])
+    checks.append(("leading_minors_vs_det", _same_values(
+        _minor_chain(*_scaled_section(*section), 0), _int_leading_minors(*_int_section(*section)))))
     checks.append(("tp_certified", tp_certify(sigma, tau, depth).verdict == TRUE))
     if entry.gf is not None:
-        expansion = gf_expand(entry.gf, depth)
-        checks.append(("gf_terms", list(expansion.coeffs) == terms[: depth + 1]))
+        checks.append(("gf_terms", list(gf_expand(entry.gf, depth)) == terms[: depth + 1]))
     pqst = pqst_of(sigma, tau)
     if pqst is not None:
         checks.append(("riordan_columns",

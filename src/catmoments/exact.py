@@ -44,6 +44,23 @@ INCONCLUSIVE = "INCONCLUSIVE"
 MAX_DECIMAL_EXPONENT = 4300
 
 _EXPONENT = re.compile(r"[eE][-+]?0*([0-9_]+)\s*\Z")
+_INT_OVER_INT = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _int_of(digits: str) -> int:
+    """int(digits) at any length, the reverse of _int_str: past the
+    interpreter's digit limit the digit string is split in halves, joined by
+    a power of ten, so the process-wide limit is left as it is."""
+    try:
+        return int(digits)
+    except ValueError:
+        half = len(digits) // 2
+        return _int_of(digits[:-half]) * 10**half + _int_of(digits[-half:])
+
+
+def _shown(value: str) -> str:
+    """repr of value, cut to its first and last 18 characters past 40."""
+    return repr(value if len(value) <= 40 else f"{value[:18]}...{value[-18:]}")
 
 
 def as_rat(value) -> Fraction:
@@ -52,7 +69,9 @@ def as_rat(value) -> Fraction:
     Floats are rejected outright: silently converting one would smuggle
     rounding into a library whose whole point is exactness.  A decimal
     exponent beyond MAX_DECIMAL_EXPONENT in magnitude is refused too, since
-    its cost grows with its value, not with the length of the string.
+    its cost grows with its value, not with the length of the string.  An
+    int or "p/q" string longer than the interpreter's digit limit, as
+    format_rat prints past 4,300 digits, is read by _int_of.
     """
     if isinstance(value, Fraction):
         return value
@@ -63,11 +82,20 @@ def as_rat(value) -> Fraction:
         digits = exponent.group(1).replace("_", "") if exponent else "0"
         # lengths first: a long exponent would be costly to convert itself
         if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"not a rational: {value!r}")
+            raise ValueError(f"not a rational: {_shown(value)}")
+        text = value.strip()
         try:
-            return Fraction(value.strip())
+            try:
+                return Fraction(text)
+            except ValueError:
+                # Fraction reads every such string below the digit limit
+                long = _INT_OVER_INT.fullmatch(text)
+                if long is None:
+                    raise
+                sign, num, den = long.groups()
+                return Fraction(int(sign + "1") * _int_of(num), _int_of(den or "1"))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
+            raise ValueError(f"not a rational: {_shown(value)}") from exc
     if isinstance(value, float):
         raise ValueError(f"refusing float {value!r}; pass an int, Fraction or 'p/q' string")
     raise ValueError(f"cannot interpret {value!r} as a rational")

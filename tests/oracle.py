@@ -32,7 +32,11 @@ h = A(x*h) by order+1 rounds of full re-evaluation with those kernels,
 against the closed form the Riordan column check expands h by; solve_d is
 d = 1 / (1 - p*x - q*x**2*h) by the schoolbook quotient, against the closed
 forms of column 0, and fraction_riordan_check is the column check on
-fraction_triangle and these kernels;
+fraction_triangle and these kernels; LITERAL_FORMS writes each generating
+function kind, and NAMED_LITERAL_FORMS each classical closed form, as the
+literal formula c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)), which
+fraction_radical_quotient expands on the schoolbook kernels, against the
+library's weights (p, q, s, t) and its one int recurrence;
 fraction_horner evaluates a polynomial on Fractions, against
 PolynomialTail.eval on scaled integers.
 
@@ -314,6 +318,42 @@ def fraction_riordan_check(p, q, s, t, order: int, k_max: int) -> str:
             return FALSE
         column = fraction_mul(column, shift(h))
     return TRUE
+
+
+#: the literal formula (c, a0, a1, e, r1, r2) of each classical closed form
+#: c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2))
+NAMED_LITERAL_FORMS = {
+    "catalan": (2, 1, 0, 1, -4, 0),             # 2 / (1 + sqrt(1 - 4x))
+    "central_binomial": (1, 0, 0, 1, -4, 0),    # 1 / sqrt(1 - 4x)
+    "delannoy": (1, 0, 0, 1, -6, 1),            # 1 / sqrt(1 - 6x + x^2)
+    "schroder_large": (2, 1, -1, 1, -6, 1),     # 2 / (1 - x + sqrt(1 - 6x + x^2))
+    "schroder_little": (2, 1, 1, 1, -6, 1),     # 2 / (1 + x + sqrt(1 - 6x + x^2))
+}
+
+#: generating function kind -> map from its field values to its literal
+#: formula (c, a0, a1, e, r1, r2), each specialization written from its own
+#: formula, with sqrt(...) = sqrt(1 - 2*s*x + (s**2 - 4*t)*x**2)
+LITERAL_FORMS = {
+    # 2t / (2t - q + (q*s - 2*p*t)*x + q*sqrt(...)), t != 0
+    "closed_form": lambda p, q, s, t: (2 * t, 2 * t - q, q * s - 2 * p * t, q, -2 * s,
+                                       s * s - 4 * t),
+    # q = t:  2 / (1 + (s - 2*p)*x + sqrt(...))
+    "tied_q": lambda p, s, t: (2, 1, s - 2 * p, 1, -2 * s, s * s - 4 * t),
+    # q = t, p = s:  2 / (1 - s*x + sqrt(...))
+    "tied_qp": lambda s, t: (2, 1, -s, 1, -2 * s, s * s - 4 * t),
+    # q = 2*t, p = s:  1 / sqrt(...)
+    "inverse_sqrt": lambda s, t: (1, 0, 0, 1, -2 * s, s * s - 4 * t),
+    "named": NAMED_LITERAL_FORMS.__getitem__,
+}
+
+
+def fraction_radical_quotient(c, a0, a1, e, r1, r2, order: int) -> list[Fraction]:
+    """c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)) to the given order, on
+    the schoolbook kernels."""
+    pad = [Fraction(0)] * order
+    root = fraction_sqrt([Fraction(1), Fraction(r1), Fraction(r2), *pad][:order + 1])
+    denom = [a + e * v for a, v in zip([Fraction(a0), Fraction(a1), *pad], root)]
+    return fraction_divide([Fraction(c), *pad], denom)
 
 
 def fraction_horner(coeffs, k: int) -> Fraction:

@@ -204,6 +204,17 @@ def test_stieltjes_terms_from_file(capsys, tmp_path):
     assert "verdict: PASS" in out
 
 
+def test_gen_terms_read_back_past_the_digit_limit(capsys, tmp_path):
+    # factorial's term 1600 has 4,437 digits, past the interpreter's limit:
+    # gen prints it, and --terms reads the whole printed list back
+    code, out, _ = run(capsys, "gen", "--name", "factorial", "-n", "1600")
+    assert code == 0 and len(out.split()[-1]) > 4300
+    path = tmp_path / "terms.txt"
+    path.write_text(out)
+    code, out, err = run(capsys, "stieltjes", "--terms", f"@{path}", "--depth", "3")
+    assert (code, err) == (0, "") and out.startswith("verdict: PASS (depth 3)")
+
+
 def test_stieltjes_insufficient_terms(capsys):
     code, _, err = run(capsys, "stieltjes", "--terms", "1,1,2", "--depth", "3")
     assert code == 2

@@ -71,6 +71,33 @@ def test_as_rat_accepts_exponents_up_to_the_cap_and_long_digit_strings():
     assert as_rat("7" * 4000) == int("7" * 4000)
 
 
+def test_as_rat_reads_digit_strings_past_the_interpreter_limit():
+    # what format_rat prints past 4,300 digits reads back, in halves, with
+    # the interpreter's limit left as it is
+    limit = sys.get_int_max_str_digits()
+    digits = "12345678" * 2500                          # 20,000 digits
+    value = as_rat(digits)
+    assert value.denominator == 1 and value % 10**8 == 12345678
+    assert 10**19999 < value < 10**20000 and format_rat(value) == digits
+    assert as_rat(f" -{digits}/{'7' * 4400} ") == Fraction(-value, int("7" * 4000) * 10**400
+                                                           + int("7" * 400))
+    rng = random.Random(4300)
+    for bits in (14_300, 30_000, 140_000):
+        num, den = rng.getrandbits(bits), rng.getrandbits(bits // 3) | 1
+        for v in (Fraction(num), Fraction(-num, den), Fraction(den, num)):
+            assert as_rat(format_rat(v)) == v
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_as_rat_quotes_at_most_40_characters_of_a_refused_value():
+    for text in ("9" * 5000 + "x", "1" * 5000 + "/0", "-" * 50):
+        with pytest.raises(ValueError) as refused:
+            as_rat(text)
+        assert str(refused.value) == f"not a rational: {text[:18] + '...' + text[-18:]!r}"
+    with pytest.raises(ValueError, match=r"^not a rational: '1e4301'$"):
+        as_rat("1e4301")
+
+
 def test_format_rat():
     assert format_rat(Fraction(7)) == "7"
     assert format_rat(Fraction(-3, 4)) == "-3/4"

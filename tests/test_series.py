@@ -1,14 +1,18 @@
-"""Tests for exact truncated power series and the generating function
-layer: closed forms, specializations, named forms, the Riordan check (on
-the unreduced ints of radical_quotient's recurrences, and refuting any one
-raised cell of the columns it compares), and the checked exact divisions of
-the constant-tail terms."""
+"""Tests for the generating function layer: every kind of spec, the named
+forms and the Riordan check run on one int kernel, the closed form's
+recurrence (_constant_tail_ints) on the weights (p, q, s, t) each kind
+stands for.  Each kind is checked against its literal formula on the
+schoolbook kernels (oracle.LITERAL_FORMS), against the recurrence's
+triangle, and the Riordan check against its Fraction form and by refuting
+any one raised cell of the columns it compares; the kernel's exact
+divisions are checked."""
 
 import contextlib
 import io
 import json
 import random
 from fractions import Fraction
+from itertools import starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,16 +23,14 @@ from catmoments.series import (
     DEFAULT_ORDER,
     NAMED_GF_NAMES,
     GFSpec,
-    Series,
     _KINDS,
     _constant_tail_ints,
+    _constant_tail_pairs,
     _gf_ints,
     _quadratic_quotient,
-    _radical_quotient_ints,
     gf_expand,
     gf_from_json,
     gf_to_json,
-    radical_quotient,
     riordan_column_check,
 )
 import catmoments.recursive
@@ -36,8 +38,10 @@ import catmoments.series
 from catmoments.cli import main
 from catmoments.exact import FALSE, TRUE, format_rat
 from oracle import (
+    LITERAL_FORMS,
     fraction_divide,
     fraction_mul,
+    fraction_radical_quotient,
     fraction_riordan_check,
     fraction_sqrt,
     iterated_solve_h,
@@ -60,84 +64,93 @@ def _random_rat(rng):
     return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
+def expand_pqst(p, q, s, t, order):
+    """The one kernel's expansion of the weights (p, s, s, ...) over
+    (q, t, t, ...), any rationals, as Fractions."""
+    return tuple(starmap(Fraction, _constant_tail_pairs(p, q, s, t, order)))
+
+
+def expand(kind, *params, order):
+    """A kind's expansion at any rational fields, negative ones included,
+    which GFSpec refuses: the one kernel on the kind's weights."""
+    return expand_pqst(*_KINDS[kind][1](*params), order)
+
+
+def gf(kind, *params):
+    return GFSpec(kind, params)
+
+
 def test_series_basics():
-    f = Series([1, 2, 3])
-    assert f.order == 2
-    assert f.coeffs[1] == 2
-    assert f == Series(["1", "2", "3"])
-    assert hash(f) == hash(Series([1, 2, 3]))
-    assert repr(Series(range(10))) == "Series([0, 1, 2, 3, 4, 5, 6, 7, ...], order=9)"
+    # gf_expand gives the coefficients of x^0..x^order as a tuple of Fractions
+    f = gf_expand(gf("named", "catalan"), 2)
+    assert f == (1, 1, 2) and all(type(c) is Fraction for c in f)
+    assert len(gf_expand(gf("named", "catalan"))) == DEFAULT_ORDER + 1
+    assert f == gf_expand(gf("tied_q", "1", "2", "1"), 2)
+    assert hash(f) == hash(gf_expand(gf("named", "catalan"), 2))
 
 
 def test_series_is_immutable():
-    f = Series([1, 2])
-    with pytest.raises(AttributeError):
-        f.coeffs = (3,)
+    f = gf_expand(gf("tied_qp", 2, 1), 3)
+    with pytest.raises(TypeError):
+        f[0] = 3
 
 
 def test_series_rejects_bad_input():
+    # the kernel takes no negative order and no float weight
     with pytest.raises(ValueError):
-        Series([])
-    with pytest.raises(ValueError):
-        Series([0.5])
-
-
-def test_scalar_operations():
-    # no operator takes a plain number, and no series operator sums or multiplies
-    f = Series([1, 2, 3])
-    for operation in (lambda: 2 * f, lambda: f * 2, lambda: f * f, lambda: f / 2, lambda: f + f,
-                      lambda: f - f, lambda: -f, lambda: f[0]):
-        with pytest.raises(TypeError):
-            operation()
+        gf_expand(gf("named", "catalan"), -1)
+    with pytest.raises(ValueError, match="refusing float 0.5"):
+        _constant_tail_ints(0.5, 1, 2, 1, 3)
 
 
 def test_geometric_series_division():
-    # e = 0 leaves c / (a0 + a1 x), whatever the radicand
-    assert radical_quotient(1, 1, -1, 0, -4, 1, 8).coeffs == (1,) * 9
-    assert radical_quotient(3, 2, -2, 0, Fraction(1, 3), 7, 4).coeffs == (Fraction(3, 2),) * 5
+    # t = 0 leaves no root: (1 - s x) / (1 - (p + s) x + (p s - q) x^2)
+    assert expand_pqst(1, 0, 5, 0, 8) == (1,) * 9
+    assert expand_pqst(Fraction(3, 2), 0, 7, 0, 4) == tuple(Fraction(3, 2) ** k for k in range(5))
+    assert expand_pqst(1, 1, 0, 0, 9) == (1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
 
 
 def test_division_requires_nonzero_constant_term():
-    # a0 + e = 0 at every order, and a0 = e = 0
-    for row in ((1, 1, 0, -1, -4, 0), (1, Fraction(-1, 2), 3, Fraction(1, 2), 1, 1),
-                (1, 0, 1, 0, -6, 1)):
+    # each term divides by g0, so a zero g0 raises rather than return a floor;
+    # the kernel drops Q's zero low coefficients first, so its g0 is never 0
+    with pytest.raises(ZeroDivisionError):
+        _quadratic_quotient([1, 0, 0], 0, 1, 1, 3)
+    for pqst in ((1, 2, 3, 2), (3, 2, 3, 2), (0, 1, 0, 1)):
         for order in (0, 1, 5):
-            with pytest.raises(ValueError, match="division requires a nonzero constant term"):
-                radical_quotient(*row, order)
+            assert expand_pqst(*pqst, order)[0] == 1
 
 
 def test_multiply_divide_round_trip():
-    # the quotient times its denominator a0 + a1 x + e sqrt(P) gives back c
+    # the expansion times its literal denominator a0 + a1 x + e sqrt(P) gives back c
     rng = random.Random(404)
     for _ in range(20):
-        c, a0, a1, e, r1, r2 = (_random_rat(rng) for _ in range(6))
-        if a0 + e == 0:
-            continue
+        p, q, s, t = (_random_rat(rng) for _ in range(4))
+        t = t or Fraction(1)                # the literal general form divides by 2t
+        c, a0, a1, e, r1, r2 = LITERAL_FORMS["closed_form"](p, q, s, t)
         root = fraction_sqrt([Fraction(1), r1, r2, *[Fraction(0)] * 6])
         denom = [a + e * y for a, y in zip([a0, a1, *[0] * 7], root)]
-        quotient = radical_quotient(c, a0, a1, e, r1, r2, 8)
-        assert fraction_mul(list(quotient.coeffs), denom) == [c, *[0] * 8]
+        assert fraction_mul(list(expand_pqst(p, q, s, t, 8)), denom) == [c, *[0] * 8]
 
 
 def test_sqrt_round_trip_and_known_expansion():
     # 1 / sqrt(1 - 4x): the central binomial coefficients
-    assert radical_quotient(1, 0, 0, 1, -4, 0, 5).coeffs == (1, 2, 6, 20, 70, 252)
+    assert expand("inverse_sqrt", 2, 1, order=5) == (1, 2, 6, 20, 70, 252)
     rng = random.Random(11)
     for _ in range(20):
-        r1, r2 = _random_rat(rng), _random_rat(rng)
-        g = list(radical_quotient(1, 0, 0, 1, r1, r2, 8).coeffs)
-        radicand = [Fraction(1), r1, r2, *[Fraction(0)] * 6]
+        s, t = _random_rat(rng), _random_rat(rng)
+        g = list(expand("inverse_sqrt", s, t, order=8))
+        radicand = [Fraction(1), -2 * s, s * s - 4 * t, *[Fraction(0)] * 6]
         assert fraction_mul(fraction_mul(g, g), radicand) == [1] + [0] * 8
 
 
 def riordan_h(s, t, order):
     """The h riordan_column_check expands, h = 1 + s*x*h + t*x**2*h**2: the
     tied_qp row, which takes any rational s and t."""
-    return radical_quotient(*_KINDS["tied_qp"][1](s, t), order)
+    return expand("tied_qp", s, t, order=order)
 
 
 def test_solve_d_trivial_and_classical():
-    h = riordan_h(3, 2, 4).coeffs
+    h = riordan_h(3, 2, 4)
     assert solve_d(0, 0, h) == [1, 0, 0, 0, 0]
     assert solve_d(2, 0, [1, 0, 0, 0, 0]) == [1, 2, 4, 8, 16]
     assert solve_d(3, 4, h) == [1, 3, 13, 63, 321]
@@ -146,13 +159,13 @@ def test_solve_d_trivial_and_classical():
 
 
 def test_closed_form_h_known_expansions():
-    assert riordan_h(2, 1, 4).coeffs == (1, 2, 5, 14, 42)
-    assert riordan_h(3, 2, 4).coeffs == (1, 3, 11, 45, 197)
+    assert riordan_h(2, 1, 4) == (1, 2, 5, 14, 42)
+    assert riordan_h(3, 2, 4) == (1, 3, 11, 45, 197)
     # s = 0 aerates: odd coefficients vanish
-    assert riordan_h(0, 1, 6).coeffs == (1, 0, 1, 0, 2, 0, 5)
+    assert riordan_h(0, 1, 6) == (1, 0, 1, 0, 2, 0, 5)
     # t = 0 is the geometric series 1 / (1 - s*x), with no division by t
-    assert riordan_h(3, 0, 4).coeffs == (1, 3, 9, 27, 81)
-    assert riordan_h(Fraction(-1, 2), 0, 3).coeffs == (1, Fraction(-1, 2), Fraction(1, 4),
+    assert riordan_h(3, 0, 4) == (1, 3, 9, 27, 81)
+    assert riordan_h(Fraction(-1, 2), 0, 3) == (1, Fraction(-1, 2), Fraction(1, 4),
                                                        Fraction(-1, 8))
 
 
@@ -161,7 +174,7 @@ def test_closed_form_h_known_expansions():
        st.one_of(st.sampled_from((0, 1, 16)), st.integers(2, 10)))
 def test_closed_form_h_matches_fixed_point_solver(s, t, order):
     # nonnegative weights with t > 0, as GFSpec takes them: the radical route
-    assert list(riordan_h(s, t, order).coeffs) == iterated_solve_h([1, s, t], order)
+    assert list(riordan_h(s, t, order)) == iterated_solve_h([1, s, t], order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,26 +184,26 @@ def test_solve_h_matches_iteration(s, t, order, t_zero):
     # h = A(x*h) for A = (1, s, t) with any rational s and t
     if t_zero:                  # A = (1, s, 0): the t = 0 geometric route
         t = Fraction(0)
-    assert list(riordan_h(s, t, order).coeffs) == iterated_solve_h([1, s, t], order)
+    assert list(riordan_h(s, t, order)) == iterated_solve_h([1, s, t], order)
 
 
 def test_solve_h_matches_iteration_at_order_40():
     for s, t in ((2, 1), (Fraction(-5, 7), 0), (Fraction(1, 3), Fraction(-2, 11))):
-        assert list(riordan_h(s, t, 40).coeffs) == iterated_solve_h([1, s, t], 40)
+        assert list(riordan_h(s, t, 40)) == iterated_solve_h([1, s, t], 40)
 
 
 @settings(max_examples=40, deadline=None)
 @given(weights, weights, weights, weights.map(lambda t: t + Fraction(1, 3)),
        st.sampled_from((0, 1, 16)) | st.integers(2, 10))
 def test_closed_form_d_matches_fixed_point_solver(p, q, s, t, order):
-    h = riordan_h(s, t, order).coeffs
-    assert list(gf_expand(gf("closed_form", p, q, s, t), order).coeffs) == solve_d(p, q, h)
+    h = riordan_h(s, t, order)
+    assert list(gf_expand(gf("closed_form", p, q, s, t), order)) == solve_d(p, q, h)
 
 
 @settings(max_examples=60, deadline=None)
 @given(maybe_zero, maybe_zero, st.one_of(
     orders.flatmap(lambda n: st.lists(coefficients, min_size=n + 1, max_size=n + 1)),
-    st.builds(lambda *args: list(riordan_h(*args).coeffs), coefficients, maybe_zero, orders)))
+    st.builds(lambda *args: list(riordan_h(*args)), coefficients, maybe_zero, orders)))
 def test_solve_d_matches_fraction_kernels(p, q, h):
     # the reference d = 1 / (1 - p*x - q*x**2*h), with p, q and the t of the
     # Riordan check's h drawn 0 too: d times its denominator is 1 on the
@@ -204,40 +217,6 @@ def test_solve_d_matches_fraction_kernels(p, q, h):
     assert fraction_mul(d, denom) == one
 
 
-def gf(kind, *params):
-    return GFSpec(kind, params)
-
-
-def test_radical_quotient_shape():
-    # scaled root and no linear part: 1 / (2 sqrt(1 - 4x)) = binom(2n, n) / 2
-    assert radical_quotient(1, 0, 0, 2, -4, 0, 4).coeffs == tuple(
-        Fraction(c, 2) for c in (1, 2, 6, 20, 70))
-    # e = 0 leaves the plain quotient c / (a0 + a1 x)
-    assert radical_quotient(3, 1, -2, 0, -4, 1, 4).coeffs == (3, 6, 12, 24, 48)
-    assert radical_quotient(2, 1, 0, 1, -4, 0, 0).coeffs == (1,)
-    with pytest.raises(ValueError, match="order must be >= 0"):
-        radical_quotient(1, 0, 0, 1, -4, 0, -1)
-
-
-def fraction_radical_quotient(c, a0, a1, e, r1, r2, order):
-    """c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)) on the schoolbook kernels."""
-    pad = [Fraction(0)] * order
-    root = fraction_sqrt([Fraction(1), r1, r2, *pad][:order + 1])
-    denom = [a + e * v for a, v in zip([a0, a1, *pad], root)]
-    return fraction_divide([c, *pad], denom)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(maybe_zero, min_size=6, max_size=6), st.sampled_from((0, 1, 2, 7)))
-def test_radical_quotient_matches_fraction_kernels(row, order):
-    # orders 0 and 1 cut the linear part (a0, a1) and the radicand to the order
-    c, a0, a1, e, r1, r2 = row
-    if a0 + e == 0:
-        a0 += 1                 # the constant term a0 + e of the denominator
-    assert list(radical_quotient(c, a0, a1, e, r1, r2, order).coeffs) == \
-        fraction_radical_quotient(c, a0, a1, e, r1, r2, order)
-
-
 #: the weights each rational kind takes, in its field order
 KIND_ARGS = {
     "closed_form": lambda p, q, s, t: (p, q, s, t),
@@ -248,38 +227,50 @@ KIND_ARGS = {
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(KIND_ARGS)), st.lists(coefficients, min_size=4, max_size=4),
-       st.booleans(), st.sampled_from((0, 1, 2, 40)) | st.integers(0, 40))
-def test_radical_quotient_matches_fraction_kernels_on_every_kind(kind, pqst, t_zero, order):
-    # the specializations' Q_0 = 0 (a0 = e = 1), and at t = 0 tied_qp's Q = 0;
-    # the general form refuses t = 0
+@given(st.lists(maybe_zero, min_size=4, max_size=4),
+       st.sampled_from((0, 1, 2, 7)) | st.integers(0, 40))
+def test_radical_quotient_matches_fraction_kernels(pqst, order):
+    # the kernel at any rational weights, zeros and wide denominators
+    # included, against the general literal formula, which divides by 2t
     p, q, s, t = pqst
-    if t_zero and kind != "closed_form":
-        t = Fraction(0)
-    elif t == 0:
-        t = Fraction(1)
-    row = _KINDS[kind][1](*KIND_ARGS[kind](p, q, s, t))
-    assert list(radical_quotient(*row, order).coeffs) == fraction_radical_quotient(*row, order)
+    t = t or Fraction(1)
+    assert list(expand_pqst(p, q, s, t, order)) == \
+        fraction_radical_quotient(*LITERAL_FORMS["closed_form"](p, q, s, t), order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(coefficients.map(abs), min_size=4, max_size=4), st.booleans(),
+       st.sampled_from((0, 1, 2, 40)) | st.integers(0, 40))
+def test_radical_quotient_matches_fraction_kernels_on_every_kind(pqst, t_zero, order):
+    # gf_expand of every kind and every named form against its literal
+    # formula on the schoolbook kernels, t = 0 for the three specializations
+    # (tied_qp's literal Q = 0 there); the general form refuses t = 0
+    p, q, s, t = pqst
+    t = t or Fraction(1)
+    t_special = Fraction(0) if t_zero else t
+    specs = [("named", (name,)) for name in NAMED_GF_NAMES]
+    specs += [(kind, weights_of(p, q, s, t if kind == "closed_form" else t_special))
+              for kind, weights_of in KIND_ARGS.items()]
+    for kind, params in specs:
+        assert list(gf_expand(GFSpec(kind, params), order)) == \
+            fraction_radical_quotient(*LITERAL_FORMS[kind](*params), order), (kind, params)
 
 
 def test_radical_quotient_pitfalls():
-    # Q = A^2 - e^2 P = 0: sqrt(P) is the polynomial A / e, the denominator 2A
-    assert radical_quotient(*_KINDS["tied_qp"][1](3, 0), 5).coeffs == (1, 3, 9, 27, 81, 243)
-    assert radical_quotient(1, 2, 1, 2, 1, Fraction(1, 4), 4).coeffs == tuple(
-        Fraction(1, 4) * Fraction(-1, 2) ** k for k in range(5))
-    # a0 = e drops Q's zero low coefficients: catalan's Q = 4x, and Q = -x^2
-    assert gf_expand(gf("named", "catalan"), 9).coeffs == (1, 1, 2, 5, 14, 42, 132, 429, 1430,
-                                                            4862)
-    for order in range(8):
-        assert list(radical_quotient(3, 1, 1, 1, 2, 2, order).coeffs) == \
-            fraction_radical_quotient(3, 1, 1, 1, 2, 2, order)
+    # t = 0: no root, where tied_qp's literal Q = A^2 - e^2 P is 0
+    assert gf_expand(gf("tied_qp", 3, 0), 5) == (1, 3, 9, 27, 81, 243)
+    # Q's zero low coefficients: one at q = t (catalan's Q = 4x), two when also p = s
+    assert gf_expand(gf("named", "catalan"), 9) == (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862)
+    for pqst in ((1, 2, 3, 2), (3, 2, 3, 2), (Fraction(-1, 2), 3, Fraction(-1, 2), 3)):
+        for order in range(8):
+            assert list(expand_pqst(*pqst, order)) == \
+                fraction_radical_quotient(*LITERAL_FORMS["closed_form"](*pqst), order)
 
 
 def test_named_forms_match_the_recurrence_at_order_300():
     for name in NAMED_GF_NAMES:
         entry = catalog_lookup(name)
-        assert list(gf_expand(entry.gf, 300).coeffs) == \
-            catalan_like(entry.sigma, entry.tau, 300), name
+        assert list(gf_expand(entry.gf, 300)) == catalan_like(entry.sigma, entry.tau, 300), name
 
 
 def test_specializations_reduce_to_general_form():
@@ -315,13 +306,13 @@ def test_every_kind_matches_the_recurrence(kind, values, order):
     sigma = SequenceSpec.first_then_constant(p, s, start=0)
     tau = SequenceSpec.first_then_constant(q, t, start=1)
     expansion = gf_expand(GFSpec(kind, tuple(params.values())), order)
-    assert list(expansion.coeffs) == catalan_like(sigma, tau, order)
+    assert list(expansion) == catalan_like(sigma, tau, order)
 
 
 def test_specializations_expand_t0_to_a_geometric_series():
-    assert gf_expand(gf("tied_q", 1, 3, 0), 4).coeffs == (1, 1, 1, 1, 1)
-    assert gf_expand(gf("tied_qp", 2, 0), 4).coeffs == (1, 2, 4, 8, 16)
-    assert gf_expand(gf("inverse_sqrt", 3, 0), 4).coeffs == (1, 3, 9, 27, 81)
+    assert gf_expand(gf("tied_q", 1, 3, 0), 4) == (1, 1, 1, 1, 1)
+    assert gf_expand(gf("tied_qp", 2, 0), 4) == (1, 2, 4, 8, 16)
+    assert gf_expand(gf("inverse_sqrt", 3, 0), 4) == (1, 3, 9, 27, 81)
     spec = gf("closed_form", 1, 2, 3, 0)             # accepted, refused on expansion
     with pytest.raises(ValueError, match="for t = 0 use kind tied_qp or inverse_sqrt"):
         gf_expand(spec, 4)
@@ -354,16 +345,16 @@ def test_named_forms_match_parameter_reductions_and_catalog():
         literal = gf_expand(gf("named", name), 16)
         assert entry.gf == gf("named", name)
         assert literal == gf_expand(GFSpec("closed_form", pqst_of(entry.sigma, entry.tau)), 16)
-        assert literal.coeffs[:8] == entry.reference_terms, name
+        assert literal[:8] == entry.reference_terms, name
 
 
 def test_tied_qp_at_catalan_weights_is_the_shifted_sequence():
     # the q = t, p = s reduction at (s, t) = (2, 1) has column-0 weights
     # (2, 2, ...), so it generates 1, 2, 5, 14, ... -- one shift away from
     # the named catalan form, whose weights are (1, 2, 2, ...)
-    assert gf_expand(gf("tied_qp", 2, 1), 5).coeffs == (1, 2, 5, 14, 42, 132)
+    assert gf_expand(gf("tied_qp", 2, 1), 5) == (1, 2, 5, 14, 42, 132)
     assert gf_expand(gf("named", "catalan"), 5) == gf_expand(gf("tied_q", 1, 2, 1), 5)
-    assert gf_expand(gf("named", "catalan"), 5).coeffs == (1, 1, 2, 5, 14, 42)
+    assert gf_expand(gf("named", "catalan"), 5) == (1, 1, 2, 5, 14, 42)
 
 
 def test_gf_json_round_trip():
@@ -403,8 +394,8 @@ def test_gf_json_rejects_malformed_input():
 
 
 def test_gf_expand_dispatch():
-    assert gf_expand(gf("named", "catalan")).order == DEFAULT_ORDER
-    assert gf_expand(gf("tied_q", 2, 3, 2), 4).coeffs == (1, 2, 6, 22, 90)
+    assert len(gf_expand(gf("named", "catalan"))) == DEFAULT_ORDER + 1
+    assert gf_expand(gf("tied_q", 2, 3, 2), 4) == (1, 2, 6, 22, 90)
     with pytest.raises(ValueError):
         gf_expand(gf("named", "catalan"), -1)
     with pytest.raises(ValueError):
@@ -420,20 +411,17 @@ wide_weights = st.one_of(weights, st.builds(Fraction, st.integers(0, 10**12),
 @given(st.sampled_from([*KIND_WEIGHTS, "named"]), st.lists(wide_weights, min_size=4, max_size=4),
        st.sampled_from(NAMED_GF_NAMES), orders)
 def test_series_command_prints_gf_expand(kind, values, name, order):
-    # series prints the int core over its running denominators, which
-    # alternate in sign when G_0 < 0, as inverse_sqrt's always does
+    # series prints the kernel's ints over the powers of L
     params = (name,) if kind == "named" else tuple(values[:len(KIND_WEIGHTS[kind][0])])
     if kind == "closed_form":
         params = (*params[:3], params[3] + 1)       # the general form refuses t = 0
     spec = GFSpec(kind, params)
-    if kind == "inverse_sqrt":
-        assert min(_gf_ints(spec, order)[1]) < 0
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["series", "--gf", json.dumps(gf_to_json(spec)), "-n", str(order),
                      "--format", "json"]) == 0
     assert json.loads(out.getvalue())["coeffs"] == [format_rat(c)
-                                                    for c in gf_expand(spec, order).coeffs]
+                                                    for c in gf_expand(spec, order)]
 
 
 def test_riordan_columns_match_recurrence():
@@ -449,8 +437,7 @@ def test_riordan_columns_match_recurrence():
 @given(coefficients, coefficients, coefficients, st.just(Fraction(0)) | coefficients,
        st.integers(0, 10), st.integers(0, 6))
 def test_riordan_column_check_holds_on_random_rational_weights(p, q, s, t, order, k_max):
-    # a negative t gives h's expansion G_0 = -1, so its running denominators
-    # alternate in sign; the columns are compared over the last one
+    # negative weights, and t = 0, where h is the geometric series 1 / (1 - s x)
     assert riordan_column_check(p, q, s, t, order=order, k_max=k_max) == TRUE
 
 
@@ -464,10 +451,12 @@ def test_riordan_column_check_refuses_negative_order_and_k_max():
 
 
 @settings(max_examples=60, deadline=None)
-@given(maybe_zero, maybe_zero, maybe_zero, maybe_zero, st.sampled_from((0, 1, 3)),
-       st.integers(0, 6))
-def test_riordan_column_check_matches_fraction_kernels(p, q, s, t, order, k_max):
-    # orders 0 and 1, and k_max past the order, whose columns are all zero
+@given(maybe_zero, maybe_zero, maybe_zero, maybe_zero, st.booleans(),
+       st.sampled_from((0, 1, 3)) | st.integers(0, 8), st.integers(0, 6))
+def test_riordan_column_check_matches_fraction_kernels(p, q, s, t, t_zero, order, k_max):
+    # orders 0 and 1, and k_max past the order, whose columns are all zero;
+    # h comes from the tied_qp row at every t, and t = 0 on half the draws
+    t = Fraction(0) if t_zero else t
     assert riordan_column_check(p, q, s, t, order=order, k_max=k_max) == \
         fraction_riordan_check(p, q, s, t, order, k_max) == TRUE
 
@@ -489,12 +478,16 @@ def test_riordan_column_check_compares_column_0_at_every_order(monkeypatch, orde
 
 @pytest.mark.parametrize("name", NAMED_GF_NAMES)
 def test_radical_quotient_ints_are_its_coefficients_over_running_denominators(name):
-    row = _KINDS["named"][1](name)
-    nums, dens = _radical_quotient_ints(*row, 12)
-    assert list(map(Fraction, nums, dens)) == list(radical_quotient(*row, 12).coeffs)
-    assert all(later % earlier == 0 for earlier, later in zip(dens, dens[1:]))
-    # a0 = 0 gives Q = -P, so G_0 = -1 and the denominators alternate in sign
-    assert [d > 0 for d in dens] == [row[1] != 0 or k % 2 == 1 for k in range(13)]
+    # the running denominators are the powers of L; integral weights: L = 1
+    pairs = _gf_ints(gf("named", name), 12)
+    assert list(starmap(Fraction, pairs)) == list(gf_expand(gf("named", name), 12))
+    assert [den for _, den in pairs] == [1] * 13
+    # (p, q, s, t) = (1/2, 2/3, 5/3, 1/3): L = 6, and term k is over 6**k
+    rational = gf("closed_form", "1/2", "2/3", "5/3", "1/3")
+    pairs = _gf_ints(rational, 12)
+    assert [den for _, den in pairs] == [6**k for k in range(13)]
+    assert list(starmap(Fraction, pairs)) == \
+        fraction_radical_quotient(*LITERAL_FORMS["closed_form"](*rational.params), 12)
 
 
 @contextlib.contextmanager
@@ -528,10 +521,11 @@ def test_riordan_column_check_refutes_one_mutated_cell(p, q, s, t, order, data):
 @settings(max_examples=60, deadline=None)
 @given(coefficients, maybe_zero, orders)
 def test_sqrt_matches_fraction_kernel(r1, r2, order):
-    # 1 / sqrt(1 + r1 x + r2 x^2), the root's recurrence alone
+    # 1 / sqrt(1 + r1 x + r2 x^2): inverse_sqrt at s = -r1/2, t = (s^2 - r2)/4
+    s = -r1 / 2
     radicand = [Fraction(1), r1, r2, *[Fraction(0)] * order][:order + 1]
     one = [Fraction(1)] + [Fraction(0)] * order
-    assert list(radical_quotient(1, 0, 0, 1, r1, r2, order).coeffs) == \
+    assert list(expand("inverse_sqrt", s, (s * s - r2) / 4, order=order)) == \
         fraction_divide(one, fraction_sqrt(radicand))
 
 
