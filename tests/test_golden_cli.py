@@ -7,7 +7,9 @@ frozen in golden_cli.json.  Any change to a single output byte fails.
 The cases cover every subcommand: every catalog entry under `gen -n 40`,
 `matrix -n 12`, `hankel-det`, `stieltjes`, `verify` and `tp` in every
 format, one weight pair with rational prefix and polynomial tails (gen,
-matrix, both Hankel families, stieltjes and tp), the matrix of a rational
+matrix, both Hankel families, stieltjes and tp), the same commands on a
+pair over different denominators (3 and 5) with a zero t_k and a negative
+s_k (tp: its diagonal-entry witness), the matrix of a rational
 pair with zero, negative and integral cells, gen on 256-bit constant
 weights, integral and rational (terms past the 4,300-digit limit), on a
 zero weight and on constant-tail pairs at t = 0, q = 0, q = t, q = t with
@@ -151,6 +153,16 @@ CONSTANT_TAIL_CASES = {
 }
 
 
+# sigma over 3 with a negative s_3, tau over 5 with a zero t_3: the leading
+# chain 2/3, 3/5, 0, 0, ... has no negative minor, the zero t_3 leaves it
+# inconclusive, and the contiguous route refutes on the diagonal entry
+# s_3 = -1/3 (rows [3] cols [3]); both Hankel families are 0 from k = 3 on
+THIRDS_FIFTHS_SIGMA = json.dumps({"prefix": ["2/3", "3", "2", "-1/3"],
+                                  "tail": {"kind": "polynomial", "coeffs": ["1/3", "2/3"]},
+                                  "start": 0})
+THIRDS_FIFTHS_TAU = _constant_tail_spec(["7/5", "9/5", "0"], "6/5", 1)
+
+
 def _weight_terms(sigma: str, tau: str, count: int) -> str:
     spec = (SequenceSpec.from_json(json.loads(text)) for text in (sigma, tau))
     return ",".join(format_rat(v) for v in catalan_like(*spec, count - 1))
@@ -216,6 +228,15 @@ def cases() -> dict[str, list[str]]:
                                                  "--shift", "1"]
         out[f"stieltjes-rational-{f}"] = ["stieltjes", *rational, "--depth", "6"]
         out[f"tp-rational-{f}"] = ["tp", *rational, "--depth", "6"]
+        thirds_fifths = ["--sigma", THIRDS_FIFTHS_SIGMA, "--tau", THIRDS_FIFTHS_TAU,
+                         "--format", f]
+        out[f"gen-thirds-fifths-{f}"] = ["gen", *thirds_fifths, "-n", "30"]
+        out[f"matrix-thirds-fifths-{f}"] = ["matrix", *thirds_fifths, "-n", "10"]
+        out[f"stieltjes-thirds-fifths-{f}"] = ["stieltjes", *thirds_fifths, "--depth", "6"]
+        for shift in ("0", "1"):
+            out[f"hankel-det-thirds-fifths-shift{shift}-{f}"] = [
+                "hankel-det", *thirds_fifths, "--depth", "6", "--shift", shift]
+        out[f"tp-thirds-fifths-{f}"] = ["tp", *thirds_fifths, "--depth", "8"]
         out[f"hankel-det-shift-{f}"] = ["hankel-det", "--name", "bell", "--depth", "6",
                                         "--shift", "1", "--format", f]
         # t_2 = 0: both families are 0 from k = 2 on, so the elimination
