@@ -26,7 +26,6 @@ from .hankel import (
     PASS,
     StieltjesReport,
     build_hankel,
-    hankel_det_products,
     hankel_dets,
     stieltjes_check,
     stieltjes_weights,
@@ -40,7 +39,6 @@ from .jacobi import (
     tp_check_sections,
     tp_criterion_pqst,
     tp_sufficient_dominance,
-    window_minors,
 )
 from .recursive import (
     catalan_like,

@@ -29,7 +29,9 @@ Each cmd_* function computes its whole result and returns it as (exit code,
 JSON object, CSV rows with the header first, text), all built from the same
 number strings (gen, matrix and series: from ints over their denominators,
 no Fraction per number); main prints the format asked for, once, so a
-command that fails prints only its error message.  gen and hankel-det take
+command that fails prints only its error message.  Every command reads the
+weights as ints over one denominator (recursive.read_weights), no Fraction
+per weight, and passes them on as they are.  gen and hankel-det take
 the terms of weights constant after their first entry, and series the
 coefficients of every generating function spec, from one routine, the
 closed form's recurrence (series._constant_tail_ints, O(1) int operations a
@@ -82,7 +84,6 @@ from .jacobi import (
     JacobiParams,
     _int_section,
     _minor_chain,
-    _scaled_section,
     tp_certify,
     tp_criterion_pqst,
 )
@@ -230,7 +231,7 @@ def _term_ints(sigma: SequenceSpec, tau: SequenceSpec, n: int, weights=None) -> 
     """(num, den) of terms 0..n, term k = num / den.  Weights constant after
     their first entry go by the closed form's recurrence (series), O(1) int
     operations a term; any other pair by the triangle's column 0, on the
-    weights read_weights(sigma, tau, n, True) unless the caller has read them."""
+    int weights read_weights(sigma, tau, n, True) unless the caller has read them."""
     pqst = pqst_of(sigma, tau)
     if pqst is not None:
         return _constant_tail_pairs(*pqst, n)
@@ -280,8 +281,8 @@ def cmd_hankel_det(args) -> Rendered:
     sigma, tau, name = resolve_weights(args)
     top = 2 * args.depth + args.shift
     # t_1..t_depth, and s_0..s_depth at shift 1: the terms and the products
-    s, t = read_weights(sigma, tau, top, True)
-    pairs = _term_ints(sigma, tau, top, (s, t))
+    weights = read_weights(sigma, tau, top, True)
+    pairs = _term_ints(sigma, tau, top, weights)
     scale = pairs[-1][1]                            # L^top: every term's den divides it
     ints = [num * (scale // den) for num, den in pairs[args.shift:]]
     g = math.gcd(scale, *ints)                      # down to the LCM of the reduced dens
@@ -290,7 +291,7 @@ def cmd_hankel_det(args) -> Rendered:
     # det H^(1)_k = D_k T_0 ... T_k, by cross-multiplication; a product is
     # printed again only when it differs
     rows, lines = [], []
-    for k, ((num, den), (p, q)) in enumerate(zip(minors, _weight_families(s, t)[args.shift])):
+    for k, ((num, den), (p, q)) in enumerate(zip(minors, _weight_families(*weights)[args.shift])):
         det, match = format_over(num, den), num * q == p * den
         rows.append({"k": k, "det": det, "product": det if match else format_over(p, q),
                      "match": match})
@@ -337,11 +338,12 @@ def cmd_series(args) -> Rendered:
 def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
     """The cross-check bundle for one catalog entry at one depth; the three
     identity checks and J's section share one read of s_0..s_{d+1} and
-    t_1..t_{d+1}, R as the recurrence's int rows, and one term list."""
+    t_1..t_{d+1} as ints over L, R as the recurrence's int rows, and one
+    term list."""
     sigma, tau = entry.sigma, entry.tau
     terms = catalan_like(sigma, tau, max(2 * depth + 1, 16))
-    s, t = read_weights(sigma, tau, depth + 2)
-    R = list(_scaled_rows(s, t, depth + 1))
+    s, t, scale = weights = read_weights(sigma, tau, depth + 2)
+    R = list(_scaled_rows(*weights, depth + 1))
     checks: list[tuple[str, bool]] = []
 
     checks.append(("reference_terms",
@@ -351,17 +353,17 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
         motzkin_oracle(sigma, tau, n) == terms[n] for n in range(oracle_depth + 1))))
     # the step factorization is the shift identity one row deeper, so only
     # its failure leaves the shift identity at depth to check on its own
-    step = verify_step_factorization(R, s, t, depth) == TRUE
-    checks.append(("shift_identity", step or verify_RJ_identity(R, s, t, depth) == TRUE))
+    step = verify_step_factorization(R, *weights, depth) == TRUE
+    checks.append(("shift_identity", step or verify_RJ_identity(R, *weights, depth) == TRUE))
     checks.append(("step_factorization", step))
-    checks.append(("hankel_factorization", verify_H_eq_RTRt(R, t, terms, depth) == TRUE))
+    checks.append(("hankel_factorization", verify_H_eq_RTRt(R, t, scale, terms, depth) == TRUE))
     stieltjes = StieltjesReport.by_elimination(terms, depth)
     # elimination on the terms against the weight products, whole report
     checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))
-    section = (s[:depth + 1], t[:depth])
+    section = (s[:depth + 1], t[:depth], scale)
     checks.append(("leading_minors_vs_det", _same_values(
-        _minor_chain(*_scaled_section(*section), 0), _int_leading_minors(*_int_section(*section)))))
+        _minor_chain(*section, 0), _int_leading_minors(*_int_section(*section)))))
     checks.append(("tp_certified", tp_certify(sigma, tau, depth).verdict == TRUE))
     if entry.gf is not None:
         checks.append(("gf_terms", list(gf_expand(entry.gf, depth)) == terms[: depth + 1]))

@@ -12,29 +12,30 @@ report with one helper, so the same families give the same report.
     H = R T R^t with R the unit lower triangular recursive matrix and T the
     diagonal of subdiagonal weight products T_k = t_1 ... t_k, and the
     shifted one as H^(1) = R (J T) R^t with J the coefficient matrix, so
-    on every section det H_n = T_0 * ... * T_n (hankel_det_products) and
-    det H^(1)_n = D_n * T_0 * ... * T_n with D_n the leading minor of J
-    (jacobi._minor_chain from row 0): O(depth) integer multiplications
-    over weights read once (recursive.read_weights) and scaled integral
-    (_weight_families).
+    on every section det H_n = T_0 * ... * T_n and det H^(1)_n = D_n *
+    T_0 * ... * T_n with D_n the leading minor of J (jacobi._minor_chain
+    from row 0): O(depth) integer multiplications (_weight_families) on
+    the weights as recursive.read_weights reads them, each once, as ints
+    over one L straight from the specs.
 
   * stieltjes_check, for explicit terms (a plain sequence m_0, m_1, ...),
     inverts them first: the Chebyshev algorithm (Gautschi, Orthogonal
     Polynomials: Computation and Approximation, 2004, section 2.1) recovers
     the weights s_0..s_depth, t_1..t_depth of m / m_0 from m_0..m_{2 depth+1}
     column by column of the recursive matrix, O(depth^2) integer products.
-    The recovered weights are certified by replay: m_0 times their
-    Catalan-like numbers (recursive._scaled_rows) must give back every term,
-    and only then are both families read off them as above, each scaled by
-    m_0^(k+1).  Terms with m_0 <= 0, with a zero t_k (a zero leading minor
-    of H) or that do not replay go to elimination instead.
+    The recovered weights and m_0 are put over one L and certified by
+    replay: m_0 times their Catalan-like numbers (recursive._scaled_rows)
+    must give back every term, and only then are both families read off
+    them as above, each scaled by m_0^(k+1).  Terms with m_0 <= 0, with a
+    zero t_k (a zero leading minor of H) or that do not replay go to
+    elimination instead.
 
 Both families stay ints until they are printed: each determinant is an int
 over a power of the weights' or the terms' common denominator.  Signs, the
 verdict and the witness are read off the numerators, reports are compared
 by cross-multiplication, and to_json prints with exact.format_over.
-StieltjesReport.dets0/dets1, hankel_dets and hankel_det_products are the
-Fraction forms of the same ints, for library callers.
+StieltjesReport.dets0/dets1 and hankel_dets are the Fraction forms of the
+same ints, for library callers.
 
 Elimination is the fallback of stieltjes_check and the independent cross
 check of the weight products (cli verify, cli hankel-det).  A family is
@@ -60,9 +61,9 @@ tridiagonal matrix two consecutive leading minors are never both zero, so a
 zero minor D_j T_0 ... T_j with T_{j+1} != 0 and a positive minor before it
 makes the next leading minor negative.  Scaling by m_0 > 0 changes no sign.
 
-verify_H_eq_RTRt checks the factorization on the int rows of R, the weights
-and the terms by band sums of ints, not a dense product: O(depth^3), R being
-triangular and T diagonal.
+verify_H_eq_RTRt checks the factorization on the int rows of R, the int
+weights over L and the terms by band sums of ints, not a dense product:
+O(depth^3), R being triangular and T diagonal.
 """
 
 from __future__ import annotations
@@ -221,11 +222,13 @@ def stieltjes_check(terms: Sequence, depth: int = DEFAULT_DEPTH) -> StieltjesRep
     if len(terms) < needed:
         raise ValueError(f"need {needed} terms for depth {depth}, have {len(terms)}")
     terms = [as_rat(v) for v in terms[:needed]]
-    m0 = terms[0]
-    weights = _chebyshev_weights(terms, depth) if m0 > 0 else None
-    if weights is None or not _replays(terms, *weights):
-        return StieltjesReport.by_elimination(terms, depth)
-    return StieltjesReport.from_families(depth, *_weight_families(*weights, m0))
+    weights = _chebyshev_weights(terms, depth) if terms[0] > 0 else None
+    if weights is not None:
+        (m0, *ints), scale = _scaled_ints([terms[0], *weights[0], *weights[1]])
+        s, t = ints[:depth + 1], ints[depth + 1:]
+        if _replays(terms, s, t, scale):
+            return StieltjesReport.from_families(depth, *_weight_families(s, t, scale, m0))
+    return StieltjesReport.by_elimination(terms, depth)
 
 
 def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
@@ -240,22 +243,21 @@ def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
         depth, *_weight_families(*read_weights(sigma, tau, depth + 1)))
 
 
-def _weight_families(s: list, t: list, m0=Fraction(1)) -> tuple[list, list]:
-    """Both Hankel families of m0 times the Catalan-like numbers of s_0..
-    and t_1..t_d, as (num, den) int pairs, den > 0: det H_n for n = 0..d and
-    det H^(1)_n for n = 0..min(d, len(s) - 1).
+def _weight_families(s: list[int], t: list[int], scale: int, m0=None) -> tuple[list, list]:
+    """Both Hankel families of m_0 times the Catalan-like numbers of s_0..
+    and t_1..t_d, given as S = L s, T = L t and m0 = L m_0 over L (m_0 = 1
+    when m0 is None), as (num, den) int pairs, den > 0: det H_n for n = 0..d
+    and det H^(1)_n for n = 0..min(d, len(s) - 1).
 
-    With L the LCM of the denominators of m0, s and t, the ints L m0 and
-    L t_k make L^(k+1) m0 T_k = (L m0)(L t_1)...(L t_k), and their running
-    product P_n is det H_n = m0^(n+1) T_0 ... T_n over L^((n+1)(n+2)/2).
-    jacobi._minor_chain gives D'_n = L^(n+1) D_n, and det H^(1)_n = D_n det
-    H_n is D'_n P_n over the product of the two scales."""
-    ints, scale = _scaled_ints([m0, *t, *s])
-    cut = len(t) + 1
-    powers = accumulate([scale] * cut, operator.mul)                # L^(n+1)
-    products = accumulate(accumulate(ints[:cut], operator.mul), operator.mul)
+    L m_0 and L t_k make L^(k+1) m_0 T_k = (L m_0)(L t_1)...(L t_k), and
+    their running product P_n is det H_n = m_0^(n+1) T_0 ... T_n over
+    L^((n+1)(n+2)/2).  jacobi._minor_chain gives D'_n = L^(n+1) D_n, and
+    det H^(1)_n = D_n det H_n is D'_n P_n over the product of the two scales."""
+    lead = [scale if m0 is None else m0, *t]
+    powers = accumulate([scale] * len(lead), operator.mul)          # L^(n+1)
+    products = accumulate(accumulate(lead, operator.mul), operator.mul)
     family0 = list(zip(products, accumulate(powers, operator.mul)))
-    chain = _minor_chain(ints[cut:], ints[1:cut], scale, 0)
+    chain = _minor_chain(s, t, scale, 0)
     return family0, [(d * p, c * q) for (d, c), (p, q) in zip(chain, family0)]
 
 
@@ -291,28 +293,27 @@ def _chebyshev_weights(terms: list[Fraction], depth: int) -> Optional[tuple[list
         prev, col = col, [c // g for c in x]
 
 
-def _replays(terms: list[Fraction], s: list, t: list) -> bool:
-    """Whether m_0 times the Catalan-like numbers of the weights gives back
-    every term: the certificate that the inversion found the weights,
-    checked by int cross-multiplication of m_0 row[0] / den with each term.
+def _replays(terms: list[Fraction], s: list[int], t: list[int], scale: int) -> bool:
+    """Whether m_0 times the Catalan-like numbers of the weights L s, L t over
+    L gives back every term: the certificate that the inversion found the
+    weights, by int cross-multiplication of m_0 row[0] / den with each term.
     The 2 depth+2 terms use exactly s_0..s_depth and t_1..t_depth."""
     a, b = terms[0].numerator, terms[0].denominator
-    rows = _scaled_rows(s, t, len(terms) - 1, True)
+    rows = _scaled_rows(s, t, scale, len(terms) - 1, True)
     return all(a * row[0] * m.denominator == m.numerator * b * den
                for (row, den), m in zip(rows, terms))
 
 
-def verify_H_eq_RTRt(rows, t: list, terms: Sequence, depth: int) -> str:
+def verify_H_eq_RTRt(rows, t: list[int], scale: int, terms: Sequence, depth: int) -> str:
     """Check the factorization H = R T R^t of the Hankel matrix of the terms
     m_0..m_{2 depth} on (depth+1)-sections, R given by the (row, den) pairs
     of _scaled_rows (r_{n,k} = row[k] / den) and T the diagonal of the
-    running products T_0 = 1, T_k = t_1 ... t_k.
+    running products T_0 = 1, T_k = t_1 ... t_k of the weights L t_k over L.
 
     Exact on sections because row n of R ends at column n.  Entry (i, j) of
     R T R^t is the sum over k <= min(i, j) of r_{i,k} T_k r_{j,k}; both
     sides are symmetric, so the lower triangle is compared with m_{i+j}, on
-    ints: with L the LCM of the denominators of t_1..t_depth and P_k = L t_1
-    ... L t_k, the sum of row_i[k] row_j[k] P_k L^(depth-k) is m_{i+j} den_i
+    ints: with P_k = L t_1 ... L t_k, the sum of row_i[k] row_j[k] P_k L^(depth-k) is m_{i+j} den_i
     den_j L^depth.
     """
     if not 0 <= depth < len(rows):
@@ -321,8 +322,7 @@ def verify_H_eq_RTRt(rows, t: list, terms: Sequence, depth: int) -> str:
         raise ValueError(f"need {2 * depth + 1} terms for depth {depth}, have {len(terms)}")
     if len(t) < depth:
         raise ValueError(f"need t_1..t_{depth}, have {len(t)} weights")
-    ints, scale = _scaled_ints(t[:depth])
-    products = enumerate(accumulate(ints, operator.mul, initial=1))
+    products = enumerate(accumulate(t[:depth], operator.mul, initial=1))
     diagonal = [p * scale**(depth - k) for k, p in products]      # diagonal[0] = L^depth
     for i, (row_i, den_i) in enumerate(rows[:depth + 1]):
         row_iT, top = list(map(operator.mul, row_i, diagonal)), den_i * diagonal[0]
@@ -331,12 +331,3 @@ def verify_H_eq_RTRt(rows, t: list, terms: Sequence, depth: int) -> str:
                 return FALSE
     return TRUE
 
-
-def hankel_det_products(t: Sequence[Fraction], m0: Fraction = Fraction(1)) -> list[Fraction]:
-    """det[m_{i+j}] on the (n+1)-sections, n = 0..d, from the subdiagonal
-    weights t_1..t_d alone: by H = R T R^t with R unit triangular, the
-    running product T_0 * ... * T_n of T_0 = 1, T_k = t_1 * ... * t_k.  For
-    m0 times the terms of the weights each T_k is scaled by m0, which
-    scales the n-th product by m0^(n+1).  The Fractions of
-    _weight_families' ints."""
-    return list(starmap(_over, _weight_families([], t, m0)[0]))

@@ -30,14 +30,14 @@ so _minor_chain is the only determinant evaluation here, and hankel reads
 the shifted Hankel family off the same chain: O(depth) multiplications for
 the leading chain, O(depth^2) for all windows.  The chain runs on integers:
 with L the LCM of the weights' denominators, s' = L s and t' = L^2 t give
-D' = L^(hi-lo+1) D by the same recurrence.  Both minor routes scale their
-section once and decide each sign on D'; only a printed minor is reduced
-(format_over), and window_minors is the Fraction form of the same chain.
-The section routes take the lists s_0..s_depth and t_1..t_depth that
-recursive.read_weights(sigma, tau, depth + 1) reads (_int_section lays them
-out as ints for verify's elimination); tp_certify reads them once for both
-minor routes, and dominance reads only the weights below the first tail
-index unless the tails fail their symbolic test there.
+D' = L^(hi-lo+1) D by the same recurrence.  Both minor routes decide each
+sign on D'; only a printed minor is reduced (format_over).  The section
+routes take S = L s_0..L s_depth, T = L t_1..L t_depth and L as
+recursive.read_weights(sigma, tau, depth + 1) reads them, straight from the
+specs' ints (_int_section lays them out as rows for verify's elimination);
+tp_certify reads them once for both minor routes.  Dominance alone still
+evaluates single weights as Fractions (SequenceSpec.eval), and only those
+below the first tail index unless the tails fail their symbolic test there.
 
 All verdicts are TRUE / FALSE / INCONCLUSIVE, and every report states the
 depth it actually checked.
@@ -54,7 +54,6 @@ from .exact import (
     FALSE,
     INCONCLUSIVE,
     TRUE,
-    _over,
     _scaled_ints,
     format_over,
     format_rat,
@@ -112,19 +111,18 @@ class TPReport:
         return data
 
 
-def _section_depth(s: list[Fraction], t: list[Fraction]) -> int:
+def _section_depth(s: list, t: list) -> int:
     """depth, for the weights s_0..s_depth and t_1..t_depth of a section."""
     if not s or len(t) != len(s) - 1:
         raise ValueError(f"need s_0..s_d and t_1..t_d, d >= 0; got {len(s)} and {len(t)}")
     return len(s) - 1
 
 
-def _int_section(s: list[Fraction], t: list[Fraction]) -> tuple[list[list[int]], int]:
-    """J's leading section on s_0..s_n and t_1..t_n as int rows over L, the LCM
-    of the weights' denominators: L s on the diagonal, L t below, L above."""
+def _int_section(s: list[int], t: list[int], scale: int) -> tuple[list[list[int]], int]:
+    """J's leading section on S = L s_0..L s_n and T = L t_1..L t_n as int rows
+    over L: S on the diagonal, T below, L above."""
     n = _section_depth(s, t) + 1
-    ints, scale = _scaled_ints([*s, *t])
-    return [[ints[i] if j == i else ints[n + j] if j == i - 1 else scale * (j == i + 1)
+    return [[s[i] if j == i else t[j] if j == i - 1 else scale * (j == i + 1)
              for j in range(n)] for i in range(n)], scale
 
 
@@ -141,22 +139,9 @@ def _minor_chain(s: list[int], t: list[int], den: int, lo: int) -> Iterator[tupl
         yield prev1, scale
 
 
-def _scaled_section(s: list[Fraction], t: list[Fraction]) -> tuple[list[int], list[int], int]:
-    """L s_0..L s_n, L t_1..L t_n and L, the LCM of the weights' denominators."""
-    ints, den = _scaled_ints([*s, *t])
-    return ints[:len(s)], ints[len(s):], den
-
-
-def window_minors(s: list[Fraction], t: list[Fraction], lo: int) -> Iterator[Fraction]:
-    """D[lo..hi] for hi = lo..n, the contiguous principal minors of J on
-    s_0..s_n and t_1..t_n from row lo, as Fractions: _minor_chain's ints over
-    their powers of L."""
-    for value, scale in _minor_chain(*_scaled_section(s, t), lo):
-        yield _over(value, scale)
-
-
-def tp_by_leading_minors(s: list[Fraction], t: list[Fraction]) -> TPReport:
-    """Certify the section on s_0..s_depth, t_1..t_depth by its leading minors.
+def tp_by_leading_minors(s: list[int], t: list[int], scale: int) -> TPReport:
+    """Certify the section on S = L s_0..L s_depth, T = L t_1..L t_depth over L
+    (read_weights) by its leading minors.
 
     Requires irreducibility (all inspected t_k > 0).  Then all leading
     minors positive forces every s_k > 0, J is diagonally similar to a
@@ -167,15 +152,14 @@ def tp_by_leading_minors(s: list[Fraction], t: list[Fraction]) -> TPReport:
     read off the int chain; only the printed minors are reduced.
     """
     depth = _section_depth(s, t)
-    diag, sub, den = _scaled_section(s, t)
-    chain = tuple(_minor_chain(diag, sub, den, 0))
-    for k, (value, scale) in enumerate(chain):
+    chain = tuple(_minor_chain(s, t, scale, 0))
+    for k, (value, den) in enumerate(chain):
         if value < 0:
             witness = {"rows": list(range(k + 1)), "cols": list(range(k + 1)),
-                       "value": format_over(value, scale)}
+                       "value": format_over(value, den)}
             return TPReport("leading_minors", FALSE, depth=depth, witness=witness,
                             detail=_chain_detail(chain))
-    if not all(w > 0 for w in sub):
+    if not all(w > 0 for w in t):
         return TPReport("leading_minors", INCONCLUSIVE, depth=depth,
                         detail="matrix is reducible or has a negative subdiagonal "
                                "weight at this depth; use the contiguous-minor check")
@@ -206,10 +190,7 @@ def _eventually_nonneg(coeffs: list[Fraction], from_index: int) -> bool:
 
 
 def _tail_poly(spec: SequenceSpec) -> list[Fraction]:
-    tail = spec.tail
-    if hasattr(tail, "coeffs"):
-        return list(tail.coeffs)
-    return [tail.value]
+    return list(getattr(spec.tail, "coeffs", None) or (spec.tail.value,))
 
 
 def _tails_nonneg(sigma: SequenceSpec, tau: SequenceSpec, from_index: int) -> bool:
@@ -287,8 +268,9 @@ def tp_criterion_pqst(params: JacobiParams) -> TPReport:
                     detail=f"p(s + sqrt(s^2-4t))/2 < q with 2q - ps = {format_rat(gap)}")
 
 
-def tp_check_sections(s: list[Fraction], t: list[Fraction]) -> TPReport:
-    """Decide total positivity of the section on s_0..s_depth, t_1..t_depth.
+def tp_check_sections(s: list[int], t: list[int], scale: int) -> TPReport:
+    """Decide total positivity of the section on S = L s_0..L s_depth,
+    T = L t_1..L t_depth over L (read_weights).
 
     For a nonnegative tridiagonal matrix, the section is totally positive
     iff every contiguous principal minor (consecutive row/column window) is
@@ -297,24 +279,23 @@ def tp_check_sections(s: list[Fraction], t: list[Fraction]) -> TPReport:
     refutes immediately.  More than MAX_WINDOWS windows is INCONCLUSIVE.
     """
     depth = _section_depth(s, t)
-    diag, sub, den = _scaled_section(s, t)
     for k in range(depth + 1):
-        if diag[k] < 0:
+        if s[k] < 0:
             return TPReport("contiguous_minors", FALSE, depth=depth,
-                            witness={"rows": [k], "cols": [k], "value": format_rat(s[k])})
-        if k and sub[k - 1] < 0:
-            return TPReport("contiguous_minors", FALSE, depth=depth,
-                            witness={"rows": [k], "cols": [k - 1], "value": format_rat(t[k - 1])})
+                            witness={"rows": [k], "cols": [k], "value": format_over(s[k], scale)})
+        if k and t[k - 1] < 0:
+            return TPReport("contiguous_minors", FALSE, depth=depth, witness={
+                "rows": [k], "cols": [k - 1], "value": format_over(t[k - 1], scale)})
     windows = (depth + 1) * (depth + 2) // 2
     if windows > MAX_WINDOWS:
         return TPReport("contiguous_minors", INCONCLUSIVE, depth=depth,
                         detail=f"window count {windows} exceeds budget {MAX_WINDOWS}")
     for lo in range(depth + 1):
-        for hi, (value, scale) in enumerate(_minor_chain(diag, sub, den, lo), start=lo):
+        for hi, (value, den) in enumerate(_minor_chain(s, t, scale, lo), start=lo):
             if value < 0:
                 witness = {"rows": list(range(lo, hi + 1)),
                            "cols": list(range(lo, hi + 1)),
-                           "value": format_over(value, scale)}
+                           "value": format_over(value, den)}
                 return TPReport("contiguous_minors", FALSE, depth=depth, witness=witness)
     return TPReport("contiguous_minors", TRUE, depth=depth)
 
@@ -330,8 +311,8 @@ def tp_certify(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> TPReport:
     dominance = tp_sufficient_dominance(sigma, tau, probe_depth=max(depth, 1))
     if dominance.verdict == TRUE:
         return dominance
-    s, t = read_weights(sigma, tau, depth + 1)
-    structured = tp_by_leading_minors(s, t)
+    weights = read_weights(sigma, tau, depth + 1)
+    structured = tp_by_leading_minors(*weights)
     if structured.verdict != INCONCLUSIVE:
         return structured
-    return tp_check_sections(s, t)
+    return tp_check_sections(*weights)

@@ -13,8 +13,9 @@ s_k and down steps from height k weighted t_k); motzkin_oracle evaluates
 that count by explicit path enumeration, independent of the recurrence, and
 serves as the test oracle.
 
-The recurrence runs on integers.  Each weight it uses is evaluated once and
-scaled by L, the least common multiple of their denominators; then
+The recurrence runs on integers.  read_weights reads each weight it uses
+once, as an int over L, the LCM of both specs' denominators, straight from
+the specs' ints (SequenceSpec.ints: no Fraction per weight); then
 L**n * r_{n,k} is an integer and row n+1 follows from row n with int
 arithmetic only.  The library returns Fractions; matrix prints the ints
 over L**n (exact.format_over), and gen prints column 0 the same way, for
@@ -30,38 +31,41 @@ s_0..s_{(depth-1)//2} and t_1..t_{depth//2}: a closed path of length depth
 takes a level step at height k only if 2k + 1 <= depth, and a down step
 from height k only if 2k <= depth.
 
-The shift identity check takes the int rows of _scaled_rows and the weight
-lists, and forms each entry of R J as a three-term band sum of ints, O(d^2)
-on a section of size d; past row 0 the step factorization is that identity
-one row deeper.
+The shift identity check takes the int rows of _scaled_rows and the int
+weights over L, and forms each entry of R J as a three-term band sum of
+ints, O(d^2) on a section of size d; past row 0 the step factorization is
+that identity one row deeper.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .exact import FALSE, TRUE, _over, _scaled_ints
+from .exact import FALSE, TRUE, _over
 from .seqspec import SequenceSpec
 
 ORACLE_MAX_LENGTH = 14
 
 
 def read_weights(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: bool = False):
-    """s_0.. and t_1.., each read once: those rows 0..depth use (truncate: their kept cells).
-    Also the lists of the TP routes and stieltjes_weights: s_0..s_d, t_1..t_d at depth d + 1."""
+    """(S, T, L): S = L s_0.., T = L t_1.. as ints over L, the LCM of both specs'
+    denominators, each weight read once: those rows 0..depth use (truncate:
+    their kept cells).  Also the weights of the TP routes and stieltjes_weights:
+    s_0..s_d, t_1..t_d at depth d + 1."""
     s_count, t_count = ((depth + 1) // 2, depth // 2) if truncate else (depth, depth - 1)
-    return sigma.values(s_count), tau.values(t_count)
+    scale = math.lcm(sigma.den, tau.den)
+    return sigma.ints(s_count, scale), tau.ints(t_count, scale), scale
 
 
-def _scaled_rows(s: list[Fraction], t: list[Fraction], depth: int, truncate: bool = False):
+def _scaled_rows(s: list[int], t: list[int], scale: int, depth: int, truncate: bool = False):
     """Yield (row, den) for n = 0..depth, row[k] = den * r_{n,k} as ints and
-    den = L**n, from the weights of read_weights(..., depth, truncate).  Row n
-    holds columns 0..n, or 0..min(n, depth - n) when truncate is set."""
+    den = L**n, from the weights S, T, L of read_weights(..., depth, truncate).
+    Row n holds columns 0..n, or 0..min(n, depth - n) when truncate is set."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    weights, scale = _scaled_ints(s + t)
     pad = [0] * (depth + 1)
-    s, t = weights[:len(s)] + pad, weights[len(s):] + pad
+    s, t = s + pad, t + pad
     row, den = [1], 1
     yield row, den
     for n in range(depth):
@@ -86,8 +90,8 @@ def motzkin_oracle(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> Fraction:
     back to height 0 that never dips below 0: up steps weigh 1, a level step
     at height k weighs s_k, a down step from height k weighs t_k.  The only
     pruning is the feasibility bound height <= remaining steps, which
-    discards no completable path.  Run on ints, with L the LCM of the
-    weights' denominators, steps weigh L, L s_k and L t_k; the total is over L**n.
+    discards no completable path.  Run on the ints of read_weights, steps
+    weigh L, L s_k and L t_k; the total is over L**n.
     """
     if n < 0:
         raise ValueError("path length must be >= 0")
@@ -97,8 +101,8 @@ def motzkin_oracle(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> Fraction:
         )
     total = 0
     # each weight read once: a path of length n stays at height <= n // 2
-    weights, scale = _scaled_ints([*sigma.values(n // 2 + 1), *tau.values(n // 2)])
-    s, t = weights[:n // 2 + 1], [None, *weights[n // 2 + 1:]]
+    s, t, scale = read_weights(sigma, tau, n // 2 + 1)
+    t = [None, *t]
 
     def walk(remaining: int, height: int, weight: int):
         nonlocal total
@@ -116,11 +120,11 @@ def motzkin_oracle(sigma: SequenceSpec, tau: SequenceSpec, n: int) -> Fraction:
     return _over(total, scale**n)
 
 
-def verify_RJ_identity(rows, s: list, t: list, depth: int) -> str:
+def verify_RJ_identity(rows, s: list[int], t: list[int], scale: int, depth: int) -> str:
     """Check that deleting row 0 of R equals R times the coefficient matrix J
     of s_0..s_depth and t_1..t_depth, R given by the (row, den) pairs of
-    _scaled_rows: r_{n,k} = row[k] / den, row n ending at column n.  With L
-    the LCM of the weights' denominators, S = L s and T = L t, entry (n, k)
+    _scaled_rows: r_{n,k} = row[k] / den, row n ending at column n.  The
+    weights are S = L s and T = L t over L (read_weights), and entry (n, k)
     of R J times L den_n is the int L r'_{n,k-1} + S_k r'_{n,k} + T_{k+1}
     r'_{n,k+1}, r' = row n, and row n+1 times L den_n / den_{n+1}; the two
     are compared cross-multiplied (by 1 when den_n = L**n, as in _scaled_rows).
@@ -129,28 +133,28 @@ def verify_RJ_identity(rows, s: list, t: list, depth: int) -> str:
         raise ValueError(f"depth must lie in 1..{len(rows) - 1}")
     if len(s) <= depth or len(t) < depth:
         raise ValueError(f"need s_0..s_{depth} and t_1..t_{depth}")
-    weights, scale = _scaled_ints([*s, *t])
-    S, T = weights[:len(s)], [*weights[len(s):], 0]
+    t = [*t, 0]
     for (row, den), (below, below_den) in zip(rows, rows[1:depth + 1]):
         padded = [*row, 0, 0]
         product = [scale * up + sk * level + tk * down
-                   for up, level, down, sk, tk in zip([0, *row], padded, padded[1:], S, T)]
+                   for up, level, down, sk, tk in zip([0, *row], padded, padded[1:], s, t)]
         if [p * below_den for p in product] != [v * scale * den for v in below]:
             return FALSE
     return TRUE
 
 
-def verify_step_factorization(rows, s: list, t: list, n: int) -> str:
+def verify_step_factorization(rows, s: list[int], t: list[int], scale: int, n: int) -> str:
     """Check R_{n+1} = blockdiag(1, R_n) @ L_n, the one-step factorization
     that peels the recurrence off the leading section.  L_n has unit
     diagonal, s_0..s_n and t_1..t_n below it, so row 0 of the product is
     e_0 and entry (i, j) below it is r_{i-1,j-1} + s_j r_{i-1,j} +
     t_{j+1} r_{i-1,j+1}, entry (i-1, j) of R @ J: the shift identity on
-    rows 0..n+1 of R (row, den pairs), s_0..s_{n+1} and t_1..t_{n+1}.
+    rows 0..n+1 of R (row, den pairs), S = L s_0..L s_{n+1}, T = L t_1..L t_{n+1}
+    and L.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     row, den = rows[0]
     if list(row) != [den]:
         return FALSE
-    return verify_RJ_identity(rows, s, t, n + 1)
+    return verify_RJ_identity(rows, s, t, scale, n + 1)

@@ -6,7 +6,12 @@ A recursive matrix is driven by two weight sequences: diagonal weights
 SequenceSpec describes such a sequence by an explicit finite prefix followed
 by a tail rule, either a constant or a polynomial in the index k (degree at
 most 4; the catalog needs at most k**2).  Specs serialize to JSON with
-rationals as "p/q" strings.
+rationals as "p/q" strings.  A spec holds its prefix and the reversed
+coefficients of its tail as ints over den, the LCM of their denominators;
+SequenceSpec.ints hands out its first values as ints over any multiple of
+den, no Fraction per value, as every route reads its weights
+(recursive.read_weights).  values and eval, one index at a time as
+dominance reads, give Fractions.
 
 The catalog maps the eight classical names (catalan, central_binomial,
 delannoy, schroder_large, schroder_little, hexagonal, bell, factorial) to
@@ -102,13 +107,19 @@ class SequenceSpec:
     prefix: tuple[Fraction, ...]
     tail: object
     start: int = 0
+    den: int = field(init=False, repr=False, compare=False)
+    _ints: tuple[list[int], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(as_rat(c) for c in self.prefix))
+        object.__setattr__(self, "prefix", prefix := tuple(as_rat(c) for c in self.prefix))
         if not isinstance(self.tail, (ConstantTail, PolynomialTail)):
             raise ValueError("tail must be a ConstantTail or PolynomialTail")
         if type(self.start) is not int or self.start not in (0, 1):
             raise ValueError(f"start must be 0 or 1, got {self.start!r}")
+        coeffs = (self.tail.value,) if isinstance(self.tail, ConstantTail) else self.tail.coeffs
+        ints, den = _scaled_ints([*prefix, *coeffs[::-1]])
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_ints", (ints[:len(prefix)], ints[len(prefix):]))
 
     @classmethod
     def constant(cls, value, start: int = 0) -> "SequenceSpec":
@@ -131,9 +142,27 @@ class SequenceSpec:
             return self.prefix[offset]
         return self.tail.eval(k)
 
+    def ints(self, count: int, den: int) -> list[int]:
+        """den times the first `count` values, for den a multiple of self.den: the
+        prefix's ints, then the tail's, a constant repeated, a polynomial by Horner."""
+        factor, rest = divmod(den, self.den)
+        if rest:
+            raise ValueError(f"{den} is not a multiple of the denominator {self.den}")
+        prefix, poly = ([v * factor for v in part] for part in self._ints)
+        head = prefix[:max(count, 0)]
+        indices = range(self.start + len(head), self.start + count)
+        if len(poly) == 1:
+            return head + poly * len(indices)
+        for k in indices:
+            acc = 0
+            for c in poly:
+                acc = acc * k + c
+            head.append(acc)
+        return head
+
     def values(self, count: int) -> list[Fraction]:
-        """The first `count` values, starting at the start index."""
-        return [self.eval(self.start + i) for i in range(count)]
+        """The first `count` values from the start index: ints(count, den) as Fractions."""
+        return [Fraction(v, self.den) for v in self.ints(count, self.den)]
 
     def tail_start(self) -> int:
         """First index governed by the tail rule."""

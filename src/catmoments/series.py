@@ -98,12 +98,6 @@ def _constant_tail_pairs(p, q, s, t, n: int) -> list[tuple[int, int]]:
     return list(zip(nums, accumulate([1, *[scale] * n], mul)))
 
 
-def _closed_form(p, q, s, t) -> tuple:
-    if t == 0:
-        raise ValueError("closed form divides by 2*t; for t = 0 use kind tied_qp or inverse_sqrt")
-    return p, q, s, t
-
-
 #: the weights (p, q, s, t) of each classical closed form, one literal row
 #: each; tests/oracle.py holds their literal formulas, which the tests expand
 #: on the schoolbook kernels against these rows
@@ -120,7 +114,7 @@ NAMED_GF_NAMES = tuple(sorted(_NAMED))
 #: kind -> (fields, map from the field values to the weights (p, q, s, t)
 #: whose column 0 the kind generates)
 _KINDS = {
-    "closed_form": (("p", "q", "s", "t"), _closed_form),
+    "closed_form": (("p", "q", "s", "t"), lambda p, q, s, t: (p, q, s, t)),
     "tied_q": (("p", "s", "t"), lambda p, s, t: (p, t, s, t)),
     "tied_qp": (("s", "t"), lambda s, t: (s, t, s, t)),
     "inverse_sqrt": (("s", "t"), lambda s, t: (s, 2 * t, s, t)),
@@ -209,14 +203,15 @@ def riordan_column_check(p, q, s, t, order: int = DEFAULT_ORDER, k_max: int = 5)
     if order < 0:
         raise ValueError("order must be >= 0")
     p, q, s, t = map(as_rat, (p, q, s, t))
-    (p_int, q_int, _, _), scale = _scaled_ints([p, q, s, t])   # L of the rows
+    (p_int, q_int, s_int, t_int), scale = _scaled_ints([p, q, s, t])   # L of the rows
     h, h_scale = _constant_tail_ints(s, t, s, t, order)
     lifted = list(map(mul, h, accumulate([scale, *[scale // h_scale] * order], mul)))
 
     def times_xh(column: list[int]) -> list[int]:
         return [sum(map(mul, lifted[:n], column[n - 1::-1])) for n in range(order + 1)]
 
-    rows = [row for row, _ in _scaled_rows([p, *[s] * order], [q, *[t] * order], order)]
+    rows = [row for row, _ in _scaled_rows([p_int, *[s_int] * order],
+                                           [q_int, *[t_int] * order], scale, order)]
     column = [row[0] for row in rows]
     expected = [1, *(p_int * v + q_int * w for v, w in zip(column, times_xh(column)))]
     if column != expected[:order + 1]:

@@ -40,9 +40,14 @@ library's weights (p, q, s, t) and its one int recurrence;
 fraction_horner evaluates a polynomial on Fractions, against
 PolynomialTail.eval on scaled integers.
 
-fraction_window_minors and fraction_det_products are the three-term minor
-chain and the running weight products on Fractions, step by step, which the
-library runs on integers over a common denominator.
+int_weights puts Fraction weight lists over one denominator L as the
+library's routes take them, (L s, L t, L), the triple read_weights reads;
+record_weight_reads records every weight a SequenceSpec hands out.
+window_minors and hankel_det_products are the Fraction forms of the
+library's int minor chain and int weight products, on Fraction weights;
+fraction_window_minors and fraction_det_products are the same chain and
+products on Fractions, step by step, which the library runs on integers
+over a common denominator.
 
 probe_every_index_dominance is the weight-dominance route as it ran before
 it tested the tails at the first index past both prefixes: every index up to
@@ -73,8 +78,8 @@ from catmoments.exact import (
     det_bareiss,
     format_rat,
 )
-from catmoments.hankel import build_hankel
-from catmoments.jacobi import DOMINANCE_GUARD_INDEX, TPReport, _section_depth
+from catmoments.hankel import _weight_families, build_hankel
+from catmoments.jacobi import DOMINANCE_GUARD_INDEX, TPReport, _minor_chain, _section_depth
 from catmoments.recursive import _scaled_rows, read_weights
 from catmoments.seqspec import SequenceSpec
 
@@ -409,6 +414,50 @@ def probe_every_index_dominance(sigma, tau, probe_depth: int = 8) -> TPReport:
     return TPReport("dominance", INCONCLUSIVE, depth=guard,
                     detail=f"condition holds up to k = {guard}; "
                            "tail could not be certified symbolically")
+
+
+def int_weights(s, t) -> tuple[list[int], list[int], int]:
+    """Fraction weight lists s_0.. and t_1.. as the library's routes take them,
+    the triple recursive.read_weights reads: S = L s, T = L t and L, the LCM
+    of their denominators."""
+    ints, scale = _scaled_ints([*s, *t])
+    return ints[:len(s)], ints[len(s):], scale
+
+
+def record_weight_reads(monkeypatch) -> list:
+    """Patch both weight readers of SequenceSpec to record each weight they
+    hand out, as (spec, index) pairs in call order: ints(count, den) reads
+    indices start..start+count-1, eval(k) index k (only dominance reads that
+    way).  Returns the list the pairs go to."""
+    reads = []
+    ints, evaluate = SequenceSpec.ints, SequenceSpec.eval
+
+    def counting_ints(spec, count, den):
+        reads.extend((spec, spec.start + i) for i in range(count))
+        return ints(spec, count, den)
+
+    def counting_eval(spec, k):
+        reads.append((spec, k))
+        return evaluate(spec, k)
+
+    monkeypatch.setattr(SequenceSpec, "ints", counting_ints)
+    monkeypatch.setattr(SequenceSpec, "eval", counting_eval)
+    return reads
+
+
+def window_minors(s, t, lo: int) -> list[Fraction]:
+    """D[lo..hi] for hi = lo..n, the contiguous principal minors of J on the
+    Fraction weights s_0..s_n and t_1..t_n from row lo: the library's int
+    chain (jacobi._minor_chain) over its powers of L."""
+    return list(itertools.starmap(Fraction, _minor_chain(*int_weights(s, t), lo)))
+
+
+def hankel_det_products(t, m0=Fraction(1)) -> list[Fraction]:
+    """det[m_{i+j}] on the (n+1)-sections, n = 0..d, of m0 times the terms of
+    a weight pair with subdiagonal weights t_1..t_d (H = R T R^t): the
+    library's int products (hankel._weight_families) as Fractions."""
+    (lead, *ints), scale = _scaled_ints([Fraction(m0), *t])
+    return list(itertools.starmap(Fraction, _weight_families([], ints, scale, lead)[0]))
 
 
 def fraction_det_products(t, m0) -> list[Fraction]:

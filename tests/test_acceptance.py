@@ -23,7 +23,6 @@ from catmoments.hankel import (
     FAIL,
     PASS,
     build_hankel,
-    hankel_det_products,
     stieltjes_check,
     verify_H_eq_RTRt,
 )
@@ -31,17 +30,19 @@ from catmoments.jacobi import (
     JacobiParams,
     tp_check_sections,
     tp_criterion_pqst,
-    window_minors,
 )
 from catmoments.recursive import _scaled_rows, catalan_like, motzkin_oracle, read_weights
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from catmoments.series import GFSpec, gf_expand, riordan_column_check
 from oracle import (
     det_cofactor,
+    hankel_det_products,
+    int_weights,
     is_nondecreasing_from_one,
     jacobi_section,
     jacobi_window,
     pqst_matrix,
+    window_minors,
 )
 
 TIME_BUDGET = 10.0
@@ -64,8 +65,8 @@ def test_criterion_01_catalan_hankel_families_are_all_ones():
 
 def test_criterion_02_factorial_leading_minors_both_routes():
     entry = catalog_lookup("factorial")
-    s, t = read_weights(entry.sigma, entry.tau, 11)
-    chain = tuple(window_minors(s, t, 0))
+    s, t = entry.sigma.values(11), entry.tau.values(10)
+    chain = window_minors(s, t, 0)
     for n in range(11):
         expected = math.factorial(n + 1)
         assert chain[n] == expected
@@ -84,11 +85,11 @@ def test_criterion_03_catalog_terms_agree_across_three_routes():
 
 def test_criterion_04_hankel_factorization_and_det_product():
     for entry in CATALOG.values():
-        s, t = read_weights(entry.sigma, entry.tau, 9)
-        R = list(_scaled_rows(s, t, 8))
+        _, t, scale = weights = read_weights(entry.sigma, entry.tau, 9)
+        R = list(_scaled_rows(*weights, 8))
         terms = catalan_like(entry.sigma, entry.tau, 17)
         for depth in range(9):
-            assert verify_H_eq_RTRt(R, t, terms, depth) == TRUE, entry.name
+            assert verify_H_eq_RTRt(R, t, scale, terms, depth) == TRUE, entry.name
         products = hankel_det_products(entry.tau.values(8))
         for n in range(9):
             det = det_bareiss(build_hankel(terms, n, 0))
@@ -113,7 +114,7 @@ def test_criterion_06_randomized_dominance_chains():
                      for t in t_values]
         sigma = SequenceSpec(tuple(s_values), ConstantTail(s_values[-1]), start=0)
         tau = SequenceSpec(tuple(t_values), ConstantTail(t_values[-1]), start=1)
-        chain = tuple(window_minors(*read_weights(sigma, tau, 11), 0))
+        chain = window_minors(sigma.values(11), tau.values(10), 0)
         assert len(chain) == 11
         assert chain[0] >= 1
         for a, b in zip(chain, chain[1:]):
@@ -130,14 +131,15 @@ def test_criterion_07_randomized_pqst_criterion_vs_minor_search():
                                 for _ in range(4)])
         verdict = tp_criterion_pqst(params).verdict
         seen[verdict] += 1
-        s, t = read_weights(*pqst_matrix(params), 9)
+        sigma, tau = pqst_matrix(params)
+        s, t = sigma.values(9), tau.values(8)
         if verdict == TRUE:
-            assert tp_check_sections(s[:7], t[:6]).verdict == TRUE, params
+            assert tp_check_sections(*int_weights(s[:7], t[:6])).verdict == TRUE, params
         else:
             # bounded refutation search: a verified negative window, or no
             # refutation at this depth -- but never a claim the criterion
             # was wrong
-            scan = tp_check_sections(s, t)
+            scan = tp_check_sections(*int_weights(s, t))
             assert scan.verdict in (TRUE, FALSE), params
             if scan.verdict == FALSE:
                 lo, hi = scan.witness["rows"][0], scan.witness["rows"][-1]

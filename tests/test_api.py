@@ -34,7 +34,10 @@ def test_every_exported_name_resolves():
     for gone in ("RecursiveMatrix", "build_recursive"):
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.recursive, gone)
     for gone in ("JacobiMatrix", "leading_minors", "_leading_minors_report",
-                 "_contiguous_minors_report", "jacobi_section"):
+                 "_contiguous_minors_report", "jacobi_section", "window_minors",
+                 "_scaled_section"):
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.jacobi, gone)
+    assert not hasattr(catmoments, "hankel_det_products")
+    assert not hasattr(catmoments.hankel, "hankel_det_products")
     assert not hasattr(catmoments, "leading_principal_minors")
     assert not hasattr(catmoments.exact, "leading_principal_minors")

@@ -31,7 +31,7 @@ from catmoments.jacobi import tp_certify
 from catmoments.recursive import _scaled_rows, catalan_like, motzkin_oracle
 from catmoments.seqspec import CATALOG, SequenceSpec, catalog_lookup, pqst_of
 from catmoments.series import _constant_tail_ints
-from oracle import fraction_terms
+from oracle import fraction_terms, int_weights, record_weight_reads
 from test_golden_cli import cases as golden_cases
 
 SIGMA_DROP = json.dumps(
@@ -275,17 +275,11 @@ def test_n_at_cap_is_accepted(capsys, monkeypatch, command, cap_name):
 
 
 def test_hankel_det_reads_each_weight_once(capsys, monkeypatch):
-    reads = []
-    original = SequenceSpec.eval
-
-    def counting(self, k):
-        reads.append((self.start, k))
-        return original(self, k)
-
-    monkeypatch.setattr(SequenceSpec, "eval", counting)
+    reads = record_weight_reads(monkeypatch)
     code, _, _ = run(capsys, "hankel-det", "--name", "factorial", "--depth", "24")
     assert code == 0
-    assert sorted(reads) == [(0, k) for k in range(24)] + [(1, k) for k in range(1, 25)]
+    assert sorted((spec.start, k) for spec, k in reads) == \
+        [(0, k) for k in range(24)] + [(1, k) for k in range(1, 25)]
 
 
 def test_tp_accepts_depth_zero(capsys):
@@ -315,8 +309,8 @@ def test_hankel_det_reports_a_product_that_differs(capsys, monkeypatch, shift):
     # product's own value and makes the exit code 1
     real = catmoments.cli._weight_families
 
-    def off_at_k1(s, t):
-        families = real(s, t)
+    def off_at_k1(s, t, scale):
+        families = real(s, t, scale)
         (num, den) = families[shift][1]
         families[shift][1] = (3 * num + den, 3 * den)
         return families
@@ -429,9 +423,9 @@ def test_verify_builds_the_matrix_and_the_terms_once(monkeypatch):
     runs = []
     original = catmoments.recursive._scaled_rows
 
-    def counting(s, t, depth, truncate=False):
+    def counting(s, t, scale, depth, truncate=False):
         runs.append((depth, truncate))
-        return original(s, t, depth, truncate)
+        return original(s, t, scale, depth, truncate)
 
     for module in (catmoments.cli, catmoments.hankel, catmoments.recursive):
         if getattr(module, "_scaled_rows", None) is original:
@@ -448,26 +442,19 @@ def test_verify_reads_each_weight_of_its_matrix_checks_once(monkeypatch, name):
     # counted here by running it alone
     entry, depth = CATALOG[name], 6
     sigma, tau = entry.sigma, entry.tau
-    reads = collections.Counter()
-    original = SequenceSpec.eval
-
-    def counting(spec, k):
-        reads[spec is tau, k] += 1
-        return original(spec, k)
-
-    monkeypatch.setattr(SequenceSpec, "eval", counting)
+    recorded = record_weight_reads(monkeypatch)
     catalan_like(sigma, tau, max(2 * depth + 1, 16))
     for n in range(min(depth, 10) + 1):
         motzkin_oracle(sigma, tau, n)
     stieltjes_weights(sigma, tau, depth)
     tp_certify(sigma, tau, depth)
     pqst_of(sigma, tau)
-    others = reads.copy()
-    reads.clear()
+    others = collections.Counter((spec is tau, k) for spec, k in recorded)
+    recorded.clear()
     assert all(ok for _, ok in catmoments.cli.verify_checks(entry, depth))
     shared = collections.Counter([(False, k) for k in range(depth + 2)]
                                  + [(True, k) for k in range(1, depth + 2)])
-    assert reads == others + shared
+    assert collections.Counter((spec is tau, k) for spec, k in recorded) == others + shared
 
 
 rationals = st.one_of(st.just(Fraction(0)), st.integers(-6, 6).map(Fraction),
@@ -487,7 +474,7 @@ def constant_tail_weights(draw):
 def test_gen_on_constant_tails_matches_the_triangle(pqst, n):
     # the closed form's recurrence against column 0 of the recursive matrix
     p, q, s, t = pqst
-    rows = list(_scaled_rows([p, *[s] * n], [q, *[t] * n], n, True))
+    rows = list(_scaled_rows(*int_weights([p, *[s] * n], [q, *[t] * n]), n, True))
     nums, scale = _constant_tail_ints(p, q, s, t, n)
     assert [Fraction(v, scale**k) for k, v in enumerate(nums)] == \
         [Fraction(row[0], den) for row, den in rows]

@@ -24,7 +24,8 @@ elimination (a zero t_1), on terms whose leading minors are nonnegative
 but not all positive, and at depth 0 (also hankel-det), the (p, q, s, t)
 criterion, the contiguous-minor TP route (with its single-entry witnesses),
 tp at depth 0, every named and parameterised
-generating function (the three specializations also at t = 0, the
+generating function (the general form and the three specializations
+also at t = 0, the
 general form at -n 0, the general form, tied_qp and inverse_sqrt with
 every field over a denominator, and each named form at -n 400), the catalog listing, and the usage-error (exit 2)
 path of each command, including one past the -n caps of gen, matrix and
@@ -334,8 +335,8 @@ def cases() -> dict[str, list[str]]:
     out["series-missing-field"] = ["series", "--gf", json.dumps(
         {"kind": "closed_form", "p": "1"}), "--format", "json"]
     out["series-bad-json"] = ["series", "--gf", "{not json"]
-    # t = 0: the general closed form refuses it at expansion time, the three
-    # specializations expand it to a geometric series
+    # t = 0: no root; the general closed form expands it as the constant-tail
+    # kernel does for gen, the three specializations to a geometric series
     out["series-closed-form-t0"] = ["series", "--gf", json.dumps(
         {"kind": "closed_form", "p": "1", "q": "2", "s": "3", "t": "0"})]
     for kind, spec in (("tied-q", {"kind": "tied_q", "p": "1", "s": "3", "t": "0"}),

@@ -11,15 +11,13 @@ from catmoments.hankel import (
     FAIL,
     PASS,
     build_hankel,
-    hankel_det_products,
     hankel_dets,
     stieltjes_check,
     verify_H_eq_RTRt,
 )
-from catmoments.jacobi import window_minors
 from catmoments.recursive import _scaled_rows, catalan_like, read_weights
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
-from oracle import to_lists
+from oracle import hankel_det_products, to_lists, window_minors
 
 
 def _moments(name, count):
@@ -128,9 +126,10 @@ def test_report_serialization():
 
 def test_factorization_holds_across_catalog():
     for entry in CATALOG.values():
-        s, t = read_weights(entry.sigma, entry.tau, 6)
+        _, t, scale = weights = read_weights(entry.sigma, entry.tau, 6)
         terms = catalan_like(entry.sigma, entry.tau, 10)
-        assert verify_H_eq_RTRt(list(_scaled_rows(s, t, 5)), t, terms, 5) == TRUE, entry.name
+        R = list(_scaled_rows(*weights, 5))
+        assert verify_H_eq_RTRt(R, t, scale, terms, 5) == TRUE, entry.name
 
 
 def test_factorization_holds_for_random_rational_weights():
@@ -143,8 +142,8 @@ def test_factorization_holds_for_random_rational_weights():
             tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(3)),
             ConstantTail(Fraction(1)), start=1)
         terms = catalan_like(sigma, tau, 8)
-        s, t = read_weights(sigma, tau, 5)
-        assert verify_H_eq_RTRt(list(_scaled_rows(s, t, 4)), t, terms, 4) == TRUE
+        _, t, scale = weights = read_weights(sigma, tau, 5)
+        assert verify_H_eq_RTRt(list(_scaled_rows(*weights, 4)), t, scale, terms, 4) == TRUE
 
 
 def test_det_product_known_values():
@@ -175,7 +174,7 @@ def test_det_product_depends_only_on_subdiagonal_weights():
 def _shifted_family_is_chain_times_products(sigma, tau, depth):
     """det[m_{i+j+1}]_n = D_n * T_0 * ... * T_n for n = 0..depth."""
     seq = catalan_like(sigma, tau, 2 * depth + 1)
-    chain = window_minors(*read_weights(sigma, tau, depth + 1), 0)
+    chain = window_minors(sigma.values(depth + 1), tau.values(depth), 0)
     products = hankel_det_products(tau.values(depth))
     return list(hankel_dets(seq, depth, 1)) == [d * p for d, p in zip(chain, products)]
 

@@ -2,7 +2,7 @@
 
 verify_RJ_identity, verify_step_factorization and verify_H_eq_RTRt certify
 the rows of the recursive matrix, given as the (row, den) pairs of
-recursive._scaled_rows, the weight lists and the terms they are given,
+recursive._scaled_rows, the int weights over L and the terms they are given,
 forming each entry of a product with a banded or diagonal factor as a short
 band sum of ints.
 tests/oracle.py keeps the same three checks as dense Fraction products.
@@ -46,9 +46,9 @@ DEPTH = 4
 
 def _rows(pair, depth: int):
     """The (row, den) pairs of rows 0..depth of R and the weights
-    s_0..s_depth, t_1..t_depth of the pair they are built on."""
-    s, t = read_weights(*pair, depth + 1)
-    return list(_scaled_rows(s, t, depth)), s, t
+    S = L s_0..L s_depth, T = L t_1..L t_depth and L they are built on."""
+    weights = read_weights(*pair, depth + 1)
+    return (list(_scaled_rows(*weights, depth)), *weights)
 
 
 def _changed(rows: list, n: int, k: int, delta) -> list:
@@ -73,7 +73,7 @@ def _changed_terms(terms: list, q: int, delta) -> list:
 
 
 CATALAN = catalog_lookup("catalan").sigma, catalog_lookup("catalan").tau
-CATALAN_R, CATALAN_S, CATALAN_T = _rows(CATALAN, DEPTH + 1)
+CATALAN_R, CATALAN_S, CATALAN_T, CATALAN_L = _rows(CATALAN, DEPTH + 1)
 CATALAN_TERMS = catalan_like(*CATALAN, 2 * DEPTH)
 
 # weights over 2, 3 and 5, every t nonzero: rows over L**n = 30**n
@@ -90,43 +90,45 @@ TRIANGLE = [(n, k) for n in range(DEPTH + 1) for k in range(n + 1)]
 @pytest.mark.parametrize("n, k", TRIANGLE)
 def test_shift_identity_rejects_a_changed_entry(n, k):
     for pair in PAIRS:
-        R, s, t = _rows(pair, DEPTH)
-        assert verify_RJ_identity(R, s, t, DEPTH) == TRUE
+        R, s, t, scale = _rows(pair, DEPTH)
+        assert verify_RJ_identity(R, s, t, scale, DEPTH) == TRUE
         for delta in CHANGES:
-            assert verify_RJ_identity(_changed(R, n, k, delta), s, t, DEPTH) == FALSE
+            assert verify_RJ_identity(_changed(R, n, k, delta), s, t, scale, DEPTH) == FALSE
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(DEPTH + 2) for k in range(n + 1)])
 def test_step_factorization_rejects_a_changed_entry(n, k):
     for pair in PAIRS:
-        R, s, t = _rows(pair, DEPTH + 1)
-        assert verify_step_factorization(R, s, t, DEPTH) == TRUE
+        R, s, t, scale = _rows(pair, DEPTH + 1)
+        assert verify_step_factorization(R, s, t, scale, DEPTH) == TRUE
         for delta in CHANGES:
-            assert verify_step_factorization(_changed(R, n, k, delta), s, t, DEPTH) == FALSE
+            assert verify_step_factorization(_changed(R, n, k, delta), s, t, scale, DEPTH) == FALSE
 
 
 @pytest.mark.parametrize("n, k", TRIANGLE)
 def test_hankel_factorization_rejects_a_changed_entry(n, k):
     for pair in PAIRS:
-        R, _, t = _rows(pair, DEPTH)
+        R, _, t, scale = _rows(pair, DEPTH)
         terms = catalan_like(*pair, 2 * DEPTH)
-        assert verify_H_eq_RTRt(R, t, terms, DEPTH) == TRUE
+        assert verify_H_eq_RTRt(R, t, scale, terms, DEPTH) == TRUE
         for delta in CHANGES:
-            assert verify_H_eq_RTRt(_changed(R, n, k, delta), t, terms, DEPTH) == FALSE
+            assert verify_H_eq_RTRt(_changed(R, n, k, delta), t, scale, terms, DEPTH) == FALSE
 
 
 @pytest.mark.parametrize("q", range(2 * DEPTH + 1))
 def test_hankel_factorization_rejects_a_changed_term(q):
     for pair in PAIRS:
-        R, _, t = _rows(pair, DEPTH)
+        R, _, t, scale = _rows(pair, DEPTH)
         terms = catalan_like(*pair, 2 * DEPTH)
         for delta in CHANGES:
-            assert verify_H_eq_RTRt(R, t, _changed_terms(terms, q, delta), DEPTH) == FALSE
+            assert verify_H_eq_RTRt(R, t, scale, _changed_terms(terms, q, delta), DEPTH) == FALSE
 
 
 @pytest.mark.parametrize("check, args, message", [
-    (verify_step_factorization, (CATALAN_R, CATALAN_S, CATALAN_T, -1), "n must be >= 0"),
-    (verify_H_eq_RTRt, (CATALAN_R, CATALAN_T, CATALAN_TERMS, -1), "depth must be >= 0"),
+    (verify_step_factorization, (CATALAN_R, CATALAN_S, CATALAN_T, CATALAN_L, -1),
+     "n must be >= 0"),
+    (verify_H_eq_RTRt, (CATALAN_R, CATALAN_T, CATALAN_L, CATALAN_TERMS, -1),
+     "depth must be >= 0"),
 ])
 def test_checks_refuse_a_negative_size(check, args, message):
     with pytest.raises(ValueError, match=message):
@@ -140,17 +142,17 @@ def test_checks_refuse_a_negative_size(check, args, message):
 ], ids=["depth-beyond-R", "too-few-terms"])
 def test_hankel_factorization_refuses_a_short_R_or_term_list(R, terms, message):
     with pytest.raises(ValueError, match=message):
-        verify_H_eq_RTRt(R, CATALAN_T, terms, DEPTH)
+        verify_H_eq_RTRt(R, CATALAN_T, CATALAN_L, terms, DEPTH)
 
 
 @pytest.mark.parametrize("check, args, message", [
-    (verify_RJ_identity, (CATALAN_R, CATALAN_S[:DEPTH], CATALAN_T, DEPTH),
+    (verify_RJ_identity, (CATALAN_R, CATALAN_S[:DEPTH], CATALAN_T, CATALAN_L, DEPTH),
      rf"need s_0\.\.s_{DEPTH} and t_1\.\.t_{DEPTH}"),
-    (verify_RJ_identity, (CATALAN_R, CATALAN_S, CATALAN_T[:DEPTH - 1], DEPTH),
+    (verify_RJ_identity, (CATALAN_R, CATALAN_S, CATALAN_T[:DEPTH - 1], CATALAN_L, DEPTH),
      rf"need s_0\.\.s_{DEPTH} and t_1\.\.t_{DEPTH}"),
-    (verify_step_factorization, (CATALAN_R, CATALAN_S[:DEPTH], CATALAN_T, DEPTH - 1),
+    (verify_step_factorization, (CATALAN_R, CATALAN_S[:DEPTH], CATALAN_T, CATALAN_L, DEPTH - 1),
      rf"need s_0\.\.s_{DEPTH} and t_1\.\.t_{DEPTH}"),
-    (verify_H_eq_RTRt, (CATALAN_R, CATALAN_T[:DEPTH - 1], CATALAN_TERMS, DEPTH),
+    (verify_H_eq_RTRt, (CATALAN_R, CATALAN_T[:DEPTH - 1], CATALAN_L, CATALAN_TERMS, DEPTH),
      rf"need t_1\.\.t_{DEPTH}, have {DEPTH - 1} weights"),
 ], ids=["shift-short-s", "shift-short-t", "step-short-s", "hankel-short-t"])
 def test_checks_refuse_weight_lists_short_of_the_depth(check, args, message):
@@ -161,46 +163,46 @@ def test_checks_refuse_weight_lists_short_of_the_depth(check, args, message):
 
 def test_step_factorization_needs_one_row_more_than_n():
     R = CATALAN_R[:DEPTH + 1]
-    assert verify_step_factorization(R, CATALAN_S, CATALAN_T, DEPTH - 1) == TRUE
+    assert verify_step_factorization(R, CATALAN_S, CATALAN_T, CATALAN_L, DEPTH - 1) == TRUE
     with pytest.raises(ValueError, match=rf"depth must lie in 1\.\.{DEPTH}"):
-        verify_step_factorization(R, CATALAN_S, CATALAN_T, DEPTH)
+        verify_step_factorization(R, CATALAN_S, CATALAN_T, CATALAN_L, DEPTH)
 
 
 def test_step_factorization_pins_row_0():
     # R J = R-bar is linear in R, so only row 0 tells 2 R from R
     doubled = [([2 * v for v in row], den) for row, den in CATALAN_R]
-    assert verify_RJ_identity(doubled, CATALAN_S, CATALAN_T, DEPTH + 1) == TRUE
-    assert verify_step_factorization(doubled, CATALAN_S, CATALAN_T, DEPTH) == FALSE
+    assert verify_RJ_identity(doubled, CATALAN_S, CATALAN_T, CATALAN_L, DEPTH + 1) == TRUE
+    assert verify_step_factorization(doubled, CATALAN_S, CATALAN_T, CATALAN_L, DEPTH) == FALSE
     assert dense_step_factorization(fraction_rows(doubled), *CATALAN, DEPTH) == FALSE
 
 
 def test_checks_take_rows_as_lists_or_tuples():
     for rows in ([(list(row), den) for row, den in CATALAN_R],
                  [(tuple(row), den) for row, den in CATALAN_R]):
-        assert verify_RJ_identity(rows, CATALAN_S, CATALAN_T, DEPTH + 1) == TRUE
-        assert verify_step_factorization(rows, CATALAN_S, CATALAN_T, DEPTH) == TRUE
-        assert verify_H_eq_RTRt(rows, CATALAN_T, CATALAN_TERMS, DEPTH) == TRUE
+        assert verify_RJ_identity(rows, CATALAN_S, CATALAN_T, CATALAN_L, DEPTH + 1) == TRUE
+        assert verify_step_factorization(rows, CATALAN_S, CATALAN_T, CATALAN_L, DEPTH) == TRUE
+        assert verify_H_eq_RTRt(rows, CATALAN_T, CATALAN_L, CATALAN_TERMS, DEPTH) == TRUE
 
 
 def test_checks_read_each_row_over_its_own_den():
     # the same R with every row over three times its den passes; R / 3
     # (the ints kept, the dens tripled) passes the linear shift identity only
     for pair in PAIRS:
-        R, s, t = _rows(pair, DEPTH + 1)
+        R, s, t, scale = _rows(pair, DEPTH + 1)
         terms = catalan_like(*pair, 2 * DEPTH)
         same = [([3 * v for v in row], 3 * den) for row, den in R]
         third = [(row, 3 * den) for row, den in R]
-        assert verify_step_factorization(same, s, t, DEPTH) == TRUE
-        assert verify_H_eq_RTRt(same, t, terms, DEPTH) == TRUE
-        assert verify_RJ_identity(third, s, t, DEPTH + 1) == TRUE
-        assert verify_step_factorization(third, s, t, DEPTH) == FALSE
-        assert verify_H_eq_RTRt(third, t, terms, DEPTH) == FALSE
+        assert verify_step_factorization(same, s, t, scale, DEPTH) == TRUE
+        assert verify_H_eq_RTRt(same, t, scale, terms, DEPTH) == TRUE
+        assert verify_RJ_identity(third, s, t, scale, DEPTH + 1) == TRUE
+        assert verify_step_factorization(third, s, t, scale, DEPTH) == FALSE
+        assert verify_H_eq_RTRt(third, t, scale, terms, DEPTH) == FALSE
 
 
 @pytest.mark.parametrize("depth", [0, DEPTH + 1])
 def test_shift_identity_refuses_a_depth_outside_the_matrix(depth):
     with pytest.raises(ValueError, match=rf"depth must lie in 1\.\.{DEPTH}"):
-        verify_RJ_identity(CATALAN_R[:DEPTH + 1], CATALAN_S, CATALAN_T, depth)
+        verify_RJ_identity(CATALAN_R[:DEPTH + 1], CATALAN_S, CATALAN_T, CATALAN_L, depth)
 
 
 # ------------------------------------------------- against the dense oracle
@@ -252,9 +254,9 @@ def test_shift_identity_agrees_with_the_dense_product(pair, other, depth, delta,
 @given(pair=pairs, n=st.integers(0, 5), delta=deltas, data=st.data())
 def test_step_factorization_agrees_with_the_dense_product(pair, n, delta, data):
     row = data.draw(st.integers(0, n + 1))
-    R, s, t = _rows(pair, n + 1)
+    R, s, t, scale = _rows(pair, n + 1)
     R = _changed(R, row, data.draw(st.integers(0, row)), delta)
-    verdict = verify_step_factorization(R, s, t, n)
+    verdict = verify_step_factorization(R, s, t, scale, n)
     assert verdict == dense_step_factorization(fraction_rows(R), *pair, n)
     assert verdict == (TRUE if delta == 0 else FALSE)
 
@@ -264,13 +266,13 @@ def test_step_factorization_agrees_with_the_dense_product(pair, n, delta, data):
        delta=deltas, data=st.data())
 def test_hankel_factorization_agrees_with_the_dense_product(pair, depth, change_terms,
                                                            delta, data):
-    (R, _, t), terms = _rows(pair, depth), catalan_like(*pair, 2 * depth)
+    (R, _, t, scale), terms = _rows(pair, depth), catalan_like(*pair, 2 * depth)
     if change_terms:
         terms = _changed_terms(terms, data.draw(st.integers(0, 2 * depth)), delta)
     else:
         row = data.draw(st.integers(0, depth))
         R = _changed(R, row, data.draw(st.integers(0, row)), delta)
-    verdict = verify_H_eq_RTRt(R, t, terms, depth)
+    verdict = verify_H_eq_RTRt(R, t, scale, terms, depth)
     assert verdict == dense_H_eq_RTRt(fraction_rows(R), pair[1], terms, depth)
     if delta == 0:
         assert verdict == TRUE
@@ -294,9 +296,9 @@ def test_verify_checks_the_shift_identity_alone_only_past_a_failed_step(monkeypa
     calls = []
     real = catmoments.cli.verify_RJ_identity
     monkeypatch.setattr(catmoments.cli, "verify_step_factorization",
-                        lambda R, s, t, n: step)
-    monkeypatch.setattr(catmoments.cli, "verify_RJ_identity",
-                        lambda R, s, t, depth: calls.append(depth) or real(R, s, t, depth))
+                        lambda R, s, t, scale, n: step)
+    monkeypatch.setattr(catmoments.cli, "verify_RJ_identity", lambda R, s, t, scale, depth:
+                        calls.append(depth) or real(R, s, t, scale, depth))
     checks = catmoments.cli.verify_checks(catalog_lookup("catalan"), DEPTH)
     assert [label for label, _ in checks[2:4]] == ["shift_identity", "step_factorization"]
     assert dict(checks)["shift_identity"] is True

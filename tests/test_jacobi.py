@@ -15,28 +15,35 @@ from catmoments.jacobi import (
     tp_check_sections,
     tp_criterion_pqst,
     tp_sufficient_dominance,
-    window_minors,
 )
 from catmoments.recursive import read_weights
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from oracle import (
     all_minors_nonneg,
+    int_weights,
     is_nondecreasing_from_one,
     jacobi_section,
     jacobi_window,
     pqst_matrix,
+    window_minors,
 )
 
 
 def _weights(name, depth):
-    """s_0..s_depth and t_1..t_depth of a catalog entry."""
+    """s_0..s_depth and t_1..t_depth of a catalog entry, as Fractions."""
+    entry = catalog_lookup(name)
+    return entry.sigma.values(depth + 1), entry.tau.values(depth)
+
+
+def _ints(name, depth):
+    """The same weights as the section routes take them: ints over one L."""
     entry = catalog_lookup(name)
     return read_weights(entry.sigma, entry.tau, depth + 1)
 
 
 def _chain(sigma, tau, depth):
     """The leading minors D_0..D_depth of J of sigma and tau."""
-    return tuple(window_minors(*read_weights(sigma, tau, depth + 1), 0))
+    return tuple(window_minors(sigma.values(depth + 1), tau.values(depth), 0))
 
 
 def test_section_layout():
@@ -55,8 +62,8 @@ def test_window_uses_absolute_indices():
 
 def test_leading_minors_match_determinants_for_catalog():
     for entry in CATALOG.values():
-        s, t = read_weights(entry.sigma, entry.tau, 11)
-        chain = tuple(window_minors(s, t, 0))
+        s, t = entry.sigma.values(11), entry.tau.values(10)
+        chain = window_minors(s, t, 0)
         for n in range(11):
             assert chain[n] == det_bareiss(jacobi_section(s[:n + 1], t[:n]))
 
@@ -81,23 +88,23 @@ def test_zero_diagonal_gives_negative_minor():
 def test_section_routes_refuse_weight_lists_of_no_section(route, s, t):
     # s_0..s_d and t_1..t_d, d >= 0: no section at depth -1, and no t_0
     with pytest.raises(ValueError, match="need s_0..s_d and t_1..t_d"):
-        route(s, t)
+        route(s, t) if route is jacobi_section else route(*int_weights(s, t))
 
 
 @pytest.mark.parametrize("s, t", [([], []), ([2, 2], [0, 1])])
 def test_int_section_refuses_weight_lists_of_no_section(s, t):
     with pytest.raises(ValueError, match="need s_0..s_d and t_1..t_d"):
-        _int_section(s, t)
+        _int_section(s, t, 1)
 
 
 def test_int_section_is_the_dense_section_over_L():
     s = [Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(0)]
     t = [Fraction(5, 4), Fraction(0), Fraction(-7)]
-    rows, scale = _int_section(s, t)
+    rows, scale = _int_section(*int_weights(s, t))
     assert scale == 12 and all(type(v) is int for row in rows for v in row)
     section = [[Fraction(v, scale) for v in row] for row in rows]
     assert section == [list(row) for row in jacobi_section(s, t).entries]
-    assert _int_section([Fraction(3)], []) == ([[3]], 1)
+    assert _int_section([3], [], 1) == ([[3]], 1)
 
 
 def test_params_reject_negative_values():
@@ -106,9 +113,7 @@ def test_params_reject_negative_values():
 
 
 def test_params_expand_to_weight_specs():
-    s, t = read_weights(*pqst_matrix(JacobiParams(3, 4, 3, 2)), 3)
-    assert s == [3, 3, 3]
-    assert t == [4, 2]
+    assert read_weights(*pqst_matrix(JacobiParams(3, 4, 3, 2)), 3) == ([3, 3, 3], [4, 2], 1)
 
 
 def test_criterion_classical_parameter_sets():
@@ -191,12 +196,11 @@ def test_dominance_chain_property_randomized():
 
 def test_leading_minor_route_certifies_catalog():
     for entry in CATALOG.values():
-        s, t = read_weights(entry.sigma, entry.tau, 9)
-        assert tp_by_leading_minors(s, t).verdict == TRUE
+        assert tp_by_leading_minors(*read_weights(entry.sigma, entry.tau, 9)).verdict == TRUE
 
 
 def test_leading_minor_route_refuses_reducible_matrices():
-    report = tp_by_leading_minors([Fraction(1)] * 5, [Fraction(0)] * 4)
+    report = tp_by_leading_minors([1] * 5, [0] * 4, 1)
     assert report.verdict == INCONCLUSIVE
     assert "reducible" in report.detail
 
@@ -216,19 +220,19 @@ def test_leading_minor_route_inconclusive_on_zero_minor():
     # s = (1, 1, ...), t = 1: chain 1, 0 at depth 1 (and the 2x2 section
     # really is totally positive, so zero must not be read as a refutation)
     ones = [Fraction(1)] * 4
-    report = tp_by_leading_minors(ones[:2], ones[:1])
+    report = tp_by_leading_minors(*int_weights(ones[:2], ones[:1]))
     assert report.verdict == INCONCLUSIVE
     assert "zero leading minor" in report.detail
     assert all_minors_nonneg(jacobi_section(ones[:2], ones[:1]), 2).status == TRUE
     # one step deeper the chain turns negative: D_2 = -1 refutes outright,
     # zeros notwithstanding
-    deeper = tp_by_leading_minors(ones, ones[:3])
+    deeper = tp_by_leading_minors(*int_weights(ones, ones[:3]))
     assert deeper.verdict == FALSE
     assert deeper.witness["value"] == "-1"
 
 
 def test_sections_catalan_depth_six():
-    assert tp_check_sections(*_weights("catalan", 6)).verdict == TRUE
+    assert tp_check_sections(*_ints("catalan", 6)).verdict == TRUE
 
 
 def test_sections_refute_bad_parameters_with_witness():
@@ -238,12 +242,12 @@ def test_sections_refute_bad_parameters_with_witness():
 
 
 def test_sections_one_by_one():
-    assert tp_check_sections([Fraction(5)], []).verdict == TRUE
+    assert tp_check_sections([5], [], 1).verdict == TRUE
 
 
 def test_sections_budget_inconclusive():
     # 2000 * 2001 / 2 = 2,001,000 windows, just past the cap
-    report = tp_check_sections(*_weights("catalan", 1999))
+    report = tp_check_sections(*_ints("catalan", 1999))
     assert report.verdict == INCONCLUSIVE
     assert report.detail == f"window count 2001000 exceeds budget {MAX_WINDOWS}"
 
@@ -257,8 +261,8 @@ def test_sections_agree_with_exhaustive_minor_scan():
         tau = SequenceSpec(
             tuple(Fraction(rng.randint(0, 4)) for _ in range(4)),
             ConstantTail(Fraction(1)), start=1)
-        s, t = read_weights(sigma, tau, 5)
-        sections = tp_check_sections(s, t)
+        s, t = sigma.values(5), tau.values(4)
+        sections = tp_check_sections(*int_weights(s, t))
         exhaustive = all_minors_nonneg(jacobi_section(s, t), 5)
         assert sections.verdict == exhaustive.status
 

@@ -17,7 +17,7 @@ from catmoments.recursive import (
     verify_step_factorization,
 )
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
-from oracle import build_recursive, cell, recursive_section, step_matrix
+from oracle import build_recursive, cell, record_weight_reads, recursive_section, step_matrix
 
 
 def _specs(name):
@@ -27,9 +27,9 @@ def _specs(name):
 
 def _rows(name, depth):
     """The (row, den) pairs of rows 0..depth of R for a catalog entry, and
-    its weights s_0..s_depth and t_1..t_depth."""
-    s, t = read_weights(*_specs(name), depth + 1)
-    return list(_scaled_rows(s, t, depth)), s, t
+    its weights L s_0..L s_depth, L t_1..L t_depth and L."""
+    weights = read_weights(*_specs(name), depth + 1)
+    return (list(_scaled_rows(*weights, depth)), *weights)
 
 
 def test_zero_weights_degenerate_to_pure_shift():
@@ -104,22 +104,17 @@ def test_oracle_matches_recurrence_for_catalog():
             assert motzkin_oracle(entry.sigma, entry.tau, n) == terms[n]
 
 
-def test_oracle_reads_each_weight_once():
-    reads = []
-
-    class CountingSpec(SequenceSpec):
-        def eval(self, k):
-            reads.append((self.start, k))
-            return super().eval(k)
-
-    sigma = CountingSpec((), ConstantTail(Fraction(1, 2)), 0)
-    tau = CountingSpec((Fraction(3),), ConstantTail(Fraction(2)), 1)
+def test_oracle_reads_each_weight_once(monkeypatch):
+    reads = record_weight_reads(monkeypatch)
+    sigma = SequenceSpec((), ConstantTail(Fraction(1, 2)), 0)
+    tau = SequenceSpec((Fraction(3),), ConstantTail(Fraction(2)), 1)
     terms = catalan_like(sigma, tau, 10)
     for n in range(11):
         reads.clear()
         assert motzkin_oracle(sigma, tau, n) == terms[n]
         half = range(n // 2 + 1)
-        assert sorted(reads) == [(0, k) for k in half] + [(1, k) for k in half[1:]]
+        assert sorted((spec.start, k) for spec, k in reads) == \
+            [(0, k) for k in half] + [(1, k) for k in half[1:]]
 
 
 def test_oracle_rejects_long_paths():
@@ -141,9 +136,9 @@ def test_shift_identity_holds_for_catalog():
 
 
 def test_shift_identity_rejects_mismatched_generators():
-    matrix, _, _ = _rows("catalan", 6)
-    _, s, t = _rows("bell", 6)
-    assert verify_RJ_identity(matrix, s, t, 6) == FALSE
+    matrix, *_ = _rows("catalan", 6)
+    _, *weights = _rows("bell", 6)
+    assert verify_RJ_identity(matrix, *weights, 6) == FALSE
 
 
 def test_step_matrix_layout():

@@ -16,7 +16,7 @@ from catmoments.cli import main
 from catmoments.exact import format_rat
 from catmoments.recursive import catalan_like, motzkin_oracle
 from catmoments.seqspec import CATALOG, ConstantTail, PolynomialTail, SequenceSpec
-from oracle import build_recursive, fraction_terms, fraction_triangle
+from oracle import build_recursive, fraction_terms, fraction_triangle, record_weight_reads
 
 # distinct primes, so that the common denominator of several weights grows
 DENOMINATORS = (1, 1, 1, 2, 3, 5, 7, 11, 13)
@@ -33,14 +33,15 @@ tails = st.one_of(
 
 
 class SignCheckedSpec(SequenceSpec):
-    """A weight sequence that raises on reading a negative value, so that
-    the error shows which weight the recurrence read first."""
+    """A weight sequence whose int reader raises on handing out a negative
+    value, so that the error shows which weight the recurrence read first."""
 
-    def eval(self, k):
-        value = super().eval(k)
-        if value < 0:
-            raise ValueError(f"negative value {format_rat(value)} at index {k}")
-        return value
+    def ints(self, count, den):
+        values = super().ints(count, den)
+        for k, value in enumerate(values, start=self.start):
+            if value < 0:
+                raise ValueError(f"negative value {format_rat(Fraction(value, den))} at index {k}")
+        return values
 
 
 def specs(start, spec_type=SequenceSpec):
@@ -161,14 +162,8 @@ def test_weights_are_read_only_where_the_recurrence_uses_them():
 def test_terms_read_each_weight_they_use_once(monkeypatch):
     # terms 0..40 use s_0..s_19 and t_1..t_20: 40 reads, one per weight
     entry = CATALOG["factorial"]
-    reads = []
-    original = SequenceSpec.eval
-
-    def counting(spec, k):
-        reads.append((spec is entry.tau, k))
-        return original(spec, k)
-
-    monkeypatch.setattr(SequenceSpec, "eval", counting)
+    reads = record_weight_reads(monkeypatch)
     terms = catalan_like(entry.sigma, entry.tau, 40)
     assert terms[40] == math.factorial(40)
-    assert reads == [(False, k) for k in range(20)] + [(True, k) for k in range(1, 21)]
+    assert [(spec is entry.tau, k) for spec, k in reads] == \
+        [(False, k) for k in range(20)] + [(True, k) for k in range(1, 21)]

@@ -1,12 +1,14 @@
-"""Tests for weight sequence specs, their JSON form, and the catalog."""
+"""Tests for weight sequence specs, their int reader, their JSON form, and
+the catalog."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catmoments.recursive import catalan_like
+from catmoments.recursive import catalan_like, read_weights
 from catmoments.seqspec import (
     CATALOG,
     CATALOG_NAMES,
@@ -204,3 +206,53 @@ def test_polynomial_tail_matches_fraction_horner(coeffs):
        st.integers(0, 10**4))
 def test_polynomial_tail_matches_fraction_horner_randomized(coeffs, k):
     assert PolynomialTail(tuple(coeffs)).eval(k) == fraction_horner(coeffs, k)
+
+
+# signed rationals over small denominators, zero included
+spec_values = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+@st.composite
+def sequence_specs(draw, start=st.sampled_from((0, 1))):
+    """A prefix of 0..3 values, then a constant tail or a polynomial one of
+    degree <= 4."""
+    prefix = tuple(draw(st.lists(spec_values, max_size=3)))
+    tail = draw(st.one_of(
+        st.builds(ConstantTail, spec_values),
+        st.lists(spec_values, min_size=1, max_size=5).map(lambda c: PolynomialTail(tuple(c)))))
+    return SequenceSpec(prefix, tail, draw(start))
+
+
+def reference_values(spec, count):
+    """The spec's first count values on Fractions: the prefix, then the tail's
+    value or its polynomial at the index (oracle.fraction_horner)."""
+    coeffs = list(getattr(spec.tail, "coeffs", None) or (spec.tail.value,))
+    return [spec.prefix[i] if i < len(spec.prefix) else fraction_horner(coeffs, spec.start + i)
+            for i in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequence_specs(), st.integers(0, 40), st.integers(1, 6))
+def test_int_reader_over_its_denominator_is_the_values(spec, count, multiple):
+    expected = reference_values(spec, count)
+    ints = spec.ints(count, spec.den)
+    assert all(type(v) is int for v in ints)
+    assert [Fraction(v, spec.den) for v in ints] == expected == spec.values(count)
+    assert spec.den == math.lcm(*(v.denominator for v in (
+        *spec.prefix, *(getattr(spec.tail, "coeffs", None) or (spec.tail.value,)))))
+    # over any multiple of den the same values; over anything else a refusal
+    assert spec.ints(count, multiple * spec.den) == [multiple * v for v in ints]
+    if spec.den > 1:
+        with pytest.raises(ValueError, match="is not a multiple of the denominator"):
+            spec.ints(count, spec.den + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequence_specs(st.just(0)), sequence_specs(st.just(1)), st.integers(0, 30),
+       st.booleans())
+def test_read_weights_are_both_fraction_lists_over_one_denominator(sigma, tau, depth, truncate):
+    s, t, scale = read_weights(sigma, tau, depth, truncate)
+    s_count, t_count = ((depth + 1) // 2, depth // 2) if truncate else (depth, depth - 1)
+    assert scale == math.lcm(sigma.den, tau.den)
+    assert [Fraction(v, scale) for v in s] == reference_values(sigma, s_count)
+    assert [Fraction(v, scale) for v in t] == reference_values(tau, max(t_count, 0))

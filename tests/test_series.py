@@ -241,7 +241,7 @@ def test_radical_quotient_matches_fraction_kernels(pqst, order):
 def test_radical_quotient_matches_fraction_kernels_on_every_kind(pqst, t_zero, order):
     # gf_expand of every kind and every named form against its literal
     # formula on the schoolbook kernels, t = 0 for the three specializations
-    # (tied_qp's literal Q = 0 there); the general form refuses t = 0
+    # (tied_qp's literal Q = 0 there); the general literal divides by 2t
     p, q, s, t = pqst
     t = t or Fraction(1)
     t_special = Fraction(0) if t_zero else t
@@ -297,8 +297,6 @@ KIND_WEIGHTS = {
 def test_every_kind_matches_the_recurrence(kind, values, order):
     fields, weights_of = KIND_WEIGHTS[kind]
     params = dict(zip(fields, values))
-    if kind == "closed_form":
-        params["t"] += 1            # the general form refuses t = 0
     p, q, s, t = weights_of(**params)
     sigma = SequenceSpec.first_then_constant(p, s, start=0)
     tau = SequenceSpec.first_then_constant(q, t, start=1)
@@ -310,9 +308,8 @@ def test_specializations_expand_t0_to_a_geometric_series():
     assert gf_expand(gf("tied_q", 1, 3, 0), 4) == (1, 1, 1, 1, 1)
     assert gf_expand(gf("tied_qp", 2, 0), 4) == (1, 2, 4, 8, 16)
     assert gf_expand(gf("inverse_sqrt", 3, 0), 4) == (1, 3, 9, 27, 81)
-    spec = gf("closed_form", 1, 2, 3, 0)             # accepted, refused on expansion
-    with pytest.raises(ValueError, match="for t = 0 use kind tied_qp or inverse_sqrt"):
-        gf_expand(spec, 4)
+    # the general form at t = 0 too: (1 - 3x) / (1 - 4x + x^2), no root
+    assert gf_expand(gf("closed_form", 1, 2, 3, 0), 4) == (1, 1, 3, 11, 41)
 
 
 def test_gf_rejects_negative_parameters():
@@ -410,8 +407,6 @@ wide_weights = st.one_of(weights, st.builds(Fraction, st.integers(0, 10**12),
 def test_series_command_prints_gf_expand(kind, values, name, order):
     # series prints the kernel's ints over the powers of L
     params = (name,) if kind == "named" else tuple(values[:len(KIND_WEIGHTS[kind][0])])
-    if kind == "closed_form":
-        params = (*params[:3], params[3] + 1)       # the general form refuses t = 0
     spec = GFSpec(kind, params)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -13,7 +13,10 @@ none either, and the weight route, the weight lists tp_by_leading_minors
 takes (recursive.read_weights) and tp_sufficient_dominance read each weight
 exactly once, as does tp_certify for its two minor routes together;
 dominance reads none from the first index past both prefixes when the tails
-certify the rest.  The int families, (num, den) pairs kept until printed,
+certify the rest.  Reads are counted through SequenceSpec.ints, the int
+reader every route but dominance uses, and SequenceSpec.eval, dominance's;
+with eval and values made to raise outside dominance, every route and
+command still runs, so none makes a Fraction per weight.  The int families, (num, den) pairs kept until printed,
 must equal a Fraction reference built from tests/oracle (the products of
 T_k and the minor chain) in values, verdict and witness, from a pair and
 from its terms times m_0; two reports on different denominators are equal
@@ -37,7 +40,7 @@ import catmoments.hankel
 import catmoments.jacobi
 import catmoments.recursive
 from catmoments.cli import main
-from catmoments.exact import TRUE, DenseMatrix, format_rat, negative_principal_minor
+from catmoments.exact import INCONCLUSIVE, TRUE, DenseMatrix, format_rat, negative_principal_minor
 from catmoments.hankel import (
     FAIL,
     PASS,
@@ -50,15 +53,17 @@ from catmoments.hankel import (
 from catmoments.jacobi import (
     tp_by_leading_minors,
     tp_certify,
+    tp_check_sections,
     tp_sufficient_dominance,
 )
-from catmoments.recursive import catalan_like, read_weights
+from catmoments.recursive import catalan_like, motzkin_oracle, read_weights
 from catmoments.seqspec import ConstantTail, PolynomialTail, SequenceSpec, catalog_lookup
 from oracle import (
     det_cofactor,
     fraction_det_products,
     fraction_window_minors,
     principal_minors_nonneg,
+    record_weight_reads,
     submatrix,
 )
 
@@ -151,7 +156,7 @@ def test_terms_round_trip_through_their_weights(pair, m0):
     sigma, tau, depth = pair
     terms = [m0 * v for v in catalan_like(sigma, tau, 2 * depth + 1)]
     s, t = _chebyshev_weights(terms, depth)
-    assert (s, t) == read_weights(sigma, tau, depth + 1)
+    assert (s, t) == (sigma.values(depth + 1), tau.values(depth))
     replay = catalan_like(SequenceSpec(tuple(s), ConstantTail(0), 0),
                           SequenceSpec(tuple(t), ConstantTail(0), 1), 2 * depth + 1)
     assert [m0 * v for v in replay] == terms
@@ -320,7 +325,7 @@ def fraction_report(sigma, tau, depth, m0=Fraction(1)):
     """(dets0, dets1, verdict, witness) of m0 times the pair's terms, on
     Fractions: the products of T_k, the minor chain of J times them, and the
     first negative value, plain family before shifted at each k."""
-    s, t = read_weights(sigma, tau, depth + 1)
+    s, t = sigma.values(depth + 1), tau.values(depth)
     dets0 = fraction_det_products(t, m0)
     dets1 = [d * p for d, p in zip(fraction_window_minors(s, t, 0), dets0)]
     witness = next(({"family": f"det{shift}", "k": k, "value": format_rat(dets[k])}
@@ -367,9 +372,8 @@ def test_reports_on_different_denominators_are_equal_by_value():
 
 
 # the Fraction forms the int families replace: a determinant made a
-# Fraction, a Fraction printed, the minor chain as Fractions
-WRAPPERS = ((catmoments.exact, "_over"), (catmoments.exact, "format_rat"),
-            (catmoments.jacobi, "window_minors"))
+# Fraction, a Fraction printed
+WRAPPERS = ((catmoments.exact, "_over"), (catmoments.exact, "format_rat"))
 
 
 @pytest.fixture
@@ -407,16 +411,10 @@ def test_families_stay_ints_until_printed(capsys, wrapper_calls):
 
 @pytest.fixture
 def weight_reads(monkeypatch):
-    """Every SequenceSpec.eval call, as (spec, index) pairs in call order."""
-    reads = []
-    original = SequenceSpec.eval
-
-    def counting(spec, k):
-        reads.append((spec, k))
-        return original(spec, k)
-
-    monkeypatch.setattr(SequenceSpec, "eval", counting)
-    return reads
+    """Every weight a SequenceSpec hands out, through its int reader
+    (SequenceSpec.ints, the minor and product routes) or one at a time
+    (SequenceSpec.eval, dominance), as (spec, index) pairs in call order."""
+    return record_weight_reads(monkeypatch)
 
 
 # bell, and a prefix followed by a polynomial tail on either side; both have
@@ -469,6 +467,65 @@ def test_tp_certify_reads_each_weight_once_in_its_minor_routes(weight_reads):
     assert weight_reads[:3] == [(sigma, 0), (sigma, 1), (tau, 1)]   # dominance
     assert_read_once_through(weight_reads[3:], sigma, tau, 12)
     assert len(weight_reads) == 28
+
+
+@pytest.fixture
+def fraction_reads_refused(monkeypatch):
+    """SequenceSpec.eval and values, and the tails' eval, raise: a route that
+    makes a Fraction per weight fails.  Dominance alone may still evaluate
+    its weights one at a time, until ROADMAP item 1 replaces its probe."""
+    dominance_depth = []
+
+    def refusing(original):
+        def read(*args):
+            if not dominance_depth:
+                raise AssertionError("a Fraction per weight outside dominance")
+            return original(*args)
+        return read
+
+    for cls, name in ((SequenceSpec, "eval"), (SequenceSpec, "values"),
+                      (ConstantTail, "eval"), (PolynomialTail, "eval")):
+        monkeypatch.setattr(cls, name, refusing(getattr(cls, name)))
+    dominance = catmoments.jacobi.tp_sufficient_dominance
+
+    def exempt(*args, **kwargs):
+        dominance_depth.append(True)
+        try:
+            return dominance(*args, **kwargs)
+        finally:
+            dominance_depth.pop()
+
+    monkeypatch.setattr(catmoments.jacobi, "tp_sufficient_dominance", exempt)
+
+
+# rational weights over 3 and 5 with a polynomial tail, so that no command
+# takes the closed form's route (the golden thirds-fifths cases' pair)
+GUARD_PAIR = (SequenceSpec((Fraction(2, 3), 3, 2, Fraction(-1, 3)),
+                           PolynomialTail((Fraction(1, 3), Fraction(2, 3))), start=0),
+              SequenceSpec((Fraction(7, 5), Fraction(9, 5), 0), ConstantTail(Fraction(6, 5)),
+                           start=1))
+
+
+def test_no_route_makes_a_fraction_per_weight(capsys, fraction_reads_refused):
+    sigma, tau = GUARD_PAIR
+    with pytest.raises(AssertionError, match="outside dominance"):
+        sigma.eval(0)                   # the positive control of the guard
+    assert stieltjes_weights(sigma, tau, 6).verdict == PASS
+    assert catalan_like(sigma, tau, 12)[2] == Fraction(4, 9) + Fraction(7, 5)
+    assert motzkin_oracle(sigma, tau, 8) == catalan_like(sigma, tau, 8)[8]
+    weights = read_weights(sigma, tau, 9)
+    assert tp_by_leading_minors(*weights).verdict == INCONCLUSIVE
+    assert tp_check_sections(*weights).witness == {"rows": [3], "cols": [3], "value": "-1/3"}
+    pair = ["--sigma", json.dumps(sigma.to_json()), "--tau", json.dumps(tau.to_json())]
+    for argv in (["gen", *pair, "-n", "30"], ["matrix", *pair, "-n", "10"],
+                 ["hankel-det", *pair, "--depth", "6"],
+                 ["hankel-det", *pair, "--depth", "6", "--shift", "1"],
+                 ["stieltjes", *pair, "--depth", "6"],
+                 ["verify", "--name", "bell", "--depth", "8"],
+                 ["verify", "--name", "catalan", "--depth", "8"]):
+        assert main(argv) == 0, argv
+    assert main(["tp", *pair, "--depth", "8"]) == 1      # dominance runs, exempt
+    assert capsys.readouterr().err == ""
 
 
 def test_principal_minor_oracle():

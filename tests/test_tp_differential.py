@@ -33,6 +33,7 @@ from catmoments.seqspec import ConstantTail, PolynomialTail, SequenceSpec
 from oracle import (
     all_minors_nonneg,
     fraction_window_minors,
+    int_weights,
     jacobi_section,
     jacobi_window,
     probe_every_index_dominance,
@@ -79,12 +80,13 @@ def first_negative_window(sigma, tau, depth: int):
 @given(weight_pairs())
 def test_no_route_contradicts_the_exhaustive_minor_scan(pair):
     sigma, tau, depth = pair
-    s, t = read_weights(sigma, tau, depth + 1)
+    s, t = sigma.values(depth + 1), tau.values(depth)
+    ints = read_weights(sigma, tau, depth + 1)
     oracle = all_minors_nonneg(jacobi_section(s, t), depth + 1).status
     reports = {
         "dominance": tp_sufficient_dominance(sigma, tau, probe_depth=max(depth, 1)),
-        "leading_minors": tp_by_leading_minors(s, t),
-        "contiguous_minors": tp_check_sections(s, t),
+        "leading_minors": tp_by_leading_minors(*ints),
+        "contiguous_minors": tp_check_sections(*ints),
         "certify": tp_certify(sigma, tau, depth),
     }
     if oracle == FALSE:
@@ -148,12 +150,12 @@ def fraction_first_negative_window(s, t):
 @given(sections())
 def test_int_minor_routes_match_the_fraction_chain(section):
     s, t = section
-    leading = tp_by_leading_minors(s, t)
+    leading = tp_by_leading_minors(*int_weights(s, t))
     verdict, witness, detail = fraction_leading_minors(s, t)
     assert (leading.verdict, leading.witness, leading.depth) == (verdict, witness, len(s) - 1)
     if verdict != INCONCLUSIVE:
         assert leading.detail == detail
-    contiguous = tp_check_sections(s, t)
+    contiguous = tp_check_sections(*int_weights(s, t))
     assert contiguous.witness == fraction_first_negative_window(s, t)
     assert contiguous.verdict == all_minors_nonneg(jacobi_section(s, t), len(s)).status
     event(f"leading {leading.verdict}, contiguous {contiguous.verdict}")
