@@ -30,13 +30,12 @@ JSON object, CSV rows with the header first, text), all built from the same
 number strings (gen, matrix and series: from ints over their denominators,
 no Fraction per number); main prints the format asked for, once, so a
 command that fails prints only its error message.  Every command reads the
-weights as ints over one denominator (recursive.read_weights), no Fraction
-per weight, and passes them on as they are.  gen and hankel-det take
-the terms of weights constant after their first entry, and series the
-coefficients of every generating function spec, from one routine, the
-closed form's recurrence (series._constant_tail_ints, O(1) int operations a
-term, each an int over L^k); gen takes those of any other pair from the
-recursive matrix's triangle.  verify keeps the triangle
+weights as ints over one L (recursive.read_weights) and passes them on.  gen
+and hankel-det take the terms of weights constant after their first entry,
+and series the coefficients of every generating function spec, from one
+routine, the closed form's recurrence (series._constant_tail_ints, O(1) int
+operations a term, each an int over L^k); gen takes those of any other pair
+from the recursive matrix's triangle.  verify keeps the triangle
 (recursive.catalan_like) as the independent check of the generating
 functions, and compares J's minor chain with elimination as int pairs.
 

@@ -190,7 +190,10 @@ def _eventually_nonneg(coeffs: list[Fraction], from_index: int) -> bool:
 
 
 def _tail_poly(spec: SequenceSpec) -> list[Fraction]:
-    return list(getattr(spec.tail, "coeffs", None) or (spec.tail.value,))
+    tail = spec.tail
+    if hasattr(tail, "coeffs"):
+        return list(tail.coeffs)
+    return [tail.value]
 
 
 def _tails_nonneg(sigma: SequenceSpec, tau: SequenceSpec, from_index: int) -> bool:

@@ -49,10 +49,9 @@ ORACLE_MAX_LENGTH = 14
 
 
 def read_weights(sigma: SequenceSpec, tau: SequenceSpec, depth: int, truncate: bool = False):
-    """(S, T, L): S = L s_0.., T = L t_1.. as ints over L, the LCM of both specs'
-    denominators, each weight read once: those rows 0..depth use (truncate:
-    their kept cells).  Also the weights of the TP routes and stieltjes_weights:
-    s_0..s_d, t_1..t_d at depth d + 1."""
+    """(S, T, L): L s_0.., L t_1.. as ints, L the LCM of the specs' denominators, each
+    weight read once: those rows 0..depth use (truncate: their kept cells).  Also
+    the weights of the TP routes and stieltjes_weights: s_0..s_d, t_1..t_d at depth d + 1."""
     s_count, t_count = ((depth + 1) // 2, depth // 2) if truncate else (depth, depth - 1)
     scale = math.lcm(sigma.den, tau.den)
     return sigma.ints(s_count, scale), tau.ints(t_count, scale), scale

@@ -6,12 +6,10 @@ A recursive matrix is driven by two weight sequences: diagonal weights
 SequenceSpec describes such a sequence by an explicit finite prefix followed
 by a tail rule, either a constant or a polynomial in the index k (degree at
 most 4; the catalog needs at most k**2).  Specs serialize to JSON with
-rationals as "p/q" strings.  A spec holds its prefix and the reversed
-coefficients of its tail as ints over den, the LCM of their denominators;
-SequenceSpec.ints hands out its first values as ints over any multiple of
-den, no Fraction per value, as every route reads its weights
-(recursive.read_weights).  values and eval, one index at a time as
-dominance reads, give Fractions.
+rationals as "p/q" strings.  A spec holds its prefix and tail as ints over
+den, the LCM of their denominators; SequenceSpec.ints hands out its first
+values as ints over any multiple of den, no Fraction per value, as every
+route but dominance reads them (recursive.read_weights).
 
 The catalog maps the eight classical names (catalan, central_binomial,
 delannoy, schroder_large, schroder_little, hexagonal, bell, factorial) to
