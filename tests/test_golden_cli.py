@@ -21,7 +21,9 @@ stieltjes on explicit weight pairs (PASS, FAIL in either family, a zero
 weight, a witness value over a denominator), on term lists that invert to
 weights (m_0 = 3, m_0 = 2/3, rational, factorial) or fall back to
 elimination (a zero t_1), on terms whose leading minors are nonnegative
-but not all positive, and at depth 0 (also hankel-det), the (p, q, s, t)
+but not all positive (integral, and over a denominator: two negative
+principal minors with rational values and the semidefinite sections of
+(2/3) delta_1), and at depth 0 (also hankel-det), the (p, q, s, t)
 criterion, the contiguous-minor TP route (with its single-entry witnesses),
 tp at depth 0, every named and parameterised
 generating function (the general form and the three specializations
@@ -285,6 +287,14 @@ def cases() -> dict[str, list[str]]:
                                                   "--depth", "2", "--format", f]
         out[f"stieltjes-weak-sylvester-1-{f}"] = ["stieltjes", "--terms", "2,0,0,-1",
                                                   "--depth", "1", "--format", f]
+        # the same over denominators: the witness values -5/12 (rows [0, 2])
+        # and -5/7 (rows [1]) are rational, and the measure (2/3) delta_1
+        # has zero minors from k = 1 on and passes
+        for label, terms, depth in (("rational-0", "1/2,1/2,1/2,1/2,1/2,-1/3", "2"),
+                                    ("rational-1", "3/2,0,0,-5/7", "1"),
+                                    ("zero-minors-pass", "2/3,2/3,2/3,2/3,2/3,2/3", "2")):
+            out[f"stieltjes-weak-sylvester-{label}-{f}"] = ["stieltjes", "--terms", terms,
+                                                           "--depth", depth, "--format", f]
         # depth 0: 1 x 1 sections, from a weight pair, from terms and in both
         # families of hankel-det
         out[f"stieltjes-depth-0-{f}"] = ["stieltjes", "--name", "catalan", "--depth", "0",
