@@ -15,9 +15,7 @@ from .exact import (
     FALSE,
     INCONCLUSIVE,
     TRUE,
-    DenseMatrix,
     as_rat,
-    det_bareiss,
     format_rat,
     negative_principal_minor,
 )
@@ -25,8 +23,6 @@ from .hankel import (
     FAIL,
     PASS,
     StieltjesReport,
-    build_hankel,
-    hankel_dets,
     stieltjes_check,
     stieltjes_weights,
     verify_H_eq_RTRt,

@@ -1,34 +1,30 @@
-"""Exact rational linear algebra: dense matrices and determinants.
+"""Exact rational arithmetic: the shared scalar helpers and one elimination.
 
 Everything in this package runs on exact rationals, as Fractions or as ints
 over a known denominator; no floating point is ever involved.  This module
-holds the shared scalar helpers, the dense matrix value type and one
-fraction-free (Bareiss) elimination on integer rows, _minors_ints.  It
-reads the determinant of every leading section off its pivots (Sylvester's
-identity), all in one pass: a zero pivot is repaired by a row swap that
-keeps the row set of every larger section, and on a symmetric input, such
-as a Hankel section, it updates only the upper triangle, half the products,
-until a swap.  _int_leading_minors runs it on int rows over one common
-denominator and returns each minor as an int over its power of that
-denominator, no DenseMatrix and no Fraction: hankel hands it the scaled
-terms (cli hankel-det the terms' ints at their common scale) and cli verify
-J's section (jacobi._int_section).  Such (num, den) pairs are compared by
-cross-multiplication (_same_values) and printed by format_over, one gcd a
-printed value and none over 1.  det_bareiss runs it on a DenseMatrix scaled
-integral and keeps the last minor.  Where a zero leading minor leaves
-positive semidefiniteness open, negative_principal_minor decides it by a
-symmetric elimination with diagonal pivoting.  The total-positivity routes
-need none of these: the minors of the tridiagonal coefficient matrix follow
-a three-term recurrence (see jacobi), and the identity checks use band
-sums.
+holds the shared scalar helpers and one fraction-free (Bareiss) elimination
+on integer rows, _minors_ints.  It reads the determinant of every leading
+section off its pivots (Sylvester's identity), all in one pass: a zero
+pivot is repaired by a row swap that keeps the row set of every larger
+section, and on a symmetric input, such as a Hankel section, it updates
+only the upper triangle, half the products, until a swap.
+_int_leading_minors runs it on int rows over one common denominator and
+returns each minor as an int over its power of that denominator, no
+Fraction: hankel hands it the scaled terms (cli hankel-det the terms' ints
+at their common scale) and cli verify J's section (jacobi._int_section).
+Such (num, den) pairs are compared by cross-multiplication (_same_values)
+and printed by format_over, one gcd a printed value and none over 1.  Where
+a zero leading minor leaves positive semidefiniteness open,
+negative_principal_minor decides it on a plain list of rows by a symmetric
+elimination with diagonal pivoting.  The total-positivity routes need none
+of these: the minors of the tridiagonal coefficient matrix follow a
+three-term recurrence (see jacobi), and the identity checks use band sums.
 """
-
 from __future__ import annotations
 
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
@@ -157,48 +153,6 @@ def format_row(row: list[int], den: int) -> list[str]:
     return list(map(_int_str, row)) if den == 1 else [format_over(v, den) for v in row]
 
 
-@dataclass(frozen=True, slots=True)
-class DenseMatrix:
-    """Immutable rectangular matrix of exact rationals, built from any
-    iterable of rows."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        grid = tuple(tuple(as_rat(x) for x in row) for row in self.entries)
-        if not grid or not grid[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise ValueError("matrix rows have unequal lengths")
-        object.__setattr__(self, "entries", grid)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __getitem__(self, index: tuple[int, int]) -> Fraction:
-        i, j = index
-        return self.entries[i][j]
-
-    def __repr__(self) -> str:
-        return f"DenseMatrix({self.rows}x{self.cols})"
-
-
-def _require_square(matrix: DenseMatrix) -> int:
-    if not matrix.is_square:
-        raise ValueError(f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
-    return matrix.rows
-
-
 def _scaled_ints(values) -> tuple[list[int], int]:
     """Integers C and the LCM D of the denominators, with values[k] == C[k] / D."""
     den = math.lcm(*(v.denominator for v in values))
@@ -254,14 +208,6 @@ def _minors_ints(work: list[list[int]]) -> list[int]:
     return minors
 
 
-def det_bareiss(matrix: DenseMatrix) -> Fraction:
-    """Exact determinant of a square matrix: the last leading minor of its
-    entries scaled integral by the LCM of their denominators (_minors_ints)."""
-    n = _require_square(matrix)
-    ints, den = _scaled_ints([x for row in matrix.entries for x in row])
-    return Fraction(_minors_ints([ints[i:i + n] for i in range(0, n * n, n)])[-1], den ** n)
-
-
 def _int_leading_minors(rows: list[list[int]], den: int) -> list[tuple[int, int]]:
     """The leading minors of the square matrix rows / den, k = 1..n, as
     (num, den^k) int pairs: those of the int rows (_minors_ints, on a copy)
@@ -278,9 +224,10 @@ def _same_values(a, b) -> bool:
     return len(a) == len(b) and all(p * s == r * q for (p, q), (r, s) in zip(a, b))
 
 
-def negative_principal_minor(matrix: DenseMatrix) -> Optional[tuple[list[int], Fraction]]:
-    """A negative principal minor of the symmetric matrix, as (rows, value),
-    or None when the matrix is positive semidefinite.
+def negative_principal_minor(rows: list[list]) -> Optional[tuple[list[int], Fraction]]:
+    """A negative principal minor of the symmetric matrix given by its rows of
+    ints or Fractions, as (rows, value), or None when the matrix is positive
+    semidefinite.
 
     Leading minors decide this only when they are all positive (Sylvester's
     criterion has no weak form), so this runs an exact symmetric (LDL^t)
@@ -291,8 +238,8 @@ def negative_principal_minor(matrix: DenseMatrix) -> Optional[tuple[list[int], F
     d = 0 needs row k of the complement to be zero, else an entry a_kj != 0
     refutes, the minor on P + {k, j} being the product times -a_kj^2.
     """
-    n = _require_square(matrix)
-    work = [list(row) for row in matrix.entries]
+    n = len(rows)
+    work = [list(row) for row in rows]
     pivots: list[int] = []
     product = Fraction(1)
     for k in range(n):
@@ -307,7 +254,7 @@ def negative_principal_minor(matrix: DenseMatrix) -> Optional[tuple[list[int], F
         pivots.append(k)
         product *= pivot
         for row_i in work[k + 1:]:
-            factor = row_i[k] / pivot
+            factor = Fraction(row_i[k], pivot)
             if factor:
                 row_i[k + 1:] = [x - factor * y for x, y in zip(row_i[k + 1:], work[k][k + 1:])]
     return None

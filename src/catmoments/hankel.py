@@ -1,4 +1,4 @@
-"""Hankel matrices, the two-family Stieltjes determinant test, and the
+"""The two-family Stieltjes determinant test of Hankel sections, and the
 factorization of the Hankel matrix through the recursive matrix.
 
 A sequence (m_n) is a Stieltjes moment sequence exactly when both Hankel
@@ -34,8 +34,6 @@ Both families stay ints until they are printed: each determinant is an int
 over a power of the weights' or the terms' common denominator.  Signs, the
 verdict and the witness are read off the numerators, reports are compared
 by cross-multiplication, and to_json prints with exact.format_over.
-StieltjesReport.dets0/dets1 and hankel_dets are the Fraction forms of the
-same ints, for library callers.
 
 Elimination is the fallback of stieltjes_check and the independent cross
 check of the weight products (cli verify, cli hankel-det).  A family is
@@ -43,12 +41,13 @@ evaluated by elimination in one place, _section_minors: the 2 depth+1
 terms of the family as integers over one denominator, whose windows are
 the rows of the largest section, go through one symmetric fraction-free
 elimination (exact._int_leading_minors) that reads every leading minor off
-its pivots, about depth^3/6 products per family and no DenseMatrix.  cli
+its pivots, about depth^3/6 products per family and no Fraction.  cli
 hankel-det hands it the terms' ints at their common scale.  A negative
 leading minor refutes.  Nonnegative leading minors prove semidefiniteness
 only when all are positive, so a family with a zero one has its largest
-section decided by exact.negative_principal_minor, whose witness names a
-negative principal minor by its rows.
+section, the windows of its terms as rows of Fractions, decided by
+exact.negative_principal_minor, whose witness names a negative principal
+minor by its rows.
 
 Why nonnegative leading minors suffice on the weight products: H_n and
 H^(1)_n are congruent, through the invertible R_n, to the diagonal T_n and
@@ -78,9 +77,7 @@ from typing import Optional, Sequence
 from .exact import (
     FALSE,
     TRUE,
-    DenseMatrix,
     _int_leading_minors,
-    _over,
     _same_values,
     _scaled_ints,
     as_rat,
@@ -110,26 +107,15 @@ def _hankel_terms(terms: Sequence, depth: int, shift: int) -> list[Fraction]:
     return [as_rat(v) for v in terms[shift:needed]]
 
 
-def build_hankel(terms: Sequence, depth: int, shift: int = 0) -> DenseMatrix:
-    """The (depth+1) x (depth+1) matrix with entry (i, j) = m_{i+j+shift},
-    from the terms m_0, m_1, ..."""
-    window = _hankel_terms(terms, depth, shift)
-    return DenseMatrix(window[i:i + depth + 1] for i in range(depth + 1))
+def _windows(values: list, depth: int) -> list[list]:
+    """The rows of the (depth+1)-section whose row i is values[i:i + depth + 1]."""
+    return [values[i:i + depth + 1] for i in range(depth + 1)]
 
 
 def _section_minors(ints: list[int], den: int, depth: int) -> list[tuple[int, int]]:
-    """The leading minors, k = 0..depth, of the Hankel section whose row i is
-    the window ints[i:i + depth + 1] over den, as (num, den^(k+1)) ints."""
-    return _int_leading_minors([ints[i:i + depth + 1] for i in range(depth + 1)], den)
-
-
-def hankel_dets(terms: Sequence, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
-    """det[m_{i+j+shift}] on the (k+1) x (k+1) sections for k = 0..depth,
-    all read off one elimination of the largest section, whose integer rows
-    are windows of the terms scaled by one common denominator: the
-    Fractions of _section_minors' ints."""
-    ints, den = _scaled_ints(_hankel_terms(terms, depth, shift))
-    return tuple(starmap(_over, _section_minors(ints, den, depth)))
+    """The leading minors, k = 0..depth, of the Hankel section whose rows are
+    the windows of ints over den, as (num, den^(k+1)) ints."""
+    return _int_leading_minors(_windows(ints, depth), den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,14 +123,13 @@ class StieltjesReport:
     """Both determinant families up to a depth, with the verdict.
 
     family0[k] and family1[k] are det[m_{i+j}] and det[m_{i+j+1}] on the
-    (k+1)-sections as (num, den) ints, den > 0; dets0 and dets1 are their
-    Fractions.  Reports are equal when their values are, whatever the
-    denominators, and so are their depths, verdicts and witnesses.  PASS
-    means both largest sections are positive semidefinite.  FAIL carries a
-    witness: the first negative determinant (smallest k, plain family
-    before shifted) as family, k and value, or, when no determinant is
-    negative, a negative principal minor as family, rows and value.  Either
-    way the claim is bounded by the stated depth.
+    (k+1)-sections as (num, den) ints, den > 0.  Reports are equal when
+    their values are, whatever the denominators, and so are their depths,
+    verdicts and witnesses.  PASS means both largest sections are positive
+    semidefinite.  FAIL carries a witness: the first negative determinant
+    (smallest k, plain family before shifted) as family, k and value, or,
+    when no determinant is negative, a negative principal minor as family,
+    rows and value.  Either way the claim is bounded by the stated depth.
     """
 
     depth: int
@@ -152,14 +137,6 @@ class StieltjesReport:
     family1: tuple[tuple[int, int], ...]
     verdict: str
     witness: Optional[dict] = None
-
-    @property
-    def dets0(self) -> tuple[Fraction, ...]:
-        return tuple(starmap(_over, self.family0))
-
-    @property
-    def dets1(self) -> tuple[Fraction, ...]:
-        return tuple(starmap(_over, self.family1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StieltjesReport):
@@ -184,7 +161,7 @@ class StieltjesReport:
         if witness is None and terms is not None:
             for shift, family in enumerate(families):
                 found = any(num == 0 for num, _ in family) and \
-                    negative_principal_minor(build_hankel(terms, depth, shift))
+                    negative_principal_minor(_windows(_hankel_terms(terms, depth, shift), depth))
                 if found:
                     witness = {"family": f"det{shift}", "rows": found[0],
                                "value": format_rat(found[1])}

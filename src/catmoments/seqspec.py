@@ -9,7 +9,9 @@ most 4; the catalog needs at most k**2).  Specs serialize to JSON with
 rationals as "p/q" strings.  A spec holds its prefix and tail as ints over
 den, the LCM of their denominators; SequenceSpec.ints hands out its first
 values as ints over any multiple of den, no Fraction per value, as every
-route but dominance reads them (recursive.read_weights).
+route but dominance reads them (recursive.read_weights).  Dominance reads
+one value at a time with SequenceSpec.eval, from the same ints by the same
+Horner loop (_horner); the tail classes only hold and serialize the rule.
 
 The catalog maps the eight classical names (catalan, central_binomial,
 delannoy, schroder_large, schroder_little, hexagonal, bell, factorial) to
@@ -38,9 +40,6 @@ class ConstantTail:
     def __post_init__(self):
         object.__setattr__(self, "value", as_rat(self.value))
 
-    def eval(self, k: int) -> Fraction:
-        return self.value
-
     def to_json(self) -> dict:
         return {"kind": "constant", "value": format_rat(self.value)}
 
@@ -53,8 +52,6 @@ class PolynomialTail:
     """
 
     coeffs: tuple[Fraction, ...]
-    # reversed coefficients as ints over their common denominator, for eval
-    _scaled: tuple[list[int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(as_rat(c) for c in self.coeffs)
@@ -63,18 +60,21 @@ class PolynomialTail:
         if len(coeffs) > MAX_TAIL_DEGREE + 1:
             raise ValueError(f"polynomial tail degree is capped at {MAX_TAIL_DEGREE}")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_scaled", _scaled_ints(coeffs[::-1]))
-
-    def eval(self, k: int) -> Fraction:
-        """Horner on the scaled ints; one Fraction per call."""
-        nums, den = self._scaled
-        acc = 0
-        for c in nums:
-            acc = acc * k + c
-        return Fraction(acc, den)
 
     def to_json(self) -> dict:
         return {"kind": "polynomial", "coeffs": [format_rat(c) for c in self.coeffs]}
+
+
+def _horner(coeffs: list[int], indices) -> list[int]:
+    """The polynomial with int coefficients coeffs, highest degree first, at
+    each of the indices."""
+    values = []
+    for k in indices:
+        acc = 0
+        for c in coeffs:
+            acc = acc * k + c
+        values.append(acc)
+    return values
 
 
 def tail_from_json(data: dict):
@@ -132,13 +132,16 @@ class SequenceSpec:
         return cls((), PolynomialTail(tuple(as_rat(c) for c in coeffs)), start)
 
     def eval(self, k: int) -> Fraction:
-        """Value at index k; k must be >= start."""
+        """Value at index k; k must be >= start.  A polynomial tail is read off
+        the spec's own ints, a constant one is its stored value."""
         if k < self.start:
             raise ValueError(f"index {k} below start index {self.start}")
         offset = k - self.start
         if offset < len(self.prefix):
             return self.prefix[offset]
-        return self.tail.eval(k)
+        if isinstance(self.tail, ConstantTail):
+            return self.tail.value
+        return Fraction(_horner(self._ints[1], (k,))[0], self.den)
 
     def ints(self, count: int, den: int) -> list[int]:
         """den times the first `count` values, for den a multiple of self.den: the
@@ -151,12 +154,7 @@ class SequenceSpec:
         indices = range(self.start + len(head), self.start + count)
         if len(poly) == 1:
             return head + poly * len(indices)
-        for k in indices:
-            acc = 0
-            for c in poly:
-                acc = acc * k + c
-            head.append(acc)
-        return head
+        return head + _horner(poly, indices)
 
     def values(self, count: int) -> list[Fraction]:
         """The first `count` values from the start index: ints(count, den) as Fractions."""

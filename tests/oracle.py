@@ -8,13 +8,13 @@ cell by cell on exact rationals, with every weight evaluated where it is
 used.  The library runs the same recurrence on integer rows scaled by the
 common denominator of the weights; the tests compare the two.
 
-identity, to_lists, submatrix, transpose and matmul are the small matrix
-helpers only the tests need; jacobi_section lays the weight lists s_0..s_n,
-t_1..t_n out as the dense leading section of the coefficient matrix, and
-jacobi_window cuts a contiguous principal window out of it, so that
-det_bareiss can evaluate it independently of the library's three-term
-recurrence; leading_principal_minors hands a DenseMatrix made integral to
-the library's one-pass elimination; pqst_matrix builds the weight pair
+identity, to_lists, submatrix, transpose and matmul are the helpers on
+DenseMatrix, the Fraction matrix only the tests need; build_hankel lays the
+terms out as a Hankel section, jacobi_section the weights s_0..s_n, t_1..t_n
+as the leading section of the coefficient matrix, and jacobi_window cuts a
+contiguous principal window out of that; leading_principal_minors hands a
+DenseMatrix made integral to the library's one-pass elimination, and
+det_elimination keeps its last minor; pqst_matrix builds the weight pair
 (sigma, tau) constant after their first entries.
 
 recursive_section, step_matrix and the three dense_* checks are the
@@ -38,7 +38,7 @@ literal formula c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)), which
 fraction_radical_quotient expands on the schoolbook kernels, against the
 library's weights (p, q, s, t) and its one int recurrence;
 fraction_horner evaluates a polynomial on Fractions, against
-PolynomialTail.eval on scaled integers.
+SequenceSpec.eval on the spec's integers.
 
 int_weights puts Fraction weight lists over one denominator L as the
 library's routes take them, (L s, L t, L), the triple read_weights reads;
@@ -67,18 +67,18 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from catmoments.exact import (
     FALSE,
     INCONCLUSIVE,
     TRUE,
-    DenseMatrix,
     _int_leading_minors,
     _scaled_ints,
-    det_bareiss,
+    as_rat,
     format_rat,
 )
-from catmoments.hankel import _weight_families, build_hankel
+from catmoments.hankel import _hankel_terms, _weight_families
 from catmoments.jacobi import DOMINANCE_GUARD_INDEX, TPReport, _minor_chain, _section_depth
 from catmoments.recursive import _scaled_rows, read_weights
 from catmoments.seqspec import SequenceSpec
@@ -87,6 +87,49 @@ COFACTOR_MAX_DIM = 9
 
 # Upper bound on the number of minors an exhaustive scan may evaluate.
 DEFAULT_MINOR_BUDGET = 2_000_000
+
+
+@dataclass(frozen=True, slots=True)
+class DenseMatrix:
+    """Immutable rectangular matrix of exact rationals, built from any
+    iterable of rows."""
+
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        grid = tuple(tuple(as_rat(x) for x in row) for row in self.entries)
+        if not grid or not grid[0]:
+            raise ValueError("matrix needs at least one row and one column")
+        width = len(grid[0])
+        if any(len(row) != width for row in grid):
+            raise ValueError("matrix rows have unequal lengths")
+        object.__setattr__(self, "entries", grid)
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
+
+    @property
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def __getitem__(self, index: tuple[int, int]) -> Fraction:
+        i, j = index
+        return self.entries[i][j]
+
+    def __repr__(self) -> str:
+        return f"DenseMatrix({self.rows}x{self.cols})"
+
+
+def build_hankel(terms: Sequence, depth: int, shift: int = 0) -> DenseMatrix:
+    """The (depth+1) x (depth+1) matrix with entry (i, j) = m_{i+j+shift},
+    from the terms m_0, m_1, ..."""
+    window = _hankel_terms(terms, depth, shift)
+    return DenseMatrix(window[i:i + depth + 1] for i in range(depth + 1))
 
 
 def identity(n: int) -> DenseMatrix:
@@ -130,6 +173,10 @@ def leading_principal_minors(matrix: DenseMatrix) -> tuple[Fraction, ...]:
     ints, den = _scaled_ints([x for row in matrix.entries for x in row])
     return tuple(itertools.starmap(
         Fraction, _int_leading_minors([ints[i:i + n] for i in range(0, n * n, n)], den)))
+
+
+def det_elimination(matrix: DenseMatrix) -> Fraction:
+    return leading_principal_minors(matrix)[-1]
 
 
 def jacobi_window(s, t, lo: int, hi: int) -> DenseMatrix:
@@ -467,7 +514,7 @@ def fraction_det_products(t, m0) -> list[Fraction]:
 
 
 def det_cofactor(matrix: DenseMatrix) -> Fraction:
-    """Exact determinant by Laplace expansion; independent of det_bareiss.
+    """Exact determinant by Laplace expansion; independent of det_elimination.
 
     Factorial cost, so the dimension is capped at COFACTOR_MAX_DIM.
     """
@@ -566,7 +613,7 @@ def all_minors_nonneg(
                 if order == 1:
                     value = matrix.entries[row_idx[0]][col_idx[0]]
                 else:
-                    value = det_bareiss(submatrix(matrix, row_idx, col_idx))
+                    value = det_elimination(submatrix(matrix, row_idx, col_idx))
                 checked += 1
                 if value < 0:
                     return MinorScan(FALSE, NegativeMinor(row_idx, col_idx, value), checked)

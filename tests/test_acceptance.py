@@ -12,20 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from catmoments.exact import (
-    FALSE,
-    TRUE,
-    DenseMatrix,
-    as_rat,
-    det_bareiss,
-)
-from catmoments.hankel import (
-    FAIL,
-    PASS,
-    build_hankel,
-    stieltjes_check,
-    verify_H_eq_RTRt,
-)
+from catmoments.exact import FALSE, TRUE, as_rat
+from catmoments.hankel import FAIL, PASS, stieltjes_check, verify_H_eq_RTRt
 from catmoments.jacobi import (
     JacobiParams,
     tp_check_sections,
@@ -35,7 +23,10 @@ from catmoments.recursive import _scaled_rows, catalan_like, motzkin_oracle, rea
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from catmoments.series import GFSpec, gf_expand, riordan_column_check
 from oracle import (
+    DenseMatrix,
+    build_hankel,
     det_cofactor,
+    det_elimination,
     hankel_det_products,
     int_weights,
     is_nondecreasing_from_one,
@@ -59,8 +50,8 @@ def test_criterion_01_catalan_hankel_families_are_all_ones():
     entry = catalog_lookup("catalan")
     terms = catalan_like(entry.sigma, entry.tau, 17)
     for n in range(9):
-        assert det_bareiss(build_hankel(terms, n, 0)) == 1
-        assert det_bareiss(build_hankel(terms, n, 1)) == 1
+        assert det_elimination(build_hankel(terms, n, 0)) == 1
+        assert det_elimination(build_hankel(terms, n, 1)) == 1
 
 
 def test_criterion_02_factorial_leading_minors_both_routes():
@@ -70,7 +61,7 @@ def test_criterion_02_factorial_leading_minors_both_routes():
     for n in range(11):
         expected = math.factorial(n + 1)
         assert chain[n] == expected
-        assert det_bareiss(jacobi_section(s[:n + 1], t[:n])) == expected
+        assert det_elimination(jacobi_section(s[:n + 1], t[:n])) == expected
 
 
 def test_criterion_03_catalog_terms_agree_across_three_routes():
@@ -92,7 +83,7 @@ def test_criterion_04_hankel_factorization_and_det_product():
             assert verify_H_eq_RTRt(R, t, scale, terms, depth) == TRUE, entry.name
         products = hankel_det_products(entry.tau.values(8))
         for n in range(9):
-            det = det_bareiss(build_hankel(terms, n, 0))
+            det = det_elimination(build_hankel(terms, n, 0))
             assert det == products[n], entry.name
 
 
@@ -145,7 +136,7 @@ def test_criterion_07_randomized_pqst_criterion_vs_minor_search():
                 lo, hi = scan.witness["rows"][0], scan.witness["rows"][-1]
                 value = as_rat(scan.witness["value"])
                 assert value < 0, params
-                assert det_bareiss(jacobi_window(s, t, lo, hi)) == value, params
+                assert det_elimination(jacobi_window(s, t, lo, hi)) == value, params
                 refuted += 1
             else:
                 not_refuted += 1
@@ -184,6 +175,6 @@ def test_criterion_10_determinant_kernels_agree_on_random_matrices():
         if size > 1 and i % 10 == 5:
             grid[0][0] = Fraction(0)
         matrix = DenseMatrix(grid)
-        assert det_bareiss(matrix) == det_cofactor(matrix)
+        assert det_elimination(matrix) == det_cofactor(matrix)
         checked += 1
     assert checked >= 200

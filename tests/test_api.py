@@ -1,6 +1,7 @@
-"""The public surface: README's library example runs as printed, and every
-name the package exports resolves."""
+"""The public surface: README's library example runs as printed, every
+name the package exports resolves, and each is used by the package itself."""
 
+import ast
 import contextlib
 import io
 import pathlib
@@ -9,6 +10,7 @@ import re
 import catmoments
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = pathlib.Path(catmoments.__file__).resolve().parent
 
 
 def test_readme_library_example_prints_what_it_says():
@@ -41,3 +43,25 @@ def test_every_exported_name_resolves():
     assert not hasattr(catmoments.hankel, "hankel_det_products")
     assert not hasattr(catmoments, "leading_principal_minors")
     assert not hasattr(catmoments.exact, "leading_principal_minors")
+    for gone in ("DenseMatrix", "det_bareiss", "_require_square"):
+        assert not hasattr(catmoments, gone) and not hasattr(catmoments.exact, gone)
+    for gone in ("build_hankel", "hankel_dets"):
+        assert not hasattr(catmoments, gone) and not hasattr(catmoments.hankel, gone)
+    for gone in ("dets0", "dets1"):
+        assert not hasattr(catmoments.StieltjesReport, gone)
+    assert not hasattr(catmoments.ConstantTail, "eval")
+    assert not hasattr(catmoments.PolynomialTail, "eval")
+
+
+def test_every_exported_name_is_used_by_another_module():
+    # a name only the tests use belongs in tests/oracle.py; imports,
+    # definitions and docstrings are not uses
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert [name for name in catmoments.__all__ if name not in used] == []

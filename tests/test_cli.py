@@ -31,7 +31,7 @@ from catmoments.jacobi import tp_certify
 from catmoments.recursive import _scaled_rows, catalan_like, motzkin_oracle
 from catmoments.seqspec import CATALOG, SequenceSpec, catalog_lookup, pqst_of
 from catmoments.series import _constant_tail_ints
-from oracle import fraction_terms, int_weights, record_weight_reads
+from oracle import DenseMatrix, fraction_terms, int_weights, record_weight_reads
 from test_golden_cli import cases as golden_cases
 
 SIGMA_DROP = json.dumps(
@@ -527,15 +527,27 @@ class Forbidden(Exception):
     """Raised by a name the verify bundle must not reach."""
 
 
+def matrix_classes() -> list[str]:
+    """Every class named like a matrix that a module of the package defines
+    or binds, as module.name."""
+    return [f"{name}.{attr}" for name, module in sys.modules.items()
+            if name.split(".")[0] == "catmoments"
+            for attr, value in vars(module).items()
+            if isinstance(value, type) and "matrix" in value.__name__.lower()]
+
+
 @pytest.fixture
 def no_fraction_matrices(monkeypatch):
-    """The DenseMatrix constructor raises Forbidden.  The package has no
-    other Fraction matrix: the Fraction rows of R (build_recursive) are
-    test-side only."""
+    """No module of the package has a matrix class, and
+    negative_principal_minor, its one elimination on rows of Fractions,
+    raises Forbidden.  The dense matrices and the Fraction rows of R
+    (build_recursive) are test-side only."""
+    assert matrix_classes() == []
+
     def refuse(*args, **kwargs):
         raise Forbidden
 
-    monkeypatch.setattr(catmoments.exact.DenseMatrix, "__post_init__", refuse)
+    monkeypatch.setattr(catmoments.hankel, "negative_principal_minor", refuse)
 
 
 def test_verify_builds_no_fraction_matrix(capsys, no_fraction_matrices):
@@ -545,13 +557,16 @@ def test_verify_builds_no_fraction_matrix(capsys, no_fraction_matrices):
         assert out.endswith("verdict: PASS (depth 6)\n"), name
 
 
-def test_fraction_matrix_guard_trips_on_a_zero_hankel_minor(no_fraction_matrices):
+def test_fraction_matrix_guard_trips_on_a_zero_hankel_minor(monkeypatch, no_fraction_matrices):
     # t_1 = 0 leaves the terms to elimination, and their zero leading minor
-    # sends them through build_hankel to the exact semidefiniteness test
+    # sends the Fraction windows of the terms to the semidefiniteness test
     with pytest.raises(Forbidden):
         main(["stieltjes", "--terms", "1,1,1,1,1,-1", "--depth", "2"])
     assert [name for name, module in sys.modules.items() if name.split(".")[0] == "catmoments"
             and hasattr(module, "build_recursive")] == []
+    # and the scan finds a matrix class bound in the package
+    monkeypatch.setattr(catmoments.exact, "Grid", DenseMatrix, raising=False)
+    assert matrix_classes() == ["catmoments.exact.Grid"]
 
 
 def test_verify_accepts_alias(capsys):

@@ -1,28 +1,34 @@
-"""Tests for Hankel construction, the two-family Stieltjes check, and the
-H = R T R^t factorization."""
+"""Tests for the oracle's Hankel sections, the two-family Stieltjes check,
+and the H = R T R^t factorization."""
 
 import random
 from fractions import Fraction
+from itertools import starmap
 
 import pytest
 
-from catmoments.exact import TRUE, det_bareiss
-from catmoments.hankel import (
-    FAIL,
-    PASS,
-    build_hankel,
-    hankel_dets,
-    stieltjes_check,
-    verify_H_eq_RTRt,
-)
+from catmoments.exact import TRUE
+from catmoments.hankel import FAIL, PASS, stieltjes_check, verify_H_eq_RTRt
 from catmoments.recursive import _scaled_rows, catalan_like, read_weights
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
-from oracle import hankel_det_products, to_lists, window_minors
+from oracle import (
+    build_hankel,
+    det_elimination,
+    hankel_det_products,
+    leading_principal_minors,
+    to_lists,
+    window_minors,
+)
 
 
 def _moments(name, count):
     entry = catalog_lookup(name)
     return catalan_like(entry.sigma, entry.tau, count - 1)
+
+
+def fractions(family) -> tuple[Fraction, ...]:
+    """A report's family of (num, den) ints as Fractions."""
+    return tuple(starmap(Fraction, family))
 
 
 def test_build_hankel_small_sections():
@@ -61,15 +67,15 @@ def test_stieltjes_catalan_all_ones():
     report = stieltjes_check(_moments("catalan", 12), 5)
     assert report.verdict == PASS
     assert report.witness is None
-    assert report.dets0 == (1,) * 6
-    assert report.dets1 == (1,) * 6
+    assert fractions(report.family0) == (1,) * 6
+    assert fractions(report.family1) == (1,) * 6
 
 
 def test_stieltjes_negative_control():
     # period-2 sequence: det[[1, 2], [2, 1]] = -3
     report = stieltjes_check([1, 2, 1, 2], 1)
     assert report.verdict == FAIL
-    assert report.dets0 == (1, -3)
+    assert fractions(report.family0) == (1, -3)
     assert report.witness == {"family": "det0", "k": 1, "value": "-3"}
 
 
@@ -79,11 +85,11 @@ def test_stieltjes_witness_ordering():
     assert report.witness == {"family": "det1", "k": 0, "value": "-1"}
     # ... the smallest k wins over the family, even with a later det0 negative
     report = stieltjes_check([1, -1, 0, 5], 1)
-    assert report.dets0[1] < 0
+    assert fractions(report.family0)[1] < 0
     assert report.witness == {"family": "det1", "k": 0, "value": "-1"}
     # ... but at the same k the plain family is reported first
     report = stieltjes_check([1, 2, 1, 0], 1)
-    assert report.dets0[1] < 0 and report.dets1[1] < 0
+    assert fractions(report.family0)[1] < 0 and fractions(report.family1)[1] < 0
     assert report.witness == {"family": "det0", "k": 1, "value": "-3"}
 
 
@@ -101,8 +107,8 @@ def test_stieltjes_bell_superfactorials():
     # both families are running products of factorials
     report = stieltjes_check(_moments("bell", 10), 4)
     expected = (1, 1, 2, 12, 288)
-    assert report.dets0 == expected
-    assert report.dets1 == expected
+    assert fractions(report.family0) == expected
+    assert fractions(report.family1) == expected
     assert report.verdict == PASS
 
 
@@ -110,7 +116,7 @@ def test_stieltjes_positive_for_catalog_entries():
     for entry in CATALOG.values():
         report = stieltjes_check(catalan_like(entry.sigma, entry.tau, 9), 4)
         assert report.verdict == PASS, entry.name
-        assert all(v > 0 for v in report.dets0), entry.name
+        assert all(v > 0 for v in fractions(report.family0)), entry.name
 
 
 def test_report_serialization():
@@ -168,7 +174,7 @@ def test_det_product_depends_only_on_subdiagonal_weights():
             ConstantTail(Fraction(1)), start=0)
         seq = catalan_like(sigma, tau, 8)
         for n in range(4):
-            assert det_bareiss(build_hankel(seq, n)) == products[n]
+            assert det_elimination(build_hankel(seq, n)) == products[n]
 
 
 def _shifted_family_is_chain_times_products(sigma, tau, depth):
@@ -176,7 +182,8 @@ def _shifted_family_is_chain_times_products(sigma, tau, depth):
     seq = catalan_like(sigma, tau, 2 * depth + 1)
     chain = window_minors(sigma.values(depth + 1), tau.values(depth), 0)
     products = hankel_det_products(tau.values(depth))
-    return list(hankel_dets(seq, depth, 1)) == [d * p for d, p in zip(chain, products)]
+    shifted = leading_principal_minors(build_hankel(seq, depth, 1))
+    return list(shifted) == [d * p for d, p in zip(chain, products)]
 
 
 def test_shifted_family_product_form_across_catalog():

@@ -1,9 +1,9 @@
 """Differential tests of the integer determinant kernels: the one-pass
 leading-minor elimination on integer rows (symmetric or not) and the Hankel
 families built on it against cofactor expansion section by section and one
-Bareiss elimination per section, a count showing that it makes no
-per-section elimination, also past a zero minor, and the scaled three-term
-minor chain and the running weight products against their Fraction forms."""
+Bareiss elimination per section, a count showing that a family takes one
+elimination, also past a zero minor, and the scaled three-term minor chain
+and the running weight products against their Fraction forms."""
 
 import itertools
 import math
@@ -14,17 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catmoments.exact
-from catmoments.exact import (
-    DenseMatrix,
-    _int_leading_minors,
-    _scaled_ints,
-    det_bareiss,
-)
-from catmoments.hankel import build_hankel, hankel_dets
+from catmoments.exact import _int_leading_minors, _scaled_ints
+from catmoments.hankel import _hankel_terms, _section_minors
 from catmoments.recursive import catalan_like
 from catmoments.seqspec import catalog_lookup
 from oracle import (
+    DenseMatrix,
+    build_hankel,
     det_cofactor,
+    det_elimination,
     fraction_det_products,
     fraction_window_minors,
     hankel_det_products,
@@ -32,6 +30,15 @@ from oracle import (
     submatrix,
     window_minors,
 )
+
+
+def hankel_dets(terms, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
+    """det[m_{i+j+shift}] on the sections of sizes 1..depth+1, as the library
+    evaluates a family of explicit terms by elimination
+    (StieltjesReport.by_elimination), made Fractions."""
+    family = _section_minors(*_scaled_ints(_hankel_terms(terms, depth, shift)), depth)
+    return tuple(itertools.starmap(Fraction, family))
+
 
 # distinct primes, so that the row scales differ from row to row
 DENOMINATORS = (1, 1, 1, 2, 3, 5, 7, 11, 13)
@@ -85,7 +92,7 @@ def symmetric_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(matrices(), symmetric_matrices()))
 def test_int_leading_minors_match_each_section(matrix):
-    # one common denominator, as hankel_dets hands them over; the rows are
+    # one common denominator, as hankel's families hand them over; the rows are
     # left as they were
     n = matrix.rows
     ints, den = _scaled_ints([x for row in matrix.entries for x in row])
@@ -93,7 +100,7 @@ def test_int_leading_minors_match_each_section(matrix):
     before = [list(row) for row in rows]
     sections = [submatrix(matrix, range(k), range(k)) for k in range(1, n + 1)]
     minors = tuple(itertools.starmap(Fraction, _int_leading_minors(rows, den)))
-    assert minors == tuple(map(det_cofactor, sections)) == tuple(map(det_bareiss, sections))
+    assert minors == tuple(map(det_cofactor, sections)) == tuple(map(det_elimination, sections))
     assert rows == before
 
 
@@ -148,7 +155,7 @@ def test_hankel_dets_match_one_elimination_per_section(case):
     depth, seq = case
     for shift in (0, 1):
         assert hankel_dets(seq, depth, shift) == tuple(
-            det_bareiss(build_hankel(seq, k, shift)) for k in range(depth + 1))
+            det_elimination(build_hankel(seq, k, shift)) for k in range(depth + 1))
 
 
 @pytest.mark.parametrize("terms, depth, dets0, dets1", [
@@ -165,14 +172,16 @@ def test_weak_sylvester_terms_keep_their_dets(terms, depth, dets0, dets1):
 
 @pytest.fixture
 def bareiss_sizes(monkeypatch):
-    """The sizes of the matrices det_bareiss is called on, in call order."""
+    """The sizes of the matrices the Bareiss kernel (exact._minors_ints)
+    eliminates, in call order."""
     sizes = []
+    minors_ints = catmoments.exact._minors_ints
 
-    def counting(matrix):
-        sizes.append(matrix.rows)
-        return det_bareiss(matrix)
+    def counting(work):
+        sizes.append(len(work))
+        return minors_ints(work)
 
-    monkeypatch.setattr(catmoments.exact, "det_bareiss", counting)
+    monkeypatch.setattr(catmoments.exact, "_minors_ints", counting)
     return sizes
 
 
@@ -181,7 +190,7 @@ def test_hankel_dets_make_no_per_section_elimination(bareiss_sizes, shift):
     entry = catalog_lookup("catalan")
     seq = catalan_like(entry.sigma, entry.tau, 25)
     assert hankel_dets(seq, 12, shift) == (1,) * 13
-    assert bareiss_sizes == []
+    assert bareiss_sizes == [13]
 
 
 @pytest.mark.parametrize("shift", (0, 1))
@@ -190,7 +199,7 @@ def test_sections_past_a_zero_minor_make_no_per_section_elimination(bareiss_size
     # repairs its pivot within the same pass
     seq = [1, 1, 1, 1, 1, -1]
     assert hankel_dets(seq, 2, shift) == (1, 0, 0)
-    assert bareiss_sizes == []
+    assert bareiss_sizes == [3]
 
 
 def test_hankel_dets_of_a_zero_first_term_match_cofactor_expansion():

@@ -39,7 +39,7 @@ def test_eval_polynomial_at_true_index():
 def test_eval_constant_everywhere():
     spec = SequenceSpec.constant(Fraction(5, 2))
     assert spec.eval(0) == Fraction(5, 2)
-    assert spec.eval(77) == Fraction(5, 2)
+    assert spec.eval(77) is spec.tail.value == Fraction(5, 2)
 
 
 def test_eval_below_start_errors():
@@ -192,9 +192,10 @@ def test_catalog_entry_to_json_shape():
     ("-8",),
 ])
 def test_polynomial_tail_matches_fraction_horner(coeffs):
-    tail = PolynomialTail(coeffs)
-    for k in range(-3, 70):
-        value = tail.eval(k)
+    # a polynomial tail is read off the spec's ints, at every index k >= 0
+    spec = SequenceSpec.polynomial(coeffs)
+    for k in range(70):
+        value = spec.eval(k)
         assert type(value) is Fraction
         assert value == fraction_horner([Fraction(c) for c in coeffs], k)
 
@@ -205,7 +206,7 @@ def test_polynomial_tail_matches_fraction_horner(coeffs):
                 min_size=1, max_size=5),
        st.integers(0, 10**4))
 def test_polynomial_tail_matches_fraction_horner_randomized(coeffs, k):
-    assert PolynomialTail(tuple(coeffs)).eval(k) == fraction_horner(coeffs, k)
+    assert SequenceSpec.polynomial(coeffs).eval(k) == fraction_horner(coeffs, k)
 
 
 # signed rationals over small denominators, zero included

@@ -5,7 +5,7 @@ every route and are compared with tests/oracle.all_minors_nonneg, which
 evaluates every minor of the section.  No route may claim TRUE where a
 minor is negative, no minor route may refute where none is, and the
 contiguous-minor route must find the same first witness as a scan that
-evaluates each window with det_bareiss.  The two minor routes, which decide
+evaluates each window with its own elimination.  The two minor routes, which decide
 signs on the integer chain, must give the reports that the Fraction chain
 (oracle.fraction_window_minors) gives, and dominance, which tests the tails
 at the first index past both prefixes, the report of the probe of every
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import catmoments.exact
 from catmoments.cli import main
-from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, det_bareiss, format_rat
+from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, format_rat
 from catmoments.jacobi import (
     tp_by_leading_minors,
     tp_certify,
@@ -32,6 +32,7 @@ from catmoments.recursive import read_weights
 from catmoments.seqspec import ConstantTail, PolynomialTail, SequenceSpec
 from oracle import (
     all_minors_nonneg,
+    det_elimination,
     fraction_window_minors,
     int_weights,
     jacobi_section,
@@ -59,7 +60,7 @@ def weight_pairs(draw):
 
 
 def first_negative_window(sigma, tau, depth: int):
-    """The contiguous-minor scan with one det_bareiss per window: entry
+    """The contiguous-minor scan with one elimination per window: entry
     signs first, then windows by ascending start and end."""
     for k in range(depth + 1):
         if sigma.eval(k) < 0:
@@ -69,7 +70,7 @@ def first_negative_window(sigma, tau, depth: int):
     s, t = sigma.values(depth + 1), tau.values(depth)
     for lo in range(depth + 1):
         for hi in range(lo, depth + 1):
-            value = det_bareiss(jacobi_window(s, t, lo, hi))
+            value = det_elimination(jacobi_window(s, t, lo, hi))
             if value < 0:
                 window = list(range(lo, hi + 1))
                 return {"rows": window, "cols": window, "value": format_rat(value)}
@@ -222,14 +223,15 @@ CONTIGUOUS_PAIRS = [
 
 
 def test_contiguous_route_evaluates_no_dense_determinant(monkeypatch):
+    # the three-term chain alone: the Bareiss kernel eliminates no section
     calls = []
-    real = catmoments.exact.det_bareiss
+    real = catmoments.exact._minors_ints
 
-    def counting(matrix):
-        calls.append(matrix.rows)
-        return real(matrix)
+    def counting(work):
+        calls.append(len(work))
+        return real(work)
 
-    monkeypatch.setattr(catmoments.exact, "det_bareiss", counting)
+    monkeypatch.setattr(catmoments.exact, "_minors_ints", counting)
     for sigma, tau, depth, witness in CONTIGUOUS_PAIRS:
         report = tp_check_sections(*read_weights(sigma, tau, depth + 1))
         assert report.verdict == (TRUE if witness is None else FALSE)
