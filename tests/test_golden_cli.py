@@ -25,7 +25,9 @@ but not all positive (integral, and over a denominator: two negative
 principal minors with rational values and the semidefinite sections of
 (2/3) delta_1), and at depth 0 (also hankel-det), the (p, q, s, t)
 criterion, the contiguous-minor TP route (with its single-entry witnesses),
-tp at depth 0, every named and parameterised
+tp at depth 0, the dominance route past the first tail index (TRUE past the
+guard at depth 8 and at depth 100, and FALSE at k = 4 past it, where the
+leading minors answer), every named and parameterised
 generating function (the general form and the three specializations
 also at t = 0, the
 general form at -n 0, the general form, tied_qp and inverse_sqrt with
@@ -165,6 +167,22 @@ THIRDS_FIFTHS_SIGMA = json.dumps({"prefix": ["2/3", "3", "2", "-1/3"],
                                   "start": 0})
 THIRDS_FIFTHS_TAU = _constant_tail_spec(["7/5", "9/5", "0"], "6/5", 1)
 
+# dominance past the first tail index K = 2 on sigma = (2, 5/3,
+# (3k^2 - 24k + 73)/15, ...): with tau = (1/3, 2/3, ...) the gap
+# s_k - t_k - 1 = (k - 4)^2/5 fails the Taylor test at K (it falls at first)
+# and holds past the guard, so tp is TRUE, symbolic beyond k = 64 or, at
+# depth 100, beyond k = 100; with tau = (1/3, 5/6, ...) the gap is
+# (6k^2 - 48k + 91)/30, negative first at k = 4, so dominance is FALSE
+# there and tp answers by the leading minors
+DOMINANCE_SIGMA = json.dumps({"prefix": ["2", "5/3"],
+                              "tail": {"kind": "polynomial", "coeffs": ["73/15", "-8/5", "1/5"]},
+                              "start": 0})
+DOMINANCE_CASES = {
+    "guard": (_constant_tail_spec(["1/3"], "2/3", 1), "8"),
+    "depth100": (_constant_tail_spec(["1/3"], "2/3", 1), "100"),
+    "false-past-tail": (_constant_tail_spec(["1/3"], "5/6", 1), "8"),
+}
+
 
 def _weight_terms(sigma: str, tau: str, count: int) -> str:
     spec = (SequenceSpec.from_json(json.loads(text)) for text in (sigma, tau))
@@ -262,6 +280,9 @@ def cases() -> dict[str, list[str]]:
         for label, (sigma, tau, depth) in CONTIGUOUS_CASES.items():
             out[f"tp-contiguous-{label}-{f}"] = ["tp", "--sigma", sigma, "--tau", tau,
                                                  "--depth", depth, "--format", f]
+        for label, (tau, depth) in DOMINANCE_CASES.items():
+            out[f"tp-dominance-{label}-{f}"] = ["tp", "--sigma", DOMINANCE_SIGMA, "--tau", tau,
+                                                "--depth", depth, "--format", f]
         # depth 0 past dominance: a 1 x 1 section and no subdiagonal weight
         out[f"tp-depth-0-{f}"] = ["tp", "--sigma", SIGMA_DROP, "--tau", TAU_ZERO,
                                   "--depth", "0", "--format", f]
