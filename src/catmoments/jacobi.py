@@ -35,9 +35,10 @@ sign on D'; only a printed minor is reduced (format_over).  The section
 routes take S = L s_0..L s_depth, T = L t_1..L t_depth and L as
 recursive.read_weights(sigma, tau, depth + 1) reads them, straight from the
 specs' ints (_int_section lays them out as rows for verify's elimination);
-tp_certify reads them once for both minor routes.  Dominance alone still
-evaluates single weights as Fractions (SequenceSpec.eval), and only those
-below the first tail index unless the tails fail their symbolic test there.
+tp_certify reads them once for both minor routes.  Dominance reads the
+weights below the first tail index K the same way, read_weights(sigma, tau,
+K), and none from K on: there it tests, and if need be evaluates, the two
+tail polynomials as ints over the same L (SequenceSpec.tail_ints).
 
 All verdicts are TRUE / FALSE / INCONCLUSIVE, and every report states the
 depth it actually checked.
@@ -47,20 +48,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterator, Optional
 
-from .exact import (
-    FALSE,
-    INCONCLUSIVE,
-    TRUE,
-    _scaled_ints,
-    format_over,
-    format_rat,
-    nonneg_rats,
-)
+from .exact import FALSE, INCONCLUSIVE, TRUE, format_over, format_rat, nonneg_rats
 from .recursive import read_weights
-from .seqspec import SequenceSpec
+from .seqspec import SequenceSpec, _horner
 
 DOMINANCE_GUARD_INDEX = 64
 
@@ -173,37 +165,16 @@ def _chain_detail(chain: tuple[tuple[int, int], ...]) -> str:
     return "minor chain " + ", ".join(format_over(v, scale) for v, scale in chain)
 
 
-def _eventually_nonneg(coeffs: list[Fraction], from_index: int) -> bool:
-    """Sound sufficient test for P(k) >= 0 on all integers k >= from_index:
-    P and all its derivatives nonnegative at from_index (Taylor expansion
-    around from_index has only nonnegative terms), run on P's coefficients
-    scaled to ints over their positive LCM."""
-    poly, _ = _scaled_ints(coeffs)
+def _eventually_nonneg(poly: list[int], from_index: int) -> bool:
+    """Sound sufficient test for P(k) >= 0 on all integers k >= from_index, P
+    with int coefficients poly, highest degree first: P and all its
+    derivatives nonnegative at from_index (Taylor expansion around
+    from_index has only nonnegative terms)."""
     while poly:
-        value = 0
-        for c in reversed(poly):
-            value = value * from_index + c
-        if value < 0:
+        if _horner(poly, (from_index,))[0] < 0:
             return False
-        poly = [c * i for i, c in enumerate(poly)][1:]
+        poly = [c * i for i, c in zip(range(len(poly) - 1, 0, -1), poly)]
     return True
-
-
-def _tail_poly(spec: SequenceSpec) -> list[Fraction]:
-    tail = spec.tail
-    if hasattr(tail, "coeffs"):
-        return list(tail.coeffs)
-    return [tail.value]
-
-
-def _tails_nonneg(sigma: SequenceSpec, tau: SequenceSpec, from_index: int) -> bool:
-    """_eventually_nonneg from from_index of tau's tail and of sigma's tail
-    minus tau's minus 1: t_k >= 0 and s_k >= t_k + 1 for every k >= from_index
-    past both prefixes."""
-    tail = _tail_poly(tau)
-    diff = [a - b for a, b in zip_longest(_tail_poly(sigma), tail, fillvalue=0)]
-    diff[0] -= 1
-    return _eventually_nonneg(tail, from_index) and _eventually_nonneg(diff, from_index)
 
 
 def tp_sufficient_dominance(
@@ -212,40 +183,47 @@ def tp_sufficient_dominance(
     """The weight-dominance sufficient condition: s_0 >= 1, and t_k >= 0
     and s_k >= t_k + 1 for every k >= 1.
 
-    Indices below K, the first past both prefixes, are checked explicitly.
-    From K on the condition is two polynomial inequalities on the tails,
-    certified when tau's tail and sigma's minus tau's minus 1, with all
-    their derivatives, are nonnegative at K.  When they are not, the
-    explicit probe goes on to a guard index (DOMINANCE_GUARD_INDEX or
-    probe_depth, if larger) and the test is tried past it; the guard bounds
-    only that fallback, and a TRUE report names it either way.  TRUE
-    certifies the full infinite matrix; INCONCLUSIVE states how far the
-    bounded checks held.
+    Indices below K, the first past both prefixes, are checked explicitly
+    on the weights read once as ints over L (read_weights).  From K on the
+    condition is two polynomial inequalities on the tails, t(k) >= 0 and
+    s(k) - t(k) - 1 >= 0, taken as ints over the same L and certified when
+    both, with all their derivatives, are nonnegative at K.  When they are
+    not, the tails are evaluated at each index up to a guard index
+    (DOMINANCE_GUARD_INDEX or probe_depth, if larger) and the test is tried
+    past it; the guard bounds only that fallback, and a TRUE report names
+    it either way.  TRUE certifies the full infinite matrix; INCONCLUSIVE
+    states how far the bounded checks held.
     """
     if probe_depth < 1:
         raise ValueError("probe_depth must be >= 1")
-    s0 = sigma.eval(0)
-    if s0 < 1:
-        return TPReport("dominance", FALSE, depth=0,
-                        detail=f"s_0 = {format_rat(s0)} < 1")
     first_tail = max(sigma.tail_start(), tau.tail_start(), 1)
+    s, t, scale = read_weights(sigma, tau, first_tail)
+    if s[0] < scale:
+        return TPReport("dominance", FALSE, depth=0,
+                        detail=f"s_0 = {format_over(s[0], scale)} < 1")
+    s_tail, t_tail = sigma.tail_ints(scale), tau.tail_ints(scale)
+    width = max(len(s_tail), len(t_tail))
+    s_pad, t_pad = ([0] * (width - len(p)) + p for p in (s_tail, t_tail))
+    gap = [a - b for a, b in zip(s_pad, t_pad)]
+    gap[-1] -= scale
     guard = max(DOMINANCE_GUARD_INDEX, probe_depth, first_tail + 1)
     symbolic = TPReport("dominance", TRUE, depth=None,
                         detail=f"condition holds for all k (symbolic beyond k = {guard})")
-    # each weight read once, and none past the first failing index or, when
-    # the tails pass their test there, from the first tail index on
     for k in range(1, guard + 1):
-        if k == first_tail and _tails_nonneg(sigma, tau, k):
+        if k < first_tail:
+            s_k, t_k = s[k], t[k - 1]
+        elif k == first_tail and _eventually_nonneg(t_tail, k) and _eventually_nonneg(gap, k):
             return symbolic
-        s_k, t_k = sigma.eval(k), tau.eval(k)
+        else:
+            (s_k,), (t_k,) = _horner(s_tail, (k,)), _horner(t_tail, (k,))
         if t_k < 0:
             return TPReport("dominance", FALSE, depth=k,
-                            detail=f"t_{k} = {format_rat(t_k)} < 0")
-        if s_k < t_k + 1:
-            return TPReport(
-                "dominance", FALSE, depth=k,
-                detail=f"s_{k} = {format_rat(s_k)} < t_{k} + 1 = {format_rat(t_k + 1)}")
-    if _tails_nonneg(sigma, tau, guard + 1):
+                            detail=f"t_{k} = {format_over(t_k, scale)} < 0")
+        if s_k < t_k + scale:
+            return TPReport("dominance", FALSE, depth=k, detail=(
+                f"s_{k} = {format_over(s_k, scale)} < t_{k} + 1 = "
+                f"{format_over(t_k + scale, scale)}"))
+    if _eventually_nonneg(t_tail, guard + 1) and _eventually_nonneg(gap, guard + 1):
         return symbolic
     return TPReport("dominance", INCONCLUSIVE, depth=guard,
                     detail=f"condition holds up to k = {guard}; "

@@ -9,9 +9,10 @@ most 4; the catalog needs at most k**2).  Specs serialize to JSON with
 rationals as "p/q" strings.  A spec holds its prefix and tail as ints over
 den, the LCM of their denominators; SequenceSpec.ints hands out its first
 values as ints over any multiple of den, no Fraction per value, as every
-route but dominance reads them (recursive.read_weights).  Dominance reads
-one value at a time with SequenceSpec.eval, from the same ints by the same
-Horner loop (_horner); the tail classes only hold and serialize the rule.
+route reads them (recursive.read_weights), and SequenceSpec.tail_ints the
+tail rule's coefficients over such a multiple, which dominance tests past
+the prefixes by the same Horner loop (_horner); the tail classes only hold
+and serialize the rule.
 
 The catalog maps the eight classical names (catalan, central_binomial,
 delannoy, schroder_large, schroder_little, hexagonal, bell, factorial) to
@@ -131,34 +132,23 @@ class SequenceSpec:
     def polynomial(cls, coeffs, start: int = 0) -> "SequenceSpec":
         return cls((), PolynomialTail(tuple(as_rat(c) for c in coeffs)), start)
 
-    def eval(self, k: int) -> Fraction:
-        """Value at index k; k must be >= start.  A polynomial tail is read off
-        the spec's own ints, a constant one is its stored value."""
-        if k < self.start:
-            raise ValueError(f"index {k} below start index {self.start}")
-        offset = k - self.start
-        if offset < len(self.prefix):
-            return self.prefix[offset]
-        if isinstance(self.tail, ConstantTail):
-            return self.tail.value
-        return Fraction(_horner(self._ints[1], (k,))[0], self.den)
+    def tail_ints(self, den: int) -> list[int]:
+        """den times the tail rule's coefficients, highest degree first (one for a
+        constant tail), for den a multiple of self.den."""
+        factor, rest = divmod(den, self.den)
+        if rest:
+            raise ValueError(f"{den} is not a multiple of the denominator {self.den}")
+        return [c * factor for c in self._ints[1]]
 
     def ints(self, count: int, den: int) -> list[int]:
         """den times the first `count` values, for den a multiple of self.den: the
         prefix's ints, then the tail's, a constant repeated, a polynomial by Horner."""
-        factor, rest = divmod(den, self.den)
-        if rest:
-            raise ValueError(f"{den} is not a multiple of the denominator {self.den}")
-        prefix, poly = ([v * factor for v in part] for part in self._ints)
-        head = prefix[:max(count, 0)]
+        poly = self.tail_ints(den)
+        head = [v * (den // self.den) for v in self._ints[0][:max(count, 0)]]
         indices = range(self.start + len(head), self.start + count)
         if len(poly) == 1:
             return head + poly * len(indices)
         return head + _horner(poly, indices)
-
-    def values(self, count: int) -> list[Fraction]:
-        """The first `count` values from the start index: ints(count, den) as Fractions."""
-        return [Fraction(v, self.den) for v in self.ints(count, self.den)]
 
     def tail_start(self) -> int:
         """First index governed by the tail rule."""

@@ -37,12 +37,15 @@ function kind, and NAMED_LITERAL_FORMS each classical closed form, as the
 literal formula c / (a0 + a1*x + e*sqrt(1 + r1*x + r2*x**2)), which
 fraction_radical_quotient expands on the schoolbook kernels, against the
 library's weights (p, q, s, t) and its one int recurrence;
-fraction_horner evaluates a polynomial on Fractions, against
-SequenceSpec.eval on the spec's integers.
+fraction_horner evaluates a polynomial on Fractions.
 
+fraction_weight reads one weight of a SequenceSpec on Fractions, off its
+prefix and its tail's Fraction coefficients by fraction_horner, and
+fraction_weights its first values: the reference of the library's one
+reader, SequenceSpec.ints, which they never call.
 int_weights puts Fraction weight lists over one denominator L as the
 library's routes take them, (L s, L t, L), the triple read_weights reads;
-record_weight_reads records every weight a SequenceSpec hands out.
+record_weight_reads records every weight SequenceSpec.ints hands out.
 window_minors and hankel_det_products are the Fraction forms of the
 library's int minor chain and int weight products, on Fraction weights;
 fraction_window_minors and fraction_det_products are the same chain and
@@ -50,9 +53,10 @@ products on Fractions, step by step, which the library runs on integers
 over a common denominator.
 
 probe_every_index_dominance is the weight-dominance route as it ran before
-it tested the tails at the first index past both prefixes: every index up to
-the guard explicitly, then the Taylor test past the guard, on Fraction
-Horner steps; the library's route must give the same report.
+it tested the tails at the first index past both prefixes: every weight up
+to the guard read by fraction_weight, then the Taylor test past the guard,
+on Fraction Horner steps; the library's route, on ints, must give the same
+report.
 
 det_cofactor is a determinant by Laplace expansion, independent of the
 library's Bareiss kernel; principal_minors_nonneg evaluates every principal
@@ -225,9 +229,9 @@ def step_matrix(sigma, tau, n: int) -> DenseMatrix:
         row = [Fraction(0)] * size
         row[i] = Fraction(1)
         if i >= 1:
-            row[i - 1] = sigma.eval(i - 1)
+            row[i - 1] = fraction_weight(sigma, i - 1)
         if i >= 2:
-            row[i - 2] = tau.eval(i - 1)
+            row[i - 2] = fraction_weight(tau, i - 1)
         rows.append(row)
     return DenseMatrix(rows)
 
@@ -235,7 +239,7 @@ def step_matrix(sigma, tau, n: int) -> DenseMatrix:
 def dense_RJ_identity(R, sigma, tau, depth: int) -> str:
     """Rows 1..depth of R against rows 0..depth-1 of R_section @ J_section,
     J the coefficient matrix of sigma and tau."""
-    J = jacobi_section(sigma.values(depth + 1), tau.values(depth))
+    J = jacobi_section(fraction_weights(sigma, depth + 1), fraction_weights(tau, depth))
     product = matmul(recursive_section(R, depth), J)
     shifted = (tuple(cell(R, n + 1, k) for k in range(depth + 1)) for n in range(depth))
     return TRUE if all(map(operator.eq, product.entries, shifted)) else FALSE
@@ -256,7 +260,7 @@ def dense_H_eq_RTRt(R, tau, terms, depth: int) -> str:
     section = recursive_section(R, depth)
     totals = [Fraction(1)]
     for k in range(1, depth + 1):
-        totals.append(totals[-1] * tau.eval(k))
+        totals.append(totals[-1] * fraction_weight(tau, k))
     T = DenseMatrix(tuple(totals[i] if i == j else 0 for j in range(depth + 1))
                     for i in range(depth + 1))
     return TRUE if H == matmul(matmul(section, T), transpose(section)) else FALSE
@@ -274,7 +278,7 @@ def fraction_triangle(sigma, tau, depth: int) -> list[list[Fraction]]:
             return prev[k] if 0 <= k <= n else Fraction(0)
 
         rows.append([
-            r(k - 1) + sigma.eval(k) * r(k) + tau.eval(k + 1) * r(k + 1)
+            r(k - 1) + fraction_weight(sigma, k) * r(k) + fraction_weight(tau, k + 1) * r(k + 1)
             for k in range(n + 2)
         ])
     return rows
@@ -416,6 +420,21 @@ def fraction_horner(coeffs, k: int) -> Fraction:
     return acc
 
 
+def fraction_weight(spec, k: int) -> Fraction:
+    """The value of spec at index k >= spec.start on Fractions: its prefix
+    entry, or its tail's constant or polynomial at k."""
+    if k < spec.start:
+        raise ValueError(f"index {k} below start index {spec.start}")
+    if k - spec.start < len(spec.prefix):
+        return spec.prefix[k - spec.start]
+    return fraction_horner(getattr(spec.tail, "coeffs", None) or (spec.tail.value,), k)
+
+
+def fraction_weights(spec, count: int) -> list[Fraction]:
+    """The first count values of spec from its start index (fraction_weight)."""
+    return [fraction_weight(spec, spec.start + i) for i in range(count)]
+
+
 def fraction_window_minors(s, t, lo: int) -> list[Fraction]:
     """D[lo..hi] for hi = lo..len(s) - 1 by D[lo..hi] = s_hi D[lo..hi-1] -
     t_hi D[lo..hi-2] on Fractions, from D[lo..lo-1] = 1, D[lo..lo-2] = 0,
@@ -439,13 +458,13 @@ def _taylor_nonneg(coeffs, k: int) -> bool:
 def probe_every_index_dominance(sigma, tau, probe_depth: int = 8) -> TPReport:
     """s_0 >= 1, then t_k >= 0 and s_k >= t_k + 1 read at every k = 1..guard,
     then tau's tail and sigma's minus tau's minus 1 tested past the guard."""
-    s0 = sigma.eval(0)
+    s0 = fraction_weight(sigma, 0)
     if s0 < 1:
         return TPReport("dominance", FALSE, depth=0, detail=f"s_0 = {format_rat(s0)} < 1")
     guard = max(DOMINANCE_GUARD_INDEX, probe_depth, sigma.tail_start() + 1,
                 tau.tail_start() + 1)
     for k in range(1, guard + 1):
-        s_k, t_k = sigma.eval(k), tau.eval(k)
+        s_k, t_k = fraction_weight(sigma, k), fraction_weight(tau, k)
         if t_k < 0:
             return TPReport("dominance", FALSE, depth=k, detail=f"t_{k} = {format_rat(t_k)} < 0")
         if s_k < t_k + 1:
@@ -472,23 +491,17 @@ def int_weights(s, t) -> tuple[list[int], list[int], int]:
 
 
 def record_weight_reads(monkeypatch) -> list:
-    """Patch both weight readers of SequenceSpec to record each weight they
-    hand out, as (spec, index) pairs in call order: ints(count, den) reads
-    indices start..start+count-1, eval(k) index k (only dominance reads that
-    way).  Returns the list the pairs go to."""
+    """Patch SequenceSpec.ints, the weight reader of every route, to record each
+    weight it hands out, as (spec, index) pairs in call order: ints(count, den)
+    reads indices start..start+count-1.  Returns the list the pairs go to."""
     reads = []
-    ints, evaluate = SequenceSpec.ints, SequenceSpec.eval
+    ints = SequenceSpec.ints
 
     def counting_ints(spec, count, den):
         reads.extend((spec, spec.start + i) for i in range(count))
         return ints(spec, count, den)
 
-    def counting_eval(spec, k):
-        reads.append((spec, k))
-        return evaluate(spec, k)
-
     monkeypatch.setattr(SequenceSpec, "ints", counting_ints)
-    monkeypatch.setattr(SequenceSpec, "eval", counting_eval)
     return reads
 
 

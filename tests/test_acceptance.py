@@ -27,6 +27,7 @@ from oracle import (
     build_hankel,
     det_cofactor,
     det_elimination,
+    fraction_weights,
     hankel_det_products,
     int_weights,
     is_nondecreasing_from_one,
@@ -56,7 +57,7 @@ def test_criterion_01_catalan_hankel_families_are_all_ones():
 
 def test_criterion_02_factorial_leading_minors_both_routes():
     entry = catalog_lookup("factorial")
-    s, t = entry.sigma.values(11), entry.tau.values(10)
+    s, t = fraction_weights(entry.sigma, 11), fraction_weights(entry.tau, 10)
     chain = window_minors(s, t, 0)
     for n in range(11):
         expected = math.factorial(n + 1)
@@ -81,7 +82,7 @@ def test_criterion_04_hankel_factorization_and_det_product():
         terms = catalan_like(entry.sigma, entry.tau, 17)
         for depth in range(9):
             assert verify_H_eq_RTRt(R, t, scale, terms, depth) == TRUE, entry.name
-        products = hankel_det_products(entry.tau.values(8))
+        products = hankel_det_products(fraction_weights(entry.tau, 8))
         for n in range(9):
             det = det_elimination(build_hankel(terms, n, 0))
             assert det == products[n], entry.name
@@ -105,7 +106,7 @@ def test_criterion_06_randomized_dominance_chains():
                      for t in t_values]
         sigma = SequenceSpec(tuple(s_values), ConstantTail(s_values[-1]), start=0)
         tau = SequenceSpec(tuple(t_values), ConstantTail(t_values[-1]), start=1)
-        chain = window_minors(sigma.values(11), tau.values(10), 0)
+        chain = window_minors(fraction_weights(sigma, 11), fraction_weights(tau, 10), 0)
         assert len(chain) == 11
         assert chain[0] >= 1
         for a, b in zip(chain, chain[1:]):
@@ -123,7 +124,7 @@ def test_criterion_07_randomized_pqst_criterion_vs_minor_search():
         verdict = tp_criterion_pqst(params).verdict
         seen[verdict] += 1
         sigma, tau = pqst_matrix(params)
-        s, t = sigma.values(9), tau.values(8)
+        s, t = fraction_weights(sigma, 9), fraction_weights(tau, 8)
         if verdict == TRUE:
             assert tp_check_sections(*int_weights(s[:7], t[:6])).verdict == TRUE, params
         else:

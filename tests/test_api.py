@@ -37,7 +37,7 @@ def test_every_exported_name_resolves():
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.recursive, gone)
     for gone in ("JacobiMatrix", "leading_minors", "_leading_minors_report",
                  "_contiguous_minors_report", "jacobi_section", "window_minors",
-                 "_scaled_section"):
+                 "_scaled_section", "_tail_poly"):
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.jacobi, gone)
     assert not hasattr(catmoments, "hankel_det_products")
     assert not hasattr(catmoments.hankel, "hankel_det_products")
@@ -49,8 +49,9 @@ def test_every_exported_name_resolves():
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.hankel, gone)
     for gone in ("dets0", "dets1"):
         assert not hasattr(catmoments.StieltjesReport, gone)
-    assert not hasattr(catmoments.ConstantTail, "eval")
-    assert not hasattr(catmoments.PolynomialTail, "eval")
+    for cls, gone in ((catmoments.ConstantTail, "eval"), (catmoments.PolynomialTail, "eval"),
+                      (catmoments.SequenceSpec, "eval"), (catmoments.SequenceSpec, "values")):
+        assert not hasattr(cls, gone)
 
 
 def test_every_exported_name_is_used_by_another_module():

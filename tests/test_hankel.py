@@ -14,6 +14,7 @@ from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_look
 from oracle import (
     build_hankel,
     det_elimination,
+    fraction_weights,
     hankel_det_products,
     leading_principal_minors,
     to_lists,
@@ -153,11 +154,13 @@ def test_factorization_holds_for_random_rational_weights():
 
 
 def test_det_product_known_values():
-    assert hankel_det_products(catalog_lookup("catalan").tau.values(6)) == [1] * 7
-    assert hankel_det_products(catalog_lookup("central_binomial").tau.values(4)) == [
-        1, 2, 4, 8, 16]
+    def products(name, depth):
+        return hankel_det_products(fraction_weights(catalog_lookup(name).tau, depth))
+
+    assert products("catalan", 6) == [1] * 7
+    assert products("central_binomial", 4) == [1, 2, 4, 8, 16]
     # delannoy: T = (1, 4, 8, 16), so the products are 1, 4, 32, 512
-    assert hankel_det_products(catalog_lookup("delannoy").tau.values(3)) == [1, 4, 32, 512]
+    assert products("delannoy", 3) == [1, 4, 32, 512]
     assert hankel_det_products([]) == [1]
 
 
@@ -167,7 +170,7 @@ def test_det_product_depends_only_on_subdiagonal_weights():
     tau = SequenceSpec(
         tuple(Fraction(rng.randint(1, 5)) for _ in range(4)),
         ConstantTail(Fraction(2)), start=1)
-    products = hankel_det_products(tau.values(3))
+    products = hankel_det_products(fraction_weights(tau, 3))
     for _ in range(5):
         sigma = SequenceSpec(
             tuple(Fraction(rng.randint(0, 5)) for _ in range(5)),
@@ -180,8 +183,8 @@ def test_det_product_depends_only_on_subdiagonal_weights():
 def _shifted_family_is_chain_times_products(sigma, tau, depth):
     """det[m_{i+j+1}]_n = D_n * T_0 * ... * T_n for n = 0..depth."""
     seq = catalan_like(sigma, tau, 2 * depth + 1)
-    chain = window_minors(sigma.values(depth + 1), tau.values(depth), 0)
-    products = hankel_det_products(tau.values(depth))
+    chain = window_minors(fraction_weights(sigma, depth + 1), fraction_weights(tau, depth), 0)
+    products = hankel_det_products(fraction_weights(tau, depth))
     shifted = leading_principal_minors(build_hankel(seq, depth, 1))
     return list(shifted) == [d * p for d, p in zip(chain, products)]
 

@@ -21,6 +21,7 @@ from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_look
 from oracle import (
     all_minors_nonneg,
     det_elimination,
+    fraction_weights,
     int_weights,
     is_nondecreasing_from_one,
     jacobi_section,
@@ -33,7 +34,7 @@ from oracle import (
 def _weights(name, depth):
     """s_0..s_depth and t_1..t_depth of a catalog entry, as Fractions."""
     entry = catalog_lookup(name)
-    return entry.sigma.values(depth + 1), entry.tau.values(depth)
+    return fraction_weights(entry.sigma, depth + 1), fraction_weights(entry.tau, depth)
 
 
 def _ints(name, depth):
@@ -44,7 +45,8 @@ def _ints(name, depth):
 
 def _chain(sigma, tau, depth):
     """The leading minors D_0..D_depth of J of sigma and tau."""
-    return tuple(window_minors(sigma.values(depth + 1), tau.values(depth), 0))
+    s, t = fraction_weights(sigma, depth + 1), fraction_weights(tau, depth)
+    return tuple(window_minors(s, t, 0))
 
 
 def test_section_layout():
@@ -63,7 +65,7 @@ def test_window_uses_absolute_indices():
 
 def test_leading_minors_match_determinants_for_catalog():
     for entry in CATALOG.values():
-        s, t = entry.sigma.values(11), entry.tau.values(10)
+        s, t = fraction_weights(entry.sigma, 11), fraction_weights(entry.tau, 10)
         chain = window_minors(s, t, 0)
         for n in range(11):
             assert chain[n] == det_elimination(jacobi_section(s[:n + 1], t[:n]))
@@ -262,7 +264,7 @@ def test_sections_agree_with_exhaustive_minor_scan():
         tau = SequenceSpec(
             tuple(Fraction(rng.randint(0, 4)) for _ in range(4)),
             ConstantTail(Fraction(1)), start=1)
-        s, t = sigma.values(5), tau.values(4)
+        s, t = fraction_weights(sigma, 5), fraction_weights(tau, 4)
         sections = tp_check_sections(*int_weights(s, t))
         exhaustive = all_minors_nonneg(jacobi_section(s, t), 5)
         assert sections.verdict == exhaustive.status

@@ -21,6 +21,7 @@ from oracle import (
     build_recursive,
     cell,
     det_elimination,
+    fraction_weight,
     record_weight_reads,
     recursive_section,
     step_matrix,
@@ -95,7 +96,7 @@ def test_section_is_unit_lower_triangular():
 def test_oracle_trivial_lengths():
     sigma, tau = _specs("delannoy")
     assert motzkin_oracle(sigma, tau, 0) == 1
-    assert motzkin_oracle(sigma, tau, 1) == sigma.eval(0)
+    assert motzkin_oracle(sigma, tau, 1) == fraction_weight(sigma, 0)
 
 
 def test_oracle_catalan_length_two():
@@ -153,8 +154,8 @@ def test_step_matrix_layout():
     L = step_matrix(sigma, tau, 1)
     assert L.rows == 3 and L.cols == 3
     assert [L[i, i] for i in range(3)] == [1, 1, 1]
-    assert L[1, 0] == sigma.eval(0) and L[2, 1] == sigma.eval(1)
-    assert L[2, 0] == tau.eval(1)
+    assert L[1, 0] == fraction_weight(sigma, 0) and L[2, 1] == fraction_weight(sigma, 1)
+    assert L[2, 0] == fraction_weight(tau, 1)
 
 
 def test_step_factorization_trivial_and_catalog():

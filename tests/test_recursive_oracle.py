@@ -16,7 +16,13 @@ from catmoments.cli import main
 from catmoments.exact import format_rat
 from catmoments.recursive import catalan_like, motzkin_oracle
 from catmoments.seqspec import CATALOG, ConstantTail, PolynomialTail, SequenceSpec
-from oracle import build_recursive, fraction_terms, fraction_triangle, record_weight_reads
+from oracle import (
+    build_recursive,
+    fraction_terms,
+    fraction_triangle,
+    fraction_weight,
+    record_weight_reads,
+)
 
 # distinct primes, so that the common denominator of several weights grows
 DENOMINATORS = (1, 1, 1, 2, 3, 5, 7, 11, 13)
@@ -111,7 +117,7 @@ def read_failure(sigma, tau, s_last, t_last):
     s_0..s_last, then t_1..t_last, or None when there is none."""
     reads = [(sigma, k) for k in range(s_last + 1)] + [(tau, k) for k in range(1, t_last + 1)]
     return next((f"negative value {format_rat(value)} at index {k}"
-                 for spec, k in reads if (value := SequenceSpec.eval(spec, k)) < 0), None)
+                 for spec, k in reads if (value := fraction_weight(spec, k)) < 0), None)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,38 +19,40 @@ from catmoments.seqspec import (
     pqst_of,
     tail_from_json,
 )
-from oracle import fraction_horner
+from oracle import fraction_horner, fraction_weight, fraction_weights
 
 
 def test_eval_prefix_then_tail():
     spec = SequenceSpec.first_then_constant(4, 2, start=1)
-    assert spec.eval(1) == 4
-    assert spec.eval(2) == 2
-    assert spec.eval(100) == 2
+    values = spec.ints(100, 1)
+    assert (values[0], values[1], values[99]) == (4, 2, 2)
+    assert values == fraction_weights(spec, 100)
 
 
 def test_eval_polynomial_at_true_index():
     factorial_sigma = SequenceSpec.polynomial([1, 2], start=0)
-    assert factorial_sigma.eval(3) == 7
+    assert factorial_sigma.ints(4, 1)[3] == 7 == fraction_weight(factorial_sigma, 3)
     factorial_tau = SequenceSpec.polynomial([0, 0, 1], start=1)
-    assert [factorial_tau.eval(k) for k in range(1, 5)] == [1, 4, 9, 16]
+    assert factorial_tau.ints(4, 1) == [1, 4, 9, 16] == fraction_weights(factorial_tau, 4)
 
 
 def test_eval_constant_everywhere():
     spec = SequenceSpec.constant(Fraction(5, 2))
-    assert spec.eval(0) == Fraction(5, 2)
-    assert spec.eval(77) is spec.tail.value == Fraction(5, 2)
+    assert spec.ints(78, 2) == [5] * 78
+    assert fraction_weights(spec, 78) == [Fraction(5, 2)] * 78
 
 
 def test_eval_below_start_errors():
-    spec = SequenceSpec.constant(1, start=1)
+    # a subdiagonal spec's first value is t_1; the reference reader has no t_0
+    spec = SequenceSpec.first_then_constant(3, 1, start=1)
+    assert spec.ints(1, 1) == [3] == fraction_weights(spec, 1)
     with pytest.raises(ValueError):
-        spec.eval(0)
+        fraction_weight(spec, 0)
 
 
 def test_values_run_from_start():
     spec = SequenceSpec.first_then_constant(2, 1, start=1)
-    assert spec.values(4) == [2, 1, 1, 1]
+    assert spec.ints(4, 1) == [2, 1, 1, 1] == fraction_weights(spec, 4)
 
 
 def test_polynomial_tail_degree_cap():
@@ -129,16 +131,16 @@ def test_catalog_has_the_eight_names():
 
 def test_catalog_lookup_weights_match_classical_values():
     catalan = catalog_lookup("catalan")
-    assert catalan.sigma.values(4) == [1, 2, 2, 2]
-    assert catalan.tau.values(3) == [1, 1, 1]
+    assert catalan.sigma.ints(4, 1) == [1, 2, 2, 2]
+    assert catalan.tau.ints(3, 1) == [1, 1, 1]
 
     bell = catalog_lookup("bell")
-    assert bell.sigma.values(4) == [1, 2, 3, 4]
-    assert bell.tau.values(4) == [1, 2, 3, 4]
+    assert bell.sigma.ints(4, 1) == [1, 2, 3, 4]
+    assert bell.tau.ints(4, 1) == [1, 2, 3, 4]
 
     factorial = catalog_lookup("factorial")
-    assert factorial.sigma.values(4) == [1, 3, 5, 7]
-    assert factorial.tau.values(4) == [1, 4, 9, 16]
+    assert factorial.sigma.ints(4, 1) == [1, 3, 5, 7]
+    assert factorial.tau.ints(4, 1) == [1, 4, 9, 16]
 
 
 def test_catalog_lookup_alias_and_unknown():
@@ -194,10 +196,10 @@ def test_catalog_entry_to_json_shape():
 def test_polynomial_tail_matches_fraction_horner(coeffs):
     # a polynomial tail is read off the spec's ints, at every index k >= 0
     spec = SequenceSpec.polynomial(coeffs)
-    for k in range(70):
-        value = spec.eval(k)
-        assert type(value) is Fraction
-        assert value == fraction_horner([Fraction(c) for c in coeffs], k)
+    ints = spec.ints(70, spec.den)
+    assert all(type(v) is int for v in ints)
+    assert [Fraction(v, spec.den) for v in ints] == [
+        fraction_horner([Fraction(c) for c in coeffs], k) for k in range(70)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -206,7 +208,8 @@ def test_polynomial_tail_matches_fraction_horner(coeffs):
                 min_size=1, max_size=5),
        st.integers(0, 10**4))
 def test_polynomial_tail_matches_fraction_horner_randomized(coeffs, k):
-    assert SequenceSpec.polynomial(coeffs).eval(k) == fraction_horner(coeffs, k)
+    spec = SequenceSpec.polynomial(coeffs)
+    assert Fraction(spec.ints(k + 1, spec.den)[k], spec.den) == fraction_horner(coeffs, k)
 
 
 # signed rationals over small denominators, zero included
@@ -224,28 +227,23 @@ def sequence_specs(draw, start=st.sampled_from((0, 1))):
     return SequenceSpec(prefix, tail, draw(start))
 
 
-def reference_values(spec, count):
-    """The spec's first count values on Fractions: the prefix, then the tail's
-    value or its polynomial at the index (oracle.fraction_horner)."""
-    coeffs = list(getattr(spec.tail, "coeffs", None) or (spec.tail.value,))
-    return [spec.prefix[i] if i < len(spec.prefix) else fraction_horner(coeffs, spec.start + i)
-            for i in range(count)]
-
-
 @settings(max_examples=300, deadline=None)
 @given(sequence_specs(), st.integers(0, 40), st.integers(1, 6))
 def test_int_reader_over_its_denominator_is_the_values(spec, count, multiple):
-    expected = reference_values(spec, count)
     ints = spec.ints(count, spec.den)
     assert all(type(v) is int for v in ints)
-    assert [Fraction(v, spec.den) for v in ints] == expected == spec.values(count)
-    assert spec.den == math.lcm(*(v.denominator for v in (
-        *spec.prefix, *(getattr(spec.tail, "coeffs", None) or (spec.tail.value,)))))
-    # over any multiple of den the same values; over anything else a refusal
-    assert spec.ints(count, multiple * spec.den) == [multiple * v for v in ints]
+    assert [Fraction(v, spec.den) for v in ints] == fraction_weights(spec, count)
+    coeffs = getattr(spec.tail, "coeffs", None) or (spec.tail.value,)
+    assert spec.den == math.lcm(*(v.denominator for v in (*spec.prefix, *coeffs)))
+    # over any multiple of den the same values, and the tail rule's coefficients
+    # highest degree first; over anything else a refusal
+    scale = multiple * spec.den
+    assert spec.ints(count, scale) == [multiple * v for v in ints]
+    assert spec.tail_ints(scale) == [c * scale for c in reversed(coeffs)]
     if spec.den > 1:
-        with pytest.raises(ValueError, match="is not a multiple of the denominator"):
-            spec.ints(count, spec.den + 1)
+        for read in (lambda den: spec.ints(count, den), spec.tail_ints):
+            with pytest.raises(ValueError, match="is not a multiple of the denominator"):
+                read(spec.den + 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,5 +253,5 @@ def test_read_weights_are_both_fraction_lists_over_one_denominator(sigma, tau, d
     s, t, scale = read_weights(sigma, tau, depth, truncate)
     s_count, t_count = ((depth + 1) // 2, depth // 2) if truncate else (depth, depth - 1)
     assert scale == math.lcm(sigma.den, tau.den)
-    assert [Fraction(v, scale) for v in s] == reference_values(sigma, s_count)
-    assert [Fraction(v, scale) for v in t] == reference_values(tau, max(t_count, 0))
+    assert [Fraction(v, scale) for v in s] == fraction_weights(sigma, s_count)
+    assert [Fraction(v, scale) for v in t] == fraction_weights(tau, max(t_count, 0))

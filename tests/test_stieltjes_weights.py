@@ -12,11 +12,11 @@ Work counts: the weight route runs no elimination, terms that invert run
 none either, and the weight route, the weight lists tp_by_leading_minors
 takes (recursive.read_weights) and tp_sufficient_dominance read each weight
 exactly once, as does tp_certify for its two minor routes together;
-dominance reads none from the first index past both prefixes when the tails
-certify the rest.  Reads are counted through SequenceSpec.ints, the int
-reader every route but dominance uses, and SequenceSpec.eval, dominance's;
-with eval and values made to raise outside dominance, every route and
-command still runs, so none makes a Fraction per weight.  The int families, (num, den) pairs kept until printed,
+dominance reads none from the first index past both prefixes, whether or
+not the tails certify the rest.  Reads are counted through
+SequenceSpec.ints, the int reader every route uses; with eval and values,
+the Fraction readers the package had, made to raise, every route and
+command still runs, dominance included.  The int families, (num, den) pairs kept until printed,
 must equal a Fraction reference built from tests/oracle (the products of
 T_k and the minor chain) in values, verdict and witness, from a pair and
 from its terms times m_0; two reports on different denominators are equal
@@ -63,6 +63,7 @@ from oracle import (
     build_hankel,
     det_cofactor,
     fraction_det_products,
+    fraction_weights,
     fraction_window_minors,
     principal_minors_nonneg,
     record_weight_reads,
@@ -163,7 +164,7 @@ def test_terms_round_trip_through_their_weights(pair, m0):
     sigma, tau, depth = pair
     terms = [m0 * v for v in catalan_like(sigma, tau, 2 * depth + 1)]
     s, t = _chebyshev_weights(terms, depth)
-    assert (s, t) == (sigma.values(depth + 1), tau.values(depth))
+    assert (s, t) == (fraction_weights(sigma, depth + 1), fraction_weights(tau, depth))
     replay = catalan_like(SequenceSpec(tuple(s), ConstantTail(0), 0),
                           SequenceSpec(tuple(t), ConstantTail(0), 1), 2 * depth + 1)
     assert [m0 * v for v in replay] == terms
@@ -339,7 +340,7 @@ def fraction_report(sigma, tau, depth, m0=Fraction(1)):
     """(dets0, dets1, verdict, witness) of m0 times the pair's terms, on
     Fractions: the products of T_k, the minor chain of J times them, and the
     first negative value, plain family before shifted at each k."""
-    s, t = sigma.values(depth + 1), tau.values(depth)
+    s, t = fraction_weights(sigma, depth + 1), fraction_weights(tau, depth)
     dets0 = fraction_det_products(t, m0)
     dets1 = [d * p for d, p in zip(fraction_window_minors(s, t, 0), dets0)]
     witness = next(({"family": f"det{shift}", "k": k, "value": format_rat(dets[k])}
@@ -427,9 +428,8 @@ def test_families_stay_ints_until_printed(capsys, wrapper_calls):
 
 @pytest.fixture
 def weight_reads(monkeypatch):
-    """Every weight a SequenceSpec hands out, through its int reader
-    (SequenceSpec.ints, the minor and product routes) or one at a time
-    (SequenceSpec.eval, dominance), as (spec, index) pairs in call order."""
+    """Every weight a SequenceSpec hands out through SequenceSpec.ints, the
+    reader of every route, as (spec, index) pairs in call order."""
     return record_weight_reads(monkeypatch)
 
 
@@ -458,59 +458,45 @@ def test_each_weight_is_read_once(weight_reads, route, pair):
     elif route == "tp_by_leading_minors":
         assert tp_by_leading_minors(*read_weights(sigma, tau, depth + 1)).verdict == TRUE
     else:
-        # the tails pass their symbolic test at the first index past both
-        # prefixes, so dominance reads only the weights below it
+        # dominance reads the weights below the first index past both
+        # prefixes, where the tails pass their symbolic test
         assert tp_sufficient_dominance(sigma, tau, depth).verdict == TRUE
         depth = max(sigma.tail_start(), tau.tail_start()) - 1
     assert_read_once_through(weight_reads, sigma, tau, depth)
 
 
 def test_dominance_reads_no_weight_past_its_first_failure(weight_reads):
-    # factorial: s_3 = 7 < t_3 + 1 = 10, so nothing past index 3 is read
+    # factorial: both tails start at K = 1, so dominance reads s_0 alone; the
+    # failure s_3 = 7 < t_3 + 1 = 10 comes off the tails, not off a read
     entry = catalog_lookup("factorial")
-    assert tp_sufficient_dominance(entry.sigma, entry.tau, 8).depth == 3
-    assert_read_once_through(weight_reads, entry.sigma, entry.tau, 3)
+    assert tp_sufficient_dominance(entry.sigma, entry.tau, 3).depth == 3
+    assert weight_reads == [(entry.sigma, 0)]
 
 
 def test_tp_certify_reads_each_weight_once_in_its_minor_routes(weight_reads):
-    # sigma = (3, 2, 5/2, 3, ...), tau = (2, 1, 0, 1, ...): dominance fails at
-    # k = 1 and the zero t_3 leaves the leading minors inconclusive, so both
-    # minor routes run; each used to read all 25 weights itself
+    # sigma = (3, 2, 5/2, 3, ...), tau = (2, 1, 0, 1, ...): dominance reads
+    # the 7 weights below K = 4 and fails at k = 1, and the zero t_3 leaves the
+    # leading minors inconclusive, so both minor routes run; each used to read
+    # all 25 weights itself
     sigma = SequenceSpec((3, 2, Fraction(5, 2)), ConstantTail(Fraction(3)), start=0)
     tau = SequenceSpec((2, 1, 0), ConstantTail(Fraction(1)), start=1)
     report = tp_certify(sigma, tau, 12)
     assert (report.criterion, report.verdict) == ("contiguous_minors", TRUE)
-    assert weight_reads[:3] == [(sigma, 0), (sigma, 1), (tau, 1)]   # dominance
-    assert_read_once_through(weight_reads[3:], sigma, tau, 12)
-    assert len(weight_reads) == 28
+    assert_read_once_through(weight_reads[:7], sigma, tau, 3)     # dominance
+    assert_read_once_through(weight_reads[7:], sigma, tau, 12)
+    assert len(weight_reads) == 32
 
 
 @pytest.fixture
 def fraction_reads_refused(monkeypatch):
-    """SequenceSpec.eval and values raise: a route that makes a Fraction per
-    weight fails.  Dominance alone may still evaluate its weights one at a
-    time, until ROADMAP item 1 replaces its probe."""
-    dominance_depth = []
-
-    def refusing(original):
-        def read(*args):
-            if not dominance_depth:
-                raise AssertionError("a Fraction per weight outside dominance")
-            return original(*args)
-        return read
+    """SequenceSpec.eval and values, the Fraction-per-weight readers the
+    package had, refuse: a route that brings one back fails, dominance
+    included."""
+    def refusing(*args):
+        raise AssertionError("a Fraction per weight")
 
     for name in ("eval", "values"):
-        monkeypatch.setattr(SequenceSpec, name, refusing(getattr(SequenceSpec, name)))
-    dominance = catmoments.jacobi.tp_sufficient_dominance
-
-    def exempt(*args, **kwargs):
-        dominance_depth.append(True)
-        try:
-            return dominance(*args, **kwargs)
-        finally:
-            dominance_depth.pop()
-
-    monkeypatch.setattr(catmoments.jacobi, "tp_sufficient_dominance", exempt)
+        monkeypatch.setattr(SequenceSpec, name, refusing, raising=False)
 
 
 # rational weights over 3 and 5 with a polynomial tail, so that no command
@@ -523,8 +509,8 @@ GUARD_PAIR = (SequenceSpec((Fraction(2, 3), 3, 2, Fraction(-1, 3)),
 
 def test_no_route_makes_a_fraction_per_weight(capsys, fraction_reads_refused):
     sigma, tau = GUARD_PAIR
-    with pytest.raises(AssertionError, match="outside dominance"):
-        sigma.eval(0)                   # the positive control of the guard
+    with pytest.raises(AssertionError, match="a Fraction per weight"):
+        sigma.eval(0)                               # the positive control of the guard
     assert stieltjes_weights(sigma, tau, 6).verdict == PASS
     assert catalan_like(sigma, tau, 12)[2] == Fraction(4, 9) + Fraction(7, 5)
     assert motzkin_oracle(sigma, tau, 8) == catalan_like(sigma, tau, 8)[8]
@@ -539,7 +525,7 @@ def test_no_route_makes_a_fraction_per_weight(capsys, fraction_reads_refused):
                  ["verify", "--name", "bell", "--depth", "8"],
                  ["verify", "--name", "catalan", "--depth", "8"]):
         assert main(argv) == 0, argv
-    assert main(["tp", *pair, "--depth", "8"]) == 1      # dominance runs, exempt
+    assert main(["tp", *pair, "--depth", "8"]) == 1      # dominance runs, guarded too
     assert capsys.readouterr().err == ""
 
 

@@ -23,16 +23,19 @@ import catmoments.exact
 from catmoments.cli import main
 from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, format_rat
 from catmoments.jacobi import (
+    TPReport,
     tp_by_leading_minors,
     tp_certify,
     tp_check_sections,
     tp_sufficient_dominance,
 )
 from catmoments.recursive import read_weights
-from catmoments.seqspec import ConstantTail, PolynomialTail, SequenceSpec
+from catmoments.seqspec import MAX_TAIL_DEGREE, ConstantTail, PolynomialTail, SequenceSpec
 from oracle import (
     all_minors_nonneg,
     det_elimination,
+    fraction_weight,
+    fraction_weights,
     fraction_window_minors,
     int_weights,
     jacobi_section,
@@ -63,11 +66,11 @@ def first_negative_window(sigma, tau, depth: int):
     """The contiguous-minor scan with one elimination per window: entry
     signs first, then windows by ascending start and end."""
     for k in range(depth + 1):
-        if sigma.eval(k) < 0:
-            return {"rows": [k], "cols": [k], "value": format_rat(sigma.eval(k))}
-        if k >= 1 and tau.eval(k) < 0:
-            return {"rows": [k], "cols": [k - 1], "value": format_rat(tau.eval(k))}
-    s, t = sigma.values(depth + 1), tau.values(depth)
+        if fraction_weight(sigma, k) < 0:
+            return {"rows": [k], "cols": [k], "value": format_rat(fraction_weight(sigma, k))}
+        if k >= 1 and fraction_weight(tau, k) < 0:
+            return {"rows": [k], "cols": [k - 1], "value": format_rat(fraction_weight(tau, k))}
+    s, t = fraction_weights(sigma, depth + 1), fraction_weights(tau, depth)
     for lo in range(depth + 1):
         for hi in range(lo, depth + 1):
             value = det_elimination(jacobi_window(s, t, lo, hi))
@@ -81,7 +84,7 @@ def first_negative_window(sigma, tau, depth: int):
 @given(weight_pairs())
 def test_no_route_contradicts_the_exhaustive_minor_scan(pair):
     sigma, tau, depth = pair
-    s, t = sigma.values(depth + 1), tau.values(depth)
+    s, t = fraction_weights(sigma, depth + 1), fraction_weights(tau, depth)
     ints = read_weights(sigma, tau, depth + 1)
     oracle = all_minors_nonneg(jacobi_section(s, t), depth + 1).status
     reports = {
@@ -167,37 +170,56 @@ def _polynomial_spec(prefix, coeffs, start):
                         start=start)
 
 
-def _signed(low, high):
-    return st.builds(Fraction, st.integers(low, high), st.sampled_from((1, 2, 3)))
-
-
 @st.composite
 def dominance_specs(draw):
-    """sigma and tau with prefixes of length <= 2 and constant or polynomial
-    tails of degree <= 2, signed rational coefficients: a large constant and
-    a small negative slope hold the condition past the first tail index and
-    past the guard, or break it late."""
+    """sigma and tau, each over its own denominator from (1, 2, 3, 5, 7),
+    with prefixes of length <= 2 and constant or polynomial tails of degree
+    <= MAX_TAIL_DEGREE, signed rational coefficients (0 or +-1/den past the
+    slope): a large constant and a small negative slope hold the condition
+    past the first tail index and past the guard, or break it late.  L, the
+    LCM of both denominators, differs from each spec's own, so a tail put
+    over the wrong one shows."""
     def spec(start):
-        prefix = tuple(draw(st.lists(_signed(-2, 6), max_size=2)))
-        coeffs = [draw(_signed(-4, 90)), draw(_signed(-3, 3)), draw(_signed(-1, 1))]
-        degree = draw(st.integers(0, 2))
+        den = draw(st.sampled_from((1, 2, 3, 5, 7)))
+
+        def signed(low, high):
+            return st.integers(low * den, high * den).map(lambda n: Fraction(n, den))
+
+        prefix = tuple(draw(st.lists(signed(-2, 6), max_size=2)))
+        coeffs = [draw(signed(-4, 90)), draw(signed(-3, 3)),
+                  *(Fraction(draw(st.integers(-1, 1)), den) for _ in range(MAX_TAIL_DEGREE - 1))]
+        degree = draw(st.integers(0, MAX_TAIL_DEGREE))
         if degree == 0:
             return SequenceSpec(prefix, ConstantTail(coeffs[0]), start=start)
         return SequenceSpec(prefix, PolynomialTail(tuple(coeffs[:degree + 1])), start=start)
 
-    return spec(0), spec(1), draw(st.integers(1, 80))
+    return spec(0), spec(1), draw(st.integers(1, 100))
+
+
+# sigma = (2, 5/3, (3k^2 - 24k + 73)/15, ...) of the golden dominance cases,
+# with tau = (1/3, 2/3, ...): TRUE past the guard; with tau = (1/3, 5/6, ...):
+# FALSE at k = 4, past the first tail index 2
+DOMINANCE_SIGMA = _polynomial_spec([2, "5/3"], ["73/15", "-8/5", "1/5"], 0)
+DOMINANCE_TAU = SequenceSpec((Fraction(1, 3),), ConstantTail(Fraction(2, 3)), start=1)
+DOMINANCE_FALSE_TAU = SequenceSpec((Fraction(1, 3),), ConstantTail(Fraction(5, 6)), start=1)
 
 
 # a late failure (s_k = 30 - k < 1 from k = 30), a failure at the first tail
 # index alone (s_2 = 1 < t_2 + 1 = 2, and s_k - t_k - 1 = k - 3 from then on),
 # INCONCLUSIVE (s_k = 80 - k holds through the guard 64 but falls), TRUE with
 # the tails failing their test at the first tail index but passing past the
-# guard (s_k = (k - 4)^2 + 1, t_k = 0 on a prefix), and FALSE at k = 0
+# guard (s_k = (k - 4)^2 + 1, t_k = 0 on a prefix, and s_k = (k - 38)^2 + 1,
+# whose test past the guard needs the exact first derivative 2(k - 38)),
+# FALSE at k = 0, and the three pairs the CLI golden test pins on dominance
 @example((_polynomial_spec([2], [30, -1], 0), _polynomial_spec([], [0], 1), 8))
 @example((_polynomial_spec([2, 2], [-1, 1], 0), _polynomial_spec([0], [1], 1), 8))
 @example((_polynomial_spec([], [80, -1], 0), _polynomial_spec([], [0], 1), 8))
 @example((_polynomial_spec([2, 2], [17, -8, 1], 0), _polynomial_spec([0], [0], 1), 70))
+@example((_polynomial_spec([2], [1445, -76, 1], 0), _polynomial_spec([], [0], 1), 8))
 @example((_polynomial_spec([], ["1/2"], 0), _polynomial_spec([], [1], 1), 8))
+@example((DOMINANCE_SIGMA, DOMINANCE_TAU, 8))
+@example((DOMINANCE_SIGMA, DOMINANCE_TAU, 100))
+@example((DOMINANCE_SIGMA, DOMINANCE_FALSE_TAU, 8))
 @settings(max_examples=400, deadline=None)
 @given(dominance_specs())
 def test_dominance_matches_the_probe_of_every_index(specs):
@@ -206,6 +228,13 @@ def test_dominance_matches_the_probe_of_every_index(specs):
     assert report == probe_every_index_dominance(sigma, tau, probe_depth)
     late = report.verdict == FALSE and report.depth >= max(sigma.tail_start(), tau.tail_start())
     event(f"{report.verdict}{' past the first tail index' if late else ''}")
+
+
+def test_dominance_detail_past_the_first_tail_index_is_over_both_denominators():
+    # s_4 and t_4 + 1 come off the tails as ints over L = lcm(15, 6) = 30
+    assert (DOMINANCE_SIGMA.den, DOMINANCE_FALSE_TAU.den) == (15, 6)
+    assert tp_sufficient_dominance(DOMINANCE_SIGMA, DOMINANCE_FALSE_TAU) == TPReport(
+        "dominance", FALSE, depth=4, detail="s_4 = 5/3 < t_4 + 1 = 11/6")
 
 
 def _spec(prefix, value, start):
