@@ -19,6 +19,7 @@ negative_principal_minor decides it on a plain list of rows by a symmetric
 elimination with diagonal pivoting.  The total-positivity routes need none
 of these: the minors of the tridiagonal coefficient matrix follow a
 three-term recurrence (see jacobi), and the identity checks use band sums.
+The package's record classes share one immutable value base, _Value.
 """
 from __future__ import annotations
 
@@ -107,6 +108,36 @@ def nonneg_rats(pairs, label: str = "") -> tuple[Fraction, ...]:
             raise ValueError(f"{label}{name} must be nonnegative, got {format_rat(value)}")
         values.append(value)
     return tuple(values)
+
+
+def _values(values, name: str) -> tuple:
+    """values as a tuple, refusing a str or bytes, which would give its characters."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{name} must be a sequence of values, not a {type(values).__name__}")
+    return tuple(values)
+
+
+class _Value:
+    """An immutable value: each __init__ sets its fields once in __dict__, and
+    the fields a subclass names in _compared compare, hash and show it."""
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def check_fields(data: dict, allowed, what: str) -> None:

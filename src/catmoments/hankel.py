@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, starmap
 from typing import Optional, Sequence
@@ -77,6 +76,7 @@ from typing import Optional, Sequence
 from .exact import (
     FALSE,
     TRUE,
+    _Value,
     _int_leading_minors,
     _same_values,
     _scaled_ints,
@@ -118,8 +118,7 @@ def _section_minors(ints: list[int], den: int, depth: int) -> list[tuple[int, in
     return _int_leading_minors(_windows(ints, depth), den)
 
 
-@dataclass(frozen=True, eq=False)
-class StieltjesReport:
+class StieltjesReport(_Value):
     """Both determinant families up to a depth, with the verdict.
 
     family0[k] and family1[k] are det[m_{i+j}] and det[m_{i+j+1}] on the
@@ -132,11 +131,12 @@ class StieltjesReport:
     rows and value.  Either way the claim is bounded by the stated depth.
     """
 
-    depth: int
-    family0: tuple[tuple[int, int], ...]
-    family1: tuple[tuple[int, int], ...]
-    verdict: str
-    witness: Optional[dict] = None
+    _compared = ("depth", "family0", "family1", "verdict", "witness")
+
+    def __init__(self, depth: int, family0: tuple, family1: tuple, verdict: str,
+                 witness: Optional[dict] = None):
+        self.__dict__.update(depth=depth, family0=family0, family1=family1,
+                             verdict=verdict, witness=witness)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StieltjesReport):

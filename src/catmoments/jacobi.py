@@ -46,11 +46,9 @@ depth it actually checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exact import FALSE, INCONCLUSIVE, TRUE, format_over, format_rat, nonneg_rats
+from .exact import FALSE, INCONCLUSIVE, TRUE, _Value, format_over, format_rat, nonneg_rats
 from .recursive import read_weights
 from .seqspec import SequenceSpec, _horner
 
@@ -60,27 +58,21 @@ DOMINANCE_GUARD_INDEX = 64
 MAX_WINDOWS = 2_000_000
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(_Value):
     """Weights constant after the first entry: diagonal (p, s, s, ...),
-    subdiagonal (q, t, t, ...); all four must be nonnegative."""
+    subdiagonal (q, t, t, ...); all four nonnegative, held as Fractions."""
 
-    p: Fraction
-    q: Fraction
-    s: Fraction
-    t: Fraction
+    _compared = ("p", "q", "s", "t")
 
-    def __post_init__(self):
-        pairs = [(name, getattr(self, name)) for name in "pqst"]
-        for (name, _), value in zip(pairs, nonneg_rats(pairs, "parameter ")):
-            object.__setattr__(self, name, value)
+    def __init__(self, p, q, s, t):
+        p, q, s, t = nonneg_rats(zip("pqst", (p, q, s, t)), "parameter ")
+        self.__dict__.update(p=p, q=q, s=s, t=t)
 
     def to_json(self) -> dict:
         return {name: format_rat(getattr(self, name)) for name in "pqst"}
 
 
-@dataclass(frozen=True)
-class TPReport:
+class TPReport(_Value):
     """Outcome of one total-positivity route.
 
     criterion names the route; verdict is TRUE / FALSE / INCONCLUSIVE;
@@ -88,11 +80,12 @@ class TPReport:
     symbolic verdicts); witness carries the refuting minor when FALSE.
     """
 
-    criterion: str
-    verdict: str
-    depth: Optional[int] = None
-    witness: Optional[dict] = None
-    detail: Optional[str] = None
+    _compared = ("criterion", "verdict", "depth", "witness", "detail")
+
+    def __init__(self, criterion: str, verdict: str, depth: Optional[int] = None,
+                 witness: Optional[dict] = None, detail: Optional[str] = None):
+        self.__dict__.update(criterion=criterion, verdict=verdict, depth=depth,
+                             witness=witness, detail=detail)
 
     def to_json(self) -> dict:
         data = {"criterion": self.criterion, "verdict": self.verdict, "depth": self.depth}

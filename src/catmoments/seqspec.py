@@ -22,45 +22,42 @@ a classical closed form, a generating function spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import _scaled_ints, as_rat, check_fields, format_rat
+from .exact import _scaled_ints, _Value, _values, as_rat, check_fields, format_rat
 from .series import NAMED_GF_NAMES, GFSpec, gf_to_json
 
 MAX_TAIL_DEGREE = 4
 
 
-@dataclass(frozen=True)
-class ConstantTail:
-    """Tail rule: every index past the prefix gets the same value."""
+class ConstantTail(_Value):
+    """Tail rule: every index past the prefix gets the same value, a Fraction."""
 
-    value: Fraction
+    _compared = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_rat(self.value))
+    def __init__(self, value):
+        self.__dict__["value"] = as_rat(value)
 
     def to_json(self) -> dict:
         return {"kind": "constant", "value": format_rat(self.value)}
 
 
-@dataclass(frozen=True)
-class PolynomialTail:
+class PolynomialTail(_Value):
     """Tail rule: value at index k is the polynomial evaluated at k.
 
-    coeffs[i] is the coefficient of k**i; degree is capped at 4.
+    coeffs[i], a Fraction, is the coefficient of k**i; degree is capped at 4.
     """
 
-    coeffs: tuple[Fraction, ...]
+    _compared = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(as_rat(c) for c in self.coeffs)
+    def __init__(self, coeffs):
+        coeffs = tuple(map(as_rat, _values(coeffs, "coeffs")))
         if not coeffs:
             raise ValueError("polynomial tail needs at least one coefficient")
         if len(coeffs) > MAX_TAIL_DEGREE + 1:
             raise ValueError(f"polynomial tail degree is capped at {MAX_TAIL_DEGREE}")
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__["coeffs"] = coeffs
 
     def to_json(self) -> dict:
         return {"kind": "polynomial", "coeffs": [format_rat(c) for c in self.coeffs]}
@@ -95,30 +92,27 @@ def tail_from_json(data: dict):
     raise ValueError(f"unknown tail kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(_Value):
     """Prefix-plus-tail description of an infinite sequence u_k, k >= start.
 
     start is 0 for diagonal weight sequences and 1 for subdiagonal ones; the
-    prefix covers indices start, start+1, ... in order.
+    prefix, a tuple of Fractions, covers indices start, start+1, ... in
+    order.  den and _ints, the prefix and tail as ints over den, are derived
+    from them, so they are neither compared nor shown.
     """
 
-    prefix: tuple[Fraction, ...]
-    tail: object
-    start: int = 0
-    den: int = field(init=False, repr=False, compare=False)
-    _ints: tuple[list[int], list[int]] = field(init=False, repr=False, compare=False)
+    _compared = ("prefix", "tail", "start")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", prefix := tuple(as_rat(c) for c in self.prefix))
-        if not isinstance(self.tail, (ConstantTail, PolynomialTail)):
+    def __init__(self, prefix, tail, start: int = 0):
+        prefix = tuple(map(as_rat, _values(prefix, "prefix")))
+        if not isinstance(tail, (ConstantTail, PolynomialTail)):
             raise ValueError("tail must be a ConstantTail or PolynomialTail")
-        if type(self.start) is not int or self.start not in (0, 1):
-            raise ValueError(f"start must be 0 or 1, got {self.start!r}")
-        coeffs = (self.tail.value,) if isinstance(self.tail, ConstantTail) else self.tail.coeffs
+        if type(start) is not int or start not in (0, 1):
+            raise ValueError(f"start must be 0 or 1, got {start!r}")
+        coeffs = (tail.value,) if isinstance(tail, ConstantTail) else tail.coeffs
         ints, den = _scaled_ints([*prefix, *coeffs[::-1]])
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_ints", (ints[:len(prefix)], ints[len(prefix):]))
+        self.__dict__.update(prefix=prefix, tail=tail, start=start, den=den,
+                             _ints=(ints[:len(prefix)], ints[len(prefix):]))
 
     @classmethod
     def constant(cls, value, start: int = 0) -> "SequenceSpec":
@@ -209,18 +203,17 @@ def pqst_of(sigma: SequenceSpec, tau: SequenceSpec) -> Optional[tuple]:
     return (p, q, s, t)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Value):
     """A named classical sequence: its weight pair, frozen reference terms,
     and (when one exists in closed form) its generating function."""
 
-    name: str
-    description: str
-    sigma: SequenceSpec
-    tau: SequenceSpec
-    reference_terms: tuple[Fraction, ...]
-    gf: Optional[GFSpec] = None
-    aliases: tuple[str, ...] = field(default=())
+    _compared = ("name", "description", "sigma", "tau", "reference_terms", "gf", "aliases")
+
+    def __init__(self, name: str, description: str, sigma: SequenceSpec, tau: SequenceSpec,
+                 reference_terms: tuple[Fraction, ...], gf: Optional[GFSpec] = None,
+                 aliases: tuple[str, ...] = ()):
+        self.__dict__.update(name=name, description=description, sigma=sigma, tau=tau,
+                             reference_terms=reference_terms, gf=gf, aliases=aliases)
 
     def to_json(self) -> dict:
         data = {

@@ -33,12 +33,12 @@ L = 1) and made a Fraction only by gf_expand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, starmap
 from operator import mul
 
-from .exact import FALSE, TRUE, _over, _scaled_ints, as_rat, check_fields, format_rat, nonneg_rats
+from .exact import (FALSE, TRUE, _over, _scaled_ints, _Value, _values, as_rat, check_fields,
+                    format_rat, nonneg_rats)
 
 DEFAULT_ORDER = 16
 
@@ -128,31 +128,29 @@ def _fields(kind) -> tuple[str, ...]:
     return _KINDS[kind][0]
 
 
-@dataclass(frozen=True)
-class GFSpec:
+class GFSpec(_Value):
     """A column-0 generating function for weights (p, s, s, ...) over
     (q, t, t, ...): a kind and its parameters in the kind's field order.
     The rational kinds take nonnegative rationals; kind "named" takes the
     one name of a classical closed form."""
 
-    kind: str
-    params: tuple
+    _compared = ("kind", "params")
 
-    def __post_init__(self):
-        fields = _fields(self.kind)
-        params = tuple(self.params)
+    def __init__(self, kind: str, params: tuple):
+        fields = _fields(kind)
+        params = _values(params, "params")
         if len(params) != len(fields):
             raise ValueError(
-                f"generating function kind {self.kind!r} needs fields {', '.join(fields)}"
+                f"generating function kind {kind!r} needs fields {', '.join(fields)}"
             )
-        if self.kind != "named":
+        if kind != "named":
             params = nonneg_rats(zip(fields, [as_rat(v) for v in params]))
         elif not isinstance(params[0], str) or params[0] not in _NAMED:
             raise ValueError(
                 f"unknown generating function {params[0]!r}; "
                 f"choose from {', '.join(NAMED_GF_NAMES)}"
             )
-        object.__setattr__(self, "params", params)
+        self.__dict__.update(kind=kind, params=params)
 
 
 def _spec(gf) -> GFSpec:

@@ -122,6 +122,22 @@ def test_from_json_refuses_boolean_weights():
                                 "start": 1})
 
 
+@pytest.mark.parametrize("prefix", ["12", "3/4", b"12"])
+def test_a_string_prefix_is_refused(prefix):
+    # iterated, "12" would be the prefix (1, 2) and "3/4" fail on "/"
+    with pytest.raises(ValueError, match="^prefix must be a sequence of values, not a "):
+        SequenceSpec(prefix, ConstantTail(3))
+    assert SequenceSpec(["1", "2"], ConstantTail(3)).prefix == (1, 2)
+
+
+@pytest.mark.parametrize("coeffs", ["21", b"21"])
+def test_string_coeffs_are_refused(coeffs):
+    # iterated, "21" would be the coefficients (2, 1)
+    with pytest.raises(ValueError, match="^coeffs must be a sequence of values, not a "):
+        PolynomialTail(coeffs)
+    assert PolynomialTail(["2", 1]).coeffs == (2, 1)
+
+
 def test_catalog_has_the_eight_names():
     assert set(CATALOG_NAMES) == {
         "catalan", "central_binomial", "delannoy", "schroder_large",

@@ -312,6 +312,14 @@ def test_specializations_expand_t0_to_a_geometric_series():
     assert gf_expand(gf("closed_form", 1, 2, 3, 0), 4) == (1, 1, 3, 11, 41)
 
 
+@pytest.mark.parametrize("params", ["32", b"32"])
+def test_string_params_are_refused(params):
+    # iterated, "32" would be the tied_qp row s = 3, t = 2
+    with pytest.raises(ValueError, match="^params must be a sequence of values, not a "):
+        GFSpec("tied_qp", params)
+    assert gf_expand(GFSpec("tied_qp", ["3", "2"]), 3) == (1, 3, 11, 45)
+
+
 def test_gf_rejects_negative_parameters():
     with pytest.raises(ValueError, match="q must be nonnegative, got -1"):
         gf("closed_form", 1, -1, 2, 1)

@@ -6,9 +6,14 @@ be assigned or deleted, and two instances of one class built from equal
 fields are equal and hash alike.  StieltjesReport compares its families by
 value and is unhashable, as is a TPReport whose witness is a dict.  Their
 repr names the class and its compared fields; a SequenceSpec's den and
-int form are derived, so they are neither compared nor shown.
+int form are derived, so they are neither compared nor shown.  They are
+plain classes: importing the package generates no code for them, so it
+loads no dataclasses.
 """
 
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -88,8 +93,7 @@ def test_equal_fields_of_two_classes_make_different_values():
 
 
 def test_coerced_fields_compare_by_value():
-    # fields are coerced on construction, so "1/2", 0.5's exact form and
-    # Fraction(1, 2) give one value
+    # fields are coerced on construction, so "1/2" and Fraction(2, 4) are one value
     assert ConstantTail("1/2") == ConstantTail(Fraction(1, 2))
     assert hash(ConstantTail("1/2")) == hash(ConstantTail(Fraction(2, 4)))
     assert JacobiParams("1", 2, "3/1", 4) == JacobiParams(1, 2, 3, 4)
@@ -133,3 +137,16 @@ def test_derived_fields_stay_out_of_equality():
     one = SequenceSpec((Fraction(2, 4),), ConstantTail(Fraction(6, 3)), 0)
     other = SequenceSpec((Fraction(1, 2),), ConstantTail(2), 0)
     assert one == other and (one.den, one._ints) == (other.den, other._ints) == (2, ([1], [4]))
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # a dataclass compiles its generated methods on every import, which
+    # every CLI process would pay before its job starts
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import catmoments.cli; "
+            "print(catmoments.cli.__file__); print('dataclasses' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    path, loaded = result.stdout.splitlines()
+    assert path.startswith(src) and loaded == "False"
