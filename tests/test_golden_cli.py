@@ -27,7 +27,8 @@ principal minors with rational values and the semidefinite sections of
 criterion, the contiguous-minor TP route (with its single-entry witnesses),
 tp at depth 0, the dominance route past the first tail index (TRUE past the
 guard at depth 8 and at depth 100, and FALSE at k = 4 past it, where the
-leading minors answer), every named and parameterised
+leading minors answer; FALSE far past it, on the gap at k = 100 and on t
+at k = 101, where the minor routes answer), every named and parameterised
 generating function (the general form and the three specializations
 also at t = 0, the
 general form at -n 0, the general form, tied_qp and inverse_sqrt with
@@ -184,6 +185,23 @@ DOMINANCE_CASES = {
 }
 
 
+def _polynomial_spec(coeffs: list, start: int) -> str:
+    return json.dumps({"prefix": [], "tail": {"kind": "polynomial", "coeffs": coeffs},
+                       "start": start})
+
+
+# dominance decided far past the first tail index, at tp --depth 8: with
+# sigma = k^2 - 200k + 10000 and tau = 0 the gap (k - 100)^2 - 1 is negative
+# first at k = 100; with sigma = 200 and tau = 100 - k, t_k is negative first
+# at k = 101; either way tp answers by the leading minors.  With
+# sigma = k^2 - 200k + 10002 and tau = 1 the gap is (k - 100)^2 >= 0, a double
+# root, and dominance is TRUE
+FAR_DOMINANCE_CASES = {
+    "gap-far": (_polynomial_spec(["10000", "-200", "1"], 0), _constant_tail_spec([], "0", 1)),
+    "t-far": (_constant_tail_spec([], "200", 0), _polynomial_spec(["100", "-1"], 1)),
+}
+
+
 def _weight_terms(sigma: str, tau: str, count: int) -> str:
     spec = (SequenceSpec.from_json(json.loads(text)) for text in (sigma, tau))
     return ",".join(format_rat(v) for v in catalan_like(*spec, count - 1))
@@ -283,6 +301,9 @@ def cases() -> dict[str, list[str]]:
         for label, (tau, depth) in DOMINANCE_CASES.items():
             out[f"tp-dominance-{label}-{f}"] = ["tp", "--sigma", DOMINANCE_SIGMA, "--tau", tau,
                                                 "--depth", depth, "--format", f]
+        for label, (sigma, tau) in FAR_DOMINANCE_CASES.items():
+            out[f"tp-dominance-{label}-{f}"] = ["tp", "--sigma", sigma, "--tau", tau,
+                                                "--depth", "8", "--format", f]
         # depth 0 past dominance: a 1 x 1 section and no subdiagonal weight
         out[f"tp-depth-0-{f}"] = ["tp", "--sigma", SIGMA_DROP, "--tau", TAU_ZERO,
                                   "--depth", "0", "--format", f]
