@@ -198,6 +198,14 @@ def check_count(option: str, value: int, low: int, high: float = math.inf) -> No
         raise UsageError(f"{option} must be {bound}, got {value}")
 
 
+def lookup_entry(name: str) -> CatalogEntry:
+    """The catalog entry of a name or alias; an unknown name is a usage error."""
+    try:
+        return catalog_lookup(name)
+    except KeyError as exc:
+        raise UsageError(str(exc.args[0])) from exc
+
+
 def resolve_weights(args) -> tuple[SequenceSpec, SequenceSpec, str | None]:
     """Weight pair from --name (tp: --jacobi-name) or --sigma/--tau, plus the
     name when named; both sources at once is an error."""
@@ -206,10 +214,7 @@ def resolve_weights(args) -> tuple[SequenceSpec, SequenceSpec, str | None]:
         if (args.sigma, args.tau) != (None, None):
             flag = "--jacobi-name" if hasattr(args, "jacobi_name") else "--name"
             raise UsageError(f"give {flag} or --sigma/--tau, not both")
-        try:
-            entry = catalog_lookup(name)
-        except KeyError as exc:
-            raise UsageError(str(exc.args[0])) from exc
+        entry = lookup_entry(name)
         return entry.sigma, entry.tau, entry.name
     if args.sigma is None or args.tau is None:
         raise UsageError("provide either a catalog name or both --sigma and --tau")
@@ -376,14 +381,11 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
 
 def cmd_verify(args) -> Rendered:
     check_count("--depth", args.depth, 1, VERIFY_MAX_DEPTH)
-    try:
-        entry = catalog_lookup(args.name)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0])) from exc
+    entry = lookup_entry(args.name)
     checks = [(label, PASS if ok else FAIL) for label, ok in verify_checks(entry, args.depth)]
     failed = [label for label, status in checks if status == FAIL]
     verdict = FAIL if failed else PASS
-    data = {"name": args.name, "depth": args.depth,
+    data = {"name": entry.name, "depth": args.depth,
             "checks": [{"check": label, "status": status} for label, status in checks],
             "verdict": verdict}
     width = max(len(label) for label, _ in checks)

@@ -11,9 +11,8 @@ sequence, and four routes certify it:
     for irreducible J (all t_k > 0), all D_k > 0 is equivalent to total
     positivity of the section.
   * tp_sufficient_dominance: the weight-dominance condition s_0 >= 1,
-    t_k >= 0 and s_k >= t_k + 1, which certifies the infinite matrix
-    outright: checked explicitly below the first tail index and
-    symbolically, on the tail polynomials, from it.
+    t_k >= 0 and s_k >= t_k + 1, decided exactly for the infinite matrix:
+    explicitly below the first tail index, on the tail polynomials from it.
   * tp_criterion_pqst: for weights constant after the first entry, an exact
     if-and-only-if criterion, evaluated without floating point by case
     analysis and squaring.
@@ -37,8 +36,8 @@ recursive.read_weights(sigma, tau, depth + 1) reads them, straight from the
 specs' ints (_int_section lays them out as rows for verify's elimination);
 tp_certify reads them once for both minor routes.  Dominance reads the
 weights below the first tail index K the same way, read_weights(sigma, tau,
-K), and none from K on: there it tests, and if need be evaluates, the two
-tail polynomials as ints over the same L (SequenceSpec.tail_ints).
+K), and none from K on: there it searches the two tail polynomials, as
+ints over the same L (SequenceSpec.tail_ints), for their first negative value.
 
 All verdicts are TRUE / FALSE / INCONCLUSIVE, and every report states the
 depth it actually checked.
@@ -51,8 +50,6 @@ from typing import Iterator, Optional
 from .exact import FALSE, INCONCLUSIVE, TRUE, _Value, format_over, format_rat, nonneg_rats
 from .recursive import read_weights
 from .seqspec import SequenceSpec, _horner
-
-DOMINANCE_GUARD_INDEX = 64
 
 # Upper bound on the number of windows tp_check_sections may scan.
 MAX_WINDOWS = 2_000_000
@@ -158,55 +155,58 @@ def _chain_detail(chain: tuple[tuple[int, int], ...]) -> str:
     return "minor chain " + ", ".join(format_over(v, scale) for v, scale in chain)
 
 
-def _eventually_nonneg(poly: list[int], from_index: int) -> bool:
-    """Sound sufficient test for P(k) >= 0 on all integers k >= from_index, P
-    with int coefficients poly, highest degree first: P and all its
-    derivatives nonnegative at from_index (Taylor expansion around
-    from_index has only nonnegative terms)."""
-    while poly:
-        if _horner(poly, (from_index,))[0] < 0:
-            return False
-        poly = [c * i for i, c in zip(range(len(poly) - 1, 0, -1), poly)]
-    return True
+def _first_negative(poly: list[int], lo: int) -> Optional[int]:
+    """The least integer k >= lo with P(k) < 0, or None, for P with int
+    coefficients poly, highest degree first.  P falls exactly where its forward
+    difference dP(k) = P(k + 1) - P(k), one degree lower, is negative: the same
+    search on dP skips each rising stretch, and a falling one that ends below
+    zero, past the Cauchy root bound if it never ends, is bisected."""
+    while poly and poly[0] == 0:
+        poly = poly[1:]
+    if len(poly) < 2:
+        return lo if poly and poly[0] < 0 else None
+    if _horner(poly, (lo,))[0] < 0:
+        return lo
+    shifted = list(poly)  # P(k + 1), by a Taylor shift by 1
+    for end in range(len(poly) - 1, 0, -1):
+        for j in range(1, end + 1):
+            shifted[j] += shifted[j - 1]
+    diff = [a - b for a, b in zip(shifted[1:], poly[1:])]
+    rises = [-c for c in diff[:-1]] + [-diff[-1] - 1]  # < 0 exactly where dP >= 0
+    while (falls := _first_negative(diff, lo)) is not None:
+        ends = _first_negative(rises, falls)
+        high = 2 + max(map(abs, poly[1:])) // abs(poly[0]) if ends is None else ends
+        if _horner(poly, (high,))[0] < 0:
+            while high - falls > 1:
+                mid = (falls + high) // 2
+                falls, high = (falls, mid) if _horner(poly, (mid,))[0] < 0 else (mid, high)
+            return high
+        lo = ends
+    return None
 
 
-def tp_sufficient_dominance(
-    sigma: SequenceSpec, tau: SequenceSpec, probe_depth: int = 8
-) -> TPReport:
+def tp_sufficient_dominance(sigma: SequenceSpec, tau: SequenceSpec) -> TPReport:
     """The weight-dominance sufficient condition: s_0 >= 1, and t_k >= 0
     and s_k >= t_k + 1 for every k >= 1.
 
     Indices below K, the first past both prefixes, are checked explicitly
     on the weights read once as ints over L (read_weights).  From K on the
     condition is two polynomial inequalities on the tails, t(k) >= 0 and
-    s(k) - t(k) - 1 >= 0, taken as ints over the same L and certified when
-    both, with all their derivatives, are nonnegative at K.  When they are
-    not, the tails are evaluated at each index up to a guard index
-    (DOMINANCE_GUARD_INDEX or probe_depth, if larger) and the test is tried
-    past it; the guard bounds only that fallback, and a TRUE report names
-    it either way.  TRUE certifies the full infinite matrix; INCONCLUSIVE
-    states how far the bounded checks held.
-    """
-    if probe_depth < 1:
-        raise ValueError("probe_depth must be >= 1")
+    s(k) - t(k) - 1 >= 0, taken as ints over the same L, and _first_negative
+    finds their first failure at any distance.  TRUE certifies the full
+    infinite matrix; FALSE names the first failing k."""
     first_tail = max(sigma.tail_start(), tau.tail_start(), 1)
     s, t, scale = read_weights(sigma, tau, first_tail)
     if s[0] < scale:
         return TPReport("dominance", FALSE, depth=0,
                         detail=f"s_0 = {format_over(s[0], scale)} < 1")
     s_tail, t_tail = sigma.tail_ints(scale), tau.tail_ints(scale)
-    width = max(len(s_tail), len(t_tail))
-    s_pad, t_pad = ([0] * (width - len(p)) + p for p in (s_tail, t_tail))
-    gap = [a - b for a, b in zip(s_pad, t_pad)]
+    gap = [a - b for a, b in zip([0] * len(t_tail) + s_tail, [0] * len(s_tail) + t_tail)]
     gap[-1] -= scale
-    guard = max(DOMINANCE_GUARD_INDEX, probe_depth, first_tail + 1)
-    symbolic = TPReport("dominance", TRUE, depth=None,
-                        detail=f"condition holds for all k (symbolic beyond k = {guard})")
-    for k in range(1, guard + 1):
+    fails = {_first_negative(t_tail, first_tail), _first_negative(gap, first_tail)} - {None}
+    for k in [*range(1, first_tail), *sorted(fails)[:1]]:
         if k < first_tail:
             s_k, t_k = s[k], t[k - 1]
-        elif k == first_tail and _eventually_nonneg(t_tail, k) and _eventually_nonneg(gap, k):
-            return symbolic
         else:
             (s_k,), (t_k,) = _horner(s_tail, (k,)), _horner(t_tail, (k,))
         if t_k < 0:
@@ -216,11 +216,8 @@ def tp_sufficient_dominance(
             return TPReport("dominance", FALSE, depth=k, detail=(
                 f"s_{k} = {format_over(s_k, scale)} < t_{k} + 1 = "
                 f"{format_over(t_k + scale, scale)}"))
-    if _eventually_nonneg(t_tail, guard + 1) and _eventually_nonneg(gap, guard + 1):
-        return symbolic
-    return TPReport("dominance", INCONCLUSIVE, depth=guard,
-                    detail=f"condition holds up to k = {guard}; "
-                           "tail could not be certified symbolically")
+    return TPReport("dominance", TRUE, depth=None, detail=(
+        f"condition holds for all k (tails decided exactly from k = {first_tail})"))
 
 
 def tp_criterion_pqst(params: JacobiParams) -> TPReport:
@@ -282,7 +279,7 @@ def tp_certify(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> TPReport:
     nothing, so the minor routes still run."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    dominance = tp_sufficient_dominance(sigma, tau, probe_depth=max(depth, 1))
+    dominance = tp_sufficient_dominance(sigma, tau)
     if dominance.verdict == TRUE:
         return dominance
     weights = read_weights(sigma, tau, depth + 1)

@@ -52,11 +52,11 @@ fraction_window_minors and fraction_det_products are the same chain and
 products on Fractions, step by step, which the library runs on integers
 over a common denominator.
 
-probe_every_index_dominance is the weight-dominance route as it ran before
-it tested the tails at the first index past both prefixes: every weight up
-to the guard read by fraction_weight, then the Taylor test past the guard,
-on Fraction Horner steps; the library's route, on ints, must give the same
-report.
+probe_every_index_dominance is the weight-dominance route by enumeration:
+every weight read by fraction_weight, on Fraction Horner steps, up to the
+first index past the prefixes and past every real root of both tail
+inequalities (a Cauchy bound); the library's route, which searches the tails
+on ints, must give the same report.
 
 det_cofactor is a determinant by Laplace expansion, independent of the
 library's Bareiss kernel; principal_minors_nonneg evaluates every principal
@@ -83,7 +83,7 @@ from catmoments.exact import (
     format_rat,
 )
 from catmoments.hankel import _hankel_terms, _weight_families
-from catmoments.jacobi import DOMINANCE_GUARD_INDEX, TPReport, _minor_chain, _section_depth
+from catmoments.jacobi import TPReport, _minor_chain, _section_depth
 from catmoments.recursive import _scaled_rows, read_weights
 from catmoments.seqspec import SequenceSpec
 
@@ -445,41 +445,40 @@ def fraction_window_minors(s, t, lo: int) -> list[Fraction]:
     return chain[2:]
 
 
-def _taylor_nonneg(coeffs, k: int) -> bool:
-    """Every derivative of the polynomial nonnegative at k."""
+def _root_bound(coeffs) -> int:
+    """An int past every real root of the polynomial coeffs[0] + coeffs[1]*k
+    + ... (Cauchy: 1 + max |c_i| / |lead|), or 0 when it is constant."""
     coeffs = list(coeffs)
-    while coeffs:
-        if fraction_horner(coeffs, k) < 0:
-            return False
-        coeffs = [c * i for i, c in enumerate(coeffs)][1:]
-    return True
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) < 2:
+        return 0
+    return 2 + math.floor(max(map(abs, coeffs[:-1])) / abs(coeffs[-1]))
 
 
-def probe_every_index_dominance(sigma, tau, probe_depth: int = 8) -> TPReport:
-    """s_0 >= 1, then t_k >= 0 and s_k >= t_k + 1 read at every k = 1..guard,
-    then tau's tail and sigma's minus tau's minus 1 tested past the guard."""
+def probe_every_index_dominance(sigma, tau) -> TPReport:
+    """s_0 >= 1, then t_k >= 0 and s_k >= t_k + 1 read by fraction_weight at
+    every k from 1 up to B, the first index past both prefixes or past every
+    real root of tau's tail and of sigma's minus tau's minus 1, whichever is
+    larger.  From B on each tail keeps the sign of its leading coefficient,
+    which the probe at B has read."""
     s0 = fraction_weight(sigma, 0)
     if s0 < 1:
         return TPReport("dominance", FALSE, depth=0, detail=f"s_0 = {format_rat(s0)} < 1")
-    guard = max(DOMINANCE_GUARD_INDEX, probe_depth, sigma.tail_start() + 1,
-                tau.tail_start() + 1)
-    for k in range(1, guard + 1):
+    coeffs = [getattr(spec.tail, "coeffs", None) or (spec.tail.value,) for spec in (sigma, tau)]
+    width = max(map(len, coeffs))
+    s_tail, t_tail = ([*c, *[Fraction(0)] * (width - len(c))] for c in coeffs)
+    diff = [a - b - (i == 0) for i, (a, b) in enumerate(zip(s_tail, t_tail))]
+    first_tail = max(sigma.tail_start(), tau.tail_start(), 1)
+    for k in range(1, max(first_tail, _root_bound(t_tail), _root_bound(diff)) + 1):
         s_k, t_k = fraction_weight(sigma, k), fraction_weight(tau, k)
         if t_k < 0:
             return TPReport("dominance", FALSE, depth=k, detail=f"t_{k} = {format_rat(t_k)} < 0")
         if s_k < t_k + 1:
             return TPReport("dominance", FALSE, depth=k, detail=(
                 f"s_{k} = {format_rat(s_k)} < t_{k} + 1 = {format_rat(t_k + 1)}"))
-    coeffs = [getattr(spec.tail, "coeffs", None) or (spec.tail.value,) for spec in (sigma, tau)]
-    width = max(map(len, coeffs))
-    s_tail, t_tail = ([*c, *[Fraction(0)] * (width - len(c))] for c in coeffs)
-    diff = [a - b - (i == 0) for i, (a, b) in enumerate(zip(s_tail, t_tail))]
-    if _taylor_nonneg(t_tail, guard + 1) and _taylor_nonneg(diff, guard + 1):
-        return TPReport("dominance", TRUE,
-                        detail=f"condition holds for all k (symbolic beyond k = {guard})")
-    return TPReport("dominance", INCONCLUSIVE, depth=guard,
-                    detail=f"condition holds up to k = {guard}; "
-                           "tail could not be certified symbolically")
+    return TPReport("dominance", TRUE, detail=(
+        f"condition holds for all k (tails decided exactly from k = {first_tail})"))
 
 
 def int_weights(s, t) -> tuple[list[int], list[int], int]:

@@ -3,6 +3,7 @@ name the package exports resolves, and each is used by the package itself."""
 
 import ast
 import contextlib
+import inspect
 import io
 import pathlib
 import re
@@ -37,8 +38,11 @@ def test_every_exported_name_resolves():
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.recursive, gone)
     for gone in ("JacobiMatrix", "leading_minors", "_leading_minors_report",
                  "_contiguous_minors_report", "jacobi_section", "window_minors",
-                 "_scaled_section", "_tail_poly"):
+                 "_scaled_section", "_tail_poly", "DOMINANCE_GUARD_INDEX", "_eventually_nonneg"):
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.jacobi, gone)
+    # dominance decides the tails exactly: no probe depth to pass
+    assert list(inspect.signature(catmoments.tp_sufficient_dominance).parameters) == [
+        "sigma", "tau"]
     assert not hasattr(catmoments, "hankel_det_products")
     assert not hasattr(catmoments.hankel, "hankel_det_products")
     assert not hasattr(catmoments, "leading_principal_minors")

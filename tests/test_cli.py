@@ -407,6 +407,15 @@ def test_verify_catalog_entry(capsys):
     assert all(c["status"] == "PASS" for c in data["checks"])
 
 
+@pytest.mark.parametrize("command", [["verify", "--name"], ["gen", "-n", "3", "--name"],
+                                     ["tp", "--jacobi-name"]])
+def test_an_alias_is_named_by_its_entry(capsys, command):
+    # every command looks a name up the same way and prints the entry's name
+    code, out, _ = run(capsys, *command, "restricted_hexagonal", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["name"] == "hexagonal"
+
+
 def test_verify_entry_without_gf(capsys):
     code, out, _ = run(capsys, "verify", "--name", "bell", "--depth", "4",
                        "--format", "json")

@@ -25,10 +25,11 @@ but not all positive (integral, and over a denominator: two negative
 principal minors with rational values and the semidefinite sections of
 (2/3) delta_1), and at depth 0 (also hankel-det), the (p, q, s, t)
 criterion, the contiguous-minor TP route (with its single-entry witnesses),
-tp at depth 0, the dominance route past the first tail index (TRUE past the
-guard at depth 8 and at depth 100, and FALSE at k = 4 past it, where the
-leading minors answer; FALSE far past it, on the gap at k = 100 and on t
-at k = 101, where the minor routes answer), every named and parameterised
+tp at depth 0, the dominance route past the first tail index (TRUE at depth
+8 and at depth 100, and FALSE at k = 4 past it, where the leading minors
+answer; FALSE far past it, on the gap at k = 100 and on t at k = 101, where
+the minor routes answer, and TRUE on a gap with a double root at k = 100),
+verify on a catalog alias, which names the entry, every named and parameterised
 generating function (the general form and the three specializations
 also at t = 0, the
 general form at -n 0, the general form, tied_qp and inverse_sqrt with
@@ -170,11 +171,10 @@ THIRDS_FIFTHS_TAU = _constant_tail_spec(["7/5", "9/5", "0"], "6/5", 1)
 
 # dominance past the first tail index K = 2 on sigma = (2, 5/3,
 # (3k^2 - 24k + 73)/15, ...): with tau = (1/3, 2/3, ...) the gap
-# s_k - t_k - 1 = (k - 4)^2/5 fails the Taylor test at K (it falls at first)
-# and holds past the guard, so tp is TRUE, symbolic beyond k = 64 or, at
-# depth 100, beyond k = 100; with tau = (1/3, 5/6, ...) the gap is
-# (6k^2 - 48k + 91)/30, negative first at k = 4, so dominance is FALSE
-# there and tp answers by the leading minors
+# s_k - t_k - 1 = (k - 4)^2/5 falls at first and touches 0 at k = 4, so tp is
+# TRUE, the tails decided exactly from K, at depth 8 and at depth 100; with
+# tau = (1/3, 5/6, ...) the gap is (6k^2 - 48k + 91)/30, negative first at
+# k = 4, so dominance is FALSE there and tp answers by the leading minors
 DOMINANCE_SIGMA = json.dumps({"prefix": ["2", "5/3"],
                               "tail": {"kind": "polynomial", "coeffs": ["73/15", "-8/5", "1/5"]},
                               "start": 0})
@@ -199,6 +199,8 @@ def _polynomial_spec(coeffs: list, start: int) -> str:
 FAR_DOMINANCE_CASES = {
     "gap-far": (_polynomial_spec(["10000", "-200", "1"], 0), _constant_tail_spec([], "0", 1)),
     "t-far": (_constant_tail_spec([], "200", 0), _polynomial_spec(["100", "-1"], 1)),
+    "double-root": (_polynomial_spec(["10002", "-200", "1"], 0),
+                    _constant_tail_spec([], "1", 1)),
 }
 
 
@@ -439,6 +441,7 @@ def cases() -> dict[str, list[str]]:
     out["gen-spec-unknown-field"] = ["gen", "--sigma", RATIONAL_SIGMA, "--tau", json.dumps(
         {"prefix": ["1"], "prefx": ["2"], "tail": {"kind": "constant", "value": "1"},
          "start": 1}), "--format", "json"]
+    out["verify-alias"] = ["verify", "--name", "restricted_hexagonal", "--format", "json"]
     out["verify-depth-0"] = ["verify", "--name", "catalan", "--depth", "0", "--format", "json"]
     return out
 

@@ -1,14 +1,22 @@
 """Tests for the coefficient matrix and its total-positivity routes."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import catmoments.jacobi
 
 from catmoments.exact import FALSE, INCONCLUSIVE, TRUE
 from catmoments.jacobi import (
     MAX_WINDOWS,
     JacobiParams,
+    TPReport,
+    _first_negative,
     _int_section,
     tp_by_leading_minors,
     tp_certify,
@@ -17,7 +25,7 @@ from catmoments.jacobi import (
     tp_sufficient_dominance,
 )
 from catmoments.recursive import read_weights
-from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
+from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, _horner, catalog_lookup
 from oracle import (
     all_minors_nonneg,
     det_elimination,
@@ -165,23 +173,102 @@ def test_dominance_rejects_negative_subdiagonal_weight():
 
 
 def test_dominance_needs_a_nonnegative_subdiagonal_tail():
-    # t_k = 100 - k turns negative at k = 101, past the guard, while
-    # s_k - t_k - 1 = 99 + k stays positive
+    # t_k = 100 - k turns negative at k = 101, while s_k - t_k - 1 = 99 + k
+    # stays positive
     sigma = SequenceSpec.constant(200, start=0)
     tau = SequenceSpec.polynomial([100, -1], start=1)
     report = tp_sufficient_dominance(sigma, tau)
-    assert report.verdict == INCONCLUSIVE
-    assert "tail could not be certified" in report.detail
+    assert (report.verdict, report.depth, report.detail) == (FALSE, 101, "t_101 = -1 < 0")
 
 
 def test_dominance_bounded_verdict_when_tail_uncertifiable():
-    # s_k - t_k - 1 = (k - 100)^2 - 1 dips negative near k = 100, past the
-    # guard range; the symbolic test must not claim TRUE
+    # s_k - t_k - 1 = (k - 100)^2 - 1 dips negative at k = 100 alone, far
+    # past the first tail index; the tails are searched, not probed
     sigma = SequenceSpec.polynomial([10000, -200, 1], start=0)
     tau = SequenceSpec.constant(0, start=1)
     report = tp_sufficient_dominance(sigma, tau)
-    assert report.verdict == INCONCLUSIVE
-    assert "holds up to" in report.detail
+    assert (report.verdict, report.depth, report.detail) == (
+        FALSE, 100, "s_100 = 0 < t_100 + 1 = 1")
+
+
+def test_dominance_holds_through_a_double_root_of_the_gap():
+    # s_k - t_k - 1 = (k - 100)^2 touches 0 at k = 100 and never falls below
+    sigma = SequenceSpec.polynomial([10002, -200, 1], start=0)
+    tau = SequenceSpec.constant(1, start=1)
+    assert tp_sufficient_dominance(sigma, tau) == TPReport(
+        "dominance", TRUE, detail="condition holds for all k (tails decided exactly from k = 1)")
+
+
+def _brute_first_negative(poly, lo):
+    """Every k from lo up to the Cauchy root bound, past which P keeps the
+    sign of its leading coefficient."""
+    poly = list(itertools.dropwhile(lambda c: c == 0, poly))
+    if not poly:
+        return None
+    bound = 2 + max(map(abs, poly[1:]), default=0) // abs(poly[0])
+    values = _horner(poly, range(lo, max(lo, bound) + 1))
+    return next((k for k, v in zip(itertools.count(lo), values) if v < 0), None)
+
+
+@st.composite
+def tail_polynomials(draw):
+    """An int polynomial, highest degree first, of degree <= 6 and a start lo
+    in -3..12: rational coefficients scaled to ints, either drawn, or a drawn
+    polynomial times (k - r)^2, or a constant times (k - r_1)...(k - r_m)
+    for m <= 4 roots, one of them maybe doubled, with each r at lo or in
+    -3..12 (shapes that fall, rise and fall again); the last two shifted by
+    a small constant, and all behind up to two leading zeros."""
+    lo = draw(st.integers(-3, 12))
+    coeff = st.fractions(-6, 6, max_denominator=6)
+    root = st.one_of(st.just(lo), st.integers(-3, 12))
+    shape = draw(st.sampled_from(("drawn", "double root", "roots")))
+    if shape == "drawn":
+        poly = draw(st.lists(coeff, min_size=1, max_size=7))
+    else:
+        if shape == "double root":
+            poly, roots = draw(st.lists(coeff, min_size=1, max_size=5)), [draw(root)] * 2
+        else:
+            poly, roots = [draw(coeff)], draw(st.lists(root, min_size=1, max_size=4))
+            roots += roots[:draw(st.integers(0, 1))]
+        for r in roots:
+            poly = [a - r * b for a, b in zip([*poly, 0], [0, *poly])]
+        poly[-1] += draw(st.sampled_from((-1, 0, 0, Fraction(1, 2))))
+    scale = math.lcm(*(c.denominator for c in poly))
+    return [0] * draw(st.integers(0, 2)) + [int(c * scale) for c in poly], lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_polynomials())
+def test_first_negative_matches_brute_force(case):
+    poly, lo = case
+    assert _first_negative(poly, lo) == _brute_first_negative(poly, lo)
+
+
+def test_first_negative_finds_a_far_root_without_enumerating():
+    big = 10**15
+    assert _first_negative([1, -2 * big, big * big - 1], 0) == big
+    assert _first_negative([1, -2 * big, big * big], 0) is None
+
+
+def test_first_negative_evaluation_count(monkeypatch):
+    # (k - R)^2 (k - 2R)^2 at R = 10^6, a degree-4 tail that touches 0 twice
+    # (None), and the same minus 1 (negative from k = R): forward differences
+    # split the search into monotone stretches, each bisected, with the
+    # Cauchy bound closing a stretch that never ends.  Doubling past such a
+    # stretch instead takes 349 and 114 evaluations, and false position,
+    # which crawls toward a double root, hundreds of thousands on the first
+    calls = []
+
+    def counting(poly, indices):
+        calls.append(len(indices))
+        return _horner(poly, indices)
+
+    monkeypatch.setattr(catmoments.jacobi, "_horner", counting)
+    big = 10**6
+    poly = [1, -6 * big, 13 * big**2, -12 * big**3, 4 * big**4]
+    assert (_first_negative(poly, 0), sum(calls)) == (None, 316)
+    calls.clear()
+    assert (_first_negative([*poly[:-1], poly[-1] - 1], 0), sum(calls)) == (big, 92)
 
 
 def test_dominance_chain_property_randomized():

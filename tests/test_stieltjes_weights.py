@@ -461,8 +461,8 @@ def test_each_weight_is_read_once(weight_reads, route, pair):
         assert tp_by_leading_minors(*read_weights(sigma, tau, depth + 1)).verdict == TRUE
     else:
         # dominance reads the weights below the first index past both
-        # prefixes, where the tails pass their symbolic test
-        assert tp_sufficient_dominance(sigma, tau, depth).verdict == TRUE
+        # prefixes, from where it searches the tails
+        assert tp_sufficient_dominance(sigma, tau).verdict == TRUE
         depth = max(sigma.tail_start(), tau.tail_start()) - 1
     assert_read_once_through(weight_reads, sigma, tau, depth)
 
@@ -471,7 +471,7 @@ def test_dominance_reads_no_weight_past_its_first_failure(weight_reads):
     # factorial: both tails start at K = 1, so dominance reads s_0 alone; the
     # failure s_3 = 7 < t_3 + 1 = 10 comes off the tails, not off a read
     entry = catalog_lookup("factorial")
-    assert tp_sufficient_dominance(entry.sigma, entry.tau, 3).depth == 3
+    assert tp_sufficient_dominance(entry.sigma, entry.tau).depth == 3
     assert weight_reads == [(entry.sigma, 0)]
 
 

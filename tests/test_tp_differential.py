@@ -7,9 +7,9 @@ minor is negative, no minor route may refute where none is, and the
 contiguous-minor route must find the same first witness as a scan that
 evaluates each window with its own elimination.  The two minor routes, which decide
 signs on the integer chain, must give the reports that the Fraction chain
-(oracle.fraction_window_minors) gives, and dominance, which tests the tails
-at the first index past both prefixes, the report of the probe of every
-index up to the guard (oracle.probe_every_index_dominance).
+(oracle.fraction_window_minors) gives, and dominance, which searches the
+tails from the first index past both prefixes, the report of the probe of
+every index up to the tails' root bound (oracle.probe_every_index_dominance).
 """
 
 import json
@@ -88,7 +88,7 @@ def test_no_route_contradicts_the_exhaustive_minor_scan(pair):
     ints = read_weights(sigma, tau, depth + 1)
     oracle = all_minors_nonneg(jacobi_section(s, t), depth + 1).status
     reports = {
-        "dominance": tp_sufficient_dominance(sigma, tau, probe_depth=max(depth, 1)),
+        "dominance": tp_sufficient_dominance(sigma, tau),
         "leading_minors": tp_by_leading_minors(*ints),
         "contiguous_minors": tp_check_sections(*ints),
         "certify": tp_certify(sigma, tau, depth),
@@ -176,9 +176,9 @@ def dominance_specs(draw):
     with prefixes of length <= 2 and constant or polynomial tails of degree
     <= MAX_TAIL_DEGREE, signed rational coefficients (0 or +-1/den past the
     slope): a large constant and a small negative slope hold the condition
-    past the first tail index and past the guard, or break it late.  L, the
-    LCM of both denominators, differs from each spec's own, so a tail put
-    over the wrong one shows."""
+    past the first tail index, or break it late.  L, the LCM of both
+    denominators, differs from each spec's own, so a tail put over the wrong
+    one shows."""
     def spec(start):
         den = draw(st.sampled_from((1, 2, 3, 5, 7)))
 
@@ -193,12 +193,12 @@ def dominance_specs(draw):
             return SequenceSpec(prefix, ConstantTail(coeffs[0]), start=start)
         return SequenceSpec(prefix, PolynomialTail(tuple(coeffs[:degree + 1])), start=start)
 
-    return spec(0), spec(1), draw(st.integers(1, 100))
+    return spec(0), spec(1)
 
 
 # sigma = (2, 5/3, (3k^2 - 24k + 73)/15, ...) of the golden dominance cases,
-# with tau = (1/3, 2/3, ...): TRUE past the guard; with tau = (1/3, 5/6, ...):
-# FALSE at k = 4, past the first tail index 2
+# with tau = (1/3, 2/3, ...): TRUE, the gap (k - 4)^2/5 touching 0; with
+# tau = (1/3, 5/6, ...): FALSE at k = 4, past the first tail index 2
 DOMINANCE_SIGMA = _polynomial_spec([2, "5/3"], ["73/15", "-8/5", "1/5"], 0)
 DOMINANCE_TAU = SequenceSpec((Fraction(1, 3),), ConstantTail(Fraction(2, 3)), start=1)
 DOMINANCE_FALSE_TAU = SequenceSpec((Fraction(1, 3),), ConstantTail(Fraction(5, 6)), start=1)
@@ -206,26 +206,27 @@ DOMINANCE_FALSE_TAU = SequenceSpec((Fraction(1, 3),), ConstantTail(Fraction(5, 6
 
 # a late failure (s_k = 30 - k < 1 from k = 30), a failure at the first tail
 # index alone (s_2 = 1 < t_2 + 1 = 2, and s_k - t_k - 1 = k - 3 from then on),
-# INCONCLUSIVE (s_k = 80 - k holds through the guard 64 but falls), TRUE with
-# the tails failing their test at the first tail index but passing past the
-# guard (s_k = (k - 4)^2 + 1, t_k = 0 on a prefix, and s_k = (k - 38)^2 + 1,
-# whose test past the guard needs the exact first derivative 2(k - 38)),
-# FALSE at k = 0, and the three pairs the CLI golden test pins on dominance
-@example((_polynomial_spec([2], [30, -1], 0), _polynomial_spec([], [0], 1), 8))
-@example((_polynomial_spec([2, 2], [-1, 1], 0), _polynomial_spec([0], [1], 1), 8))
-@example((_polynomial_spec([], [80, -1], 0), _polynomial_spec([], [0], 1), 8))
-@example((_polynomial_spec([2, 2], [17, -8, 1], 0), _polynomial_spec([0], [0], 1), 70))
-@example((_polynomial_spec([2], [1445, -76, 1], 0), _polynomial_spec([], [0], 1), 8))
-@example((_polynomial_spec([], ["1/2"], 0), _polynomial_spec([], [1], 1), 8))
-@example((DOMINANCE_SIGMA, DOMINANCE_TAU, 8))
-@example((DOMINANCE_SIGMA, DOMINANCE_TAU, 100))
-@example((DOMINANCE_SIGMA, DOMINANCE_FALSE_TAU, 8))
+# a failure at k = 80 (s_k = 80 - k), TRUE with the gap falling at the first
+# tail index (s_k = (k - 4)^2 + 1, t_k = 0 on a prefix, and
+# s_k = (k - 38)^2 + 1, whose gap first falls for 37 indices), FALSE at k = 0,
+# and the pairs the CLI golden test pins on dominance
+@example((_polynomial_spec([2], [30, -1], 0), _polynomial_spec([], [0], 1)))
+@example((_polynomial_spec([2, 2], [-1, 1], 0), _polynomial_spec([0], [1], 1)))
+@example((_polynomial_spec([], [80, -1], 0), _polynomial_spec([], [0], 1)))
+@example((_polynomial_spec([2, 2], [17, -8, 1], 0), _polynomial_spec([0], [0], 1)))
+@example((_polynomial_spec([2], [1445, -76, 1], 0), _polynomial_spec([], [0], 1)))
+@example((_polynomial_spec([], ["1/2"], 0), _polynomial_spec([], [1], 1)))
+@example((DOMINANCE_SIGMA, DOMINANCE_TAU))
+@example((DOMINANCE_SIGMA, DOMINANCE_FALSE_TAU))
+@example((_polynomial_spec([], [10000, -200, 1], 0), _polynomial_spec([], [0], 1)))
+@example((_polynomial_spec([], [200], 0), _polynomial_spec([], [100, -1], 1)))
+@example((_polynomial_spec([], [10002, -200, 1], 0), _polynomial_spec([], [1], 1)))
 @settings(max_examples=400, deadline=None)
 @given(dominance_specs())
 def test_dominance_matches_the_probe_of_every_index(specs):
-    sigma, tau, probe_depth = specs
-    report = tp_sufficient_dominance(sigma, tau, probe_depth)
-    assert report == probe_every_index_dominance(sigma, tau, probe_depth)
+    sigma, tau = specs
+    report = tp_sufficient_dominance(sigma, tau)
+    assert report == probe_every_index_dominance(sigma, tau)
     late = report.verdict == FALSE and report.depth >= max(sigma.tail_start(), tau.tail_start())
     event(f"{report.verdict}{' past the first tail index' if late else ''}")
 
