@@ -29,7 +29,11 @@ tp at depth 0, the dominance route past the first tail index (TRUE at depth
 8 and at depth 100, and FALSE at k = 4 past it, where the leading minors
 answer; FALSE far past it, on the gap at k = 100 and on t at k = 101, where
 the minor routes answer, and TRUE on a gap with a double root at k = 100),
-verify on a catalog alias, which names the entry, every named and parameterised
+verify on a catalog alias, which names the entry, deep Hankel sections
+whose minors of high shift grow large (hexagonal's shifted family at depth
+30, bell's plain one at depth 22, factorial's verify at depth 20) and term
+lists led by m_0 = 0, with a nonzero and with a zero minor of shift 2,
+every named and parameterised
 generating function (the general form and the three specializations
 also at t = 0, the
 general form at -n 0, the general form, tied_qp and inverse_sqrt with
@@ -443,6 +447,23 @@ def cases() -> dict[str, list[str]]:
          "start": 1}), "--format", "json"]
     out["verify-alias"] = ["verify", "--name", "restricted_hexagonal", "--format", "json"]
     out["verify-depth-0"] = ["verify", "--name", "catalan", "--depth", "0", "--format", "json"]
+    # Hankel sections whose minors of high shift grow large while the
+    # leading ones stay small, or that meet a zero minor of higher shift:
+    # hexagonal's shifted family and bell's plain one, factorial's verify,
+    # and terms with m_0 = 0: factorial's led by 0, and 0,1,0,... whose
+    # 1 x 1 minor of shift 2, m_2, is 0 too
+    for f in FORMATS:
+        out[f"hankel-det-hexagonal-deep-shift1-{f}"] = ["hankel-det", "--name", "hexagonal",
+                                                        "--depth", "30", "--shift", "1",
+                                                        "--format", f]
+        out[f"hankel-det-bell-deep-{f}"] = ["hankel-det", "--name", "bell", "--depth", "22",
+                                            "--format", f]
+    out["verify-factorial-depth-20"] = ["verify", "--name", "factorial", "--depth", "20",
+                                        "--format", "json"]
+    out["stieltjes-terms-zero-divisor"] = ["stieltjes", "--terms", "0,1,0,1,2,3",
+                                           "--depth", "2"]
+    out["stieltjes-terms-zero-first"] = ["stieltjes", "--terms", "0,1,2,6,24,120,720,5040",
+                                         "--depth", "3"]
     return out
 
 
