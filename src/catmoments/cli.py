@@ -15,15 +15,16 @@ or --terms or --pqst with either) and a JSON field no reader knows; 141
 stieltjes reads both Hankel families off weight products (see hankel): a
 weight pair, named or given by --sigma/--tau, gives them directly, and
 explicit --terms are inverted to their weights, which must replay to every
-term.  Terms that do not invert or replay go through elimination on the
-Hankel sections instead, which a zero leading minor sends on to an exact
-semidefiniteness test.  Elimination stays the independent cross check of
-the products: hankel-det prints it against them, and verify compares its
-whole report with the weight route's.  Both commands keep every
-determinant an int over its known denominator, from the weights or the
-terms to the printed digits: hankel-det hands the terms' ints at one
-common scale to the elimination and compares each minor with its product
-by cross-multiplication, and no Fraction is made per determinant.
+term.  Terms that do not invert or replay have their Hankel sections
+evaluated instead, from one condensation table of their minors, which a
+zero leading minor sends on to an exact semidefiniteness test.  The
+sections of the terms stay the independent cross check of the products:
+hankel-det prints each minor against its product, and verify compares the
+whole report with the weight route's.  Both commands keep every determinant
+an int over its known denominator, from the weights or the terms to the
+printed digits: hankel-det hands the terms' ints at one common scale to the
+table and compares each minor with its product by cross-multiplication, and
+no Fraction is made per determinant.
 
 Each cmd_* function computes its whole result and returns it as (exit code,
 JSON object, CSV rows with the header first, text), all built from the same
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
@@ -129,6 +129,7 @@ def _read_arg_payload(text: str) -> str:
 
 
 def parse_spec_arg(text: str, expected_start: int, flag: str) -> SequenceSpec:
+    import json                     # on demand: a job that reads and writes no JSON skips it
     payload = _read_arg_payload(text)
     try:
         data = json.loads(payload)
@@ -171,6 +172,7 @@ def parse_gf_arg(text: str):
             return GFSpec("named", (stripped,))
         except ValueError as exc:
             raise UsageError(f"--gf: {exc}") from exc
+    import json
     try:
         data = json.loads(stripped)
     except json.JSONDecodeError as exc:
@@ -290,7 +292,7 @@ def cmd_hankel_det(args) -> Rendered:
     scale = pairs[-1][1]                            # L^top: every term's den divides it
     ints = [num * (scale // den) for num, den in pairs[args.shift:]]
     g = math.gcd(scale, *ints)                      # down to the LCM of the reduced dens
-    minors = _section_minors([v // g for v in ints], scale // g, args.depth)
+    minors, = _section_minors([v // g for v in ints], scale // g, args.depth)
     # each family against its weight-product form, det H_k = T_0 ... T_k and
     # det H^(1)_k = D_k T_0 ... T_k, by cross-multiplication; a product is
     # printed again only when it differs
@@ -362,7 +364,7 @@ def verify_checks(entry: CatalogEntry, depth: int) -> list[tuple[str, bool]]:
     checks.append(("step_factorization", step))
     checks.append(("hankel_factorization", verify_H_eq_RTRt(R, t, scale, terms, depth) == TRUE))
     stieltjes = StieltjesReport.by_elimination(terms, depth)
-    # elimination on the terms against the weight products, whole report
+    # the terms' Hankel sections against the weight products, whole report
     checks.append(("det_product", stieltjes == stieltjes_weights(sigma, tau, depth)))
     checks.append(("stieltjes", stieltjes.verdict == PASS))
     section = (s[:depth + 1], t[:depth], scale)
@@ -481,7 +483,10 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 
 
 def _csv_cell(value) -> str:
-    return json.dumps(value) if isinstance(value, (bool, dict)) else str(value)
+    if isinstance(value, (bool, dict)):
+        import json
+        return json.dumps(value)
+    return str(value)
 
 
 def main(argv=None) -> int:
@@ -499,6 +504,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
+        import json
         text = json.dumps(data)
     elif args.format == "csv":
         text = "\n".join(",".join(map(_csv_cell, row)) for row in table)

@@ -1,17 +1,16 @@
-"""Exact rational arithmetic: the shared scalar helpers and one elimination.
+"""Exact rational arithmetic: scalar helpers and a general leading-minor elimination.
 
 Everything in this package runs on exact rationals, as Fractions or as ints
 over a known denominator; no floating point is ever involved.  This module
-holds the shared scalar helpers and one fraction-free (Bareiss) elimination
+holds the shared scalar helpers and a fraction-free (Bareiss) elimination
 on integer rows, _minors_ints.  It reads the determinant of every leading
-section off its pivots (Sylvester's identity), all in one pass: a zero
-pivot is repaired by a row swap that keeps the row set of every larger
-section, and on a symmetric input, such as a Hankel section, it updates
-only the upper triangle, half the products, until a swap.
-_int_leading_minors runs it on int rows over one common denominator and
-returns each minor as an int over its power of that denominator, no
-Fraction: hankel hands it the scaled terms (cli hankel-det the terms' ints
-at their common scale) and cli verify J's section (jacobi._int_section).
+section off its pivots (Sylvester's identity), all in one O(n^3) pass: a
+zero pivot is repaired by a row swap that keeps the row set of every larger
+section.  _int_leading_minors runs it on int rows over one common
+denominator and returns each minor as an int over its power of that
+denominator, no Fraction.  cli verify hands it J's section
+(jacobi._int_section).  Hankel sections take O(n^2) condensation instead
+(hankel._condensation) and reach it only past a zero divisor there.
 Such (num, den) pairs are compared by cross-multiplication (_same_values)
 and printed by format_over, one gcd a printed value and none over 1.  Where
 a zero leading minor leaves positive semidefiniteness open,
@@ -195,18 +194,16 @@ def _over(numerator: int, den: int) -> Fraction:
     return Fraction(numerator, den) if den != 1 else Fraction(numerator)
 
 
-def _bareiss_step(work: list[list[int]], k: int, prev: int, symmetric: bool = False) -> None:
+def _bareiss_step(work: list[list[int]], k: int, prev: int) -> None:
     """Eliminate column k below the pivot work[k][k], fraction-free: each new
     entry is a minor, so the division by prev, the previous pivot (1 at
-    first), is exact.  A symmetric matrix stays symmetric, so then only the
-    entries (i, j), j >= i, are updated, row i's factor read from row k."""
+    first), is exact."""
     row_k = work[k]
     pivot = row_k[k]
-    for i in range(k + 1, len(work)):
-        row_i = work[i]
-        factor, start = (row_k[i], i) if symmetric else (row_i[k], k + 1)
-        row_i[start:] = [(x * pivot - factor * y) // prev
-                         for x, y in zip(row_i[start:], row_k[start:])]
+    for row_i in work[k + 1:]:
+        factor = row_i[k]
+        row_i[k + 1:] = [(x * pivot - factor * y) // prev
+                         for x, y in zip(row_i[k + 1:], row_k[k + 1:])]
 
 
 def _minors_ints(work: list[list[int]]) -> list[int]:
@@ -218,23 +215,18 @@ def _minors_ints(work: list[list[int]]) -> list[int]:
     block, so their minors are 0, and every larger section keeps its set of
     rows.  A column that is zero all the way down makes every later minor 0."""
     n = len(work)
-    symmetric = work == [list(col) for col in zip(*work)]
     minors: list[int] = []
     sign = prev = 1
     zero_to = 0                                     # D_(k+1) = 0 while k < zero_to
     for k in range(n):
         if work[k][k] == 0:
-            if symmetric:                           # the lower triangle the steps skipped
-                for i in range(k + 1, n):
-                    work[i][k:i] = [work[j][i] for j in range(k, i)]
-                symmetric = False
             swap = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
             if swap is None:
                 return minors + [0] * (n - k)
             work[k], work[swap] = work[swap], work[k]
             sign, zero_to = -sign, max(zero_to, swap)
         minors.append(sign * work[k][k] if k >= zero_to else 0)
-        _bareiss_step(work, k, prev, symmetric)
+        _bareiss_step(work, k, prev)
         prev = work[k][k]
     return minors
 
@@ -242,8 +234,7 @@ def _minors_ints(work: list[list[int]]) -> list[int]:
 def _int_leading_minors(rows: list[list[int]], den: int) -> list[tuple[int, int]]:
     """The leading minors of the square matrix rows / den, k = 1..n, as
     (num, den^k) int pairs: those of the int rows (_minors_ints, on a copy)
-    over den^k, all in one O(n^3) elimination, half of it while the rows
-    equal their transpose."""
+    over den^k, all in one O(n^3) elimination."""
     scales = accumulate([den] * len(rows), operator.mul)
     return list(zip(_minors_ints([list(row) for row in rows]), scales))
 

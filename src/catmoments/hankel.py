@@ -27,27 +27,27 @@ report with one helper, so the same families give the same report.
     replay: m_0 times their Catalan-like numbers (recursive._scaled_rows)
     must give back every term, and only then are both families read off
     them as above, each scaled by m_0^(k+1).  Terms with m_0 <= 0, with a
-    zero t_k (a zero leading minor of H) or that do not replay go to
-    elimination instead.
+    zero t_k (a zero leading minor of H) or that do not replay have their
+    Hankel sections evaluated instead (StieltjesReport.by_elimination).
 
 Both families stay ints until they are printed: each determinant is an int
 over a power of the weights' or the terms' common denominator.  Signs, the
 verdict and the witness are read off the numerators, reports are compared
 by cross-multiplication, and to_json prints with exact.format_over.
 
-Elimination is the fallback of stieltjes_check and the independent cross
-check of the weight products (cli verify, cli hankel-det).  A family is
-evaluated by elimination in one place, _section_minors: the 2 depth+1
-terms of the family as integers over one denominator, whose windows are
-the rows of the largest section, go through one symmetric fraction-free
-elimination (exact._int_leading_minors) that reads every leading minor off
-its pivots, about depth^3/6 products per family and no Fraction.  cli
-hankel-det hands it the terms' ints at their common scale.  A negative
-leading minor refutes.  Nonnegative leading minors prove semidefiniteness
-only when all are positive, so a family with a zero one has its largest
-section, the windows of its terms as rows of Fractions, decided by
-exact.negative_principal_minor, whose witness names a negative principal
-minor by its rows.
+The Hankel sections of the terms, which never read the weights, are the
+fallback of stieltjes_check and the independent cross check of the weight
+products (cli verify, cli hankel-det).  _section_minors evaluates them on
+the terms as ints over one denominator: one table of contiguous Hankel
+minors (_condensation; Dodgson condensation, Krattenthaler, Advanced
+determinant calculus, 1999, section 2.3) gives every leading minor of both
+sections of m_0..m_{2 depth+1} in O(depth^2) int operations, and a zero
+divisor there sends each family to exact._int_leading_minors, O(depth^3).
+A negative leading minor refutes.  Nonnegative leading minors prove
+semidefiniteness only when all are positive, so a family with a zero one
+has its largest section, the windows of its terms as rows of Fractions,
+decided by exact.negative_principal_minor, whose witness names a negative
+principal minor by its rows.
 
 Why nonnegative leading minors suffice on the weight products: H_n and
 H^(1)_n are congruent, through the invertible R_n, to the diagonal T_n and
@@ -112,10 +112,32 @@ def _windows(values: list, depth: int) -> list[list]:
     return [values[i:i + depth + 1] for i in range(depth + 1)]
 
 
-def _section_minors(ints: list[int], den: int, depth: int) -> list[tuple[int, int]]:
-    """The leading minors, k = 0..depth, of the Hankel section whose rows are
-    the windows of ints over den, as (num, den^(k+1)) ints."""
-    return _int_leading_minors(_windows(ints, depth), den)
+def _condensation(ints: list[int], depth: int) -> Optional[list[tuple[int, ...]]]:
+    """det[ints[s+i+j]]_{i,j<n}, n = 1..depth+1, for each s < len(ints) - 2 depth, or
+    None at a zero divisor: the rows of the table H_n^(k) of contiguous Hankel minors,
+    H_0 = 1, H_1^(k) = ints[k] and H_n^(k) = (H_(n-1)^(k) H_(n-1)^(k+2) - H_(n-1)^(k+1)^2)
+    // H_(n-2)^(k+2) (Desnanot-Jacobi), an exact division."""
+    shifts = len(ints) - 2 * depth
+    heads, row, prev = [ints[:shifts]], ints, [1] * len(ints)
+    for _ in range(depth):
+        if 0 in prev[2:len(row)]:
+            return None
+        prev, row = row, [(a * c - b * b) // e
+                          for a, b, c, e in zip(row, row[1:], row[2:], prev[2:])]
+        heads.append(row[:shifts])
+    return list(zip(*heads))
+
+
+def _section_minors(ints: list[int], den: int, depth: int) -> list[list[tuple[int, int]]]:
+    """The leading minors, k = 0..depth, of the Hankel sections whose rows are the windows
+    of ints[s:] over den, as (num, den^(k+1)) ints, a family for each s < len(ints) -
+    2 depth: by _condensation, or by elimination past a zero divisor."""
+    table = _condensation(ints, depth)
+    if table is None:
+        return [_int_leading_minors(_windows(ints[s:], depth), den)
+                for s in range(len(ints) - 2 * depth)]
+    scales = list(accumulate([den] * (depth + 1), operator.mul))
+    return [list(zip(column, scales)) for column in table]
 
 
 class StieltjesReport(_Value):
@@ -170,10 +192,10 @@ class StieltjesReport(_Value):
 
     @classmethod
     def by_elimination(cls, terms: Sequence, depth: int) -> "StieltjesReport":
-        """The report on both families of the explicit terms evaluated by
-        elimination, each section with a zero leading minor decided too."""
-        families = (_section_minors(*_scaled_ints(_hankel_terms(terms, depth, shift)), depth)
-                    for shift in (0, 1))
+        """The report on both families of the explicit terms, from their Hankel
+        sections (_section_minors), each with a zero leading minor decided too."""
+        shifted = _hankel_terms(terms, depth, 1)
+        families = _section_minors(*_scaled_ints([as_rat(terms[0]), *shifted]), depth)
         return cls.from_families(depth, *families, terms)
 
     def to_json(self) -> dict:
@@ -191,8 +213,8 @@ class StieltjesReport(_Value):
 def stieltjes_check(terms: Sequence, depth: int = DEFAULT_DEPTH) -> StieltjesReport:
     """Evaluate both Hankel determinant families of the explicit terms
     m_0, m_1, ... for k = 0..depth and decide both sections: from the
-    weights the terms invert to when those replay to every term, by
-    elimination otherwise (see the module docstring)."""
+    weights the terms invert to when those replay to every term, from
+    their Hankel sections otherwise (see the module docstring)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     needed = 2 * depth + 2

@@ -1,9 +1,10 @@
 """End-to-end tests of the command-line interface: output formats, exit
 codes, file arguments, range checks on the count options, each command's
 parser kept for the process and answering as the full parser does, the
-one-shot `python -m catmoments.cli` entry point, and gen's closed-form route
-on constant tails against the triangle, with the commands that must and must
-not run the triangle."""
+one-shot `python -m catmoments.cli` entry point, json loaded only by a job
+that reads or writes JSON, and gen's closed-form route on constant tails
+against the triangle, with the commands that must and must not run the
+triangle."""
 
 import collections
 import contextlib
@@ -792,6 +793,16 @@ def test_import_builds_no_parser():
     result = python("-c", "import catmoments.cli as c; print(c._parser.cache_info().currsize, "
                           "c._command_parser.cache_info().currsize)")
     assert (result.returncode, result.stdout) == (0, "0 0\n")
+
+
+def test_import_loads_json_only_when_a_job_needs_it():
+    # a text job on a named entry reads and writes no JSON; a JSON job loads it
+    code = ("import sys, catmoments.cli as c; loaded = 'json' in sys.modules; "
+            "c.main(['gen', '--name', 'catalan', '-n', '3']); text = 'json' in sys.modules; "
+            "c.main(['gen', '--name', 'catalan', '-n', '3', '--format', 'json']); "
+            "print(loaded, text, 'json' in sys.modules)")
+    result = python("-c", code)
+    assert (result.returncode, result.stdout.splitlines()[-1]) == (0, "False False True")
 
 
 # ------------------------------------------------- the JSON input boundary

@@ -1,21 +1,24 @@
 """Differential tests of the integer determinant kernels: the one-pass
-leading-minor elimination on integer rows (symmetric or not) and the Hankel
-families built on it against cofactor expansion section by section and one
-Bareiss elimination per section, a count showing that a family takes one
-elimination, also past a zero minor, and the scaled three-term minor chain
-and the running weight products against their Fraction forms."""
+leading-minor elimination on integer rows (symmetric or not), the Hankel
+condensation table on int term lists (both routes, table and fallback)
+and the Hankel families built on them against cofactor expansion section
+by section and one Bareiss elimination per section, a count showing that
+a family takes one table pass and no elimination, also past a zero minor,
+and the scaled three-term minor chain and the running weight products
+against their Fraction forms."""
 
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import catmoments.exact
-from catmoments.exact import _int_leading_minors, _scaled_ints
-from catmoments.hankel import _hankel_terms, _section_minors
+import catmoments.hankel
+from catmoments.exact import _int_leading_minors, _minors_ints, _scaled_ints
+from catmoments.hankel import _condensation, _hankel_terms, _section_minors, _windows
 from catmoments.recursive import catalan_like
 from catmoments.seqspec import catalog_lookup
 from oracle import (
@@ -34,9 +37,9 @@ from oracle import (
 
 def hankel_dets(terms, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
     """det[m_{i+j+shift}] on the sections of sizes 1..depth+1, as the library
-    evaluates a family of explicit terms by elimination
+    evaluates a family of explicit terms from its Hankel sections
     (StieltjesReport.by_elimination), made Fractions."""
-    family = _section_minors(*_scaled_ints(_hankel_terms(terms, depth, shift)), depth)
+    family, = _section_minors(*_scaled_ints(_hankel_terms(terms, depth, shift)), depth)
     return tuple(itertools.starmap(Fraction, family))
 
 
@@ -170,36 +173,68 @@ def test_weak_sylvester_terms_keep_their_dets(terms, depth, dets0, dets1):
     assert hankel_dets(seq, depth, 1) == dets1
 
 
-@pytest.fixture
-def bareiss_sizes(monkeypatch):
-    """The sizes of the matrices the Bareiss kernel (exact._minors_ints)
-    eliminates, in call order."""
-    sizes = []
-    minors_ints = catmoments.exact._minors_ints
+term_ints = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6))
 
-    def counting(work):
-        sizes.append(len(work))
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(term_ints, min_size=2 * d + 1, max_size=2 * d + 2))),
+    st.sampled_from((1, 2, 6)), st.none())
+# a zero 2 x 2 minor that is no divisor: the table runs through it
+@example((2, [1, 1, 1, 1, 1, -1]), 1, "table")
+# m_2 = 0 divides the 3 x 3 minors: each family is eliminated instead
+@example((2, [0, 1, 0, 1, 2, 3]), 1, "elimination")
+def test_condensation_matches_each_section(case, den, route):
+    depth, ints = case
+    shifts = range(len(ints) - 2 * depth)
+    expected = [_minors_ints(_windows(ints[s:], depth)) for s in shifts]
+    assert expected == [[det_cofactor(build_hankel(ints, k, s)) for k in range(depth + 1)]
+                        for s in shifts]
+    table = _condensation(ints, depth)
+    if route is not None:
+        assert route == ("elimination" if table is None else "table")
+    if table is not None:
+        assert list(map(list, table)) == expected
+    scales = [den ** (k + 1) for k in range(depth + 1)]
+    assert _section_minors(ints, den, depth) == [list(zip(minors, scales)) for minors in expected]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The Hankel kernels called, in call order: "table" for the condensation
+    table (hankel._condensation), and the size of each matrix the Bareiss
+    kernel (exact._minors_ints) eliminates."""
+    calls = []
+    table, minors_ints = catmoments.hankel._condensation, catmoments.exact._minors_ints
+
+    def counting_table(ints, depth):
+        calls.append("table")
+        return table(ints, depth)
+
+    def counting_bareiss(work):
+        calls.append(len(work))
         return minors_ints(work)
 
-    monkeypatch.setattr(catmoments.exact, "_minors_ints", counting)
-    return sizes
+    monkeypatch.setattr(catmoments.hankel, "_condensation", counting_table)
+    monkeypatch.setattr(catmoments.exact, "_minors_ints", counting_bareiss)
+    return calls
 
 
 @pytest.mark.parametrize("shift", (0, 1))
-def test_hankel_dets_make_no_per_section_elimination(bareiss_sizes, shift):
+def test_hankel_dets_make_no_per_section_elimination(kernel_calls, shift):
     entry = catalog_lookup("catalan")
     seq = catalan_like(entry.sigma, entry.tau, 25)
     assert hankel_dets(seq, 12, shift) == (1,) * 13
-    assert bareiss_sizes == [13]
+    assert kernel_calls == ["table"]
 
 
 @pytest.mark.parametrize("shift", (0, 1))
-def test_sections_past_a_zero_minor_make_no_per_section_elimination(bareiss_sizes, shift):
-    # the 1x1 minor is nonzero, the 2x2 the first zero one; a row swap
-    # repairs its pivot within the same pass
+def test_sections_past_a_zero_minor_make_no_per_section_elimination(kernel_calls, shift):
+    # the 1x1 minor is nonzero, the 2x2 the first zero one; no divisor of
+    # the table is zero, so the same pass runs on past it
     seq = [1, 1, 1, 1, 1, -1]
     assert hankel_dets(seq, 2, shift) == (1, 0, 0)
-    assert bareiss_sizes == [3]
+    assert kernel_calls == ["table"]
 
 
 def test_hankel_dets_of_a_zero_first_term_match_cofactor_expansion():

@@ -2,8 +2,9 @@
 
 stieltjes_weights reads both Hankel families of a weight pair off its
 weights; stieltjes_check inverts explicit terms to weights, certifies them
-by replay and reads the families off them, or falls back to elimination,
-which decides a family with a zero leading minor by a symmetric
+by replay and reads the families off them, or falls back to the Hankel
+sections of the terms (one condensation table, elimination past a zero
+divisor), deciding a family with a zero leading minor by a symmetric
 elimination.  Random small weight pairs and term lists (zero, negative and
 rational entries, scaled by m_0, with a term changed) go through the
 routes, every report is compared with the elimination report, and every
@@ -228,11 +229,12 @@ def test_weight_route_refuses_negative_depth():
         stieltjes_weights(entry.sigma, entry.tau, -1)
 
 
-# every elimination entry point: the families' integer rows go to
-# _int_leading_minors, a section with a zero leading minor to
+# every entry point to the Hankel sections: the families' ints go to the
+# condensation table, hankel._condensation, and past a zero divisor to
+# elimination, _int_leading_minors; a section with a zero leading minor to
 # negative_principal_minor; and the recurrence the replay runs,
 # recursive._scaled_rows
-GUARDED = ((catmoments.exact, "_int_leading_minors"),
+GUARDED = ((catmoments.hankel, "_condensation"), (catmoments.exact, "_int_leading_minors"),
            (catmoments.exact, "negative_principal_minor"), (catmoments.recursive, "_scaled_rows"))
 
 
@@ -274,17 +276,19 @@ def test_terms_run_no_elimination_unless_they_fall_back(capsys, guarded_calls):
     assert named == 0 and json.loads(from_weights) == {"name": "catalan",
                                                         **json.loads(from_terms)}
     # the positive control of the guard: t_1 = 0 stops the inversion, and
-    # elimination decides the sections with their zero leading minors, in
-    # one pass with row swaps, and then each by its principal minors
+    # one table pass gives both families with their zero leading minors (no
+    # divisor of the table is zero, so no elimination), and then each
+    # section is decided by its principal minors
     guarded_calls.clear()
     assert main(["stieltjes", "--terms", "1,1,1,1,1,1", "--depth", "2"]) == 0
-    assert sorted(set(guarded_calls)) == ["_int_leading_minors", "negative_principal_minor"]
+    assert sorted(set(guarded_calls)) == ["_condensation", "negative_principal_minor"]
+    assert guarded_calls.count("_condensation") == 1
 
 
 @pytest.mark.parametrize("corrupt", ["s_d", "t_d"])
 def test_weights_that_do_not_replay_fall_back(monkeypatch, guarded_calls, corrupt):
     # one recovered weight off by one: the replay misses a term, and the
-    # report is the elimination's
+    # report is the Hankel sections', one table pass each and no elimination
     real = catmoments.hankel._chebyshev_weights
 
     def corrupted(terms, depth):
@@ -299,7 +303,7 @@ def test_weights_that_do_not_replay_fall_back(monkeypatch, guarded_calls, corrup
     terms = catalan_like(catalog_lookup("bell").sigma, catalog_lookup("bell").tau, 11)
     guarded_calls.clear()
     assert stieltjes_check(terms, 5) == StieltjesReport.by_elimination(terms, 5)
-    assert guarded_calls[0] == "_scaled_rows" and "_int_leading_minors" in guarded_calls
+    assert guarded_calls == ["_scaled_rows", "_condensation", "_condensation"]
 
 
 def test_verify_compares_the_whole_report(monkeypatch):
