@@ -33,6 +33,9 @@ verify on a catalog alias, which names the entry, deep Hankel sections
 whose minors of high shift grow large (hexagonal's shifted family at depth
 30, bell's plain one at depth 22, factorial's verify at depth 20) and term
 lists led by m_0 = 0, with a nonzero and with a zero minor of shift 2,
+both Hankel families at depth 20 of sigma = 0, tau = k (every odd term
+0) and of a rational pair with polynomial tails, stieltjes on the terms
+1/(n+1)^2, whose weights need a far larger denominator than the terms,
 every named and parameterised
 generating function (the general form and the three specializations
 also at t = 0, the
@@ -206,6 +209,14 @@ FAR_DOMINANCE_CASES = {
     "double-root": (_polynomial_spec(["10002", "-200", "1"], 0),
                     _constant_tail_spec([], "1", 1)),
 }
+
+
+ZERO_SIGMA = _constant_tail_spec([], "0", 0)
+IDENTITY_TAU = _polynomial_spec(["0", "1"], 1)
+DEEP_RATIONAL_SIGMA = json.dumps({"prefix": ["3/2"],
+                                  "tail": {"kind": "polynomial", "coeffs": ["5/3", "7/5"]},
+                                  "start": 0})
+DEEP_RATIONAL_TAU = _polynomial_spec(["2/7", "1/3", "1/2"], 1)
 
 
 def _weight_terms(sigma: str, tau: str, count: int) -> str:
@@ -458,8 +469,24 @@ def cases() -> dict[str, list[str]]:
                                                         "--format", f]
         out[f"hankel-det-bell-deep-{f}"] = ["hankel-det", "--name", "bell", "--depth", "22",
                                             "--format", f]
+        # sigma = 0, tau = k: m_n = 0 at every odd n, so every Hankel minor
+        # of odd shift is 0; and a rational pair over 2, 3, 5 and 7 with
+        # polynomial tails, whose terms have a common denominator much
+        # smaller than L^n
+        for shift in ("0", "1"):
+            out[f"hankel-det-zero-sigma-shift{shift}-{f}"] = [
+                "hankel-det", "--sigma", ZERO_SIGMA, "--tau", IDENTITY_TAU, "--depth", "20",
+                "--shift", shift, "--format", f]
+            out[f"hankel-det-rational-deep-shift{shift}-{f}"] = [
+                "hankel-det", "--sigma", DEEP_RATIONAL_SIGMA, "--tau", DEEP_RATIONAL_TAU,
+                "--depth", "20", "--shift", shift, "--format", f]
     out["verify-factorial-depth-20"] = ["verify", "--name", "factorial", "--depth", "20",
                                         "--format", "json"]
+    # m_n = 1/(n+1)^2, the moments of -log x on (0, 1]: its weights need a
+    # common denominator far larger than the terms'
+    out["stieltjes-terms-log-moments"] = [
+        "stieltjes", "--terms", ",".join(f"1/{(n + 1) ** 2}" for n in range(26)),
+        "--depth", "12"]
     out["stieltjes-terms-zero-divisor"] = ["stieltjes", "--terms", "0,1,0,1,2,3",
                                            "--depth", "2"]
     out["stieltjes-terms-zero-first"] = ["stieltjes", "--terms", "0,1,2,6,24,120,720,5040",
