@@ -16,15 +16,15 @@ stieltjes reads both Hankel families off weight products (see hankel): a
 weight pair, named or given by --sigma/--tau, gives them directly, and
 explicit --terms are inverted to their weights, which must replay to every
 term.  Terms that do not invert or replay have their Hankel sections
-evaluated instead, from one condensation table of their minors, which a
-zero leading minor sends on to an exact semidefiniteness test.  The
-sections of the terms stay the independent cross check of the products:
-hankel-det prints each minor against its product, and verify compares the
-whole report with the weight route's.  Both commands keep every determinant
-an int over its known denominator, from the weights or the terms to the
-printed digits: hankel-det hands the terms' ints at one common scale to the
-table and compares each minor with its product by cross-multiplication, and
-no Fraction is made per determinant.
+evaluated instead, from one fraction-free pivot table of their leading
+minors, which a zero leading minor sends on to an exact semidefiniteness
+test.  The sections of the terms stay the independent cross check of the
+products: hankel-det prints each minor against its product, and verify
+compares the whole report with the weight route's.  Both commands keep
+every determinant an int over its known denominator, from the weights or
+the terms to the printed digits: hankel-det hands the terms' ints L^n m_n
+to the table, puts each minor over its power of L and compares it with its
+product by cross-multiplication, and no Fraction is made per determinant.
 
 Each cmd_* function computes its whole result and returns it as (exit code,
 JSON object, CSV rows with the header first, text), all built from the same
@@ -289,15 +289,15 @@ def cmd_hankel_det(args) -> Rendered:
     # t_1..t_depth, and s_0..s_depth at shift 1: the terms and the products
     weights = read_weights(sigma, tau, top, True)
     pairs = _term_ints(sigma, tau, top, weights)
-    scale = pairs[-1][1]                            # L^top: every term's den divides it
-    ints = [num * (scale // den) for num, den in pairs[args.shift:]]
-    g = math.gcd(scale, *ints)                      # down to the LCM of the reduced dens
-    minors, = _section_minors([v // g for v in ints], scale // g, args.depth)
+    # N_n = L^n m_n: [N_{i+j+shift}] is [m_{i+j+shift}] with row i times L^i and column j
+    # times L^(j+shift), so each minor is over the product of the dens on its diagonal
+    minors, = _section_minors([num for num, _ in pairs], 1, args.depth, (args.shift,))
     # each family against its weight-product form, det H_k = T_0 ... T_k and
     # det H^(1)_k = D_k T_0 ... T_k, by cross-multiplication; a product is
     # printed again only when it differs
-    rows, lines = [], []
-    for k, ((num, den), (p, q)) in enumerate(zip(minors, _weight_families(*weights)[args.shift])):
+    rows, lines, den = [], [], 1
+    for k, ((num, _), (p, q)) in enumerate(zip(minors, _weight_families(*weights)[args.shift])):
+        den *= pairs[2 * k + args.shift][1]
         det, match = format_over(num, den), num * q == p * den
         rows.append({"k": k, "det": det, "product": det if match else format_over(p, q),
                      "match": match})

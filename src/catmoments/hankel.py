@@ -26,9 +26,10 @@ report with one helper, so the same families give the same report.
     The recovered weights and m_0 are put over one L and certified by
     replay: m_0 times their Catalan-like numbers (recursive._scaled_rows)
     must give back every term, and only then are both families read off
-    them as above, each scaled by m_0^(k+1).  Terms with m_0 <= 0, with a
-    zero t_k (a zero leading minor of H) or that do not replay have their
-    Hankel sections evaluated instead (StieltjesReport.by_elimination).
+    them as above, each scaled by m_0^(k+1).  Terms with m_0 <= 0, a zero
+    t_k (a zero leading minor of H), weights over an L larger than the
+    terms' common denominator (their sections cost less) or no replay have
+    their Hankel sections evaluated instead (StieltjesReport.by_elimination).
 
 Both families stay ints until they are printed: each determinant is an int
 over a power of the weights' or the terms' common denominator.  Signs, the
@@ -38,16 +39,17 @@ by cross-multiplication, and to_json prints with exact.format_over.
 The Hankel sections of the terms, which never read the weights, are the
 fallback of stieltjes_check and the independent cross check of the weight
 products (cli verify, cli hankel-det).  _section_minors evaluates them on
-the terms as ints over one denominator: one table of contiguous Hankel
-minors (_condensation; Dodgson condensation, Krattenthaler, Advanced
-determinant calculus, 1999, section 2.3) gives every leading minor of both
-sections of m_0..m_{2 depth+1} in O(depth^2) int operations, and a zero
-divisor there sends each family to exact._int_leading_minors, O(depth^3).
-A negative leading minor refutes.  Nonnegative leading minors prove
-semidefiniteness only when all are positive, so a family with a zero one
-has its largest section, the windows of its terms as rows of Fractions,
-decided by exact.negative_principal_minor, whose witness names a negative
-principal minor by its rows.
+the terms as ints over one denominator: one fraction-free pivot table
+(_pivot_table: the Chebyshev algorithm, Gautschi 2004, section 2.1, on
+bordered leading minors, kept integral by Sylvester's identity as in
+Bareiss, Math. Comp. 22, 1968) gives every leading minor of both sections
+of m_0..m_{2 depth+1} in O(depth^2) int operations, and a zero leading
+minor H_k, k < depth, sends each family to exact._int_leading_minors,
+O(depth^3).  A negative leading minor refutes.  Nonnegative leading
+minors prove semidefiniteness only when all are positive, so a family with
+a zero one has its largest section, the windows of its terms as rows of
+Fractions, decided by exact.negative_principal_minor, whose witness names
+a negative principal minor by its rows.
 
 Why nonnegative leading minors suffice on the weight products: H_n and
 H^(1)_n are congruent, through the invertible R_n, to the diagonal T_n and
@@ -112,32 +114,41 @@ def _windows(values: list, depth: int) -> list[list]:
     return [values[i:i + depth + 1] for i in range(depth + 1)]
 
 
-def _condensation(ints: list[int], depth: int) -> Optional[list[tuple[int, ...]]]:
-    """det[ints[s+i+j]]_{i,j<n}, n = 1..depth+1, for each s < len(ints) - 2 depth, or
-    None at a zero divisor: the rows of the table H_n^(k) of contiguous Hankel minors,
-    H_0 = 1, H_1^(k) = ints[k] and H_n^(k) = (H_(n-1)^(k) H_(n-1)^(k+2) - H_(n-1)^(k+1)^2)
-    // H_(n-2)^(k+2) (Desnanot-Jacobi), an exact division."""
-    shifts = len(ints) - 2 * depth
-    heads, row, prev = [ints[:shifts]], ints, [1] * len(ints)
-    for _ in range(depth):
-        if 0 in prev[2:len(row)]:
+def _pivot_table(ints: list[int], depth: int) -> Optional[list[list[int]]]:
+    """[H_0..H_depth], H_k = det[m_{i+j}]_{i,j<=k} of m_n = ints[n], and with ints up to
+    m_{2 depth+1} also [det H^(1)_0..det H^(1)_depth]; None at a zero H_k, k < depth.
+    Row k holds S_k[l], l = k..len(ints)-1-k: rows 0..k, columns 0..k-1 and l of [m_{i+j}],
+    S_k[k] = H_k, S_(-1) = 0, H_(-1) = 1.  With c_k = H_(k-1) S_k[k+1] - H_k S_(k-1)[k],
+    H_(k-1)^2 S_(k+1)[l] = H_(k-1) H_k S_k[l+1] - c_k S_k[l] - H_k^2 S_(k-1)[l], exactly.
+    p_k, column e_0 for l (p_(-1) = 0, p_0 = 1), follows it with 0 for S_k[l+1], and
+    p_(k+1) = (-1)^(k+1) det H^(1)_k."""
+    families: list[list[int]] = [[], []]
+    prev, row, last, p_prev, p = [0] * len(ints), ints, 1, 0, 1
+    for k in range(depth + 1):
+        if last == 0:
             return None
-        prev, row = row, [(a * c - b * b) // e
-                          for a, b, c, e in zip(row, row[1:], row[2:], prev[2:])]
-        heads.append(row[:shifts])
-    return list(zip(*heads))
+        h, div = row[0], last * last
+        families[0].append(h)
+        if len(row) > 1:                        # row k reaches S_k[k+1]
+            c, a, b = last * row[1] - h * prev[1], last * h, h * h
+            p_prev, p = p, (-c * p - b * p_prev) // div
+            families[1].append(p if k % 2 else -p)
+            prev, row, last = row, [(a * x - c * y - b * z) // div
+                                    for x, y, z in zip(row[2:], row[1:], prev[2:])], h
+    return families[:len(ints) - 2 * depth]
 
 
-def _section_minors(ints: list[int], den: int, depth: int) -> list[list[tuple[int, int]]]:
+def _section_minors(ints: list[int], den: int, depth: int,
+                    shifts: Sequence[int]) -> list[list[tuple[int, int]]]:
     """The leading minors, k = 0..depth, of the Hankel sections whose rows are the windows
-    of ints[s:] over den, as (num, den^(k+1)) ints, a family for each s < len(ints) -
-    2 depth: by _condensation, or by elimination past a zero divisor."""
-    table = _condensation(ints, depth)
+    of ints[s:] over den, as (num, den^(k+1)) ints, a family for each s in shifts, each
+    0 or 1 and below len(ints) - 2 depth: by _pivot_table, or by elimination past a zero
+    leading minor of the plain section."""
+    table = _pivot_table(ints, depth)
     if table is None:
-        return [_int_leading_minors(_windows(ints[s:], depth), den)
-                for s in range(len(ints) - 2 * depth)]
+        return [_int_leading_minors(_windows(ints[s:], depth), den) for s in shifts]
     scales = list(accumulate([den] * (depth + 1), operator.mul))
-    return [list(zip(column, scales)) for column in table]
+    return [list(zip(table[s], scales)) for s in shifts]
 
 
 class StieltjesReport(_Value):
@@ -195,7 +206,7 @@ class StieltjesReport(_Value):
         """The report on both families of the explicit terms, from their Hankel
         sections (_section_minors), each with a zero leading minor decided too."""
         shifted = _hankel_terms(terms, depth, 1)
-        families = _section_minors(*_scaled_ints([as_rat(terms[0]), *shifted]), depth)
+        families = _section_minors(*_scaled_ints([as_rat(terms[0]), *shifted]), depth, (0, 1))
         return cls.from_families(depth, *families, terms)
 
     def to_json(self) -> dict:
@@ -225,7 +236,7 @@ def stieltjes_check(terms: Sequence, depth: int = DEFAULT_DEPTH) -> StieltjesRep
     if weights is not None:
         (m0, *ints), scale = _scaled_ints([terms[0], *weights[0], *weights[1]])
         s, t = ints[:depth + 1], ints[depth + 1:]
-        if _replays(terms, s, t, scale):
+        if scale <= math.lcm(*(m.denominator for m in terms)) and _replays(terms, s, t, scale):
             return StieltjesReport.from_families(depth, *_weight_families(s, t, scale, m0))
     return StieltjesReport.by_elimination(terms, depth)
 

@@ -59,7 +59,11 @@ inequalities (a Cauchy bound); the library's route, which searches the tails
 on ints, must give the same report.
 
 det_cofactor is a determinant by Laplace expansion, independent of the
-library's Bareiss kernel; principal_minors_nonneg evaluates every principal
+library's Bareiss kernel; condensation is a second one for Hankel
+sections, a table of every contiguous Hankel minor by the Desnanot-Jacobi
+identity (Dodgson condensation; Krattenthaler, Advanced determinant
+calculus, 1999, section 2.3), independent of the library's pivot table;
+principal_minors_nonneg evaluates every principal
 minor with it, the brute-force definition of positive semidefiniteness the
 Stieltjes verdicts must agree with; all_minors_nonneg scans every minor of a matrix
 for negativity, the brute-force definition of total positivity the
@@ -71,7 +75,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from catmoments.exact import (
     FALSE,
@@ -552,6 +556,22 @@ def _cofactor(grid: list[list[Fraction]]) -> Fraction:
         term = head * _cofactor(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def condensation(ints: list[int], depth: int) -> Optional[list[tuple[int, ...]]]:
+    """det[ints[s+i+j]]_{i,j<n}, n = 1..depth+1, for each s < len(ints) - 2 depth, or
+    None at a zero divisor: the rows of the table H_n^(k) of contiguous Hankel minors,
+    H_0 = 1, H_1^(k) = ints[k] and H_n^(k) = (H_(n-1)^(k) H_(n-1)^(k+2) - H_(n-1)^(k+1)^2)
+    // H_(n-2)^(k+2) (Desnanot-Jacobi), an exact division."""
+    shifts = len(ints) - 2 * depth
+    heads, row, prev = [ints[:shifts]], ints, [1] * len(ints)
+    for _ in range(depth):
+        if 0 in prev[2:len(row)]:
+            return None
+        prev, row = row, [(a * c - b * b) // e
+                          for a, b, c, e in zip(row, row[1:], row[2:], prev[2:])]
+        heads.append(row[:shifts])
+    return list(zip(*heads))
 
 
 def principal_minors_nonneg(matrix: DenseMatrix) -> bool:

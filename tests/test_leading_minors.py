@@ -1,11 +1,12 @@
 """Differential tests of the integer determinant kernels: the one-pass
 leading-minor elimination on integer rows (symmetric or not), the Hankel
-condensation table on int term lists (both routes, table and fallback)
-and the Hankel families built on them against cofactor expansion section
-by section and one Bareiss elimination per section, a count showing that
-a family takes one table pass and no elimination, also past a zero minor,
-and the scaled three-term minor chain and the running weight products
-against their Fraction forms."""
+pivot table on int term lists (both routes, table and fallback) against
+Dodgson condensation, the Bareiss kernel and cofactor expansion, and the
+Hankel families built on them against cofactor expansion section by
+section and one Bareiss elimination per section, a count showing that a
+family takes one table pass and no elimination, and one elimination of its
+largest section past a zero leading minor, and the scaled three-term minor
+chain and the running weight products against their Fraction forms."""
 
 import itertools
 import math
@@ -17,13 +18,15 @@ from hypothesis import strategies as st
 
 import catmoments.exact
 import catmoments.hankel
+from catmoments.cli import main
 from catmoments.exact import _int_leading_minors, _minors_ints, _scaled_ints
-from catmoments.hankel import _condensation, _hankel_terms, _section_minors, _windows
+from catmoments.hankel import _hankel_terms, _pivot_table, _section_minors, _windows
 from catmoments.recursive import catalan_like
 from catmoments.seqspec import catalog_lookup
 from oracle import (
     DenseMatrix,
     build_hankel,
+    condensation,
     det_cofactor,
     det_elimination,
     fraction_det_products,
@@ -39,7 +42,7 @@ def hankel_dets(terms, depth: int, shift: int = 0) -> tuple[Fraction, ...]:
     """det[m_{i+j+shift}] on the sections of sizes 1..depth+1, as the library
     evaluates a family of explicit terms from its Hankel sections
     (StieltjesReport.by_elimination), made Fractions."""
-    family, = _section_minors(*_scaled_ints(_hankel_terms(terms, depth, shift)), depth)
+    family, = _section_minors(*_scaled_ints(_hankel_terms(terms, depth, shift)), depth, (0,))
     return tuple(itertools.starmap(Fraction, family))
 
 
@@ -180,32 +183,45 @@ term_ints = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6)
 @given(st.integers(0, 7).flatmap(lambda d: st.tuples(
     st.just(d), st.lists(term_ints, min_size=2 * d + 1, max_size=2 * d + 2))),
     st.sampled_from((1, 2, 6)), st.none())
-# a zero 2 x 2 minor that is no divisor: the table runs through it
-@example((2, [1, 1, 1, 1, 1, -1]), 1, "table")
-# m_2 = 0 divides the 3 x 3 minors: each family is eliminated instead
+# the 2 x 2 leading minor is 0 and a divisor of the last step: both
+# families are eliminated instead
+@example((2, [1, 1, 1, 1, 1, -1]), 1, "elimination")
+# m_0 = 0, a divisor of the second step
 @example((2, [0, 1, 0, 1, 2, 3]), 1, "elimination")
+# every odd term 0: no leading minor is 0, so the table runs through the
+# zero minors of the shifted family
+@example((3, [1, 0, 1, 0, 3, 0, 15, 0]), 1, "table")
 def test_condensation_matches_each_section(case, den, route):
     depth, ints = case
     shifts = range(len(ints) - 2 * depth)
     expected = [_minors_ints(_windows(ints[s:], depth)) for s in shifts]
     assert expected == [[det_cofactor(build_hankel(ints, k, s)) for k in range(depth + 1)]
                         for s in shifts]
-    table = _condensation(ints, depth)
+    # the pivot table stops only at a zero leading minor before the last,
+    # and the condensation oracle only at a zero divisor of its own
+    table, dodgson = _pivot_table(ints, depth), condensation(ints, depth)
     if route is not None:
         assert route == ("elimination" if table is None else "table")
     if table is not None:
-        assert list(map(list, table)) == expected
+        assert table == expected
+    else:
+        assert 0 in expected[0][:depth]
+    if dodgson is not None:
+        assert list(map(list, dodgson)) == expected
     scales = [den ** (k + 1) for k in range(depth + 1)]
-    assert _section_minors(ints, den, depth) == [list(zip(minors, scales)) for minors in expected]
+    assert _section_minors(ints, den, depth, shifts) == [list(zip(minors, scales))
+                                                         for minors in expected]
+    for s in shifts:
+        assert _section_minors(ints, den, depth, (s,)) == [list(zip(expected[s], scales))]
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The Hankel kernels called, in call order: "table" for the condensation
-    table (hankel._condensation), and the size of each matrix the Bareiss
-    kernel (exact._minors_ints) eliminates."""
+    """The Hankel kernels called, in call order: "table" for the pivot table
+    (hankel._pivot_table), and the size of each matrix the Bareiss kernel
+    (exact._minors_ints) eliminates."""
     calls = []
-    table, minors_ints = catmoments.hankel._condensation, catmoments.exact._minors_ints
+    table, minors_ints = catmoments.hankel._pivot_table, catmoments.exact._minors_ints
 
     def counting_table(ints, depth):
         calls.append("table")
@@ -215,7 +231,7 @@ def kernel_calls(monkeypatch):
         calls.append(len(work))
         return minors_ints(work)
 
-    monkeypatch.setattr(catmoments.hankel, "_condensation", counting_table)
+    monkeypatch.setattr(catmoments.hankel, "_pivot_table", counting_table)
     monkeypatch.setattr(catmoments.exact, "_minors_ints", counting_bareiss)
     return calls
 
@@ -230,11 +246,36 @@ def test_hankel_dets_make_no_per_section_elimination(kernel_calls, shift):
 
 @pytest.mark.parametrize("shift", (0, 1))
 def test_sections_past_a_zero_minor_make_no_per_section_elimination(kernel_calls, shift):
-    # the 1x1 minor is nonzero, the 2x2 the first zero one; no divisor of
-    # the table is zero, so the same pass runs on past it
+    # the 1x1 minor is nonzero, the 2x2 the first zero one: the table stops
+    # there, and one elimination of the 3x3 section gives all three minors
     seq = [1, 1, 1, 1, 1, -1]
     assert hankel_dets(seq, 2, shift) == (1, 0, 0)
+    assert kernel_calls == ["table", 3]
+
+
+@pytest.mark.parametrize("shift", ("0", "1"))
+def test_hankel_det_on_zero_odd_terms_makes_no_elimination(kernel_calls, capsys, shift):
+    # sigma = 0, tau = k: every odd term is 0, so every minor of the shifted
+    # family at an even k is 0; the plain family has none, and the table
+    # gives both
+    zero = '{"prefix": [], "tail": {"kind": "constant", "value": "0"}, "start": 0}'
+    k = '{"prefix": [], "tail": {"kind": "polynomial", "coeffs": ["0", "1"]}, "start": 1}'
+    assert main(["hankel-det", "--sigma", zero, "--tau", k, "--depth", "40",
+                 "--shift", shift]) == 0
+    assert capsys.readouterr().out.count(" ok\n") == 41
     assert kernel_calls == ["table"]
+
+
+@pytest.mark.parametrize("shift", ("0", "1"))
+def test_hankel_det_eliminates_only_the_family_it_prints(kernel_calls, capsys, shift):
+    # t_2 = 0 makes the 3 x 3 leading minor 0: the table stops there, and
+    # one elimination of the printed family's largest section follows
+    sigma = '{"prefix": ["2", "3"], "tail": {"kind": "constant", "value": "3"}, "start": 0}'
+    tau = '{"prefix": ["1", "0"], "tail": {"kind": "constant", "value": "1"}, "start": 1}'
+    assert main(["hankel-det", "--sigma", sigma, "--tau", tau, "--depth", "6",
+                 "--shift", shift]) == 0
+    assert capsys.readouterr().out.count(" ok\n") == 7
+    assert kernel_calls == ["table", 7]
 
 
 def test_hankel_dets_of_a_zero_first_term_match_cofactor_expansion():

@@ -3,8 +3,8 @@
 stieltjes_weights reads both Hankel families of a weight pair off its
 weights; stieltjes_check inverts explicit terms to weights, certifies them
 by replay and reads the families off them, or falls back to the Hankel
-sections of the terms (one condensation table, elimination past a zero
-divisor), deciding a family with a zero leading minor by a symmetric
+sections of the terms (one pivot table, elimination past a zero leading
+minor), deciding a family with a zero leading minor by a symmetric
 elimination.  Random small weight pairs and term lists (zero, negative and
 rational entries, scaled by m_0, with a term changed) go through the
 routes, every report is compared with the elimination report, and every
@@ -21,10 +21,15 @@ command still runs, dominance included.  The int families, (num, den) pairs kept
 must equal a Fraction reference built from tests/oracle (the products of
 T_k and the minor chain) in values, verdict and witness, from a pair and
 from its terms times m_0; two reports on different denominators are equal
-by value; and stieltjes and hankel-det make no Fraction per determinant.
+by value, and so are hankel-det's minors over powers of L and the terms'
+sections over their common denominator; and stieltjes and hankel-det make
+no Fraction per determinant.
 """
 
 import collections
+import contextlib
+import io
+import itertools
 import json
 import math
 import sys
@@ -41,12 +46,21 @@ import catmoments.hankel
 import catmoments.jacobi
 import catmoments.recursive
 from catmoments.cli import main
-from catmoments.exact import INCONCLUSIVE, TRUE, format_rat, negative_principal_minor
+from catmoments.exact import (
+    INCONCLUSIVE,
+    TRUE,
+    _same_values,
+    _scaled_ints,
+    format_rat,
+    negative_principal_minor,
+)
 from catmoments.hankel import (
     FAIL,
     PASS,
     StieltjesReport,
     _chebyshev_weights,
+    _section_minors,
+    _weight_families,
     stieltjes_check,
     stieltjes_weights,
 )
@@ -230,11 +244,11 @@ def test_weight_route_refuses_negative_depth():
 
 
 # every entry point to the Hankel sections: the families' ints go to the
-# condensation table, hankel._condensation, and past a zero divisor to
+# pivot table, hankel._pivot_table, and past a zero leading minor to
 # elimination, _int_leading_minors; a section with a zero leading minor to
 # negative_principal_minor; and the recurrence the replay runs,
 # recursive._scaled_rows
-GUARDED = ((catmoments.hankel, "_condensation"), (catmoments.exact, "_int_leading_minors"),
+GUARDED = ((catmoments.hankel, "_pivot_table"), (catmoments.exact, "_int_leading_minors"),
            (catmoments.exact, "negative_principal_minor"), (catmoments.recursive, "_scaled_rows"))
 
 
@@ -275,20 +289,38 @@ def test_terms_run_no_elimination_unless_they_fall_back(capsys, guarded_calls):
     from_terms, from_weights = capsys.readouterr().out.splitlines()
     assert named == 0 and json.loads(from_weights) == {"name": "catalan",
                                                         **json.loads(from_terms)}
-    # the positive control of the guard: t_1 = 0 stops the inversion, and
-    # one table pass gives both families with their zero leading minors (no
-    # divisor of the table is zero, so no elimination), and then each
-    # section is decided by its principal minors
+    # the positive control of the guard: t_1 = 0 stops the inversion; the
+    # table stops at the zero leading minor H_1, one elimination per family
+    # gives both families, and then each section is decided by its
+    # principal minors
     guarded_calls.clear()
     assert main(["stieltjes", "--terms", "1,1,1,1,1,1", "--depth", "2"]) == 0
-    assert sorted(set(guarded_calls)) == ["_condensation", "negative_principal_minor"]
-    assert guarded_calls.count("_condensation") == 1
+    assert sorted(set(guarded_calls)) == ["_int_leading_minors", "_pivot_table",
+                                          "negative_principal_minor"]
+    assert guarded_calls.count("_pivot_table") == 1
+    assert guarded_calls.count("_int_leading_minors") == 2
+
+
+def test_weights_over_a_larger_scale_than_the_terms_go_to_the_sections(guarded_calls):
+    # m_n = 1/(n+1)^2, the moments of -log x on (0, 1]: the terms invert, but
+    # their weights' common denominator L dwarfs the terms' D, so the report
+    # comes from the terms' sections, with no replay, and equals the
+    # weights' report by value
+    terms = [Fraction(1, (n + 1) ** 2) for n in range(26)]
+    guarded_calls.clear()
+    report = stieltjes_check(terms, 12)
+    assert guarded_calls == ["_pivot_table"]
+    (m0, *ints), scale = _scaled_ints([terms[0], *itertools.chain(*_chebyshev_weights(terms, 12))])
+    assert scale.bit_length() > 10 * math.lcm(*(m.denominator for m in terms)).bit_length()
+    weights = StieltjesReport.from_families(12, *_weight_families(ints[:13], ints[13:], scale, m0))
+    assert report == weights and report.verdict == PASS
 
 
 @pytest.mark.parametrize("corrupt", ["s_d", "t_d"])
 def test_weights_that_do_not_replay_fall_back(monkeypatch, guarded_calls, corrupt):
     # one recovered weight off by one: the replay misses a term, and the
-    # report is the Hankel sections', one table pass each and no elimination
+    # report is the Hankel sections', one table pass for both families and
+    # no elimination
     real = catmoments.hankel._chebyshev_weights
 
     def corrupted(terms, depth):
@@ -303,7 +335,7 @@ def test_weights_that_do_not_replay_fall_back(monkeypatch, guarded_calls, corrup
     terms = catalan_like(catalog_lookup("bell").sigma, catalog_lookup("bell").tau, 11)
     guarded_calls.clear()
     assert stieltjes_check(terms, 5) == StieltjesReport.by_elimination(terms, 5)
-    assert guarded_calls == ["_scaled_rows", "_condensation", "_condensation"]
+    assert guarded_calls == ["_scaled_rows", "_pivot_table", "_pivot_table"]
 
 
 def test_verify_compares_the_whole_report(monkeypatch):
@@ -375,6 +407,24 @@ def test_int_families_of_scaled_terms_equal_the_fraction_reference(pair, m0):
     assert (fractions(report.family0), fractions(report.family1), report.verdict,
             report.witness) == \
         fraction_report(sigma, tau, depth, m0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_pairs(), st.sampled_from(("0", "1")))
+def test_hankel_det_over_powers_of_l_equals_the_common_denominator(pair, shift):
+    # hankel-det eliminates N_n = L^n m_n and puts each minor over its power
+    # of L; the terms' sections over their common denominator have the same
+    # values, also where a zero leading minor sends both to elimination
+    sigma, tau, depth = pair
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["hankel-det", "--sigma", json.dumps(sigma.to_json()),
+                     "--tau", json.dumps(tau.to_json()), "--depth", str(depth),
+                     "--shift", shift, "--format", "json"]) == 0
+    dets = [Fraction(row["det"]) for row in json.loads(out.getvalue())["rows"]]
+    terms = catalan_like(sigma, tau, 2 * depth + int(shift))[int(shift):]
+    family, = _section_minors(*_scaled_ints(terms), depth, (0,))
+    assert _same_values([(d.numerator, d.denominator) for d in dets], family)
 
 
 def test_reports_on_different_denominators_are_equal_by_value():
