@@ -36,7 +36,9 @@ lists led by m_0 = 0, with a nonzero and with a zero minor of shift 2,
 both Hankel families at depth 20 of sigma = 0, tau = k (every odd term
 0) and of a rational pair with polynomial tails, stieltjes on the terms
 1/(n+1)^2, whose weights need a far larger denominator than the terms,
-every named and parameterised
+and on -1/(n+1)^2 (m_0 < 0), factorial's two families at depth 40 and
+bell's verify at depth 30 (large integral minors), stieltjes on 1,1,1,1
+at depth 1 (the last leading minor 0), every named and parameterised
 generating function (the general form and the three specializations
 also at t = 0, the
 general form at -n 0, the general form, tied_qp and inverse_sqrt with
@@ -489,6 +491,20 @@ def cases() -> dict[str, list[str]]:
         "--depth", "12"]
     out["stieltjes-terms-zero-divisor"] = ["stieltjes", "--terms", "0,1,0,1,2,3",
                                            "--depth", "2"]
+    # large integral leading minors of both families of the terms' sections
+    for f in FORMATS:
+        for shift in ("0", "1"):
+            out[f"hankel-det-factorial-deep-shift{shift}-{f}"] = [
+                "hankel-det", "--name", "factorial", "--depth", "40", "--shift", shift,
+                "--format", f]
+    out["verify-bell-depth-30"] = ["verify", "--name", "bell", "--depth", "30",
+                                   "--format", "json"]
+    # H_1 = 0 at k = depth, where no later minor needs it as a divisor
+    out["stieltjes-terms-last-minor-zero"] = ["stieltjes", "--terms", "1,1,1,1", "--depth", "1"]
+    # m_0 < 0 over denominators: no inversion, the sections straight away
+    out["stieltjes-terms-negative-log-moments"] = [
+        "stieltjes", "--terms=" + ",".join(f"-1/{(n + 1) ** 2}" for n in range(22)),
+        "--depth", "10"]
     out["stieltjes-terms-zero-first"] = ["stieltjes", "--terms", "0,1,2,6,24,120,720,5040",
                                          "--depth", "3"]
     return out
