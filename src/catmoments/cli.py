@@ -16,14 +16,14 @@ stieltjes reads both Hankel families off weight products (see hankel): a
 weight pair, named or given by --sigma/--tau, gives them directly, and
 explicit --terms are inverted to their weights, which must replay to every
 term.  Terms that do not invert or replay have their Hankel sections
-evaluated instead, from one fraction-free pivot table of their leading
-minors, which a zero leading minor sends on to an exact semidefiniteness
-test.  The sections of the terms stay the independent cross check of the
-products: hankel-det prints each minor against its product, and verify
+evaluated instead, off the same Chebyshev walk that read their weights, which
+a zero leading minor sends on to an exact semidefiniteness test.  The
+sections of the terms stay the independent cross check of the products:
+hankel-det prints each minor against its product, and verify
 compares the whole report with the weight route's.  Both commands keep
 every determinant an int over its known denominator, from the weights or
 the terms to the printed digits: hankel-det hands the terms' ints L^n m_n
-to the table, puts each minor over its power of L and compares it with its
+to the walk, puts each minor over its power of L and compares it with its
 product by cross-multiplication, and no Fraction is made per determinant.
 
 Each cmd_* function computes its whole result and returns it as (exit code,

@@ -9,8 +9,8 @@ zero pivot is repaired by a row swap that keeps the row set of every larger
 section.  _int_leading_minors runs it on int rows over one common
 denominator and returns each minor as an int over its power of that
 denominator, no Fraction.  cli verify hands it J's section
-(jacobi._int_section).  Hankel sections take an O(n^2) pivot table instead
-(hankel._pivot_table) and reach it only past a zero leading minor there.
+(jacobi._int_section).  Hankel sections take an O(n^2) Chebyshev walk instead
+(hankel._chebyshev_walk) and reach it only past a zero leading minor there.
 Such (num, den) pairs are compared by cross-multiplication (_same_values)
 and printed by format_over, one gcd a printed value and none over 1.  Where
 a zero leading minor leaves positive semidefiniteness open,

@@ -19,17 +19,14 @@ report with one helper, so the same families give the same report.
     over one L straight from the specs.
 
   * stieltjes_check, for explicit terms (a plain sequence m_0, m_1, ...),
-    inverts them first: the Chebyshev algorithm (Gautschi, Orthogonal
-    Polynomials: Computation and Approximation, 2004, section 2.1) recovers
-    the weights s_0..s_depth, t_1..t_depth of m / m_0 from m_0..m_{2 depth+1}
-    column by column of the recursive matrix, O(depth^2) integer products.
-    The recovered weights and m_0 are put over one L and certified by
-    replay: m_0 times their Catalan-like numbers (recursive._scaled_rows)
-    must give back every term, and only then are both families read off
-    them as above, each scaled by m_0^(k+1).  Terms with m_0 <= 0, a zero
-    t_k (a zero leading minor of H), weights over an L larger than the
-    terms' common denominator (their sections cost less) or no replay have
-    their Hankel sections evaluated instead (StieltjesReport.by_elimination).
+    walks m_0..m_{2 depth+1} once, as ints over their common denominator D
+    (_chebyshev_walk, below), and reads off it the weights s_0..s_depth,
+    t_1..t_depth of m / m_0.  With m_0 > 0, no zero t_k (a zero leading
+    minor of H), the weights over an L no larger than D (else the sections
+    cost less) and replay (m_0 times their Catalan-like numbers,
+    recursive._scaled_rows, give back every term), both families are the
+    weight products above, each scaled by m_0^(k+1); otherwise the walk's
+    own families are the report (StieltjesReport.by_elimination).
 
 Both families stay ints until they are printed: each determinant is an int
 over a power of the weights' or the terms' common denominator.  Signs, the
@@ -39,17 +36,17 @@ by cross-multiplication, and to_json prints with exact.format_over.
 The Hankel sections of the terms, which never read the weights, are the
 fallback of stieltjes_check and the independent cross check of the weight
 products (cli verify, cli hankel-det).  _section_minors evaluates them on
-the terms as ints over one denominator: one fraction-free pivot table
-(_pivot_table: the Chebyshev algorithm, Gautschi 2004, section 2.1, on
-bordered leading minors, kept integral by Sylvester's identity as in
-Bareiss, Math. Comp. 22, 1968) gives every leading minor of both sections
-of m_0..m_{2 depth+1} in O(depth^2) int operations, and a zero leading
-minor H_k, k < depth, sends each family to exact._int_leading_minors,
-O(depth^3).  A negative leading minor refutes.  Nonnegative leading
-minors prove semidefiniteness only when all are positive, so a family with
-a zero one has its largest section, the windows of its terms as rows of
-Fractions, decided by exact.negative_principal_minor, whose witness names
-a negative principal minor by its rows.
+the terms as ints over one denominator off one walk of the modified
+Chebyshev algorithm (Gautschi, Orthogonal Polynomials, 2004, section 2.1),
+O(depth^2) int operations on entries no larger than the terms on integral
+weights: the leading minors H_k are products of its pivots, the shifted
+family follows from its orthogonal polynomials at 0, and a zero H_k, k <
+depth, sends each family to exact._int_leading_minors, O(depth^3).  A
+negative leading minor refutes.  Nonnegative leading minors prove
+semidefiniteness only when all are positive, so a family with a zero one
+has its largest section, the windows of its terms as rows of Fractions,
+decided by exact.negative_principal_minor, whose witness names a negative
+principal minor by its rows.
 
 Why nonnegative leading minors suffice on the weight products: H_n and
 H^(1)_n are congruent, through the invertible R_n, to the diagonal T_n and
@@ -114,41 +111,69 @@ def _windows(values: list, depth: int) -> list[list]:
     return [values[i:i + depth + 1] for i in range(depth + 1)]
 
 
-def _pivot_table(ints: list[int], depth: int) -> Optional[list[list[int]]]:
-    """[H_0..H_depth], H_k = det[m_{i+j}]_{i,j<=k} of m_n = ints[n], and with ints up to
-    m_{2 depth+1} also [det H^(1)_0..det H^(1)_depth]; None at a zero H_k, k < depth.
-    Row k holds S_k[l], l = k..len(ints)-1-k: rows 0..k, columns 0..k-1 and l of [m_{i+j}],
-    S_k[k] = H_k, S_(-1) = 0, H_(-1) = 1.  With c_k = H_(k-1) S_k[k+1] - H_k S_(k-1)[k],
-    H_(k-1)^2 S_(k+1)[l] = H_(k-1) H_k S_k[l+1] - c_k S_k[l] - H_k^2 S_(k-1)[l], exactly.
-    p_k, column e_0 for l (p_(-1) = 0, p_0 = 1), follows it with 0 for S_k[l+1], and
-    p_(k+1) = (-1)^(k+1) det H^(1)_k."""
-    families: list[list[int]] = [[], []]
-    prev, row, last, p_prev, p = [0] * len(ints), ints, 1, 0, 1
+def _chebyshev_walk(ints: list[int], depth: int) -> Optional[tuple[list, list]]:
+    """The modified Chebyshev algorithm (Gautschi 2004, section 2.1) on m_n = ints[n]: its
+    pivots p_k = H_k / H_(k-1) as (a_k, e_k) = (p_k e_k, e_k), k = 0..depth, and c_k, k =
+    0..depth (k < depth if ints stop at m_(2 depth)); None at a zero H_k, k < depth.  Row k
+    holds the modified moments sigma_k[l] = row[l-k] / e_k, l = k..len(ints)-1-k: sigma_0 =
+    m, sigma_(-1) = 0, sigma_(k+1)[l] = sigma_k[l+1] - s_k sigma_k[l] - t_k sigma_(k-1)[l]
+    with p_k = sigma_k[k], t_k = p_k / p_(k-1) and s_k = sigma_k[k+1] / p_k - sigma_(k-1)[k]
+    / p_(k-1) = c_k / (a_k a_(k-1)), c_k = a_(k-1) row_k[1] - a_k row_(k-1)[1], a_(-1) = 1.
+    s_k and t_k e_k / e_(k-1) = a_k / a_(k-1) go over their least common denominator u, row
+    k+1 over u e_k, cut by its gcd: 1 on integral terms and weights, where sigma_k[l] =
+    m_0 T_k r_{l,k} is an int no larger than the terms."""
+    pivots, cs = [], []
+    prev, row, b, e = [0] * len(ints), ints, 1, 1
     for k in range(depth + 1):
-        if last == 0:
+        a = row[0]
+        pivots.append((a, e))
+        if len(row) > 1:
+            cs.append(c := b * row[1] - a * prev[1])
+        if k == depth:
+            return pivots, cs
+        if a == 0:
             return None
-        h, div = row[0], last * last
-        families[0].append(h)
-        if len(row) > 1:                        # row k reaches S_k[k+1]
-            c, a, b = last * row[1] - h * prev[1], last * h, h * h
-            p_prev, p = p, (-c * p - b * p_prev) // div
-            families[1].append(p if k % 2 else -p)
-            prev, row, last = row, [(a * x - c * y - b * z) // div
-                                    for x, y, z in zip(row[2:], row[1:], prev[2:])], h
-    return families[:len(ints) - 2 * depth]
+        g = math.gcd(a * b, c, a * a)
+        u, us, ut = a * b // g, c // g, a * a // g
+        y = [u * x - us * z - ut * w for x, z, w in zip(row[2:], row[1:], prev[2:])]
+        g = math.gcd(u * e, *y)
+        prev, row, b, e = row, y if g == 1 else [v // g for v in y], a, u * e // g
+
+
+def _walk_weights(pivots: list, cs: list) -> list[Fraction]:
+    """[s_0..s_depth, t_1..t_depth] of the terms _chebyshev_walk walked, off its pivots, all
+    nonzero, and c_0..c_depth: s_k = c_k / (a_k a_(k-1)), t_k = a_k e_(k-1) / (a_(k-1) e_k)."""
+    lead = [(1, 1), *pivots]
+    return [*(Fraction(c, a * b) for c, (a, _), (b, _) in zip(cs, pivots, lead)),
+            *(Fraction(a * f, b * e) for (a, e), (b, f) in zip(pivots[1:], pivots))]
 
 
 def _section_minors(ints: list[int], den: int, depth: int,
                     shifts: Sequence[int]) -> list[list[tuple[int, int]]]:
     """The leading minors, k = 0..depth, of the Hankel sections whose rows are the windows
     of ints[s:] over den, as (num, den^(k+1)) ints, a family for each s in shifts, each
-    0 or 1 and below len(ints) - 2 depth: by _pivot_table, or by elimination past a zero
+    0 or 1 and below len(ints) - 2 depth: by _chebyshev_walk, or by elimination past a zero
     leading minor of the plain section."""
-    table = _pivot_table(ints, depth)
-    if table is None:
+    return _walk_minors(_chebyshev_walk(ints, depth), ints, den, depth, shifts)
+
+
+def _walk_minors(walk: Optional[tuple[list, list]], ints: list[int], den: int, depth: int,
+                 shifts: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """_section_minors off walk, the _chebyshev_walk of ints, or by elimination if None.
+    H_k = H_(k-1) p_k, and q_k = H_(k-1) P_k(0) of the monic orthogonal polynomials,
+    P_(k+1)(0) = -s_k P_k(0) - t_k P_(k-1)(0), is q_(k+1) = -(c_k e_k q_k + a_k^2 a_(k-1)
+    q_(k-1)) / (a_(k-1) e_k^2), exactly, also at H_depth = 0: (-1)^(k+1) det H^(1)_k."""
+    if walk is None:
         return [_int_leading_minors(_windows(ints[s:], depth), den) for s in shifts]
+    (pivots, cs), families, h, q_prev, q, b = walk, ([], []), 1, 0, 1, 1
+    for k, (a, e) in enumerate(pivots):
+        families[0].append(h := h * a // e)
+        if len(cs) > depth:
+            q_prev, q = q, -(cs[k] * e * q + a * a * b * q_prev) // (b * e * e)
+            families[1].append(q if k % 2 else -q)
+        b = a
     scales = list(accumulate([den] * (depth + 1), operator.mul))
-    return [list(zip(table[s], scales)) for s in shifts]
+    return [list(zip(families[s], scales)) for s in shifts]
 
 
 class StieltjesReport(_Value):
@@ -232,13 +257,18 @@ def stieltjes_check(terms: Sequence, depth: int = DEFAULT_DEPTH) -> StieltjesRep
     if len(terms) < needed:
         raise ValueError(f"need {needed} terms for depth {depth}, have {len(terms)}")
     terms = [as_rat(v) for v in terms[:needed]]
-    weights = _chebyshev_weights(terms, depth) if terms[0] > 0 else None
-    if weights is not None:
-        (m0, *ints), scale = _scaled_ints([terms[0], *weights[0], *weights[1]])
-        s, t = ints[:depth + 1], ints[depth + 1:]
-        if scale <= math.lcm(*(m.denominator for m in terms)) and _replays(terms, s, t, scale):
-            return StieltjesReport.from_families(depth, *_weight_families(s, t, scale, m0))
-    return StieltjesReport.by_elimination(terms, depth)
+    ints, den = _scaled_ints(terms)
+    walk = _chebyshev_walk(ints, depth)
+    if walk is not None and terms[0] > 0 and walk[0][depth][0] != 0:   # so no t_k is 0
+        weights = _walk_weights(*walk)
+        if all(scale <= den for scale in accumulate(
+                (w.denominator for w in weights), math.lcm, initial=terms[0].denominator)):
+            (m0, *scaled), scale = _scaled_ints([terms[0], *weights])
+            s, t = scaled[:depth + 1], scaled[depth + 1:]
+            if _replays(terms, s, t, scale):
+                return StieltjesReport.from_families(depth, *_weight_families(s, t, scale, m0))
+    families = _walk_minors(walk, ints, den, depth, (0, 1))
+    return StieltjesReport.from_families(depth, *families, terms)
 
 
 def stieltjes_weights(sigma: SequenceSpec, tau: SequenceSpec,
@@ -269,38 +299,6 @@ def _weight_families(s: list[int], t: list[int], scale: int, m0=None) -> tuple[l
     family0 = list(zip(products, accumulate(powers, operator.mul)))
     chain = _minor_chain(s, t, scale, 0)
     return family0, [(d * p, c * q) for (d, c), (p, q) in zip(chain, family0)]
-
-
-def _chebyshev_weights(terms: list[Fraction], depth: int) -> Optional[tuple[list, list]]:
-    """(s_0..s_depth, t_1..t_depth) of the weight pair whose Catalan-like
-    numbers are m_n / m_0, from m_0..m_{2 depth+1} with m_0 > 0, or None
-    when some t_k is zero.
-
-    Walks the recursive matrix R of m / m_0 column by column: column k holds
-    r_{n,k} for n = k..2 depth+1-k as ints over one denominator, which is
-    the column's first int since r_{k,k} = 1.  The recurrence of R gives
-    s_k = r_{k+1,k} - r_{k,k-1} and, with x_n = r_{n+1,k} - r_{n,k-1} -
-    s_k r_{n,k}, t_{k+1} = x_{k+1} and r_{n,k+1} = x_n / t_{k+1}: the x_n
-    over their common denominator are column k+1, up to one gcd.
-    """
-    col, _ = _scaled_ints(terms)        # column 0: r_{n,0} = m_n / m_0
-    prev = [1] + [0] * (len(col) - 1)   # column -1: zeros over the denominator 1
-    s, t = [], []
-    for k in range(depth + 1):
-        den, prev_den = col[0], prev[0]
-        s.append(Fraction(col[1] * prev_den - prev[1] * den, den * prev_den))
-        if k == depth:
-            return s, t
-        a, b = s[k].numerator, s[k].denominator
-        common = math.lcm(den * b, prev_den)
-        u, v = common // (den * b), common // prev_den
-        x = [(col[i + 1] * b - col[i] * a) * u - prev[i + 1] * v
-             for i in range(1, len(col) - 1)]
-        if x[0] == 0:
-            return None
-        t.append(Fraction(x[0], common))
-        g = math.gcd(*x) if x[0] > 0 else -math.gcd(*x)
-        prev, col = col, [c // g for c in x]
 
 
 def _replays(terms: list[Fraction], s: list[int], t: list[int], scale: int) -> bool:

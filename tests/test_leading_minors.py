@@ -1,15 +1,18 @@
 """Differential tests of the integer determinant kernels: the one-pass
 leading-minor elimination on integer rows (symmetric or not), the Hankel
-pivot table on int term lists (both routes, table and fallback) against
+Chebyshev walk on int term lists (both routes, walk and fallback) against
 Dodgson condensation, the Bareiss kernel and cofactor expansion, and the
 Hankel families built on them against cofactor expansion section by
 section and one Bareiss elimination per section, a count showing that a
-family takes one table pass and no elimination, and one elimination of its
-largest section past a zero leading minor, and the scaled three-term minor
+family takes one walk and no elimination, and one elimination of its
+largest section past a zero leading minor, the walk's entries on
+factorial's terms no larger than the terms and on 1/(n+1)^2 smaller than
+its leading minors, and the scaled three-term minor
 chain and the running weight products against their Fraction forms."""
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +23,13 @@ import catmoments.exact
 import catmoments.hankel
 from catmoments.cli import main
 from catmoments.exact import _int_leading_minors, _minors_ints, _scaled_ints
-from catmoments.hankel import _hankel_terms, _pivot_table, _section_minors, _windows
+from catmoments.hankel import (
+    _chebyshev_walk,
+    _hankel_terms,
+    _section_minors,
+    _walk_minors,
+    _windows,
+)
 from catmoments.recursive import catalan_like
 from catmoments.seqspec import catalog_lookup
 from oracle import (
@@ -188,23 +197,28 @@ term_ints = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6)
 @example((2, [1, 1, 1, 1, 1, -1]), 1, "elimination")
 # m_0 = 0, a divisor of the second step
 @example((2, [0, 1, 0, 1, 2, 3]), 1, "elimination")
-# every odd term 0: no leading minor is 0, so the table runs through the
+# every odd term 0: no leading minor is 0, so the walk runs through the
 # zero minors of the shifted family
-@example((3, [1, 0, 1, 0, 3, 0, 15, 0]), 1, "table")
+@example((3, [1, 0, 1, 0, 3, 0, 15, 0]), 1, "walk")
+# H_depth = 0: the last pivot divides nothing, and the shifted family
+# still follows from the one before it
+@example((1, [1, 1, 1, 1]), 1, "walk")
+@example((2, [2, 3, 5, 9, 17, 33]), 1, "walk")
+# m_0 < 0; and den 6, with pivots over a denominator (H_1 / H_0 = 5/2)
+@example((2, [-2, 3, -5, 7, -11, 13]), 1, "walk")
+@example((3, [2, 3, 7, 1, 5, 8, 2, 9]), 6, "walk")
 def test_condensation_matches_each_section(case, den, route):
     depth, ints = case
     shifts = range(len(ints) - 2 * depth)
     expected = [_minors_ints(_windows(ints[s:], depth)) for s in shifts]
     assert expected == [[det_cofactor(build_hankel(ints, k, s)) for k in range(depth + 1)]
                         for s in shifts]
-    # the pivot table stops only at a zero leading minor before the last,
-    # and the condensation oracle only at a zero divisor of its own
-    table, dodgson = _pivot_table(ints, depth), condensation(ints, depth)
+    # the walk stops only at a zero leading minor before the last, and the
+    # condensation oracle only at a zero divisor of its own
+    walk, dodgson = _chebyshev_walk(ints, depth), condensation(ints, depth)
     if route is not None:
-        assert route == ("elimination" if table is None else "table")
-    if table is not None:
-        assert table == expected
-    else:
+        assert route == ("elimination" if walk is None else "walk")
+    if walk is None:
         assert 0 in expected[0][:depth]
     if dodgson is not None:
         assert list(map(list, dodgson)) == expected
@@ -217,21 +231,21 @@ def test_condensation_matches_each_section(case, den, route):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The Hankel kernels called, in call order: "table" for the pivot table
-    (hankel._pivot_table), and the size of each matrix the Bareiss kernel
+    """The Hankel kernels called, in call order: "walk" for the Chebyshev walk
+    (hankel._chebyshev_walk), and the size of each matrix the Bareiss kernel
     (exact._minors_ints) eliminates."""
     calls = []
-    table, minors_ints = catmoments.hankel._pivot_table, catmoments.exact._minors_ints
+    walk, minors_ints = catmoments.hankel._chebyshev_walk, catmoments.exact._minors_ints
 
-    def counting_table(ints, depth):
-        calls.append("table")
-        return table(ints, depth)
+    def counting_walk(ints, depth):
+        calls.append("walk")
+        return walk(ints, depth)
 
     def counting_bareiss(work):
         calls.append(len(work))
         return minors_ints(work)
 
-    monkeypatch.setattr(catmoments.hankel, "_pivot_table", counting_table)
+    monkeypatch.setattr(catmoments.hankel, "_chebyshev_walk", counting_walk)
     monkeypatch.setattr(catmoments.exact, "_minors_ints", counting_bareiss)
     return calls
 
@@ -241,41 +255,41 @@ def test_hankel_dets_make_no_per_section_elimination(kernel_calls, shift):
     entry = catalog_lookup("catalan")
     seq = catalan_like(entry.sigma, entry.tau, 25)
     assert hankel_dets(seq, 12, shift) == (1,) * 13
-    assert kernel_calls == ["table"]
+    assert kernel_calls == ["walk"]
 
 
 @pytest.mark.parametrize("shift", (0, 1))
 def test_sections_past_a_zero_minor_make_no_per_section_elimination(kernel_calls, shift):
-    # the 1x1 minor is nonzero, the 2x2 the first zero one: the table stops
+    # the 1x1 minor is nonzero, the 2x2 the first zero one: the walk stops
     # there, and one elimination of the 3x3 section gives all three minors
     seq = [1, 1, 1, 1, 1, -1]
     assert hankel_dets(seq, 2, shift) == (1, 0, 0)
-    assert kernel_calls == ["table", 3]
+    assert kernel_calls == ["walk", 3]
 
 
 @pytest.mark.parametrize("shift", ("0", "1"))
 def test_hankel_det_on_zero_odd_terms_makes_no_elimination(kernel_calls, capsys, shift):
     # sigma = 0, tau = k: every odd term is 0, so every minor of the shifted
-    # family at an even k is 0; the plain family has none, and the table
+    # family at an even k is 0; the plain family has none, and the walk
     # gives both
     zero = '{"prefix": [], "tail": {"kind": "constant", "value": "0"}, "start": 0}'
     k = '{"prefix": [], "tail": {"kind": "polynomial", "coeffs": ["0", "1"]}, "start": 1}'
     assert main(["hankel-det", "--sigma", zero, "--tau", k, "--depth", "40",
                  "--shift", shift]) == 0
     assert capsys.readouterr().out.count(" ok\n") == 41
-    assert kernel_calls == ["table"]
+    assert kernel_calls == ["walk"]
 
 
 @pytest.mark.parametrize("shift", ("0", "1"))
 def test_hankel_det_eliminates_only_the_family_it_prints(kernel_calls, capsys, shift):
-    # t_2 = 0 makes the 3 x 3 leading minor 0: the table stops there, and
+    # t_2 = 0 makes the 3 x 3 leading minor 0: the walk stops there, and
     # one elimination of the printed family's largest section follows
     sigma = '{"prefix": ["2", "3"], "tail": {"kind": "constant", "value": "3"}, "start": 0}'
     tau = '{"prefix": ["1", "0"], "tail": {"kind": "constant", "value": "1"}, "start": 1}'
     assert main(["hankel-det", "--sigma", sigma, "--tau", tau, "--depth", "6",
                  "--shift", shift]) == 0
     assert capsys.readouterr().out.count(" ok\n") == 7
-    assert kernel_calls == ["table", 7]
+    assert kernel_calls == ["walk", 7]
 
 
 def test_hankel_dets_of_a_zero_first_term_match_cofactor_expansion():
@@ -284,3 +298,48 @@ def test_hankel_dets_of_a_zero_first_term_match_cofactor_expansion():
     for shift in (0, 1):
         assert hankel_dets(seq, 6, shift) == tuple(
             det_cofactor(build_hankel(seq, k, shift)) for k in range(7))
+
+
+def widest_walk_entry(ints: list[int], depth: int) -> tuple[int, object]:
+    """The bit length of the largest int the Chebyshev walk on ints holds in
+    a row or a row's denominator, read off its frame line by line, and the
+    walk."""
+    widest = []
+
+    def walk_lines(frame, event, arg):
+        if event == "line" and "row" in frame.f_locals:
+            local = frame.f_locals
+            widest.append(max(abs(x).bit_length()
+                              for x in (*local["row"], *local["prev"], local["e"], local["b"])))
+        return walk_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 walk_lines if frame.f_code is _chebyshev_walk.__code__ else None)
+    try:
+        walk = _chebyshev_walk(ints, depth)
+    finally:
+        sys.settrace(previous)
+    assert walk is not None and len(widest) > depth
+    return max(widest), walk
+
+
+def test_walk_entries_stay_within_the_terms_on_factorial():
+    # integral weights make every modified moment an int no larger than the
+    # terms; the bordered minors grow as the leading minors do (31,763 bits
+    # here), so this fails on any walk that carries them
+    ints = [math.factorial(n) for n in range(172)]
+    widest, walk = widest_walk_entry(ints, 85)
+    assert widest == max(x.bit_length() for x in ints) == 1027
+    family0, = _walk_minors(walk, ints, 1, 85, (0,))
+    assert max(h.bit_length() for h, _ in family0) > 30 * 1027
+
+
+def test_walk_entries_stay_below_the_minors_over_a_denominator():
+    # 1/(n+1)^2 over its common denominator: the rows' gcd keeps their
+    # entries (828 bits) below the largest leading minor (1,569 bits); rows
+    # left uncut reach 9,151
+    ints, _ = _scaled_ints([Fraction(1, (n + 1) ** 2) for n in range(42)])
+    widest, walk = widest_walk_entry(ints, 20)
+    family0, = _walk_minors(walk, ints, 1, 20, (0,))
+    assert widest < max(h.bit_length() for h, _ in family0)

@@ -3,8 +3,8 @@
 stieltjes_weights reads both Hankel families of a weight pair off its
 weights; stieltjes_check inverts explicit terms to weights, certifies them
 by replay and reads the families off them, or falls back to the Hankel
-sections of the terms (one pivot table, elimination past a zero leading
-minor), deciding a family with a zero leading minor by a symmetric
+sections of the terms (the Chebyshev walk that inverted them, elimination
+past a zero leading minor), deciding a family with a zero leading minor by a symmetric
 elimination.  Random small weight pairs and term lists (zero, negative and
 rational entries, scaled by m_0, with a term changed) go through the
 routes, every report is compared with the elimination report, and every
@@ -58,8 +58,9 @@ from catmoments.hankel import (
     FAIL,
     PASS,
     StieltjesReport,
-    _chebyshev_weights,
+    _chebyshev_walk,
     _section_minors,
+    _walk_weights,
     _weight_families,
     stieltjes_check,
     stieltjes_weights,
@@ -94,6 +95,13 @@ values = st.one_of(
 def fractions(family) -> tuple[Fraction, ...]:
     """A report's family of (num, den) ints as Fractions."""
     return tuple(starmap(Fraction, family))
+
+
+def walk_weights(terms, depth: int) -> tuple[list[Fraction], list[Fraction]]:
+    """(s_0..s_depth, t_1..t_depth) of m / m_0, off the Chebyshev walk on the
+    terms over their common denominator."""
+    weights = _walk_weights(*_chebyshev_walk(_scaled_ints(terms)[0], depth))
+    return weights[:depth + 1], weights[depth + 1:]
 
 
 @st.composite
@@ -177,7 +185,7 @@ def test_terms_round_trip_through_their_weights(pair, m0):
     # nonzero t_k: the terms determine the weights, and replay to themselves
     sigma, tau, depth = pair
     terms = [m0 * v for v in catalan_like(sigma, tau, 2 * depth + 1)]
-    s, t = _chebyshev_weights(terms, depth)
+    s, t = walk_weights(terms, depth)
     assert (s, t) == (fraction_weights(sigma, depth + 1), fraction_weights(tau, depth))
     replay = catalan_like(SequenceSpec(tuple(s), ConstantTail(0), 0),
                           SequenceSpec(tuple(t), ConstantTail(0), 1), 2 * depth + 1)
@@ -244,11 +252,11 @@ def test_weight_route_refuses_negative_depth():
 
 
 # every entry point to the Hankel sections: the families' ints go to the
-# pivot table, hankel._pivot_table, and past a zero leading minor to
+# Chebyshev walk, hankel._chebyshev_walk, and past a zero leading minor to
 # elimination, _int_leading_minors; a section with a zero leading minor to
 # negative_principal_minor; and the recurrence the replay runs,
 # recursive._scaled_rows
-GUARDED = ((catmoments.hankel, "_pivot_table"), (catmoments.exact, "_int_leading_minors"),
+GUARDED = ((catmoments.hankel, "_chebyshev_walk"), (catmoments.exact, "_int_leading_minors"),
            (catmoments.exact, "negative_principal_minor"), (catmoments.recursive, "_scaled_rows"))
 
 
@@ -279,25 +287,26 @@ def test_weight_pair_runs_no_elimination(capsys, guarded_calls):
 
 
 def test_terms_run_no_elimination_unless_they_fall_back(capsys, guarded_calls):
-    # catalan's terms invert to its weights: one replay, no Hankel matrix
+    # catalan's terms invert to its weights: one walk, one replay, no
+    # Hankel matrix
     entry = catalog_lookup("catalan")
     terms = ",".join(format_rat(v) for v in catalan_like(entry.sigma, entry.tau, 41))
     guarded_calls.clear()               # the terms above ran the recurrence too
     assert main(["stieltjes", "--terms", terms, "--depth", "20", "--format", "json"]) == 0
-    assert guarded_calls == ["_scaled_rows"]
+    assert guarded_calls == ["_chebyshev_walk", "_scaled_rows"]
     named = main(["stieltjes", "--name", "catalan", "--depth", "20", "--format", "json"])
     from_terms, from_weights = capsys.readouterr().out.splitlines()
     assert named == 0 and json.loads(from_weights) == {"name": "catalan",
                                                         **json.loads(from_terms)}
     # the positive control of the guard: t_1 = 0 stops the inversion; the
-    # table stops at the zero leading minor H_1, one elimination per family
+    # walk stops at the zero leading minor H_1, one elimination per family
     # gives both families, and then each section is decided by its
     # principal minors
     guarded_calls.clear()
     assert main(["stieltjes", "--terms", "1,1,1,1,1,1", "--depth", "2"]) == 0
-    assert sorted(set(guarded_calls)) == ["_int_leading_minors", "_pivot_table",
+    assert sorted(set(guarded_calls)) == ["_chebyshev_walk", "_int_leading_minors",
                                           "negative_principal_minor"]
-    assert guarded_calls.count("_pivot_table") == 1
+    assert guarded_calls.count("_chebyshev_walk") == 1
     assert guarded_calls.count("_int_leading_minors") == 2
 
 
@@ -309,8 +318,8 @@ def test_weights_over_a_larger_scale_than_the_terms_go_to_the_sections(guarded_c
     terms = [Fraction(1, (n + 1) ** 2) for n in range(26)]
     guarded_calls.clear()
     report = stieltjes_check(terms, 12)
-    assert guarded_calls == ["_pivot_table"]
-    (m0, *ints), scale = _scaled_ints([terms[0], *itertools.chain(*_chebyshev_weights(terms, 12))])
+    assert guarded_calls == ["_chebyshev_walk"]
+    (m0, *ints), scale = _scaled_ints([terms[0], *itertools.chain(*walk_weights(terms, 12))])
     assert scale.bit_length() > 10 * math.lcm(*(m.denominator for m in terms)).bit_length()
     weights = StieltjesReport.from_families(12, *_weight_families(ints[:13], ints[13:], scale, m0))
     assert report == weights and report.verdict == PASS
@@ -319,23 +328,20 @@ def test_weights_over_a_larger_scale_than_the_terms_go_to_the_sections(guarded_c
 @pytest.mark.parametrize("corrupt", ["s_d", "t_d"])
 def test_weights_that_do_not_replay_fall_back(monkeypatch, guarded_calls, corrupt):
     # one recovered weight off by one: the replay misses a term, and the
-    # report is the Hankel sections', one table pass for both families and
-    # no elimination
-    real = catmoments.hankel._chebyshev_weights
+    # report is the Hankel sections' off the same walk, with no second walk
+    # and no elimination
+    real = catmoments.hankel._walk_weights
 
-    def corrupted(terms, depth):
-        s, t = real(terms, depth)
-        if corrupt == "s_d":
-            s[depth] += 1
-        else:
-            t[depth - 1] += 1           # t holds t_1..t_depth
-        return s, t
+    def corrupted(pivots, cs):
+        weights = real(pivots, cs)      # s_0..s_depth, then t_1..t_depth
+        weights[len(cs) - 1 if corrupt == "s_d" else -1] += 1
+        return weights
 
-    monkeypatch.setattr(catmoments.hankel, "_chebyshev_weights", corrupted)
+    monkeypatch.setattr(catmoments.hankel, "_walk_weights", corrupted)
     terms = catalan_like(catalog_lookup("bell").sigma, catalog_lookup("bell").tau, 11)
     guarded_calls.clear()
     assert stieltjes_check(terms, 5) == StieltjesReport.by_elimination(terms, 5)
-    assert guarded_calls == ["_scaled_rows", "_pivot_table", "_pivot_table"]
+    assert guarded_calls == ["_chebyshev_walk", "_scaled_rows", "_chebyshev_walk"]
 
 
 def test_verify_compares_the_whole_report(monkeypatch):
@@ -352,6 +358,28 @@ def test_verify_compares_the_whole_report(monkeypatch):
     checks = dict(catmoments.cli.verify_checks(entry, 4))
     assert checks["det_product"] is False
     assert [label for label, ok in checks.items() if not ok] == ["det_product"]
+
+
+def test_sections_catch_weight_products_over_a_wrong_power_of_l(monkeypatch, capsys):
+    # the Chebyshev walk reads only the terms, so weight products put over
+    # one power of L too many fail verify's det_product and hankel-det's
+    # comparison; delannoy's weights are integers (L = 1), so they are put
+    # over 2L first, where a power of L shows
+    real = catmoments.hankel._weight_families
+
+    def wrong_power(s, t, scale, m0=None):
+        rescaled = real([2 * x for x in s], [2 * x for x in t], 2 * scale,
+                        2 * (scale if m0 is None else m0))
+        return tuple([(p, 2 * scale * q) for p, q in family] for family in rescaled)
+
+    for module in (catmoments.hankel, catmoments.cli):
+        monkeypatch.setattr(module, "_weight_families", wrong_power)
+    assert main(["verify", "--name", "delannoy", "--depth", "6"]) == 1
+    failed = [line.split() for line in capsys.readouterr().out.splitlines()
+              if line.endswith("  FAIL")]
+    assert failed == [["det_product", "FAIL"]]
+    assert main(["hankel-det", "--name", "delannoy", "--depth", "6"]) == 1
+    assert capsys.readouterr().out.count(" MISMATCH\n") == 7
 
 
 rationals = st.one_of(
