@@ -120,8 +120,8 @@ def _chebyshev_walk(ints: list[int], depth: int) -> Optional[tuple[list, list]]:
     with p_k = sigma_k[k], t_k = p_k / p_(k-1) and s_k = sigma_k[k+1] / p_k - sigma_(k-1)[k]
     / p_(k-1) = c_k / (a_k a_(k-1)), c_k = a_(k-1) row_k[1] - a_k row_(k-1)[1], a_(-1) = 1.
     s_k and t_k e_k / e_(k-1) = a_k / a_(k-1) go over their least common denominator u, row
-    k+1 over u e_k, cut by its gcd: 1 on integral terms and weights, where sigma_k[l] =
-    m_0 T_k r_{l,k} is an int no larger than the terms."""
+    k+1 over u e_k, cut by its gcd, which is 1 on integral terms and weights: there
+    sigma_k[l] = m_0 T_k r_{l,k} is an int no larger than the terms."""
     pivots, cs = [], []
     prev, row, b, e = [0] * len(ints), ints, 1, 1
     for k in range(depth + 1):
