@@ -11,7 +11,9 @@ matrix, both Hankel families, stieltjes and tp), the same commands on a
 pair over different denominators (3 and 5) with a zero t_k and a negative
 s_k (tp: its diagonal-entry witness), the matrix of a rational
 pair with zero, negative and integral cells, gen on 256-bit constant
-weights, integral and rational (terms past the 4,300-digit limit), on a
+weights, integral and rational (terms past the 4,300-digit limit, the
+integral ones in every format), on 64-bit constant weights at -n 100, on a
+5,000-digit constant sigma, on a
 zero weight and on constant-tail pairs at t = 0, q = 0, q = t, q = t with
 p = s and with negative rational weights, both
 Hankel families
@@ -37,7 +39,8 @@ both Hankel families at depth 20 of sigma = 0, tau = k (every odd term
 0) and of a rational pair with polynomial tails, stieltjes on the terms
 1/(n+1)^2, whose weights need a far larger denominator than the terms,
 and on -1/(n+1)^2 (m_0 < 0), factorial's two families at depth 40 and
-bell's verify at depth 30 (large integral minors), stieltjes on 1,1,1,1
+bell's verify at depth 30 (large integral minors), factorial's stieltjes
+at depth 120 (minors of up to 70,602 bits), stieltjes on 1,1,1,1
 at depth 1 (the last leading minor 0), every named and parameterised
 generating function (the general form and the three specializations
 also at t = 0, the
@@ -155,6 +158,12 @@ WIDE_SIGMA = _constant_tail_spec([], str(2**256 - 189), 0)
 WIDE_TAU = _constant_tail_spec([], str(2**255 + 95), 1)
 WIDE_RATIONAL_SIGMA = _constant_tail_spec([str(2**256 - 357)], f"{2**255 + 95}/7", 0)
 WIDE_RATIONAL_TAU = _constant_tail_spec([str(2**256 - 189)], f"{2**256 - 5}/3", 1)
+# 64-bit constant weights: terms 29 to 100 have 1,800 to 6,400 bits; and a
+# 5,000-digit constant sigma, read past the digit limit, with a run of zeros
+# inside it
+WIDE64_SIGMA = _constant_tail_spec([], str(2**64 - 59), 0)
+WIDE64_TAU = _constant_tail_spec([], str(2**63 + 29), 1)
+LONG_SIGMA = _constant_tail_spec([], "99" + "0" * 700 + "1234567" * 614, 0)
 
 # pairs constant after their first entry, (p, s, s, ...) over (q, t, t, ...),
 # at each degenerate point of the closed form: t = 0 (no root), q = 0,
@@ -367,6 +376,15 @@ def cases() -> dict[str, list[str]]:
                                                            "--depth", "0", "--shift", shift,
                                                            "--format", f]
     out["gen-wide256-n70"] = ["gen", "--sigma", WIDE_SIGMA, "--tau", WIDE_TAU, "-n", "70"]
+    for f in ("json", "csv"):
+        out[f"gen-wide256-n70-{f}"] = ["gen", "--sigma", WIDE_SIGMA, "--tau", WIDE_TAU,
+                                       "-n", "70", "--format", f]
+    out["gen-wide64-n100"] = ["gen", "--sigma", WIDE64_SIGMA, "--tau", WIDE64_TAU,
+                              "-n", "100"]
+    out["gen-long-sigma-n2"] = ["gen", "--sigma", LONG_SIGMA, "--tau", TAU_ZERO, "-n", "2"]
+    # determinants of up to 70,602 bits
+    out["stieltjes-factorial-depth-120"] = ["stieltjes", "--name", "factorial",
+                                            "--depth", "120"]
     out["gen-wide256-rational-n64"] = ["gen", "--sigma", WIDE_RATIONAL_SIGMA,
                                        "--tau", WIDE_RATIONAL_TAU, "-n", "64"]
     out["gen-zero-weight"] = ["gen", "--sigma", STIELTJES_WEIGHT_CASES["zero-weight"][0],
