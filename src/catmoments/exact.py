@@ -19,6 +19,16 @@ elimination with diagonal pivoting.  The total-positivity routes need none
 of these: the minors of the tridiagonal coefficient matrix follow a
 three-term recurrence (see jacobi), and the identity checks use band sums.
 The package's record classes share one immutable value base, _Value.
+
+Ints are printed and read in decimal pieces of at most 600 digits, below the
+lowest digit limit (640) the interpreter can be set to, so no conversion is
+refused and the process-wide limit is never changed.  A wider int is split
+by divmod at the ladder of powers P_j = 10**(600 * 2**j), each made once by
+squaring the one before and kept (_int_str), and a longer digit string is
+joined by multiplying by the same kept powers (_int_of).  One str() of a
+600-digit piece is cheap, while the interpreter's str() and int() are
+quadratic on a whole wide int, and a shared ladder spares building a fresh
+power of ten at every level.
 """
 from __future__ import annotations
 
@@ -39,19 +49,37 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # of ten from eight characters.
 MAX_DECIMAL_EXPONENT = 4300
 
+# The decimal piece (see the module docstring): ints below 10**600, about
+# 2**1993.2, go to str() whole.
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+_LADDER = [_PIECE]
+
 _EXPONENT = re.compile(r"[eE][-+]?0*([0-9_]+)\s*\Z")
 _INT_OVER_INT = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
 
 
+def _power(j: int) -> int:
+    """The ladder's P_j = 10**(_PIECE_DIGITS * 2**j), made once, on first use, by
+    squaring P_(j-1), and kept in _LADDER."""
+    while len(_LADDER) <= j:
+        _LADDER.append(_LADDER[-1] ** 2)
+    return _LADDER[j]
+
+
 def _int_of(digits: str) -> int:
-    """int(digits) at any length, the reverse of _int_str: past the
-    interpreter's digit limit the digit string is split in halves, joined by
-    a power of ten, so the process-wide limit is left as it is."""
-    try:
+    """int(digits) at any length, the reverse of _int_str: a string of more than
+    _PIECE_DIGITS digits is cut so its low part has the _PIECE_DIGITS * 2**j
+    digits of the largest such width shorter than it, and the two parts are
+    joined by the kept P_j.  Every string handed to int() has at most
+    _PIECE_DIGITS digits, under any digit limit the interpreter can be set to."""
+    if len(digits) <= _PIECE_DIGITS:
         return int(digits)
-    except ValueError:
-        half = len(digits) // 2
-        return _int_of(digits[:-half]) * 10**half + _int_of(digits[-half:])
+    j = 0
+    while _PIECE_DIGITS << (j + 1) < len(digits):
+        j += 1
+    cut = len(digits) - (_PIECE_DIGITS << j)
+    return _int_of(digits[:cut]) * _power(j) + _int_of(digits[cut:])
 
 
 def _shown(value: str) -> str:
@@ -147,17 +175,28 @@ def check_fields(data: dict, allowed, what: str) -> None:
 
 
 def _int_str(n: int) -> str:
-    """str(n) at any size.  Past the interpreter's digit limit (4,300 digits by
-    default) n is split by divmod with a power of ten and rendered in halves,
-    so the process-wide limit is left as it is."""
-    try:
+    """str(n) at any size.  Past _PIECE_DIGITS digits n is split by divmod at
+    the largest P_j of the ladder not above it, the high part rendered the same
+    way and the low one as _padded pieces, so every int handed to str() has at
+    most _PIECE_DIGITS digits, under any digit limit the interpreter can be
+    set to."""
+    if abs(n) < _PIECE:
         return str(n)
-    except ValueError:
-        if n < 0:
-            return "-" + _int_str(-n)
-        half = n.bit_length() * 3 // 20          # about half the decimal digits
-        high, low = divmod(n, 10**half)
-        return _int_str(high) + _int_str(low).zfill(half)
+    if n < 0:
+        return "-" + _int_str(-n)
+    j = 0
+    while _power(j + 1) <= n:
+        j += 1
+    high, low = divmod(n, _LADDER[j])
+    return _int_str(high) + _padded(low, j)
+
+
+def _padded(n: int, j: int) -> str:
+    """n < P_j as exactly _PIECE_DIGITS * 2**j digits, with its leading zeros."""
+    if j == 0:
+        return str(n).zfill(_PIECE_DIGITS)
+    high, low = divmod(n, _LADDER[j - 1])
+    return _padded(high, j - 1) + _padded(low, j - 1)
 
 
 def _format_reduced(num: int, den: int) -> str:

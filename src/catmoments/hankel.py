@@ -23,7 +23,8 @@ report with one helper, so the same families give the same report.
     (_chebyshev_walk, below), and reads off it the weights s_0..s_depth,
     t_1..t_depth of m / m_0.  With m_0 > 0, no zero t_k (a zero leading
     minor of H), the weights over an L no larger than D (else the sections
-    cost less) and replay (m_0 times their Catalan-like numbers,
+    cost less; no weight is made past the first whose running lcm passes D)
+    and replay (m_0 times their Catalan-like numbers,
     recursive._scaled_rows, give back every term), both families are the
     weight products above, each scaled by m_0^(k+1); otherwise the walk's
     own families are the report (StieltjesReport.by_elimination).
@@ -70,7 +71,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import accumulate, starmap
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exact import (
     FALSE,
@@ -140,12 +141,13 @@ def _chebyshev_walk(ints: list[int], depth: int) -> Optional[tuple[list, list]]:
         prev, row, b, e = row, y if g == 1 else [v // g for v in y], a, u * e // g
 
 
-def _walk_weights(pivots: list, cs: list) -> list[Fraction]:
-    """[s_0..s_depth, t_1..t_depth] of the terms _chebyshev_walk walked, off its pivots, all
-    nonzero, and c_0..c_depth: s_k = c_k / (a_k a_(k-1)), t_k = a_k e_(k-1) / (a_(k-1) e_k)."""
+def _walk_weights(pivots: list, cs: list) -> Iterator[Fraction]:
+    """s_0..s_depth, then t_1..t_depth, of the terms _chebyshev_walk walked, one at a time,
+    off its pivots, all nonzero, and c_0..c_depth: s_k = c_k / (a_k a_(k-1)),
+    t_k = a_k e_(k-1) / (a_(k-1) e_k)."""
     lead = [(1, 1), *pivots]
-    return [*(Fraction(c, a * b) for c, (a, _), (b, _) in zip(cs, pivots, lead)),
-            *(Fraction(a * f, b * e) for (a, e), (b, f) in zip(pivots[1:], pivots))]
+    yield from (Fraction(c, a * b) for c, (a, _), (b, _) in zip(cs, pivots, lead))
+    yield from (Fraction(a * f, b * e) for (a, e), (b, f) in zip(pivots[1:], pivots))
 
 
 def _section_minors(ints: list[int], den: int, depth: int,
@@ -260,9 +262,13 @@ def stieltjes_check(terms: Sequence, depth: int = DEFAULT_DEPTH) -> StieltjesRep
     ints, den = _scaled_ints(terms)
     walk = _chebyshev_walk(ints, depth)
     if walk is not None and terms[0] > 0 and walk[0][depth][0] != 0:   # so no t_k is 0
-        weights = _walk_weights(*walk)
-        if all(scale <= den for scale in accumulate(
-                (w.denominator for w in weights), math.lcm, initial=terms[0].denominator)):
+        weights, scale = [], terms[0].denominator
+        for weight in _walk_weights(*walk):
+            scale = math.lcm(scale, weight.denominator)
+            if scale > den:
+                break
+            weights.append(weight)
+        else:
             (m0, *scaled), scale = _scaled_ints([terms[0], *weights])
             s, t = scaled[:depth + 1], scaled[depth + 1:]
             if _replays(terms, s, t, scale):

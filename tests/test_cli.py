@@ -789,6 +789,20 @@ def test_one_shot_entry_point():
     assert result.stderr == "error: -n must be >= 0, got -1\n"
 
 
+def test_the_lowest_digit_limit_prints_the_same_bytes():
+    # 640 digits is the lowest limit the interpreter can be set to: no piece
+    # handed to str() or int() may be longer, on terms of 5,382 digits and on
+    # a 5,000-digit string read and printed back
+    digits = "99" + "0" * 700 + "1234567" * 614
+    read_back = ("import sys; from catmoments.exact import as_rat, format_rat; "
+                 "print(*(format_rat(as_rat(v)) for v in sys.argv[1:]))")
+    for args in (("-m", "catmoments.cli", *golden_cases()["gen-wide256-n70"]),
+                 ("-c", read_back, digits, f"-{digits}/7")):
+        lowest, default = python("-X", "int_max_str_digits=640", *args), python(*args)
+        assert (lowest.returncode, lowest.stderr) == (0, "")
+        assert lowest.stdout == default.stdout and len(max(default.stdout.split(), key=len)) > 5000
+
+
 def test_import_builds_no_parser():
     result = python("-c", "import catmoments.cli as c; print(c._parser.cache_info().currsize, "
                           "c._command_parser.cache_info().currsize)")

@@ -14,6 +14,8 @@ from catmoments.exact import (
     FALSE,
     INCONCLUSIVE,
     TRUE,
+    _int_of,
+    _int_str,
     as_rat,
     format_over,
     format_rat,
@@ -113,7 +115,28 @@ def test_format_rat_past_the_interpreter_digit_limit():
     # just past the limit, with a low half that needs its leading zeros
     big = 10**4300 * 3 + 10**2150 + 42
     assert format_rat(Fraction(big)) == "3" + "0" * 2149 + "1" + "0" * 2148 + "42"
+    # each side of every rung P_j = 10**(600 * 2**j) of the splitting ladder,
+    # low pieces that are zero or need leading zeros, bit lengths on either
+    # side of the 600-digit piece (1,993.2 bits), and their negatives
+    values = [p + d for j in range(5) for p in [10 ** (600 << j)] for d in (-1, 0, 1)]
+    values += [7 * 10**4800 + 10**1199 + 3, 10**9600 * (10**600 - 1), 10**7000 + 10**600]
+    values += [v for bits in (1800, 1993, 1994, 1995) for v in (1 << bits - 1, (1 << bits) - 1)]
+    values += [-v for v in values]
+    shown = [format_rat(Fraction(v)) for v in values]
+    assert [as_rat(text) for text in shown] == values
     assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert shown == [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60000).flatmap(lambda bits: st.integers(1 - (1 << bits), (1 << bits) - 1)))
+def test_int_str_reads_back_by_int_of(n):
+    assert _int_of(_int_str(abs(n))) == abs(n)
+    assert as_rat(_int_str(n)) == n
 
 
 numerators = st.one_of(

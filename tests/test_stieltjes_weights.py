@@ -100,7 +100,7 @@ def fractions(family) -> tuple[Fraction, ...]:
 def walk_weights(terms, depth: int) -> tuple[list[Fraction], list[Fraction]]:
     """(s_0..s_depth, t_1..t_depth) of m / m_0, off the Chebyshev walk on the
     terms over their common denominator."""
-    weights = _walk_weights(*_chebyshev_walk(_scaled_ints(terms)[0], depth))
+    weights = list(_walk_weights(*_chebyshev_walk(_scaled_ints(terms)[0], depth)))
     return weights[:depth + 1], weights[depth + 1:]
 
 
@@ -325,6 +325,21 @@ def test_weights_over_a_larger_scale_than_the_terms_go_to_the_sections(guarded_c
     assert report == weights and report.verdict == PASS
 
 
+def test_weights_stop_at_the_first_scale_over_the_terms(monkeypatch):
+    # the weights of 1/(n+1)^2 need a larger denominator from the first few
+    # on: no weight is made past the one whose running lcm passes D
+    built = []
+
+    def counted(*args):
+        built.append(Fraction(*args))
+        return built[-1]
+
+    monkeypatch.setattr(catmoments.hankel, "Fraction", counted)      # only the weights
+    terms = [Fraction(1, (n + 1) ** 2) for n in range(62)]
+    assert stieltjes_check(terms, 30) == StieltjesReport.by_elimination(terms, 30)
+    assert 0 < len(built) < 2 * 30 + 1
+
+
 @pytest.mark.parametrize("corrupt", ["s_d", "t_d"])
 def test_weights_that_do_not_replay_fall_back(monkeypatch, guarded_calls, corrupt):
     # one recovered weight off by one: the replay misses a term, and the
@@ -333,7 +348,7 @@ def test_weights_that_do_not_replay_fall_back(monkeypatch, guarded_calls, corrup
     real = catmoments.hankel._walk_weights
 
     def corrupted(pivots, cs):
-        weights = real(pivots, cs)      # s_0..s_depth, then t_1..t_depth
+        weights = list(real(pivots, cs))    # s_0..s_depth, then t_1..t_depth
         weights[len(cs) - 1 if corrupt == "s_d" else -1] += 1
         return weights
 
