@@ -69,14 +69,15 @@ def _power(j: int) -> int:
 
 def _int_of(digits: str) -> int:
     """int(digits) at any length, the reverse of _int_str: a string of more than
-    _PIECE_DIGITS digits is cut so its low part has the _PIECE_DIGITS * 2**j
-    digits of the largest such width shorter than it, and the two parts are
-    joined by the kept P_j.  Every string handed to int() has at most
-    _PIECE_DIGITS digits, under any digit limit the interpreter can be set to."""
+    _PIECE_DIGITS digits is cut so its low part has _PIECE_DIGITS * 2**j
+    digits, the largest such width at most half its length (or j = 0), and
+    the two parts are joined by the kept P_j, so no power wider than half the
+    string is made.  Every string handed to int() has at most _PIECE_DIGITS
+    digits, under any digit limit the interpreter can be set to."""
     if len(digits) <= _PIECE_DIGITS:
         return int(digits)
     j = 0
-    while _PIECE_DIGITS << (j + 1) < len(digits):
+    while _PIECE_DIGITS << (j + 2) <= len(digits):
         j += 1
     cut = len(digits) - (_PIECE_DIGITS << j)
     return _int_of(digits[:cut]) * _power(j) + _int_of(digits[cut:])
