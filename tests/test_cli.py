@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line interface: output formats, exit
 codes, file arguments, range checks on the count options, each command's
 parser kept for the process and answering as the full parser does, the
-one-shot `python -m catmoments.cli` entry point, json loaded only by a job
+one-shot `python -m catmoments.cli` entry point, the same bytes under the
+lowest digit limit the interpreter takes, json loaded only by a job
 that reads or writes JSON, and gen's closed-form route on constant tails
 against the triangle, with the commands that must and must not run the
 triangle."""

@@ -14,7 +14,8 @@ none either, and the weight route, the weight lists tp_by_leading_minors
 takes (recursive.read_weights) and tp_sufficient_dominance read each weight
 exactly once, as does tp_certify for its two minor routes together;
 dominance reads none from the first index past both prefixes, whether or
-not the tails certify the rest.  Reads are counted through
+not the tails certify the rest; stieltjes_check makes no weight past the
+first whose running lcm passes the terms' denominator.  Reads are counted through
 SequenceSpec.ints, the int reader every route uses; with eval and values,
 the Fraction readers the package had, made to raise, every route and
 command still runs, dominance included.  The int families, (num, den) pairs kept until printed,
