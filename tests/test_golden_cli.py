@@ -13,7 +13,9 @@ s_k (tp: its diagonal-entry witness), the matrix of a rational
 pair with zero, negative and integral cells, gen on 256-bit constant
 weights, integral and rational (terms past the 4,300-digit limit, the
 integral ones in every format), on 64-bit constant weights at -n 100, on a
-5,000-digit constant sigma, on a
+5,000-digit constant sigma, on a wide signed integral pair with a zero term
+(text and json), on catalan at -n 996 and -n 997, where its path bound 4**n
+passes 10**600, on a
 zero weight and on constant-tail pairs at t = 0, q = 0, q = t, q = t with
 p = s and with negative rational weights, both
 Hankel families
@@ -45,7 +47,8 @@ at depth 1 (the last leading minor 0), every named and parameterised
 generating function (the general form and the three specializations
 also at t = 0, the
 general form at -n 0, the general form, tied_qp and inverse_sqrt with
-every field over a denominator, and each named form at -n 400), the catalog listing, and the usage-error (exit 2)
+every field over a denominator, each named form at -n 400, catalan at
+-n 2000 and tied_qp with 80-digit fields at -n 300), the catalog listing, and the usage-error (exit 2)
 path of each command, including one past the -n caps of gen, matrix and
 series and the --depth caps of stieltjes, hankel-det, tp and verify,
 each mix of weight sources (a name with --sigma, --terms or --pqst with a
@@ -164,6 +167,16 @@ WIDE_RATIONAL_TAU = _constant_tail_spec([str(2**256 - 189)], f"{2**256 - 5}/3", 
 WIDE64_SIGMA = _constant_tail_spec([], str(2**64 - 59), 0)
 WIDE64_TAU = _constant_tail_spec([], str(2**63 + 29), 1)
 LONG_SIGMA = _constant_tail_spec([], "99" + "0" * 700 + "1234567" * 614, 0)
+# a wide signed integral pair, sigma = -3*10**100 and tau = -3*10**200: its
+# terms are wide, and m_3 = s**3 + 3*s*t is 0
+WIDE_SIGNED_SIGMA = _constant_tail_spec([], str(-3 * 10**100), 0)
+WIDE_SIGNED_TAU = _constant_tail_spec([], str(-3 * 10**200), 1)
+# tied_qp with 80-digit integral fields (the digits of pi and e)
+WIDE_TIED_QP = {"kind": "tied_qp",
+                "s": "3141592653589793238462643383279502884197"
+                     "1693993751058209749445923078164062862089",
+                "t": "2718281828459045235360287471352662497757"
+                     "2470936999595749669676277240766303535475"}
 
 # pairs constant after their first entry, (p, s, s, ...) over (q, t, t, ...),
 # at each degenerate point of the closed form: t = 0 (no root), q = 0,
@@ -382,6 +395,15 @@ def cases() -> dict[str, list[str]]:
     out["gen-wide64-n100"] = ["gen", "--sigma", WIDE64_SIGMA, "--tau", WIDE64_TAU,
                               "-n", "100"]
     out["gen-long-sigma-n2"] = ["gen", "--sigma", LONG_SIGMA, "--tau", TAU_ZERO, "-n", "2"]
+    for f in ("text", "json"):
+        out[f"gen-wide-signed-n12-{f}"] = ["gen", "--sigma", WIDE_SIGNED_SIGMA,
+                                           "--tau", WIDE_SIGNED_TAU, "-n", "12", "--format", f]
+    out["series-catalan-n2000"] = ["series", "--gf", "catalan", "-n", "2000"]
+    out["series-tied-qp-wide-n300"] = ["series", "--gf", json.dumps(WIDE_TIED_QP), "-n", "300"]
+    # catalan's path bound max(1 + p + q, 1 + s + t) = 4: 4**996 = 2**1992 is
+    # below 10**600 and 4**997 = 2**1994 above it
+    for n in ("996", "997"):
+        out[f"gen-catalan-n{n}"] = ["gen", "--name", "catalan", "-n", n]
     # determinants of up to 70,602 bits
     out["stieltjes-factorial-depth-120"] = ["stieltjes", "--name", "factorial",
                                             "--depth", "120"]
