@@ -28,7 +28,8 @@ squaring the one before and kept (_int_str), and a longer digit string is
 joined by multiplying by the same kept powers (_int_of).  One str() of a
 600-digit piece is cheap, while the interpreter's str() and int() are
 quadratic on a whole wide int, and a shared ladder spares building a fresh
-power of ten at every level.
+power of ten at every level.  A rung is made only when the int's bit length
+shows that the split divides by it.
 """
 from __future__ import annotations
 
@@ -177,16 +178,19 @@ def check_fields(data: dict, allowed, what: str) -> None:
 
 def _int_str(n: int) -> str:
     """str(n) at any size.  Past _PIECE_DIGITS digits n is split by divmod at
-    the largest P_j of the ladder not above it, the high part rendered the same
-    way and the low one as _padded pieces, so every int handed to str() has at
-    most _PIECE_DIGITS digits, under any digit limit the interpreter can be
-    set to."""
+    a P_j of the ladder not above it, the high part rendered the same way and
+    the low one as _padded pieces, so every int handed to str() has at most
+    _PIECE_DIGITS digits, under any digit limit the interpreter can be set
+    to.  j is chosen by bit lengths: P_(j+1) = P_j**2 < 2**(2b), b the bit
+    length of P_j, so n is at least P_(j+1) when it has more than 2b bits.
+    That is the largest P_j not above n, or one rung lower when n lies in the
+    two bits below 2**(2b), and no rung is made that the split leaves unused."""
     if abs(n) < _PIECE:
         return str(n)
     if n < 0:
         return "-" + _int_str(-n)
     j = 0
-    while _power(j + 1) <= n:
+    while n.bit_length() > 2 * _power(j).bit_length():
         j += 1
     high, low = divmod(n, _LADDER[j])
     return _int_str(high) + _padded(low, j)

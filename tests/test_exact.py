@@ -4,12 +4,14 @@ kernel."""
 
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catmoments.exact
 from catmoments.exact import (
     FALSE,
     INCONCLUSIVE,
@@ -130,6 +132,25 @@ def test_format_rat_past_the_interpreter_digit_limit():
         assert shown == [str(v) for v in values]
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_int_str_makes_no_rung_that_it_does_not_divide_by(monkeypatch, j):
+    # 10**(600 * 2**(j+1)) - 1 is split at P_j: P_(j+1) is not made
+    monkeypatch.setattr(catmoments.exact, "_LADDER", [catmoments.exact._PIECE])
+    digits = 600 << (j + 1)
+    assert _int_str(10**digits - 1) == "9" * digits
+    assert len(catmoments.exact._LADDER) == j + 1
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_int_str_at_the_bit_lengths_that_choose_a_rung(j):
+    # P_(j+1) has 2b - 1 bits, b those of P_j: the ints from P_(j+1) up to
+    # 2**(2b) are split one rung low, and still print in full
+    power, bits = 10**(600 << (j + 1)), (10**(600 << j)).bit_length()
+    for n in (power - 1, power, power + 1, 2**(2 * bits) - 1, 2**(2 * bits), 2**(2 * bits + 1)):
+        assert _int_str(n) == str(Decimal(n))
+        assert _int_str(-n) == str(Decimal(-n))
 
 
 @settings(max_examples=200, deadline=None)
