@@ -29,14 +29,18 @@ product by cross-multiplication, and no Fraction is made per determinant.
 Each cmd_* function computes its whole result and returns it as (exit code,
 JSON object, CSV rows with the header first, text), all built from the same
 number strings (gen, matrix and series: from ints over their denominators,
-no Fraction per number); main prints the format asked for, once, so a
-command that fails prints only its error message.  Every command reads the
-weights as ints over one L (recursive.read_weights) and passes them on.  gen
-and hankel-det take the terms of weights constant after their first entry,
-and series the coefficients of every generating function spec, from one
-routine, the closed form's recurrence (series._constant_tail_ints, O(1) int
-operations a term, each an int over L^k); gen takes those of any other pair
-from the recursive matrix's triangle.  verify keeps the triangle
+or from exact Decimals, no Fraction per number); main prints the format
+asked for, once, so a command that fails prints only its error message.
+Every command reads the weights as ints over one L (recursive.read_weights)
+and passes them on.  gen and hankel-det take the terms of weights constant
+after their first entry, and series the coefficients of every generating
+function spec, from one routine, the closed form's recurrence (O(1)
+operations a term).  hankel-det takes each term as an int over L^k
+(series._constant_tail_ints); gen and series take them printed
+(series._constant_tail_strs), which runs the recurrence on exact Decimals
+when L = 1 and the terms are wide, as the same bytes come out faster; gen
+takes the terms of any other pair from the recursive matrix's triangle.
+verify keeps the triangle
 (recursive.catalan_like) as the independent check of the generating
 functions, and compares J's minor chain with elimination as int pairs.
 
@@ -100,7 +104,8 @@ from .series import (
     DEFAULT_ORDER,
     GFSpec,
     _constant_tail_pairs,
-    _gf_ints,
+    _constant_tail_strs,
+    _gf_weights,
     gf_expand,
     gf_from_json,
     gf_to_json,
@@ -248,7 +253,9 @@ def _term_ints(sigma: SequenceSpec, tau: SequenceSpec, n: int, weights=None) -> 
 def cmd_gen(args) -> Rendered:
     check_count("-n", args.n, 0, GEN_MAX_N)
     sigma, tau, name = resolve_weights(args)
-    terms = [format_over(num, den) for num, den in _term_ints(sigma, tau, args.n)]
+    pqst = pqst_of(sigma, tau)
+    terms = (_constant_tail_strs(*pqst, args.n) if pqst is not None
+             else [format_over(num, den) for num, den in _term_ints(sigma, tau, args.n)])
     data = {"sigma": sigma.to_json(), "tau": tau.to_json(), "n": args.n, "terms": terms}
     return 0, _named(name, data), [("n", "term"), *enumerate(terms)], " ".join(terms)
 
@@ -336,7 +343,7 @@ def cmd_tp(args) -> Rendered:
 def cmd_series(args) -> Rendered:
     check_count("-n", args.n, 0, SERIES_MAX_N)
     gf = parse_gf_arg(args.gf)
-    coeffs = [format_over(num, den) for num, den in _gf_ints(gf, args.n)]
+    coeffs = _constant_tail_strs(*_gf_weights(gf), args.n)
     data = {"spec": gf_to_json(gf), "order": args.n, "coeffs": coeffs}
     return 0, data, [("n", "coeff"), *enumerate(coeffs)], " ".join(coeffs)
 

@@ -30,12 +30,20 @@ joined by multiplying by the same kept powers (_int_of).  One str() of a
 quadratic on a whole wide int, and a shared ladder spares building a fresh
 power of ten at every level.  A rung is made only when the int's bit length
 shows that the split divides by it.
+
+A family that is a running product of narrow factors is cheaper still to
+compute in decimal than to convert: series runs the constant-tail recurrence
+of a wide integral pair on Decimals (libmpdec, whose str() is linear) in
+EXACT, a context that holds every integer exactly and traps any rounding, and
+prints each value by _decimal_str.
 """
 from __future__ import annotations
 
 import math
 import operator
 import re
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded)
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
@@ -55,6 +63,14 @@ MAX_DECIMAL_EXPONENT = 4300
 _PIECE_DIGITS = 600
 _PIECE = 10**_PIECE_DIGITS
 _LADDER = [_PIECE]
+
+# The one context every Decimal of the package is made and worked in, entered
+# by decimal.localcontext so the thread's default (28 digits) never touches a
+# value: integers of any width are exact, and a rounding raises, Inexact and
+# Rounded being ArithmeticErrors like the other traps.  Only +, -, * and
+# divmod run in it: a true division would work to MAX_PREC digits.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
 
 _EXPONENT = re.compile(r"[eE][-+]?0*([0-9_]+)\s*\Z")
 _INT_OVER_INT = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
@@ -202,6 +218,12 @@ def _padded(n: int, j: int) -> str:
         return str(n).zfill(_PIECE_DIGITS)
     high, low = divmod(n, _LADDER[j - 1])
     return _padded(high, j - 1) + _padded(low, j - 1)
+
+
+def _decimal_str(value) -> str:
+    """The digits of an integral Decimal of EXACT, as _int_str prints the same
+    int: a negative zero, which decimal keeps, prints as 0."""
+    return str(value) if value else "0"
 
 
 def _format_reduced(num: int, den: int) -> str:

@@ -20,8 +20,8 @@ L**n * r_{n,k} is an integer and row n+1 follows from row n with int
 arithmetic only.  The library returns Fractions; matrix prints the ints
 over L**n (exact.format_over), and gen prints column 0 the same way, for
 weights not constant after their first entry.  For those that are, gen and
-hankel-det take column 0 from series._constant_tail_ints, the closed form's
-recurrence at O(1) int operations a term, where row n here takes O(n).
+hankel-det take column 0 from series' closed-form recurrence at O(1)
+operations a term, where row n here takes O(n).
 catalan_like and the replay of stieltjes --terms stay on the triangle, the
 independent route that verify checks the generating functions against.
 Rows 0..depth use s_0..s_{depth-1} and t_1..t_{depth-1}.  catalan_like

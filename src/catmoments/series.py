@@ -27,32 +27,49 @@ low coefficients: G_0 = 4t'(t' - q'), or 4t'^2 (s' - p') when q = t, or
 N the int numerator c (A - e*sqrt(P)), and the one division a term is exact;
 it is checked all the same, and a remainder raises.  For t = 0,
 M(L*x) = (1 - s'x) / (1 - (p' + s')x + (p's' - q'L) x^2), with no root.
-Term k is printed as the int mu_k over L^k (exact.format_over: no gcd when
-L = 1) and made a Fraction only by gf_expand.
+
+_constant_tail runs that recurrence on the scaled ints, each first made a
+number by a lift: int, or exact.EXACT's create_decimal.  gen and series print
+the terms by _constant_tail_strs, which picks the route in one place.  Term k
+is the int mu_k over L^k, printed by exact.format_over (no gcd when L = 1),
+unless L = 1 and the path bound on the last term reaches exact._PIECE:
+m_n = (J^n)_00, and B = max(1 + |p| + |q|, 1 + |s| + |t|) is at least every
+column sum of J, so |m_n| <= B^n.  Then every step multiplies a wide number
+by a narrow one and divides it by a narrow one, in linear time on ints and
+on Decimals alike, but the interpreter's int-to-str is quadratic and
+libmpdec's str() linear: the same recurrence runs on Decimals in EXACT,
+where a rounding or an inexact division raises, and each term prints by
+exact._decimal_str.  The two routes print the same bytes.  The crossover is
+near _PIECE: on catalan, whose last term at the threshold has 596 digits,
+the two routes take about as long, and the Decimals win from about 750.
+hankel-det, gf_expand (the only place a term becomes a Fraction) and the
+Riordan check take the ints.
 """
 
 from __future__ import annotations
 
+from decimal import localcontext
 from fractions import Fraction
 from itertools import accumulate, starmap
 from operator import mul
 
-from .exact import (FALSE, TRUE, _over, _scaled_ints, _Value, _values, as_rat, check_fields,
-                    format_rat, nonneg_rats)
+from .exact import (_PIECE, EXACT, FALSE, TRUE, _decimal_str, _over, _scaled_ints, _Value,
+                    _values, as_rat, check_fields, format_over, format_rat, nonneg_rats)
 
 DEFAULT_ORDER = 16
 
 
-def _exact_div(num: int, den: int) -> int:
-    """num / den for a division the mathematics makes exact; a remainder means
-    a broken invariant, so it raises rather than return a floor."""
+def _exact_div(num, den):
+    """num / den, ints or Decimals, for a division the mathematics makes exact;
+    a remainder means a broken invariant, so it raises rather than return a
+    floor (or, on Decimals, a quotient truncated toward 0)."""
     quotient, remainder = divmod(num, den)
     if remainder:
         raise ArithmeticError(f"{num} is not a multiple of {den}")
     return quotient
 
 
-def _root_ints(a: int, b: int, count: int) -> list[int]:
+def _root_ints(a, b, count: int) -> list:
     """V_0..V_(count-1) of V_0 = 1, (k+1) V_(k+1) = a (1 - 2k) V_k + b (2 - k) V_(k-1):
     the coefficients y_k w^k of y = sqrt(1 + r1*x + r2*x**2) when a = w r1 / 2
     and b = w**2 r2 (P y' = P' y / 2), each an int when the V_k are."""
@@ -62,7 +79,7 @@ def _root_ints(a: int, b: int, count: int) -> list[int]:
     return roots[1:]
 
 
-def _quadratic_quotient(num: list[int], g0: int, g1: int, g2: int, count: int) -> list[int]:
+def _quadratic_quotient(num: list, g0, g1, g2, count: int) -> list:
     """The first count coefficients of num / (g0 + g1*x + g2*x**2), known to be
     ints: g0 v_k = num_k - g1 v_(k-1) - g2 v_(k-2), one exact division a term."""
     quot = [0, 0]
@@ -71,15 +88,13 @@ def _quadratic_quotient(num: list[int], g0: int, g1: int, g2: int, count: int) -
     return quot[2:]
 
 
-def _constant_tail_ints(p, q, s, t, n: int) -> tuple[list[int], int]:
-    """Terms 0..n of the Catalan-like numbers of (p, s, s, ...) over
-    (q, t, t, ...) as ints over powers of one L: term k = nums[k] / L**k,
-    where L is the LCM of the denominators of p, q, s, t.  These are the
-    recursive matrix's column 0 (recursive.catalan_like), from the closed
-    form's recurrence at O(1) int operations a term; see the module notes."""
+def _constant_tail(p: int, q: int, s: int, t: int, scale: int, n: int, lift) -> list:
+    """mu_0..mu_n, mu_k = L**k m_k, of the scaled ints p' .. t' over scale = L,
+    each lifted first, from the closed form's recurrence at O(1) operations a
+    term (see the module notes); the values are of the lift's type."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    (p, q, s, t), scale = _scaled_ints([as_rat(v) for v in (p, q, s, t)])
+    p, q, s, t, scale = map(lift, (p, q, s, t, scale))
     if t == 0:
         quad, num = (1, -p - s, p * s - q * scale), [1, -s, *[0] * n]
     else:
@@ -89,7 +104,37 @@ def _constant_tail_ints(p, q, s, t, n: int) -> tuple[list[int], int]:
         num[0] += c * a0
         num[1] += c * a1
     shift = next(i for i, v in enumerate(quad) if v)
-    return _quadratic_quotient(num[shift:], *quad[shift:], *[0] * shift, n + 1), scale
+    return _quadratic_quotient(num[shift:], *quad[shift:], *[0] * shift, n + 1)
+
+
+def _constant_tail_ints(p, q, s, t, n: int) -> tuple[list[int], int]:
+    """Terms 0..n of the Catalan-like numbers of (p, s, s, ...) over
+    (q, t, t, ...) as ints over powers of one L: term k = nums[k] / L**k,
+    where L is the LCM of the denominators of p, q, s, t.  These are the
+    recursive matrix's column 0 (recursive.catalan_like)."""
+    (p, q, s, t), scale = _scaled_ints([as_rat(v) for v in (p, q, s, t)])
+    return _constant_tail(p, q, s, t, scale, n, int), scale
+
+
+def _decimal_strs(p: int, q: int, s: int, t: int, n: int) -> list[str]:
+    """Terms 0..n of the integral pair p .. t as printed, from _constant_tail
+    run on Decimals in exact.EXACT."""
+    with localcontext(EXACT) as context:
+        return list(map(_decimal_str, _constant_tail(p, q, s, t, 1, n, context.create_decimal)))
+
+
+def _constant_tail_strs(p, q, s, t, n: int) -> list[str]:
+    """Terms 0..n of _constant_tail_ints as printed, format_over of each int
+    over its L**k; the route that makes them is chosen here (module notes).
+    The path bound B**n is taken to reach _PIECE when (bit length of B - 1)
+    * n reaches _PIECE's bit length, as 2**(bit length of B - 1) <= B."""
+    (p, q, s, t), scale = _scaled_ints([as_rat(v) for v in (p, q, s, t)])
+    if scale == 1:
+        bound = max(1 + abs(p) + abs(q), 1 + abs(s) + abs(t))
+        if (bound.bit_length() - 1) * n >= _PIECE.bit_length():
+            return _decimal_strs(p, q, s, t, n)
+    nums = _constant_tail(p, q, s, t, scale, n, int)
+    return list(map(format_over, nums, accumulate([1, *[scale] * n], mul)))
 
 
 def _constant_tail_pairs(p, q, s, t, n: int) -> list[tuple[int, int]]:
@@ -175,9 +220,14 @@ def gf_from_json(data: dict) -> GFSpec:
     return GFSpec(kind, tuple(data[f] for f in fields if f in data))
 
 
+def _gf_weights(gf: GFSpec) -> tuple:
+    """The weights (p, q, s, t) whose column 0 the spec generates."""
+    return _KINDS[_spec(gf).kind][1](*gf.params)
+
+
 def _gf_ints(gf: GFSpec, order: int) -> list[tuple[int, int]]:
     """gf_expand's coefficients as unreduced (num, L**k) int pairs."""
-    return _constant_tail_pairs(*_KINDS[_spec(gf).kind][1](*gf.params), order)
+    return _constant_tail_pairs(*_gf_weights(gf), order)
 
 
 def gf_expand(gf: GFSpec, order: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:

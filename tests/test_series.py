@@ -5,12 +5,16 @@ stands for.  Each kind is checked against its literal formula on the
 schoolbook kernels (oracle.LITERAL_FORMS), against the recurrence's
 triangle, and the Riordan check against its Fraction form and by refuting
 any one raised cell of the columns it compares; the kernel's exact
-divisions are checked."""
+divisions are checked, on ints and on Decimals.  The decimal route of wide
+integral pairs prints what the int route prints, is taken where the path
+bound says, and does not read the thread's default context."""
 
 import contextlib
 import io
+import itertools
 import json
 import random
+from decimal import Context, Decimal, getcontext, localcontext, setcontext
 from fractions import Fraction
 from itertools import starmap
 
@@ -26,6 +30,9 @@ from catmoments.series import (
     _KINDS,
     _constant_tail_ints,
     _constant_tail_pairs,
+    _constant_tail_strs,
+    _decimal_strs,
+    _exact_div,
     _gf_ints,
     _quadratic_quotient,
     gf_expand,
@@ -36,7 +43,7 @@ from catmoments.series import (
 import catmoments.recursive
 import catmoments.series
 from catmoments.cli import main
-from catmoments.exact import FALSE, TRUE, format_rat
+from catmoments.exact import EXACT, FALSE, TRUE, _decimal_str, _int_str, format_over, format_rat
 from oracle import (
     LITERAL_FORMS,
     fraction_divide,
@@ -47,6 +54,8 @@ from oracle import (
     iterated_solve_h,
     solve_d,
 )
+from test_golden_cli import GOLDEN, run_digest
+from test_golden_cli import cases as golden_cases
 
 # small denominators, and pairwise coprime primes of 31, 32 and 61 bits
 DENOMINATORS = (1, 2, 3, 7, 1_073_741_827, 4_294_967_291, 2**61 - 1)
@@ -548,3 +557,84 @@ def test_constant_tail_ints_raise_on_a_wrong_g0(monkeypatch):
 def test_constant_tail_ints_refuse_a_negative_n():
     with pytest.raises(ValueError, match="^n must be >= 0$"):
         _constant_tail_ints(1, 1, 2, 1, -1)
+
+
+# integral weights of either sign, small (zeros and cancellations) or wide
+integral = st.one_of(st.integers(-3, 3), st.integers(-10**40, 10**40))
+
+
+@st.composite
+def integral_pairs(draw):
+    """(p, q, s, t) ints, with t = 0, q = t or q = t and p = s (the shifts of
+    the quotient) drawn often."""
+    p, q, s, t = (draw(integral) for _ in range(4))
+    tie = draw(st.sampled_from(("none", "t = 0", "q = t", "q = t, p = s")))
+    t = 0 if tie == "t = 0" else t
+    return (s if tie == "q = t, p = s" else p), (q if tie == "none" else t), s, t
+
+
+def test_exact_context_holds_wide_ints_and_traps_a_rounding():
+    with localcontext(EXACT) as context:
+        wide = context.create_decimal(3**20000)
+        assert str(wide * 7 - 1) == _int_str(7 * 3**20000 - 1)
+        with pytest.raises(ArithmeticError):
+            context.create_decimal("2.5").to_integral_exact()
+
+
+def test_exact_div_refuses_a_remainder_on_decimals():
+    # divmod on Decimals truncates toward 0: -7 / 2 would be -3
+    with localcontext(EXACT) as context:
+        assert _exact_div(context.create_decimal(-12), 4) == -3
+        for num, den in ((7, 2), (-7, 2), (7, -2)):
+            with pytest.raises(ArithmeticError):
+                _exact_div(context.create_decimal(num), context.create_decimal(den))
+
+
+def test_decimal_str_prints_a_negative_zero_as_zero():
+    assert [_decimal_str(Decimal(v)) for v in ("-0", "0", "-12", "12")] == ["0", "0", "-12", "12"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integral_pairs(), st.integers(0, 40))
+def test_decimal_route_prints_the_int_route(pqst, n):
+    nums, scale = _constant_tail_ints(*pqst, n)
+    assert scale == 1
+    assert _decimal_strs(*pqst, n) == [format_over(v, 1) for v in nums]
+
+
+def test_decimal_route_prints_the_int_route_on_a_small_box():
+    # every (p, q, s, t) in {-3..3}**4 at n = 8: zero terms of either sign
+    for pqst in itertools.product(range(-3, 4), repeat=4):
+        assert _decimal_strs(*pqst, 8) == list(map(str, _constant_tail_ints(*pqst, 8)[0])), pqst
+
+
+@pytest.mark.parametrize("weights, n, wide", [
+    ((1, 1, 2, 1), 996, False),        # catalan: bound 4, 4**996 = 2**1992 < 10**600
+    ((1, 1, 2, 1), 997, True),         # 4**997 = 2**1994 > 10**600
+    ((Fraction(1, 2), 1, 2, 1), 1000, False),   # over L = 2: always the ints
+    ((-2**70, 0, 2**70, -1), 29, True),         # bound 2**70 + 2, 70 * 29 = 2030 bits
+    ((-2**70, 0, 2**70, -1), 28, False),        # 70 * 28 = 1960 bits
+])
+def test_constant_tail_strs_choose_the_decimal_route_by_the_path_bound(monkeypatch, weights,
+                                                                       n, wide):
+    calls = []
+    original = catmoments.series._decimal_strs
+    monkeypatch.setattr(catmoments.series, "_decimal_strs",
+                        lambda *args: calls.append(args) or original(*args))
+    nums, scale = _constant_tail_ints(*weights, n)
+    assert _constant_tail_strs(*weights, n) == [format_over(v, scale**k)
+                                                for k, v in enumerate(nums)]
+    assert bool(calls) == wide
+
+
+def test_decimal_route_ignores_the_default_context():
+    # a 5-digit default context that rounds silently must change no byte
+    argvs = [golden_cases()[case] for case in ("gen-wide256-n70", "series-catalan-n2000")]
+    saved = getcontext()
+    setcontext(Context(prec=5, traps=[]))
+    try:
+        digests = [run_digest(argv) for argv in argvs]
+    finally:
+        setcontext(saved)
+    assert [{"argv": argv, **digest} for argv, digest in zip(argvs, digests)] == \
+        [GOLDEN["gen-wide256-n70"], GOLDEN["series-catalan-n2000"]]
