@@ -35,12 +35,10 @@ Every command reads the weights as ints over one L (recursive.read_weights)
 and passes them on.  gen and hankel-det take the terms of weights constant
 after their first entry, and series the coefficients of every generating
 function spec, from one routine, the closed form's recurrence (O(1)
-operations a term).  hankel-det takes each term as an int over L^k
-(series._constant_tail_ints); gen and series take them printed
-(series._constant_tail_strs), which runs the recurrence on exact Decimals
-when L = 1 and the terms are wide, as the same bytes come out faster; gen
-takes the terms of any other pair from the recursive matrix's triangle.
-verify keeps the triangle
+operations a term): hankel-det as ints over L^k, gen and series printed
+(series._constant_tail_strs, on exact Decimals when L = 1 and the terms are
+wide); gen takes those of any other pair from the recursive matrix's
+triangle.  verify keeps the triangle
 (recursive.catalan_like) as the independent check of the generating
 functions, and compares J's minor chain with elimination as int pairs.
 

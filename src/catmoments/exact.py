@@ -31,11 +31,9 @@ quadratic on a whole wide int, and a shared ladder spares building a fresh
 power of ten at every level.  A rung is made only when the int's bit length
 shows that the split divides by it.
 
-A family that is a running product of narrow factors is cheaper still to
-compute in decimal than to convert: series runs the constant-tail recurrence
-of a wide integral pair on Decimals (libmpdec, whose str() is linear) in
-EXACT, a context that holds every integer exactly and traps any rounding, and
-prints each value by _decimal_str.
+EXACT is the package's one decimal context: series runs the recurrence of a
+wide integral pair on Decimals in it, as libmpdec's str() is linear, and
+prints each by _decimal_str.
 """
 from __future__ import annotations
 
@@ -64,11 +62,10 @@ _PIECE_DIGITS = 600
 _PIECE = 10**_PIECE_DIGITS
 _LADDER = [_PIECE]
 
-# The one context every Decimal of the package is made and worked in, entered
-# by decimal.localcontext so the thread's default (28 digits) never touches a
-# value: integers of any width are exact, and a rounding raises, Inexact and
-# Rounded being ArithmeticErrors like the other traps.  Only +, -, * and
-# divmod run in it: a true division would work to MAX_PREC digits.
+# Entered by decimal.localcontext, so the thread's default (28 digits) never
+# touches a value: integers of any width are exact, and a rounding raises
+# (Inexact and Rounded are ArithmeticErrors).  Only +, -, * and divmod run in
+# it: a true division would work to MAX_PREC digits.
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
 

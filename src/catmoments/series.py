@@ -28,20 +28,17 @@ N the int numerator c (A - e*sqrt(P)), and the one division a term is exact;
 it is checked all the same, and a remainder raises.  For t = 0,
 M(L*x) = (1 - s'x) / (1 - (p' + s')x + (p's' - q'L) x^2), with no root.
 
-_constant_tail runs that recurrence on the scaled ints, each first made a
-number by a lift: int, or exact.EXACT's create_decimal.  gen and series print
-the terms by _constant_tail_strs, which picks the route in one place.  Term k
-is the int mu_k over L^k, printed by exact.format_over (no gcd when L = 1),
-unless L = 1 and the path bound on the last term reaches exact._PIECE:
-m_n = (J^n)_00, and B = max(1 + |p| + |q|, 1 + |s| + |t|) is at least every
-column sum of J, so |m_n| <= B^n.  Then every step multiplies a wide number
-by a narrow one and divides it by a narrow one, in linear time on ints and
-on Decimals alike, but the interpreter's int-to-str is quadratic and
-libmpdec's str() linear: the same recurrence runs on Decimals in EXACT,
-where a rounding or an inexact division raises, and each term prints by
-exact._decimal_str.  The two routes print the same bytes.  The crossover is
-near _PIECE: on catalan, whose last term at the threshold has 596 digits,
-the two routes take about as long, and the Decimals win from about 750.
+_constant_tail runs that recurrence on the scaled ints, each lifted first by
+int or by exact.EXACT's create_decimal.  _constant_tail_strs prints the terms
+for gen and series and picks the route: term k is the int mu_k over L^k
+(exact.format_over), unless L = 1 and the path bound on the last term,
+|m_n| = |(J^n)_00| <= B^n with B = max(1 + |p| + |q|, 1 + |s| + |t|) at least
+every column sum of J, reaches exact._PIECE.  Each step multiplies and
+divides a wide number by narrow ones, linear on ints and Decimals alike, but
+int-to-str is quadratic and libmpdec's str() linear, so such terms are run
+on Decimals in EXACT, where a rounding or an inexact division raises, for
+the same bytes.  On catalan, whose last term at the threshold has 596
+digits, both routes take about as long; Decimals win from about 750 digits.
 hankel-det, gf_expand (the only place a term becomes a Fraction) and the
 Riordan check take the ints.
 """
@@ -116,13 +113,6 @@ def _constant_tail_ints(p, q, s, t, n: int) -> tuple[list[int], int]:
     return _constant_tail(p, q, s, t, scale, n, int), scale
 
 
-def _decimal_strs(p: int, q: int, s: int, t: int, n: int) -> list[str]:
-    """Terms 0..n of the integral pair p .. t as printed, from _constant_tail
-    run on Decimals in exact.EXACT."""
-    with localcontext(EXACT) as context:
-        return list(map(_decimal_str, _constant_tail(p, q, s, t, 1, n, context.create_decimal)))
-
-
 def _constant_tail_strs(p, q, s, t, n: int) -> list[str]:
     """Terms 0..n of _constant_tail_ints as printed, format_over of each int
     over its L**k; the route that makes them is chosen here (module notes).
@@ -132,7 +122,9 @@ def _constant_tail_strs(p, q, s, t, n: int) -> list[str]:
     if scale == 1:
         bound = max(1 + abs(p) + abs(q), 1 + abs(s) + abs(t))
         if (bound.bit_length() - 1) * n >= _PIECE.bit_length():
-            return _decimal_strs(p, q, s, t, n)
+            with localcontext(EXACT) as context:
+                terms = _constant_tail(p, q, s, t, 1, n, context.create_decimal)
+                return list(map(_decimal_str, terms))
     nums = _constant_tail(p, q, s, t, scale, n, int)
     return list(map(format_over, nums, accumulate([1, *[scale] * n], mul)))
 

@@ -30,8 +30,8 @@ from catmoments.series import (
     _KINDS,
     _constant_tail_ints,
     _constant_tail_pairs,
+    _constant_tail,
     _constant_tail_strs,
-    _decimal_strs,
     _exact_div,
     _gf_ints,
     _quadratic_quotient,
@@ -594,6 +594,12 @@ def test_decimal_str_prints_a_negative_zero_as_zero():
     assert [_decimal_str(Decimal(v)) for v in ("-0", "0", "-12", "12")] == ["0", "0", "-12", "12"]
 
 
+def _decimal_strs(p, q, s, t, n):
+    """The decimal route, forced: terms 0..n of an integral pair as printed."""
+    with localcontext(EXACT) as context:
+        return list(map(_decimal_str, _constant_tail(p, q, s, t, 1, n, context.create_decimal)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(integral_pairs(), st.integers(0, 40))
 def test_decimal_route_prints_the_int_route(pqst, n):
@@ -618,9 +624,8 @@ def test_decimal_route_prints_the_int_route_on_a_small_box():
 def test_constant_tail_strs_choose_the_decimal_route_by_the_path_bound(monkeypatch, weights,
                                                                        n, wide):
     calls = []
-    original = catmoments.series._decimal_strs
-    monkeypatch.setattr(catmoments.series, "_decimal_strs",
-                        lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(catmoments.series, "_decimal_str",
+                        lambda value: calls.append(value) or _decimal_str(value))
     nums, scale = _constant_tail_ints(*weights, n)
     assert _constant_tail_strs(*weights, n) == [format_over(v, scale**k)
                                                 for k, v in enumerate(nums)]
