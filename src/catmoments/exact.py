@@ -28,12 +28,9 @@ squaring the one before and kept (_int_str), and a longer digit string is
 joined by multiplying by the same kept powers (_int_of).  One str() of a
 600-digit piece is cheap, while the interpreter's str() and int() are
 quadratic on a whole wide int, and a shared ladder spares building a fresh
-power of ten at every level.  A rung is made only when the int's bit length
-shows that the split divides by it.
-
-EXACT is the package's one decimal context: series runs the recurrence of a
-wide integral pair on Decimals in it, as libmpdec's str() is linear, and
-prints each by _decimal_str.
+power of ten at every level.  EXACT is the package's one decimal context:
+series runs the recurrence of a wide integral pair on Decimals in it, as
+libmpdec's str() is linear, and prints each by _decimal_str.
 """
 from __future__ import annotations
 
@@ -63,9 +60,8 @@ _PIECE = 10**_PIECE_DIGITS
 _LADDER = [_PIECE]
 
 # Entered by decimal.localcontext, so the thread's default (28 digits) never
-# touches a value: integers of any width are exact, and a rounding raises
-# (Inexact and Rounded are ArithmeticErrors).  Only +, -, * and divmod run in
-# it: a true division would work to MAX_PREC digits.
+# touches a value: ints of any width are exact, and a rounding raises (Inexact
+# and Rounded are ArithmeticErrors).  Only +, -, * and divmod run in it.
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
 
@@ -194,10 +190,9 @@ def _int_str(n: int) -> str:
     a P_j of the ladder not above it, the high part rendered the same way and
     the low one as _padded pieces, so every int handed to str() has at most
     _PIECE_DIGITS digits, under any digit limit the interpreter can be set
-    to.  j is chosen by bit lengths: P_(j+1) = P_j**2 < 2**(2b), b the bit
-    length of P_j, so n is at least P_(j+1) when it has more than 2b bits.
-    That is the largest P_j not above n, or one rung lower when n lies in the
-    two bits below 2**(2b), and no rung is made that the split leaves unused."""
+    to.  j is chosen by bit lengths: n >= P_(j+1) = P_j**2 when n has more
+    than twice P_j's bits, so no rung is made that the split leaves unused
+    (n just below that bound is split one rung low)."""
     if abs(n) < _PIECE:
         return str(n)
     if n < 0:

@@ -5,15 +5,15 @@ A generating function spec (GFSpec) names the ordinary generating function
 of column 0 of the recursive matrix of diagonal weights (p, s, s, ...) over
 subdiagonal weights (q, t, t, ...): its Catalan-like numbers.  Each kind of
 spec is a map from its fields to that pair (p, q, s, t), and each named
-classic a literal row of it.  _constant_tail_ints is the one routine that
+classic a literal row of it.  _constant_tail is the one routine that
 expands such a pair; gen and hankel-det print its terms, series and
 gf_expand expand a spec by it, and the Riordan column check takes h from
 it.  The recursive matrix's triangle stays the independent route: verify
 compares gf_expand with recursive.catalan_like, which runs the triangle.
 
 The generating function of such a pair is the radical quotient
-c / (A + e*sqrt(P)), and _constant_tail_ints runs its D-finite recurrence
-at O(1) int operations a term, with no denominator that grows.  Write
+c / (A + e*sqrt(P)), and _constant_tail runs its D-finite recurrence
+at O(1) operations a term, with no denominator that grows.  Write
 (p, q, s, t) = (p', q', s', t') / L over one L.  The terms times L^k,
 mu_k = L^k m_k, are ints (recursive's triangle runs on them), and their
 generating function M(L*x) = c / (A + e*sqrt(P)) has int data: c = 2t',
@@ -30,17 +30,13 @@ M(L*x) = (1 - s'x) / (1 - (p' + s')x + (p's' - q'L) x^2), with no root.
 
 _constant_tail runs that recurrence on the scaled ints, each lifted first by
 int or by exact.EXACT's create_decimal.  _constant_tail_strs prints the terms
-for gen and series and picks the route: term k is the int mu_k over L^k
-(exact.format_over), unless L = 1 and the path bound on the last term,
-|m_n| = |(J^n)_00| <= B^n with B = max(1 + |p| + |q|, 1 + |s| + |t|) at least
-every column sum of J, reaches exact._PIECE.  Each step multiplies and
-divides a wide number by narrow ones, linear on ints and Decimals alike, but
-int-to-str is quadratic and libmpdec's str() linear, so such terms are run
-on Decimals in EXACT, where a rounding or an inexact division raises, for
-the same bytes.  On catalan, whose last term at the threshold has 596
-digits, both routes take about as long; Decimals win from about 750 digits.
-hankel-det, gf_expand (the only place a term becomes a Fraction) and the
-Riordan check take the ints.
+for gen and series: term k is the int mu_k over L^k (exact.format_over),
+unless L = 1 and the path bound B^n >= |m_n|, B = max(1 + |p| + |q|,
+1 + |s| + |t|) at least every column sum of |J|, reaches exact._PIECE.  Such
+terms are run on Decimals in EXACT for the same bytes, as int-to-str is
+quadratic and libmpdec's str() linear; on catalan both routes take about as
+long at that threshold.  hankel-det, gf_expand and the Riordan check take
+the ints.
 """
 
 from __future__ import annotations
@@ -59,10 +55,11 @@ DEFAULT_ORDER = 16
 def _exact_div(num, den):
     """num / den, ints or Decimals, for a division the mathematics makes exact;
     a remainder means a broken invariant, so it raises rather than return a
-    floor (or, on Decimals, a quotient truncated toward 0)."""
+    floor (on Decimals, a quotient truncated toward 0).  The message names no
+    value: an int past the digit limit would not print."""
     quotient, remainder = divmod(num, den)
     if remainder:
-        raise ArithmeticError(f"{num} is not a multiple of {den}")
+        raise ArithmeticError("an exact division left a remainder")
     return quotient
 
 
@@ -114,10 +111,9 @@ def _constant_tail_ints(p, q, s, t, n: int) -> tuple[list[int], int]:
 
 
 def _constant_tail_strs(p, q, s, t, n: int) -> list[str]:
-    """Terms 0..n of _constant_tail_ints as printed, format_over of each int
-    over its L**k; the route that makes them is chosen here (module notes).
-    The path bound B**n is taken to reach _PIECE when (bit length of B - 1)
-    * n reaches _PIECE's bit length, as 2**(bit length of B - 1) <= B."""
+    """Terms 0..n of _constant_tail_ints as printed, on the route the module
+    notes give.  B**n reaches _PIECE when (bit length of B - 1) * n reaches
+    _PIECE's bit length, as 2**(bit length of B - 1) <= B."""
     (p, q, s, t), scale = _scaled_ints([as_rat(v) for v in (p, q, s, t)])
     if scale == 1:
         bound = max(1 + abs(p) + abs(q), 1 + abs(s) + abs(t))

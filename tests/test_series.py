@@ -582,7 +582,10 @@ def test_exact_context_holds_wide_ints_and_traps_a_rounding():
 
 
 def test_exact_div_refuses_a_remainder_on_decimals():
-    # divmod on Decimals truncates toward 0: -7 / 2 would be -3
+    # divmod on Decimals truncates toward 0: -7 / 2 would be -3; and an int
+    # past the digit limit is refused as such, not by failing to print
+    with pytest.raises(ArithmeticError):
+        _exact_div(10**5000 + 1, 10)
     with localcontext(EXACT) as context:
         assert _exact_div(context.create_decimal(-12), 4) == -3
         for num, den in ((7, 2), (-7, 2), (7, -2)):
