@@ -11,12 +11,11 @@ bound says, and does not read the thread's default context."""
 
 import contextlib
 import io
-import itertools
 import json
 import random
 from decimal import Context, Decimal, getcontext, localcontext, setcontext
 from fractions import Fraction
-from itertools import starmap
+from itertools import product, starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -613,7 +612,7 @@ def test_decimal_route_prints_the_int_route(pqst, n):
 
 def test_decimal_route_prints_the_int_route_on_a_small_box():
     # every (p, q, s, t) in {-3..3}**4 at n = 8: zero terms of either sign
-    for pqst in itertools.product(range(-3, 4), repeat=4):
+    for pqst in product(range(-3, 4), repeat=4):
         assert _decimal_strs(*pqst, 8) == list(map(str, _constant_tail_ints(*pqst, 8)[0])), pqst
 
 

@@ -43,7 +43,7 @@ def test_section_routes_match_every_minor():
     """tp_certify's section routes on every section of the box, leading
     minors and then, on INCONCLUSIVE, contiguous minors, against every minor
     of the section (oracle.all_minors_nonneg): 17,476 sections, 69 minors
-    at most each, about 1.5 s."""
+    at most each, about 1.5 to 2 s."""
     for s, t in _sections():
         report = tp_by_leading_minors(s, t, 1)
         if report.verdict == INCONCLUSIVE:
@@ -57,7 +57,7 @@ def test_stieltjes_weights_match_every_principal_minor():
     it 0, against every principal minor of both Hankel sections
     [m_(i+j)] and [m_(i+j+1)], 0 <= i, j <= d, of the terms as powers of J
     (_terms; oracle.principal_minors_nonneg): 17,476 sections, 30 principal
-    minors at most each, about 6 s."""
+    minors at most each, 6 to 10 s."""
     for s, t in _sections():
         depth = len(s) - 1
         sigma = SequenceSpec(s, ConstantTail(0), 0)
