@@ -29,7 +29,9 @@ but not all positive (integral, and over a denominator: two negative
 principal minors with rational values and the semidefinite sections of
 (2/3) delta_1), and at depth 0 (also hankel-det), the (p, q, s, t)
 criterion, the contiguous-minor TP route (with its single-entry witnesses),
-tp at depth 0, the dominance route past the first tail index (TRUE at depth
+tp at depth 0, tp on reducible pairs at the --depth cap 2000 (factorial's
+weights with t_1 = 0, also at depth 1998, and sigma = tau = (0, 1, 1, ...);
+text and json), the dominance route past the first tail index (TRUE at depth
 8 and at depth 100, and FALSE at k = 4 past it, where the leading minors
 answer; FALSE far past it, on the gap at k = 100 and on t at k = 101, where
 the minor routes answer, and TRUE on a gap with a double root at k = 100),
@@ -199,6 +201,13 @@ THIRDS_FIFTHS_SIGMA = json.dumps({"prefix": ["2/3", "3", "2", "-1/3"],
                                   "tail": {"kind": "polynomial", "coeffs": ["1/3", "2/3"]},
                                   "start": 0})
 THIRDS_FIFTHS_TAU = _constant_tail_spec(["7/5", "9/5", "0"], "6/5", 1)
+
+# factorial's weights sigma = 2k + 1, tau = k^2 with t_1 = 0
+REDUCIBLE_SIGMA = json.dumps({"prefix": [], "tail": {"kind": "polynomial", "coeffs": ["1", "2"]},
+                              "start": 0})
+REDUCIBLE_TAU = json.dumps({"prefix": ["0"],
+                            "tail": {"kind": "polynomial", "coeffs": ["0", "0", "1"]},
+                            "start": 1})
 
 # dominance past the first tail index K = 2 on sigma = (2, 5/3,
 # (3k^2 - 24k + 73)/15, ...): with tau = (1/3, 2/3, ...) the gap
@@ -422,6 +431,16 @@ def cases() -> dict[str, list[str]]:
     out["hankel-det-depth-over-cap"] = ["hankel-det", "--name", "catalan", "--depth", "86",
                                         "--format", "json"]
     out["tp-depth-over-cap"] = ["tp", "--jacobi-name", "catalan", "--depth", "2001"]
+    # reducible pairs at the --depth cap: factorial's weights with t_1 = 0
+    # (also two below the cap), and sigma = tau = (0, 1, 1, ...)
+    for f in ("text", "json"):
+        for depth in ("1998", "2000"):
+            out[f"tp-reducible-factorial-depth-{depth}-{f}"] = [
+                "tp", "--sigma", REDUCIBLE_SIGMA, "--tau", REDUCIBLE_TAU, "--depth", depth,
+                "--format", f]
+        out[f"tp-reducible-ones-depth-2000-{f}"] = [
+            "tp", "--sigma", _constant_tail_spec(["0"], "1", 0),
+            "--tau", _constant_tail_spec(["0"], "1", 1), "--depth", "2000", "--format", f]
     out["verify-depth-over-cap"] = ["verify", "--name", "catalan", "--depth", "76",
                                     "--format", "csv"]
     out["series-n-over-cap"] = ["series", "--gf", "delannoy", "-n", "10001", "--format", "json"]
