@@ -13,7 +13,6 @@ from types import ModuleType as _ModuleType
 
 from .exact import (
     FALSE,
-    INCONCLUSIVE,
     TRUE,
     as_rat,
     format_rat,
@@ -32,7 +31,6 @@ from .jacobi import (
     TPReport,
     tp_by_leading_minors,
     tp_certify,
-    tp_check_sections,
     tp_criterion_pqst,
     tp_sufficient_dominance,
 )

@@ -4,7 +4,7 @@ cross-verification with machine-readable output.
 Subcommands: gen, matrix, stieltjes, hankel-det, tp, series, verify,
 catalog.  Every number prints as an exact integer or "p/q" string; --format
 selects text, json, or csv.  Exit codes: 0 for success or PASS, 1 for a
-checked FAIL (or a certification that came back FALSE or INCONCLUSIVE), 2
+checked FAIL (or a certification that came back FALSE), 2
 for usage and parse errors, including a count option (-n, --depth) out of
 its range (gen, matrix and series cap -n; stieltjes, hankel-det, tp and
 verify cap --depth), two weight sources at once (a name with --sigma/--tau,
@@ -191,8 +191,8 @@ def parse_gf_arg(text: str):
 # triangle); matrix output grows as n**3 (770 MiB at 800);
 # series by the slowest named form, delannoy or schroder_large
 GEN_MAX_N, MATRIX_MAX_N, SERIES_MAX_N = 4000, 800, 10_000
-# the largest --depth by the same rule; tp's contiguous scan passes its
-# window budget at depth 1999, and the cap leaves that reachable
+# the largest --depth by the same rule, but for tp: its section route is
+# linear in the depth and decides every section, far below that rule's cap
 STIELTJES_MAX_DEPTH, HANKEL_DET_MAX_DEPTH, VERIFY_MAX_DEPTH, TP_MAX_DEPTH = 230, 85, 75, 2000
 
 

@@ -46,7 +46,6 @@ from typing import Optional
 # Verdict vocabulary shared by the certification routines.
 TRUE = "TRUE"
 FALSE = "FALSE"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 # Largest decimal exponent magnitude a string may carry: the interpreter's
 # default digit limit.  "1e200000" would otherwise build a 665,000-bit power

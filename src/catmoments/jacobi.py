@@ -5,20 +5,28 @@ The coefficient matrix J carries the diagonal weights s_0, s_1, ... on its
 diagonal, the subdiagonal weights t_1, t_2, ... below, and 1 everywhere on
 the superdiagonal.  Total positivity of J (all minors of all orders
 nonnegative) is what makes the attached sequence a Stieltjes moment
-sequence, and four routes certify it:
+sequence, and three routes certify it:
 
-  * tp_by_leading_minors: the determinant chain D_k of leading sections;
-    for irreducible J (all t_k > 0), all D_k > 0 is equivalent to total
-    positivity of the section.
   * tp_sufficient_dominance: the weight-dominance condition s_0 >= 1,
     t_k >= 0 and s_k >= t_k + 1, decided exactly for the infinite matrix:
     explicitly below the first tail index, on the tail polynomials from it.
   * tp_criterion_pqst: for weights constant after the first entry, an exact
     if-and-only-if criterion, evaluated without floating point by case
     analysis and squaring.
-  * tp_check_sections: every contiguous principal minor of a finite
-    section, which for nonnegative tridiagonal matrices decides total
-    positivity of the section; serves as fallback and cross-check.
+  * tp_by_leading_minors: decides a finite section by the minor chain of
+    each of its irreducible blocks.
+
+A nonnegative tridiagonal matrix is totally positive iff all its contiguous
+principal minors are nonnegative; each t_k = 0 splits the section into
+irreducible blocks, J is block upper triangular, a window across blocks is
+the product of its pieces, and the section is totally positive iff every
+block is.  A block, all its t_k > 0, is diagonally similar to a symmetric
+nonnegative tridiagonal matrix, totally positive iff positive semidefinite
+(Pinkus, Totally Positive Matrices, 2010; Fallat and Johnson, Totally
+Nonnegative Matrices, 2011), that is iff its leading minors are positive
+but for the last, which may be 0.  A zero minor D_k before the block's end
+makes the next one -t_(k+1) D_(k-1) < 0, so the block's chain decides: its
+first negative minor, if any, is the witness.
 
 Every contiguous principal minor of a tridiagonal matrix, the leading ones
 included, follows one three-term recurrence,
@@ -27,32 +35,28 @@ included, follows one three-term recurrence,
 
 so _minor_chain is the only determinant evaluation here, and hankel reads
 the shifted Hankel family off the same chain: O(depth) multiplications for
-the leading chain, O(depth^2) for all windows.  The chain runs on integers:
-with L the LCM of the weights' denominators, s' = L s and t' = L^2 t give
-D' = L^(hi-lo+1) D by the same recurrence.  Both minor routes decide each
-sign on D'; only a printed minor is reduced (format_over).  The section
-routes take S = L s_0..L s_depth, T = L t_1..L t_depth and L as
-recursive.read_weights(sigma, tau, depth + 1) reads them, straight from the
-specs' ints (_int_section lays them out as rows for verify's elimination);
-tp_certify reads them once for both minor routes.  Dominance reads the
-weights below the first tail index K the same way, read_weights(sigma, tau,
-K), and none from K on: there it searches the two tail polynomials, as
-ints over the same L (SequenceSpec.tail_ints), for their first negative value.
+a section.  The chain runs on integers: with L the LCM of the weights'
+denominators, s' = L s and t' = L^2 t give D' = L^(hi-lo+1) D by the same
+recurrence.  The section route decides each sign on D'; only a printed
+minor is reduced (format_over).  It takes S = L s_0..L s_depth,
+T = L t_1..L t_depth and L as recursive.read_weights(sigma, tau, depth + 1)
+reads them, straight from the specs' ints (_int_section lays them out as
+rows for verify's elimination).  Dominance reads the weights below the
+first tail index K the same way, read_weights(sigma, tau, K), and none from
+K on: there it searches the two tail polynomials, as ints over the same L
+(SequenceSpec.tail_ints), for their first negative value.
 
-All verdicts are TRUE / FALSE / INCONCLUSIVE, and every report states the
-depth it actually checked.
+Every verdict is TRUE or FALSE, and every report states the depth it
+actually checked.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .exact import FALSE, INCONCLUSIVE, TRUE, _Value, format_over, format_rat, nonneg_rats
+from .exact import FALSE, TRUE, _Value, format_over, format_rat, nonneg_rats
 from .recursive import read_weights
 from .seqspec import SequenceSpec, _horner
-
-# Upper bound on the number of windows tp_check_sections may scan.
-MAX_WINDOWS = 2_000_000
 
 
 class JacobiParams(_Value):
@@ -72,7 +76,7 @@ class JacobiParams(_Value):
 class TPReport(_Value):
     """Outcome of one total-positivity route.
 
-    criterion names the route; verdict is TRUE / FALSE / INCONCLUSIVE;
+    criterion names the route; verdict is TRUE or FALSE;
     depth is the largest index actually inspected (None for purely
     symbolic verdicts); witness carries the refuting minor when FALSE.
     """
@@ -122,33 +126,41 @@ def _minor_chain(s: list[int], t: list[int], den: int, lo: int) -> Iterator[tupl
 
 
 def tp_by_leading_minors(s: list[int], t: list[int], scale: int) -> TPReport:
-    """Certify the section on S = L s_0..L s_depth, T = L t_1..L t_depth over L
-    (read_weights) by its leading minors.
+    """Decide total positivity of the section on S = L s_0..L s_depth,
+    T = L t_1..L t_depth over L (read_weights) in O(depth) steps.
 
-    Requires irreducibility (all inspected t_k > 0).  Then all leading
-    minors positive forces every s_k > 0, J is diagonally similar to a
-    positive definite symmetric tridiagonal matrix with nonnegative entries,
-    and the section is totally positive.  A negative minor refutes total
-    positivity outright; a zero minor or a matrix that is not irreducible
-    yields INCONCLUSIVE (callers fall back to tp_check_sections).  Signs are
-    read off the int chain; only the printed minors are reduced.
+    A negative leading minor refutes it (criterion leading_minors, the chain
+    as detail).  With all t_k > 0 and no leading minor 0, all are positive
+    and certify it.  Otherwise (criterion contiguous_minors) a negative entry
+    refutes it with its 1 x 1 witness, and then each irreducible block's
+    minor chain from its first row decides it: the first negative minor is
+    the witness.  Signs are read off the int chains; only the printed minors
+    are reduced.
     """
     depth = _section_depth(s, t)
     chain = tuple(_minor_chain(s, t, scale, 0))
     for k, (value, den) in enumerate(chain):
         if value < 0:
-            witness = {"rows": list(range(k + 1)), "cols": list(range(k + 1)),
-                       "value": format_over(value, den)}
-            return TPReport("leading_minors", FALSE, depth=depth, witness=witness,
-                            detail=_chain_detail(chain))
-    if not all(w > 0 for w in t):
-        return TPReport("leading_minors", INCONCLUSIVE, depth=depth,
-                        detail="matrix is reducible or has a negative subdiagonal "
-                               "weight at this depth; use the contiguous-minor check")
-    if any(value == 0 for value, _ in chain):
-        return TPReport("leading_minors", INCONCLUSIVE, depth=depth,
-                        detail="zero leading minor; use the contiguous-minor check")
-    return TPReport("leading_minors", TRUE, depth=depth, detail=_chain_detail(chain))
+            rows = list(range(k + 1))
+            return TPReport("leading_minors", FALSE, depth=depth, detail=_chain_detail(chain),
+                            witness={"rows": rows, "cols": rows, "value": format_over(value, den)})
+    if all(w > 0 for w in t) and all(value for value, _ in chain):
+        return TPReport("leading_minors", TRUE, depth=depth, detail=_chain_detail(chain))
+    for k in range(depth + 1):
+        if s[k] < 0:
+            return TPReport("contiguous_minors", FALSE, depth=depth,
+                            witness={"rows": [k], "cols": [k], "value": format_over(s[k], scale)})
+        if k and t[k - 1] < 0:
+            return TPReport("contiguous_minors", FALSE, depth=depth, witness={
+                "rows": [k], "cols": [k - 1], "value": format_over(t[k - 1], scale)})
+    starts = [0, *(k for k in range(1, depth + 1) if t[k - 1] == 0)]
+    for lo, end in zip(starts, [*starts[1:], depth + 1]):
+        for hi, (value, den) in zip(range(lo, end), _minor_chain(s, t, scale, lo)):
+            if value < 0:
+                rows = list(range(lo, hi + 1))
+                return TPReport("contiguous_minors", FALSE, depth=depth, witness={
+                    "rows": rows, "cols": rows, "value": format_over(value, den)})
+    return TPReport("contiguous_minors", TRUE, depth=depth)
 
 
 def _chain_detail(chain: tuple[tuple[int, int], ...]) -> str:
@@ -239,51 +251,14 @@ def tp_criterion_pqst(params: JacobiParams) -> TPReport:
                     detail=f"p(s + sqrt(s^2-4t))/2 < q with 2q - ps = {format_rat(gap)}")
 
 
-def tp_check_sections(s: list[int], t: list[int], scale: int) -> TPReport:
-    """Decide total positivity of the section on S = L s_0..L s_depth,
-    T = L t_1..L t_depth over L (read_weights).
-
-    For a nonnegative tridiagonal matrix, the section is totally positive
-    iff every contiguous principal minor (consecutive row/column window) is
-    nonnegative; windows are scanned by ascending start then ascending end,
-    and the first negative window is the witness.  A negative entry anywhere
-    refutes immediately.  More than MAX_WINDOWS windows is INCONCLUSIVE.
-    """
-    depth = _section_depth(s, t)
-    for k in range(depth + 1):
-        if s[k] < 0:
-            return TPReport("contiguous_minors", FALSE, depth=depth,
-                            witness={"rows": [k], "cols": [k], "value": format_over(s[k], scale)})
-        if k and t[k - 1] < 0:
-            return TPReport("contiguous_minors", FALSE, depth=depth, witness={
-                "rows": [k], "cols": [k - 1], "value": format_over(t[k - 1], scale)})
-    windows = (depth + 1) * (depth + 2) // 2
-    if windows > MAX_WINDOWS:
-        return TPReport("contiguous_minors", INCONCLUSIVE, depth=depth,
-                        detail=f"window count {windows} exceeds budget {MAX_WINDOWS}")
-    for lo in range(depth + 1):
-        for hi, (value, den) in enumerate(_minor_chain(s, t, scale, lo), start=lo):
-            if value < 0:
-                witness = {"rows": list(range(lo, hi + 1)),
-                           "cols": list(range(lo, hi + 1)),
-                           "value": format_over(value, den)}
-                return TPReport("contiguous_minors", FALSE, depth=depth, witness=witness)
-    return TPReport("contiguous_minors", TRUE, depth=depth)
-
-
 def tp_certify(sigma: SequenceSpec, tau: SequenceSpec, depth: int) -> TPReport:
     """Run the routes on J of sigma and tau in order of strength: dominance
-    (certifies the infinite matrix), then on the (depth+1)-section leading
-    minors, then contiguous minors, both on one read of the weights.  FALSE
-    from dominance only means its sufficient condition failed; it refutes
-    nothing, so the minor routes still run."""
+    (certifies the infinite matrix), then the minor chains of the
+    (depth+1)-section.  FALSE from dominance only means its sufficient
+    condition failed; it refutes nothing, so the section route still runs."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     dominance = tp_sufficient_dominance(sigma, tau)
     if dominance.verdict == TRUE:
         return dominance
-    weights = read_weights(sigma, tau, depth + 1)
-    structured = tp_by_leading_minors(*weights)
-    if structured.verdict != INCONCLUSIVE:
-        return structured
-    return tp_check_sections(*weights)
+    return tp_by_leading_minors(*read_weights(sigma, tau, depth + 1))

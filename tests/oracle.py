@@ -67,7 +67,9 @@ principal_minors_nonneg evaluates every principal
 minor with it, the brute-force definition of positive semidefiniteness the
 Stieltjes verdicts must agree with; all_minors_nonneg scans every minor of a matrix
 for negativity, the brute-force definition of total positivity the
-library's structured routes must agree with.
+library's structured routes must agree with, and window_scan every
+contiguous principal minor of a section of J, each by its own elimination,
+the classical test for a nonnegative tridiagonal matrix.
 """
 
 import itertools
@@ -79,7 +81,6 @@ from typing import Optional, Sequence
 
 from catmoments.exact import (
     FALSE,
-    INCONCLUSIVE,
     TRUE,
     _int_leading_minors,
     _scaled_ints,
@@ -90,6 +91,9 @@ from catmoments.hankel import _hankel_terms, _weight_families
 from catmoments.jacobi import TPReport, _minor_chain, _section_depth
 from catmoments.recursive import _scaled_rows, read_weights
 from catmoments.seqspec import SequenceSpec
+
+# the verdict of all_minors_nonneg over its budget
+INCONCLUSIVE = "INCONCLUSIVE"
 
 COFACTOR_MAX_DIM = 9
 
@@ -649,6 +653,28 @@ def all_minors_nonneg(
                 checked += 1
                 if value < 0:
                     return MinorScan(FALSE, NegativeMinor(row_idx, col_idx, value), checked)
+    return MinorScan(TRUE, None, checked)
+
+
+def window_scan(s, t) -> MinorScan:
+    """The contiguous-minor scan of the section s_0..s_d, t_1..t_d: for a
+    nonnegative tridiagonal matrix, total positivity iff every contiguous
+    principal minor is nonnegative.  Entry signs first, then every window
+    lo..hi by ascending lo and hi, each by its own elimination; FALSE with
+    the first negative entry or window as witness."""
+    for k, s_k in enumerate(s):
+        if s_k < 0:
+            return MinorScan(FALSE, NegativeMinor((k,), (k,), s_k))
+        if k and t[k - 1] < 0:
+            return MinorScan(FALSE, NegativeMinor((k,), (k - 1,), t[k - 1]))
+    checked = 0
+    for lo in range(len(s)):
+        for hi in range(lo, len(s)):
+            value = det_elimination(jacobi_window(s, t, lo, hi))
+            checked += 1
+            if value < 0:
+                window = tuple(range(lo, hi + 1))
+                return MinorScan(FALSE, NegativeMinor(window, window, value), checked)
     return MinorScan(TRUE, None, checked)
 
 

@@ -16,7 +16,7 @@ from catmoments.exact import FALSE, TRUE, as_rat
 from catmoments.hankel import FAIL, PASS, stieltjes_check, verify_H_eq_RTRt
 from catmoments.jacobi import (
     JacobiParams,
-    tp_check_sections,
+    tp_by_leading_minors,
     tp_criterion_pqst,
 )
 from catmoments.recursive import _scaled_rows, catalan_like, motzkin_oracle, read_weights
@@ -126,12 +126,12 @@ def test_criterion_07_randomized_pqst_criterion_vs_minor_search():
         sigma, tau = pqst_matrix(params)
         s, t = fraction_weights(sigma, 9), fraction_weights(tau, 8)
         if verdict == TRUE:
-            assert tp_check_sections(*int_weights(s[:7], t[:6])).verdict == TRUE, params
+            assert tp_by_leading_minors(*int_weights(s[:7], t[:6])).verdict == TRUE, params
         else:
             # bounded refutation search: a verified negative window, or no
             # refutation at this depth -- but never a claim the criterion
             # was wrong
-            scan = tp_check_sections(*int_weights(s, t))
+            scan = tp_by_leading_minors(*int_weights(s, t))
             assert scan.verdict in (TRUE, FALSE), params
             if scan.verdict == FALSE:
                 lo, hi = scan.witness["rows"][0], scan.witness["rows"][-1]

@@ -38,8 +38,11 @@ def test_every_exported_name_resolves():
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.recursive, gone)
     for gone in ("JacobiMatrix", "leading_minors", "_leading_minors_report",
                  "_contiguous_minors_report", "jacobi_section", "window_minors",
-                 "_scaled_section", "_tail_poly", "DOMINANCE_GUARD_INDEX", "_eventually_nonneg"):
+                 "_scaled_section", "_tail_poly", "DOMINANCE_GUARD_INDEX", "_eventually_nonneg",
+                 "tp_check_sections", "MAX_WINDOWS"):
         assert not hasattr(catmoments, gone) and not hasattr(catmoments.jacobi, gone)
+    # no route answers INCONCLUSIVE: the verdict lives in tests/oracle.py
+    assert not hasattr(catmoments, "INCONCLUSIVE") and not hasattr(catmoments.exact, "INCONCLUSIVE")
     # dominance decides the tails exactly: no probe depth to pass
     assert list(inspect.signature(catmoments.tp_sufficient_dominance).parameters) == [
         "sigma", "tau"]

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import catmoments.exact
 from catmoments.exact import (
     FALSE,
-    INCONCLUSIVE,
     TRUE,
     _int_of,
     _int_str,
@@ -24,6 +23,7 @@ from catmoments.exact import (
     format_row,
 )
 from oracle import (
+    INCONCLUSIVE,
     DenseMatrix,
     all_minors_nonneg,
     count_minors,

@@ -104,9 +104,9 @@ def _constant_tail_spec(prefix: list, value: str, start) -> str:
 
 
 # weight pairs that neither dominance nor the leading minor chain decides
-# (a zero weight makes J reducible, a negative one leaves the chain
-# inconclusive), so the contiguous-minor route answers: TRUE at depth 12,
-# FALSE with the window 1..4 (value -12) at depth 6, sigma = 12/5,
+# (a zero weight makes J reducible, a negative one refutes by its entry), so
+# the minor chains of J's irreducible blocks answer: TRUE at depth 12,
+# FALSE with the window 2..4 (value -6) at depth 6, sigma = 12/5,
 # tau = (1, 0, 36/25, ...) TRUE at depth 20, a rational pair with
 # s_0 = t_1 = 0 whose windows from row 0 are all 0, FALSE with the window
 # 1..4 (value -1874/315) at depth 8, and two single-entry witnesses: the
@@ -195,7 +195,7 @@ CONSTANT_TAIL_CASES = {
 
 # sigma over 3 with a negative s_3, tau over 5 with a zero t_3: the leading
 # chain 2/3, 3/5, 0, 0, ... has no negative minor, the zero t_3 leaves it
-# inconclusive, and the contiguous route refutes on the diagonal entry
+# undecided, and the section route refutes on the diagonal entry
 # s_3 = -1/3 (rows [3] cols [3]); both Hankel families are 0 from k = 3 on
 THIRDS_FIFTHS_SIGMA = json.dumps({"prefix": ["2/3", "3", "2", "-1/3"],
                                   "tail": {"kind": "polynomial", "coeffs": ["1/3", "2/3"]},
@@ -431,8 +431,9 @@ def cases() -> dict[str, list[str]]:
     out["hankel-det-depth-over-cap"] = ["hankel-det", "--name", "catalan", "--depth", "86",
                                         "--format", "json"]
     out["tp-depth-over-cap"] = ["tp", "--jacobi-name", "catalan", "--depth", "2001"]
-    # reducible pairs at the --depth cap: factorial's weights with t_1 = 0
-    # (also two below the cap), and sigma = tau = (0, 1, 1, ...)
+    # reducible pairs at the --depth cap: factorial's weights with t_1 = 0,
+    # TRUE (also two below the cap), and sigma = tau = (0, 1, 1, ...), FALSE
+    # with the window 1..3 (value -1)
     for f in ("text", "json"):
         for depth in ("1998", "2000"):
             out[f"tp-reducible-factorial-depth-{depth}-{f}"] = [

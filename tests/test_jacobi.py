@@ -11,21 +11,27 @@ from hypothesis import strategies as st
 
 import catmoments.jacobi
 
-from catmoments.exact import FALSE, INCONCLUSIVE, TRUE
+from catmoments.cli import TP_MAX_DEPTH
+from catmoments.exact import FALSE, TRUE
 from catmoments.jacobi import (
-    MAX_WINDOWS,
     JacobiParams,
     TPReport,
     _first_negative,
     _int_section,
     tp_by_leading_minors,
     tp_certify,
-    tp_check_sections,
     tp_criterion_pqst,
     tp_sufficient_dominance,
 )
 from catmoments.recursive import read_weights
-from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, _horner, catalog_lookup
+from catmoments.seqspec import (
+    CATALOG,
+    ConstantTail,
+    PolynomialTail,
+    SequenceSpec,
+    _horner,
+    catalog_lookup,
+)
 from oracle import (
     all_minors_nonneg,
     det_elimination,
@@ -95,7 +101,7 @@ def test_zero_diagonal_gives_negative_minor():
 
 
 @pytest.mark.parametrize("s, t", [([], []), ([2, 2], [0, 1])])
-@pytest.mark.parametrize("route", [jacobi_section, tp_by_leading_minors, tp_check_sections])
+@pytest.mark.parametrize("route", [jacobi_section, tp_by_leading_minors])
 def test_section_routes_refuse_weight_lists_of_no_section(route, s, t):
     # s_0..s_d and t_1..t_d, d >= 0: no section at depth -1, and no t_0
     with pytest.raises(ValueError, match="need s_0..s_d and t_1..t_d"):
@@ -289,10 +295,14 @@ def test_leading_minor_route_certifies_catalog():
         assert tp_by_leading_minors(*read_weights(entry.sigma, entry.tau, 9)).verdict == TRUE
 
 
-def test_leading_minor_route_refuses_reducible_matrices():
-    report = tp_by_leading_minors([1] * 5, [0] * 4, 1)
-    assert report.verdict == INCONCLUSIVE
-    assert "reducible" in report.detail
+def test_leading_minor_route_decides_reducible_matrices():
+    # five 1 x 1 blocks, each the minor 1
+    assert tp_by_leading_minors([1] * 5, [0] * 4, 1) == TPReport(
+        "contiguous_minors", TRUE, depth=4)
+    # blocks 0..1 and 2..3 of s = (1, 1, 1, 1), t = (1, 0, 2): the chain
+    # 1, -1 of the second refutes, while the leading chain 1, 0, 0, 0 does not
+    report = tp_by_leading_minors([1, 1, 1, 1], [1, 0, 2], 1)
+    assert report.witness == {"rows": [2, 3], "cols": [2, 3], "value": "-1"}
 
 
 def test_leading_minor_route_needs_positive_subdiagonal():
@@ -302,17 +312,17 @@ def test_leading_minor_route_needs_positive_subdiagonal():
     tau = SequenceSpec((Fraction(-3),), ConstantTail(Fraction(1)), start=1)
     assert _chain(sigma, tau, 2) == (1, 2, 1)
     report = tp_by_leading_minors(*read_weights(sigma, tau, 3))
-    assert report.verdict == INCONCLUSIVE
-    assert "negative subdiagonal" in report.detail
+    assert (report.criterion, report.verdict) == ("contiguous_minors", FALSE)
+    assert report.witness == {"rows": [1], "cols": [1], "value": "-1"}
 
 
-def test_leading_minor_route_inconclusive_on_zero_minor():
-    # s = (1, 1, ...), t = 1: chain 1, 0 at depth 1 (and the 2x2 section
-    # really is totally positive, so zero must not be read as a refutation)
+def test_leading_minor_route_decides_zero_minors():
+    # s = (1, 1, ...), t = 1: chain 1, 0 at depth 1, the last minor of the
+    # block (and the 2x2 section really is totally positive, so zero must not
+    # be read as a refutation)
     ones = [Fraction(1)] * 4
     report = tp_by_leading_minors(*int_weights(ones[:2], ones[:1]))
-    assert report.verdict == INCONCLUSIVE
-    assert "zero leading minor" in report.detail
+    assert (report.criterion, report.verdict) == ("contiguous_minors", TRUE)
     assert all_minors_nonneg(jacobi_section(ones[:2], ones[:1]), 2).status == TRUE
     # one step deeper the chain turns negative: D_2 = -1 refutes outright,
     # zeros notwithstanding
@@ -322,24 +332,32 @@ def test_leading_minor_route_inconclusive_on_zero_minor():
 
 
 def test_sections_catalan_depth_six():
-    assert tp_check_sections(*_ints("catalan", 6)).verdict == TRUE
+    assert tp_by_leading_minors(*_ints("catalan", 6)).verdict == TRUE
 
 
 def test_sections_refute_bad_parameters_with_witness():
-    report = tp_check_sections(*read_weights(*pqst_matrix(JacobiParams(1, 3, 2, 1)), 5))
+    report = tp_by_leading_minors(*read_weights(*pqst_matrix(JacobiParams(1, 3, 2, 1)), 5))
     assert report.verdict == FALSE
     assert report.witness == {"rows": [0, 1], "cols": [0, 1], "value": "-1"}
 
 
 def test_sections_one_by_one():
-    assert tp_check_sections([5], [], 1).verdict == TRUE
+    assert tp_by_leading_minors([5], [], 1).verdict == TRUE
+    assert tp_by_leading_minors([0], [], 1) == TPReport("contiguous_minors", TRUE, depth=0)
 
 
-def test_sections_budget_inconclusive():
-    # 2000 * 2001 / 2 = 2,001,000 windows, just past the cap
-    report = tp_check_sections(*_ints("catalan", 1999))
-    assert report.verdict == INCONCLUSIVE
-    assert report.detail == f"window count 2001000 exceeds budget {MAX_WINDOWS}"
+def test_sections_decide_reducible_pairs_at_the_depth_cap():
+    # factorial's weights with t_1 = 0: blocks 0 and 1..2000, every minor
+    # positive; sigma = tau = (0, 1, 1, ...): blocks 0 and 1..2000, whose
+    # chain 1, 0, -1 refutes on rows 1..3
+    factorial = (SequenceSpec((), PolynomialTail((1, 2)), start=0),
+                 SequenceSpec((0,), PolynomialTail((0, 0, 1)), start=1))
+    assert tp_certify(*factorial, TP_MAX_DEPTH) == TPReport(
+        "contiguous_minors", TRUE, depth=TP_MAX_DEPTH)
+    ones = tuple(SequenceSpec((0,), ConstantTail(1), start=start) for start in (0, 1))
+    assert tp_certify(*ones, TP_MAX_DEPTH) == TPReport(
+        "contiguous_minors", FALSE, depth=TP_MAX_DEPTH,
+        witness={"rows": [1, 2, 3], "cols": [1, 2, 3], "value": "-1"})
 
 
 def test_sections_agree_with_exhaustive_minor_scan():
@@ -352,7 +370,7 @@ def test_sections_agree_with_exhaustive_minor_scan():
             tuple(Fraction(rng.randint(0, 4)) for _ in range(4)),
             ConstantTail(Fraction(1)), start=1)
         s, t = fraction_weights(sigma, 5), fraction_weights(tau, 4)
-        sections = tp_check_sections(*int_weights(s, t))
+        sections = tp_by_leading_minors(*int_weights(s, t))
         exhaustive = all_minors_nonneg(jacobi_section(s, t), 5)
         assert sections.verdict == exhaustive.status
 
@@ -378,9 +396,10 @@ def test_certify_refuses_negative_depth():
 
 
 def test_report_json_shape():
-    report = tp_check_sections(*read_weights(*pqst_matrix(JacobiParams(1, 3, 2, 1)), 5))
+    # s_0 = 1 and t_1 = 3: the leading chain 1, -1 refutes
+    report = tp_by_leading_minors(*read_weights(*pqst_matrix(JacobiParams(1, 3, 2, 1)), 5))
     data = report.to_json()
-    assert data["criterion"] == "contiguous_minors"
+    assert data["criterion"] == "leading_minors"
     assert data["verdict"] == FALSE
     assert data["depth"] == 4
     assert "witness" in data

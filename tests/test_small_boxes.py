@@ -9,9 +9,9 @@ them (depths 0..3).  The routes read the weights as ints over L = 1.
 
 import itertools
 
-from catmoments.exact import FALSE, INCONCLUSIVE, TRUE
+from catmoments.exact import FALSE, TRUE
 from catmoments.hankel import FAIL, PASS, stieltjes_weights
-from catmoments.jacobi import tp_by_leading_minors, tp_check_sections
+from catmoments.jacobi import tp_by_leading_minors
 from catmoments.seqspec import ConstantTail, SequenceSpec
 from oracle import all_minors_nonneg, build_hankel, jacobi_section, principal_minors_nonneg
 
@@ -40,14 +40,11 @@ def _terms(s: list, t: list) -> list:
 
 
 def test_section_routes_match_every_minor():
-    """tp_certify's section routes on every section of the box, leading
-    minors and then, on INCONCLUSIVE, contiguous minors, against every minor
-    of the section (oracle.all_minors_nonneg): 17,476 sections, 69 minors
-    at most each, about 1.5 to 2 s."""
+    """tp_certify's section route on every section of the box, against every
+    minor of the section (oracle.all_minors_nonneg): 17,476 sections, 69
+    minors at most each, about 1.5 to 2 s."""
     for s, t in _sections():
         report = tp_by_leading_minors(s, t, 1)
-        if report.verdict == INCONCLUSIVE:
-            report = tp_check_sections(s, t, 1)
         expected = all_minors_nonneg(jacobi_section(s, t), len(s)).status
         assert (report.verdict, expected) in ((TRUE, TRUE), (FALSE, FALSE)), (s, t)
 

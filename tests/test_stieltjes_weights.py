@@ -48,7 +48,6 @@ import catmoments.jacobi
 import catmoments.recursive
 from catmoments.cli import main
 from catmoments.exact import (
-    INCONCLUSIVE,
     TRUE,
     _same_values,
     _scaled_ints,
@@ -69,7 +68,6 @@ from catmoments.hankel import (
 from catmoments.jacobi import (
     tp_by_leading_minors,
     tp_certify,
-    tp_check_sections,
     tp_sufficient_dominance,
 )
 from catmoments.recursive import catalan_like, motzkin_oracle, read_weights
@@ -575,9 +573,9 @@ def test_dominance_reads_no_weight_past_its_first_failure(weight_reads):
 
 def test_tp_certify_reads_each_weight_once_in_its_minor_routes(weight_reads):
     # sigma = (3, 2, 5/2, 3, ...), tau = (2, 1, 0, 1, ...): dominance reads
-    # the 7 weights below K = 4 and fails at k = 1, and the zero t_3 leaves the
-    # leading minors inconclusive, so both minor routes run; each used to read
-    # all 25 weights itself
+    # the 7 weights below K = 4 and fails at k = 1, and the zero t_3 splits
+    # the section into blocks, whose chains run on the leading chain's read;
+    # each minor route used to read all 25 weights itself
     sigma = SequenceSpec((3, 2, Fraction(5, 2)), ConstantTail(Fraction(3)), start=0)
     tau = SequenceSpec((2, 1, 0), ConstantTail(Fraction(1)), start=1)
     report = tp_certify(sigma, tau, 12)
@@ -614,9 +612,8 @@ def test_no_route_makes_a_fraction_per_weight(capsys, fraction_reads_refused):
     assert stieltjes_weights(sigma, tau, 6).verdict == PASS
     assert catalan_like(sigma, tau, 12)[2] == Fraction(4, 9) + Fraction(7, 5)
     assert motzkin_oracle(sigma, tau, 8) == catalan_like(sigma, tau, 8)[8]
-    weights = read_weights(sigma, tau, 9)
-    assert tp_by_leading_minors(*weights).verdict == INCONCLUSIVE
-    assert tp_check_sections(*weights).witness == {"rows": [3], "cols": [3], "value": "-1/3"}
+    assert tp_by_leading_minors(*read_weights(sigma, tau, 9)).witness == {
+        "rows": [3], "cols": [3], "value": "-1/3"}
     pair = ["--sigma", json.dumps(sigma.to_json()), "--tau", json.dumps(tau.to_json())]
     for argv in (["gen", *pair, "-n", "30"], ["matrix", *pair, "-n", "10"],
                  ["hankel-det", *pair, "--depth", "6"],

@@ -1,12 +1,15 @@
 """Differential tests of the total-positivity routes against brute force.
 
-Random small weight pairs (negative, zero and rational entries) go through
-every route and are compared with tests/oracle.all_minors_nonneg, which
-evaluates every minor of the section.  No route may claim TRUE where a
-minor is negative, no minor route may refute where none is, and the
-contiguous-minor route must find the same first witness as a scan that
-evaluates each window with its own elimination.  The two minor routes, which decide
-signs on the integer chain, must give the reports that the Fraction chain
+Random small weight pairs (negative, zero and rational entries, and weights
+chosen to make a minor 0) go through every route and are compared with
+tests/oracle.all_minors_nonneg, which evaluates every minor of the section,
+and with oracle.window_scan, which evaluates every contiguous principal
+minor by its own elimination.  No route may claim TRUE where a minor is
+negative, no minor route may refute where none is, the section route must
+decide every section, and its witness must be a negative minor: a 1 x 1 one
+its entry, any other the determinant of its window, which starts at row 0
+or at a row k with t_k = 0.  The section route, which decides signs on the
+integer chain, must give the leading-minor reports that the Fraction chain
 (oracle.fraction_window_minors) gives, and dominance, which searches the
 tails from the first index past both prefixes, the report of the probe of
 every index up to the tails' root bound (oracle.probe_every_index_dominance).
@@ -21,26 +24,20 @@ from hypothesis import strategies as st
 
 import catmoments.exact
 from catmoments.cli import main
-from catmoments.exact import FALSE, INCONCLUSIVE, TRUE, format_rat
-from catmoments.jacobi import (
-    TPReport,
-    tp_by_leading_minors,
-    tp_certify,
-    tp_check_sections,
-    tp_sufficient_dominance,
-)
+from catmoments.exact import FALSE, TRUE, as_rat, format_rat
+from catmoments.jacobi import TPReport, tp_by_leading_minors, tp_certify, tp_sufficient_dominance
 from catmoments.recursive import read_weights
 from catmoments.seqspec import MAX_TAIL_DEGREE, ConstantTail, PolynomialTail, SequenceSpec
 from oracle import (
     all_minors_nonneg,
     det_elimination,
-    fraction_weight,
     fraction_weights,
     fraction_window_minors,
     int_weights,
     jacobi_section,
     jacobi_window,
     probe_every_index_dominance,
+    window_scan,
 )
 
 weights = st.one_of(
@@ -62,22 +59,22 @@ def weight_pairs(draw):
     return sigma, tau, depth
 
 
-def first_negative_window(sigma, tau, depth: int):
-    """The contiguous-minor scan with one elimination per window: entry
-    signs first, then windows by ascending start and end."""
-    for k in range(depth + 1):
-        if fraction_weight(sigma, k) < 0:
-            return {"rows": [k], "cols": [k], "value": format_rat(fraction_weight(sigma, k))}
-        if k >= 1 and fraction_weight(tau, k) < 0:
-            return {"rows": [k], "cols": [k - 1], "value": format_rat(fraction_weight(tau, k))}
-    s, t = fraction_weights(sigma, depth + 1), fraction_weights(tau, depth)
-    for lo in range(depth + 1):
-        for hi in range(lo, depth + 1):
-            value = det_elimination(jacobi_window(s, t, lo, hi))
-            if value < 0:
-                window = list(range(lo, hi + 1))
-                return {"rows": window, "cols": window, "value": format_rat(value)}
-    return None
+def assert_negative_minor(report, s, t):
+    """A FALSE report's witness is a negative minor of the section: a 1 x 1
+    one its entry; any other the determinant of its window, which starts at
+    row 0 or at a row k with t_k = 0.  A TRUE report has none."""
+    assert report.verdict == (TRUE if report.witness is None else FALSE)
+    if report.witness is None:
+        return
+    rows, cols = report.witness["rows"], report.witness["cols"]
+    value = as_rat(report.witness["value"])
+    assert value < 0
+    if len(rows) == 1:
+        assert value == jacobi_section(s, t)[rows[0], cols[0]]
+    else:
+        assert rows == cols == list(range(rows[0], rows[-1] + 1))
+        assert value == det_elimination(jacobi_window(s, t, rows[0], rows[-1]))
+        assert rows[0] == 0 or t[rows[0] - 1] == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -85,12 +82,10 @@ def first_negative_window(sigma, tau, depth: int):
 def test_no_route_contradicts_the_exhaustive_minor_scan(pair):
     sigma, tau, depth = pair
     s, t = fraction_weights(sigma, depth + 1), fraction_weights(tau, depth)
-    ints = read_weights(sigma, tau, depth + 1)
     oracle = all_minors_nonneg(jacobi_section(s, t), depth + 1).status
     reports = {
         "dominance": tp_sufficient_dominance(sigma, tau),
-        "leading_minors": tp_by_leading_minors(*ints),
-        "contiguous_minors": tp_check_sections(*ints),
+        "sections": tp_by_leading_minors(*read_weights(sigma, tau, depth + 1)),
         "certify": tp_certify(sigma, tau, depth),
     }
     if oracle == FALSE:
@@ -99,70 +94,84 @@ def test_no_route_contradicts_the_exhaustive_minor_scan(pair):
         # dominance FALSE only says its sufficient condition failed
         assert [name for name, r in reports.items()
                 if r.verdict == FALSE and name != "dominance"] == []
-    # the contiguous-minor route decides the section outright
-    assert reports["contiguous_minors"].verdict == oracle
+    # the section route decides the section outright
+    assert reports["sections"].verdict == oracle
 
 
 @settings(max_examples=200, deadline=None)
 @given(weight_pairs())
 def test_contiguous_witness_matches_window_determinants(pair):
     sigma, tau, depth = pair
-    report = tp_check_sections(*read_weights(sigma, tau, depth + 1))
-    assert report.witness == first_negative_window(sigma, tau, depth)
-    assert report.verdict == (TRUE if report.witness is None else FALSE)
+    s, t = fraction_weights(sigma, depth + 1), fraction_weights(tau, depth)
+    report = tp_by_leading_minors(*read_weights(sigma, tau, depth + 1))
+    assert report.verdict == window_scan(s, t).status
+    assert_negative_minor(report, s, t)
 
 
 @st.composite
 def sections(draw):
-    """Weight lists s_0..s_d and t_1..t_d, d = 0..6, drawn straight."""
+    """Weight lists s_0..s_d and t_1..t_d, d = 0..6, drawn straight, then
+    some s_k replaced by the weight that makes the minor of J on rows lo..k
+    0, lo the first row of k's irreducible block."""
     depth = draw(st.integers(0, 6))
-    return draw(st.lists(weights, min_size=depth + 1, max_size=depth + 1)), \
-        draw(st.lists(weights, min_size=depth, max_size=depth))
+    s = draw(st.lists(weights, min_size=depth + 1, max_size=depth + 1))
+    t = draw(st.lists(weights, min_size=depth, max_size=depth))
+    zeros = draw(st.sets(st.integers(0, depth)))
+    prev2, prev1 = Fraction(0), Fraction(1)
+    for k in range(depth + 1):
+        t_k = t[k - 1] if k else 0
+        if t_k == 0:
+            prev2, prev1 = Fraction(0), Fraction(1)
+        if k in zeros and prev1:
+            s[k] = t_k * prev2 / prev1
+        prev2, prev1 = prev1, s[k] * prev1 - t_k * prev2
+    return s, t
 
 
 def fraction_leading_minors(s, t):
-    """tp_by_leading_minors' report from the Fraction chain."""
+    """The leading-minor report of the section route from the Fraction chain
+    (verdict, witness, detail), or None where that chain does not decide."""
     chain = fraction_window_minors(s, t, 0)
     detail = "minor chain " + ", ".join(map(format_rat, chain))
-    depth = len(s) - 1
     for k, value in enumerate(chain):
         if value < 0:
             witness = {"rows": list(range(k + 1)), "cols": list(range(k + 1)),
                        "value": format_rat(value)}
             return FALSE, witness, detail
     if not all(w > 0 for w in t) or 0 in chain:
-        return INCONCLUSIVE, None, None
+        return None
     return TRUE, None, detail
-
-
-def fraction_first_negative_window(s, t):
-    """tp_check_sections' witness from the Fraction chain of every window."""
-    for k, s_k in enumerate(s):
-        if s_k < 0:
-            return {"rows": [k], "cols": [k], "value": format_rat(s_k)}
-        if k and t[k - 1] < 0:
-            return {"rows": [k], "cols": [k - 1], "value": format_rat(t[k - 1])}
-    for lo in range(len(s)):
-        for hi, value in enumerate(fraction_window_minors(s, t, lo), start=lo):
-            if value < 0:
-                window = list(range(lo, hi + 1))
-                return {"rows": window, "cols": window, "value": format_rat(value)}
-    return None
 
 
 @settings(max_examples=300, deadline=None)
 @given(sections())
 def test_int_minor_routes_match_the_fraction_chain(section):
     s, t = section
-    leading = tp_by_leading_minors(*int_weights(s, t))
-    verdict, witness, detail = fraction_leading_minors(s, t)
-    assert (leading.verdict, leading.witness, leading.depth) == (verdict, witness, len(s) - 1)
-    if verdict != INCONCLUSIVE:
-        assert leading.detail == detail
-    contiguous = tp_check_sections(*int_weights(s, t))
-    assert contiguous.witness == fraction_first_negative_window(s, t)
-    assert contiguous.verdict == all_minors_nonneg(jacobi_section(s, t), len(s)).status
-    event(f"leading {leading.verdict}, contiguous {contiguous.verdict}")
+    report = tp_by_leading_minors(*int_weights(s, t))
+    leading = fraction_leading_minors(s, t)
+    if leading is None:
+        assert (report.criterion, report.detail) == ("contiguous_minors", None)
+    else:
+        assert (report.criterion, report.verdict, report.witness, report.detail) == (
+            "leading_minors", *leading)
+    assert report.depth == len(s) - 1
+    assert_negative_minor(report, s, t)
+    event(f"{report.criterion} {report.verdict}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(sections())
+def test_section_route_decides_every_section(section):
+    # the verdict of the one section route is that of every minor and of
+    # every window; tp_certify, which the zero tails keep off dominance,
+    # answers by it, never inconclusively
+    s, t = section
+    report = tp_by_leading_minors(*int_weights(s, t))
+    assert report.verdict == all_minors_nonneg(jacobi_section(s, t), len(s)).status
+    assert report.verdict == window_scan(s, t).status
+    sigma = SequenceSpec(tuple(s), ConstantTail(Fraction(0)), start=0)
+    tau = SequenceSpec(tuple(t), ConstantTail(Fraction(0)), start=1)
+    assert tp_certify(sigma, tau, len(s) - 1) == report
 
 
 def _polynomial_spec(prefix, coeffs, start):
@@ -243,11 +252,12 @@ def _spec(prefix, value, start):
                         start=start)
 
 
-# three of the weight pairs the CLI golden test pins on the contiguous route
+# three of the weight pairs the CLI golden test pins on the contiguous route;
+# in the second, the section's blocks are rows 0, 1 and 2..6
 CONTIGUOUS_PAIRS = [
     (_spec([3, 2, "5/2"], 3, 0), _spec([2, 1, 0], 1, 1), 12, None),
     (_spec([0, 2, 3, 3, 0], 3, 0), _spec([0, 0, 3, 2], 1, 1), 6,
-     {"rows": [1, 2, 3, 4], "cols": [1, 2, 3, 4], "value": "-12"}),
+     {"rows": [2, 3, 4], "cols": [2, 3, 4], "value": "-6"}),
     (_spec([], "12/5", 0), _spec([1, 0], "36/25", 1), 20, None),
 ]
 
@@ -263,8 +273,9 @@ def test_contiguous_route_evaluates_no_dense_determinant(monkeypatch):
 
     monkeypatch.setattr(catmoments.exact, "_minors_ints", counting)
     for sigma, tau, depth, witness in CONTIGUOUS_PAIRS:
-        report = tp_check_sections(*read_weights(sigma, tau, depth + 1))
-        assert report.verdict == (TRUE if witness is None else FALSE)
+        report = tp_by_leading_minors(*read_weights(sigma, tau, depth + 1))
+        assert (report.criterion, report.verdict) == (
+            "contiguous_minors", TRUE if witness is None else FALSE)
         assert report.witness == witness
     assert calls == []
 
