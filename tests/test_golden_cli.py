@@ -55,7 +55,8 @@ path of each command, including one past the -n caps of gen, matrix and
 series and the --depth caps of stieltjes, hankel-det, tp and verify,
 each mix of weight sources (a name with --sigma, --terms or --pqst with a
 weight pair) and a JSON spec, tail or generating function with an unknown
-field.
+field, and the @path boundary: an unreadable file for gen, stieltjes and
+series, and tp --pqst, which reads no file, on a value led by @.
 After a deliberate output change, rewrite the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -497,6 +498,13 @@ def cases() -> dict[str, list[str]]:
     out["stieltjes-not-rational"] = ["stieltjes", "--terms", "1,x", "--format", "csv"]
     out["stieltjes-no-terms"] = ["stieltjes", "--terms", " , "]
     out["stieltjes-exponent-cap"] = ["stieltjes", "--terms", "1e200000"]
+    # an @path that cannot be read is named with the OS error and no flag;
+    # --pqst reads no file, so its "@1" is a value that is not a rational
+    missing = "@/nonexistent-catmoments/"
+    out["gen-unreadable-path"] = ["gen", "--sigma", missing + "sigma.json", "--tau", "{}"]
+    out["stieltjes-unreadable-path"] = ["stieltjes", "--terms", missing + "terms.txt"]
+    out["series-unreadable-path"] = ["series", "--gf", missing + "gf.json"]
+    out["tp-pqst-at-sign"] = ["tp", "--pqst", "@1,1,2,1"]
     out["stieltjes-negative-depth"] = ["stieltjes", "--name", "catalan", "--depth", "-1"]
     out["hankel-det-negative-depth"] = ["hankel-det", "--name", "catalan", "--depth", "-1"]
     out["hankel-det-unknown-name"] = ["hankel-det", "--name", "fibonacci", "--format", "json"]
