@@ -60,9 +60,9 @@ tridiagonal matrix two consecutive leading minors are never both zero, so a
 zero minor D_j T_0 ... T_j with T_{j+1} != 0 and a positive minor before it
 makes the next leading minor negative.  Scaling by m_0 > 0 changes no sign.
 
-verify_H_eq_RTRt checks the factorization on the int rows of R, the int
-weights over L and the terms by band sums of ints, not a dense product:
-O(depth^3), R being triangular and T diagonal.
+verify_H_eq_RTRt checks the factorization by band sums of ints, O(depth^3).
+Every entry point that takes explicit terms reads them by _terms, which
+refuses a str or bytes, a negative depth and a short list.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from .exact import (
     _int_leading_minors,
     _same_values,
     _scaled_ints,
+    _values,
     as_rat,
     format_over,
     format_rat,
@@ -95,16 +96,14 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
-def _hankel_terms(terms: Sequence, depth: int, shift: int) -> list[Fraction]:
-    """m_shift..m_{2 depth+shift}, the terms of the (depth+1)-section."""
+def _terms(terms: Sequence, count: int, depth: int) -> list[Fraction]:
+    """The first count terms as Fractions; a str or bytes, depth < 0 or fewer terms refused."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if shift not in (0, 1):
-        raise ValueError(f"shift must be 0 or 1, got {shift}")
-    needed = 2 * depth + 1 + shift
-    if len(terms) < needed:
-        raise ValueError(f"need {needed} terms for depth {depth} shift {shift}, have {len(terms)}")
-    return [as_rat(v) for v in terms[shift:needed]]
+    terms = _values(terms, "terms")
+    if len(terms) < count:
+        raise ValueError(f"need {count} terms for depth {depth}, have {len(terms)}")
+    return [as_rat(v) for v in terms[:count]]
 
 
 def _windows(values: list, depth: int) -> list[list]:
@@ -220,8 +219,8 @@ class StieltjesReport(_Value):
                         if family[k][0] < 0), None)
         if witness is None and terms is not None:
             for shift, family in enumerate(families):
-                found = any(num == 0 for num, _ in family) and \
-                    negative_principal_minor(_windows(_hankel_terms(terms, depth, shift), depth))
+                found = any(num == 0 for num, _ in family) and negative_principal_minor(
+                    _windows(_terms(terms, 2 * depth + 1 + shift, depth)[shift:], depth))
                 if found:
                     witness = {"family": f"det{shift}", "rows": found[0],
                                "value": format_rat(found[1])}
@@ -232,8 +231,8 @@ class StieltjesReport(_Value):
     def by_elimination(cls, terms: Sequence, depth: int) -> "StieltjesReport":
         """The report on both families of the explicit terms, from their Hankel
         sections (_section_minors), each with a zero leading minor decided too."""
-        shifted = _hankel_terms(terms, depth, 1)
-        families = _section_minors(*_scaled_ints([as_rat(terms[0]), *shifted]), depth, (0, 1))
+        terms = _terms(terms, 2 * depth + 2, depth)
+        families = _section_minors(*_scaled_ints(terms), depth, (0, 1))
         return cls.from_families(depth, *families, terms)
 
     def to_json(self) -> dict:
@@ -253,12 +252,7 @@ def stieltjes_check(terms: Sequence, depth: int = DEFAULT_DEPTH) -> StieltjesRep
     m_0, m_1, ... for k = 0..depth and decide both sections: from the
     weights the terms invert to when those replay to every term, from
     their Hankel sections otherwise (see the module docstring)."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    needed = 2 * depth + 2
-    if len(terms) < needed:
-        raise ValueError(f"need {needed} terms for depth {depth}, have {len(terms)}")
-    terms = [as_rat(v) for v in terms[:needed]]
+    terms = _terms(terms, 2 * depth + 2, depth)
     ints, den = _scaled_ints(terms)
     walk = _chebyshev_walk(ints, depth)
     if walk is not None and terms[0] > 0 and walk[0][depth][0] != 0:   # so no t_k is 0
@@ -332,8 +326,7 @@ def verify_H_eq_RTRt(rows, t: list[int], scale: int, terms: Sequence, depth: int
     """
     if not 0 <= depth < len(rows):
         raise ValueError(f"depth must be >= 0 and <= {len(rows) - 1}, got {depth}")
-    if len(terms) < 2 * depth + 1:
-        raise ValueError(f"need {2 * depth + 1} terms for depth {depth}, have {len(terms)}")
+    terms = _terms(terms, 2 * depth + 1, depth)
     if len(t) < depth:
         raise ValueError(f"need t_1..t_{depth}, have {len(t)} weights")
     products = enumerate(accumulate(t[:depth], operator.mul, initial=1))

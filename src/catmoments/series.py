@@ -220,6 +220,8 @@ def _gf_ints(gf: GFSpec, order: int) -> list[tuple[int, int]]:
 
 def gf_expand(gf: GFSpec, order: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
     """The coefficients of x^0..x^order of a generating function spec."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     return tuple(starmap(_over, _gf_ints(gf, order)))
 
 

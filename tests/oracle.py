@@ -87,7 +87,7 @@ from catmoments.exact import (
     as_rat,
     format_rat,
 )
-from catmoments.hankel import _hankel_terms, _weight_families
+from catmoments.hankel import _weight_families
 from catmoments.jacobi import TPReport, _minor_chain, _section_depth
 from catmoments.recursive import _scaled_rows, read_weights
 from catmoments.seqspec import SequenceSpec
@@ -135,6 +135,18 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
+
+
+def _hankel_terms(terms: Sequence, depth: int, shift: int) -> list[Fraction]:
+    """m_shift..m_{2 depth+shift}, the terms of the (depth+1)-section."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if shift not in (0, 1):
+        raise ValueError(f"shift must be 0 or 1, got {shift}")
+    needed = 2 * depth + 1 + shift
+    if len(terms) < needed:
+        raise ValueError(f"need {needed} terms for depth {depth} shift {shift}, have {len(terms)}")
+    return [as_rat(v) for v in terms[shift:needed]]
 
 
 def build_hankel(terms: Sequence, depth: int, shift: int = 0) -> DenseMatrix:

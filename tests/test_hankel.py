@@ -8,7 +8,7 @@ from itertools import starmap
 import pytest
 
 from catmoments.exact import TRUE
-from catmoments.hankel import FAIL, PASS, stieltjes_check, verify_H_eq_RTRt
+from catmoments.hankel import FAIL, PASS, StieltjesReport, stieltjes_check, verify_H_eq_RTRt
 from catmoments.recursive import _scaled_rows, catalan_like, read_weights
 from catmoments.seqspec import CATALOG, ConstantTail, SequenceSpec, catalog_lookup
 from oracle import (
@@ -96,12 +96,38 @@ def test_stieltjes_witness_ordering():
 
 def test_stieltjes_validation():
     seq = [1, 1, 2, 5, 14, 42]
-    with pytest.raises(ValueError):
-        stieltjes_check(seq, -1)
-    with pytest.raises(ValueError, match="need 8 terms"):
-        stieltjes_check(seq, 3)
-    with pytest.raises(ValueError, match="need 2 terms"):
-        stieltjes_check([], 0)
+    for check in (stieltjes_check, StieltjesReport.by_elimination):
+        with pytest.raises(ValueError, match="^depth must be >= 0$"):
+            check(seq, -1)
+        with pytest.raises(ValueError, match="^need 8 terms for depth 3, have 6$"):
+            check(seq, 3)
+        with pytest.raises(ValueError, match="^need 2 terms for depth 0, have 0$"):
+            check([], 0)
+
+
+def test_every_term_list_is_read_alike_and_a_string_is_refused():
+    # a str or bytes would be read as its characters: "1212" as 1, 2, 1, 2
+    # and b"1212" as 49, 50, 49, 50
+    entry = catalog_lookup("catalan")
+    _, t, scale = weights = read_weights(entry.sigma, entry.tau, 3)
+    rows = list(_scaled_rows(*weights, 2))
+    zero = [(1, 1), (0, 1)]                         # a zero minor: the terms are read
+    for call in (lambda: stieltjes_check("1212", 1), lambda: stieltjes_check(b"1212", 1),
+                 lambda: StieltjesReport.by_elimination("1212", 1),
+                 lambda: StieltjesReport.from_families(1, zero, zero, "1111"),
+                 lambda: verify_H_eq_RTRt(rows, t, scale, "11252", 2)):
+        with pytest.raises(ValueError, match="^terms must be a sequence of values"):
+            call()
+    # a tuple and "p/q" strings give the report of the Fractions: inverted to
+    # weights, a zero minor decided by elimination, and a negative minor
+    for terms, depth in (([Fraction(m, 3) for m in (1, 1, 2, 5, 14, 42)], 2),
+                         (list(map(Fraction, (1, 1, 1, 1, 1, -1))), 2),
+                         (list(map(Fraction, (1, 2, 1, 2))), 1)):
+        for check in (stieltjes_check, StieltjesReport.by_elimination):
+            expected = check(terms, depth)
+            assert check(tuple(terms), depth) == check(list(map(str, terms)), depth) == expected
+    catalan = _moments("catalan", 5)
+    assert verify_H_eq_RTRt(rows, t, scale, tuple(map(str, catalan)), 2) == TRUE
 
 
 def test_stieltjes_bell_superfactorials():

@@ -23,17 +23,12 @@ import catmoments.exact
 import catmoments.hankel
 from catmoments.cli import main
 from catmoments.exact import _int_leading_minors, _minors_ints, _scaled_ints
-from catmoments.hankel import (
-    _chebyshev_walk,
-    _hankel_terms,
-    _section_minors,
-    _walk_minors,
-    _windows,
-)
+from catmoments.hankel import _chebyshev_walk, _section_minors, _walk_minors, _windows
 from catmoments.recursive import catalan_like
 from catmoments.seqspec import catalog_lookup
 from oracle import (
     DenseMatrix,
+    _hankel_terms,
     build_hankel,
     condensation,
     det_cofactor,

@@ -449,6 +449,11 @@ def test_riordan_column_check_holds_on_random_rational_weights(p, q, s, t, order
     assert riordan_column_check(p, q, s, t, order=order, k_max=k_max) == TRUE
 
 
+def test_gf_expand_refuses_a_negative_order_by_its_name():
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        gf_expand(GFSpec("named", ("catalan",)), -1)
+
+
 def test_riordan_column_check_refuses_negative_order_and_k_max():
     # a negative k_max would compare no column and still answer TRUE
     with pytest.raises(ValueError, match="k_max must be >= 0"):

@@ -2,15 +2,17 @@
 route, against brute force.  A random test samples a domain; a box settles
 it.
 
-Both boxes run over the weights s_0..s_3 and t_1..t_3 of J, each in
-{-1, 0, 1, 2}: 4**7 = 16,384 weight tuples, with every shorter section of
-them (depths 0..3).  The routes read the weights as ints over L = 1.
+The first two boxes run over the weights s_0..s_3 and t_1..t_3 of J, each
+in {-1, 0, 1, 2}: 4**7 = 16,384 weight tuples, with every shorter section of
+them (depths 0..3).  The routes read the weights as ints over L = 1.  The
+third runs over explicit term lists, halves among them.
 """
 
 import itertools
+from fractions import Fraction
 
 from catmoments.exact import FALSE, TRUE
-from catmoments.hankel import FAIL, PASS, stieltjes_weights
+from catmoments.hankel import FAIL, PASS, StieltjesReport, stieltjes_check, stieltjes_weights
 from catmoments.jacobi import tp_by_leading_minors
 from catmoments.seqspec import ConstantTail, SequenceSpec
 from oracle import all_minors_nonneg, build_hankel, jacobi_section, principal_minors_nonneg
@@ -63,3 +65,23 @@ def test_stieltjes_weights_match_every_principal_minor():
         expected = all(principal_minors_nonneg(build_hankel(terms, depth, shift))
                        for shift in (0, 1))
         assert stieltjes_weights(sigma, tau, depth).verdict == (PASS if expected else FAIL), (s, t)
+
+
+def test_term_lists_match_every_principal_minor():
+    """stieltjes_check and StieltjesReport.by_elimination on every term list
+    m_0..m_3 in {-1, 0, 1/2, 1, 2} at depth 1 and m_0..m_5 in {0, 1/2, 1, 2}
+    at depth 2, against every principal minor of both Hankel sections
+    (oracle.principal_minors_nonneg): 5**4 + 4**6 = 4,721 lists, 66 of them
+    PASS, 0.5 to 1 s.  The two reports must be equal.  This is PASS as both
+    sections positive semidefinite; ROADMAP item 2 replaces this oracle with
+    the range test of a representing measure, which fails some of these PASS
+    lists."""
+    half = Fraction(1, 2)
+    boxes = (((-1, 0, half, 1, 2), 1), ((0, half, 1, 2), 2))
+    for values, depth in boxes:
+        for terms in itertools.product(values, repeat=2 * depth + 2):
+            report = stieltjes_check(terms, depth)
+            assert report == StieltjesReport.by_elimination(terms, depth), terms
+            expected = all(principal_minors_nonneg(build_hankel(terms, depth, shift))
+                           for shift in (0, 1))
+            assert report.verdict == (PASS if expected else FAIL), terms
