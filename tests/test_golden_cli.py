@@ -14,8 +14,9 @@ pair with zero, negative and integral cells, gen on 256-bit constant
 weights, integral and rational (terms past the 4,300-digit limit, the
 integral ones in every format), on 64-bit constant weights at -n 100, on a
 5,000-digit constant sigma, on a wide signed integral pair with a zero term
-(text and json), on catalan at -n 996 and -n 997, where its path bound 4**n
-passes 10**600, on a
+(text and json), on wide integral pairs whose first sigma differs from the
+rest (256-bit with q = t and with q != t, and signed 100- to 200-digit), on
+catalan at -n 996 and -n 997, where its path bound 4**n passes 10**600, on a
 zero weight and on constant-tail pairs at t = 0, q = 0, q = t, q = t with
 p = s and with negative rational weights, both
 Hankel families
@@ -50,7 +51,8 @@ generating function (the general form and the three specializations
 also at t = 0, the
 general form at -n 0, the general form, tied_qp and inverse_sqrt with
 every field over a denominator, each named form at -n 400, catalan at
--n 2000 and tied_qp with 80-digit fields at -n 300), the catalog listing, and the usage-error (exit 2)
+-n 2000, tied_qp with 80-digit fields at -n 300 and tied_q with 256-bit
+fields at -n 120), the catalog listing, and the usage-error (exit 2)
 path of each command, including one past the -n caps of gen, matrix and
 series and the --depth caps of stieltjes, hankel-det, tp and verify,
 each mix of weight sources (a name with --sigma, --terms or --pqst with a
@@ -174,12 +176,23 @@ LONG_SIGMA = _constant_tail_spec([], "99" + "0" * 700 + "1234567" * 614, 0)
 # terms are wide, and m_3 = s**3 + 3*s*t is 0
 WIDE_SIGNED_SIGMA = _constant_tail_spec([], str(-3 * 10**100), 0)
 WIDE_SIGNED_TAU = _constant_tail_spec([], str(-3 * 10**200), 1)
+# wide integral pairs on the decimal route with p != s: sigma =
+# (2**256 - 357; 2**256 - 189, ...) over tau = 2**255 + 95 (q = t, the
+# benchmark's gen-wide shape) and over tau = (2**256 - 5; 2**255 + 95, ...)
+# (the general quotient), and a signed pair with both q != t and p != s
+WIDE_FIRST_SIGMA = _constant_tail_spec([str(2**256 - 357)], str(2**256 - 189), 0)
+WIDE_FIRST_TAU = _constant_tail_spec([str(2**256 - 5)], str(2**255 + 95), 1)
+WIDE_SIGNED_FIRST_SIGMA = _constant_tail_spec([str(-3 * 10**100)], str(5 * 10**99), 0)
+WIDE_SIGNED_FIRST_TAU = _constant_tail_spec([str(7 * 10**100)], str(-3 * 10**200), 1)
 # tied_qp with 80-digit integral fields (the digits of pi and e)
 WIDE_TIED_QP = {"kind": "tied_qp",
                 "s": "3141592653589793238462643383279502884197"
                      "1693993751058209749445923078164062862089",
                 "t": "2718281828459045235360287471352662497757"
                      "2470936999595749669676277240766303535475"}
+# tied_q with 256-bit fields: q = t and p != s
+WIDE_TIED_Q = {"kind": "tied_q", "p": str(2**256 - 357), "s": str(2**256 - 189),
+               "t": str(2**255 + 95)}
 
 # pairs constant after their first entry, (p, s, s, ...) over (q, t, t, ...),
 # at each degenerate point of the closed form: t = 0 (no root), q = 0,
@@ -408,8 +421,15 @@ def cases() -> dict[str, list[str]]:
     for f in ("text", "json"):
         out[f"gen-wide-signed-n12-{f}"] = ["gen", "--sigma", WIDE_SIGNED_SIGMA,
                                            "--tau", WIDE_SIGNED_TAU, "-n", "12", "--format", f]
+    out["gen-wide256-tied-q-n70"] = ["gen", "--sigma", WIDE_FIRST_SIGMA, "--tau", WIDE_TAU,
+                                     "-n", "70"]
+    out["gen-wide256-general-n60"] = ["gen", "--sigma", WIDE_FIRST_SIGMA,
+                                      "--tau", WIDE_FIRST_TAU, "-n", "60"]
+    out["gen-wide-signed-general-n30"] = ["gen", "--sigma", WIDE_SIGNED_FIRST_SIGMA,
+                                          "--tau", WIDE_SIGNED_FIRST_TAU, "-n", "30"]
     out["series-catalan-n2000"] = ["series", "--gf", "catalan", "-n", "2000"]
     out["series-tied-qp-wide-n300"] = ["series", "--gf", json.dumps(WIDE_TIED_QP), "-n", "300"]
+    out["series-tied-q-wide-n120"] = ["series", "--gf", json.dumps(WIDE_TIED_Q), "-n", "120"]
     # catalan's path bound max(1 + p + q, 1 + s + t) = 4: 4**996 = 2**1992 is
     # below 10**600 and 4**997 = 2**1994 above it
     for n in ("996", "997"):
