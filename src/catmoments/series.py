@@ -17,18 +17,20 @@ at O(1) operations a term, with no denominator that grows.  Write
 (p, q, s, t) = (p', q', s', t') / L over one L.  The terms times L^k,
 mu_k = L^k m_k, are ints (recursive's triangle runs on them), and their
 generating function M(L*x) = c / (A + e*sqrt(P)) has int data: c = 2t',
-e = q', A = 2t' - q' + (q's' - 2p't') x and
+e = q', A = a0 + a1 x = 2t' - q' + (q's' - 2p't') x and
 P = 1 - 2s'x + (s'^2 - 4t'L) x^2 = (1 - s'x)^2 - 4t'L x^2, so sqrt(P) has int
 coefficients (those of sqrt(1 - 4z) are).  y = sqrt(P) obeys
 P y' = P' y / 2, a three-term recurrence on them (_root_ints).  Then
 c / (A + e*y) = c (A - e*y) / Q with Q = A**2 - e**2 P, which loses m <= 2
 low coefficients: G_0 = 4t'(t' - q'), or 4t'^2 (s' - p') when q = t, or
-4t'^3 L when also p = s.  So G_0 mu_k = N_(k+m) - G_1 mu_(k-1) - G_2 mu_(k-2),
-N the int numerator c (A - e*sqrt(P)), and the one division a term is exact;
-it is checked all the same, and a remainder raises.  For t = 0,
-M(L*x) = (1 - s'x) / (1 - (p' + s')x + (p's' - q'L) x^2), with no root.
+4t'^3 L when also p = s.  Q has the factor 4t' and N = c (A - e*y) the
+factor c = 2t', so Q's G_i and N's c a0, c a1, c e are divided by their gcd
+before they are lifted (on 256-bit weights G_m falls from up to 770 bits to
+at most 258).  Then G_m mu_k = N_(k+m) - G_(m+1) mu_(k-1) - G_(m+2) mu_(k-2),
+and the one division a term is exact, yet checked: a remainder raises.  For
+t = 0, M(L*x) = (1 - s'x) / (1 - (p' + s')x + (p's' - q'L) x^2), no root.
 
-_constant_tail runs that recurrence on the scaled ints, each lifted first by
+_constant_tail runs that recurrence on the divided data, each lifted first by
 int or by exact.EXACT's create_decimal.  _constant_tail_strs prints the terms
 for gen and series: term k is the int mu_k over L^k (exact.format_over),
 unless L = 1 and the path bound B^n >= |m_n|, B = max(1 + |p| + |q|,
@@ -41,6 +43,7 @@ the ints.
 
 from __future__ import annotations
 
+import math
 from decimal import localcontext
 from fractions import Fraction
 from itertools import accumulate, starmap
@@ -84,19 +87,22 @@ def _quadratic_quotient(num: list, g0, g1, g2, count: int) -> list:
 
 def _constant_tail(p: int, q: int, s: int, t: int, scale: int, n: int, lift) -> list:
     """mu_0..mu_n, mu_k = L**k m_k, of the scaled ints p' .. t' over scale = L,
-    each lifted first, from the closed form's recurrence at O(1) operations a
-    term (see the module notes); the values are of the lift's type."""
+    from the closed form's recurrence at O(1) operations a term, on its data
+    divided by their gcd, then lifted (module notes); of the lift's type."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    p, q, s, t, scale = map(lift, (p, q, s, t, scale))
     if t == 0:
-        quad, num = (1, -p - s, p * s - q * scale), [1, -s, *[0] * n]
+        data, root = (1, -p - s, p * s - q * scale, 1, -s, 0), [0] * (n + 2)
     else:
         c, a0, a1, e, r2 = 2 * t, 2 * t - q, q * s - 2 * p * t, q, s * s - 4 * t * scale
-        quad = (a0 * a0 - e * e, 2 * a0 * a1 + 2 * e * e * s, a1 * a1 - e * e * r2)
-        num = [-c * e * y for y in _root_ints(-s, r2, n + 3)]
-        num[0] += c * a0
-        num[1] += c * a1
+        data = (a0 * a0 - e * e, 2 * a0 * a1 + 2 * e * e * s, a1 * a1 - e * e * r2,
+                c * a0, c * a1, c * e)
+        root = _root_ints(lift(-s), lift(r2), n + 3)
+    content = math.gcd(*data)
+    *quad, ca0, ca1, ce = (lift(v // content) for v in data)
+    num = [-ce * y for y in root]
+    num[0] += ca0
+    num[1] += ca1
     shift = next(i for i, v in enumerate(quad) if v)
     return _quadratic_quotient(num[shift:], *quad[shift:], *[0] * shift, n + 1)
 

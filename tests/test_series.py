@@ -5,20 +5,23 @@ stands for.  Each kind is checked against its literal formula on the
 schoolbook kernels (oracle.LITERAL_FORMS), against the recurrence's
 triangle, and the Riordan check against its Fraction form and by refuting
 any one raised cell of the columns it compares; the kernel's exact
-divisions are checked, on ints and on Decimals.  The decimal route of wide
-integral pairs prints what the int route prints, is taken where the path
-bound says, and does not read the thread's default context."""
+divisions are checked, on ints and on Decimals, and so is that it divides
+its data by their content.  Both of its lifts are compared with the triangle
+on random signed pairs.  The decimal route of wide integral pairs prints
+what the int route prints, is taken where the path bound says, and does not
+read the thread's default context."""
 
 import contextlib
 import io
 import json
+import math
 import random
 from decimal import Context, Decimal, getcontext, localcontext, setcontext
 from fractions import Fraction
 from itertools import product, starmap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from catmoments.recursive import catalan_like
 from catmoments.seqspec import SequenceSpec, catalog_lookup, pqst_of
@@ -568,10 +571,10 @@ integral = st.one_of(st.integers(-3, 3), st.integers(-10**40, 10**40))
 
 
 @st.composite
-def integral_pairs(draw):
-    """(p, q, s, t) ints, with t = 0, q = t or q = t and p = s (the shifts of
-    the quotient) drawn often."""
-    p, q, s, t = (draw(integral) for _ in range(4))
+def weight_pairs(draw, values):
+    """(p, q, s, t) drawn from values, with t = 0, q = t or q = t and p = s
+    (the shifts of the quotient) drawn often."""
+    p, q, s, t = (draw(values) for _ in range(4))
     tie = draw(st.sampled_from(("none", "t = 0", "q = t", "q = t, p = s")))
     t = 0 if tie == "t = 0" else t
     return (s if tie == "q = t, p = s" else p), (q if tie == "none" else t), s, t
@@ -607,18 +610,79 @@ def _decimal_strs(p, q, s, t, n):
         return list(map(_decimal_str, _constant_tail(p, q, s, t, 1, n, context.create_decimal)))
 
 
+def _triangle(p, q, s, t, n):
+    """Terms 0..n of (p, s, s, ...) over (q, t, t, ...) on the recursive
+    matrix's triangle, the route independent of the closed form."""
+    return catalan_like(SequenceSpec.first_then_constant(p, s, start=0),
+                        SequenceSpec.first_then_constant(q, t, start=1), n)
+
+
 @settings(max_examples=200, deadline=None)
-@given(integral_pairs(), st.integers(0, 40))
+@given(weight_pairs(integral), st.integers(0, 40))
 def test_decimal_route_prints_the_int_route(pqst, n):
-    nums, scale = _constant_tail_ints(*pqst, n)
-    assert scale == 1
-    assert _decimal_strs(*pqst, n) == [format_over(v, 1) for v in nums]
+    # both lifts against the triangle: a wrong reduction of the data that
+    # both share fails too
+    terms = _triangle(*pqst, n)
+    assert _constant_tail_ints(*pqst, n) == (terms, 1)
+    assert _decimal_strs(*pqst, n) == list(map(str, terms))
 
 
 def test_decimal_route_prints_the_int_route_on_a_small_box():
     # every (p, q, s, t) in {-3..3}**4 at n = 8: zero terms of either sign
     for pqst in product(range(-3, 4), repeat=4):
-        assert _decimal_strs(*pqst, 8) == list(map(str, _constant_tail_ints(*pqst, 8)[0])), pqst
+        terms = list(map(str, _triangle(*pqst, 8)))
+        assert _decimal_strs(*pqst, 8) == terms, pqst
+        assert list(map(str, _constant_tail_ints(*pqst, 8)[0])) == terms, pqst
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_pairs(maybe_zero), st.integers(0, 30))
+def test_constant_tail_matches_the_triangle_on_rational_pairs(pqst, n):
+    nums, scale = _constant_tail_ints(*pqst, n)
+    assume(scale > 1)
+    assert [Fraction(v, scale**k) for k, v in enumerate(nums)] == _triangle(*pqst, n)
+
+
+@contextlib.contextmanager
+def recorded_quotients():
+    """The arguments of every _quadratic_quotient call made inside."""
+    calls, original = [], catmoments.series._quadratic_quotient
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catmoments.series, "_quadratic_quotient",
+                      lambda *args: calls.append(args) or original(*args))
+        yield calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(integral, integral, integral, integral), st.sampled_from(DENOMINATORS))
+def test_constant_tail_divides_its_data_by_their_content(pqst, scale):
+    # at t != 0 and q != t (shift 0) the numerator num_k = ca0 + ca1 x -
+    # ce y_k, y = sqrt((1 - s x)**2 - 4 t L x**2) = 1 - s x - 2 t L x**2 + ...,
+    # gives back ce, ca0 and ca1; unreduced, 2t divides all of them and the
+    # quadratic
+    p, q, s, t = pqst
+    assume(t != 0 and q != t)
+    with recorded_quotients() as calls:
+        _constant_tail(p, q, s, t, scale, 2, int)
+    [(num, g0, g1, g2, _)] = calls
+    ce, remainder = divmod(num[2], 2 * t * scale)
+    assert remainder == 0
+    assert math.gcd(g0, g1, g2, num[0] + ce, num[1] - ce * s) == 1
+
+
+@pytest.mark.parametrize("tie", ["q = t", "none", "q = t, p = s"])
+def test_constant_tail_divides_by_at_most_258_bits_on_256_bit_weights(tie):
+    # unreduced, the divisor is G_1 = 4t^2 (s - p) at q = t (about 770 bits),
+    # G_0 = 4t(t - q) otherwise (514) and G_2 = 4t^3 L at p = s (770)
+    rng = random.Random(tie)
+    for _ in range(5):
+        p, q, s, t = (rng.getrandbits(256) for _ in range(4))
+        q = t if tie != "none" else q
+        p = s if tie == "q = t, p = s" else p
+        with recorded_quotients() as calls:
+            _constant_tail_strs(p, q, s, t, 70)
+        [(_, divisor, *_)] = calls
+        assert 0 < abs(int(divisor)).bit_length() <= 258
 
 
 @pytest.mark.parametrize("weights, n, wide", [
